@@ -258,40 +258,3 @@ def test_bench_ablation_failure_distribution(once):
     # Same mean rate: failure counts land in the same band.
     counts = [report.failures_injected for report in reports.values()]
     assert max(counts) <= 4 * max(1, min(counts))
-
-
-def test_bench_ablation_incremental_checkpointing(once):
-    """Full images vs incremental deltas vs compression: bytes written."""
-    import numpy as np
-
-    from repro.checkpoint import capture_image
-    from repro.checkpoint.incremental import IncrementalCheckpointer, compress_image
-
-    def run():
-        rng = np.random.default_rng(0)
-        # Page-granular state: dirty tracking works per key, mirroring
-        # the MMU dirty-bit granularity of real incremental checkpointers.
-        pages = {f"page{i}": rng.random(500) for i in range(100)}
-        inc = IncrementalCheckpointer(full_every=8)
-        full_bytes = delta_bytes = compressed_bytes = 0
-        for step in range(8):
-            pages[f"page{step}"] = pages[f"page{step}"] + 1.0
-            state = dict(pages, step=step)
-            image = capture_image(state)
-            full_bytes += image.nbytes
-            delta_bytes += inc.capture(state).nbytes
-            compressed, _cost = compress_image(image.data)
-            compressed_bytes += len(compressed)
-        restored = inc.restore()
-        assert np.array_equal(restored["page3"], pages["page3"])
-        return full_bytes, delta_bytes, compressed_bytes
-
-    full_bytes, delta_bytes, compressed_bytes = once(run)
-    print("\n" + render_table(
-        ["strategy", "bytes written"],
-        [["full images", full_bytes],
-         ["incremental", delta_bytes],
-         ["compressed full", compressed_bytes]],
-        title="Ablation: checkpoint size optimisations (8 checkpoints)",
-    ))
-    assert delta_bytes < full_bytes

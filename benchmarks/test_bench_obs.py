@@ -66,13 +66,8 @@ def test_bench_tracing_overhead(once, tmp_path):
     obs = ObsSession(trace_path=trace_path)
     obs.stamp("bench-obs", base_seed=11)
     start = time.perf_counter()
-    traced = run_redundancy_sweep(
-        base_config(trace_dir=obs.parts_dir),
-        MTBFS,
-        DEGREES,
-        tracer=obs.tracer,
-    )
-    records = obs.finalize(cells=len(traced))
+    traced = run_redundancy_sweep(base_config(), MTBFS, DEGREES, obs=obs)
+    records = obs.finalize()
     traced_seconds = time.perf_counter() - start
 
     overhead = (

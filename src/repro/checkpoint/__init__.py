@@ -10,16 +10,12 @@ simulator:
   with integrity digests (restart actually restores the numbers);
 * :mod:`coordinator` — the OpenMPI-style all-to-all bookmark protocol:
   quiesce every channel (sent == delivered) before capturing;
-* :mod:`chandy_lamport` — the classic marker-based distributed
-  snapshot, as an alternative coordination protocol;
 * :mod:`service` — the checkpointer "background process" of Section 5:
   a Daly-interval timer plus the cooperative capture path application
   ranks call at step boundaries;
 * :mod:`restart` — the recovery lines: roll back to the newest
   committed set, verify integrity, fall back line by line to older
-  retained sets when images are corrupt, count rework;
-* :mod:`incremental` — incremental / forked / compressed checkpointing
-  variants (the Section 2 optimisation taxonomy), for ablations.
+  retained sets when images are corrupt, count rework.
 """
 
 from .storage import StableStorage, StoredBlob

@@ -55,8 +55,30 @@ def _parse_overrides(pairs: List[str]) -> Dict[str, Any]:
     return overrides
 
 
-def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
-    """Observability knobs shared by the sweep subcommands."""
+def _add_sweep_flags(subparser: argparse.ArgumentParser, quick_help: str) -> None:
+    """Execution, observability and store knobs shared by the sweeps."""
+    subparser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes for the sweep (default: REPRO_WORKERS env, "
+        "else serial); results are bit-identical either way",
+    )
+    subparser.add_argument("--quick", action="store_true", help=quick_help)
+    subparser.add_argument(
+        "--cell-timeout",
+        type=float,
+        default=None,
+        help="wall-clock seconds one grid cell may run in a worker "
+        "(default: REPRO_CELL_TIMEOUT env, else unlimited; pool mode only)",
+    )
+    subparser.add_argument(
+        "--cell-retries",
+        type=int,
+        default=None,
+        help="resubmissions per cell lost to a broken worker pool "
+        "(default: REPRO_CELL_RETRIES env, else 2)",
+    )
     subparser.add_argument(
         "--trace",
         metavar="FILE",
@@ -69,6 +91,12 @@ def _add_obs_flags(subparser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print parent-side campaign metrics (counters, gauges, "
         "wall-time histograms) after the sweep",
+    )
+    _add_store_flags(subparser)
+    subparser.add_argument(
+        "overrides",
+        nargs="*",
+        help="extra experiment parameter overrides as key=value",
     )
 
 
@@ -103,24 +131,6 @@ def _resolve_store(args):
     )
 
 
-def _add_pool_hardening_flags(subparser: argparse.ArgumentParser) -> None:
-    """Self-healing executor knobs shared by the sweep subcommands."""
-    subparser.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        help="wall-clock seconds one grid cell may run in a worker "
-        "(default: REPRO_CELL_TIMEOUT env, else unlimited; pool mode only)",
-    )
-    subparser.add_argument(
-        "--cell-retries",
-        type=int,
-        default=None,
-        help="resubmissions per cell lost to a broken worker pool "
-        "(default: REPRO_CELL_RETRIES env, else 2)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -143,54 +153,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the simulation campaign grid with per-cell progress",
     )
     campaign.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the grid (default: REPRO_WORKERS env, "
-        "else serial); results are bit-identical either way",
-    )
-    campaign.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced 3x5 grid instead of the full 5x9 grid",
-    )
-    campaign.add_argument(
         "--failure-free",
         action="store_true",
         help="run the Table 5 failure-free sweep instead of the Table 4 grid",
     )
-    _add_pool_hardening_flags(campaign)
-    _add_obs_flags(campaign)
-    _add_store_flags(campaign)
-    campaign.add_argument(
-        "overrides",
-        nargs="*",
-        help="extra experiment parameter overrides as key=value",
+    _add_sweep_flags(
+        campaign, quick_help="reduced 3x5 grid instead of the full 5x9 grid"
     )
     chaos = commands.add_parser(
         "chaos",
         help="sweep completion time vs injected storage-fault probability",
     )
-    chaos.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the sweep (default: REPRO_WORKERS env, "
-        "else serial)",
-    )
-    chaos.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced probability grid (0, 0.1, 0.3)",
-    )
-    _add_pool_hardening_flags(chaos)
-    _add_obs_flags(chaos)
-    _add_store_flags(chaos)
-    chaos.add_argument(
-        "overrides",
-        nargs="*",
-        help="extra experiment parameter overrides as key=value",
-    )
+    _add_sweep_flags(chaos, quick_help="reduced probability grid (0, 0.1, 0.3)")
     reporter = commands.add_parser(
         "report",
         help="render the per-phase time breakdown from a --trace file",
@@ -263,104 +237,74 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    handler = _HANDLERS.get(args.command)
+    if handler is None:
+        parser.print_help()
+        return 1
     try:
-        return _dispatch(argv)
+        return handler(args)
     except BrokenPipeError:
         # Output piped into `head` or similar closed early; not an error.
         return 0
+    except (ReproError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
-def _dispatch(argv: Optional[List[str]]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        for experiment in list_experiments():
-            print(experiment)
-        return 0
-    if args.command == "run":
-        try:
-            overrides = _parse_overrides(args.overrides)
-            result = run_experiment(args.experiment, **overrides)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(result.render())
-        return 0
-    if args.command == "campaign":
-        try:
-            return _campaign(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "chaos":
-        try:
-            return _chaos(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "report":
-        try:
-            return _report(args)
-        except (ReproError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "advise":
-        try:
-            print(_advise(args))
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        return 0
-    if args.command == "serve":
-        try:
-            return _serve(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "bench-serve":
-        try:
-            return _bench_serve(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    parser.print_help()
-    return 1
-
-
-def _campaign(args) -> int:
-    """Run the Table 4 grid (or Table 5 sweep) with live progress."""
-    overrides = _parse_overrides(args.overrides)
-    experiment = "table5" if args.failure_free else "table4"
-    if not args.failure_free and args.quick:
-        overrides.setdefault("quick", True)
-
-    def progress(cell) -> None:
-        mtbf = "-" if cell.node_mtbf is None else f"{cell.node_mtbf:.3g}s"
-        print(
-            f"  cell mtbf={mtbf} r={cell.redundancy}x: "
-            f"{cell.minutes:.2f} min",
-            flush=True,
-        )
-
-    obs = ObsSession(trace_path=args.trace, metrics=args.metrics)
-    store = _resolve_store(args)
-    result = run_experiment(
-        experiment,
-        workers=args.workers,
-        progress=progress,
-        cell_timeout=args.cell_timeout,
-        cell_retries=args.cell_retries,
-        obs=obs if obs.enabled else None,
-        store=store,
-        **overrides,
-    )
-    print(result.render())
-    _print_obs(args, obs, store)
+def _list(args) -> int:
+    for experiment in list_experiments():
+        print(experiment)
     return 0
 
 
-def _print_obs(args, obs: ObsSession, store=None) -> None:
-    """Shared --trace/--metrics/--store epilogue for sweep subcommands."""
+def _run(args) -> int:
+    result = run_experiment(args.experiment, **_parse_overrides(args.overrides))
+    print(result.render())
+    return 0
+
+
+def _campaign_progress(cell) -> None:
+    mtbf = "-" if cell.node_mtbf is None else f"{cell.node_mtbf:.3g}s"
+    print(
+        f"  cell mtbf={mtbf} r={cell.redundancy}x: {cell.minutes:.2f} min",
+        flush=True,
+    )
+
+
+def _chaos_progress(outcome) -> None:
+    status = (
+        f"{outcome.report.total_time:.3f} s"
+        if outcome.ok
+        else f"FAILED ({outcome.error_type})"
+    )
+    print(f"  cell p={outcome.spec.redundancy:g}: {status}", flush=True)
+
+
+def _sweep(args) -> int:
+    """Run a simulated sweep (Table 4, Table 5 or chaos) with live progress."""
+    overrides = _parse_overrides(args.overrides)
+    if args.command == "chaos":
+        experiment, progress = "chaos", _chaos_progress
+    else:
+        experiment = "table5" if args.failure_free else "table4"
+        progress = _campaign_progress
+    if args.quick and experiment != "table5":
+        overrides.setdefault("quick", True)
+    obs = ObsSession(trace_path=args.trace, metrics=args.metrics)
+    obs.stamp(experiment, params=overrides)
+    store = _resolve_store(args)
+    execution = dict(
+        workers=args.workers,
+        cell_timeout=args.cell_timeout,
+        cell_retries=args.cell_retries,
+        obs=obs,
+        store=store,
+    )
+    result = run_experiment(experiment, progress=progress, **execution, **overrides)
+    obs.finalize()
+    print(result.render())
     if obs.metrics is not None:
         print()
         print(obs.metrics.render())
@@ -370,36 +314,6 @@ def _print_obs(args, obs: ObsSession, store=None) -> None:
     if args.trace:
         print(f"\ntrace written to {args.trace} "
               f"(render with: repro-exp report {args.trace})")
-
-
-def _chaos(args) -> int:
-    """Run the storage-fault chaos sweep with live progress."""
-    overrides = _parse_overrides(args.overrides)
-    if args.quick:
-        overrides.setdefault("quick", True)
-
-    def progress(outcome) -> None:
-        status = (
-            f"{outcome.report.total_time:.3f} s"
-            if outcome.ok
-            else f"FAILED ({outcome.error_type})"
-        )
-        print(f"  cell p={outcome.spec.redundancy:g}: {status}", flush=True)
-
-    obs = ObsSession(trace_path=args.trace, metrics=args.metrics)
-    store = _resolve_store(args)
-    result = run_experiment(
-        "chaos",
-        workers=args.workers,
-        progress=progress,
-        cell_timeout=args.cell_timeout,
-        cell_retries=args.cell_retries,
-        obs=obs if obs.enabled else None,
-        store=store,
-        **overrides,
-    )
-    print(result.render())
-    _print_obs(args, obs, store)
     return 0
 
 
@@ -410,8 +324,8 @@ def _report(args) -> int:
     return 0 if report.ok else 2
 
 
-def _advise(args) -> str:
-    """Build the model from CLI arguments and render a recommendation."""
+def _advise(args) -> int:
+    """Build the model from CLI arguments and print a recommendation."""
     from .models import CombinedModel, recommend
     from .util import render_table
 
@@ -453,7 +367,8 @@ def _advise(args) -> str:
         f"(speedup vs plain: {outcome.speedup_vs_plain:.2f}x)",
         f"why: {outcome.rationale}",
     ]
-    return "\n".join(lines)
+    print("\n".join(lines))
+    return 0
 
 
 def _serve(args) -> int:
@@ -474,6 +389,7 @@ def _serve(args) -> int:
             store=store,
         )
         await server.start()
+        server.handle_signals()
         print(
             f"serving on http://{server.host}:{server.port} "
             f"(batch<={args.max_batch}, window={args.max_wait_ms:g}ms, "
@@ -532,6 +448,18 @@ def _bench_serve(args) -> int:
               file=sys.stderr)
         return 2
     return 0
+
+
+_HANDLERS = {
+    "list": _list,
+    "run": _run,
+    "campaign": _sweep,
+    "chaos": _sweep,
+    "report": _report,
+    "advise": _advise,
+    "serve": _serve,
+    "bench-serve": _bench_serve,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution

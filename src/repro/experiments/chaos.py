@@ -43,7 +43,6 @@ from typing import Optional, Sequence
 from ..errors import ModelDivergence, ReproError
 from ..faults import StorageFaultConfig
 from ..models.checkpointing import total_time
-from ..obs import NULL_TRACER, ObsSession
 from ..orchestration import CampaignExecutor, CellSpec, JobConfig
 from ..util.plot import ascii_plot
 from ..workloads import SyntheticWorkload
@@ -159,38 +158,27 @@ def _predict(setup: ChaosSetup, delta: float, mode: str, prob: float) -> float:
 
 def run(
     setup: Optional[ChaosSetup] = None,
-    probs: Sequence[float] = DEFAULT_PROBS,
+    probs: Optional[Sequence[float]] = None,
     quick: bool = False,
-    workers: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    cell_retries: Optional[int] = None,
     progress=None,
-    obs: Optional[ObsSession] = None,
-    store=None,
+    **execution,
 ) -> ExperimentResult:
     """Sweep T_total vs storage-fault probability in both chaos modes.
 
-    ``quick=True`` shrinks the probability grid; ``workers`` fans the
-    cells out over the self-healing process-pool executor (with
-    ``cell_timeout``/``cell_retries`` bounding each cell).  ``obs``
-    turns on tracing/metrics (see :mod:`repro.obs`); ``store`` makes
-    the sweep resumable (see :mod:`repro.store`).
+    ``quick=True`` shrinks the default probability grid; an explicit
+    ``probs`` wins over it.  ``progress`` receives each cell's
+    :class:`~repro.orchestration.CellOutcome`; ``execution`` is
+    forwarded untouched to the self-healing
+    :class:`~repro.orchestration.CampaignExecutor` (``workers``,
+    ``cell_timeout``, ``store``, ``obs``, ...).
     """
     setup = setup or ChaosSetup()
-    if quick:
-        probs = QUICK_PROBS
+    if probs is None:
+        probs = QUICK_PROBS if quick else DEFAULT_PROBS
     probs = sorted(set(float(p) for p in probs))
     if any(p < 0.0 or p > 1.0 for p in probs):
         raise ReproError(f"probabilities must be in [0, 1], got {probs}")
     base = setup.job_config()
-    if obs is not None and obs.enabled:
-        obs.stamp(
-            "chaos",
-            params={"quick": quick, "probs": list(probs), "setup": setup},
-            base_seed=setup.seed,
-        )
-        if obs.parts_dir is not None:
-            base = replace(base, trace_dir=obs.parts_dir)
 
     # One cell per (mode, p) point with common random numbers: the seed
     # (and hence the injected node-failure timeline) is shared across
@@ -206,10 +194,9 @@ def run(
             config = replace(
                 base, storage_faults=_fault_config(setup, mode, prob)
             )
-        if base.trace_dir is not None:
-            # Chaos cells share seed/degree/MTBF, so the job's automatic
-            # trace label would collide; name cells by (mode, p) instead.
-            config = replace(config, trace_label=f"{mode}-p{prob:g}")
+        # Chaos cells share seed/degree/MTBF, so the job's automatic
+        # trace label would collide; name cells by (mode, p) instead.
+        config = replace(config, trace_label=f"{mode}-p{prob:g}")
         # The spec's (node_mtbf, redundancy) coordinates are not
         # meaningful for this sweep; the probability rides in
         # ``redundancy`` so progress callbacks can distinguish cells.
@@ -217,17 +204,8 @@ def run(
             CellSpec(node_mtbf=setup.node_mtbf, redundancy=prob, config=config)
         )
 
-    executor = CampaignExecutor(
-        workers=workers,
-        cell_timeout=cell_timeout,
-        cell_retries=cell_retries,
-        tracer=obs.tracer if obs is not None else NULL_TRACER,
-        metrics=obs.metrics if obs is not None else None,
-        store=store,
-    )
+    executor = CampaignExecutor(**execution)
     outcomes = executor.run(specs, progress=progress)
-    if obs is not None and obs.enabled:
-        obs.finalize(cells=len(outcomes))
     failures = [o for o in outcomes if not o.ok]
     if failures:
         raise ReproError(

@@ -21,21 +21,17 @@ from ..errors import ModelDivergence
 from ..models.simplified import simplified_total_time
 from ..util.stats import mean_abs_pct_error, pearson, qq_points
 from .runner import ExperimentResult
-from .table4 import ScaledSetup, run_campaign_cells
-
-DEFAULT_DEGREES = (1.0, 1.5, 2.0, 2.5, 3.0)
+from .table4 import QUICK_DEGREES, QUICK_MTBF_HOURS, ScaledSetup, sweep_cells
 
 
 def run(
     setup: Optional[ScaledSetup] = None,
-    mtbf_hours: Sequence[float] = (6.0, 18.0, 30.0),
-    degrees: Sequence[float] = DEFAULT_DEGREES,
+    mtbf_hours: Sequence[float] = QUICK_MTBF_HOURS,
+    degrees: Sequence[float] = QUICK_DEGREES,
 ) -> ExperimentResult:
     """Overlay simulation vs simplified model and compute fit statistics."""
     setup = setup or ScaledSetup()
-    setup_used, cells = run_campaign_cells(
-        setup, mtbf_hours=mtbf_hours, degrees=degrees
-    )
+    cells = sweep_cells(setup, mtbf_hours, degrees)
     observed = {}
     for cell in cells:
         observed[(cell.node_mtbf, cell.redundancy)] = cell.report.total_time
@@ -44,20 +40,20 @@ def run(
     observed_list = []
     modeled_list = []
     for hours in mtbf_hours:
-        sim_mtbf = setup_used.mtbf_to_sim(hours)
+        sim_mtbf = setup.mtbf_to_sim(hours)
         for degree in degrees:
             obs = observed[(sim_mtbf, degree)]
             try:
                 mod = simplified_total_time(
-                    virtual_processes=setup_used.virtual_processes,
+                    virtual_processes=setup.virtual_processes,
                     redundancy=degree,
                     node_mtbf=sim_mtbf,
-                    alpha=setup_used.alpha_estimate,
-                    base_time=setup_used.expected_base_time,
-                    checkpoint_cost=setup_used.checkpoint_cost_paper_minutes
-                    * setup_used.time_scale,
-                    restart_cost=setup_used.restart_cost_paper_minutes
-                    * setup_used.time_scale,
+                    alpha=setup.alpha_estimate,
+                    base_time=setup.expected_base_time,
+                    checkpoint_cost=setup.checkpoint_cost_paper_minutes
+                    * setup.time_scale,
+                    restart_cost=setup.restart_cost_paper_minutes
+                    * setup.time_scale,
                     exact_reliability=True,
                 )
             except ModelDivergence:
@@ -66,8 +62,8 @@ def run(
                 [
                     f"{hours:.0f} hrs",
                     degree,
-                    round(setup_used.sim_to_paper_minutes(obs), 1),
-                    round(setup_used.sim_to_paper_minutes(mod), 1),
+                    round(setup.sim_to_paper_minutes(obs), 1),
+                    round(setup.sim_to_paper_minutes(mod), 1),
                     round(obs / mod, 3) if mod not in (0.0, math.inf) else math.nan,
                 ]
             )

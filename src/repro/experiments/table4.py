@@ -22,19 +22,21 @@ the paper's regime.  Expected shape (the paper's observations 1-4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..models.redundancy import PAPER_REDUNDANCY_GRID
-from ..obs import NULL_TRACER, ObsSession
-from ..orchestration import JobConfig, run_redundancy_sweep
+from ..orchestration import CampaignCell, JobConfig, run_redundancy_sweep
 from ..orchestration.campaign import cells_to_matrix
 from ..util.plot import ascii_heatmap, ascii_plot
 from ..workloads import SyntheticWorkload
 from .runner import ExperimentResult
 
 PAPER_MTBF_HOURS = (6.0, 12.0, 18.0, 24.0, 30.0)
+#: The reduced 3x5 grid ``quick=True`` runs.
+QUICK_MTBF_HOURS = (6.0, 18.0, 30.0)
+QUICK_DEGREES = (1.0, 1.5, 2.0, 2.5, 3.0)
 
 #: Paper Table 4, for side-by-side comparison [minutes].
 PAPER_TABLE4 = {
@@ -110,60 +112,49 @@ class ScaledSetup:
         )
 
 
-def run(
-    setup: Optional[ScaledSetup] = None,
-    mtbf_hours: Sequence[float] = PAPER_MTBF_HOURS,
-    degrees: Sequence[float] = PAPER_REDUNDANCY_GRID,
-    quick: bool = False,
+def sweep_cells(
+    setup: ScaledSetup,
+    mtbf_hours: Sequence[float],
+    degrees: Sequence[float],
     progress=None,
-    workers: Optional[int] = None,
-    cell_timeout: Optional[float] = None,
-    cell_retries: Optional[int] = None,
-    obs: Optional[ObsSession] = None,
-    store=None,
-) -> ExperimentResult:
-    """Run the campaign grid and render the Table 4 matrix.
+    **execution,
+) -> List[CampaignCell]:
+    """The raw campaign cells of a Table 4 grid (also fig12's input).
 
-    ``quick=True`` shrinks the grid to 3 MTBFs x 5 degrees (handy from
-    the CLI); ``progress`` (optional) is called with each finished cell;
-    ``workers`` (or the ``REPRO_WORKERS`` env var) fans the grid out
-    over a process pool with bit-identical results.  ``obs`` (an
-    :class:`~repro.obs.ObsSession`) turns on tracing/metrics: every
-    cell's job writes a trace part, merged into one JSONL file at the
-    end.  Tracing never touches the simulation clock, so traced results
-    equal untraced ones.  ``store`` (a
-    :class:`~repro.store.ResultsStore`) makes the campaign resumable:
-    stored cells are restored instead of re-run and completed cells are
-    persisted as they finish.
+    ``execution`` is forwarded untouched to the
+    :class:`~repro.orchestration.CampaignExecutor` (``workers``,
+    ``store``, ``obs``, ...); traced and parallel runs equal serial ones.
     """
-    setup = setup or ScaledSetup()
-    if quick:
-        mtbf_hours = (6.0, 18.0, 30.0)
-        degrees = (1.0, 1.5, 2.0, 2.5, 3.0)
-    base = setup.job_config()
-    if obs is not None and obs.enabled:
-        obs.stamp(
-            "table4",
-            params={"quick": quick, "mtbf_hours": list(mtbf_hours),
-                    "degrees": list(degrees), "setup": setup},
-            base_seed=setup.base_seed,
-        )
-        if obs.parts_dir is not None:
-            base = replace(base, trace_dir=obs.parts_dir)
-    cells = run_redundancy_sweep(
-        base,
+    return run_redundancy_sweep(
+        setup.job_config(),
         node_mtbfs=[setup.mtbf_to_sim(h) for h in mtbf_hours],
         degrees=list(degrees),
         progress=progress,
-        workers=workers,
-        cell_timeout=cell_timeout,
-        cell_retries=cell_retries,
-        tracer=obs.tracer if obs is not None else NULL_TRACER,
-        metrics=obs.metrics if obs is not None else None,
-        store=store,
+        **execution,
     )
-    if obs is not None and obs.enabled:
-        obs.finalize(cells=len(cells))
+
+
+def run(
+    setup: Optional[ScaledSetup] = None,
+    mtbf_hours: Optional[Sequence[float]] = None,
+    degrees: Optional[Sequence[float]] = None,
+    quick: bool = False,
+    progress=None,
+    **execution,
+) -> ExperimentResult:
+    """Run the campaign grid and render the Table 4 matrix.
+
+    ``quick=True`` shrinks the default grid to 3 MTBFs x 5 degrees
+    (handy from the CLI); an explicit ``mtbf_hours`` or ``degrees``
+    wins over it.  ``progress`` (optional) is called with each finished
+    cell; ``execution`` reaches the executor as in :func:`sweep_cells`.
+    """
+    setup = setup or ScaledSetup()
+    if mtbf_hours is None:
+        mtbf_hours = QUICK_MTBF_HOURS if quick else PAPER_MTBF_HOURS
+    if degrees is None:
+        degrees = QUICK_DEGREES if quick else PAPER_REDUNDANCY_GRID
+    cells = sweep_cells(setup, mtbf_hours, degrees, progress, **execution)
     matrix = cells_to_matrix(cells)
     rows = []
     minima = {}
@@ -214,21 +205,4 @@ def run(
             "additionally shrunk by the process ratio to preserve failure counts",
             "cells are single stochastic runs (as in the paper); expect noise",
         ],
-    )
-
-
-def run_campaign_cells(
-    setup: Optional[ScaledSetup] = None,
-    mtbf_hours: Sequence[float] = PAPER_MTBF_HOURS,
-    degrees: Sequence[float] = PAPER_REDUNDANCY_GRID,
-    workers: Optional[int] = None,
-):
-    """Raw campaign cells (used by fig12's observed-vs-modeled overlay)."""
-    setup = setup or ScaledSetup()
-    base = setup.job_config()
-    return setup, run_redundancy_sweep(
-        base,
-        node_mtbfs=[setup.mtbf_to_sim(h) for h in mtbf_hours],
-        degrees=list(degrees),
-        workers=workers,
     )

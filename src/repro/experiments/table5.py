@@ -13,11 +13,10 @@ amplification.  Our simulator reproduces that mechanism natively.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Sequence
 
+from ..errors import ConfigurationError
 from ..models.redundancy import PAPER_REDUNDANCY_GRID, redundant_time
-from ..obs import NULL_TRACER, ObsSession
 from ..orchestration import run_failure_free_sweep
 from .runner import ExperimentResult
 from .table4 import ScaledSetup
@@ -31,43 +30,26 @@ def run(
     setup: Optional[ScaledSetup] = None,
     degrees: Sequence[float] = PAPER_REDUNDANCY_GRID,
     alpha: float = 0.2,
-    workers: Optional[int] = None,
     progress=None,
-    cell_timeout: Optional[float] = None,
-    cell_retries: Optional[int] = None,
-    obs: Optional[ObsSession] = None,
-    store=None,
+    **execution,
 ) -> ExperimentResult:
     """Run the failure-free sweep and compare to the linear expectation.
 
-    ``workers`` (or ``REPRO_WORKERS``) runs the per-degree cells in a
-    process pool; results are identical to the serial sweep.  ``obs``
-    turns on tracing/metrics (see :mod:`repro.obs`); ``store`` makes
-    the sweep resumable (see :mod:`repro.store`).
+    ``degrees`` needs 1.0 (the baseline every step is measured against)
+    and at least one other degree; anything else is rejected before a
+    cell runs.  ``execution`` is forwarded untouched to the
+    :class:`~repro.orchestration.CampaignExecutor` (``workers``,
+    ``store``, ``obs``, ...); results equal the serial sweep's.
     """
-    setup = setup or ScaledSetup()
-    base = setup.job_config()
-    if obs is not None and obs.enabled:
-        obs.stamp(
-            "table5",
-            params={"degrees": list(degrees), "alpha": alpha, "setup": setup},
-            base_seed=setup.base_seed,
+    if 1.0 not in degrees or len(set(degrees)) < 2:
+        raise ConfigurationError(
+            "table5 needs degree 1.0 and at least one other degree, "
+            f"got {tuple(degrees)}"
         )
-        if obs.parts_dir is not None:
-            base = replace(base, trace_dir=obs.parts_dir)
+    setup = setup or ScaledSetup()
     cells = run_failure_free_sweep(
-        base,
-        degrees=list(degrees),
-        workers=workers,
-        progress=progress,
-        cell_timeout=cell_timeout,
-        cell_retries=cell_retries,
-        tracer=obs.tracer if obs is not None else NULL_TRACER,
-        metrics=obs.metrics if obs is not None else None,
-        store=store,
+        setup.job_config(), degrees=list(degrees), progress=progress, **execution
     )
-    if obs is not None and obs.enabled:
-        obs.finalize(cells=len(cells))
     observed = {cell.redundancy: cell.report.total_time for cell in cells}
     base_time = observed[1.0]
     observed_minutes = [

@@ -21,12 +21,13 @@ callables taking a :class:`RankContext` and returning a generator.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from collections import defaultdict
+from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Set
 
 from ..cluster import Machine, spread_placement
 from ..errors import CommunicatorError, MPIError
 from ..netsim import Fabric
-from ..simkit import Counter, Environment, Resource
+from ..simkit import Environment, Resource
 from ..simkit.events import AllOf, Event
 from ..simkit.process import Process
 from .comm import Communicator
@@ -102,7 +103,8 @@ class SimMPI:
         if set(self.placement) < set(range(size)):
             raise MPIError("placement must cover every rank")
         self.compute_scale = compute_scale
-        self.counters = Counter()
+        #: Named float counters (messages, bytes, drops, kills, votes).
+        self.counters: DefaultDict[str, float] = defaultdict(float)
         self._engines: Dict[int, MatchingEngine] = {
             rank: MatchingEngine(rank) for rank in range(size)
         }
@@ -191,8 +193,8 @@ class SimMPI:
             cid=cid,
             seq=self._send_seq,
         )
-        self.counters.add("p2p_messages")
-        self.counters.add("p2p_bytes", nbytes)
+        self.counters["p2p_messages"] += 1
+        self.counters["p2p_bytes"] += nbytes
         key = (src, dst)
         self.sent_counts[key] = self.sent_counts.get(key, 0) + 1
         completion = Event(self.env)
@@ -217,11 +219,11 @@ class SimMPI:
             arrival.add_callback(lambda _event: self._arrive(envelope))
             arrival.succeed(delay=wire)
         else:
-            self.counters.add("p2p_dropped")
+            self.counters["p2p_dropped"] += 1
 
     def _arrive(self, envelope: Envelope) -> None:
         if not self.is_alive(envelope.dest):
-            self.counters.add("p2p_dropped")
+            self.counters["p2p_dropped"] += 1
             return
         key = (envelope.source, envelope.dest)
         self.arrived_counts[key] = self.arrived_counts.get(key, 0) + 1
@@ -291,7 +293,7 @@ class SimMPI:
         process = self._processes.get(rank)
         if process is not None:
             process.interrupt(cause)
-        self.counters.add("ranks_killed")
+        self.counters["ranks_killed"] += 1
         for watcher in list(self._death_watchers):
             watcher(rank)
 

@@ -18,11 +18,9 @@ from .manifest import RunManifest, collect_versions, config_snapshot
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
-    CounterBag,
     Gauge,
     Histogram,
     MetricsRegistry,
-    TimeSeries,
 )
 from .report import (
     JobPhases,
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "NULL_TRACER",
     "Counter",
-    "CounterBag",
     "Gauge",
     "Histogram",
     "JobPhases",
@@ -54,7 +51,6 @@ __all__ = [
     "ObsSession",
     "RunManifest",
     "Span",
-    "TimeSeries",
     "TraceReport",
     "TraceSession",
     "Tracer",

@@ -1,10 +1,8 @@
 """Metrics primitives: counters, gauges, fixed-bucket histograms.
 
-:class:`MetricsRegistry` is the structured successor of the bare
-``simkit.monitor`` TimeSeries/Counter pair (which now delegates here):
-named metrics with a snapshot/merge protocol so per-worker registries
-from a parallel campaign fold into one, and a text rendering for the
-CLI's ``--metrics`` flag.
+:class:`MetricsRegistry` holds named metrics with a snapshot/merge
+protocol, so per-worker registries from a parallel campaign fold into
+one, and a text rendering for the CLI's ``--metrics`` flag.
 
 Histograms use fixed bucket bounds (Prometheus-style ``le`` semantics:
 an observation lands in the first bucket whose upper bound is >= the
@@ -16,18 +14,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
-    "CounterBag",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "TimeSeries",
 ]
 
 #: Default histogram bounds: 1-2.5-5 per decade over 1 us .. 1e6 s —
@@ -205,72 +201,3 @@ class MetricsRegistry:
                 f"mean={histogram.mean:.6g} p50<={p50:g} p95<={p95:g} p99<={p99:g}"
             )
         return "\n".join(lines) if lines else "(no metrics recorded)"
-
-
-# -- substrate primitives (absorbed from simkit.monitor) --------------------
-
-
-class TimeSeries:
-    """Records (time, value) samples of one quantity.
-
-    The substrate behind :class:`repro.simkit.Monitor`, which stamps
-    samples with its environment's clock.
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.samples: List[Tuple[float, float]] = []
-
-    def sample(self, time: float, value: float) -> None:
-        """Append one (time, value) sample."""
-        self.samples.append((float(time), float(value)))
-
-    @property
-    def values(self) -> List[float]:
-        """Just the sampled values, in time order."""
-        return [value for _time, value in self.samples]
-
-    def mean(self) -> float:
-        """Arithmetic mean of the samples (0.0 when empty)."""
-        if not self.samples:
-            return 0.0
-        return sum(self.values) / len(self.samples)
-
-    def total(self) -> float:
-        """Sum of the samples."""
-        return sum(self.values)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-class CounterBag:
-    """A named bag of monotonically increasing counters.
-
-    The substrate behind :class:`repro.simkit.Counter`; kept as a plain
-    dict-of-floats because the MPI runtime hammers it on the hot path.
-    """
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, float] = {}
-
-    def add(self, name: str, amount: float = 1.0) -> None:
-        """Increment ``name`` by ``amount``."""
-        self._counts[name] = self._counts.get(name, 0.0) + amount
-
-    def __getitem__(self, name: str) -> float:
-        return self._counts.get(name, 0.0)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Snapshot of all counters."""
-        return dict(self._counts)
-
-    def merge(self, other: "CounterBag") -> None:
-        """Fold another counter bag into this one."""
-        for name, amount in other._counts.items():
-            self.add(name, amount)
-
-    def into_registry(self, registry: MetricsRegistry, prefix: str = "") -> None:
-        """Fold this bag into a :class:`MetricsRegistry` as counters."""
-        for name, amount in self._counts.items():
-            registry.counter(prefix + name).inc(amount)

@@ -7,7 +7,8 @@ experiments sweep node MTBF 6-30 h against redundancy 1x-3x in 0.25x
 steps.
 
 Cells are independent, so both sweeps delegate to
-:class:`~repro.orchestration.executor.CampaignExecutor`: pass
+:class:`~repro.orchestration.executor.CampaignExecutor`, forwarding
+its keyword arguments as one ``**execution`` mapping: pass
 ``workers > 1`` (or set ``REPRO_WORKERS``) to fan the grid out over a
 process pool.  Seeds are derived before submission, so parallel runs
 are bit-identical to serial ones.
@@ -16,17 +17,16 @@ are bit-identical to serial ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..obs.trace import NULL_TRACER
 from .executor import (
     CampaignExecutionError,
     CampaignExecutor,
     CellOutcome,
     CellSpec,
 )
-from .job import JobConfig, JobReport, ResilientJob
+from .job import JobConfig, JobReport
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,6 @@ class CampaignCell:
         return self.report.total_minutes
 
 
-def _job_for(base: JobConfig, **overrides) -> ResilientJob:
-    return ResilientJob(replace(base, **overrides))
-
-
 def _cell_from(outcome: CellOutcome) -> CampaignCell:
     return CampaignCell(
         node_mtbf=outcome.spec.node_mtbf,
@@ -61,41 +57,24 @@ def _cell_from(outcome: CellOutcome) -> CampaignCell:
 def _run_specs(
     specs: Sequence[CellSpec],
     progress: Optional[Callable[[CampaignCell], None]],
-    workers: Optional[int],
     strict: bool,
-    cell_timeout: Optional[float] = None,
-    cell_retries: Optional[int] = None,
-    tracer=NULL_TRACER,
-    metrics=None,
-    store=None,
+    execution: Dict[str, Any],
 ) -> List[CampaignCell]:
     """Execute specs and convert outcomes, enforcing error policy.
 
-    ``strict=True`` (the default) raises
+    ``strict=True`` raises
     :class:`~repro.orchestration.executor.CampaignExecutionError` if any
     cell failed — after every other cell has finished; ``strict=False``
-    silently drops failed cells from the result.  ``tracer``/``metrics``
-    feed the executor's parent-side observability (cell spans, pool
-    events, utilization); the defaults collect nothing.  ``store`` (a
-    :class:`~repro.store.ResultsStore`) makes the sweep resumable:
-    stored cells are restored instead of re-run — the ``progress``
-    callback still fires for them, with ``cached=True`` on the cell —
-    and completed cells are persisted as they finish.
+    silently drops failed cells from the result.  ``progress`` fires
+    for every cell that ran to a report, store-restored ones included
+    (``cached=True``).
     """
 
     def on_outcome(outcome: CellOutcome) -> None:
         if progress is not None and outcome.ok:
             progress(_cell_from(outcome))
 
-    executor = CampaignExecutor(
-        workers=workers,
-        cell_timeout=cell_timeout,
-        cell_retries=cell_retries,
-        tracer=tracer,
-        metrics=metrics,
-        store=store,
-    )
-    outcomes = executor.run(specs, progress=on_outcome)
+    outcomes = CampaignExecutor(**execution).run(specs, progress=on_outcome)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     if failures and strict:
         raise CampaignExecutionError(failures)
@@ -135,36 +114,19 @@ def run_redundancy_sweep(
     degrees: Sequence[float],
     seed_offset: int = 0,
     progress: Optional[Callable[[CampaignCell], None]] = None,
-    workers: Optional[int] = None,
     strict: bool = True,
-    cell_timeout: Optional[float] = None,
-    cell_retries: Optional[int] = None,
-    tracer=NULL_TRACER,
-    metrics=None,
-    store=None,
+    **execution: Any,
 ) -> List[CampaignCell]:
     """The Table 4 grid: completion time per (MTBF, redundancy) cell.
 
     Every cell reuses the base config with only ``node_mtbf``,
-    ``redundancy`` and the seed changed.  ``workers`` (default: the
-    ``REPRO_WORKERS`` env var, else serial) selects the process-pool
-    fan-out; results are identical and ordered either way.
-    ``cell_timeout``/``cell_retries`` bound wall-clock per cell and
-    broken-pool resubmissions (pool mode only); ``store`` resumes the
-    grid from previously persisted cells.
+    ``redundancy`` and the seed changed.  ``execution`` is forwarded
+    to :class:`~repro.orchestration.executor.CampaignExecutor`
+    untouched (``workers``, ``store``, ...); results are identical and
+    ordered however the cells execute.
     """
     specs = redundancy_sweep_specs(base, node_mtbfs, degrees, seed_offset)
-    return _run_specs(
-        specs,
-        progress,
-        workers,
-        strict,
-        cell_timeout,
-        cell_retries,
-        tracer=tracer,
-        metrics=metrics,
-        store=store,
-    )
+    return _run_specs(specs, progress, strict, execution)
 
 
 def failure_free_sweep_specs(
@@ -190,31 +152,17 @@ def run_failure_free_sweep(
     base: JobConfig,
     degrees: Sequence[float],
     progress: Optional[Callable[[CampaignCell], None]] = None,
-    workers: Optional[int] = None,
     strict: bool = True,
-    cell_timeout: Optional[float] = None,
-    cell_retries: Optional[int] = None,
-    tracer=NULL_TRACER,
-    metrics=None,
-    store=None,
+    **execution: Any,
 ) -> List[CampaignCell]:
     """The Table 5 sweep: failure-free execution time vs redundancy.
 
     Failure injection and checkpointing are disabled; what remains is
     the pure redundancy overhead (Figure 10's super-linear curve).
+    ``execution`` is forwarded as in :func:`run_redundancy_sweep`.
     """
     specs = failure_free_sweep_specs(base, degrees)
-    return _run_specs(
-        specs,
-        progress,
-        workers,
-        strict,
-        cell_timeout,
-        cell_retries,
-        tracer=tracer,
-        metrics=metrics,
-        store=store,
-    )
+    return _run_specs(specs, progress, strict, execution)
 
 
 def cells_to_matrix(

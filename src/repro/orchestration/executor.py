@@ -35,8 +35,21 @@ Self-healing (the chaos-hardening layer):
   worker is terminated and the survivors move to a fresh pool.
   Timeouts apply only under pooling (the serial path cannot preempt).
 
-Worker count resolution order: explicit argument, then the
-``REPRO_WORKERS`` environment variable, then serial (1).
+One execution context:
+
+:class:`CampaignExecutor`'s keyword arguments — ``workers``,
+``cell_timeout``, ``cell_retries``, ``obs`` and ``store`` — are the only
+place the execution options are named and resolved.  Every layer above
+(the campaign sweeps, the ``table4``/``table5``/``chaos`` experiments,
+the CLI's ``run`` overrides) accepts them as one opaque ``**execution``
+mapping and forwards it here untouched, exactly once.  Each option
+resolves as: explicit argument, then its environment variable
+(``REPRO_WORKERS``, ``REPRO_CELL_TIMEOUT``, ``REPRO_CELL_RETRIES``),
+then the default (serial, no timeout, 2 retries).  ``obs`` (an
+:class:`~repro.obs.ObsSession`) replaces separate tracer/metrics
+handles: the executor takes its tracer and registry from it and stamps
+its ``parts_dir`` onto every spec as ``trace_dir``; whoever built the
+session stamps its manifest before the run and finalizes it after.
 """
 
 from __future__ import annotations
@@ -47,11 +60,11 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ReproError
-from ..obs.trace import NULL_TRACER
+from ..obs import NULL_TRACER, ObsSession
 from .job import JobConfig, JobReport, ResilientJob
 
 #: Environment variable consulted when no explicit worker count is given.
@@ -111,33 +124,30 @@ class CellOutcome:
         return self.report is not None
 
 
+def _env_value(value, env: str, parse, kind: str):
+    """``value`` if given, else ``env`` parsed by ``parse``, else None."""
+    if value is not None:
+        return value
+    raw = os.environ.get(env, "").strip()
+    if not raw:
+        return None
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"{env} must be {kind}, got {raw!r}") from exc
+
+
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Resolve the worker count: argument > ``REPRO_WORKERS`` env > 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from exc
-    return max(1, int(workers))
+    workers = _env_value(workers, WORKERS_ENV, int, "an integer")
+    return 1 if workers is None else max(1, int(workers))
 
 
 def resolve_cell_timeout(cell_timeout: Optional[float] = None) -> Optional[float]:
     """Resolve the per-cell timeout: argument > env > None (no timeout)."""
+    cell_timeout = _env_value(cell_timeout, CELL_TIMEOUT_ENV, float, "a number")
     if cell_timeout is None:
-        raw = os.environ.get(CELL_TIMEOUT_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            cell_timeout = float(raw)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{CELL_TIMEOUT_ENV} must be a number, got {raw!r}"
-            ) from exc
+        return None
     if cell_timeout <= 0:
         raise ConfigurationError(
             f"cell timeout must be > 0, got {cell_timeout}"
@@ -147,16 +157,9 @@ def resolve_cell_timeout(cell_timeout: Optional[float] = None) -> Optional[float
 
 def resolve_cell_retries(cell_retries: Optional[int] = None) -> int:
     """Resolve the lost-cell retry cap: argument > env > 2."""
+    cell_retries = _env_value(cell_retries, CELL_RETRIES_ENV, int, "an integer")
     if cell_retries is None:
-        raw = os.environ.get(CELL_RETRIES_ENV, "").strip()
-        if not raw:
-            return 2
-        try:
-            cell_retries = int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{CELL_RETRIES_ENV} must be an integer, got {raw!r}"
-            ) from exc
+        return 2
     if cell_retries < 0:
         raise ConfigurationError(
             f"cell retries must be >= 0, got {cell_retries}"
@@ -193,14 +196,16 @@ class CampaignExecutor:
         How many times a cell lost to a broken pool is resubmitted
         before being synthesized as a failed outcome.  ``None``
         consults ``REPRO_CELL_RETRIES``; default 2.
-    tracer:
-        Parent-side :class:`~repro.obs.trace.Tracer` for wall-clock
-        cell spans and pool events (queue/run timings, timeouts,
-        rebuilds).  Defaults to the null tracer: zero overhead.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` that
-        receives cell counters, wall-time histograms and the final
-        worker-utilization gauge.
+    obs:
+        Optional :class:`~repro.obs.ObsSession`.  Its tracer receives
+        wall-clock cell spans and pool events (queue/run timings,
+        timeouts, rebuilds); its metrics registry receives cell
+        counters, wall-time histograms and the final
+        worker-utilization gauge; its ``parts_dir`` is stamped onto
+        every spec's config as ``trace_dir`` so each cell's job writes
+        a trace part; and the number of cells that ran to a report is
+        recorded in its campaign manifest.  Omitted (or disabled),
+        nothing is collected.
     store:
         Optional :class:`~repro.store.ResultsStore`.  Before execution,
         every spec is looked up by its canonical config key: stored
@@ -222,15 +227,15 @@ class CampaignExecutor:
         workers: Optional[int] = None,
         cell_timeout: Optional[float] = None,
         cell_retries: Optional[int] = None,
-        tracer=NULL_TRACER,
-        metrics=None,
+        obs: Optional[ObsSession] = None,
         store=None,
     ) -> None:
         self.workers = resolve_workers(workers)
         self.cell_timeout = resolve_cell_timeout(cell_timeout)
         self.cell_retries = resolve_cell_retries(cell_retries)
-        self.tracer = tracer
-        self.metrics = metrics
+        self.obs = obs
+        self.tracer = obs.tracer if obs is not None else NULL_TRACER
+        self.metrics = obs.metrics if obs is not None else None
         self.store = store
         #: How the last :meth:`run` actually executed ("serial"/
         #: "process"; "cached" when the store restored every cell).
@@ -266,7 +271,7 @@ class CampaignExecutor:
         executed cells as they complete (completion order under
         pooling).
         """
-        specs = list(specs)
+        specs = self._stamp_trace_dir(specs)
         self.pool_breakages = 0
         self.cells_resubmitted = 0
         self.cells_timed_out = 0
@@ -282,12 +287,11 @@ class CampaignExecutor:
         )
         try:
             restored, remaining = self._restore_cached(specs, progress)
-            if not remaining:
-                self.last_mode = "cached"
-                outcomes = [restored[i] for i in range(len(specs))]
-                return outcomes
             live = [specs[i] for i in remaining]
-            if self.workers <= 1 or len(live) == 1 or not self._poolable(live):
+            if not live:
+                self.last_mode = "cached"
+                executed = []
+            elif self.workers <= 1 or len(live) == 1 or not self._poolable(live):
                 executed = self._run_serial(live, progress)
             else:
                 try:
@@ -335,7 +339,19 @@ class CampaignExecutor:
                 self.metrics.counter("campaign.cells_timed_out").inc(
                     self.cells_timed_out
                 )
+        if self.obs is not None and self.obs.manifest is not None:
+            self.obs.manifest.finish(cells=sum(o.ok for o in outcomes))
         return outcomes
+
+    def _stamp_trace_dir(self, specs: Sequence[CellSpec]) -> List[CellSpec]:
+        """Point every cell's job at the session's trace-part directory."""
+        parts_dir = self.obs.parts_dir if self.obs is not None else None
+        if parts_dir is None:
+            return list(specs)
+        return [
+            replace(spec, config=replace(spec.config, trace_dir=parts_dir))
+            for spec in specs
+        ]
 
     # -- results store ------------------------------------------------------
 

@@ -530,7 +530,7 @@ class ResilientJob:
 
         checkpoint_time = service.time_in_checkpoints if service else 0.0
         checkpoint_union = service.checkpoint_union_time if service else 0.0
-        counters = world.counters.as_dict()
+        counters = dict(world.counters)
         chaos_stats = {
             "checkpoints_skipped": service.checkpoints_skipped if service else 0,
             "checkpoint_retries": service.checkpoint_retries if service else 0,

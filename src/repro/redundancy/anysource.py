@@ -43,7 +43,7 @@ def anysource_recv(redcomm: "RedComm", tag: int):
     """
     if tag < 0 or tag >= CONTROL_TAG_BASE:
         raise RedundancyError(f"wildcard recv tag {tag} out of range")
-    redcomm.runtime.counters.add("wildcard_recvs")
+    redcomm.runtime.counters["wildcard_recvs"] += 1
     my_virtual = redcomm.rank
     lead = redcomm.tracker.lead_replica(my_virtual)
     control_tag = CONTROL_TAG_BASE + tag

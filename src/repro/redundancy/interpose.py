@@ -154,10 +154,9 @@ class RedRequest:
             return None
         outcome = vote(raw)
         if not outcome.unanimous:
-            self.comm.runtime.counters.add("votes_not_unanimous")
-            self.comm.runtime.counters.add(
-                "corrupt_copies_voted_out", len(outcome.corrupt_senders)
-            )
+            counters = self.comm.runtime.counters
+            counters["votes_not_unanimous"] += 1
+            counters["corrupt_copies_voted_out"] += len(outcome.corrupt_senders)
         status = Status(
             source=self.virtual_peer,
             tag=self.tag,
@@ -254,7 +253,7 @@ class RedComm(CollectiveAPI):
         dest_replicas = self._alive_sphere(dest)
         plan = plan_copies(my_sphere, dest_replicas, self.mode)
         request_set = RedRequest(self, kind="send", virtual_peer=dest, tag=tag)
-        self.runtime.counters.add("app_sends")
+        self.runtime.counters["app_sends"] += 1
         for receiver in dest_replicas:
             shipped = payload
             if self.corruptor is not None:
@@ -302,7 +301,7 @@ class RedComm(CollectiveAPI):
         request_set = RedRequest(self, kind="recv", virtual_peer=source, tag=tag)
         if already_have is not None:
             request_set._copies.append(already_have)
-        self.runtime.counters.add("app_recvs")
+        self.runtime.counters["app_recvs"] += 1
         for sender in source_replicas:
             if sender == skip_sender:
                 continue

@@ -57,6 +57,18 @@ BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
 
 _STOP = object()
 
+#: The numeric request fields (``checkpoint_interval`` may be None).
+_NUMERIC_FIELDS = (
+    "virtual_processes",
+    "redundancy",
+    "node_mtbf",
+    "alpha",
+    "base_time",
+    "checkpoint_cost",
+    "restart_cost",
+    "checkpoint_interval",
+)
+
 
 def validate_model(model: CombinedModel) -> None:
     """Domain-check one request's model up front (mirrors the grid).
@@ -65,8 +77,13 @@ def validate_model(model: CombinedModel) -> None:
     the numeric domains are enforced lazily by the evaluation pipeline.
     A batched service must check them *per request*: a single
     out-of-domain value would otherwise fail the whole grid call and
-    take its batch-mates down with it.
+    take its batch-mates down with it.  NaN and infinities are
+    rejected first: every range check below is False for NaN.
     """
+    for name in _NUMERIC_FIELDS:
+        value = getattr(model, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
     if model.virtual_processes < 1:
         raise ConfigurationError("virtual_processes must be >= 1")
     if model.redundancy < 1.0:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import signal
 from typing import Any, Dict, Optional, Tuple
 
@@ -53,15 +54,19 @@ from ..models.advisor import Recommendation, recommend, recommend_cache_info
 from ..models.combined import CombinedModel
 from ..models.redundancy import PAPER_REDUNDANCY_GRID
 from ..obs.metrics import MetricsRegistry
-from .batching import MicroBatcher, model_to_dict
+from .batching import MicroBatcher, model_to_dict, validate_model
 
 __all__ = ["ModelServer", "parse_model", "recommendation_to_dict"]
+
+#: Largest request body read; a bigger ``Content-Length`` gets 413.
+MAX_BODY_BYTES = 1 << 20
 
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -89,6 +94,14 @@ _REQUIRED_MODEL_FIELDS = (
     "checkpoint_cost",
     "restart_cost",
 )
+
+
+class _RejectedRequest(Exception):
+    """A request the server answers with ``status`` and then hangs up on."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def parse_model(body: Any) -> CombinedModel:
@@ -187,6 +200,8 @@ class ModelServer:
         self._connections: set = set()
         self._shutdown = asyncio.Event()
         self._stopping = False
+        #: Signals whose handlers :meth:`handle_signals` installed.
+        self._signals: list = []
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -226,24 +241,36 @@ class ModelServer:
         """Signal-handler entry point: begin the drain asynchronously."""
         self._shutdown.set()
 
+    def handle_signals(self) -> None:
+        """Make SIGTERM/SIGINT begin a drain (idempotent).
+
+        Call it before announcing readiness, so a signal that arrives
+        right after the announcement drains instead of killing the
+        process.  :meth:`run` removes the handlers when it returns.
+        """
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            if sig in self._signals:
+                continue
+            try:
+                loop.add_signal_handler(sig, self.request_shutdown)
+                self._signals.append(sig)
+            except (NotImplementedError, RuntimeError):
+                pass
+
     async def run(self, install_signal_handlers: bool = True) -> None:
         """Serve until SIGTERM/SIGINT (or :meth:`request_shutdown`)."""
         if self._server is None:
             await self.start()
-        loop = asyncio.get_running_loop()
-        installed = []
         if install_signal_handlers:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, self.request_shutdown)
-                    installed.append(sig)
-                except (NotImplementedError, RuntimeError):
-                    pass
+            self.handle_signals()
         try:
             await self._shutdown.wait()
         finally:
-            for sig in installed:
+            loop = asyncio.get_running_loop()
+            for sig in self._signals:
                 loop.remove_signal_handler(sig)
+            self._signals = []
             await self.stop()
 
     @property
@@ -256,7 +283,16 @@ class ModelServer:
         self._connections.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _RejectedRequest as rejected:
+                    # The body was not read, so the stream is no longer
+                    # framed: answer, then close the connection.
+                    self.metrics.counter("serve.bad_requests").inc()
+                    await self._respond(
+                        writer, rejected.status, {"error": str(rejected)}, False
+                    )
+                    break
                 if request is None:
                     break
                 method, path, headers, raw = request
@@ -292,8 +328,15 @@ class ModelServer:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        raw = await reader.readexactly(length) if length > 0 else b""
+        length = headers.get("content-length", "") or "0"
+        if not length.isdecimal():
+            raise _RejectedRequest(400, f"bad Content-Length: {length!r}")
+        size = int(length)
+        if size > MAX_BODY_BYTES:
+            raise _RejectedRequest(
+                413, f"body of {size} bytes exceeds {MAX_BODY_BYTES}"
+            )
+        raw = await reader.readexactly(size) if size else b""
         return method, path, headers, raw
 
     async def _respond(self, writer, status: int, payload: Any, keep: bool) -> None:
@@ -371,11 +414,14 @@ class ModelServer:
         if unknown:
             raise ConfigurationError(f"unknown recommend fields: {sorted(unknown)}")
         model = parse_model(body["model"])
+        validate_model(model)
         grid = tuple(float(d) for d in body.get("grid", PAPER_REDUNDANCY_GRID))
         budget = body.get("node_budget")
         node_budget = None if budget is None else int(budget)
         time_weight = float(body.get("time_weight", 1.0))
         resource_weight = float(body.get("resource_weight", 0.0))
+        if not all(map(math.isfinite, (*grid, time_weight, resource_weight))):
+            raise ConfigurationError("grid and weights must be finite")
         self.metrics.counter("serve.recommendations").inc()
         params = {
             "model": model,

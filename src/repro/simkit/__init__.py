@@ -33,15 +33,12 @@ from .events import AllOf, AnyOf, Event, Timeout
 from .env import Environment
 from .process import Process
 from .resources import Resource, Store
-from .monitor import Counter, Monitor
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "Environment",
     "Event",
-    "Monitor",
     "Process",
     "Resource",
     "Store",

@@ -88,3 +88,70 @@ class TestQuickMode:
         result = run_experiment("table4", setup=tiny_setup, quick=True)
         assert len(result.rows) == 3  # 3 MTBFs
         assert len(result.rows[0]) == 6  # label + 5 degrees
+
+
+class _CellRan(Exception):
+    """Raised by the stubbed executor: a sweep got as far as running."""
+
+
+@pytest.fixture()
+def no_cells(monkeypatch):
+    """Stub the executor so any attempt to run cells is recorded and stops."""
+    from repro.orchestration import CampaignExecutor
+
+    submitted = []
+
+    def refuse(self, specs, progress=None):
+        submitted.append(list(specs))
+        raise _CellRan()
+
+    monkeypatch.setattr(CampaignExecutor, "run", refuse)
+    return submitted
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("degrees", [(1.0,), (1.5, 2.0), (1.0, 1.0)])
+    def test_table5_rejects_grid_before_any_cell(self, no_cells, degrees):
+        from repro.errors import ConfigurationError
+        from repro.experiments import table5
+
+        with pytest.raises(ConfigurationError, match="degree 1.0"):
+            table5.run(degrees=degrees)
+        assert no_cells == []
+
+    def test_table5_bad_grid_is_cli_exit_2(self, no_cells, capsys):
+        from repro.cli import main
+
+        assert main(["campaign", "--failure-free", "degrees=(1.0,)"]) == 2
+        assert "degree 1.0" in capsys.readouterr().err
+        assert no_cells == []
+
+    def test_table4_explicit_grid_wins_over_quick(self, no_cells):
+        from repro.experiments import table4
+
+        with pytest.raises(_CellRan):
+            table4.run(quick=True, mtbf_hours=(6.0,), degrees=(1.0,))
+        (specs,) = no_cells
+        assert [(s.node_mtbf, s.redundancy) for s in specs] == [
+            (ScaledSetup().mtbf_to_sim(6.0), 1.0)
+        ]
+
+    def test_table4_quick_fills_only_the_missing_axis(self, no_cells):
+        from repro.experiments import table4
+
+        with pytest.raises(_CellRan):
+            table4.run(quick=True, degrees=(2.0,))
+        (specs,) = no_cells
+        assert len(specs) == len(table4.QUICK_MTBF_HOURS)
+        assert {s.redundancy for s in specs} == {2.0}
+
+    def test_chaos_explicit_probs_win_over_quick(self, no_cells):
+        from repro.errors import ReproError
+        from repro.experiments import chaos
+
+        with pytest.raises(ReproError, match="probabilities"):
+            chaos.run(quick=True, probs=(0.0, 1.5))
+        with pytest.raises(_CellRan):
+            chaos.run(quick=True, probs=(0.0, 0.2))
+        (specs,) = no_cells
+        assert sorted({s.redundancy for s in specs}) == [0.0, 0.2]

@@ -71,16 +71,14 @@ class TestTracedCampaignReconciles:
         path = str(tmp_path / "campaign.jsonl")
         obs = ObsSession(trace_path=path, metrics=True)
         obs.stamp("sweep", base_seed=11)
-        base = faulty_config(trace_dir=obs.parts_dir)
         cells = run_redundancy_sweep(
-            base,
+            faulty_config(),
             node_mtbfs=[4.0, 12.0],
             degrees=[1.0, 2.0],
             workers=workers,
-            tracer=obs.tracer,
-            metrics=obs.metrics,
+            obs=obs,
         )
-        obs.finalize(cells=len(cells))
+        obs.finalize()
         return path, cells, obs
 
     def check(self, path, cells):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import DEFAULT_BUCKETS, CounterBag, MetricsRegistry, TimeSeries
+from repro.obs import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.metrics import Histogram
 
 
@@ -114,37 +114,3 @@ class TestRender:
         assert "gauge     utilization = 0.91" in text
         assert "histogram wall: count=1" in text and "p95<=10" in text
         assert "histogram empty: empty" in text
-
-
-class TestTimeSeries:
-    def test_samples_and_stats(self):
-        series = TimeSeries("queue")
-        series.sample(0.0, 1)
-        series.sample(1.0, 3)
-        assert series.samples == [(0.0, 1.0), (1.0, 3.0)]
-        assert series.values == [1.0, 3.0]
-        assert series.mean() == 2.0
-        assert series.total() == 4.0
-        assert len(series) == 2
-
-    def test_empty_mean(self):
-        assert TimeSeries().mean() == 0.0
-
-
-class TestCounterBag:
-    def test_into_registry(self):
-        bag = CounterBag()
-        bag.add("sends", 3)
-        bag.add("recvs")
-        registry = MetricsRegistry()
-        bag.into_registry(registry, prefix="mpi.")
-        assert registry.counter("mpi.sends").value == 3.0
-        assert registry.counter("mpi.recvs").value == 1.0
-
-
-class TestSimkitAliases:
-    def test_monitor_is_timeseries_and_counter_is_bag(self):
-        from repro.simkit import Counter, Monitor
-
-        assert issubclass(Monitor, TimeSeries)
-        assert issubclass(Counter, CounterBag)

@@ -1,13 +1,23 @@
 """End-to-end service tests over real sockets (ServerThread + client)."""
 
+import http.client
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro
+
 from repro.errors import ConfigurationError, ServiceError
 from repro.models import CombinedModel, recommend
 from repro.service import ServeClient, ServerThread
-from repro.service.server import parse_model
+from repro.service import model_to_dict
+from repro.service.server import MAX_BODY_BYTES, parse_model
 from repro.store import ResultsStore
 
 
@@ -79,6 +89,107 @@ class TestEvaluate:
                  "node_mtbf": -5.0, "alpha": 0.2, "base_time": 10.0,
                  "checkpoint_cost": 1.0, "restart_cost": 1.0},
             )
+
+
+def post_status(port: int, path: str, body) -> int:
+    """POST ``body`` (non-finite floats as JSON NaN/Infinity); the status."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("POST", path, body=json.dumps(body))
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()
+
+
+def raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes; everything the server answers before it hangs up."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestNonFiniteInput:
+    def test_nan_request_fails_alone_not_its_batch(self):
+        # A wide batch window makes the three requests share one batch.
+        runner = ServerThread(max_batch=8, max_wait=0.2).start()
+        bodies = [
+            model_to_dict(model(0, redundancy=float("nan"))),
+            model_to_dict(model(1)),
+            model_to_dict(model(2)),
+        ]
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                statuses = list(pool.map(
+                    lambda body: post_status(runner.port, "/evaluate", body),
+                    bodies,
+                ))
+        finally:
+            runner.stop()
+        assert statuses == [400, 200, 200]
+
+    def test_recommend_with_infinity_is_400(self, server):
+        body = {"model": model_to_dict(model(0, node_mtbf=float("inf")))}
+        assert post_status(server.port, "/recommend", body) == 400
+
+    def test_recommend_with_infinite_grid_is_400(self, server):
+        body = {"model": model_to_dict(model(0)), "grid": [1.0, float("inf")]}
+        assert post_status(server.port, "/recommend", body) == 400
+
+
+class TestRequestBoundary:
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+    def test_bad_content_length_is_400_and_closes(self, server, length):
+        request = (
+            "POST /evaluate HTTP/1.1\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}"
+        )
+        reply = raw_exchange(server.port, request.encode())
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert b"Content-Length" in reply
+
+    def test_oversized_body_is_413_before_reading(self, server):
+        # The header announces more than the cap; no body is ever sent,
+        # so an answer proves the server did not wait to read it.
+        request = (
+            "POST /evaluate HTTP/1.1\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        )
+        reply = raw_exchange(server.port, request.encode())
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in reply
+
+
+class TestServeProcess:
+    def test_sigterm_right_after_ready_line_drains(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        try:
+            ready = proc.stdout.readline()
+            assert "serving on" in ready, ready
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, out
+        assert "drained" in out, out
 
 
 class TestRecommend:
