@@ -35,11 +35,12 @@ Module map
     Expected lost work (Eq. 12), the restart+rework phase (Eq. 13), the
     total-time recurrence (Eq. 14), Daly's optimal interval (Eq. 15) and
     Young's first-order interval for comparison.
-``combined``
-    :class:`CombinedModel` — the end-to-end pipeline gluing the above.
 ``grid``
-    Vectorized (NumPy) evaluation of the combined pipeline over whole
-    parameter grids — the fast path behind the Fig. 4-6/13/14 sweeps.
+    :func:`evaluate_grid`, the one kernel composing the above NumPy
+    equations over parameter arrays, and the model's input domain.
+``combined``
+    :class:`CombinedModel` — one configuration; ``evaluate()`` is a
+    one-cell kernel call.
 ``simplified``
     The experiment-matched model of Section 6, observation (5).
 ``optimize``

@@ -81,7 +81,7 @@ def recommend(
         When no candidate in the (budget-filtered) grid has a finite
         expected completion time.
     ConfigurationError
-        When the budget excludes every candidate.
+        When the grid is empty or the budget excludes every candidate.
 
     Calls are memoized on the exact input tuple (the model is a frozen
     dataclass, so it hashes by value): the advisor is pure, and serving
@@ -113,6 +113,8 @@ def _cached_recommend(
     time_weight: float,
     resource_weight: float,
 ) -> Recommendation:
+    if not grid:
+        raise ConfigurationError("grid must hold at least one candidate degree")
     if node_budget is not None and node_budget < model.virtual_processes:
         raise ConfigurationError(
             f"node budget {node_budget} cannot host even r=1 "

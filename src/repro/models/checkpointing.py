@@ -9,13 +9,19 @@ checkpoint or a restart (model assumption 5).  The model yields:
   failure strikes somewhere in a ``delta + c`` segment;
 * :func:`expected_restart_rework` — Eq. 13, the expected duration of the
   combined restart + rework phase (itself failure-prone);
-* :func:`total_time` — Eq. 14, the fixed point
-  ``T_total = (t + t c / delta) / (1 - lambda * t_RR)``;
+* :func:`completion_time` — Eq. 14, the fixed point
+  ``T_total = (t + t c / delta) / (1 - lambda * t_RR)`` together with
+  the Eq. 12-13 terms it is built from, and :func:`total_time`, its
+  total for callers that treat divergence as an error;
 * :func:`daly_interval` — Eq. 15, Daly's higher-order optimum
   checkpoint interval, and :func:`young_interval` for the classic
   first-order rule;
 * :func:`time_breakdown` — the work / checkpoint / recompute / restart
   shares reported in the paper's Tables 2 and 3.
+
+Each equation is one NumPy function over floats or broadcastable
+arrays, without input validation of its own (see
+:mod:`repro.models.reliability`).
 """
 
 from __future__ import annotations
@@ -28,16 +34,6 @@ import numpy as np
 from ..errors import ConfigurationError, ModelDivergence
 
 
-def _validate_positive(name: str, value: float) -> None:
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be > 0, got {value}")
-
-
-def _validate_non_negative(name: str, value: float) -> None:
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value}")
-
-
 def segment_failure_pdf(t: float, delta: float, checkpoint_cost: float, mtbf: float) -> float:
     """Density of the failure position within a work+checkpoint segment.
 
@@ -48,9 +44,6 @@ def segment_failure_pdf(t: float, delta: float, checkpoint_cost: float, mtbf: fl
 
     for ``0 <= t <= delta_c``.  Integrates to 1 over the segment.
     """
-    _validate_positive("delta", delta)
-    _validate_non_negative("checkpoint_cost", checkpoint_cost)
-    _validate_positive("mtbf", mtbf)
     delta_c = delta + checkpoint_cost
     if not 0.0 <= t <= delta_c:
         raise ConfigurationError(f"t must lie in [0, {delta_c}], got {t}")
@@ -58,7 +51,7 @@ def segment_failure_pdf(t: float, delta: float, checkpoint_cost: float, mtbf: fl
     return math.exp(-t / mtbf) / (mtbf * denominator)
 
 
-def expected_lost_work(delta: float, checkpoint_cost: float, mtbf: float) -> float:
+def expected_lost_work(delta, checkpoint_cost, mtbf):
     """Expected work lost to one failure, ``t_lw`` (Eq. 12).
 
     A failure at offset ``t <= delta`` into the segment loses ``t`` of
@@ -70,27 +63,16 @@ def expected_lost_work(delta: float, checkpoint_cost: float, mtbf: float) -> flo
 
     Always satisfies ``0 <= t_lw <= delta``.
     """
-    _validate_positive("delta", delta)
-    _validate_non_negative("checkpoint_cost", checkpoint_cost)
-    _validate_positive("mtbf", mtbf)
     delta_c = delta + checkpoint_cost
-    # numpy scalar ufuncs keep this bit-identical to the vectorized
-    # pipeline in repro.models.grid (see reliability.py's substrate
-    # note).
-    denominator = float(-np.expm1(-delta_c / mtbf))
-    numerator = float(
-        -mtbf * np.expm1(-delta / mtbf) - delta * np.exp(-delta_c / mtbf)
-    )
+    denominator = -np.expm1(-delta_c / mtbf)
+    numerator = -mtbf * np.expm1(-delta / mtbf) - delta * np.exp(-delta_c / mtbf)
     # Enforce the mathematical bound numerically: for delta << mtbf the
     # two terms of the numerator cancel to machine precision and can
-    # leave a tiny negative residue, which downstream validation (and
-    # Eq. 13's exp/expm1 calls) must never see.
-    return min(max(numerator / denominator, 0.0), delta)
+    # leave a tiny negative residue, which Eq. 13 must never see.
+    return np.minimum(np.maximum(numerator / denominator, 0.0), delta)
 
 
-def expected_restart_rework(
-    lost_work: float, restart_cost: float, mtbf: float
-) -> float:
+def expected_restart_rework(lost_work, restart_cost, mtbf):
     """Expected duration of the restart + rework phase, ``t_RR`` (Eq. 13).
 
     The phase nominally lasts ``x = R + t_lw`` but is itself exposed to
@@ -106,70 +88,74 @@ def expected_restart_rework(
     underweights early failures; this is the paper's model, and the
     model-vs-simulation benchmarks quantify the residual.
 
-    Always satisfies ``0 <= t_RR <= R + t_lw``.
+    Always satisfies ``0 <= t_RR <= R + t_lw`` (exactly 0 for ``x = 0``).
     """
-    _validate_non_negative("lost_work", lost_work)
-    _validate_non_negative("restart_cost", restart_cost)
-    _validate_positive("mtbf", mtbf)
     x = restart_cost + lost_work
-    if x == 0.0:
-        return 0.0
-    survive = float(np.exp(-x / mtbf))
-    fail = float(-np.expm1(-x / mtbf))
+    survive = np.exp(-x / mtbf)
+    fail = -np.expm1(-x / mtbf)
     truncated_expectation = mtbf - survive * (x + mtbf)
     return fail * truncated_expectation + survive * x
 
 
-def total_time(
-    base_time: float,
-    delta: float,
-    checkpoint_cost: float,
-    failure_rate: float,
-    restart_cost: float,
-) -> float:
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def completion_time(base_time, delta, checkpoint_cost, failure_rate, restart_cost):
+    """Eqs. 12-14 element-wise: ``(T_total, t_lw, t_RR)``.
+
+    ``T_total = (t + t c / delta) / (1 - lambda t_RR)`` (Eq. 14), with
+    ``t_lw`` (Eq. 12) and ``t_RR`` (Eq. 13) evaluated at the system MTBF
+    ``Theta = 1/lambda``.  A failure-free cell (``lambda == 0``) takes
+    ``t + t c / delta`` and reports ``nan`` for ``t_lw``/``t_RR``, which
+    are undefined without failures.  A cell where ``lambda * t_RR >= 1``
+    (the expected repair time per failure exceeds the time between
+    failures) or ``lambda`` is infinite has no finite completion time
+    and takes ``inf``.
+    """
+    mtbf = np.divide(1.0, failure_rate)
+    lost_work = expected_lost_work(delta, checkpoint_cost, mtbf)
+    rework = expected_restart_rework(lost_work, restart_cost, mtbf)
+    useful = base_time + base_time * checkpoint_cost / delta
+    loss = failure_rate * rework
+    total = np.where(
+        failure_rate == 0.0,
+        useful,
+        np.where(loss < 1.0, useful / (1.0 - loss), np.inf),
+    )[()]
+    return total, lost_work, rework
+
+
+def _solve(base_time, delta, checkpoint_cost, failure_rate, restart_cost):
+    solution = completion_time(
+        base_time, delta, checkpoint_cost, failure_rate, restart_cost
+    )
+    if np.any(np.isinf(solution[0])):
+        raise ModelDivergence(
+            "lambda * t_RR >= 1 (or lambda infinite); no finite completion time"
+        )
+    return solution
+
+
+def total_time(base_time, delta, checkpoint_cost, failure_rate, restart_cost):
     """Total completion time ``T_total`` (Eq. 14).
 
-    ``T_total = (t + t c / delta) / (1 - lambda t_RR)``
-
-    with ``t_RR`` from Eq. 13 evaluated at the system MTBF
-    ``Theta = 1/lambda``.
+    :func:`completion_time`'s total, for callers that treat divergence
+    as an error.
 
     Raises
     ------
     ModelDivergence
-        When ``lambda * t_RR >= 1``: the expected repair time per
-        failure exceeds the time between failures, so the job makes no
-        expected forward progress.
+        When ``lambda * t_RR >= 1`` anywhere: the expected repair time
+        per failure exceeds the time between failures, so the job makes
+        no expected forward progress.
     """
-    _validate_non_negative("base_time", base_time)
-    _validate_positive("delta", delta)
-    _validate_non_negative("checkpoint_cost", checkpoint_cost)
-    _validate_non_negative("failure_rate", failure_rate)
-    _validate_non_negative("restart_cost", restart_cost)
-    useful_plus_checkpoints = base_time + base_time * checkpoint_cost / delta
-    if failure_rate == 0.0:
-        return useful_plus_checkpoints
-    if math.isinf(failure_rate):
-        raise ModelDivergence("failure rate is infinite; job never completes")
-    mtbf = 1.0 / failure_rate
-    t_lw = expected_lost_work(delta, checkpoint_cost, mtbf)
-    t_rr = expected_restart_rework(t_lw, restart_cost, mtbf)
-    loss = failure_rate * t_rr
-    if loss >= 1.0:
-        raise ModelDivergence(
-            f"lambda * t_RR = {loss:.3f} >= 1; no finite completion time"
-        )
-    return useful_plus_checkpoints / (1.0 - loss)
+    return _solve(base_time, delta, checkpoint_cost, failure_rate, restart_cost)[0]
 
 
-def young_interval(checkpoint_cost: float, mtbf: float) -> float:
+def young_interval(checkpoint_cost, mtbf):
     """Young's first-order optimum interval ``sqrt(2 c Theta)`` [Young 1974]."""
-    _validate_positive("checkpoint_cost", checkpoint_cost)
-    _validate_positive("mtbf", mtbf)
-    return math.sqrt(2.0 * checkpoint_cost * mtbf)
+    return np.sqrt(2.0 * checkpoint_cost * mtbf)
 
 
-def daly_interval(checkpoint_cost: float, mtbf: float) -> float:
+def daly_interval(checkpoint_cost, mtbf):
     """Daly's higher-order optimum checkpoint interval (Eq. 15).
 
     ``delta_opt = sqrt(2 c Theta) [1 + (1/3) sqrt(c / 2Theta)
@@ -179,14 +165,10 @@ def daly_interval(checkpoint_cost: float, mtbf: float) -> float:
     the MTBF (Daly 2006's guard for the regime where the expansion is
     invalid).
     """
-    _validate_positive("checkpoint_cost", checkpoint_cost)
-    _validate_positive("mtbf", mtbf)
     ratio = checkpoint_cost / (2.0 * mtbf)
-    if ratio >= 1.0:
-        return mtbf
-    base = math.sqrt(2.0 * checkpoint_cost * mtbf)
-    correction = 1.0 + math.sqrt(ratio) / 3.0 + ratio / 9.0
-    return base * correction - checkpoint_cost
+    base = np.sqrt(2.0 * checkpoint_cost * mtbf)
+    correction = 1.0 + np.sqrt(ratio) / 3.0 + ratio / 9.0
+    return np.where(ratio >= 1.0, mtbf, base * correction - checkpoint_cost)[()]
 
 
 @dataclass(frozen=True)
@@ -212,6 +194,33 @@ class TimeBreakdown:
         """Alias for the work share (the headline number in Table 2)."""
         return self.work
 
+    @classmethod
+    def split(
+        cls, base_time, delta, checkpoint_cost, failure_rate, restart_cost, solution
+    ) -> "TimeBreakdown":
+        """The shares of one :func:`completion_time` ``solution``."""
+        t_total, t_lw, t_rr = (float(value) for value in solution)
+        if failure_rate == 0.0:
+            recompute_share = restart_share = failures = 0.0
+        else:
+            failures = t_total * failure_rate
+            rr_share = failure_rate * t_rr
+            phase = restart_cost + t_lw
+            if phase > 0.0:
+                recompute_share = rr_share * (t_lw / phase)
+                restart_share = rr_share * (restart_cost / phase)
+            else:
+                recompute_share = restart_share = 0.0
+        return cls(
+            total_time=t_total,
+            work=base_time / t_total,
+            checkpoint=(base_time * checkpoint_cost / delta) / t_total,
+            recompute=recompute_share,
+            restart=restart_share,
+            checkpoints_taken=base_time / delta,
+            expected_failures=failures,
+        )
+
 
 def time_breakdown(
     base_time: float,
@@ -225,32 +234,5 @@ def time_breakdown(
     Mirrors the Sandia-study presentation the paper reprints as Tables
     2 and 3: each share is a fraction of the total wallclock time.
     """
-    t_total = total_time(base_time, delta, checkpoint_cost, failure_rate, restart_cost)
-    work_share = base_time / t_total
-    checkpoint_share = (base_time * checkpoint_cost / delta) / t_total
-    if failure_rate == 0.0:
-        recompute_share = 0.0
-        restart_share = 0.0
-        failures = 0.0
-    else:
-        mtbf = 1.0 / failure_rate
-        t_lw = expected_lost_work(delta, checkpoint_cost, mtbf)
-        t_rr = expected_restart_rework(t_lw, restart_cost, mtbf)
-        failures = t_total * failure_rate
-        rr_share = failure_rate * t_rr
-        phase = restart_cost + t_lw
-        if phase > 0.0:
-            recompute_share = rr_share * (t_lw / phase)
-            restart_share = rr_share * (restart_cost / phase)
-        else:
-            recompute_share = 0.0
-            restart_share = 0.0
-    return TimeBreakdown(
-        total_time=t_total,
-        work=work_share,
-        checkpoint=checkpoint_share,
-        recompute=recompute_share,
-        restart=restart_share,
-        checkpoints_taken=base_time / delta,
-        expected_failures=failures,
-    )
+    args = (base_time, delta, checkpoint_cost, failure_rate, restart_cost)
+    return TimeBreakdown.split(*args, _solve(*args))

@@ -13,6 +13,11 @@ Figures 4-6 and 13-14 are produced:
    rule optionally) at the *system* MTBF;
 4. evaluate the Eq. 14 fixed point with the redundant time as the work
    term.
+
+The arithmetic is the kernel's: :meth:`CombinedModel.evaluate` is a
+one-cell :func:`~repro.models.grid.evaluate_grid` call, and a model is
+checked against the input domain (:data:`~repro.models.grid.DOMAIN`)
+when it is constructed.
 """
 
 from __future__ import annotations
@@ -21,23 +26,10 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..errors import ConfigurationError, ModelDivergence
-from .checkpointing import (
-    TimeBreakdown,
-    daly_interval,
-    time_breakdown,
-    young_interval,
-)
-from .redundancy import (
-    RedundancyPartition,
-    partition_processes,
-    redundant_time,
-    system_failure_rate,
-    system_reliability,
-)
-
-#: Supported checkpoint-interval rules.
-INTERVAL_RULES = ("daly", "young")
+from ..errors import ModelDivergence
+from .checkpointing import TimeBreakdown
+from .grid import DOMAIN, check_domain, evaluate_grid
+from .redundancy import RedundancyPartition, partition_processes
 
 
 @dataclass(frozen=True)
@@ -62,6 +54,39 @@ class CombinedResult:
     total_time: float
     #: Work/checkpoint/recompute/restart split of ``total_time``.
     breakdown: TimeBreakdown
+
+    @classmethod
+    def of(cls, model: "CombinedModel", grid, index=()) -> "CombinedResult":
+        """Cell ``index`` of a kernel ``grid``, the cell ``model`` describes.
+
+        Raises :class:`ModelDivergence` when the cell has no finite
+        completion time.
+        """
+        rate = float(grid.failure_rate[index])
+        if math.isinf(rate):
+            raise ModelDivergence(
+                "system failure rate diverged (t_Red >= node MTBF under the "
+                "linearised model); use exact_reliability=True or reduce scale"
+            )
+        total = float(grid.total_time[index])
+        if math.isinf(total):
+            raise ModelDivergence("lambda * t_RR >= 1; no finite completion time")
+        t_red = float(grid.redundant_time[index])
+        delta = float(grid.checkpoint_interval[index])
+        return cls(
+            model=model,
+            redundant_time=t_red,
+            partition=partition_processes(model.virtual_processes, model.redundancy),
+            system_reliability=float(grid.system_reliability[index]),
+            failure_rate=rate,
+            system_mtbf=float(grid.system_mtbf[index]),
+            checkpoint_interval=delta,
+            total_time=total,
+            breakdown=TimeBreakdown.split(
+                t_red, delta, model.checkpoint_cost, rate, model.restart_cost,
+                (total, grid.lost_work[index], grid.restart_rework[index]),
+            ),
+        )
 
     @property
     def expected_checkpoints(self) -> float:
@@ -115,6 +140,12 @@ class CombinedModel:
     exact_reliability:
         Use the exponential CDF instead of the paper's ``t/theta``
         linearisation in Eqs. 3-4-9.
+
+    Raises
+    ------
+    ConfigurationError
+        At construction, when a field lies outside
+        :data:`~repro.models.grid.DOMAIN`.
     """
 
     virtual_processes: int
@@ -129,14 +160,9 @@ class CombinedModel:
     exact_reliability: bool = False
 
     def __post_init__(self) -> None:
-        if self.interval_rule not in INTERVAL_RULES:
-            raise ConfigurationError(
-                f"interval_rule must be one of {INTERVAL_RULES}, got {self.interval_rule!r}"
-            )
-        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
-            raise ConfigurationError(
-                f"checkpoint_interval override must be > 0, got {self.checkpoint_interval}"
-            )
+        check_domain(
+            self.interval_rule, **{name: getattr(self, name) for name in DOMAIN}
+        )
 
     def with_redundancy(self, redundancy: float) -> "CombinedModel":
         """Copy of this configuration at a different redundancy degree."""
@@ -146,74 +172,30 @@ class CombinedModel:
         """Copy of this configuration at a different process count."""
         return replace(self, virtual_processes=virtual_processes)
 
-    def interval(self, system_mtbf: float) -> float:
-        """The checkpoint interval this configuration will use."""
-        if self.checkpoint_interval is not None:
-            return self.checkpoint_interval
-        if self.interval_rule == "young":
-            return young_interval(self.checkpoint_cost, system_mtbf)
-        return daly_interval(self.checkpoint_cost, system_mtbf)
-
     def evaluate(self) -> CombinedResult:
         """Run the full Section 4.3 pipeline for this configuration.
+
+        A one-cell :func:`~repro.models.grid.evaluate_grid` call.
 
         Raises
         ------
         ModelDivergence
             When the configuration has no finite expected completion
-            time (see :func:`repro.models.checkpointing.total_time`).
+            time (see :func:`repro.models.checkpointing.completion_time`).
         """
-        t_red = redundant_time(self.base_time, self.alpha, self.redundancy)
-        partition = partition_processes(self.virtual_processes, self.redundancy)
-        r_sys = system_reliability(
+        grid = evaluate_grid(
             self.virtual_processes,
             self.redundancy,
-            t_red,
             self.node_mtbf,
-            exact=self.exact_reliability,
+            self.alpha,
+            self.base_time,
+            self.checkpoint_cost,
+            self.restart_cost,
+            interval_rule=self.interval_rule,
+            checkpoint_interval=self.checkpoint_interval,
+            exact_reliability=self.exact_reliability,
         )
-        rate = system_failure_rate(
-            self.virtual_processes,
-            self.redundancy,
-            t_red,
-            self.node_mtbf,
-            exact=self.exact_reliability,
-        )
-        if math.isinf(rate):
-            raise ModelDivergence(
-                "system failure rate diverged (t_Red >= node MTBF under the "
-                "linearised model); use exact_reliability=True or reduce scale"
-            )
-        mtbf = math.inf if rate == 0.0 else 1.0 / rate
-        if self.checkpoint_interval is not None:
-            delta = self.checkpoint_interval
-        elif math.isinf(mtbf):
-            # Failure-free in expectation: still checkpoint at a nominal
-            # interval so the breakdown is well defined.
-            delta = t_red
-        else:
-            # Clamp the rule interval to the nominal one-checkpoint run.
-            # As rate -> 0 the rule interval grows without bound, so the
-            # clamp makes this branch converge continuously to the
-            # failure-free branch above; an unclamped interval longer
-            # than the run itself is meaningless and opened a
-            # one-checkpoint-cost discontinuity at the boundary where
-            # the rate underflows to exactly 0.0.
-            delta = min(self.interval(mtbf), t_red)
-        breakdown = time_breakdown(
-            t_red, delta, self.checkpoint_cost, rate, self.restart_cost
-        )
-        return CombinedResult(
-            model=self,
-            redundant_time=t_red,
-            partition=partition,
-            system_reliability=r_sys,
-            failure_rate=rate,
-            system_mtbf=mtbf,
-            checkpoint_interval=delta,
-            total_time=breakdown.total_time,
-            breakdown=breakdown,
-        )
+        return CombinedResult.of(self, grid)
 
     def total_time_or_inf(self) -> float:
         """``evaluate().total_time``, with divergence mapped to ``inf``.

@@ -1,42 +1,101 @@
-"""Vectorized evaluation of the combined model over parameter grids.
+"""The combined model's one evaluation kernel, and its input domain.
 
-:class:`~repro.models.combined.CombinedModel` evaluates one scalar
-configuration at a time; the sweeps behind Figures 4-6, 13 and 14 (and
-any design-space exploration over ``(N, r, theta, delta)``) evaluate
-thousands.  :func:`evaluate_grid` runs the whole Section 4.3 pipeline —
-Eq. 1 (redundant time), Eqs. 5-8 (partition), Eq. 9 (reliability),
-Eq. 10 (failure rate), Eq. 15/Young (interval) and Eq. 14 (total time)
-— over NumPy arrays in one shot, broadcasting its inputs.
+:func:`evaluate_grid` runs the whole Section 4.3 pipeline — Eq. 1
+(redundant time), Eqs. 5-8 (partition), Eq. 9 (reliability), Eq. 10
+(failure rate and MTBF), Eq. 15/Young (interval) and Eqs. 12-14 (total
+time) — as the composition of the per-equation NumPy functions in
+:mod:`~repro.models.redundancy` and :mod:`~repro.models.checkpointing`,
+over broadcast parameter arrays.  It is the only evaluator:
+``CombinedModel.evaluate()`` is a one-cell call, micro-batches and
+sweeps are many-cell calls, and a cell's bits do not depend on the
+batch it is evaluated in.
 
-The arithmetic mirrors the scalar implementation operation-for-operation
-(including the paper's ``t/theta`` linearisation clamp, the partition's
-float-artifact epsilon, Daly's ``c >= 2 Theta`` guard, and the
-``exp``/``log`` round trip in Eq. 10), so results agree with
-``CombinedModel.evaluate()`` to float64 rounding — the equivalence test
-in ``tests/models/test_grid.py`` asserts 1e-9 relative error.
+The input domain is stated once, in :data:`DOMAIN`, and enforced by
+:func:`check_domain` at ``CombinedModel`` construction and here.
 
-Divergent cells (where the scalar model raises
+Divergent cells (where ``CombinedModel.evaluate()`` raises
 :class:`~repro.errors.ModelDivergence`) carry ``inf`` total time, the
 same convention as ``CombinedModel.total_time_or_inf()``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .combined import INTERVAL_RULES, CombinedModel
-from .reliability import integer_power
+from .checkpointing import completion_time, daly_interval, young_interval
+from .redundancy import (
+    mtbf_from_rate,
+    partition_counts,
+    rate_from_reliability,
+    redundant_time,
+    system_reliability,
+)
+
+if TYPE_CHECKING:
+    from .combined import CombinedModel
 
 __all__ = [
+    "DOMAIN",
+    "INTERVALS",
     "ModelGrid",
+    "check_domain",
     "evaluate_grid",
     "evaluate_model_grid",
     "total_time_grid",
 ]
+
+#: Checkpoint-interval rules (Eq. 15, and Young's first-order rule).
+INTERVALS = {"daly": daly_interval, "young": young_interval}
+
+
+#: The model's input domain: field -> (test, what the test demands).
+#: Every test is False for NaN and +-inf, so each field must be finite.
+DOMAIN = {
+    "virtual_processes": (
+        lambda v: (v >= 1) & (v < math.inf) & (v % 1 == 0),
+        "an integer >= 1",
+    ),
+    "redundancy": (lambda v: (v >= 1) & (v < math.inf), ">= 1"),
+    "node_mtbf": (lambda v: (v > 0) & (v < math.inf), "> 0"),
+    "alpha": (lambda v: (v >= 0) & (v <= 1), "in [0, 1]"),
+    "base_time": (lambda v: (v > 0) & (v < math.inf), "> 0"),
+    "checkpoint_cost": (lambda v: (v > 0) & (v < math.inf), "> 0"),
+    "restart_cost": (lambda v: (v >= 0) & (v < math.inf), ">= 0"),
+    "checkpoint_interval": (lambda v: (v > 0) & (v < math.inf), "> 0"),
+}
+
+
+def check_domain(interval_rule: str, **fields) -> None:
+    """Raise :class:`ConfigurationError` unless the inputs are in domain.
+
+    ``fields`` maps :data:`DOMAIN` names to scalars or arrays; a
+    ``checkpoint_interval`` of ``None`` means "no override" and passes.
+    """
+    if interval_rule not in INTERVALS:
+        raise ConfigurationError(
+            f"interval_rule must be one of {tuple(INTERVALS)}, got {interval_rule!r}"
+        )
+    checks = [
+        (name, value, DOMAIN[name][0](value))
+        for name, value in fields.items()
+        if value is not None or name != "checkpoint_interval"
+    ]
+    # One reduction for every field: Python numbers give a bool, numpy
+    # inputs a np.bool_ or an array.
+    inside = functools.reduce(operator.and_, (verdict for _n, _v, verdict in checks))
+    if inside is True or (inside is not False and inside.all()):
+        return
+    for name, value, verdict in checks:
+        if not np.all(verdict):
+            bad = np.asarray(value)[~np.asarray(verdict)].flat[0]
+            raise ConfigurationError(f"{name} must be {DOMAIN[name][1]}, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +121,11 @@ class ModelGrid:
     checkpoint_interval: np.ndarray
     #: Eq. 14 — expected total wallclock time (``inf`` where diverged).
     total_time: np.ndarray
+    #: Eq. 12 — expected work lost per failure (``nan`` where
+    #: failure-free or diverged).
+    lost_work: np.ndarray
+    #: Eq. 13 — expected restart + rework phase (``nan`` likewise).
+    restart_rework: np.ndarray
 
     @property
     def diverged(self) -> np.ndarray:
@@ -91,26 +155,6 @@ class ModelGrid:
         return self.total_processes * self.total_time
 
 
-def _as_float(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
-
-
-def _sphere_power(p: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """``p ** levels`` for integer-valued level arrays, bit-identical to
-    the scalar path's :func:`~repro.models.reliability.integer_power`.
-
-    ``np.power``'s array loop and numpy's scalar path disagree in the
-    last ULP for some inputs (e.g. squaring), so the sphere failure
-    probability is computed with the same ascending multiply chain the
-    scalar model uses, one chain per distinct replication level.
-    """
-    result = np.empty_like(p)
-    for level in np.unique(levels):
-        mask = levels == level
-        result[mask] = integer_power(p[mask], int(level))
-    return result
-
-
 def evaluate_grid(
     virtual_processes,
     redundancy,
@@ -129,150 +173,55 @@ def evaluate_grid(
     against each other with normal NumPy rules (e.g. a column of
     degrees against a row of process counts yields the full 2-D grid).
     """
-    if interval_rule not in INTERVAL_RULES:
-        raise ConfigurationError(
-            f"interval_rule must be one of {INTERVAL_RULES}, got {interval_rule!r}"
-        )
-    n = _as_float(virtual_processes)
-    r = _as_float(redundancy)
-    theta = _as_float(node_mtbf)
-    a = _as_float(alpha)
-    t = _as_float(base_time)
-    c = _as_float(checkpoint_cost)
-    rc = _as_float(restart_cost)
-    if np.any(n < 1):
-        raise ConfigurationError("virtual_processes must be >= 1")
-    if np.any(r < 1.0):
-        raise ConfigurationError("redundancy must be >= 1")
-    if np.any(theta <= 0):
-        raise ConfigurationError("node_mtbf must be > 0")
-    if np.any((a < 0.0) | (a > 1.0)):
-        raise ConfigurationError("alpha must be in [0, 1]")
-    if np.any(t < 0):
-        raise ConfigurationError("base_time must be >= 0")
-    if np.any(c <= 0):
-        raise ConfigurationError("checkpoint_cost must be > 0")
-    if np.any(rc < 0):
-        raise ConfigurationError("restart_cost must be >= 0")
-    override = None
-    if checkpoint_interval is not None:
-        override = _as_float(checkpoint_interval)
-        if np.any(override <= 0):
-            raise ConfigurationError("checkpoint_interval override must be > 0")
-
-    shape = np.broadcast_shapes(
-        n.shape, r.shape, theta.shape, a.shape, t.shape, c.shape, rc.shape,
-        override.shape if override is not None else (),
-    )
-    n, r, theta, a, t, c, rc = (
-        np.broadcast_to(x, shape).astype(np.float64)
-        for x in (n, r, theta, a, t, c, rc)
-    )
-    if override is not None:
-        override = np.broadcast_to(override, shape).astype(np.float64)
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Eq. 1 — redundant execution time.
-        t_red = (1.0 - a) * t + a * t * r
-
-        # Eqs. 5-8 — the partial-redundancy partition.
-        floor_level = np.floor(r)
-        ceil_level = np.ceil(r)
-        integer_r = floor_level == ceil_level
-        # Epsilon mirrors the scalar partition's float-artifact guard.
-        floor_count = np.where(
-            integer_r, 0.0, np.floor((ceil_level - r) * n + 1e-9)
-        )
-        ceil_count = n - floor_count
-        total_processes = ceil_count * ceil_level + floor_count * floor_level
-
-        # Eq. 9 — log-space system reliability.
-        if exact_reliability:
-            p = -np.expm1(-t_red / theta)
-        else:
-            p = np.minimum(1.0, t_red / theta)
-        log_r = np.zeros(shape, dtype=np.float64)
-        dead = np.zeros(shape, dtype=bool)
-        for count, level in ((floor_count, floor_level), (ceil_count, ceil_level)):
-            active = count > 0
-            sphere_fail = _sphere_power(p, level)
-            dead |= active & (sphere_fail >= 1.0)
-            term = np.where(
-                active & (sphere_fail < 1.0),
-                count * np.log1p(-np.where(sphere_fail < 1.0, sphere_fail, 0.0)),
-                0.0,
-            )
-            log_r = log_r + term
-        r_sys = np.where(dead, 0.0, np.exp(log_r))
-
-        # Eq. 10 — failure rate and system MTBF (round trip through
-        # exp/log exactly like the scalar path).
-        rate = np.where(r_sys <= 0.0, np.inf, -np.log(r_sys) / t_red)
-        failure_free = rate == 0.0
-        diverged = np.isinf(rate)
-        mtbf = np.where(failure_free, np.inf, 1.0 / np.where(rate > 0, rate, 1.0))
-
-        # Eq. 15 / Young / override — checkpoint interval.
-        safe_mtbf = np.where(np.isfinite(mtbf) & (mtbf > 0), mtbf, 1.0)
-        if interval_rule == "young":
-            rule_delta = np.sqrt(2.0 * c * safe_mtbf)
-        else:
-            ratio = c / (2.0 * safe_mtbf)
-            base = np.sqrt(2.0 * c * safe_mtbf)
-            correction = 1.0 + np.sqrt(ratio) / 3.0 + ratio / 9.0
-            rule_delta = np.where(ratio >= 1.0, safe_mtbf, base * correction - c)
-        if override is not None:
-            delta = override.copy()
-        else:
-            # Failure-free in expectation: nominal one-checkpoint run.
-            # Elsewhere the rule interval is clamped to that same
-            # nominal run, so the failure-free branch is the continuous
-            # rate -> 0 limit (rule_delta -> inf) — mirroring the
-            # scalar path exactly; see CombinedModel.evaluate().
-            delta = np.where(failure_free, t_red, np.minimum(rule_delta, t_red))
-        delta = np.where(diverged, np.nan, delta)
-
-        # Eq. 14 — total time via Eqs. 12-13.
-        safe_delta = np.where(np.isfinite(delta) & (delta > 0), delta, 1.0)
-        useful = t_red + t_red * c / safe_delta
-        delta_c = safe_delta + c
-        denom = -np.expm1(-delta_c / safe_mtbf)
-        denom = np.where(denom > 0, denom, 1.0)
-        # Clipped to the mathematical bound 0 <= t_lw <= delta: for
-        # delta << mtbf the numerator cancels to machine precision and
-        # can leave a tiny negative residue (mirrors the scalar clamp).
-        t_lw = np.clip(
+    # DOMAIN lists the fields in this function's positional order; Python
+    # numbers are checked as they are, which is cheaper than as 0-d arrays.
+    fields = {
+        name: value if value is None or isinstance(value, (int, float))
+        else np.asarray(value, dtype=np.float64)
+        for name, value in zip(
+            DOMAIN,
             (
-                -safe_mtbf * np.expm1(-safe_delta / safe_mtbf)
-                - safe_delta * np.exp(-delta_c / safe_mtbf)
-            ) / denom,
-            0.0,
-            safe_delta,
+                virtual_processes, redundancy, node_mtbf, alpha, base_time,
+                checkpoint_cost, restart_cost, checkpoint_interval,
+            ),
         )
-        x = rc + t_lw
-        survive = np.exp(-x / safe_mtbf)
-        fail = -np.expm1(-x / safe_mtbf)
-        truncated = safe_mtbf - survive * (x + safe_mtbf)
-        t_rr = np.where(x == 0.0, 0.0, fail * truncated + survive * x)
-        loss = rate * t_rr
-        no_progress = diverged | (loss >= 1.0) | ~np.isfinite(loss)
-        total = np.where(
-            failure_free, useful, np.where(no_progress, np.inf, useful / (1.0 - loss))
-        )
-        mtbf_out = np.where(diverged, 0.0, mtbf)
+    }
+    check_domain(interval_rule, **fields)
+    n, r, theta, a, t, c, rc, override = (
+        None if value is None else np.asarray(value, dtype=np.float64)
+        for value in fields.values()
+    )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t_red = redundant_time(t, a, r)
+        total_processes = partition_counts(n, r)[-1]
+        r_sys = system_reliability(n, r, t_red, theta, exact=exact_reliability)
+        rate = rate_from_reliability(r_sys, t_red)
+        mtbf = mtbf_from_rate(rate)
+        if override is None:
+            # Clamped to the nominal one-checkpoint run: the rule interval
+            # grows without bound as rate -> 0 (inf at 0), so a
+            # failure-free cell is the continuous limit of its neighbours.
+            delta = np.minimum(INTERVALS[interval_rule](c, mtbf), t_red)
+        else:
+            delta = override
+        delta = np.where(np.isinf(rate), np.nan, delta)
+        total, lost_work, rework = completion_time(t_red, delta, c, rate, rc)
 
+    shape = np.broadcast(
+        n, r, theta, a, t, c, rc, *(() if override is None else (override,))
+    ).shape
     return ModelGrid(
-        redundant_time=t_red,
-        total_processes=total_processes,
-        system_reliability=r_sys,
-        failure_rate=rate,
-        system_mtbf=mtbf_out,
-        checkpoint_interval=delta,
-        total_time=total,
+        *(
+            value if value.shape == shape else np.broadcast_to(value, shape)
+            for value in (
+                t_red, total_processes, r_sys, rate, mtbf, delta, total,
+                lost_work, rework,
+            )
+        )
     )
 
 
-def evaluate_model_grid(model: CombinedModel, **axes) -> ModelGrid:
+def evaluate_model_grid(model: "CombinedModel", **axes) -> ModelGrid:
     """Evaluate ``model`` with some fields replaced by arrays.
 
     ``axes`` maps :class:`~repro.models.combined.CombinedModel` field
@@ -281,20 +230,10 @@ def evaluate_model_grid(model: CombinedModel, **axes) -> ModelGrid:
     ``checkpoint_interval``) to scalars or arrays; everything else is
     taken from ``model``.
     """
-    params = {
-        "virtual_processes": model.virtual_processes,
-        "redundancy": model.redundancy,
-        "node_mtbf": model.node_mtbf,
-        "alpha": model.alpha,
-        "base_time": model.base_time,
-        "checkpoint_cost": model.checkpoint_cost,
-        "restart_cost": model.restart_cost,
-        "checkpoint_interval": model.checkpoint_interval,
-    }
-    unknown = set(axes) - set(params)
+    unknown = set(axes) - set(DOMAIN)
     if unknown:
         raise ConfigurationError(f"unknown model grid axes: {sorted(unknown)}")
-    params.update(axes)
+    params = {name: axes.get(name, getattr(model, name)) for name in DOMAIN}
     return evaluate_grid(
         interval_rule=model.interval_rule,
         exact_reliability=model.exact_reliability,
@@ -303,7 +242,7 @@ def evaluate_model_grid(model: CombinedModel, **axes) -> ModelGrid:
 
 
 def total_time_grid(
-    model: CombinedModel,
+    model: "CombinedModel",
     processes=None,
     redundancy=None,
 ) -> np.ndarray:

@@ -23,10 +23,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence
 
-from scipy import optimize as _sciopt
+import numpy as np
 
 from ..errors import ConfigurationError, ModelDivergence
 from .combined import CombinedModel, CombinedResult
+from .grid import evaluate_model_grid
 from .redundancy import PAPER_REDUNDANCY_GRID
 
 
@@ -45,21 +46,33 @@ class RedundancySweepPoint:
         return self.result is None
 
 
+def _sweep(model: CombinedModel, candidates, **axes) -> List[RedundancySweepPoint]:
+    """``candidates`` (copies of ``model`` along ``axes``) in one kernel call."""
+    cells = evaluate_model_grid(model, **axes)
+    points = []
+    for index, candidate in enumerate(candidates):
+        try:
+            result = CombinedResult.of(candidate, cells, index)
+        except ModelDivergence:
+            points.append(RedundancySweepPoint(candidate.redundancy, math.inf, None))
+        else:
+            points.append(
+                RedundancySweepPoint(candidate.redundancy, result.total_time, result)
+            )
+    return points
+
+
 def sweep_redundancy(
     model: CombinedModel,
     grid: Sequence[float] = PAPER_REDUNDANCY_GRID,
 ) -> List[RedundancySweepPoint]:
     """Evaluate ``model`` at every redundancy degree in ``grid``."""
-    points = []
-    for degree in grid:
-        candidate = model.with_redundancy(degree)
-        try:
-            result = candidate.evaluate()
-            point = RedundancySweepPoint(degree, result.total_time, result)
-        except ModelDivergence:
-            point = RedundancySweepPoint(degree, math.inf, None)
-        points.append(point)
-    return points
+    degrees = list(grid)
+    return _sweep(
+        model,
+        [model.with_redundancy(degree) for degree in degrees],
+        redundancy=np.asarray(degrees, dtype=np.float64),
+    )
 
 
 def optimal_redundancy(
@@ -95,7 +108,9 @@ def optimal_interval(
         candidate = replace(model, checkpoint_interval=float(delta))
         return candidate.total_time_or_inf()
 
-    outcome = _sciopt.minimize_scalar(
+    from scipy.optimize import minimize_scalar
+
+    outcome = minimize_scalar(
         objective,
         bounds=(daly / bracket_factor, daly * bracket_factor),
         method="bounded",
@@ -258,12 +273,13 @@ def sweep_processes(
     Returns sweep points whose ``redundancy`` field carries the fixed
     degree; the varying quantity is in ``result.model.virtual_processes``.
     """
-    points = []
-    for count in process_counts:
-        candidate = model.with_processes(int(count)).with_redundancy(redundancy)
-        try:
-            result = candidate.evaluate()
-            points.append(RedundancySweepPoint(redundancy, result.total_time, result))
-        except ModelDivergence:
-            points.append(RedundancySweepPoint(redundancy, math.inf, None))
-    return points
+    counts = [int(count) for count in process_counts]
+    return _sweep(
+        model,
+        [
+            replace(model, virtual_processes=count, redundancy=redundancy)
+            for count in counts
+        ],
+        virtual_processes=np.asarray(counts, dtype=np.float64),
+        redundancy=redundancy,
+    )

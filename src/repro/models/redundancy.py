@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from .reliability import integer_power, node_failure_probability
+from .reliability import node_failure_probability, sphere_failure_probability
 
 #: Redundancy degrees the paper sweeps (1x .. 3x in 0.25 steps).
 PAPER_REDUNDANCY_GRID = tuple(1.0 + 0.25 * i for i in range(9))
 
 
-def redundant_time(base_time: float, alpha: float, redundancy: float) -> float:
+def redundant_time(base_time, alpha, redundancy):
     """Execution time under ``r``-way redundancy (Eq. 1).
 
     ``t_Red = (1 - alpha) * t + alpha * t * r``
@@ -48,12 +48,6 @@ def redundant_time(base_time: float, alpha: float, redundancy: float) -> float:
     redundancy:
         Real-valued redundancy degree ``r >= 1``.
     """
-    if base_time < 0:
-        raise ConfigurationError(f"base_time must be >= 0, got {base_time}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigurationError(f"alpha must be in [0, 1], got {alpha}")
-    if redundancy < 1.0:
-        raise ConfigurationError(f"redundancy must be >= 1, got {redundancy}")
     return (1.0 - alpha) * base_time + alpha * base_time * redundancy
 
 
@@ -106,51 +100,48 @@ class RedundancyPartition:
         return self.floor_level
 
 
+def partition_counts(virtual_processes, redundancy):
+    """The Eqs. 5-8 partial-r partition, element-wise.
+
+    Returns ``(floor_level, ceil_level, floor_count, ceil_count,
+    total_processes)`` as floats: ``N_{floor(r)} = floor((ceil(r) - r)
+    * N)`` (Eq. 6), ``N_{ceil(r)} = N - N_{floor(r)}`` (Eq. 7) and
+    ``N_total`` (Eq. 8).  When ``r`` is an integer ``ceil(r) - r`` is
+    zero, the floor set is empty and every process runs at level ``r``.
+    """
+    floor_level = np.floor(redundancy)
+    ceil_level = np.ceil(redundancy)
+    # Tiny epsilon guards against float artifacts like
+    # (2 - 1.1) * 30 == 26.999999999999996 flooring to 26.
+    floor_count = np.floor((ceil_level - redundancy) * virtual_processes + 1e-9)
+    ceil_count = virtual_processes - floor_count
+    total = ceil_count * ceil_level + floor_count * floor_level
+    return floor_level, ceil_level, floor_count, ceil_count, total
+
+
 def partition_processes(virtual_processes: int, redundancy: float) -> RedundancyPartition:
     """Split ``N`` virtual processes into the Eq. 5-8 partial-r partition.
 
-    ``N_{floor(r)} = floor((ceil(r) - r) * N)`` (Eq. 6) and
-    ``N_{ceil(r)} = N - N_{floor(r)}`` (Eq. 7).  When ``r`` is an
-    integer the floor set is empty and every process runs at level
-    ``r`` exactly.
+    The scalar, integer-valued record of :func:`partition_counts`.
     """
-    if virtual_processes < 1:
-        raise ConfigurationError(
-            f"virtual_processes must be >= 1, got {virtual_processes}"
-        )
-    if redundancy < 1.0:
-        raise ConfigurationError(f"redundancy must be >= 1, got {redundancy}")
-    floor_level = math.floor(redundancy)
-    ceil_level = math.ceil(redundancy)
-    if floor_level == ceil_level:  # integer r: homogeneous system
-        floor_count = 0
-        ceil_count = virtual_processes
-    else:
-        # Tiny epsilon guards against float artifacts like
-        # (2 - 1.1) * 30 == 26.999999999999996 flooring to 26.
-        floor_count = math.floor(
-            (ceil_level - redundancy) * virtual_processes + 1e-9
-        )
-        ceil_count = virtual_processes - floor_count
-    total = ceil_count * ceil_level + floor_count * floor_level
+    floor_level, ceil_level, floor_count, ceil_count, total = partition_counts(
+        virtual_processes, redundancy
+    )
     return RedundancyPartition(
         virtual_processes=virtual_processes,
         redundancy=redundancy,
-        floor_level=floor_level,
-        ceil_level=ceil_level,
-        floor_count=floor_count,
-        ceil_count=ceil_count,
-        total_processes=total,
+        floor_level=int(floor_level),
+        ceil_level=int(ceil_level),
+        floor_count=int(floor_count),
+        ceil_count=int(ceil_count),
+        total_processes=int(total),
     )
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def system_reliability(
-    virtual_processes: int,
-    redundancy: float,
-    exposure_time: float,
-    node_mtbf: float,
-    exact: bool = False,
-) -> float:
+    virtual_processes, redundancy, exposure_time, node_mtbf, exact: bool = False
+):
     """Probability that *every* virtual process survives (Eq. 9).
 
     ``R_sys = [1 - p^floor(r)]^{N_floor} * [1 - p^ceil(r)]^{N_ceil}``
@@ -160,69 +151,54 @@ def system_reliability(
     ``exact=True``.
 
     Computed in log space: at the paper's scales (``N`` up to 10^6) the
-    direct product underflows.
-
-    Bit-identical to the vectorized pipeline in
-    :mod:`repro.models.grid`: transcendentals go through numpy's scalar
-    ufuncs and sphere powers through
-    :func:`~repro.models.reliability.integer_power`, in the same
-    floor-then-ceil accumulation order.
+    direct product underflows.  A set whose spheres fail for certain
+    (``p^k == 1``) contributes ``-inf``, so ``R_sys`` is exactly 0.
     """
-    part = partition_processes(virtual_processes, redundancy)
+    floor_level, ceil_level, floor_count, ceil_count, _total = partition_counts(
+        virtual_processes, redundancy
+    )
     p = node_failure_probability(exposure_time, node_mtbf, exact=exact)
     log_r = 0.0
-    for count, level in ((part.floor_count, part.floor_level), (part.ceil_count, part.ceil_level)):
-        if count == 0:
-            continue
-        sphere_fail = integer_power(p, level)
-        if sphere_fail >= 1.0:
-            return 0.0
-        log_r = log_r + count * float(np.log1p(-sphere_fail))
-    return float(np.exp(log_r))
+    for count, level in ((floor_count, floor_level), (ceil_count, ceil_level)):
+        sphere_fail = sphere_failure_probability(p, level)
+        log_r = log_r + np.where(count > 0, count * np.log1p(-sphere_fail), 0.0)
+    return np.exp(log_r)
+
+
+@np.errstate(divide="ignore")
+def rate_from_reliability(reliability, exposure_time):
+    """System failure rate ``lambda_sys = -ln(R_sys) / t_Red`` (Eq. 10).
+
+    ``inf`` where the system reliability is zero over the exposure
+    interval (the linearised model with ``t_Red >= theta``).
+    """
+    return -np.log(reliability) / exposure_time
+
+
+@np.errstate(divide="ignore")
+def mtbf_from_rate(rate):
+    """System MTBF ``Theta_sys = 1 / lambda_sys`` (Eq. 10).
+
+    ``inf`` for a failure-free system (``lambda_sys == 0``) and ``0.0``
+    where the failure rate diverges.
+    """
+    return np.where(rate == 0.0, np.inf, np.divide(1.0, rate))[()]
 
 
 def system_failure_rate(
-    virtual_processes: int,
-    redundancy: float,
-    exposure_time: float,
-    node_mtbf: float,
-    exact: bool = False,
-) -> float:
-    """System failure rate ``lambda_sys = -ln(R_sys) / t_Red`` (Eq. 10).
-
-    Returns ``math.inf`` when the system reliability is zero over the
-    exposure interval (the linearised model with ``t_Red >= theta``).
-    """
-    if exposure_time <= 0:
-        raise ConfigurationError(f"exposure_time must be > 0, got {exposure_time}")
-    r_sys = system_reliability(
-        virtual_processes, redundancy, exposure_time, node_mtbf, exact=exact
-    )
-    if r_sys <= 0.0:
-        return math.inf
-    return float(-np.log(r_sys) / exposure_time)
+    virtual_processes, redundancy, exposure_time, node_mtbf, exact: bool = False
+):
+    """Eq. 10's failure rate of the Eq. 9 system reliability."""
+    args = (virtual_processes, redundancy, exposure_time, node_mtbf, exact)
+    return rate_from_reliability(system_reliability(*args), exposure_time)
 
 
 def system_mtbf(
-    virtual_processes: int,
-    redundancy: float,
-    exposure_time: float,
-    node_mtbf: float,
-    exact: bool = False,
-) -> float:
-    """System MTBF ``Theta_sys = 1 / lambda_sys`` (Eq. 10).
-
-    Returns ``math.inf`` for a failure-free system (``R_sys == 1``) and
-    ``0.0`` when the failure rate diverges.
-    """
-    rate = system_failure_rate(
-        virtual_processes, redundancy, exposure_time, node_mtbf, exact=exact
-    )
-    if rate == 0.0:
-        return math.inf
-    if math.isinf(rate):
-        return 0.0
-    return 1.0 / rate
+    virtual_processes, redundancy, exposure_time, node_mtbf, exact: bool = False
+):
+    """Eq. 10's system MTBF of the Eq. 9 system reliability."""
+    args = (virtual_processes, redundancy, exposure_time, node_mtbf, exact)
+    return mtbf_from_rate(system_failure_rate(*args))
 
 
 def birthday_collision_probability(n: int) -> float:

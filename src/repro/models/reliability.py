@@ -15,15 +15,12 @@ The linearised probability is clamped to ``[0, 1]`` — for very unreliable
 configurations (``t > theta``) the raw linearisation exceeds 1 and would
 otherwise produce negative reliabilities downstream in Eq. 9.
 
-Arithmetic substrate: every transcendental on the model's evaluation
-path goes through :mod:`numpy`'s scalar ufuncs (``np.expm1`` here) and
-integer powers through :func:`integer_power`, so the scalar pipeline is
-**bit-identical** to the vectorized :mod:`repro.models.grid` pipeline —
-numpy's element-wise loops give the same last-ULP result for a batch of
-one and a batch of a thousand, while ``libm``'s ``math.*`` functions do
-not always agree with them.  The serving layer's batched answers equal
-direct scalar calls because of this invariant; don't reintroduce
-``math.exp``-family calls on this path.
+Like every equation of the model, each function here is written once,
+in NumPy, and accepts floats or broadcastable arrays alike; the
+vectorized :func:`~repro.models.grid.evaluate_grid` kernel is their
+composition.  Inputs are not validated here: the model's domain is
+checked once, at :class:`~repro.models.combined.CombinedModel`
+construction and at the kernel's entry.
 """
 
 from __future__ import annotations
@@ -33,37 +30,7 @@ import numpy as np
 from ..errors import ConfigurationError
 
 
-def integer_power(base, exponent: int):
-    """``base ** exponent`` by ascending repeated multiplication.
-
-    ``pow``'s result differs between numpy's scalar path, numpy's array
-    loops and libm; a fixed multiply chain is correctly rounded per step
-    and therefore bit-identical for Python floats and numpy arrays
-    alike.  Exponents on the model path are sphere replication levels —
-    tiny integers — so the chain is short.  Works element-wise when
-    ``base`` is an array.
-    """
-    if exponent < 1:
-        raise ConfigurationError(
-            f"integer_power exponent must be >= 1, got {exponent}"
-        )
-    result = base
-    for _ in range(int(exponent) - 1):
-        result = result * base
-    return result
-
-
-def _validate_time(t: float) -> None:
-    if t < 0:
-        raise ConfigurationError(f"time must be >= 0, got {t}")
-
-
-def _validate_mtbf(theta: float) -> None:
-    if theta <= 0:
-        raise ConfigurationError(f"node MTBF must be > 0, got {theta}")
-
-
-def node_failure_probability(t: float, theta: float, exact: bool = False) -> float:
+def node_failure_probability(t, theta, exact: bool = False):
     """Probability that one node fails before time ``t``.
 
     Parameters
@@ -77,19 +44,36 @@ def node_failure_probability(t: float, theta: float, exact: bool = False) -> flo
         ``False`` (default) uses the paper's linearisation ``t/theta``
         (Eq. 3), clamped to ``[0, 1]``.
     """
-    _validate_time(t)
-    _validate_mtbf(theta)
     if exact:
-        return float(-np.expm1(-t / theta))
-    return min(1.0, t / theta)
+        return -np.expm1(-t / theta)
+    return np.minimum(1.0, t / theta)
 
 
-def node_reliability(t: float, theta: float, exact: bool = False) -> float:
+def node_reliability(t, theta, exact: bool = False):
     """Probability that one node survives until time ``t`` (Eqs. 2-3)."""
     return 1.0 - node_failure_probability(t, theta, exact=exact)
 
 
-def sphere_reliability(t: float, theta: float, k: int, exact: bool = False) -> float:
+def sphere_failure_probability(p, level):
+    """``p ** level``: the chance that every replica of a sphere fails.
+
+    ``level`` holds integer replication levels (a scalar or an array
+    broadcasting against ``p``).  The power is one ascending multiply
+    chain up to the largest level, each cell taking the partial product
+    at its own level: a fixed chain of correctly rounded steps gives the
+    same bits for a batch of one and a batch of a thousand, which
+    ``np.power`` (whose array and scalar loops disagree in the last ULP)
+    does not.  Levels on the model path are tiny integers, so the chain
+    is short.
+    """
+    result = power = p
+    for k in range(2, int(np.asarray(level).max(initial=1)) + 1):
+        power = power * p
+        result = np.where(level >= k, power, result)
+    return result
+
+
+def sphere_reliability(t, theta, k: int, exact: bool = False):
     """Probability that a ``k``-way replicated virtual process survives.
 
     Eq. 4 of the paper: a sphere of ``k`` independent, identically
@@ -107,4 +91,4 @@ def sphere_reliability(t: float, theta: float, k: int, exact: bool = False) -> f
     if not isinstance(k, int) or k < 1:
         raise ConfigurationError(f"sphere redundancy k must be an int >= 1, got {k!r}")
     failure = node_failure_probability(t, theta, exact=exact)
-    return 1.0 - integer_power(failure, k)
+    return 1.0 - sphere_failure_probability(failure, k)

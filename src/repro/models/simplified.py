@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 
-from ..errors import ConfigurationError, ModelDivergence
-from .checkpointing import daly_interval, young_interval
+from ..errors import ModelDivergence
+from .checkpointing import young_interval
+from .grid import INTERVALS, check_domain
 from .redundancy import redundant_time, system_failure_rate
 
 
@@ -54,10 +55,11 @@ def simplified_total_time(
     ``t_Red + t_Red sqrt(2 c Theta) + t_Red lambda R`` is evaluated
     instead (units are inconsistent; provided only for comparison).
     """
-    if interval_rule not in ("young", "daly"):
-        raise ConfigurationError(
-            f"interval_rule must be 'young' or 'daly', got {interval_rule!r}"
-        )
+    check_domain(
+        interval_rule, virtual_processes=virtual_processes, redundancy=redundancy,
+        node_mtbf=node_mtbf, alpha=alpha, base_time=base_time,
+        checkpoint_cost=checkpoint_cost, restart_cost=restart_cost,
+    )
     t_red = redundant_time(base_time, alpha, redundancy)
     rate = system_failure_rate(
         virtual_processes, redundancy, t_red, node_mtbf, exact=exact_reliability
@@ -66,13 +68,12 @@ def simplified_total_time(
         raise ModelDivergence("system failure rate diverged in simplified model")
     restart_term = t_red * rate * restart_cost
     if rate == 0.0:
-        return t_red + restart_term
+        return float(t_red + restart_term)
     mtbf = 1.0 / rate
     if literal:
-        return t_red + t_red * math.sqrt(2.0 * checkpoint_cost * mtbf) + restart_term
-    if interval_rule == "young":
-        delta = young_interval(checkpoint_cost, mtbf)
-    else:
-        delta = daly_interval(checkpoint_cost, mtbf)
+        return float(
+            t_red + t_red * young_interval(checkpoint_cost, mtbf) + restart_term
+        )
+    delta = INTERVALS[interval_rule](checkpoint_cost, mtbf)
     checkpoint_term = (t_red / delta) * checkpoint_cost
-    return t_red + checkpoint_term + restart_term
+    return float(t_red + checkpoint_term + restart_term)

@@ -149,9 +149,9 @@ class JobConfig:
                 "derive-Daly checkpointing needs expected_base_time (the "
                 "Eq. 10 exposure) or an explicit checkpoint_interval"
             )
-        if self.checkpoint_cost is None:
+        if self.checkpoint_cost is None or not self.checkpoint_cost > 0:
             raise ConfigurationError(
-                "derive-Daly checkpointing needs a checkpoint_cost estimate"
+                "derive-Daly checkpointing needs a checkpoint_cost estimate > 0"
             )
         exposure = redundant_time(
             self.expected_base_time, self.alpha_estimate, self.redundancy
@@ -167,8 +167,13 @@ class JobConfig:
             exact=True,
         )
         if math.isinf(theta_sys):
-            return exposure  # effectively failure-free: one checkpoint
-        return daly_interval(self.checkpoint_cost, theta_sys)
+            return float(exposure)  # effectively failure-free: one checkpoint
+        if not theta_sys > 0.0:  # no exposure, or a diverged failure rate
+            raise ConfigurationError(
+                "derive-Daly checkpointing needs expected_base_time > 0 and "
+                "a finite system failure rate"
+            )
+        return float(daly_interval(self.checkpoint_cost, theta_sys))
 
 
 @dataclass(frozen=True)

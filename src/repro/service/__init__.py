@@ -5,7 +5,7 @@ The subsystem turns the analytic model into a long-lived endpoint:
 ``batching``
     :class:`MicroBatcher` — coalesces concurrent evaluations into
     single vectorized grid calls (N-or-T window, bounded queue,
-    load shedding), with answers bit-identical to scalar evaluation.
+    load shedding), with answers bit-identical to ``CombinedModel.evaluate()``.
 ``server``
     :class:`ModelServer` — the asyncio HTTP/1.1 JSON server
     (``/evaluate``, ``/recommend``, ``/healthz``, ``/metrics``) with
@@ -18,7 +18,7 @@ The subsystem turns the analytic model into a long-lived endpoint:
     latency percentiles and a served-vs-scalar bit-identity probe.
 """
 
-from .batching import MicroBatcher, model_to_dict, validate_model
+from .batching import MicroBatcher, model_to_dict
 from .bench import ServerThread, run_bench
 from .client import ServeClient
 from .server import ModelServer, parse_model, recommendation_to_dict
@@ -32,5 +32,4 @@ __all__ = [
     "parse_model",
     "recommendation_to_dict",
     "run_bench",
-    "validate_model",
 ]

@@ -14,21 +14,21 @@ therefore waits at most ``max_wait`` and a burst is served at full
 batch width.
 
 Correctness contract — **batched answers are bit-identical to direct
-scalar model calls**.  Two mechanisms guarantee it:
+``CombinedModel.evaluate()`` calls**.  Two facts guarantee it:
 
-* the scalar and vectorized pipelines share one arithmetic substrate
-  (numpy scalar ufuncs + ``integer_power``; see
-  :mod:`repro.models.reliability`), and numpy's element-wise loops give
-  the same last-ULP result for a batch of one and a batch of a
-  thousand;
+* there is one kernel: ``evaluate()`` is itself a one-cell
+  :func:`~repro.models.grid.evaluate_grid` call, and the kernel's
+  element-wise arithmetic (numpy ufuncs and a masked multiply chain for
+  the sphere powers) gives each cell the same bits in a batch of one
+  and in a batch of a thousand;
 * requests are grouped by the non-numeric knobs (``interval_rule``,
   ``exact_reliability``, override presence) so every grid call is
   homogeneous in code path and only the numeric inputs vary.
 
-Robustness: every request is domain-validated *before* it enters the
-queue (:func:`validate_model`), so one bad request 400s alone instead
-of poisoning its whole batch; the queue is bounded and overflowing
-requests are shed immediately with
+Robustness: a :class:`~repro.models.combined.CombinedModel` checks its
+domain when it is built, so an out-of-domain request fails (a 400)
+before it exists as a model, let alone joins a batch; the queue is
+bounded and overflowing requests are shed immediately with
 :class:`~repro.errors.ServiceOverloadedError` (the server's 429).
 """
 
@@ -46,9 +46,9 @@ from ..errors import (
     ServiceOverloadedError,
 )
 from ..models.combined import CombinedModel
-from ..models.grid import evaluate_grid
+from ..models.grid import DOMAIN, evaluate_grid
 
-__all__ = ["MicroBatcher", "model_to_dict", "validate_model"]
+__all__ = ["MicroBatcher", "model_to_dict"]
 
 #: Histogram bounds for batch sizes (requests per grid call).
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
@@ -56,48 +56,6 @@ BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
 )
 
 _STOP = object()
-
-#: The numeric request fields (``checkpoint_interval`` may be None).
-_NUMERIC_FIELDS = (
-    "virtual_processes",
-    "redundancy",
-    "node_mtbf",
-    "alpha",
-    "base_time",
-    "checkpoint_cost",
-    "restart_cost",
-    "checkpoint_interval",
-)
-
-
-def validate_model(model: CombinedModel) -> None:
-    """Domain-check one request's model up front (mirrors the grid).
-
-    ``CombinedModel`` itself validates only its structural fields;
-    the numeric domains are enforced lazily by the evaluation pipeline.
-    A batched service must check them *per request*: a single
-    out-of-domain value would otherwise fail the whole grid call and
-    take its batch-mates down with it.  NaN and infinities are
-    rejected first: every range check below is False for NaN.
-    """
-    for name in _NUMERIC_FIELDS:
-        value = getattr(model, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
-    if model.virtual_processes < 1:
-        raise ConfigurationError("virtual_processes must be >= 1")
-    if model.redundancy < 1.0:
-        raise ConfigurationError("redundancy must be >= 1")
-    if model.node_mtbf <= 0:
-        raise ConfigurationError("node_mtbf must be > 0")
-    if not 0.0 <= model.alpha <= 1.0:
-        raise ConfigurationError("alpha must be in [0, 1]")
-    if model.base_time < 0:
-        raise ConfigurationError("base_time must be >= 0")
-    if model.checkpoint_cost <= 0:
-        raise ConfigurationError("checkpoint_cost must be > 0")
-    if model.restart_cost < 0:
-        raise ConfigurationError("restart_cost must be >= 0")
 
 
 def model_to_dict(model: CombinedModel) -> Dict[str, Any]:
@@ -197,7 +155,6 @@ class MicroBatcher:
         """
         if self._closed or self._queue is None:
             raise ServiceClosedError("service is draining; no new requests")
-        validate_model(model)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
             self._queue.put_nowait((model, future))
@@ -265,39 +222,19 @@ class MicroBatcher:
             models = [model for model, _future in items]
             try:
                 grid = evaluate_grid(
-                    virtual_processes=np.array(
-                        [m.virtual_processes for m in models], dtype=np.float64
-                    ),
-                    redundancy=np.array(
-                        [m.redundancy for m in models], dtype=np.float64
-                    ),
-                    node_mtbf=np.array(
-                        [m.node_mtbf for m in models], dtype=np.float64
-                    ),
-                    alpha=np.array([m.alpha for m in models], dtype=np.float64),
-                    base_time=np.array(
-                        [m.base_time for m in models], dtype=np.float64
-                    ),
-                    checkpoint_cost=np.array(
-                        [m.checkpoint_cost for m in models], dtype=np.float64
-                    ),
-                    restart_cost=np.array(
-                        [m.restart_cost for m in models], dtype=np.float64
-                    ),
                     interval_rule=rule,
                     exact_reliability=exact,
-                    checkpoint_interval=(
-                        np.array(
-                            [m.checkpoint_interval for m in models],
-                            dtype=np.float64,
+                    **{
+                        name: np.array(
+                            [getattr(m, name) for m in models], dtype=np.float64
                         )
-                        if has_override
-                        else None
-                    ),
+                        for name in DOMAIN
+                        if has_override or name != "checkpoint_interval"
+                    },
                 )
-            except Exception as error:  # noqa: BLE001 - backstop; requests
-                # are pre-validated, so this is an internal failure and
-                # every member of the group must hear about it.
+            except Exception as error:  # noqa: BLE001 - backstop; models
+                # are validated when built, so this is an internal failure
+                # and every member of the group must hear about it.
                 for _model, future in items:
                     if not future.done():
                         future.set_exception(error)

@@ -54,7 +54,7 @@ from ..models.advisor import Recommendation, recommend, recommend_cache_info
 from ..models.combined import CombinedModel
 from ..models.redundancy import PAPER_REDUNDANCY_GRID
 from ..obs.metrics import MetricsRegistry
-from .batching import MicroBatcher, model_to_dict, validate_model
+from .batching import MicroBatcher, model_to_dict
 
 __all__ = ["ModelServer", "parse_model", "recommendation_to_dict"]
 
@@ -104,11 +104,29 @@ class _RejectedRequest(Exception):
         self.status = status
 
 
+def _number(name: str, value: Any, integral: bool = False):
+    """``value`` if it is a JSON number (an int when ``integral``): booleans,
+    strings and fractional counts are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{name} is out of range") from None
+    if not integral:
+        return number
+    if not number.is_integer():
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def parse_model(body: Any) -> CombinedModel:
     """Build a :class:`CombinedModel` from a request body, strictly.
 
     Unknown keys and missing required keys are rejected up front — a
-    typo like ``"nod_mtbf"`` must 400, not silently evaluate defaults.
+    typo like ``"nod_mtbf"`` must 400, not silently evaluate defaults —
+    and so is any field of the wrong JSON type.  Out-of-domain values
+    fail the model's own construction.
     """
     if not isinstance(body, dict):
         raise ConfigurationError("request body must be a JSON object")
@@ -118,22 +136,24 @@ def parse_model(body: Any) -> CombinedModel:
     missing = [f for f in _REQUIRED_MODEL_FIELDS if f not in body]
     if missing:
         raise ConfigurationError(f"missing model fields: {missing}")
-    try:
-        interval = body.get("checkpoint_interval")
-        return CombinedModel(
-            virtual_processes=int(body["virtual_processes"]),
-            redundancy=float(body["redundancy"]),
-            node_mtbf=float(body["node_mtbf"]),
-            alpha=float(body["alpha"]),
-            base_time=float(body["base_time"]),
-            checkpoint_cost=float(body["checkpoint_cost"]),
-            restart_cost=float(body["restart_cost"]),
-            interval_rule=str(body.get("interval_rule", "daly")),
-            checkpoint_interval=None if interval is None else float(interval),
-            exact_reliability=bool(body.get("exact_reliability", False)),
-        )
-    except (TypeError, ValueError) as error:
-        raise ConfigurationError(f"malformed model field: {error}") from error
+    rule = body.get("interval_rule", "daly")
+    if not isinstance(rule, str):
+        raise ConfigurationError(f"interval_rule must be a string, got {rule!r}")
+    exact = body.get("exact_reliability", False)
+    if not isinstance(exact, bool):
+        raise ConfigurationError(f"exact_reliability must be a boolean, got {exact!r}")
+    interval = body.get("checkpoint_interval")
+    return CombinedModel(
+        **{
+            name: _number(name, body[name], integral=name == "virtual_processes")
+            for name in _REQUIRED_MODEL_FIELDS
+        },
+        interval_rule=rule,
+        checkpoint_interval=(
+            None if interval is None else _number("checkpoint_interval", interval)
+        ),
+        exact_reliability=exact,
+    )
 
 
 def recommendation_to_dict(rec: Recommendation) -> Dict[str, Any]:
@@ -414,12 +434,16 @@ class ModelServer:
         if unknown:
             raise ConfigurationError(f"unknown recommend fields: {sorted(unknown)}")
         model = parse_model(body["model"])
-        validate_model(model)
-        grid = tuple(float(d) for d in body.get("grid", PAPER_REDUNDANCY_GRID))
+        grid = body.get("grid", PAPER_REDUNDANCY_GRID)
+        if not isinstance(grid, (list, tuple)):
+            raise ConfigurationError(f"grid must be a list of numbers, got {grid!r}")
+        grid = tuple(_number("grid", degree) for degree in grid)
         budget = body.get("node_budget")
-        node_budget = None if budget is None else int(budget)
-        time_weight = float(body.get("time_weight", 1.0))
-        resource_weight = float(body.get("resource_weight", 0.0))
+        node_budget = (
+            None if budget is None else _number("node_budget", budget, integral=True)
+        )
+        time_weight = _number("time_weight", body.get("time_weight", 1.0))
+        resource_weight = _number("resource_weight", body.get("resource_weight", 0.0))
         if not all(map(math.isfinite, (*grid, time_weight, resource_weight))):
             raise ConfigurationError("grid and weights must be finite")
         self.metrics.counter("serve.recommendations").inc()

@@ -24,15 +24,16 @@ from __future__ import annotations
 from typing import Any, Dict
 
 import numpy as np
-from scipy import sparse
 
 from ..errors import ConfigurationError
 from ..mpi import ops
 from .base import WorkShell, Workload
 
 
-def _laplacian_rows(grid: int, row_start: int, row_end: int) -> sparse.csr_matrix:
+def _laplacian_rows(grid: int, row_start: int, row_end: int):
     """Rows [row_start, row_end) of the grid^2 x grid^2 5-point Laplacian."""
+    from scipy import sparse  # lazily: importing workloads stays scipy-free
+
     n = grid * grid
     rows, cols, vals = [], [], []
     for row in range(row_start, row_end):

@@ -1,10 +1,12 @@
-"""Tests for the vectorized combined-model grid (models/grid.py).
+"""Tests for the combined model's one kernel (models/grid.py).
 
-The core property: for any single configuration, the NumPy path is
-equivalent to ``CombinedModel.evaluate()`` to within 1e-9 relative
-error (divergence maps to ``inf`` on both sides).
+The core property: a cell's bits do not depend on the batch it is
+evaluated in — one ``evaluate_grid`` call over K cells equals K one-cell
+calls on every :class:`ModelGrid` field, which is what makes the
+serving layer's batched answers equal ``CombinedModel.evaluate()``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,12 +15,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ModelDivergence
 from repro.models import CombinedModel, PAPER_REDUNDANCY_GRID
-from repro.models.grid import evaluate_grid, evaluate_model_grid, total_time_grid
+from repro.models.grid import (
+    ModelGrid,
+    evaluate_grid,
+    evaluate_model_grid,
+    total_time_grid,
+)
 from repro.models.redundancy import redundant_time, system_failure_rate
 
-RELATIVE_TOLERANCE = 1e-9
+#: The numeric CombinedModel fields, in evaluate_grid's positional order.
+NUMERIC_FIELDS = (
+    "virtual_processes",
+    "redundancy",
+    "node_mtbf",
+    "alpha",
+    "base_time",
+    "checkpoint_cost",
+    "restart_cost",
+)
 
 
 def reference_model(**overrides):
@@ -35,139 +51,147 @@ def reference_model(**overrides):
     return CombinedModel(**params)
 
 
-#: One ULP at 1.0 — the machine epsilon for float64.
-EPSILON = math.ulp(1.0)
-
-#: Safety factor on the conditioning-derived error bounds below.
-CONDITION_SAFETY = 4.0
-
-
-def assert_equivalent(model: CombinedModel):
-    """Scalar evaluate() and one-cell evaluate_grid agree to 1e-9.
-
-    The flat 1e-9 bound holds wherever the model is well-conditioned.
-    Two regimes of Eqs. 10-14 amplify even a one-ULP disagreement in a
-    transcendental (``np.log1p`` vs ``math.log1p`` differ in the last
-    ULP) beyond any fixed tolerance, so the bound is widened by the
-    conditioning the scalar result itself reports:
-
-    * near-reliable systems (``|ln R_sys| << 1``): Eq. 10 recovers the
-      failure rate through an ``exp``/``log`` round trip at ``R_sys ~ 1``,
-      quantizing ``ln R_sys`` to ULP(1.0) — the rate (and the Daly
-      interval with it) is only determined to ``~eps/|ln R_sys|``
-      relative;
-    * near-divergent systems (``loss -> 1``): the Eq. 14 fixed point
-      ``T = useful/(1 - loss)`` amplifies a relative perturbation of the
-      loss fraction by ``loss/(1 - loss)``.
-    """
-    scalar = model.total_time_or_inf()
-    grid = evaluate_grid(
-        model.virtual_processes,
-        model.redundancy,
-        model.node_mtbf,
-        model.alpha,
-        model.base_time,
-        model.checkpoint_cost,
-        model.restart_cost,
+def one_cell(model: CombinedModel) -> ModelGrid:
+    return evaluate_grid(
+        *(getattr(model, name) for name in NUMERIC_FIELDS),
         interval_rule=model.interval_rule,
         checkpoint_interval=model.checkpoint_interval,
         exact_reliability=model.exact_reliability,
     )
-    vector = float(grid.total_time)
-    if math.isinf(scalar) or math.isinf(vector):
-        if math.isinf(scalar) != math.isinf(vector):
-            # Knife-edge divergence: when the Eq. 14 loss fraction lands
-            # within an ULP of 1.0, the scalar and vector
-            # transcendentals can disagree on ``loss >= 1`` — one side
-            # reports divergence, the other an astronomically large
-            # finite time.  The fixed point ``useful / (1 - loss)`` is
-            # infinitely ill-conditioned there, so accept the split
-            # provided the finite side is beyond any physically
-            # meaningful time (i.e. its loss is within ULP slack of 1).
-            finite = vector if math.isinf(scalar) else scalar
-            t_red = redundant_time(model.base_time, model.alpha, model.redundancy)
-            assert finite >= t_red / (1024.0 * EPSILON), (scalar, vector)
-        return
-    result = model.evaluate()
-    # Achievable relative agreement on the failure rate (regime 1).
-    log_exposure = result.failure_rate * result.redundant_time  # |ln R_sys|
-    if math.isfinite(result.failure_rate) and log_exposure > 0.0:
-        rate_error = CONDITION_SAFETY * EPSILON * (1.0 + 1.0 / log_exposure)
-    else:
-        rate_error = 0.0
-    # How the rate error reaches total_time: through the lost-work share
-    # (amplified by loss/(1-loss), regime 2) and the checkpoint share.
-    live_share = result.breakdown.work + result.breakdown.checkpoint
-    loss_ratio = (1.0 - live_share) / live_share if live_share > 0.0 else math.inf
-    total_tolerance = RELATIVE_TOLERANCE + rate_error * (
-        loss_ratio + result.breakdown.checkpoint
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def assert_batch_invariant(models):
+    """One call over ``models`` equals one call per model, bit for bit.
+
+    The models must share ``interval_rule``, ``exact_reliability`` and
+    whether they carry an interval override — the knobs a batch is
+    grouped by.  ``evaluate()`` must agree with the one-cell call too.
+    """
+    first = models[0]
+    override = first.checkpoint_interval is not None
+    batch = evaluate_grid(
+        *(
+            np.array([getattr(m, name) for m in models], dtype=np.float64)
+            for name in NUMERIC_FIELDS
+        ),
+        interval_rule=first.interval_rule,
+        checkpoint_interval=(
+            np.array([m.checkpoint_interval for m in models]) if override else None
+        ),
+        exact_reliability=first.exact_reliability,
     )
-    rate_tolerance = max(RELATIVE_TOLERANCE, rate_error)
-    assert vector == pytest.approx(scalar, rel=total_tolerance)
-    # Non-divergent cells also agree on the intermediate quantities.
-    assert float(grid.redundant_time) == pytest.approx(
-        result.redundant_time, rel=RELATIVE_TOLERANCE
+    for index, model in enumerate(models):
+        single = one_cell(model)
+        for field in dataclasses.fields(ModelGrid):
+            batched = getattr(batch, field.name)[index]
+            alone = getattr(single, field.name)
+            assert bits(batched) == bits(alone), (field.name, model, batched, alone)
+        if math.isinf(single.total_time):
+            with pytest.raises(ModelDivergence):
+                model.evaluate()
+        else:
+            result = model.evaluate()
+            assert bits(result.total_time) == bits(single.total_time)
+            assert bits(result.checkpoint_interval) == bits(single.checkpoint_interval)
+
+
+def model_cells(rule, exact, override):
+    """Strategy: one in-domain model; integer and fractional degrees mix,
+    so the masked sphere-power chain runs at several levels per batch."""
+    return st.builds(
+        CombinedModel,
+        virtual_processes=st.integers(min_value=1, max_value=5_000_000),
+        redundancy=st.one_of(
+            st.floats(min_value=1.0, max_value=5.0),
+            st.sampled_from(PAPER_REDUNDANCY_GRID),
+            st.integers(min_value=1, max_value=5).map(float),
+        ),
+        node_mtbf=st.floats(min_value=1e3, max_value=1e9),
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+        base_time=st.floats(min_value=1.0, max_value=1e6),
+        checkpoint_cost=st.floats(min_value=0.1, max_value=5e3),
+        restart_cost=st.floats(min_value=0.0, max_value=5e3),
+        interval_rule=st.just(rule),
+        checkpoint_interval=(
+            st.floats(min_value=1.0, max_value=1e5) if override else st.none()
+        ),
+        exact_reliability=st.just(exact),
     )
-    assert float(grid.total_processes) == result.partition.total_processes
-    assert float(grid.checkpoint_interval) == pytest.approx(
-        result.checkpoint_interval, rel=rate_tolerance
-    )
-    if math.isfinite(result.failure_rate):
-        # At the failure-free boundary one path's rate can underflow to
-        # exactly 0.0 while the other keeps an ULP-sized residue: Eq. 10
-        # recovers the rate as -ln(R_sys)/t_Red and ln R_sys at
-        # R_sys ~ 1 is only determined to ULP(1.0), i.e. the rate to
-        # ~eps/t_Red absolute.  Since the interval clamp (see
-        # CombinedModel.evaluate) makes total_time continuous across
-        # that boundary, the rates only need to agree to the quantum.
-        rate_quantum = CONDITION_SAFETY * EPSILON / result.redundant_time
-        assert float(grid.failure_rate) == pytest.approx(
-            result.failure_rate, rel=rate_tolerance, abs=rate_quantum
-        )
 
 
 class TestScalarEquivalence:
+    """Batched == one-cell, bit for bit (the serving invariant)."""
+
     @settings(max_examples=120, deadline=None)
     @given(
-        n=st.integers(min_value=1, max_value=5_000_000),
-        r=st.one_of(
-            st.floats(min_value=1.0, max_value=3.0),
-            st.sampled_from(PAPER_REDUNDANCY_GRID),
-        ),
-        theta=st.floats(min_value=1e3, max_value=1e9),
-        alpha=st.floats(min_value=0.0, max_value=1.0),
-        t=st.floats(min_value=1.0, max_value=1e6),
-        c=st.floats(min_value=0.1, max_value=5e3),
-        rc=st.floats(min_value=0.0, max_value=5e3),
+        data=st.data(),
         rule=st.sampled_from(("daly", "young")),
         exact=st.booleans(),
+        override=st.booleans(),
     )
-    def test_randomized_configurations(self, n, r, theta, alpha, t, c, rc, rule, exact):
-        assert_equivalent(
-            CombinedModel(
-                virtual_processes=n,
-                redundancy=r,
-                node_mtbf=theta,
-                alpha=alpha,
-                base_time=t,
-                checkpoint_cost=c,
-                restart_cost=rc,
-                interval_rule=rule,
-                exact_reliability=exact,
-            )
+    def test_randomized_configurations(self, data, rule, exact, override):
+        models = data.draw(
+            st.lists(model_cells(rule, exact, override), min_size=1, max_size=12)
         )
+        assert_batch_invariant(models)
 
     def test_paper_reference_point(self):
-        assert_equivalent(reference_model(redundancy=2.0))
+        assert_batch_invariant(
+            [reference_model(redundancy=d) for d in (2.0, 1.0, 2.5, 3.0)]
+        )
 
     def test_explicit_interval_override(self):
-        assert_equivalent(reference_model(checkpoint_interval=units.hours(1)))
+        assert_batch_invariant(
+            [
+                reference_model(checkpoint_interval=units.hours(1)),
+                reference_model(redundancy=1.75, checkpoint_interval=units.hours(3)),
+            ]
+        )
 
     def test_failure_free_limit(self):
-        # Enormous MTBF: linearised rate rounds to zero -> failure-free path.
-        assert_equivalent(
-            reference_model(virtual_processes=1, node_mtbf=1e18, redundancy=2.0)
+        # Enormous MTBF: linearised rate rounds to zero -> failure-free
+        # cell, batched with a failing one.
+        assert_batch_invariant(
+            [
+                reference_model(virtual_processes=1, node_mtbf=1e18, redundancy=2.0),
+                reference_model(redundancy=2.0),
+            ]
         )
+
+
+#: The model domain's disagreements between entry points before it was
+#: stated once: each must be a ConfigurationError everywhere.
+OUT_OF_DOMAIN = [
+    {"node_mtbf": math.nan},
+    {"alpha": math.nan},
+    {"restart_cost": math.nan},
+    {"checkpoint_cost": math.nan},
+    {"base_time": 0.0},
+    {"base_time": math.inf},
+]
+
+
+class TestDomain:
+    @pytest.mark.parametrize("overrides", OUT_OF_DOMAIN, ids=repr)
+    def test_rejected_by_model_and_kernel(self, overrides):
+        with pytest.raises(ConfigurationError, match=next(iter(overrides))):
+            reference_model(**overrides)
+        params = {name: getattr(reference_model(), name) for name in NUMERIC_FIELDS}
+        params.update(overrides)
+        with pytest.raises(ConfigurationError, match=next(iter(overrides))):
+            evaluate_grid(**params)
+
+    def test_array_reports_the_offending_cell(self):
+        with pytest.raises(ConfigurationError, match="redundancy must be >= 1, got 0.5"):
+            evaluate_model_grid(reference_model(), redundancy=np.array([1.0, 0.5]))
+
+    def test_fractional_process_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="virtual_processes"):
+            reference_model(virtual_processes=1.5)
 
 
 class TestFailureFreeBoundary:
@@ -196,7 +220,7 @@ class TestFailureFreeBoundary:
     )
 
     def test_pinned_falsifying_example(self):
-        assert_equivalent(CombinedModel(**self.PINNED))
+        assert_batch_invariant([CombinedModel(**self.PINNED)])
 
     def test_pinned_example_takes_clamped_interval(self):
         result = CombinedModel(**self.PINNED).evaluate()
@@ -266,11 +290,11 @@ class TestFailureFreeBoundary:
         above = make_model(theta_hi).evaluate().total_time
         # Continuity: pre-fix the jump here was a full checkpoint cost.
         assert below == pytest.approx(above, rel=1e-9)
-        # The grid path agrees with the scalar on both sides.
+        # A batch of both sides gives the same bits as evaluate().
         thetas = np.array([theta_lo, theta_hi])
         grid = evaluate_grid(n, r, thetas, alpha, t, c, rc, interval_rule=rule)
-        assert float(grid.total_time[0]) == pytest.approx(below, rel=1e-9)
-        assert float(grid.total_time[1]) == pytest.approx(above, rel=1e-9)
+        assert float(grid.total_time[0]) == below
+        assert float(grid.total_time[1]) == above
 
     def test_grid_continuous_across_dense_theta_sweep(self):
         # A dense sweep spanning the pinned example's boundary: adjacent
@@ -284,32 +308,34 @@ class TestFailureFreeBoundary:
 
 
 class TestPaperParameterCells:
-    """Grid-vs-scalar agreement over the paper's Table 4/5 cells."""
+    """Batched == one-cell over the paper's Table 4/5 cells."""
 
     #: Table 4 testbed: NPB CG, 128 processes, 46 min failure-free,
     #: alpha ~ 0.2, c = 120 s, R = 500 s, node MTBF 6-30 h.
     TABLE4_MTBF_HOURS = (6.0, 12.0, 18.0, 24.0, 30.0)
 
     def test_table4_cells_agree(self):
-        for hours in self.TABLE4_MTBF_HOURS:
-            for degree in PAPER_REDUNDANCY_GRID:
-                assert_equivalent(
-                    CombinedModel(
-                        virtual_processes=128,
-                        redundancy=degree,
-                        node_mtbf=hours * 3600.0,
-                        alpha=0.2,
-                        base_time=46.0 * 60.0,
-                        checkpoint_cost=120.0,
-                        restart_cost=500.0,
-                    )
+        assert_batch_invariant(
+            [
+                CombinedModel(
+                    virtual_processes=128,
+                    redundancy=degree,
+                    node_mtbf=hours * 3600.0,
+                    alpha=0.2,
+                    base_time=46.0 * 60.0,
+                    checkpoint_cost=120.0,
+                    restart_cost=500.0,
                 )
+                for hours in self.TABLE4_MTBF_HOURS
+                for degree in PAPER_REDUNDANCY_GRID
+            ]
+        )
 
     def test_table5_failure_free_cells_agree(self):
         # Table 5 runs with no injected failures: model it as an
         # effectively failure-free node MTBF at every paper degree.
-        for degree in PAPER_REDUNDANCY_GRID:
-            assert_equivalent(
+        assert_batch_invariant(
+            [
                 CombinedModel(
                     virtual_processes=128,
                     redundancy=degree,
@@ -319,7 +345,9 @@ class TestPaperParameterCells:
                     checkpoint_cost=120.0,
                     restart_cost=500.0,
                 )
-            )
+                for degree in PAPER_REDUNDANCY_GRID
+            ]
+        )
 
     def test_diverged_cells_report_inf_expected_checkpoints(self):
         doomed = reference_model(
@@ -362,18 +390,13 @@ class TestGridSemantics:
         counts = [100, 1_000, 10_000]
         times = total_time_grid(model, processes=np.asarray(counts, dtype=float))
         for count, vector_time in zip(counts, times):
-            scalar_time = model.with_processes(count).total_time_or_inf()
-            assert float(vector_time) == pytest.approx(
-                scalar_time, rel=RELATIVE_TOLERANCE
-            )
+            assert float(vector_time) == model.with_processes(count).total_time_or_inf()
 
     def test_expected_checkpoints_property(self):
         model = reference_model(redundancy=2.0)
         grid = evaluate_model_grid(model)
         result = model.evaluate()
-        assert float(grid.expected_checkpoints) == pytest.approx(
-            result.expected_checkpoints, rel=RELATIVE_TOLERANCE
-        )
+        assert float(grid.expected_checkpoints) == result.expected_checkpoints
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -15,6 +15,7 @@ from repro.models import (
     system_mtbf,
     system_reliability,
 )
+from repro.models.grid import check_domain
 from repro.models.redundancy import shadow_hit_probability
 
 degrees = st.floats(min_value=1.0, max_value=4.0, allow_nan=False)
@@ -45,12 +46,11 @@ class TestRedundantTime:
         assert redundant_time(10.0, 0.5, r + 0.1) > redundant_time(10.0, 0.5, r)
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            redundant_time(-1.0, 0.2, 2.0)
-        with pytest.raises(ConfigurationError):
-            redundant_time(1.0, 1.5, 2.0)
-        with pytest.raises(ConfigurationError):
-            redundant_time(1.0, 0.2, 0.5)
+        # Eq. 1 itself does not validate; its inputs are checked once,
+        # against the model's domain.
+        for field in ({"base_time": -1.0}, {"alpha": 1.5}, {"redundancy": 0.5}):
+            with pytest.raises(ConfigurationError):
+                check_domain("daly", **field)
 
 
 class TestPartition:
@@ -164,8 +164,9 @@ class TestSystemRates:
         assert theta_2x > theta_1x * 10
 
     def test_exposure_validation(self):
+        # The exposure is t_Red, which is positive iff the base time is.
         with pytest.raises(ConfigurationError):
-            system_failure_rate(10, 1.0, 0.0, 100.0)
+            check_domain("daly", base_time=0.0)
 
 
 class TestBirthday:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.models import node_failure_probability, node_reliability, sphere_reliability
+from repro.models.grid import check_domain
 
 positive_time = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 mtbf = st.floats(min_value=1e-3, max_value=1e12, allow_nan=False)
@@ -49,10 +50,12 @@ class TestNodeFailureProbability:
         ) - 1e-12
 
     def test_validation(self):
+        # Eqs. 2-3 do not validate; a negative exposure (base time) or a
+        # non-positive MTBF is rejected once, by the model's domain.
         with pytest.raises(ConfigurationError):
-            node_failure_probability(-1.0, 1.0)
+            check_domain("daly", base_time=-1.0)
         with pytest.raises(ConfigurationError):
-            node_failure_probability(1.0, 0.0)
+            check_domain("daly", node_mtbf=0.0)
 
 
 class TestNodeReliability:

@@ -12,7 +12,8 @@ from repro.errors import (
 )
 from repro.models import CombinedModel
 from repro.obs.metrics import MetricsRegistry
-from repro.service import MicroBatcher, validate_model
+from repro.service import MicroBatcher, model_to_dict
+from repro.service.server import parse_model
 
 
 def model(i: int = 0, **overrides) -> CombinedModel:
@@ -121,20 +122,13 @@ class TestValidation:
         ],
     )
     def test_out_of_domain_request_rejected_before_queueing(self, overrides):
+        # A model checks its domain when it is built, so an out-of-domain
+        # request never becomes a model that could join a batch — neither
+        # from Python nor from a request body.
         with pytest.raises(ConfigurationError):
-            validate_model(model(0, **overrides))
-
-        async def main():
-            batcher = MicroBatcher()
-            await batcher.start()
-            try:
-                with pytest.raises(ConfigurationError):
-                    await batcher.submit(model(0, **overrides))
-                assert batcher.evaluations == 0
-            finally:
-                await batcher.stop()
-
-        asyncio.run(main())
+            model(0, **overrides)
+        with pytest.raises(ConfigurationError):
+            parse_model({**model_to_dict(model(0)), **overrides})
 
 
 class TestBackpressure:

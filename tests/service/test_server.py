@@ -120,7 +120,7 @@ class TestNonFiniteInput:
         # A wide batch window makes the three requests share one batch.
         runner = ServerThread(max_batch=8, max_wait=0.2).start()
         bodies = [
-            model_to_dict(model(0, redundancy=float("nan"))),
+            {**model_to_dict(model(0)), "redundancy": float("nan")},
             model_to_dict(model(1)),
             model_to_dict(model(2)),
         ]
@@ -135,12 +135,50 @@ class TestNonFiniteInput:
         assert statuses == [400, 200, 200]
 
     def test_recommend_with_infinity_is_400(self, server):
-        body = {"model": model_to_dict(model(0, node_mtbf=float("inf")))}
+        body = {"model": {**model_to_dict(model(0)), "node_mtbf": float("inf")}}
         assert post_status(server.port, "/recommend", body) == 400
 
     def test_recommend_with_infinite_grid_is_400(self, server):
         body = {"model": model_to_dict(model(0)), "grid": [1.0, float("inf")]}
         assert post_status(server.port, "/recommend", body) == 400
+
+
+def model_body(**overrides):
+    return {**model_to_dict(model(0)), **overrides}
+
+
+#: Bodies the HTTP boundary must answer with 400: wrong JSON types are
+#: rejected rather than coerced, out-of-domain values fail the model's
+#: construction, and no grid or budget can reach a 500.
+BAD_REQUESTS = {
+    "fractional_processes": ("/evaluate", model_body(virtual_processes=1.5)),
+    "boolean_processes": ("/evaluate", model_body(virtual_processes=True)),
+    "string_processes": ("/evaluate", model_body(virtual_processes="7")),
+    "string_exact_flag": ("/evaluate", model_body(exact_reliability="false")),
+    "nan_node_mtbf": ("/evaluate", model_body(node_mtbf=float("nan"))),
+    "nan_alpha": ("/evaluate", model_body(alpha=float("nan"))),
+    "nan_restart_cost": ("/evaluate", model_body(restart_cost=float("nan"))),
+    "nan_checkpoint_cost": ("/evaluate", model_body(checkpoint_cost=float("nan"))),
+    "zero_base_time": ("/evaluate", model_body(base_time=0.0)),
+    "infinite_base_time": ("/evaluate", model_body(base_time=float("inf"))),
+    "scalar_grid": ("/recommend", {"model": model_body(), "grid": 5}),
+    "string_in_grid": ("/recommend", {"model": model_body(), "grid": ["x"]}),
+    "empty_grid": ("/recommend", {"model": model_body(), "grid": []}),
+    "degree_below_one": ("/recommend", {"model": model_body(), "grid": [0.5]}),
+    "string_budget": ("/recommend", {"model": model_body(), "node_budget": "x"}),
+    "fractional_budget": ("/recommend", {"model": model_body(), "node_budget": 1.5}),
+    "boolean_budget": ("/recommend", {"model": model_body(), "node_budget": True}),
+}
+
+
+class TestStrictBoundary:
+    @pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+    def test_bad_request_is_400(self, server, case):
+        path, body = BAD_REQUESTS[case]
+        assert post_status(server.port, path, body) == 400
+
+    def test_integral_float_process_count_is_accepted(self):
+        assert parse_model(model_body(virtual_processes=20_000.0)) == model(0)
 
 
 class TestRequestBoundary:
