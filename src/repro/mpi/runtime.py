@@ -21,13 +21,15 @@ callables taking a :class:`RankContext` and returning a generator.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Set
+from collections import defaultdict, deque
+from typing import (
+    Any, Callable, DefaultDict, Deque, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..cluster import Machine, spread_placement
 from ..errors import CommunicatorError, MPIError
 from ..netsim import Fabric
-from ..simkit import Environment, Resource
+from ..simkit import Environment
 from ..simkit.events import AllOf, Event
 from ..simkit.process import Process
 from .comm import Communicator
@@ -35,6 +37,10 @@ from .datatypes import message_wire_size
 from .matching import Envelope, MatchingEngine
 #: The world communicator's context id; sub-communicators count up.
 WORLD_CID = 0
+
+#: A send queued at its sender's NIC: the envelope, its injection time,
+#: the source and destination nodes, and the event that completes it.
+_QueuedSend = Tuple[Envelope, float, int, int, Event]
 
 
 class RankContext:
@@ -108,12 +114,12 @@ class SimMPI:
         self._engines: Dict[int, MatchingEngine] = {
             rank: MatchingEngine(rank) for rank in range(size)
         }
-        # Per-rank injection channel: a rank can only push one message
-        # into the fabric at a time (the LogP overhead/gap), which is
-        # what makes the redundancy layer's r-fold fan-out cost r times
-        # the sender time (Eq. 1).
-        self._nics: Dict[int, "Resource"] = {
-            rank: Resource(env, capacity=1) for rank in range(size)
+        # Per-rank NIC FIFO: a rank can only push one message into the
+        # fabric at a time (the LogP overhead/gap), which is what makes
+        # the redundancy layer's r-fold fan-out cost r times the sender
+        # time (Eq. 1).  The head of each queue is being injected.
+        self._nics: Dict[int, Deque[_QueuedSend]] = {
+            rank: deque() for rank in range(size)
         }
         self._alive: Set[int] = set(range(size))
         self._processes: Dict[int, Process] = {}
@@ -198,20 +204,25 @@ class SimMPI:
         key = (src, dst)
         self.sent_counts[key] = self.sent_counts.get(key, 0) + 1
         completion = Event(self.env)
-        self.env.process(
-            self._inject(envelope, src, busy, src_node, dst_node, completion),
-            name=f"send{envelope.seq}",
-        )
+        nic = self._nics[src]
+        nic.append((envelope, busy, src_node, dst_node, completion))
+        if len(nic) == 1:
+            self._start_injection(nic)
         return completion
 
-    def _inject(self, envelope: Envelope, src: int, busy: float, src_node: int, dst_node: int, completion: Event):
-        """Serialised injection through the sender's NIC channel."""
-        grant = self._nics[src].request()
-        yield grant
-        try:
-            yield self.env.timeout(busy)
-        finally:
-            self._nics[src].release()
+    def _start_injection(self, nic: Deque[_QueuedSend]) -> None:
+        """Occupy the NIC for the injection time of the send at its head."""
+        self.env.timeout(nic[0][1]).add_callback(lambda _event: self._injected(nic))
+
+    def _injected(self, nic: Deque[_QueuedSend]) -> None:
+        """The head send left the NIC: complete it and put it on the wire.
+
+        A sender killed meanwhile still drains its queue; the fail-stop
+        check is on the destination only.
+        """
+        envelope, _busy, src_node, dst_node, completion = nic.popleft()
+        if nic:
+            self._start_injection(nic)
         completion.succeed()
         if self.is_alive(envelope.dest):
             wire = self.fabric.wire_latency(src_node, dst_node)

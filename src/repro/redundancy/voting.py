@@ -15,6 +15,12 @@ Two operating modes, as in the paper:
   drops from ``r`` full copies to one copy plus ``r - 1`` hashes; a
   mismatch between the message and the digests is detectable, and with
   ``r >= 3`` the faulty copy is identified by which digests agree.
+
+When digests are computed: a sender computes the digest it ships in
+Msg-PlusHash mode.  A receiver computes none on arrival; :func:`vote`
+first checks, without hashing where it can, whether every full copy
+agrees with the first, and only hashes the copies when they disagree
+or when a digest-only copy has to be compared.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from __future__ import annotations
 from collections import Counter as _TallyCounter
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import VotingError
 from ..mpi.datatypes import payload_digest
@@ -37,12 +45,14 @@ MODES = (ALL_TO_ALL, MSG_PLUS_HASH)
 class ReplicaCopy:
     """One copy received from one sender replica.
 
-    ``payload`` is ``None`` for digest-only copies (Msg-PlusHash mode);
-    ``digest`` is always present.
+    ``payload`` is ``None`` for digest-only copies (Msg-PlusHash mode),
+    whose ``digest`` is the one the sender shipped.  A full copy's
+    ``digest`` stays ``None``: :func:`vote` hashes the payload only
+    when the copies disagree.
     """
 
     sender_physical: int
-    digest: int
+    digest: Optional[int] = None
     payload: Any = None
     has_payload: bool = False
 
@@ -50,10 +60,7 @@ class ReplicaCopy:
     def full(sender_physical: int, payload: Any) -> "ReplicaCopy":
         """A complete-message copy."""
         return ReplicaCopy(
-            sender_physical=sender_physical,
-            digest=payload_digest(payload),
-            payload=payload,
-            has_payload=True,
+            sender_physical=sender_physical, payload=payload, has_payload=True
         )
 
     @staticmethod
@@ -89,7 +96,13 @@ def vote(copies: Sequence[ReplicaCopy]) -> VoteResult:
     """
     if not copies:
         raise VotingError("no replica copies to vote on")
-    tally = _TallyCounter(copy.digest for copy in copies)
+    if _all_agree(copies):
+        return VoteResult(payload=copies[0].payload, unanimous=True, corrupt_senders=())
+    digests = [
+        payload_digest(copy.payload) if copy.digest is None else copy.digest
+        for copy in copies
+    ]
+    tally = _TallyCounter(digests)
     majority_digest, majority_count = tally.most_common(1)[0]
     if len(tally) > 1 and majority_count <= len(copies) - majority_count:
         raise VotingError(
@@ -97,11 +110,13 @@ def vote(copies: Sequence[ReplicaCopy]) -> VoteResult:
             f"({len(tally)} distinct digests over {len(copies)} copies)"
         )
     corrupt = tuple(
-        copy.sender_physical for copy in copies if copy.digest != majority_digest
+        copy.sender_physical
+        for copy, digest in zip(copies, digests)
+        if digest != majority_digest
     )
     winner: Optional[ReplicaCopy] = None
-    for copy in copies:
-        if copy.digest == majority_digest and copy.has_payload:
+    for copy, digest in zip(copies, digests):
+        if digest == majority_digest and copy.has_payload:
             winner = copy
             break
     if winner is None:
@@ -115,6 +130,36 @@ def vote(copies: Sequence[ReplicaCopy]) -> VoteResult:
         unanimous=len(tally) == 1,
         corrupt_senders=corrupt,
     )
+
+
+def _all_agree(copies: Sequence[ReplicaCopy]) -> bool:
+    """True when every copy is full and its payload digests like the first.
+
+    Decided without hashing for a shared object or for ndarrays, whose
+    dtype, shape and raw bytes are exactly what :func:`payload_digest`
+    hashes; any other payload is compared by digest.
+    """
+    if not all(copy.has_payload for copy in copies):
+        return False
+    first = copies[0].payload
+    first_key = None
+    for copy in copies[1:]:
+        other = copy.payload
+        if other is first:
+            continue
+        if isinstance(first, np.ndarray) and isinstance(other, np.ndarray):
+            if other.shape != first.shape or str(other.dtype) != str(first.dtype):
+                return False
+            if first_key is None:
+                first_key = first.tobytes()
+            if other.tobytes() != first_key:
+                return False
+        else:
+            if first_key is None:
+                first_key = payload_digest(first)
+            if payload_digest(other) != first_key:
+                return False
+    return True
 
 
 def plan_copies(

@@ -7,6 +7,13 @@ dict for restart.  Replica determinism is part of the contract: two
 replicas configured identically and fed the same messages must produce
 byte-identical states — that is what makes RedMPI-style redundancy
 transparent.
+
+A payload handed to a send must not be mutated afterwards.  The
+simulator passes message objects by reference, and the redundancy
+layer compares a message's replica copies when the receive completes,
+not when each copy arrives, so an in-place update after the send would
+change what is voted on.  Send a copy (``field[0].copy()``) or rebind
+the name to a new object instead.
 """
 
 from __future__ import annotations
@@ -68,7 +75,12 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def step(self, shell: WorkShell, index: int):
-        """Generator: execute step ``index`` (compute + communicate)."""
+        """Generator: execute step ``index`` (compute + communicate).
+
+        Never mutate an object after passing it to a send: the message
+        holds a reference to it until every receiver has voted (see the
+        module docstring).
+        """
 
     @abc.abstractmethod
     def state(self) -> Dict[str, Any]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MPIError
 from repro.mpi import SimMPI
+from repro.mpi.datatypes import message_wire_size
 from repro.simkit import Environment
 
 
@@ -240,3 +241,83 @@ class TestSubCommunicators:
         comm = sub[2]
         assert comm.global_rank(0) == 2
         assert comm.local_rank_of(0) == 1
+
+
+class TestNicInjection:
+    """A rank's NIC injects one message at a time (Eq. 1's r-fold cost)."""
+
+    PAYLOAD = b"n" * 4096
+
+    def _costs(self, world, src, dst):
+        src_node, dst_node = world.node_of(src), world.node_of(dst)
+        busy = world.fabric.sender_busy_time(
+            src_node, dst_node, message_wire_size(self.PAYLOAD)
+        )
+        return busy, world.fabric.wire_latency(src_node, dst_node)
+
+    def test_back_to_back_sends_serialise_on_the_nic(self):
+        env = Environment()
+        world = SimMPI(env, size=2)
+        count, start = 5, 2.0
+        busy, wire = self._costs(world, 0, 1)
+        completed, arrived = [], []
+
+        def program(ctx):
+            if ctx.rank == 0:
+                yield ctx.compute(start)
+                requests = [ctx.comm.isend(self.PAYLOAD, dest=1) for _ in range(count)]
+                for request in requests:
+                    request.event.add_callback(lambda _e: completed.append(env.now))
+                yield from ctx.comm.waitall(requests)
+            else:
+                requests = [ctx.comm.irecv(source=0) for _ in range(count)]
+                for request in requests:
+                    request.event.add_callback(lambda _e: arrived.append(env.now))
+                yield from ctx.comm.waitall(requests)
+
+        world.spawn(program)
+        world.run()
+        expected, when = [], start
+        for _ in range(count):
+            when = when + busy
+            expected.append(when)
+        assert completed == expected
+        assert arrived == [done + wire for done in expected]
+
+    def test_killed_sender_drains_its_nic_queue(self):
+        env = Environment()
+        world = SimMPI(env, size=3)
+        busy, wire = self._costs(world, 0, 1)
+        destinations = [1, 2, 1, 2, 1]
+        arrived = []
+
+        def program(ctx):
+            if ctx.rank == 0:
+                for dest in destinations:
+                    ctx.comm.isend(self.PAYLOAD, dest=dest)
+                yield ctx.compute(1000.0)
+            elif ctx.rank == 1:
+                requests = [ctx.comm.irecv(source=0) for _ in range(3)]
+                for request in requests:
+                    request.event.add_callback(lambda _e: arrived.append(env.now))
+                yield from ctx.comm.waitall(requests)
+                return "received"
+            else:
+                yield ctx.compute(1000.0)
+
+        def killer(env):
+            # The first send is on the NIC; four more are queued behind it.
+            yield env.timeout(0.5 * busy)
+            world.kill_rank(0)
+            world.kill_rank(2)
+
+        world.spawn(program)
+        env.process(killer(env))
+        world.run(until=100.0)
+        assert world.result_of(1) == "received"
+        ends = [busy]
+        for _ in destinations[1:]:
+            ends.append(ends[-1] + busy)
+        assert arrived == [end + wire for end, dest in zip(ends, destinations) if dest == 1]
+        assert world.arrived_counts[(0, 1)] == 3
+        assert world.counters["p2p_dropped"] == 2

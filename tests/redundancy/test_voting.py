@@ -1,7 +1,11 @@
 """Tests for replica-copy voting and copy planning."""
 
+from collections import Counter as _TallyCounter
+from typing import Any, NamedTuple, Optional
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import VotingError
 from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, vote
@@ -68,6 +72,116 @@ class TestVote:
     def test_three_way_tie_rejected(self):
         with pytest.raises(VotingError):
             vote([full(0, "a"), full(1, "b"), full(2, "c")])
+
+
+class _EagerCopy(NamedTuple):
+    """A replica copy whose digest was computed on arrival."""
+
+    sender_physical: int
+    digest: int
+    payload: Any = None
+    has_payload: bool = False
+
+
+def eager_vote(copies):
+    """Reference tally: every copy's digest compared, computed up front."""
+    if not copies:
+        raise VotingError("no replica copies to vote on")
+    tally = _TallyCounter(copy.digest for copy in copies)
+    majority_digest, majority_count = tally.most_common(1)[0]
+    if len(tally) > 1 and majority_count <= len(copies) - majority_count:
+        raise VotingError(
+            f"replica copies disagree with no majority "
+            f"({len(tally)} distinct digests over {len(copies)} copies)"
+        )
+    corrupt = tuple(
+        copy.sender_physical for copy in copies if copy.digest != majority_digest
+    )
+    winner: Optional[_EagerCopy] = None
+    for copy in copies:
+        if copy.digest == majority_digest and copy.has_payload:
+            winner = copy
+            break
+    if winner is None:
+        raise VotingError(
+            "majority digest carried no full payload (corrupted message "
+            "copy with r=2 in Msg-PlusHash mode is detectable but not "
+            "correctable)"
+        )
+    return winner.payload, len(tally) == 1, corrupt
+
+
+def payload_families():
+    """Groups of payloads that look alike to a value comparison.
+
+    Copies are drawn from one group at a time, so shared objects, equal
+    but distinct arrays and near-misses meet in the same vote.
+    """
+    base = np.array([1.5, -2.0, 3.25, 0.0])
+    strided = np.zeros(8)
+    strided[::2] = base
+    corrupt = base.copy()
+    corrupt[1] = 99.0
+    zero = np.array([0.0, 1.0])
+    nan = np.array([np.nan, 1.0])
+    other_nan = nan.copy()
+    other_nan.view(np.uint64)[0] ^= 1
+    arrays = [
+        base,
+        base.copy(),  # equal but distinct
+        strided[::2],  # non-contiguous view, same values
+        base.view(np.int64),  # same bytes, other dtype
+        base.reshape(2, 2),  # same bytes, other shape
+        corrupt,
+    ]
+    zeros = [zero, zero.copy(), np.array([-0.0, 1.0])]
+    nans = [nan, nan.copy(), other_nan]  # equal bits, then other bits
+    same_bytes = [base, base.view(np.int64), base.reshape(2, 2)]
+    scalars = ["x", b"x", 0.0, -0.0, float("nan"), 7, (1, "a"), None, np.array(1.5)]
+    return [arrays, same_bytes, zeros, nans, scalars, arrays + zeros + nans + scalars]
+
+
+class TestVoteMatchesEagerTally:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_same_outcome_as_eager_digest_tally(self, data):
+        families = payload_families()
+        family = families[data.draw(st.integers(0, len(families) - 1))]
+        drawn = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["full", "full", "hash"]),
+                    st.integers(0, len(family) - 1),
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        lazy, eager = [], []
+        for sender, (kind, index) in enumerate(drawn):
+            payload = family[index]
+            if kind == "full":
+                lazy.append(ReplicaCopy.full(sender, payload))
+                eager.append(_EagerCopy(sender, payload_digest(payload), payload, True))
+            else:
+                lazy.append(hash_copy(sender, payload))
+                eager.append(_EagerCopy(sender, payload_digest(payload)))
+        try:
+            expected = eager_vote(eager)
+        except VotingError:
+            with pytest.raises(VotingError):
+                vote(lazy)
+            return
+        result = vote(lazy)
+        assert result.payload is expected[0]
+        assert result.unanimous == expected[1]
+        assert result.corrupt_senders == expected[2]
+
+    def test_full_copy_carries_no_digest(self):
+        payload = np.arange(4.0)
+        copy = ReplicaCopy.full(0, payload)
+        assert copy.digest is None
+        assert vote([copy, ReplicaCopy.full(1, payload.copy())]).unanimous
 
 
 class TestPlanCopies:
