@@ -196,15 +196,12 @@ def test_bench_ablation_coordination(once):
 
 def test_bench_ablation_placement(once):
     """Paper placement (one rank per node) vs doubled-up (Ferreira)."""
-    from repro.cluster import Machine, packed_placement, spread_placement
     from repro.mpi import SimMPI, ops
     from repro.simkit import Environment
 
-    def run_placement(policy):
+    def run_placement(placement):
         env = Environment()
-        machine = Machine(node_count=16, cores_per_node=8)
-        placement = policy(machine, 16)
-        world = SimMPI(env, size=16, machine=machine, placement=placement)
+        world = SimMPI(env, size=16, placement=placement)
 
         def program(ctx):
             for _ in range(30):
@@ -215,7 +212,8 @@ def test_bench_ablation_placement(once):
         return env.now
 
     def run():
-        return run_placement(spread_placement), run_placement(packed_placement)
+        # Spread is the default, one rank per node; packed fills 8-core nodes.
+        return run_placement(None), run_placement({r: r // 8 for r in range(16)})
 
     spread_time, packed_time = once(run)
     print("\n" + render_table(

@@ -216,22 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bounded request queue; beyond it requests are "
                         "shed with 429 (default 256)")
     _add_store_flags(server)
-    bench = commands.add_parser(
-        "bench-serve",
-        help="load-test the serving endpoint and write BENCH_serve.json",
-    )
-    bench.add_argument("--threads", type=int, default=8,
-                       help="client threads (default 8)")
-    bench.add_argument("--requests", type=int, default=200,
-                       help="requests per thread (default 200)")
-    bench.add_argument("--max-batch", type=int, default=64,
-                       help="server-side batch bound (default 64)")
-    bench.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="server-side batch window in ms (default 2)")
-    bench.add_argument("--quick", action="store_true",
-                       help="small run: <=4 threads x 25 requests")
-    bench.add_argument("--output", default="BENCH_serve.json",
-                       help="report path (default BENCH_serve.json)")
     return parser
 
 
@@ -410,46 +394,6 @@ def _serve(args) -> int:
     return 0
 
 
-def _bench_serve(args) -> int:
-    """Load-test an in-process server and write the BENCH artifact."""
-    from .service import run_bench
-
-    report = run_bench(
-        threads=args.threads,
-        requests_per_thread=args.requests,
-        max_batch=args.max_batch,
-        max_wait=args.max_wait_ms / 1000.0,
-        quick=args.quick,
-        output=args.output,
-    )
-    latency = report["latency_ms"]
-    print(
-        f"bench-serve: {report['requests']} requests over "
-        f"{report['threads']} threads in {report['wall_seconds']}s "
-        f"({report['throughput_rps']} req/s)"
-    )
-    print(
-        f"  latency p50={latency['p50']}ms p90={latency['p90']}ms "
-        f"p99={latency['p99']}ms max={latency['max']}ms"
-    )
-    print(
-        f"  batching: {report['batching']['batches']} batches, "
-        f"mean size {report['batching']['mean_batch_size']:.2f}, "
-        f"{report['batching']['shed']} shed"
-    )
-    print(
-        f"  served == scalar model bit-identical: "
-        f"{report['bit_identical_sample']}"
-    )
-    if args.output:
-        print(f"  report written to {args.output}")
-    if not report["bit_identical_sample"] or report["errors"]:
-        print("error: bench detected mismatches or failed requests",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
 _HANDLERS = {
     "list": _list,
     "run": _run,
@@ -458,7 +402,6 @@ _HANDLERS = {
     "report": _report,
     "advise": _advise,
     "serve": _serve,
-    "bench-serve": _bench_serve,
 }
 
 

@@ -49,27 +49,6 @@ class ProcessInterrupted(SimulationError):
         self.cause = cause
 
 
-class StopProcess(SimulationError):
-    """Internal signal used to tear down a simulated process."""
-
-
-# --------------------------------------------------------------------------
-# Cluster / machine model
-# --------------------------------------------------------------------------
-
-
-class ClusterError(ReproError):
-    """Base class for machine-model errors."""
-
-
-class AllocationError(ClusterError):
-    """Not enough healthy nodes (or spares) to satisfy a placement."""
-
-
-class NodeStateError(ClusterError):
-    """Illegal node state transition (e.g. failing an already-down node)."""
-
-
 # --------------------------------------------------------------------------
 # Simulated MPI runtime
 # --------------------------------------------------------------------------
@@ -77,17 +56,6 @@ class NodeStateError(ClusterError):
 
 class MPIError(ReproError):
     """Base class for simulated-MPI errors."""
-
-
-class RankFailedError(MPIError):
-    """A communication peer (or the caller itself) is dead."""
-
-    def __init__(self, rank: int, detail: str = "") -> None:
-        msg = f"rank {rank} has failed"
-        if detail:
-            msg = f"{msg}: {detail}"
-        super().__init__(msg)
-        self.rank = rank
 
 
 class CommunicatorError(MPIError):
@@ -105,19 +73,6 @@ class RequestError(MPIError):
 
 class RedundancyError(ReproError):
     """Base class for redundancy-layer errors."""
-
-
-class SphereExhaustedError(RedundancyError):
-    """Every physical replica of a virtual process has failed.
-
-    This is the condition that forces a job-level rollback: the virtual
-    process can no longer make progress (Section 5, Figure 7 of the
-    paper).
-    """
-
-    def __init__(self, virtual_rank: int) -> None:
-        super().__init__(f"all replicas of virtual rank {virtual_rank} failed")
-        self.virtual_rank = virtual_rank
 
 
 class VotingError(RedundancyError):
@@ -157,10 +112,6 @@ class StorageWriteError(TransientStorageError):
 
 class StorageReadError(TransientStorageError):
     """A stable-storage read was rejected by the fault model."""
-
-
-class CoordinationError(CheckpointError):
-    """The coordinated-checkpoint protocol could not quiesce channels."""
 
 
 # --------------------------------------------------------------------------

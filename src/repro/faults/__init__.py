@@ -1,4 +1,4 @@
-"""faults — failure distributions, injection and detection.
+"""faults — failure distributions and injection.
 
 Implements the first "background process" of the paper's Section 5:
 the failure injector.  Per physical process, failure interarrival
@@ -15,7 +15,6 @@ corruption and latency spikes for stable storage (the chaos layer).
 
 from .distributions import Exponential, LogNormal, Weibull
 from .injector import FailureInjector, FailureRecord, exponential_injector
-from .detector import FailureDetector
 from .storage_faults import (
     ReadVerdict,
     StorageFaultConfig,
@@ -25,7 +24,6 @@ from .storage_faults import (
 
 __all__ = [
     "Exponential",
-    "FailureDetector",
     "FailureInjector",
     "FailureRecord",
     "LogNormal",

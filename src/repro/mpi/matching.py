@@ -9,9 +9,10 @@ is posted.
 Matching follows MPI's rules: a posted ``(source, tag)`` pattern
 matches an envelope when each field is equal or the pattern field is a
 wildcard (:data:`~repro.mpi.status.ANY_SOURCE` /
-:data:`~repro.mpi.status.ANY_TAG`).  Non-overtaking holds whenever the
-fabric delivers messages of one (source, destination) pair in send
-order, which is the case for the default jitter-free fabric.
+:data:`~repro.mpi.status.ANY_TAG`).  Non-overtaking holds because the
+runtime delivers messages of one (source, destination) pair in send
+order: a sender's NIC injects them first in, first out, and every
+message of a pair pays the same wire latency.
 """
 
 from __future__ import annotations

@@ -20,11 +20,6 @@ def SUM(a: Any, b: Any) -> Any:
     return np.add(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a + b
 
 
-def PROD(a: Any, b: Any) -> Any:
-    """Elementwise / scalar product (MPI_PROD)."""
-    return np.multiply(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a * b
-
-
 def MAX(a: Any, b: Any) -> Any:
     """Elementwise / scalar maximum (MPI_MAX)."""
     return np.maximum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else max(a, b)

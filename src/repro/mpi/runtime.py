@@ -26,9 +26,8 @@ from typing import (
     Any, Callable, DefaultDict, Deque, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
-from ..cluster import Machine, spread_placement
 from ..errors import CommunicatorError, MPIError
-from ..netsim import Fabric
+from ..netsim import Network
 from ..simkit import Environment
 from ..simkit.events import AllOf, Event
 from ..simkit.process import Process
@@ -39,8 +38,9 @@ from .matching import Envelope, MatchingEngine
 WORLD_CID = 0
 
 #: A send queued at its sender's NIC: the envelope, its injection time,
-#: the source and destination nodes, and the event that completes it.
-_QueuedSend = Tuple[Envelope, float, int, int, Event]
+#: whether source and destination share a node, and the event that
+#: completes it.
+_QueuedSend = Tuple[Envelope, float, bool, Event]
 
 
 class RankContext:
@@ -79,13 +79,11 @@ class SimMPI:
         simkit environment.
     size:
         Number of world ranks to run.
-    machine:
-        Cluster to place ranks on; defaults to one fresh node per rank.
-    fabric:
-        Interconnect cost oracle; defaults to jitter-free QDR-like.
+    network:
+        Per-message cost model; defaults to QDR-like.
     placement:
-        Mapping rank→node index; defaults to one-rank-per-node
-        (the paper's assumption 2).
+        Mapping rank→node index; defaults to one rank per node,
+        ``{rank: rank}`` (the paper's assumption 2).
     compute_scale:
         Multiplier applied to all ``ctx.compute`` durations.
     """
@@ -94,8 +92,7 @@ class SimMPI:
         self,
         env: Environment,
         size: int,
-        machine: Optional[Machine] = None,
-        fabric: Optional[Fabric] = None,
+        network: Optional[Network] = None,
         placement: Optional[Dict[int, int]] = None,
         compute_scale: float = 1.0,
     ) -> None:
@@ -103,10 +100,9 @@ class SimMPI:
             raise MPIError(f"world size must be >= 1, got {size}")
         self.env = env
         self.size = size
-        self.machine = machine or Machine(node_count=size)
-        self.fabric = fabric or Fabric()
-        self.placement = placement or spread_placement(self.machine, size)
-        if set(self.placement) < set(range(size)):
+        self.network = network or Network()
+        self.placement = placement or {rank: rank for rank in range(size)}
+        if not set(self.placement).issuperset(range(size)):
             raise MPIError("placement must cover every rank")
         self.compute_scale = compute_scale
         #: Named float counters (messages, bytes, drops, kills, votes).
@@ -115,7 +111,7 @@ class SimMPI:
             rank: MatchingEngine(rank) for rank in range(size)
         }
         # Per-rank NIC FIFO: a rank can only push one message into the
-        # fabric at a time (the LogP overhead/gap), which is what makes
+        # network at a time (the LogP overhead/gap), which is what makes
         # the redundancy layer's r-fold fan-out cost r times the sender
         # time (Eq. 1).  The head of each queue is being injected.
         self._nics: Dict[int, Deque[_QueuedSend]] = {
@@ -131,7 +127,7 @@ class SimMPI:
         self.sent_counts: Dict[tuple, int] = {}
         self.arrived_counts: Dict[tuple, int] = {}
 
-    # -- topology ----------------------------------------------------------
+    # -- placement ---------------------------------------------------------
 
     def node_of(self, rank: int) -> int:
         """Node index hosting ``rank``."""
@@ -186,9 +182,8 @@ class SimMPI:
         if not self.is_alive(src):
             raise MPIError(f"dead rank {src} attempted a send")
         nbytes = message_wire_size(payload)
-        src_node = self.node_of(src)
-        dst_node = self.node_of(dst)
-        busy = self.fabric.sender_busy_time(src_node, dst_node, nbytes)
+        same_node = self.node_of(src) == self.node_of(dst)
+        busy = self.network.sender_busy_time(nbytes, same_node)
         self._send_seq += 1
         envelope = Envelope(
             source=src,
@@ -205,7 +200,7 @@ class SimMPI:
         self.sent_counts[key] = self.sent_counts.get(key, 0) + 1
         completion = Event(self.env)
         nic = self._nics[src]
-        nic.append((envelope, busy, src_node, dst_node, completion))
+        nic.append((envelope, busy, same_node, completion))
         if len(nic) == 1:
             self._start_injection(nic)
         return completion
@@ -220,12 +215,12 @@ class SimMPI:
         A sender killed meanwhile still drains its queue; the fail-stop
         check is on the destination only.
         """
-        envelope, _busy, src_node, dst_node, completion = nic.popleft()
+        envelope, _busy, same_node, completion = nic.popleft()
         if nic:
             self._start_injection(nic)
         completion.succeed()
         if self.is_alive(envelope.dest):
-            wire = self.fabric.wire_latency(src_node, dst_node)
+            wire = self.network.wire_latency(same_node)
             arrival = Event(self.env)
             arrival.add_callback(lambda _event: self._arrive(envelope))
             arrival.succeed(delay=wire)
@@ -309,7 +304,7 @@ class SimMPI:
             watcher(rank)
 
     def on_rank_death(self, watcher: Callable[[int], None]) -> None:
-        """Register a callback for rank deaths (detector, spheres)."""
+        """Register a callback for rank deaths (redundancy spheres)."""
         self._death_watchers.append(watcher)
 
     def run(self, until: Optional[float] = None) -> None:

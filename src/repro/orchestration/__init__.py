@@ -1,7 +1,7 @@
 """orchestration — run workloads under redundancy + C/R + failures.
 
 :class:`ResilientJob` is the top of the systems half: it assembles the
-cluster, the simulated MPI world, the RedMPI-style redundancy layer,
+network, the simulated MPI world, the RedMPI-style redundancy layer,
 the coordinated checkpoint service, the failure injector and a
 workload into one fault-tolerant job run — the exact setup of the
 paper's Section 5 experimental framework — and reports the completion

@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, Optional
 
 from .. import units
 from ..checkpoint import CheckpointConfig, CheckpointService, RestartManager, StableStorage
-from ..cluster import Machine
 from ..errors import CheckpointError, ConfigurationError, NoCheckpointError
 from ..faults import (
     Exponential,
@@ -39,7 +38,7 @@ from ..faults import (
 from ..models.checkpointing import daly_interval
 from ..models.redundancy import redundant_time, system_mtbf
 from ..mpi import SimMPI
-from ..netsim import AlphaBetaModel, Fabric
+from ..netsim import QDR_BANDWIDTH, QDR_LATENCY, Network
 from ..obs.manifest import RunManifest
 from ..obs.trace import NULL_TRACER, Tracer
 from ..redundancy import ALL_TO_ALL, RedComm, ReplicaMap, SphereTracker
@@ -80,8 +79,8 @@ class JobConfig:
     max_restarts: int = 10_000
     bookmark_exchange: bool = False
     compute_scale: float = 1.0
-    network_latency: float = 1.3e-6
-    network_bandwidth: float = 3.2e9
+    network_latency: float = QDR_LATENCY
+    network_bandwidth: float = QDR_BANDWIDTH
     storage_write_bandwidth: float = 1e9
     storage_channels: int = 8
     #: Chaos layer: storage fault probabilities (None, or a config with
@@ -113,6 +112,7 @@ class JobConfig:
             raise ConfigurationError(f"unknown redundancy mode {self.mode!r}")
         if self.node_mtbf is not None and self.node_mtbf <= 0:
             raise ConfigurationError("node_mtbf must be > 0")
+        Network.validate(self.network_latency, self.network_bandwidth)
         if self.max_restarts < 0:
             raise ConfigurationError("max_restarts must be >= 0")
         if self.failure_distribution not in ("exponential", "weibull", "lognormal"):
@@ -468,17 +468,10 @@ class ResilientJob:
     ) -> Dict[str, Any]:
         cfg = self.config
         total_physical = replica_map.total_physical
-        machine = Machine(node_count=total_physical)
-        fabric = Fabric(
-            model=AlphaBetaModel(
-                latency=cfg.network_latency, bandwidth=cfg.network_bandwidth
-            )
-        )
         world = SimMPI(
             env,
             size=total_physical,
-            machine=machine,
-            fabric=fabric,
+            network=Network(cfg.network_latency, cfg.network_bandwidth),
             compute_scale=cfg.compute_scale,
         )
         self._world = world

@@ -1,7 +1,7 @@
 """Named, forkable deterministic random-number streams.
 
-Every stochastic component of the simulator (failure injector, network
-jitter, workload data generation) draws from its **own** named stream
+Every stochastic component of the simulator (failure injector, workload
+data generation) draws from its **own** named stream
 derived from a single campaign seed.  This gives two properties the
 experiments need:
 

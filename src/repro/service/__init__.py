@@ -10,18 +10,15 @@ The subsystem turns the analytic model into a long-lived endpoint:
     :class:`ModelServer` — the asyncio HTTP/1.1 JSON server
     (``/evaluate``, ``/recommend``, ``/healthz``, ``/metrics``) with
     graceful SIGTERM drain.
+    :class:`ServerThread` runs one in a background thread (tests).
 ``client``
     :class:`ServeClient` — blocking keep-alive client mapping server
     errors back to local exception types.
-``bench``
-    :func:`run_bench` — the ``bench-serve`` load generator with exact
-    latency percentiles and a served-vs-scalar bit-identity probe.
 """
 
 from .batching import MicroBatcher, model_to_dict
-from .bench import ServerThread, run_bench
 from .client import ServeClient
-from .server import ModelServer, parse_model, recommendation_to_dict
+from .server import ModelServer, ServerThread, parse_model, recommendation_to_dict
 
 __all__ = [
     "MicroBatcher",
@@ -31,5 +28,4 @@ __all__ = [
     "model_to_dict",
     "parse_model",
     "recommendation_to_dict",
-    "run_bench",
 ]

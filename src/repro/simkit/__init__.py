@@ -1,6 +1,6 @@
 """simkit — a small, deterministic discrete-event simulation kernel.
 
-Everything in the systems half of ``repro`` (network, cluster, MPI,
+Everything in the systems half of ``repro`` (network, MPI,
 checkpointing, failure injection) runs on this kernel.  It follows the
 familiar generator-process model: a simulated process is a Python
 generator that ``yield``s events; the environment resumes it when the

@@ -1,8 +1,7 @@
 """Shared-resource primitives: counted resources and object stores.
 
-Used by the substrates for anything with finite capacity: stable-storage
-I/O channels (checkpoint writes queue up), per-node core slots, and the
-network fabric's link model.
+Used by the substrates for anything with finite capacity, such as the
+stable-storage I/O channels that checkpoint writes queue up on.
 """
 
 from __future__ import annotations

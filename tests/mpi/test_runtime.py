@@ -5,6 +5,7 @@ import pytest
 from repro.errors import MPIError
 from repro.mpi import SimMPI
 from repro.mpi.datatypes import message_wire_size
+from repro.netsim import CPU_OVERHEAD, LOOPBACK_FACTOR, Network
 from repro.simkit import Environment
 
 
@@ -243,17 +244,32 @@ class TestSubCommunicators:
         assert comm.local_rank_of(0) == 1
 
 
+class TestPlacement:
+    def test_default_placement_is_one_rank_per_node(self):
+        world = SimMPI(Environment(), size=4)
+        assert [world.node_of(rank) for rank in range(4)] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("placement", [{0: 0}, {0: 0, 2: 1}])
+    def test_placement_must_cover_every_rank(self, placement):
+        with pytest.raises(MPIError):
+            SimMPI(Environment(), size=2, placement=placement)
+
+    def test_rejects_zero_ranks(self):
+        with pytest.raises(MPIError):
+            SimMPI(Environment(), size=0, placement={})
+
+
 class TestNicInjection:
     """A rank's NIC injects one message at a time (Eq. 1's r-fold cost)."""
 
     PAYLOAD = b"n" * 4096
 
     def _costs(self, world, src, dst):
-        src_node, dst_node = world.node_of(src), world.node_of(dst)
-        busy = world.fabric.sender_busy_time(
-            src_node, dst_node, message_wire_size(self.PAYLOAD)
+        same_node = world.node_of(src) == world.node_of(dst)
+        busy = world.network.sender_busy_time(
+            message_wire_size(self.PAYLOAD), same_node
         )
-        return busy, world.fabric.wire_latency(src_node, dst_node)
+        return busy, world.network.wire_latency(same_node)
 
     def test_back_to_back_sends_serialise_on_the_nic(self):
         env = Environment()
@@ -321,3 +337,39 @@ class TestNicInjection:
         assert arrived == [end + wire for end, dest in zip(ends, destinations) if dest == 1]
         assert world.arrived_counts[(0, 1)] == 3
         assert world.counters["p2p_dropped"] == 2
+
+    def test_colocated_ranks_pay_loopback_costs_on_the_nic(self):
+        # Ranks 0 and 1 share node 0; rank 2 is alone on node 1.  Above
+        # the eager threshold, only the off-node send pays the
+        # rendezvous, and only the on-node sends get the loopback wire.
+        network = Network(latency=1e-3, bandwidth=1e9)
+        payload = b"r" * 100_000
+        nbytes = message_wire_size(payload)
+        env = Environment()
+        world = SimMPI(env, size=3, network=network, placement={0: 0, 1: 0, 2: 1})
+        destinations = [1, 2, 1]
+        arrived = {1: [], 2: []}
+
+        def program(ctx):
+            if ctx.rank == 0:
+                requests = [ctx.comm.isend(payload, dest=dest) for dest in destinations]
+                yield from ctx.comm.waitall(requests)
+            else:
+                count = destinations.count(ctx.rank)
+                requests = [ctx.comm.irecv(source=0) for _ in range(count)]
+                for request in requests:
+                    request.event.add_callback(
+                        lambda _e, rank=ctx.rank: arrived[rank].append(env.now)
+                    )
+                yield from ctx.comm.waitall(requests)
+
+        world.spawn(program)
+        world.run()
+        local_busy = CPU_OVERHEAD + nbytes / 1e9
+        remote_busy = local_busy + 2.0 * 1e-3
+        first = local_busy
+        second = first + remote_busy
+        third = second + local_busy
+        loopback = 1e-3 * LOOPBACK_FACTOR
+        assert arrived[1] == [first + loopback, third + loopback]
+        assert arrived[2] == [second + 1e-3]

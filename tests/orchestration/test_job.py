@@ -229,6 +229,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             synthetic_config(failure_distribution="uniform")
 
+    @pytest.mark.parametrize(
+        "network",
+        [
+            {"network_bandwidth": float("nan")},
+            {"network_bandwidth": float("inf")},
+            {"network_bandwidth": 0.0},
+            {"network_latency": float("nan")},
+            {"network_latency": float("inf")},
+            {"network_latency": -1e-6},
+        ],
+    )
+    def test_bad_network_rejected_at_construction(self, network):
+        with pytest.raises(ConfigurationError):
+            synthetic_config(**network)
+
 
 class TestFailureDistributions:
     @pytest.mark.parametrize("distribution", ["exponential", "weibull", "lognormal"])

@@ -141,21 +141,3 @@ class TestStoreFlags:
         assert _resolve_store(args) is None
         args = SimpleNamespace(store=None, resume=False, no_store=False)
         assert _resolve_store(args) is not None
-
-
-class TestServeCommands:
-    def test_bench_serve_quick_writes_report(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_serve.json"
-        code = main([
-            "bench-serve", "--quick", "--threads", "2",
-            "--requests", "5", "--output", str(out),
-        ])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["bit_identical_sample"] is True
-        assert report["errors"] == 0
-        assert report["requests"] == 10
-        output = capsys.readouterr().out
-        assert "bit-identical: True" in output
