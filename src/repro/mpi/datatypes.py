@@ -53,27 +53,37 @@ def message_wire_size(payload: Any) -> int:
     return payload_nbytes(payload) + ENVELOPE_OVERHEAD
 
 
+def digest_bytes(payload: Any) -> bytes:
+    """The bytes :func:`payload_digest` hashes.
+
+    numpy arrays give their raw buffer plus dtype and shape; bytes-likes
+    themselves; strings their UTF-8; ``None``, bools, ints and floats
+    their ``repr``; anything else its canonical pickle.  Two payloads
+    digest alike exactly when these bytes are equal (up to collisions
+    of the 64-bit hash), so comparing them decides agreement without
+    hashing.
+    """
+    if isinstance(payload, np.ndarray):
+        return payload.tobytes() + str(payload.dtype).encode() + str(payload.shape).encode()
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        return bytes(payload)
+    if isinstance(payload, str):
+        return payload.encode("utf-8")
+    if payload is None or isinstance(payload, (bool, int, float)):
+        return repr(payload).encode("utf-8")
+    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def payload_digest(payload: Any) -> int:
-    """Order-stable 64-bit digest of a payload.
+    """Order-stable 64-bit digest of a payload: the hash of :func:`digest_bytes`.
 
     Used by the redundancy layer's Msg-PlusHash mode and by its
     corrupt-message voting: two replicas sending "the same" message
-    must produce equal digests.  numpy arrays hash their raw buffer;
-    everything else is pickled canonically.
+    must produce equal digests.
     """
-    if isinstance(payload, np.ndarray):
-        data = payload.tobytes() + str(payload.dtype).encode() + str(payload.shape).encode()
-    elif isinstance(payload, (bytes, bytearray, memoryview)):
-        data = bytes(payload)
-    elif isinstance(payload, str):
-        data = payload.encode("utf-8")
-    elif payload is None or isinstance(payload, (bool, int, float)):
-        data = repr(payload).encode("utf-8")
-    else:
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     # blake2b runs at C speed and is deterministic across runs/platforms.
     return int.from_bytes(
-        hashlib.blake2b(data, digest_size=8).digest(), byteorder="little"
+        hashlib.blake2b(digest_bytes(payload), digest_size=8).digest(), byteorder="little"
     )
 
 

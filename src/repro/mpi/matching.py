@@ -17,42 +17,52 @@ message of a pair pays the same wire latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Deque, List, Optional
 from collections import deque
+from typing import Any, Deque, List, Optional, Tuple
 
 from ..errors import MPIError
 from ..simkit.events import Event
 from .status import ANY_SOURCE, ANY_TAG
 
 
-@dataclass(frozen=True)
 class Envelope:
     """One message in flight (or queued): addressing + payload.
 
     ``cid`` is the communicator context id: messages only ever match
     receives posted on the same communicator, exactly as in MPI.
+    ``seq`` is the global send sequence number (diagnostics and
+    determinism checks).  Treat an envelope as immutable.
     """
 
-    source: int
-    dest: int
-    tag: int
-    payload: Any
-    nbytes: int
-    cid: int = 0
-    #: Global send sequence number (diagnostics / determinism checks).
-    seq: int = field(default=0, compare=False)
+    __slots__ = ("source", "dest", "tag", "payload", "nbytes", "cid", "seq")
+
+    def __init__(
+        self,
+        source: int,
+        dest: int,
+        tag: int,
+        payload: Any,
+        nbytes: int,
+        cid: int = 0,
+        seq: int = 0,
+    ) -> None:
+        self.source = source
+        self.dest = dest
+        self.tag = tag
+        self.payload = payload
+        self.nbytes = nbytes
+        self.cid = cid
+        self.seq = seq
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Envelope(source={self.source}, dest={self.dest}, tag={self.tag}, "
+            f"nbytes={self.nbytes}, cid={self.cid}, seq={self.seq})"
+        )
 
 
-@dataclass
-class _PostedReceive:
-    source: int
-    tag: int
-    cid: int
-    event: Event
-
-    def matches(self, envelope: Envelope) -> bool:
-        return _pattern_matches(self.source, self.tag, self.cid, envelope)
+#: A posted receive: (source, tag, cid, completion event).
+_PostedReceive = Tuple[int, int, int, Event]
 
 
 def _pattern_matches(source: int, tag: int, cid: int, envelope: Envelope) -> bool:
@@ -89,7 +99,7 @@ class MatchingEngine:
                 del self._unexpected[index]
                 event.succeed(envelope)
                 return event
-        self._posted.append(_PostedReceive(source=source, tag=tag, cid=cid, event=event))
+        self._posted.append((source, tag, cid, event))
         return event
 
     def cancel(self, event: Event) -> bool:
@@ -98,7 +108,7 @@ class MatchingEngine:
         Returns True if it was still pending (and is now cancelled).
         """
         for index, posted in enumerate(self._posted):
-            if posted.event is event:
+            if posted[3] is event:
                 del self._posted[index]
                 return True
         return False
@@ -113,13 +123,16 @@ class MatchingEngine:
     # -- delivery side -----------------------------------------------------
 
     def deliver(self, envelope: Envelope) -> None:
-        """Hand an arriving envelope to matching (or queue it)."""
+        """Hand an arriving envelope to matching (or queue it).
+
+        A matched receive completes inline: its callbacks run now.
+        """
         if self._closed:
             return  # rank died; fail-stop networks drop its traffic
-        for index, posted in enumerate(self._posted):
-            if posted.matches(envelope):
+        for index, (source, tag, cid, event) in enumerate(self._posted):
+            if _pattern_matches(source, tag, cid, envelope):
                 del self._posted[index]
-                posted.event.succeed(envelope)
+                event.succeed_inline(envelope)
                 return
         self._unexpected.append(envelope)
 

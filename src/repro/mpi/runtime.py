@@ -126,6 +126,9 @@ class SimMPI:
         #: bookmark state the checkpoint coordinator equalises.
         self.sent_counts: Dict[tuple, int] = {}
         self.arrived_counts: Dict[tuple, int] = {}
+        #: Messages between live ranks not yet arrived: the sum of
+        #: ``sent - arrived`` over pairs whose ends are both alive.
+        self._in_flight = 0
 
     # -- placement ---------------------------------------------------------
 
@@ -179,7 +182,7 @@ class SimMPI:
         Fail-stop semantics: sends to dead ranks complete locally (the
         sender cannot know) but the message is dropped.
         """
-        if not self.is_alive(src):
+        if src not in self._alive:
             raise MPIError(f"dead rank {src} attempted a send")
         nbytes = message_wire_size(payload)
         same_node = self.node_of(src) == self.node_of(dst)
@@ -194,46 +197,48 @@ class SimMPI:
             cid=cid,
             seq=self._send_seq,
         )
-        self.counters["p2p_messages"] += 1
-        self.counters["p2p_bytes"] += nbytes
+        counters = self.counters
+        counters["p2p_messages"] += 1
+        counters["p2p_bytes"] += nbytes
         key = (src, dst)
         self.sent_counts[key] = self.sent_counts.get(key, 0) + 1
+        if dst in self._alive:
+            self._in_flight += 1
         completion = Event(self.env)
         nic = self._nics[src]
         nic.append((envelope, busy, same_node, completion))
         if len(nic) == 1:
-            self._start_injection(nic)
+            self.env._schedule_call(busy, self._injected, nic)
         return completion
 
-    def _start_injection(self, nic: Deque[_QueuedSend]) -> None:
-        """Occupy the NIC for the injection time of the send at its head."""
-        self.env.timeout(nic[0][1]).add_callback(lambda _event: self._injected(nic))
-
     def _injected(self, nic: Deque[_QueuedSend]) -> None:
-        """The head send left the NIC: complete it and put it on the wire.
+        """The head send left the NIC: put it on the wire and complete it.
 
         A sender killed meanwhile still drains its queue; the fail-stop
-        check is on the destination only.
+        check is on the destination only.  The arrival timer is queued
+        before the completion's callbacks run inline, so whatever they
+        schedule queues behind it.
         """
         envelope, _busy, same_node, completion = nic.popleft()
+        env = self.env
         if nic:
-            self._start_injection(nic)
-        completion.succeed()
-        if self.is_alive(envelope.dest):
-            wire = self.network.wire_latency(same_node)
-            arrival = Event(self.env)
-            arrival.add_callback(lambda _event: self._arrive(envelope))
-            arrival.succeed(delay=wire)
+            env._schedule_call(nic[0][1], self._injected, nic)
+        if envelope.dest in self._alive:
+            env._schedule_call(self.network.wire_latency(same_node), self._arrive, envelope)
         else:
             self.counters["p2p_dropped"] += 1
+        completion.succeed_inline()
 
     def _arrive(self, envelope: Envelope) -> None:
-        if not self.is_alive(envelope.dest):
+        dest = envelope.dest
+        if dest not in self._alive:
             self.counters["p2p_dropped"] += 1
             return
-        key = (envelope.source, envelope.dest)
+        key = (envelope.source, dest)
         self.arrived_counts[key] = self.arrived_counts.get(key, 0) + 1
-        self._engines[envelope.dest].deliver(envelope)
+        if envelope.source in self._alive:
+            self._in_flight -= 1
+        self._engines[dest].deliver(envelope)
 
     def post_recv(self, rank: int, source: int, tag: int, cid: int) -> Event:
         """Post a receive on ``rank``'s matching engine."""
@@ -258,14 +263,11 @@ class SimMPI:
 
         This is the condition the OpenMPI-style coordinated-checkpoint
         protocol waits for before processes capture their images.
-        Traffic to dead ranks is excluded (it was dropped).
+        Traffic from or to dead ranks is excluded (it is dropped, or no
+        longer anyone's bookmark).  Reads the running count of messages
+        between live ranks that have not arrived yet.
         """
-        for (src, dst), sent in self.sent_counts.items():
-            if not self.is_alive(dst) or not self.is_alive(src):
-                continue
-            if self.arrived_counts.get((src, dst), 0) != sent:
-                return False
-        return True
+        return self._in_flight == 0
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -294,6 +296,12 @@ class SimMPI:
         """
         if rank not in self._alive:
             return
+        # The dead rank's channels leave the in-flight count: subtract
+        # the messages still unarrived between it and a live peer.
+        arrived = self.arrived_counts
+        for (src, dst), sent in self.sent_counts.items():
+            if (src == rank or dst == rank) and src in self._alive and dst in self._alive:
+                self._in_flight -= sent - arrived.get((src, dst), 0)
         self._alive.discard(rank)
         self._engines[rank].close()
         process = self._processes.get(rank)

@@ -24,12 +24,11 @@ control messages use ``[2^28, ...)`` (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import RedundancyError
 from ..mpi.comm import USER_TAG_LIMIT, CollectiveAPI
 from ..mpi.datatypes import payload_digest, payload_nbytes
-from ..mpi.requests import Request
 from ..mpi.status import ANY_SOURCE, ANY_TAG, Status
 from ..simkit.events import Event
 from .mapping import ReplicaMap
@@ -50,11 +49,17 @@ Corruptor = Callable[[int, int, Any], Any]
 class RedRequest:
     """A request *set*: the application-level handle over replica requests.
 
-    Completes when every live member completes; members whose peer
-    replica dies are dropped from the set.  For receives, completion
-    triggers the vote and yields ``(payload, Status)`` with the
-    *virtual* source rank.
+    A countdown over its member operations: it completes when every
+    member has completed, and members whose peer replica dies are
+    withdrawn from the count.  For receives, completion triggers the
+    vote and yields ``(payload, Status)`` with the *virtual* source
+    rank.
     """
+
+    __slots__ = (
+        "comm", "kind", "virtual_peer", "tag", "event", "_remaining",
+        "_members", "_copies", "_armed", "_consumed", "_on_member",
+    )
 
     def __init__(self, comm: "RedComm", kind: str, virtual_peer: int, tag: int) -> None:
         self.comm = comm
@@ -62,22 +67,22 @@ class RedRequest:
         self.virtual_peer = virtual_peer
         self.tag = tag
         self.event = Event(comm.env)
-        self._pending: Dict[int, Request] = {}  # id -> member request
-        self._sender_of: Dict[int, int] = {}
-        self._copy_kind: Dict[int, str] = {}
+        self._remaining = 0
+        #: Each peer replica's member event (a receive's peer is its sender).
+        self._members: Dict[int, Event] = {}
         self._copies: List[ReplicaCopy] = []
         self._armed = False
         self._consumed = False
+        # Bound once: every member event gets this same callback.
+        self._on_member = self._member_done
 
     # -- construction (layer-internal) -----------------------------------
 
-    def add_member(self, request: Request, sender_physical: int, copy_kind: str) -> None:
-        """Register one per-replica request into the set."""
-        key = id(request)
-        self._pending[key] = request
-        self._sender_of[key] = sender_physical
-        self._copy_kind[key] = copy_kind
-        request.event.add_callback(lambda _event, key=key: self._member_done(key))
+    def add_member(self, member: Event, peer_physical: int) -> None:
+        """Count one per-replica send or receive into the set."""
+        self._remaining += 1
+        self._members[peer_physical] = member
+        member.add_callback(self._on_member)
 
     def arm(self) -> None:
         """All members registered; complete immediately if set is empty."""
@@ -86,46 +91,46 @@ class RedRequest:
 
     # -- progress ----------------------------------------------------------
 
-    def _member_done(self, key: int) -> None:
-        request = self._pending.pop(key, None)
-        if request is None:
-            return  # dropped by a death notification before arrival
+    def _member_done(self, event: Event) -> None:
         if self.kind == "recv":
-            envelope = request.event.value
-            sender = self._sender_of[key]
-            if self._copy_kind[key] == "full":
-                self._copies.append(ReplicaCopy.full(sender, envelope.payload))
+            # The matched envelope names the sender replica; a digest
+            # copy travels under the shifted tag.
+            envelope = event.value
+            if envelope.tag == self.tag:
+                copy = ReplicaCopy.full(envelope.source, envelope.payload)
             else:
-                self._copies.append(
-                    ReplicaCopy.hash_only(sender, envelope.payload)
-                )
+                copy = ReplicaCopy.hash_only(envelope.source, envelope.payload)
+            self._copies.append(copy)
+        self._remaining -= 1
         self._maybe_complete()
 
     def _maybe_complete(self) -> None:
-        if not self._armed or self.event.triggered or self._pending:
+        if self._remaining or not self._armed or self.event.triggered:
             return
-        if self.kind == "recv" and not self._copies:
-            # Every source replica died before sending: the request can
-            # never be satisfied.  Leave it pending — the sphere tracker
-            # has (or will) declare the job failed and force a rollback.
-            return
-        self.event.succeed(list(self._copies) if self.kind == "recv" else None)
+        if self.kind == "recv":
+            if not self._copies:
+                # Every source replica died before sending: the request
+                # can never be satisfied.  Leave it pending — the sphere
+                # tracker has (or will) declare the job failed and force
+                # a rollback.
+                return
+            self.event.succeed_inline(self._copies)
+        else:
+            self.event.succeed_inline()
 
     def drop_sender(self, dead_physical: int) -> None:
-        """A peer replica died: withdraw its still-pending member requests."""
+        """A peer replica died: withdraw its member receive if still posted.
+
+        A receive that already matched still completes: its message was
+        delivered.
+        """
         if self.kind != "recv" or self.event.triggered:
             return
-        doomed = [
-            key
-            for key, sender in self._sender_of.items()
-            if sender == dead_physical and key in self._pending
-        ]
-        for key in doomed:
-            request = self._pending[key]
-            if request.event.triggered:
-                continue  # message already matched; let it finish
-            if self.comm.runtime.cancel_recv(self.comm.physical_rank, request.event):
-                del self._pending[key]
+        member = self._members.get(dead_physical)
+        if member is not None and self.comm.runtime.cancel_recv(
+            self.comm.physical_rank, member
+        ):
+            self._remaining -= 1
         self._maybe_complete()
 
     # -- application API -----------------------------------------------------
@@ -186,8 +191,13 @@ class RedComm(CollectiveAPI):
         self.mode = mode
         self.corruptor = corruptor
         self._virtual_rank = replica_map.virtual_of(ctx.rank)
+        self._cid = ctx.comm.cid
         self._coll_seq = 0
         self._active_recvs: List[RedRequest] = []
+        # Per-sphere live replica lists and per-(sender sphere, receiver
+        # sphere) copy plans; both are emptied on every rank death.
+        self._spheres: Dict[int, List[int]] = {}
+        self._plans: Dict[Tuple[int, int], Dict[Tuple[int, int], str]] = {}
         self.runtime.on_rank_death(self._on_rank_death)
 
     # -- identity (virtual view) ------------------------------------------
@@ -218,22 +228,40 @@ class RedComm(CollectiveAPI):
 
     def _alive_sphere(self, virtual: int) -> List[int]:
         """Live replicas of a sphere, consulting both tracker and runtime."""
-        return [
-            rank
-            for rank in self.replica_map.replicas_of(virtual)
-            if not self.tracker.is_dead(rank) and self.runtime.is_alive(rank)
-        ]
+        alive = self._spheres.get(virtual)
+        if alive is None:
+            alive = self._spheres[virtual] = [
+                rank
+                for rank in self.replica_map.replicas_of(virtual)
+                if not self.tracker.is_dead(rank) and self.runtime.is_alive(rank)
+            ]
+        return alive
+
+    def _plan(self, sender_virtual: int, receiver_virtual: int) -> Dict[Tuple[int, int], str]:
+        """:func:`plan_copies` over the two spheres' live replicas."""
+        key = (sender_virtual, receiver_virtual)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = plan_copies(
+                self._alive_sphere(sender_virtual),
+                self._alive_sphere(receiver_virtual),
+                self.mode,
+            )
+        return plan
 
     # -- death plumbing -----------------------------------------------------
 
     def _on_rank_death(self, dead_physical: int) -> None:
+        self._spheres.clear()
+        self._plans.clear()
         self.tracker.notice_death(dead_physical)
-        still_active = []
-        for request in self._active_recvs:
+        # A request set may complete inline here and its process post
+        # new receives, so walk a snapshot and prune afterwards.
+        for request in list(self._active_recvs):
             request.drop_sender(dead_physical)
-            if not request.event.triggered:
-                still_active.append(request)
-        self._active_recvs = still_active
+        self._active_recvs = [
+            request for request in self._active_recvs if not request.event.triggered
+        ]
 
     # -- point to point --------------------------------------------------------
 
@@ -249,24 +277,22 @@ class RedComm(CollectiveAPI):
         # Plans are computed over *live* replicas on both ends so sender
         # and receiver agree on who carries the full payload in
         # Msg-PlusHash mode even after replica deaths.
-        my_sphere = self._alive_sphere(self._virtual_rank)
-        dest_replicas = self._alive_sphere(dest)
-        plan = plan_copies(my_sphere, dest_replicas, self.mode)
+        plan = self._plan(self._virtual_rank, dest)
         request_set = RedRequest(self, kind="send", virtual_peer=dest, tag=tag)
-        self.runtime.counters["app_sends"] += 1
-        for receiver in dest_replicas:
+        runtime = self.runtime
+        runtime.counters["app_sends"] += 1
+        me = self.physical_rank
+        for receiver in self._alive_sphere(dest):
             shipped = payload
             if self.corruptor is not None:
-                shipped = self.corruptor(self.physical_rank, receiver, payload)
-            what = plan[(self.physical_rank, receiver)]
-            if what == "full":
-                member = self._world.isend(shipped, receiver, tag, _internal=True)
+                shipped = self.corruptor(me, receiver, payload)
+            if plan[(me, receiver)] == "full":
+                member = runtime.post_send(me, receiver, tag, shipped, self._cid)
             else:
-                member = self._world.isend(
-                    payload_digest(shipped), receiver, tag + HASH_TAG_OFFSET,
-                    _internal=True,
+                member = runtime.post_send(
+                    me, receiver, tag + HASH_TAG_OFFSET, payload_digest(shipped), self._cid
                 )
-            request_set.add_member(member, self.physical_rank, what)
+            request_set.add_member(member, receiver)
         request_set.arm()
         return request_set
 
@@ -295,22 +321,21 @@ class RedComm(CollectiveAPI):
         already_have: Optional[ReplicaCopy] = None,
         skip_sender: Optional[int] = None,
     ) -> RedRequest:
-        source_replicas = self._alive_sphere(source)
-        my_sphere = self._alive_sphere(self._virtual_rank)
-        plan = plan_copies(source_replicas, my_sphere, self.mode)
+        plan = self._plan(source, self._virtual_rank)
         request_set = RedRequest(self, kind="recv", virtual_peer=source, tag=tag)
         if already_have is not None:
             request_set._copies.append(already_have)
-        self.runtime.counters["app_recvs"] += 1
-        for sender in source_replicas:
+        runtime = self.runtime
+        runtime.counters["app_recvs"] += 1
+        me = self.physical_rank
+        for sender in self._alive_sphere(source):
             if sender == skip_sender:
                 continue
-            what = plan[(sender, self.physical_rank)]
-            if what == "full":
-                member = self._world.irecv(sender, tag)
+            if plan[(sender, me)] != "full":
+                member = runtime.post_recv(me, sender, tag + HASH_TAG_OFFSET, self._cid)
             else:
-                member = self._world.irecv(sender, tag + HASH_TAG_OFFSET)
-            request_set.add_member(member, sender, what)
+                member = runtime.post_recv(me, sender, tag, self._cid)
+            request_set.add_member(member, sender)
         request_set.arm()
         if len(self._active_recvs) > 64:
             self._active_recvs = [

@@ -18,9 +18,9 @@ Two operating modes, as in the paper:
 
 When digests are computed: a sender computes the digest it ships in
 Msg-PlusHash mode.  A receiver computes none on arrival; :func:`vote`
-first checks, without hashing where it can, whether every full copy
-agrees with the first, and only hashes the copies when they disagree
-or when a digest-only copy has to be compared.
+first checks, without hashing, whether every full copy agrees with the
+first, and only hashes the copies when they disagree or when a
+digest-only copy has to be compared.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import VotingError
-from ..mpi.datatypes import payload_digest
+from ..mpi.datatypes import digest_bytes, payload_digest
 
 #: Mode constants.
 ALL_TO_ALL = "all-to-all"
@@ -135,14 +135,15 @@ def vote(copies: Sequence[ReplicaCopy]) -> VoteResult:
 def _all_agree(copies: Sequence[ReplicaCopy]) -> bool:
     """True when every copy is full and its payload digests like the first.
 
-    Decided without hashing for a shared object or for ndarrays, whose
-    dtype, shape and raw bytes are exactly what :func:`payload_digest`
-    hashes; any other payload is compared by digest.
+    Decided without hashing: a shared object agrees with itself, two
+    ndarrays are compared by dtype, shape and raw bytes, and any other
+    pair by the bytes :func:`payload_digest` would hash
+    (:func:`digest_bytes`).
     """
     if not all(copy.has_payload for copy in copies):
         return False
     first = copies[0].payload
-    first_key = None
+    first_buffer = first_bytes = None
     for copy in copies[1:]:
         other = copy.payload
         if other is first:
@@ -150,14 +151,14 @@ def _all_agree(copies: Sequence[ReplicaCopy]) -> bool:
         if isinstance(first, np.ndarray) and isinstance(other, np.ndarray):
             if other.shape != first.shape or str(other.dtype) != str(first.dtype):
                 return False
-            if first_key is None:
-                first_key = first.tobytes()
-            if other.tobytes() != first_key:
+            if first_buffer is None:
+                first_buffer = first.tobytes()
+            if other.tobytes() != first_buffer:
                 return False
         else:
-            if first_key is None:
-                first_key = payload_digest(first)
-            if payload_digest(other) != first_key:
+            if first_bytes is None:
+                first_bytes = digest_bytes(first)
+            if digest_bytes(other) != first_bytes:
                 return False
     return True
 

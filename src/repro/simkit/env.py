@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..errors import SimulationDeadlock, SimulationError
 from .events import Event, Timeout
 from .process import Process
 
-#: Queue entries: (time, priority, sequence, event).  ``priority`` lets
+#: Queue entries: (time, priority, sequence, call, arg); processing one
+#: runs ``call(arg)``.  An event's entry is ``(..., Event._process,
+#: event)``; a bare timer's is any one-argument callable, so a kernel
+#: activity nobody waits on allocates no Event.  ``priority`` lets
 #: urgent kernel activities (interrupt delivery) pre-empt same-time
 #: user events; ``sequence`` makes ordering fully deterministic.
-_QueueEntry = Tuple[float, int, int, Event]
+_QueueEntry = Tuple[float, int, int, Callable[[Any], None], Any]
+
+_process_event = Event._process
 
 URGENT = 0
 NORMAL = 1
@@ -59,20 +64,30 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._sequence, event))
+        heapq.heappush(
+            self._queue, (self._now + delay, priority, self._sequence, _process_event, event)
+        )
+
+    def _schedule_call(self, delay: float, call: Callable[[Any], None], arg: Any) -> None:
+        """Queue a bare timer: ``call(arg)`` runs ``delay`` from now.
+
+        Ordered with events by (time, priority, insertion), at normal
+        priority.  For kernel activities nobody waits on.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        self._sequence += 1
+        heapq.heappush(self._queue, (self._now + delay, NORMAL, self._sequence, call, arg))
 
     # -- execution -------------------------------------------------------
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
+        """Process exactly one queue entry (advancing the clock to it)."""
         if not self._queue:
             raise SimulationDeadlock("event queue is empty")
-        when, _priority, _seq, event = heapq.heappop(self._queue)
+        when, _priority, _seq, call, arg = heapq.heappop(self._queue)
         self._now = when
-        event._mark_processed()
-        callbacks, event.callbacks = event.callbacks, []
-        for callback in callbacks:
-            callback(event)
+        call(arg)
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the queue is empty."""

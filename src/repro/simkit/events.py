@@ -4,10 +4,12 @@ An :class:`Event` is a one-shot occurrence with an optional value (or a
 failure exception).  Its lifecycle::
 
     PENDING --succeed()/fail()--> TRIGGERED --env.step()--> PROCESSED
+    PENDING --succeed_inline()----------------------------> PROCESSED
 
 Once *triggered* the event is sitting in the environment's queue with a
 definite fire time; once *processed* its callbacks have run and waiting
-processes have been resumed.
+processes have been resumed.  ``succeed_inline`` skips the queue: it is
+for a zero-delay hop whose callbacks may run at once.
 """
 
 from __future__ import annotations
@@ -93,10 +95,28 @@ class Event:
         self.env._schedule(self, delay)
         return self
 
+    def succeed_inline(self, value: Any = None) -> "Event":
+        """Succeed *now*: run the callbacks inline, skipping the queue.
+
+        The zero-delay form of :meth:`succeed`.  The callbacks run
+        before entries already queued for the current instant, so use
+        it only for a hop whose continuation may overtake them.
+        """
+        if self._state != PENDING:
+            raise SimulationError("event already triggered")
+        self._ok = True
+        self._value = value
+        self._process()
+        return self
+
     # -- kernel hooks -----------------------------------------------------
 
-    def _mark_processed(self) -> None:
+    def _process(self) -> None:
+        """Mark processed and run the callbacks once, in order."""
         self._state = PROCESSED
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback``; runs immediately if already processed."""

@@ -1,0 +1,56 @@
+"""Exact outcomes of shortened simulated cells, pinned bit for bit.
+
+The cells are perfbench's shortened Table 4/5 cells
+(``ScaledSetup(virtual_processes=8, steps=5)``).  The outcome literals
+are the ones ``perfbench/tables.py`` pins in ``GOLDEN``; the traffic
+counters are those the same cells report.  A change to the simulator
+that moves one bit of a completion time, or one message, fails here
+instead of only in a benchmark run.
+"""
+
+import pytest
+
+from repro.experiments.table4 import ScaledSetup
+from repro.orchestration import run_failure_free_sweep, run_redundancy_sweep
+
+SETUP = ScaledSetup(virtual_processes=8, steps=5)
+
+#: Table 5 cells (failure-free): degree -> (total as float.hex,
+#: attempts, failures injected, checkpoints committed, p2p_messages,
+#: p2p_bytes, app_sends).
+FAILURE_FREE = {
+    1.25: ("0x1.0a402a927ac17p-2", 1, 0, 0, 228, 9_846_336, 170),
+    2.25: ("0x1.34e592967019ap-2", 1, 0, 0, 692, 32_816_224, 294),
+}
+
+#: The Table 4 cell at the 6 h MTBF and 2.0x, same fields.
+MTBF_6H_2X = ("0x1.0c29b1aa31975p-2", 1, 3, 0, 608, 17_737_632, 346)
+
+
+def _observed(cell):
+    report = cell.report
+    return (
+        report.total_time.hex(),
+        report.attempts,
+        report.failures_injected,
+        report.checkpoints_committed,
+        report.counters["p2p_messages"],
+        report.counters["p2p_bytes"],
+        report.counters["app_sends"],
+    )
+
+
+@pytest.mark.parametrize("degree", sorted(FAILURE_FREE))
+def test_failure_free_cell_is_exact(degree):
+    (cell,) = run_failure_free_sweep(SETUP.job_config(), degrees=[degree], workers=1)
+    assert _observed(cell) == FAILURE_FREE[degree]
+
+
+def test_failure_cell_is_exact():
+    (cell,) = run_redundancy_sweep(
+        SETUP.job_config(),
+        node_mtbfs=[SETUP.mtbf_to_sim(6.0)],
+        degrees=[2.0],
+        workers=1,
+    )
+    assert _observed(cell) == MTBF_6H_2X

@@ -1,6 +1,8 @@
 """Tests for the SimMPI runtime: lifecycle, liveness, accounting."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MPIError
 from repro.mpi import SimMPI
@@ -205,6 +207,55 @@ class TestAccounting:
         world.kill_rank(1)
         world.run()
         assert world.channels_quiet()
+
+
+def pairwise_quiet(world):
+    """``channels_quiet`` by a scan over every (src, dst) pair."""
+    for (src, dst), sent in world.sent_counts.items():
+        if not world.is_alive(dst) or not world.is_alive(src):
+            continue
+        if world.arrived_counts.get((src, dst), 0) != sent:
+            return False
+    return True
+
+
+_TRAFFIC = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.just("kill"), st.integers(0, 3)),
+        st.tuples(st.just("step"), st.integers(1, 4)),
+    ),
+    max_size=60,
+)
+
+
+class TestInFlightCount:
+    @settings(max_examples=300, deadline=None)
+    @given(_TRAFFIC)
+    # Rank 0 queues three sends on its NIC and dies with them draining.
+    @example(
+        [("send", 0, 1), ("send", 0, 1), ("send", 0, 2), ("kill", 0),
+         ("step", 1), ("step", 2), ("step", 4)]
+    )
+    def test_running_count_agrees_with_pairwise_scan(self, traffic):
+        env = Environment()
+        # Two ranks per node: same-node and off-node wires differ, so
+        # messages of different pairs overtake each other.
+        world = SimMPI(env, size=4, placement={0: 0, 1: 0, 2: 1, 3: 1})
+        for op in traffic:
+            if op[0] == "send":
+                _, src, dst = op
+                if world.is_alive(src):
+                    world.post_send(src, dst, tag=0, payload=b"m" * 100, cid=0)
+            elif op[0] == "kill":
+                world.kill_rank(op[1])
+            else:
+                for _ in range(op[1]):
+                    if env.peek() != float("inf"):
+                        env.step()
+            assert world.channels_quiet() == pairwise_quiet(world)
+        env.run()
+        assert world.channels_quiet() and pairwise_quiet(world)
 
 
 class TestSubCommunicators:

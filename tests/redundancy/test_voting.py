@@ -138,7 +138,22 @@ def payload_families():
     nans = [nan, nan.copy(), other_nan]  # equal bits, then other bits
     same_bytes = [base, base.view(np.int64), base.reshape(2, 2)]
     scalars = ["x", b"x", 0.0, -0.0, float("nan"), 7, (1, "a"), None, np.array(1.5)]
-    return [arrays, same_bytes, zeros, nans, scalars, arrays + zeros + nans + scalars]
+    # Scalars compared by the bytes they digest: a float and an equal
+    # np.float64, signed zeros, and distinct NaN objects.
+    floats = [
+        1.5,
+        np.float64(1.5),
+        0.0,
+        -0.0,
+        np.float64(-0.0),
+        float("nan"),
+        float("nan"),
+        np.float64("nan"),
+    ]
+    return [
+        arrays, same_bytes, zeros, nans, scalars, floats,
+        arrays + zeros + nans + scalars + floats,
+    ]
 
 
 class TestVoteMatchesEagerTally:

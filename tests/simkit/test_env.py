@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationDeadlock, SimulationError
 from repro.simkit import Environment
+from repro.simkit.env import URGENT
 
 
 class TestClock:
@@ -51,6 +52,59 @@ class TestScheduling:
         event = env.event()
         with pytest.raises(SimulationError):
             env._schedule(event, delay=-1.0)
+
+
+class TestBareEntries:
+    def test_bare_entries_and_events_interleave_by_time_priority_insertion(self, env):
+        order = []
+
+        def record(label):
+            order.append((env.now, label))
+
+        def on_event(event):
+            record(event.value)
+
+        env.timeout(2.0, value="event@2").add_callback(on_event)
+        env._schedule_call(1.0, record, "bare@1")
+        env._schedule_call(2.0, record, "bare@2")
+        env.timeout(1.0, value="event@1").add_callback(on_event)
+        env.timeout(0.0, value="event@0").add_callback(on_event)
+        env._schedule_call(0.0, record, "bare@0")
+        urgent = env.event()
+        urgent.add_callback(lambda _event: record("urgent@1"))
+        env._schedule(urgent, 1.0, priority=URGENT)
+        env.run()
+        assert order == [
+            (0.0, "event@0"),
+            (0.0, "bare@0"),
+            (1.0, "urgent@1"),
+            (1.0, "bare@1"),
+            (1.0, "event@1"),
+            (2.0, "event@2"),
+            (2.0, "bare@2"),
+        ]
+
+    def test_a_bare_entry_is_one_step(self, env):
+        calls = []
+        env._schedule_call(3.0, calls.append, "ran")
+        assert env.peek() == 3.0
+        env.step()
+        assert calls == ["ran"] and env.now == 3.0
+        with pytest.raises(SimulationDeadlock):
+            env.step()
+
+    def test_bare_entry_rejects_negative_delay(self, env):
+        with pytest.raises(SimulationError):
+            env._schedule_call(-1.0, print, None)
+
+    def test_run_until_horizon_processes_bare_entries_up_to_it(self, env):
+        calls = []
+        env._schedule_call(1.0, calls.append, 1)
+        env._schedule_call(5.0, calls.append, 5)
+        env.run(until=2.0)
+        assert calls == [1] and env.now == 2.0
+        env.run()
+        assert calls == [1, 5]
 
 
 class TestRunUntilEvent:

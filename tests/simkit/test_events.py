@@ -73,6 +73,64 @@ class TestEvent:
         assert seen == []
 
 
+class TestSucceedInline:
+    def test_runs_callbacks_once_and_immediately(self, env):
+        seen = []
+        event = env.event()
+        event.add_callback(lambda e: seen.append(("first", e.value, env.now)))
+        event.add_callback(lambda e: seen.append(("second", e.value, env.now)))
+        env.run(until=4.0)
+        assert event.succeed_inline("v") is event
+        assert seen == [("first", "v", 4.0), ("second", "v", 4.0)]
+        assert event.triggered and event.processed and event.ok
+        assert event.value == "v"
+        env.run()
+        assert len(seen) == 2
+
+    def test_leaves_nothing_queued(self, env):
+        env.event().succeed_inline()
+        assert env.peek() == float("inf")
+
+    def test_late_callback_runs_at_once(self, env):
+        event = env.event().succeed_inline(3)
+        seen = []
+        event.add_callback(lambda e: seen.append(e.value))
+        assert seen == [3]
+
+    @pytest.mark.parametrize("first", ["succeed", "succeed_inline", "fail"])
+    @pytest.mark.parametrize("second", ["succeed", "succeed_inline", "fail"])
+    def test_second_trigger_raises(self, env, first, second):
+        def trigger(event, how):
+            if how == "fail":
+                event.fail(ValueError("x"))
+            else:
+                getattr(event, how)()
+
+        event = env.event()
+        trigger(event, first)
+        with pytest.raises(SimulationError):
+            trigger(event, second)
+
+    def test_resumes_a_waiting_process_inline(self, env):
+        gate = env.event()
+        log = []
+
+        def waiter():
+            value = yield gate
+            log.append((value, env.now))
+            yield env.timeout(1.0)
+            log.append(("after", env.now))
+
+        process = env.process(waiter())
+        env.run(until=2.0)
+        assert log == []
+        gate.succeed_inline("go")
+        assert log == [("go", 2.0)]
+        env.run()
+        assert log == [("go", 2.0), ("after", 3.0)]
+        assert process.processed
+
+
 class TestTimeout:
     def test_fires_at_delay(self, env):
         Timeout(env, 2.5)
