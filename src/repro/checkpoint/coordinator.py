@@ -17,22 +17,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..errors import ConfigurationError
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import SimMPI
+
+#: Simulated seconds between quiescence checks while channels drain.
+POLL_INTERVAL = 1e-4
 
 
 class BookmarkCoordinator:
     """Quiesce the runtime's channels before a checkpoint."""
 
-    def __init__(self, runtime: "SimMPI", poll_interval: float = 1e-4) -> None:
-        if poll_interval <= 0:
-            raise ConfigurationError(
-                f"poll_interval must be > 0, got {poll_interval}"
-            )
+    def __init__(self, runtime: "SimMPI") -> None:
         self.runtime = runtime
-        self.poll_interval = poll_interval
         self.rounds_waited = 0
 
     def exchange_bookmarks(self, comm):
@@ -54,4 +50,4 @@ class BookmarkCoordinator:
         """Generator: wait until every sent message has been delivered."""
         while not self.runtime.channels_quiet():
             self.rounds_waited += 1
-            yield self.runtime.env.timeout(self.poll_interval)
+            yield self.runtime.env.timeout(POLL_INTERVAL)

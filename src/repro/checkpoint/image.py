@@ -1,19 +1,18 @@
 """Per-process checkpoint images.
 
 A process image is the serialised workload state of one rank — really
-serialised, with an integrity digest, so restart *restores the actual
-numbers* and tests can assert bit-identical recovery (the property BLCR
-provides at the whole-address-space level).
+serialised, so restart *restores the actual numbers* and tests can
+assert bit-identical recovery (the property BLCR provides at the
+whole-address-space level).  Integrity is checked once, by
+:meth:`~repro.checkpoint.storage.StoredBlob.verify`, against the CRC
+storage recorded before any at-rest damage.
 """
 
 from __future__ import annotations
 
 import pickle
-import zlib
 from dataclasses import dataclass
 from typing import Any
-
-from ..errors import CorruptImageError
 
 
 @dataclass(frozen=True)
@@ -21,7 +20,6 @@ class ProcessImage:
     """A captured process state, ready for stable storage."""
 
     data: bytes
-    crc: int
 
     @property
     def nbytes(self) -> int:
@@ -30,24 +28,10 @@ class ProcessImage:
 
 
 def capture_image(state: Any) -> ProcessImage:
-    """Serialise ``state`` into an image (pickle + CRC)."""
-    data = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    return ProcessImage(data=data, crc=zlib.crc32(data))
+    """Serialise ``state`` into an image."""
+    return ProcessImage(data=pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def restore_image(image: ProcessImage) -> Any:
-    """Deserialise an image back into live state.
-
-    Raises
-    ------
-    CorruptImageError
-        If the image bytes fail the CRC check.
-    """
-    if zlib.crc32(image.data) != image.crc:
-        raise CorruptImageError("process image failed its integrity check")
-    return pickle.loads(image.data)
-
-
-def image_from_bytes(data: bytes) -> ProcessImage:
-    """Rebuild an image object from raw stored bytes."""
-    return ProcessImage(data=data, crc=zlib.crc32(data))
+def restore_image(data: bytes) -> Any:
+    """Deserialise stored image bytes back into live state."""
+    return pickle.loads(data)

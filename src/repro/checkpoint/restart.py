@@ -1,19 +1,14 @@
 """The recovery line: what restart rolls back to.
 
 Tracks the *committed* checkpoint sets and rebuilds the per-virtual-rank
-workload states from stable storage.  Read paths:
-
-* :meth:`read_state` — timed (charges storage I/O), used when the job
-  is configured with an emergent restart cost;
-* :meth:`peek_states` — untimed, used when the experiment charges a
-  fixed measured restart cost ``R`` (the paper measured R ≈ 500 s and
-  the model takes it as a parameter);
-* :meth:`restore_states` — the chaos-hardened restore: verifies every
-  image's CRC and falls back line by line to older retained sets when
-  the newer ones are corrupt or unreadable, charging the extra rework
-  to the job (it restarts from an older step).  Only when every
-  retained line is bad does it raise :class:`NoCheckpointError` — the
-  caller then cold-starts from step 0.
+workload states from stable storage.  The job pays the paper's fixed
+restart cost ``R`` (measured ≈ 500 s; the model takes it as a
+parameter) and then restores through :meth:`restore_states`, the one
+read path: it verifies every image's CRC and falls back line by line
+to older retained sets when the newer ones are corrupt or unreadable,
+charging the extra rework to the job (it restarts from an older step).
+Only when every retained line is bad does it raise
+:class:`NoCheckpointError` — the caller then cold-starts from step 0.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CorruptImageError, NoCheckpointError, StorageReadError
 from ..obs.trace import NULL_TRACER
-from .image import image_from_bytes, restore_image
+from .image import restore_image
 from .storage import StableStorage
 
 
@@ -99,21 +94,7 @@ class RestartManager:
         """Storage key of a virtual rank's image."""
         return f"v{virtual_rank}"
 
-    def read_state(self, virtual_rank: int):
-        """Generator: timed read + deserialise of one rank's image."""
-        data = yield from self.storage.read(self.key_for(virtual_rank))
-        return restore_image(image_from_bytes(data))
-
-    def peek_states(self, virtual_ranks: Sequence[int]) -> Dict[int, Any]:
-        """Untimed bulk restore from the newest line (fixed-R experiments)."""
-        states: Dict[int, Any] = {}
-        for rank in virtual_ranks:
-            blob = self.storage.peek(self.key_for(rank))
-            blob.verify()
-            states[rank] = restore_image(image_from_bytes(blob.data))
-        return states
-
-    # -- chaos-hardened restore ---------------------------------------------
+    # -- restore ------------------------------------------------------------
 
     def retained_lines(self) -> List[RecoveryLine]:
         """Committed lines whose sets storage still retains, newest first."""
@@ -147,7 +128,7 @@ class RestartManager:
                 for rank in ranks:
                     blob = self.storage.fetch(line.set_id, self.key_for(rank))
                     blob.verify()
-                    states[rank] = restore_image(image_from_bytes(blob.data))
+                    states[rank] = restore_image(blob.data)
             except CorruptImageError:
                 self.corrupt_lines_skipped += 1
                 self.tracer.event(

@@ -14,8 +14,8 @@ The checkpoint path:
 1. collective decision (LOR allreduce);
 2. barrier + channel quiescence (bookmark coordinator);
 3. capture: serialise workload state into a per-virtual-rank image;
-4. persist: either timed storage writes (emergent cost) or a fixed
-   pause of ``fixed_cost`` seconds (the paper's measured c = 120 s);
+4. persist: stage the image and pause for ``fixed_cost`` seconds (the
+   paper's measured c = 120 s);
 5. barrier + atomic commit of the new recovery line by the lead
    replica of virtual rank 0.
 
@@ -27,15 +27,15 @@ backoff (abort + re-stage of this rank's image).  If a rank exhausts
 its retries, the whole set is abandoned — the ranks agree via one
 extra LOR allreduce, the committer aborts the staged set, and the
 interval is *skipped* and counted (graceful degradation; the next
-interval checkpoints normally).  None of this machinery runs when the
-fault model is absent or disabled, so the fault-free path is
-time-identical to the seed's.
+interval checkpoints normally).  With the fault model absent or
+disabled no write fails and the extra allreduce is not run, so the
+fault-free path pays exactly one stage and one ``fixed_cost`` pause.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError, StorageWriteError
 from ..mpi import ops
@@ -59,57 +59,33 @@ class CheckpointConfig:
         Seconds between checkpoints (``delta``); the orchestrator
         usually derives it from Daly's Eq. 15 at the system MTBF.
     fixed_cost:
-        If set, every checkpoint pauses the application exactly this
-        long (per-rank, in parallel) and images are staged untimed —
-        matching the paper's constant measured ``c``.  If ``None``, the
-        cost is emergent from storage bandwidth/contention.
+        Every checkpoint pauses the application exactly this long
+        (per-rank, in parallel) while its image is staged — the paper's
+        constant measured ``c``.
     bookmark_exchange:
         Run the all-to-all bookmark round before quiescing (costs one
         alltoall; the quiescence check itself is always performed).
-    quiesce_poll:
-        Poll period while draining channels.
-    forked:
-        Forked-checkpoint mode: the application resumes after
-        ``fork_cost`` and the storage write proceeds in the background
-        (Section 2's forked-checkpointing optimisation).  Only
-        meaningful with ``fixed_cost=None``.
-    fork_cost:
-        Pause charged to the application in forked mode.
     max_retries:
         How many times a rank re-stages its image after an injected
         write failure before the set is abandoned (chaos layer only).
     retry_backoff:
-        Initial pause before a retry; doubles per retry (capped
-        exponential backoff).
-    max_backoff:
-        Ceiling on the retry pause.
+        Initial pause before a retry; doubles per retry, capped at
+        ``max(1.0, retry_backoff)`` (capped exponential backoff).
     """
 
     interval: float
-    fixed_cost: Optional[float] = None
+    fixed_cost: float
     bookmark_exchange: bool = False
-    quiesce_poll: float = 1e-4
-    forked: bool = False
-    fork_cost: float = 0.5
     max_retries: int = 2
     retry_backoff: float = 0.05
-    max_backoff: float = 1.0
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
             raise ConfigurationError(f"interval must be > 0, got {self.interval}")
-        if self.fixed_cost is not None and self.fixed_cost < 0:
+        if self.fixed_cost is None or not self.fixed_cost >= 0:
             raise ConfigurationError(
                 f"fixed_cost must be >= 0, got {self.fixed_cost}"
             )
-        if self.quiesce_poll <= 0:
-            raise ConfigurationError(
-                f"quiesce_poll must be > 0, got {self.quiesce_poll}"
-            )
-        if self.forked and self.fixed_cost is not None:
-            raise ConfigurationError("forked mode requires an emergent cost")
-        if self.fork_cost < 0:
-            raise ConfigurationError(f"fork_cost must be >= 0, got {self.fork_cost}")
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
@@ -117,11 +93,6 @@ class CheckpointConfig:
         if self.retry_backoff < 0:
             raise ConfigurationError(
                 f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-        if self.max_backoff < self.retry_backoff:
-            raise ConfigurationError(
-                "max_backoff must be >= retry_backoff "
-                f"({self.max_backoff} < {self.retry_backoff})"
             )
 
 
@@ -159,10 +130,7 @@ class CheckpointService:
         self.checkpoint_retries = 0
         #: Injected write failures observed (before retry).
         self.checkpoint_write_failures = 0
-        self._coordinator = BookmarkCoordinator(runtime, config.quiesce_poll)
-        self._forked_writes = {}
-        #: Forked sets whose background write ultimately failed.
-        self._failed_forked = set()
+        self._coordinator = BookmarkCoordinator(runtime)
 
     # -- injector interface ---------------------------------------------------
 
@@ -217,36 +185,9 @@ class CheckpointService:
             set_id = f"step{step + 1}"
             image = capture_image({"step": step + 1, "state": workload.state()})
             key = RestartManager.key_for(comm.rank)
-            chaos = self.storage.faults_active
-            rank_failed = False
-            if self.config.fixed_cost is not None:
-                if chaos:
-                    rank_failed = yield from self._persist_with_retry(
-                        set_id, key, image, timed=False
-                    )
-                else:
-                    self.storage.stage_untimed(set_id, key, image.data)
-                    yield self.env.timeout(self.config.fixed_cost)
-            elif self.config.forked:
-                # Forked checkpointing: the application resumes after the
-                # fork pause; the image write drains in the background.
-                yield self.env.timeout(self.config.fork_cost)
-                writer_body = (
-                    self._guarded_forked_write(set_id, key, image.data)
-                    if chaos
-                    else self.storage.write(set_id, key, image.data)
-                )
-                writer = self.env.process(writer_body, name=f"forked-ckpt-{key}")
-                self._forked_writes.setdefault(set_id, []).append(writer)
-            else:
-                if chaos:
-                    rank_failed = yield from self._persist_with_retry(
-                        set_id, key, image, timed=True
-                    )
-                else:
-                    yield from self.storage.write(set_id, key, image.data)
+            rank_failed = yield from self._persist_with_retry(set_id, key, image)
 
-            if chaos:
+            if self.storage.faults_active:
                 # One extra LOR round: every rank must agree the set is
                 # complete before anyone commits it.  Only runs under an
                 # active fault model, so the fault-free path keeps the
@@ -270,16 +211,7 @@ class CheckpointService:
                     self.storage.abort_set(set_id)
                 else:
                     self.checkpoints_taken += 1
-                    writers = self._forked_writes.pop(set_id, None)
-                    if writers:
-                        # Commit only once every background write has landed;
-                        # the application does not wait for this.
-                        self.env.process(
-                            self._commit_after(writers, set_id, step),
-                            name=f"commit-{set_id}",
-                        )
-                    else:
-                        self.restart_manager.note_commit(set_id, step + 1, self.env.now)
+                    self.restart_manager.note_commit(set_id, step + 1, self.env.now)
             self._last_checkpoint = self.env.now
         finally:
             self._participants -= 1
@@ -290,34 +222,29 @@ class CheckpointService:
                     self._union_span.end(sim_time=self.env.now)
                     self._union_span = None
 
-    def _persist_with_retry(self, set_id: str, key: str, image, timed: bool):
+    def _persist_with_retry(self, set_id: str, key: str, image):
         """Generator: persist one rank's image, retrying injected failures.
 
-        Re-stages this rank's blob with capped exponential backoff; a
-        write under the same (set, key) simply replaces the staged
-        blob, so no explicit per-key abort is needed.  Returns ``True``
-        when the rank exhausted its retries — the caller then abandons
-        the whole set via the collective verdict + ``abort_set``.
+        Stages the blob and pays ``fixed_cost``.  An injected write
+        failure re-stages it with capped exponential backoff; a stage
+        under the same (set, key) simply replaces the staged blob, so
+        no explicit per-key abort is needed.  Returns ``True`` when the
+        rank exhausted its retries — the caller then abandons the whole
+        set via the collective verdict + ``abort_set``.
         """
         cfg = self.config
         backoff = cfg.retry_backoff
+        max_backoff = max(1.0, cfg.retry_backoff)
         for attempt in range(cfg.max_retries + 1):
             persisted = True
-            if timed:
-                try:
-                    yield from self.storage.write(set_id, key, image.data)
-                except StorageWriteError:
-                    persisted = False
-                    self.checkpoint_write_failures += 1
-            else:
-                try:
-                    self.storage.stage_untimed(set_id, key, image.data)
-                except StorageWriteError:
-                    persisted = False
-                    self.checkpoint_write_failures += 1
-                # The pause is paid either way: the failure surfaces at
-                # the end of the write, not before it starts.
-                yield self.env.timeout(cfg.fixed_cost)
+            try:
+                self.storage.stage_untimed(set_id, key, image.data)
+            except StorageWriteError:
+                persisted = False
+                self.checkpoint_write_failures += 1
+            # The pause is paid either way: the failure surfaces at the
+            # end of the write, not before it starts.
+            yield self.env.timeout(cfg.fixed_cost)
             if persisted:
                 return False
             self.tracer.event(
@@ -339,56 +266,8 @@ class CheckpointService:
             )
             if backoff > 0.0:
                 yield self.env.timeout(backoff)
-            backoff = min(backoff * 2.0, cfg.max_backoff)
+            backoff = min(backoff * 2.0, max_backoff)
         return True  # pragma: no cover - loop always returns earlier
-
-    def _guarded_forked_write(self, set_id: str, key: str, data: bytes):
-        """Generator: background forked write with the same retry policy.
-
-        A background writer that raised would tear down the simulation;
-        instead exhaustion marks the set failed so :meth:`_commit_after`
-        abandons it.
-        """
-        cfg = self.config
-        backoff = cfg.retry_backoff
-        for attempt in range(cfg.max_retries + 1):
-            try:
-                yield from self.storage.write(set_id, key, data)
-                return
-            except StorageWriteError:
-                self.checkpoint_write_failures += 1
-                self.tracer.event(
-                    "checkpoint_write_failure",
-                    sim_time=self.env.now,
-                    set=set_id,
-                    key=key,
-                    attempt=attempt,
-                    forked=True,
-                )
-                if attempt >= cfg.max_retries:
-                    self._failed_forked.add(set_id)
-                    return
-                self.checkpoint_retries += 1
-                if backoff > 0.0:
-                    yield self.env.timeout(backoff)
-                backoff = min(backoff * 2.0, cfg.max_backoff)
-
-    def _commit_after(self, writers, set_id: str, step: int):
-        """Generator: commit the set once all forked writers finish."""
-        from ..simkit.events import AllOf
-
-        yield AllOf(self.env, writers)
-        if set_id in self._failed_forked:
-            # At least one background writer exhausted its retries:
-            # abandon the set; the previous recovery line stands.
-            self._failed_forked.discard(set_id)
-            self.checkpoints_skipped += 1
-            self.tracer.event(
-                "checkpoint_skipped", sim_time=self.env.now, set=set_id, forked=True
-            )
-            self.storage.abort_set(set_id)
-            return
-        self.restart_manager.note_commit(set_id, step + 1, self.env.now)
 
     def _is_committer(self, comm) -> bool:
         """Exactly one physical process commits: virtual 0's lead replica."""

@@ -1,16 +1,15 @@
 """Stable storage: the durability abstraction checkpoints write to.
 
-Models a parallel file system with finite aggregate bandwidth, fixed
-per-operation latency and a limited number of concurrent I/O channels
-(writes queue when all channels are busy — this is how checkpoint cost
-grows with the number of simultaneously-writing processes, one of the
-scale effects behind Table 2's exploding checkpoint share).
+Storage charges no time of its own: the checkpointer pays the paper's
+fixed checkpoint cost ``c`` and the job pays its fixed restart cost
+``R``.  What storage provides is the images themselves, so restart
+restores real numbers.
 
 Write sets are two-phase: images are *staged* under a set id and become
 the newest recovery line only at :meth:`commit_set`.  A crash between
 staging and commit leaves the previous committed set intact.
 
-Two hardening layers on top of the seed's model:
+Two hardening layers on top:
 
 * **Versioned recovery lines** — the last ``keep_sets`` committed sets
   are retained (newest last) instead of overwritten, so restart can
@@ -18,11 +17,10 @@ Two hardening layers on top of the seed's model:
 * **Fault injection** — an optional
   :class:`~repro.faults.storage_faults.StorageFaultModel` decides, per
   operation, whether a write fails (:class:`StorageWriteError`), a read
-  fails (:class:`StorageReadError`), a blob is silently damaged at rest
-  (surfaces as :class:`CorruptImageError` on verification) or the
-  operation pays a latency spike.  With no model — or a model whose
-  probabilities are all zero — every path below is byte- and
-  time-identical to the unhardened storage.
+  fails (:class:`StorageReadError`) or a blob is silently damaged at
+  rest (surfaces as :class:`CorruptImageError` on verification).  With
+  no model — or a model whose probabilities are all zero — every path
+  below behaves exactly as the fault-free storage.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from ..errors import (
     StorageWriteError,
 )
 from ..faults.storage_faults import StorageFaultModel
-from ..simkit import Environment, Resource
+from ..simkit import Environment
 
 
 @dataclass
@@ -50,7 +48,6 @@ class StoredBlob:
     key: str
     data: bytes
     crc: int
-    written_at: float
 
     def verify(self) -> None:
         """Raise :class:`CorruptImageError` if the payload was damaged."""
@@ -59,18 +56,12 @@ class StoredBlob:
 
 
 class StableStorage:
-    """Bandwidth/latency/contention model plus a versioned blob store.
+    """Versioned blob store with optional fault injection.
 
     Parameters
     ----------
     env:
-        Simulation environment.
-    write_bandwidth / read_bandwidth:
-        Aggregate bytes per second per channel.
-    latency:
-        Fixed seconds per operation (metadata round trip).
-    channels:
-        Concurrent I/O streams; further operations queue FIFO.
+        Simulation environment (trace events read its clock).
     faults:
         Optional storage fault model (chaos layer).  ``None`` — or a
         model with all probabilities zero — makes every operation
@@ -82,41 +73,32 @@ class StableStorage:
     def __init__(
         self,
         env: Environment,
-        write_bandwidth: float = 1e9,
-        read_bandwidth: float = 2e9,
-        latency: float = 1e-3,
-        channels: int = 8,
         faults: Optional[StorageFaultModel] = None,
         keep_sets: int = 3,
     ) -> None:
-        if write_bandwidth <= 0 or read_bandwidth <= 0:
-            raise ConfigurationError("bandwidths must be > 0")
-        if latency < 0:
-            raise ConfigurationError(f"latency must be >= 0, got {latency}")
         if keep_sets < 1:
             raise ConfigurationError(f"keep_sets must be >= 1, got {keep_sets}")
         self.env = env
-        self.write_bandwidth = write_bandwidth
-        self.read_bandwidth = read_bandwidth
-        self.latency = latency
         self.keep_sets = keep_sets
         self.faults = faults
-        self._channels = Resource(env, capacity=channels)
         self._staged: Dict[str, Dict[str, StoredBlob]] = {}
         #: Committed sets, oldest first, newest last; bounded by keep_sets.
         self._history: List[Tuple[str, Dict[str, StoredBlob]]] = []
-        self.bytes_written = 0
-        self.bytes_read = 0
-
-    # -- fault plumbing -----------------------------------------------------
 
     @property
     def faults_active(self) -> bool:
         """True when the chaos layer can actually inject something."""
         return self.faults is not None and self.faults.enabled
 
-    def _store(self, set_id: str, key: str, data: bytes) -> None:
-        """Stage a blob, applying write-fault decisions (if any)."""
+    def stage_untimed(self, set_id: str, key: str, data: bytes) -> None:
+        """Stage a blob under (set_id, key); the caller pays its cost.
+
+        Fault decisions still apply: an injected write failure raises
+        :class:`StorageWriteError` and stages nothing, and at-rest
+        corruption damages the payload while the recorded CRC keeps the
+        pristine value — the rot is silent until read-back verification.
+        A second stage under the same (set_id, key) replaces the first.
+        """
         crc = zlib.crc32(data)
         if self.faults_active:
             verdict = self.faults.on_write()
@@ -125,95 +107,9 @@ class StableStorage:
                     f"write of blob {key!r} in set {set_id!r} failed"
                 )
             if verdict.corrupt:
-                # At-rest corruption: the payload is damaged but the
-                # recorded CRC keeps the pristine value — the rot is
-                # silent until read-back verification.
                 data = self.faults.damage(data)
-        blob = StoredBlob(key=key, data=data, crc=crc, written_at=self.env.now)
+        blob = StoredBlob(key=key, data=data, crc=crc)
         self._staged.setdefault(set_id, {})[key] = blob
-        self.bytes_written += len(data)
-
-    # -- timed operations ---------------------------------------------------
-
-    def write(self, set_id: str, key: str, data: bytes):
-        """Generator: stage ``data`` under (set_id, key), charging I/O time.
-
-        With a fault model attached, a latency spike extends the
-        transfer and a write failure raises :class:`StorageWriteError`
-        *after* the I/O time is charged (the writer discovers the
-        failure at the end of the transfer, as with a failed fsync).
-        """
-        grant = self._channels.request()
-        yield grant
-        try:
-            yield self.env.timeout(self.latency + len(data) / self.write_bandwidth)
-            if self.faults_active:
-                verdict = self.faults.on_write()
-                if verdict.extra_latency > 0.0:
-                    yield self.env.timeout(verdict.extra_latency)
-                if verdict.fail:
-                    raise StorageWriteError(
-                        f"write of blob {key!r} in set {set_id!r} failed"
-                    )
-                payload = (
-                    self.faults.damage(data) if verdict.corrupt else data
-                )
-                blob = StoredBlob(
-                    key=key,
-                    data=payload,
-                    crc=zlib.crc32(data),
-                    written_at=self.env.now,
-                )
-            else:
-                blob = StoredBlob(
-                    key=key, data=data, crc=zlib.crc32(data), written_at=self.env.now
-                )
-            self._staged.setdefault(set_id, {})[key] = blob
-            self.bytes_written += len(data)
-        finally:
-            self._channels.release()
-
-    def stage_untimed(self, set_id: str, key: str, data: bytes) -> None:
-        """Stage a blob without charging I/O time.
-
-        Used when the experiment charges a *fixed* checkpoint cost
-        (the paper's measured c = 120 s) instead of the emergent
-        storage time, but the images must still exist for restart.
-        Fault decisions (write failure, at-rest corruption) still
-        apply; latency spikes do not — the path is untimed.
-        """
-        self._store(set_id, key, data)
-
-    def read(self, key: str):
-        """Generator: read a blob from the newest committed set, charging I/O time."""
-        return (yield from self.read_from(self.committed_set, key))
-
-    def read_from(self, set_id: Optional[str], key: str):
-        """Generator: timed read of ``key`` from a specific committed set.
-
-        With a fault model attached, a latency spike extends the
-        transfer and a read failure raises :class:`StorageReadError`.
-        Integrity is always verified — at-rest corruption surfaces here
-        as :class:`CorruptImageError`.
-        """
-        blob = self._committed_blob(set_id, key)
-        grant = self._channels.request()
-        yield grant
-        try:
-            yield self.env.timeout(self.latency + len(blob.data) / self.read_bandwidth)
-            if self.faults_active:
-                verdict = self.faults.on_read()
-                if verdict.extra_latency > 0.0:
-                    yield self.env.timeout(verdict.extra_latency)
-                if verdict.fail:
-                    raise StorageReadError(
-                        f"read of blob {key!r} from set {set_id!r} failed"
-                    )
-            self.bytes_read += len(blob.data)
-        finally:
-            self._channels.release()
-        blob.verify()
-        return blob.data
 
     # -- set lifecycle ------------------------------------------------------
 
@@ -234,35 +130,19 @@ class StableStorage:
         """Discard a staged set (failure mid-checkpoint)."""
         self._staged.pop(set_id, None)
 
-    @property
-    def committed_set(self) -> Optional[str]:
-        """Id of the newest recovery line (None before first commit)."""
-        if not self._history:
-            return None
-        return self._history[-1][0]
-
     def committed_sets(self) -> List[str]:
         """Ids of every retained recovery line, newest first."""
         return [set_id for set_id, _ in reversed(self._history)]
 
-    def committed_keys(self, set_id: Optional[str] = None) -> List[str]:
-        """Keys available in a committed set (default: the newest)."""
-        return sorted(self._set_blobs(set_id))
-
-    # -- untimed access -----------------------------------------------------
-
-    def peek(self, key: str) -> StoredBlob:
-        """Direct (untimed, fault-free) access to a newest-set blob."""
-        return self._committed_blob(None, key)
+    # -- access -------------------------------------------------------------
 
     def fetch(self, set_id: Optional[str], key: str) -> StoredBlob:
-        """Untimed but fault-*aware* access to a committed blob.
+        """Fault-aware access to a committed blob (default: the newest set).
 
-        The fixed-cost restart path (the paper's measured R) uses this:
-        the I/O time is charged as a lump sum elsewhere, but the fault
-        model still decides whether the read succeeds.  Raises
-        :class:`StorageReadError` on an injected read failure; callers
-        verify the returned blob's integrity themselves.
+        The read's time is part of the fixed restart cost paid
+        elsewhere, but the fault model still decides whether it
+        succeeds.  Raises :class:`StorageReadError` on an injected read
+        failure; callers verify the returned blob's integrity themselves.
         """
         blob = self._committed_blob(set_id, key)
         if self.faults_active and self.faults.on_read().fail:
@@ -280,23 +160,17 @@ class StableStorage:
         damaged[0] ^= 0xFF
         blob.data = bytes(damaged)
 
-    # -- internals ----------------------------------------------------------
-
-    def _set_blobs(self, set_id: Optional[str]) -> Dict[str, StoredBlob]:
-        """The blob mapping of a retained set (default: the newest)."""
-        if not self._history:
-            if set_id is None:
-                return {}
-            raise NoCheckpointError(f"no committed set {set_id!r}")
-        if set_id is None:
-            return self._history[-1][1]
-        for candidate, blobs in reversed(self._history):
-            if candidate == set_id:
-                return blobs
-        raise NoCheckpointError(f"no committed set {set_id!r}")
-
     def _committed_blob(self, set_id: Optional[str], key: str) -> StoredBlob:
-        blob = self._set_blobs(set_id).get(key)
+        """A committed blob of a retained set (default: the newest)."""
+        if set_id is None:
+            blobs = self._history[-1][1] if self._history else {}
+        else:
+            for candidate, blobs in reversed(self._history):
+                if candidate == set_id:
+                    break
+            else:
+                raise NoCheckpointError(f"no committed set {set_id!r}")
+        blob = blobs.get(key)
         if blob is None:
             raise NoCheckpointError(f"no committed blob {key!r}")
         return blob

@@ -9,12 +9,12 @@ checkpoint/restart phases is configurable — the paper's experiments
 suppress them (Section 6, observation 5), its full model does not.
 
 :mod:`storage_faults` extends injection to the fault-tolerance
-machinery itself: seeded write failures, read failures, at-rest bit
-corruption and latency spikes for stable storage (the chaos layer).
+machinery itself: seeded write failures, read failures and at-rest bit
+corruption for stable storage (the chaos layer).
 """
 
 from .distributions import Exponential, LogNormal, Weibull
-from .injector import FailureInjector, FailureRecord, exponential_injector
+from .injector import FailureInjector, FailureRecord
 from .storage_faults import (
     ReadVerdict,
     StorageFaultConfig,
@@ -32,5 +32,4 @@ __all__ = [
     "StorageFaultModel",
     "Weibull",
     "WriteVerdict",
-    "exponential_injector",
 ]

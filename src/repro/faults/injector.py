@@ -30,7 +30,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..obs.trace import NULL_TRACER
 from ..simkit import Environment
-from .distributions import Distribution, Exponential
+from .distributions import Distribution
 
 
 @dataclass(frozen=True)
@@ -154,22 +154,3 @@ class FailureInjector:
         long hostile runs accumulate thousands of records.
         """
         return len(self._record_times) - bisect_left(self._record_times, time)
-
-
-def exponential_injector(
-    env: Environment,
-    slots: int,
-    mtbf: float,
-    rng: np.random.Generator,
-    kill: Callable[[int], None],
-    **kwargs,
-) -> FailureInjector:
-    """Convenience: the paper's Poisson injector at a per-process MTBF."""
-    return FailureInjector(
-        env=env,
-        slots=slots,
-        distribution=Exponential(mtbf),
-        rng=rng,
-        kill=kill,
-        **kwargs,
-    )

@@ -3,10 +3,10 @@
 The paper's harness assumes the fault-tolerance machinery itself is
 perfect — checkpoints always commit, images are never damaged, reads
 always succeed.  Real parallel file systems violate all three: writes
-fail transiently under load, data rots at rest (silent bit corruption,
-the regime of Aupy et al.'s silent-error work), and contention produces
-latency spikes.  :class:`StorageFaultModel` injects exactly those four
-fault classes into :class:`~repro.checkpoint.storage.StableStorage`,
+and reads fail transiently under load, and data rots at rest (silent
+bit corruption, the regime of Aupy et al.'s silent-error work).
+:class:`StorageFaultModel` injects exactly those three fault classes
+into :class:`~repro.checkpoint.storage.StableStorage`,
 deterministically from a seed, so chaos campaigns are reproducible and
 sweepable under common random numbers.
 
@@ -18,6 +18,9 @@ Determinism contract:
   operation *regardless of which individual probabilities are zero*,
   so sweeping one probability while holding the seed keeps every other
   fault decision aligned (common random numbers across sweep points).
+  A write draws three variates and a read two.  The first of each is
+  unused; it is still drawn so that every seeded fault stream matches
+  the one earlier versions drew.
 """
 
 from __future__ import annotations
@@ -33,12 +36,7 @@ from ..errors import ConfigurationError
 #: with the failure injector's stream for the same campaign seed.
 _STREAM_KEY = 0x5F0C5
 
-_PROBABILITIES = (
-    "write_fail_prob",
-    "read_fail_prob",
-    "corrupt_prob",
-    "latency_spike_prob",
-)
+_PROBABILITIES = ("write_fail_prob", "read_fail_prob", "corrupt_prob")
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,6 @@ class StorageFaultConfig:
     write_fail_prob: float = 0.0
     read_fail_prob: float = 0.0
     corrupt_prob: float = 0.0
-    latency_spike_prob: float = 0.0
-    #: Extra seconds charged to an operation that draws a spike.
-    latency_spike: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -67,10 +62,6 @@ class StorageFaultConfig:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {value}"
                 )
-        if self.latency_spike < 0:
-            raise ConfigurationError(
-                f"latency_spike must be >= 0, got {self.latency_spike}"
-            )
 
     @property
     def enabled(self) -> bool:
@@ -84,7 +75,6 @@ class WriteVerdict:
 
     fail: bool = False
     corrupt: bool = False
-    extra_latency: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -92,7 +82,6 @@ class ReadVerdict:
     """What the fault model decided about one read."""
 
     fail: bool = False
-    extra_latency: float = 0.0
 
 
 #: Verdicts returned on every operation while the model is disabled —
@@ -119,7 +108,6 @@ class StorageFaultModel:
         self.writes_failed = 0
         self.reads_failed = 0
         self.blobs_corrupted = 0
-        self.latency_spikes = 0
 
     @property
     def enabled(self) -> bool:
@@ -133,33 +121,24 @@ class StorageFaultModel:
         if not self.enabled:
             return _CLEAN_WRITE
         cfg = self.config
-        spike, fail, corrupt = self._rng.random(3)
-        extra = 0.0
-        if spike < cfg.latency_spike_prob:
-            self.latency_spikes += 1
-            extra = cfg.latency_spike
+        _, fail, corrupt = self._rng.random(3)
         if fail < cfg.write_fail_prob:
             self.writes_failed += 1
-            return WriteVerdict(fail=True, extra_latency=extra)
+            return WriteVerdict(fail=True)
         if corrupt < cfg.corrupt_prob:
             self.blobs_corrupted += 1
-            return WriteVerdict(corrupt=True, extra_latency=extra)
-        return WriteVerdict(extra_latency=extra)
+            return WriteVerdict(corrupt=True)
+        return _CLEAN_WRITE
 
     def on_read(self) -> ReadVerdict:
         """Decide the fate of one blob read (two aligned draws)."""
         if not self.enabled:
             return _CLEAN_READ
-        cfg = self.config
-        spike, fail = self._rng.random(2)
-        extra = 0.0
-        if spike < cfg.latency_spike_prob:
-            self.latency_spikes += 1
-            extra = cfg.latency_spike
-        if fail < cfg.read_fail_prob:
+        _, fail = self._rng.random(2)
+        if fail < self.config.read_fail_prob:
             self.reads_failed += 1
-            return ReadVerdict(fail=True, extra_latency=extra)
-        return ReadVerdict(extra_latency=extra)
+            return ReadVerdict(fail=True)
+        return _CLEAN_READ
 
     def damage(self, data: bytes) -> bytes:
         """Flip one bit of ``data`` at a position drawn from the stream."""
@@ -177,5 +156,4 @@ class StorageFaultModel:
             "storage_writes_failed": self.writes_failed,
             "storage_reads_failed": self.reads_failed,
             "storage_blobs_corrupted": self.blobs_corrupted,
-            "storage_latency_spikes": self.latency_spikes,
         }

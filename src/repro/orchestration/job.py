@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Optional
 
 from .. import units
 from ..checkpoint import CheckpointConfig, CheckpointService, RestartManager, StableStorage
-from ..errors import CheckpointError, ConfigurationError, NoCheckpointError
+from ..errors import ConfigurationError, NoCheckpointError
 from ..faults import (
     Exponential,
     FailureInjector,
@@ -55,7 +55,9 @@ class JobConfig:
 
     Times are seconds.  ``None`` for ``node_mtbf`` disables failure
     injection; ``None`` for ``checkpoint_interval`` derives Daly's
-    interval from the model (requires ``expected_base_time``).
+    interval from the model (requires ``expected_base_time``).  As in
+    the paper, checkpoint and restart cost the fixed ``checkpoint_cost``
+    (``c``) and ``restart_cost`` (``R``); checkpointing needs the former.
     """
 
     workload_factory: Callable[[], Workload]
@@ -68,7 +70,7 @@ class JobConfig:
     checkpointing: bool = True
     checkpoint_interval: Optional[float] = None
     checkpoint_cost: Optional[float] = None
-    restart_cost: Optional[float] = 10.0
+    restart_cost: float = 10.0
     expected_base_time: Optional[float] = None
     alpha_estimate: float = 0.2
     suppress_failures_during_cr: bool = True
@@ -81,8 +83,6 @@ class JobConfig:
     compute_scale: float = 1.0
     network_latency: float = QDR_LATENCY
     network_bandwidth: float = QDR_BANDWIDTH
-    storage_write_bandwidth: float = 1e9
-    storage_channels: int = 8
     #: Chaos layer: storage fault probabilities (None, or a config with
     #: all probabilities zero, leaves every code path bit-identical to
     #: the fault-free pipeline).
@@ -113,6 +113,17 @@ class JobConfig:
         if self.node_mtbf is not None and self.node_mtbf <= 0:
             raise ConfigurationError("node_mtbf must be > 0")
         Network.validate(self.network_latency, self.network_bandwidth)
+        if self.checkpointing and (
+            self.checkpoint_cost is None or not self.checkpoint_cost >= 0
+        ):
+            raise ConfigurationError(
+                "checkpointing needs a checkpoint_cost >= 0, "
+                f"got {self.checkpoint_cost}"
+            )
+        if self.restart_cost is None or not self.restart_cost >= 0:
+            raise ConfigurationError(
+                f"restart_cost must be >= 0, got {self.restart_cost}"
+            )
         if self.max_restarts < 0:
             raise ConfigurationError("max_restarts must be >= 0")
         if self.failure_distribution not in ("exponential", "weibull", "lognormal"):
@@ -149,7 +160,7 @@ class JobConfig:
                 "derive-Daly checkpointing needs expected_base_time (the "
                 "Eq. 10 exposure) or an explicit checkpoint_interval"
             )
-        if self.checkpoint_cost is None or not self.checkpoint_cost > 0:
+        if not self.checkpoint_cost > 0:
             raise ConfigurationError(
                 "derive-Daly checkpointing needs a checkpoint_cost estimate > 0"
             )
@@ -297,11 +308,7 @@ class ResilientJob:
             else None
         )
         storage = StableStorage(
-            env,
-            write_bandwidth=cfg.storage_write_bandwidth,
-            channels=cfg.storage_channels,
-            faults=fault_model,
-            keep_sets=cfg.recovery_line_depth,
+            env, faults=fault_model, keep_sets=cfg.recovery_line_depth
         )
         restart_manager = RestartManager(storage, tracer=self._tracer)
         delta = cfg.resolve_interval()
@@ -368,7 +375,7 @@ class ResilientJob:
             restart_span = self._tracer.begin(
                 "restart", sim_time=env.now, attempt=attempts
             )
-            self._pay_restart(env, storage, restart_manager)
+            self._pay_restart(env)
             restart_span.end(sim_time=env.now)
             self._log(env, "restart_paid", "")
             if restart_manager.has_checkpoint:
@@ -493,7 +500,6 @@ class ResilientJob:
                     bookmark_exchange=cfg.bookmark_exchange,
                     max_retries=cfg.checkpoint_max_retries,
                     retry_backoff=cfg.checkpoint_retry_backoff,
-                    max_backoff=max(1.0, cfg.checkpoint_retry_backoff),
                 ),
                 tracer=self._tracer,
             )
@@ -564,36 +570,14 @@ class ResilientJob:
 
     # -- restart window ---------------------------------------------------------------
 
-    def _pay_restart(
-        self,
-        env: Environment,
-        storage: StableStorage,
-        restart_manager: RestartManager,
-    ) -> None:
+    def _pay_restart(self, env: Environment) -> None:
         """Advance the clock by the restart cost (repeats if disturbed)."""
-        cfg = self.config
         self._in_restart = True
         try:
             while True:
                 self._restart_disturbed = False
-                if cfg.restart_cost is not None:
-                    pause = env.process(self._pause(env, cfg.restart_cost))
-                    env.run(until=pause)
-                elif restart_manager.has_checkpoint:
-                    readers = [
-                        env.process(restart_manager.read_state(v))
-                        for v in range(cfg.virtual_processes)
-                    ]
-                    done = AllOf(env, readers)
-                    try:
-                        env.run(until=done)
-                    except CheckpointError:
-                        # Injected read fault or corrupt image on the
-                        # timed path: the I/O time spent so far *is* the
-                        # restart cost; the authoritative restore (with
-                        # line-by-line fallback) happens afterwards in
-                        # restore_states.
-                        pass
+                pause = env.process(self._pause(env, self.config.restart_cost))
+                env.run(until=pause)
                 if not self._restart_disturbed:
                     return
                 # With suppression off a failure struck mid-restart: the

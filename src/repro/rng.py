@@ -72,18 +72,3 @@ class StreamRegistry:
     def names(self) -> Iterator[str]:
         """Iterate over the names of streams created so far."""
         return iter(sorted(self._streams))
-
-
-def exponential_interarrivals(
-    rng: np.random.Generator, mean: float, count: int
-) -> np.ndarray:
-    """Draw ``count`` exponential interarrival times with the given mean.
-
-    This is the Poisson-process interarrival model the paper assumes for
-    node failures (Section 4, assumption 3).
-    """
-    if mean <= 0:
-        raise ConfigurationError(f"mean interarrival must be > 0, got {mean}")
-    if count < 0:
-        raise ConfigurationError(f"count must be >= 0, got {count}")
-    return rng.exponential(scale=mean, size=count)

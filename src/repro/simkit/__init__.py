@@ -32,7 +32,6 @@ Design notes
 from .events import AllOf, AnyOf, Event, Timeout
 from .env import Environment
 from .process import Process
-from .resources import Resource, Store
 
 __all__ = [
     "AllOf",
@@ -40,7 +39,5 @@ __all__ = [
     "Environment",
     "Event",
     "Process",
-    "Resource",
-    "Store",
     "Timeout",
 ]

@@ -14,7 +14,7 @@ for a zero-delay hop whose callbacks may run at once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, List, Sequence
 
 from ..errors import SimulationError
 
@@ -211,11 +211,3 @@ class AnyOf(_Condition):
             self.succeed((index, event.value))
         else:
             self.fail(event.value)
-
-
-def first_failure(events: Sequence[Event]) -> Optional[BaseException]:
-    """Return the exception of the first failed event, if any."""
-    for event in events:
-        if event.triggered and not event.ok:
-            return event.value
-    return None

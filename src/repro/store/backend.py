@@ -28,7 +28,7 @@ import os
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import ConfigurationError, StoreError
 
@@ -142,7 +142,7 @@ class DiskBackend:
         """Whether ``key`` exists (no CRC verification)."""
         return key in self._lru or self._path(key).exists()
 
-    # -- delete / enumerate -------------------------------------------------
+    # -- delete --------------------------------------------------------------
 
     def delete(self, key: str) -> bool:
         """Remove ``key``; True when an entry actually existed."""
@@ -154,15 +154,6 @@ class DiskBackend:
             return False
         self.deletes += 1
         return True
-
-    def iter_keys(self) -> Iterator[str]:
-        """Every key currently on disk (shard scan; no verification)."""
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir() or len(shard.name) != 2:
-                continue
-            for entry in sorted(shard.iterdir()):
-                if entry.suffix == ".json" and not entry.name.startswith("."):
-                    yield shard.name + entry.name[: -len(".json")]
 
     # -- stats --------------------------------------------------------------
 

@@ -133,12 +133,3 @@ def fmt_duration(value_seconds: float) -> str:
             return "1h00m"
         return f"{whole_minutes}m{rem_seconds:02d}s"
     return f"{value_seconds:.1f}s"
-
-
-def fmt_bytes(value: float) -> str:
-    """Render a byte count with a binary-unit suffix (``1.5GiB``)."""
-    magnitude = float(value)
-    for suffix, scale in (("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
-        if magnitude >= scale:
-            return f"{magnitude / scale:.1f}{suffix}"
-    return f"{int(magnitude)}B"

@@ -1,6 +1,6 @@
 """util — table rendering and statistics shared by experiments."""
 
-from .tables import render_series, render_table
+from .tables import render_table
 from .stats import mean_abs_pct_error, pearson, qq_points
 from .plot import ascii_plot
 
@@ -9,6 +9,5 @@ __all__ = [
     "mean_abs_pct_error",
     "pearson",
     "qq_points",
-    "render_series",
     "render_table",
 ]

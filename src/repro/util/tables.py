@@ -52,10 +52,3 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: s
     for row in cells:
         lines.append(" | ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_series(name: str, xs: Sequence[Any], ys: Sequence[Any]) -> str:
-    """Render one (x, y) series as two aligned columns."""
-    if len(xs) != len(ys):
-        raise ConfigurationError("series needs equal-length xs and ys")
-    return render_table(["x", name], list(zip(xs, ys)))

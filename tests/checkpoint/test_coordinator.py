@@ -1,9 +1,6 @@
 """Tests for the bookmark coordinator."""
 
-import pytest
-
 from repro.checkpoint import BookmarkCoordinator
-from repro.errors import ConfigurationError
 from repro.mpi import SimMPI
 from repro.simkit import Environment
 
@@ -26,7 +23,7 @@ class TestQuiesce:
 
     def test_waits_for_in_flight_message(self, env):
         world = SimMPI(env, size=2)
-        coordinator = BookmarkCoordinator(world, poll_interval=1e-7)
+        coordinator = BookmarkCoordinator(world)
 
         def program(ctx):
             if ctx.rank == 0:
@@ -42,11 +39,6 @@ class TestQuiesce:
         world.spawn(program)
         world.run()
         assert world.result_of(0) == "quiet"
-
-    def test_rejects_bad_poll(self, env):
-        world = SimMPI(env, size=1)
-        with pytest.raises(ConfigurationError):
-            BookmarkCoordinator(world, poll_interval=0.0)
 
 
 class TestBookmarkExchange:

@@ -1,11 +1,13 @@
 """Tests for the multi-line restore: CRC fallback across recovery sets."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.checkpoint import RestartManager, StableStorage
 from repro.checkpoint.image import capture_image
 from repro.errors import NoCheckpointError
 from repro.faults import ReadVerdict, StorageFaultConfig, StorageFaultModel
+from repro.simkit import Environment
 
 from .test_storage_chaos import ScriptedFaults
 
@@ -117,3 +119,65 @@ class TestNoHistory:
         line, _ = manager.restore_states(RANKS)
         assert line.set_id == "set2"
         assert manager.last_rollback_depth == 1
+
+
+#: Picklable states: nested lists and dicts of plain scalars.
+STATES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def corrupted_histories(draw):
+    """2-4 committed lines of per-rank states plus the (line, rank) blobs to damage."""
+    lines = draw(st.integers(min_value=2, max_value=4))
+    ranks = draw(st.integers(min_value=1, max_value=3))
+    states = [[draw(STATES) for _ in range(ranks)] for _ in range(lines)]
+    damaged = draw(
+        st.sets(st.tuples(st.integers(0, lines - 1), st.integers(0, ranks - 1)))
+    )
+    return states, damaged
+
+
+class TestIntegrityProperty:
+    @given(corrupted_histories())
+    def test_restores_newest_line_without_a_corrupt_blob(self, history):
+        states, damaged = history
+        ranks = range(len(states[0]))
+        storage = StableStorage(Environment(), keep_sets=len(states))
+        manager = RestartManager(storage)
+        for index, line_states in enumerate(states):
+            for rank in ranks:
+                storage.stage_untimed(
+                    f"set{index}",
+                    RestartManager.key_for(rank),
+                    capture_image(line_states[rank]).data,
+                )
+            manager.note_commit(f"set{index}", step=index + 1, now=float(index))
+        for index, rank in damaged:
+            storage.corrupt(RestartManager.key_for(rank), set_id=f"set{index}")
+
+        clean = [
+            index
+            for index in range(len(states))
+            if not any((index, rank) in damaged for rank in ranks)
+        ]
+        if not clean:
+            with pytest.raises(NoCheckpointError):
+                manager.restore_states(ranks)
+            assert manager.corrupt_lines_skipped == len(states)
+            return
+        newest = clean[-1]
+        line, restored = manager.restore_states(ranks)
+        assert line.set_id == f"set{newest}"
+        assert restored == dict(enumerate(states[newest]))
+        skipped = len(states) - 1 - newest
+        assert manager.corrupt_lines_skipped == skipped
+        assert manager.last_rollback_depth == skipped + 1

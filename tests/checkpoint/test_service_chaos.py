@@ -48,11 +48,7 @@ def failing_writes(count):
 class TestConfigValidation:
     def test_negative_retries_rejected(self):
         with pytest.raises(ConfigurationError):
-            CheckpointConfig(interval=1.0, max_retries=-1)
-
-    def test_backoff_cap_must_cover_initial(self):
-        with pytest.raises(ConfigurationError):
-            CheckpointConfig(interval=1.0, retry_backoff=2.0, max_backoff=1.0)
+            CheckpointConfig(interval=1.0, fixed_cost=0.0, max_retries=-1)
 
 
 class TestRetrySuccess:
@@ -68,14 +64,6 @@ class TestRetrySuccess:
         assert service.checkpoints_skipped == 0
         assert manager.commits == service.checkpoints_taken
         assert manager.commits >= 3
-
-    def test_emergent_cost_path_retries_too(self):
-        config = CheckpointConfig(interval=0.2, max_retries=2, retry_backoff=0.001)
-        faults = ScriptedFaults(writes=failing_writes(1))
-        env, storage, manager, service = run_chaos_service(2, 10, config, faults)
-        assert service.checkpoint_retries == 1
-        assert service.checkpoints_skipped == 0
-        assert manager.commits >= 1
 
 
 class TestRetryExhaustion:

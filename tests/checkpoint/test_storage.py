@@ -4,117 +4,53 @@ import pytest
 
 from repro.errors import CheckpointError, CorruptImageError, NoCheckpointError
 from repro.checkpoint import StableStorage
-from repro.simkit import Environment
-
-
-class TestTimedIO:
-    def test_write_charges_time(self, env, run_process):
-        storage = StableStorage(env, write_bandwidth=1000.0, latency=0.5)
-
-        def body():
-            yield from storage.write("s1", "k", b"x" * 1000)
-
-        run_process(env, body())
-        assert env.now == pytest.approx(0.5 + 1.0)
-
-    def test_read_charges_time(self, env, run_process):
-        storage = StableStorage(env, read_bandwidth=500.0, latency=0.0)
-
-        def body():
-            yield from storage.write("s1", "k", b"y" * 500)
-            storage.commit_set("s1")
-            data = yield from storage.read("k")
-            return data
-
-        assert run_process(env, body()) == b"y" * 500
-
-    def test_channel_contention_serialises(self, env):
-        storage = StableStorage(env, write_bandwidth=100.0, latency=0.0, channels=1)
-        finish_times = []
-
-        def writer(key):
-            yield from storage.write("s", key, b"z" * 100)
-            finish_times.append(env.now)
-
-        env.process(writer("a"))
-        env.process(writer("b"))
-        env.run()
-        assert finish_times == [pytest.approx(1.0), pytest.approx(2.0)]
-
-    def test_parallel_channels(self, env):
-        storage = StableStorage(env, write_bandwidth=100.0, latency=0.0, channels=2)
-        finish_times = []
-
-        def writer(key):
-            yield from storage.write("s", key, b"z" * 100)
-            finish_times.append(env.now)
-
-        env.process(writer("a"))
-        env.process(writer("b"))
-        env.run()
-        assert finish_times == [pytest.approx(1.0), pytest.approx(1.0)]
-
-    def test_bytes_accounting(self, env, run_process):
-        storage = StableStorage(env)
-
-        def body():
-            yield from storage.write("s", "k", b"12345")
-
-        run_process(env, body())
-        assert storage.bytes_written == 5
 
 
 class TestSetLifecycle:
-    def _staged(self, env, run_process):
+    def _staged(self, env):
         storage = StableStorage(env)
-
-        def body():
-            yield from storage.write("set-a", "k1", b"one")
-            yield from storage.write("set-a", "k2", b"two")
-
-        run_process(env, body())
+        storage.stage_untimed("set-a", "k1", b"one")
+        storage.stage_untimed("set-a", "k2", b"two")
         return storage
 
-    def test_commit_promotes(self, env, run_process):
-        storage = self._staged(env, run_process)
+    def test_commit_promotes(self, env):
+        storage = self._staged(env)
         storage.commit_set("set-a")
-        assert storage.committed_set == "set-a"
-        assert storage.committed_keys() == ["k1", "k2"]
+        assert storage.committed_sets() == ["set-a"]
+        assert storage.fetch(None, "k1").data == b"one"
+        assert storage.fetch(None, "k2").data == b"two"
 
-    def test_uncommitted_not_readable(self, env, run_process):
-        storage = self._staged(env, run_process)
+    def test_uncommitted_not_readable(self, env):
+        storage = self._staged(env)
         with pytest.raises(NoCheckpointError):
-            storage.peek("k1")
+            storage.fetch(None, "k1")
 
     def test_commit_unknown_set_rejected(self, env):
         storage = StableStorage(env)
         with pytest.raises(CheckpointError):
             storage.commit_set("ghost")
 
-    def test_abort_discards(self, env, run_process):
-        storage = self._staged(env, run_process)
+    def test_abort_discards(self, env):
+        storage = self._staged(env)
         storage.abort_set("set-a")
         with pytest.raises(CheckpointError):
             storage.commit_set("set-a")
 
-    def test_new_commit_replaces_old(self, env, run_process):
-        storage = self._staged(env, run_process)
+    def test_new_commit_replaces_old(self, env):
+        storage = self._staged(env)
         storage.commit_set("set-a")
-
-        def body():
-            yield from storage.write("set-b", "k1", b"newer")
-
-        run_process(env, body())
+        storage.stage_untimed("set-b", "k1", b"newer")
         storage.commit_set("set-b")
-        assert storage.committed_keys() == ["k1"]
-        assert storage.peek("k1").data == b"newer"
+        assert storage.fetch(None, "k1").data == b"newer"
+        with pytest.raises(NoCheckpointError):
+            storage.fetch(None, "k2")
 
     def test_stage_untimed(self, env):
         storage = StableStorage(env)
         storage.stage_untimed("s", "k", b"fast")
         storage.commit_set("s")
         assert env.now == 0.0
-        assert storage.peek("k").data == b"fast"
+        assert storage.fetch(None, "k").data == b"fast"
 
 
 class TestIntegrity:
@@ -122,28 +58,20 @@ class TestIntegrity:
         storage = StableStorage(env)
         storage.stage_untimed("s", "k", b"sound")
         storage.commit_set("s")
-        storage.peek("k").verify()
+        storage.fetch(None, "k").verify()
 
-    def test_corrupt_detected_on_read(self, env, run_process):
+    def test_corrupt_detected_on_read(self, env):
         storage = StableStorage(env)
         storage.stage_untimed("s", "k", b"will-break")
         storage.commit_set("s")
         storage.corrupt("k")
-
-        def body():
-            yield from storage.read("k")
-
         with pytest.raises(CorruptImageError):
-            run_process(env, body())
+            storage.fetch(None, "k").verify()
 
-    def test_read_missing_key(self, env, run_process):
+    def test_read_missing_key(self, env):
         storage = StableStorage(env)
-
-        def body():
-            yield from storage.read("nothing")
-
         with pytest.raises(NoCheckpointError):
-            run_process(env, body())
+            storage.fetch(None, "nothing")
 
     def test_corrupt_empty_blob_rejected(self, env):
         storage = StableStorage(env)

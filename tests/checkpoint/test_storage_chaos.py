@@ -4,6 +4,7 @@ import pytest
 
 from repro.checkpoint import StableStorage
 from repro.errors import (
+    CheckpointError,
     ConfigurationError,
     CorruptImageError,
     NoCheckpointError,
@@ -40,7 +41,6 @@ class TestVersionedSets:
         for index in range(4):
             self._commit(storage, f"s{index}", b"data%d" % index)
         assert storage.committed_sets() == ["s3", "s2"]
-        assert storage.committed_set == "s3"
 
     def test_trimmed_set_unreachable(self, env):
         storage = StableStorage(env, keep_sets=2)
@@ -55,30 +55,11 @@ class TestVersionedSets:
         self._commit(storage, "new", b"new-data")
         assert storage.fetch("old", "k").data == b"old-data"
         assert storage.fetch("new", "k").data == b"new-data"
-        assert storage.peek("k").data == b"new-data"
-
-    def test_read_from_older_set_timed(self, env, run_process):
-        storage = StableStorage(env, keep_sets=2)
-        self._commit(storage, "old", b"old-data")
-        self._commit(storage, "new", b"new-data")
-
-        def body():
-            return (yield from storage.read_from("old", "k"))
-
-        assert run_process(env, body()) == b"old-data"
+        assert storage.fetch(None, "k").data == b"new-data"
 
     def test_keep_sets_must_be_positive(self, env):
         with pytest.raises(ConfigurationError):
             StableStorage(env, keep_sets=0)
-
-    def test_committed_keys_for_named_set(self, env):
-        storage = StableStorage(env, keep_sets=2)
-        storage.stage_untimed("a", "k1", b"1")
-        storage.stage_untimed("a", "k2", b"2")
-        storage.commit_set("a")
-        self._commit(storage, "b", b"3")
-        assert storage.committed_keys("a") == ["k1", "k2"]
-        assert storage.committed_keys() == ["k"]
 
 
 class TestFaultsActive:
@@ -95,30 +76,12 @@ class TestFaultsActive:
 
 
 class TestInjectedWriteFaults:
-    def test_timed_write_failure_charges_time_first(self, env, run_process):
-        faults = ScriptedFaults(writes=[WriteVerdict(fail=True)])
-        storage = StableStorage(
-            env, write_bandwidth=1000.0, latency=0.5, faults=faults
-        )
-
-        def body():
-            yield from storage.write("s", "k", b"x" * 1000)
-
-        with pytest.raises(StorageWriteError):
-            run_process(env, body())
-        # The failure surfaces at the end of the transfer, not before.
-        assert env.now == pytest.approx(0.5 + 1.0)
-
-    def test_failed_write_stages_nothing(self, env, run_process):
+    def test_failed_write_stages_nothing(self, env):
         faults = ScriptedFaults(writes=[WriteVerdict(fail=True)])
         storage = StableStorage(env, faults=faults)
-
-        def body():
-            yield from storage.write("s", "k", b"doomed")
-
         with pytest.raises(StorageWriteError):
-            run_process(env, body())
-        with pytest.raises(Exception):
+            storage.stage_untimed("s", "k", b"doomed")
+        with pytest.raises(CheckpointError):
             storage.commit_set("s")
 
     def test_untimed_stage_failure(self, env):
@@ -127,29 +90,13 @@ class TestInjectedWriteFaults:
         with pytest.raises(StorageWriteError):
             storage.stage_untimed("s", "k", b"doomed")
 
-    def test_latency_spike_extends_write(self, env, run_process):
-        faults = ScriptedFaults(writes=[WriteVerdict(extra_latency=2.0)])
-        storage = StableStorage(
-            env, write_bandwidth=1000.0, latency=0.5, faults=faults
-        )
-
-        def body():
-            yield from storage.write("s", "k", b"x" * 1000)
-
-        run_process(env, body())
-        assert env.now == pytest.approx(0.5 + 1.0 + 2.0)
-
-    def test_corrupt_write_keeps_pristine_crc(self, env, run_process):
+    def test_corrupt_write_keeps_pristine_crc(self, env):
         """At-rest rot: damaged payload, original digest — silent until read."""
         faults = StorageFaultModel(StorageFaultConfig(corrupt_prob=1.0, seed=1))
         storage = StableStorage(env, faults=faults)
-
-        def body():
-            yield from storage.write("s", "k", b"pristine-payload")
-
-        run_process(env, body())
+        storage.stage_untimed("s", "k", b"pristine-payload")
         storage.commit_set("s")
-        blob = storage.peek("k")
+        blob = storage.fetch(None, "k")
         assert blob.data != b"pristine-payload"
         with pytest.raises(CorruptImageError):
             blob.verify()
@@ -162,40 +109,9 @@ class TestInjectedReadFaults:
         storage.commit_set("s")
         return storage
 
-    def test_timed_read_failure(self, env, run_process):
-        faults = ScriptedFaults(reads=[ReadVerdict(fail=True)])
-        storage = self._committed(env, faults)
-
-        def body():
-            yield from storage.read("k")
-
-        with pytest.raises(StorageReadError):
-            run_process(env, body())
-
     def test_fetch_applies_read_faults(self, env):
         faults = ScriptedFaults(reads=[ReadVerdict(fail=True), ReadVerdict()])
         storage = self._committed(env, faults)
         with pytest.raises(StorageReadError):
             storage.fetch("s", "k")
         assert storage.fetch("s", "k").data == b"payload"
-
-    def test_peek_is_fault_free(self, env):
-        faults = ScriptedFaults(reads=[ReadVerdict(fail=True)])
-        storage = self._committed(env, faults)
-        assert storage.peek("k").data == b"payload"
-        # The scripted failure is still queued: peek never consulted it.
-        assert faults.read_script
-
-    def test_read_spike_extends_transfer(self, env, run_process):
-        faults = ScriptedFaults(reads=[ReadVerdict(extra_latency=3.0)])
-        storage = StableStorage(
-            env, read_bandwidth=1000.0, latency=0.0, faults=faults
-        )
-        storage.stage_untimed("s", "k", b"y" * 1000)
-        storage.commit_set("s")
-
-        def body():
-            return (yield from storage.read("k"))
-
-        assert run_process(env, body()) == b"y" * 1000
-        assert env.now == pytest.approx(1.0 + 3.0)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import Exponential, FailureInjector, exponential_injector
+from repro.faults import Exponential, FailureInjector
 from repro.simkit import Environment
 
 
 def make_injector(env, slots=4, mtbf=1.0, kill=None, **kwargs):
-    return exponential_injector(
+    return FailureInjector(
         env,
         slots=slots,
-        mtbf=mtbf,
+        distribution=Exponential(mtbf),
         rng=np.random.default_rng(3),
         kill=kill or (lambda slot: None),
         **kwargs,

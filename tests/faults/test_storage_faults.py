@@ -8,7 +8,7 @@ from repro.faults import ReadVerdict, StorageFaultConfig, StorageFaultModel, Wri
 
 class TestConfig:
     @pytest.mark.parametrize(
-        "field", ["write_fail_prob", "read_fail_prob", "corrupt_prob", "latency_spike_prob"]
+        "field", ["write_fail_prob", "read_fail_prob", "corrupt_prob"]
     )
     def test_probability_bounds_enforced(self, field):
         with pytest.raises(ConfigurationError):
@@ -16,15 +16,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             StorageFaultConfig(**{field: -0.1})
 
-    def test_negative_spike_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StorageFaultConfig(latency_spike=-1.0)
-
     def test_enabled_iff_any_probability_positive(self):
         assert not StorageFaultConfig().enabled
-        assert not StorageFaultConfig(latency_spike=9.0).enabled
+        assert not StorageFaultConfig(seed=9).enabled
         assert StorageFaultConfig(corrupt_prob=0.01).enabled
-        assert StorageFaultConfig(latency_spike_prob=0.5).enabled
+        assert StorageFaultConfig(read_fail_prob=0.5).enabled
 
 
 class TestDisabledIsNoOp:
@@ -37,7 +33,6 @@ class TestDisabledIsNoOp:
             "storage_writes_failed": 0,
             "storage_reads_failed": 0,
             "storage_blobs_corrupted": 0,
-            "storage_latency_spikes": 0,
         }
 
     def test_disabled_model_draws_nothing(self):
@@ -57,7 +52,7 @@ class TestDeterminism:
 
     def test_same_seed_same_verdicts(self):
         config = StorageFaultConfig(
-            write_fail_prob=0.3, corrupt_prob=0.2, latency_spike_prob=0.1, seed=11
+            write_fail_prob=0.3, corrupt_prob=0.2, read_fail_prob=0.1, seed=11
         )
         assert self._verdicts(config) == self._verdicts(config)
 
@@ -65,6 +60,17 @@ class TestDeterminism:
         a = StorageFaultConfig(write_fail_prob=0.5, seed=1)
         b = StorageFaultConfig(write_fail_prob=0.5, seed=2)
         assert self._verdicts(a) != self._verdicts(b)
+
+    def test_fixed_draws_per_operation(self):
+        """Three variates per write and two per read, whatever the probabilities."""
+        config = StorageFaultConfig(write_fail_prob=1.0, seed=4)
+        model = StorageFaultModel(config)
+        model.on_write()
+        model.on_read()
+        reference = StorageFaultModel(config)._rng
+        reference.random(3)
+        reference.random(2)
+        assert model._rng.bit_generator.state == reference.bit_generator.state
 
     def test_common_random_numbers_across_sweep_points(self):
         """Sweeping one probability keeps the other decisions aligned."""
@@ -95,15 +101,15 @@ class TestDamage:
 class TestCounters:
     def test_counts_follow_injections(self):
         model = StorageFaultModel(
-            StorageFaultConfig(write_fail_prob=1.0, latency_spike_prob=1.0, seed=0)
+            StorageFaultConfig(write_fail_prob=1.0, read_fail_prob=1.0, seed=0)
         )
         for _ in range(4):
-            verdict = model.on_write()
-            assert verdict.fail
-            assert verdict.extra_latency == pytest.approx(0.05)
+            assert model.on_write().fail
+        assert model.on_read().fail
         counts = model.counters()
         assert counts["storage_writes_failed"] == 4
-        assert counts["storage_latency_spikes"] == 4
+        assert counts["storage_reads_failed"] == 1
+        assert counts["storage_blobs_corrupted"] == 0
 
     def test_fail_takes_precedence_over_corrupt(self):
         model = StorageFaultModel(

@@ -125,47 +125,6 @@ class TestStencilUnderTheFullStack:
         )
 
 
-class TestEmergentCosts:
-    def test_storage_emergent_checkpoint_cost(self):
-        # No fixed c: checkpoint cost comes from image sizes and
-        # storage bandwidth; the run still completes and recovers.
-        report = ResilientJob(
-            JobConfig(
-                workload_factory=lambda: SyntheticWorkload(
-                    total_steps=40, compute_seconds=0.05, message_bytes=2048
-                ),
-                virtual_processes=4,
-                redundancy=1.0,
-                node_mtbf=10.0,
-                checkpoint_interval=0.5,
-                checkpoint_cost=None,
-                restart_cost=0.2,
-                storage_write_bandwidth=1e6,
-                seed=6,
-            )
-        ).run()
-        assert report.completed
-        assert report.time_in_checkpoints > 0
-
-    def test_timed_restart_reads(self):
-        # restart_cost=None: restart pays actual storage read time.
-        report = ResilientJob(
-            JobConfig(
-                workload_factory=lambda: SyntheticWorkload(
-                    total_steps=40, compute_seconds=0.05, message_bytes=2048
-                ),
-                virtual_processes=4,
-                redundancy=1.0,
-                node_mtbf=6.0,
-                checkpoint_interval=0.4,
-                checkpoint_cost=0.02,
-                restart_cost=None,
-                seed=8,
-            )
-        ).run()
-        assert report.completed
-
-
 class TestSuppressionSemantics:
     def test_unsuppressed_runs_longer_or_equal(self):
         def config(suppress):

@@ -41,6 +41,7 @@ class TestSnapshots:
         config = JobConfig(
             workload_factory=partial(SyntheticWorkload, total_steps=5),
             virtual_processes=4,
+            checkpoint_cost=1.0,
         )
         json.dumps(config_snapshot(config))
 
@@ -50,6 +51,7 @@ class TestRunManifest:
         config = JobConfig(
             workload_factory=partial(SyntheticWorkload, total_steps=5),
             virtual_processes=4,
+            checkpoint_cost=1.0,
             seed=99,
         )
         manifest = RunManifest.for_job(config, label="r1-seed99")

@@ -218,7 +218,9 @@ class TestConfigValidation:
             synthetic_config(node_mtbf=0.0)
 
     def test_daly_needs_estimates(self):
-        config = synthetic_config(checkpointing=True, node_mtbf=10.0)
+        config = synthetic_config(
+            checkpointing=True, node_mtbf=10.0, checkpoint_cost=1.0
+        )
         with pytest.raises(ConfigurationError):
             config.resolve_interval()
 
@@ -228,6 +230,31 @@ class TestConfigValidation:
     def test_bad_failure_distribution(self):
         with pytest.raises(ConfigurationError):
             synthetic_config(failure_distribution="uniform")
+
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            {"checkpointing": True, "checkpoint_interval": 1.0},
+            {"checkpointing": True, "checkpoint_interval": 1.0, "checkpoint_cost": -1.0},
+            {"checkpointing": True, "checkpoint_interval": 1.0,
+             "checkpoint_cost": float("nan")},
+            {"restart_cost": None},
+            {"restart_cost": -1.0},
+            {"restart_cost": float("nan")},
+        ],
+    )
+    def test_missing_or_bad_cost_rejected_at_construction(self, costs):
+        with pytest.raises(ConfigurationError):
+            synthetic_config(**costs)
+
+    def test_zero_costs_accepted(self):
+        config = synthetic_config(
+            checkpointing=True,
+            checkpoint_interval=1.0,
+            checkpoint_cost=0.0,
+            restart_cost=0.0,
+        )
+        assert config.resolve_interval() == 1.0
 
     @pytest.mark.parametrize(
         "network",

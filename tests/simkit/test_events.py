@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simkit import AllOf, AnyOf, Environment, Timeout
-from repro.simkit.events import Event, first_failure
 
 
 class TestEvent:
@@ -217,16 +216,3 @@ class TestConditions:
         either = AnyOf(env, [done, env.timeout(10.0)])
         env.run()
         assert either.value == (0, "x")
-
-
-class TestFirstFailure:
-    def test_returns_none_without_failures(self, env):
-        events = [env.timeout(1.0)]
-        env.run()
-        assert first_failure(events) is None
-
-    def test_returns_first_failed(self, env):
-        boom = KeyError("gone")
-        bad = env.event().fail(boom)
-        env.run()
-        assert first_failure([bad]) is boom

@@ -118,10 +118,3 @@ class TestDeleteAndEnumerate:
         assert backend.delete(key(10))
         assert not backend.delete(key(10))
         assert backend.get(key(10)) is None
-
-    def test_iter_keys(self, tmp_path):
-        backend = DiskBackend(tmp_path)
-        wrote = {key(n) for n in (20, 21, 22)}
-        for k in wrote:
-            backend.put(k, {})
-        assert set(backend.iter_keys()) == wrote

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.rng import StreamRegistry, exponential_interarrivals
+from repro.rng import StreamRegistry
 
 
 class TestStreamRegistry:
@@ -57,29 +56,3 @@ class TestStreamRegistry:
 
     def test_seed_property(self):
         assert StreamRegistry(seed=11).seed == 11
-
-
-class TestExponentialInterarrivals:
-    def test_mean_is_respected(self):
-        rng = StreamRegistry(seed=2).stream("t")
-        draws = exponential_interarrivals(rng, mean=10.0, count=20000)
-        assert draws.mean() == pytest.approx(10.0, rel=0.05)
-
-    def test_all_positive(self):
-        rng = StreamRegistry(seed=2).stream("t")
-        assert (exponential_interarrivals(rng, 1.0, 1000) > 0).all()
-
-    def test_count_zero(self):
-        rng = StreamRegistry(seed=2).stream("t")
-        assert len(exponential_interarrivals(rng, 1.0, 0)) == 0
-
-    @given(st.floats(max_value=0, allow_nan=False))
-    def test_rejects_nonpositive_mean(self, mean):
-        rng = StreamRegistry(seed=2).stream("t")
-        with pytest.raises(ConfigurationError):
-            exponential_interarrivals(rng, mean, 1)
-
-    def test_rejects_negative_count(self):
-        rng = StreamRegistry(seed=2).stream("t")
-        with pytest.raises(ConfigurationError):
-            exponential_interarrivals(rng, 1.0, -1)

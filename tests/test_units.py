@@ -86,8 +86,3 @@ class TestFormatting:
     def test_rounding_carry_minutes(self):
         # 59m59.7s rounds to the next hour without showing 60m.
         assert units.fmt_duration(3599.7) == "1h00m"
-
-    def test_bytes_format(self):
-        assert units.fmt_bytes(units.gib(1.5)) == "1.5GiB"
-        assert units.fmt_bytes(512) == "512B"
-        assert units.fmt_bytes(units.mib(3)) == "3.0MiB"

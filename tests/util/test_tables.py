@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.util import render_series, render_table
+from repro.util import render_table
 
 
 class TestRenderTable:
@@ -39,13 +39,3 @@ class TestRenderTable:
     def test_empty_rows_ok(self):
         text = render_table(["only", "headers"], [])
         assert "only" in text
-
-
-class TestRenderSeries:
-    def test_pairs(self):
-        text = render_series("y", [1, 2], [10, 20])
-        assert "10" in text and "20" in text
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            render_series("y", [1], [1, 2])
