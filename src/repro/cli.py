@@ -209,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--max-batch", type=int, default=64,
                         help="most /evaluate requests coalesced into one "
                         "vectorized grid call (default 64)")
-    server.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="milliseconds a batch waits for company "
-                        "(default 2)")
     server.add_argument("--queue-limit", type=int, default=256,
                         help="bounded request queue; beyond it requests are "
                         "shed with 429 (default 256)")
@@ -368,7 +365,6 @@ def _serve(args) -> int:
             host=args.host,
             port=args.port,
             max_batch=args.max_batch,
-            max_wait=args.max_wait_ms / 1000.0,
             queue_limit=args.queue_limit,
             store=store,
         )
@@ -376,8 +372,7 @@ def _serve(args) -> int:
         server.handle_signals()
         print(
             f"serving on http://{server.host}:{server.port} "
-            f"(batch<={args.max_batch}, window={args.max_wait_ms:g}ms, "
-            f"queue<={args.queue_limit}"
+            f"(batch<={args.max_batch}, queue<={args.queue_limit}"
             + (", store on" if store is not None else "")
             + ") — SIGTERM drains gracefully",
             flush=True,

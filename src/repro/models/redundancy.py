@@ -158,9 +158,13 @@ def system_reliability(
         virtual_processes, redundancy
     )
     p = node_failure_probability(exposure_time, node_mtbf, exact=exact)
+    floor_fail = sphere_failure_probability(p, floor_level)
+    # ceil(r) is floor(r) or floor(r) + 1, and ``floor_fail * p`` is
+    # exactly the ascending chain's next multiply: one chain, same bits.
+    # An integral r has an empty floor set, masked below.
+    ceil_fail = np.where(ceil_level > floor_level, floor_fail * p, floor_fail)
     log_r = 0.0
-    for count, level in ((floor_count, floor_level), (ceil_count, ceil_level)):
-        sphere_fail = sphere_failure_probability(p, level)
+    for count, sphere_fail in ((floor_count, floor_fail), (ceil_count, ceil_fail)):
         log_r = log_r + np.where(count > 0, count * np.log1p(-sphere_fail), 0.0)
     return np.exp(log_r)
 

@@ -4,7 +4,7 @@ The subsystem turns the analytic model into a long-lived endpoint:
 
 ``batching``
     :class:`MicroBatcher` — coalesces concurrent evaluations into
-    single vectorized grid calls (N-or-T window, bounded queue,
+    single vectorized grid calls (drains what is queued, bounded queue,
     load shedding), with answers bit-identical to ``CombinedModel.evaluate()``.
 ``server``
     :class:`ModelServer` — the asyncio HTTP/1.1 JSON server

@@ -1,17 +1,17 @@
 """Micro-batching engine: coalesce concurrent evaluations into one grid.
 
-Concurrent ``/evaluate`` requests arriving within a small window are
+Concurrent ``/evaluate`` requests that are queued together are
 answered by a *single* vectorized
 :func:`~repro.models.grid.evaluate_grid` call instead of one scalar
 :meth:`~repro.models.combined.CombinedModel.evaluate` each — the
 vectorized pipeline amortises its fixed cost over the batch, which is
 what lets one process serve heavy traffic.
 
-The collection rule is the classic N-or-T window: a batch closes when
-it holds ``max_batch`` requests or ``max_wait`` seconds have passed
-since its first request, whichever comes first.  A lone request
-therefore waits at most ``max_wait`` and a burst is served at full
-batch width.
+The collection rule has no timer: the collector awaits a first
+request, yields one loop tick so handlers woken by the same poll can
+submit, then drains whatever is already queued, up to ``max_batch``.
+A lone request is evaluated at once; under a burst, requests pile up
+while the previous grid call runs and the next batch takes them all.
 
 Correctness contract — **batched answers are bit-identical to direct
 ``CombinedModel.evaluate()`` calls**.  Two facts guarantee it:
@@ -75,14 +75,12 @@ def model_to_dict(model: CombinedModel) -> Dict[str, Any]:
 
 
 class MicroBatcher:
-    """N-or-T request coalescer in front of the vectorized model.
+    """Request coalescer in front of the vectorized model.
 
     Parameters
     ----------
     max_batch:
         Most requests folded into one grid call.
-    max_wait:
-        Seconds a batch's first request may wait for company.
     queue_limit:
         Bound on queued (admitted, not yet evaluated) requests; beyond
         it, :meth:`submit` sheds with ``ServiceOverloadedError``.
@@ -95,20 +93,16 @@ class MicroBatcher:
     def __init__(
         self,
         max_batch: int = 64,
-        max_wait: float = 0.002,
         queue_limit: int = 256,
         metrics=None,
     ) -> None:
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait < 0:
-            raise ConfigurationError(f"max_wait must be >= 0, got {max_wait}")
         if queue_limit < 1:
             raise ConfigurationError(
                 f"queue_limit must be >= 1, got {queue_limit}"
             )
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.queue_limit = int(queue_limit)
         self.metrics = metrics
         self._queue: Optional[asyncio.Queue] = None
@@ -172,22 +166,16 @@ class MicroBatcher:
     # -- collector -----------------------------------------------------------
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
             if first is _STOP:
                 return
+            # One loop tick lets handlers woken by the same poll submit.
+            await asyncio.sleep(0)
             batch: List[Tuple[CombinedModel, asyncio.Future]] = [first]
-            deadline = loop.time() + self.max_wait
             stop = False
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
+            while len(batch) < self.max_batch and not self._queue.empty():
+                item = self._queue.get_nowait()
                 if item is _STOP:
                     stop = True
                     break

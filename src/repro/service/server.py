@@ -186,7 +186,7 @@ class ModelServer:
     host / port:
         Bind address; ``port=0`` picks a free port (read :attr:`port`
         after :meth:`start`).
-    max_batch / max_wait / queue_limit:
+    max_batch / queue_limit:
         Micro-batching knobs, passed through to :class:`MicroBatcher`.
     store:
         Optional :class:`~repro.store.ResultsStore`; when given,
@@ -201,7 +201,6 @@ class ModelServer:
         host: str = "127.0.0.1",
         port: int = 8787,
         max_batch: int = 64,
-        max_wait: float = 0.002,
         queue_limit: int = 256,
         store=None,
         metrics: Optional[MetricsRegistry] = None,
@@ -212,7 +211,6 @@ class ModelServer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.batcher = MicroBatcher(
             max_batch=max_batch,
-            max_wait=max_wait,
             queue_limit=queue_limit,
             metrics=self.metrics,
         )

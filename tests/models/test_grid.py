@@ -23,7 +23,16 @@ from repro.models.grid import (
     evaluate_model_grid,
     total_time_grid,
 )
-from repro.models.redundancy import redundant_time, system_failure_rate
+from repro.models.redundancy import (
+    partition_counts,
+    redundant_time,
+    system_failure_rate,
+    system_reliability,
+)
+from repro.models.reliability import (
+    node_failure_probability,
+    sphere_failure_probability,
+)
 
 #: The numeric CombinedModel fields, in evaluate_grid's positional order.
 NUMERIC_FIELDS = (
@@ -49,6 +58,11 @@ def reference_model(**overrides):
     )
     params.update(overrides)
     return CombinedModel(**params)
+
+
+#: Integral degrees (r = 1 and r = 3 among them) mixed with fractional
+#: ones, so Eq. 9's floor and ceil sphere sets both appear in one batch.
+MIXED_DEGREES = (2.0, 1.0, 2.5, 3.0, 1.25, 1.1, 2.9, 3.75)
 
 
 def one_cell(model: CombinedModel) -> ModelGrid:
@@ -140,9 +154,13 @@ class TestScalarEquivalence:
         assert_batch_invariant(models)
 
     def test_paper_reference_point(self):
-        assert_batch_invariant(
-            [reference_model(redundancy=d) for d in (2.0, 1.0, 2.5, 3.0)]
-        )
+        for exact in (False, True):
+            assert_batch_invariant(
+                [
+                    reference_model(redundancy=d, exact_reliability=exact)
+                    for d in MIXED_DEGREES
+                ]
+            )
 
     def test_explicit_interval_override(self):
         assert_batch_invariant(
@@ -161,6 +179,33 @@ class TestScalarEquivalence:
                 reference_model(redundancy=2.0),
             ]
         )
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_eq9_matches_a_power_chain_per_level(self, exact):
+        # Eq. 9 takes the ceil(r) sphere power as one more multiply on
+        # the floor(r) one; that must give the bits of a separate chain
+        # up to ceil(r), for integral r (empty floor set) as for
+        # fractional r.
+        n = np.full(len(MIXED_DEGREES), 50_000.0)
+        r = np.array(MIXED_DEGREES)
+        t_red = redundant_time(units.hours(128), 0.2, r)
+        theta = units.years(5)
+        floor_level, ceil_level, floor_count, ceil_count, _ = partition_counts(n, r)
+        p = node_failure_probability(t_red, theta, exact=exact)
+        per_level = np.exp(
+            np.where(
+                floor_count > 0,
+                floor_count * np.log1p(-sphere_failure_probability(p, floor_level)),
+                0.0,
+            )
+            + np.where(
+                ceil_count > 0,
+                ceil_count * np.log1p(-sphere_failure_probability(p, ceil_level)),
+                0.0,
+            )
+        )
+        fused = system_reliability(n, r, t_red, theta, exact=exact)
+        assert bits(fused) == bits(per_level)
 
 
 #: The model domain's disagreements between entry points before it was

@@ -33,7 +33,7 @@ def model(i: int = 0, **overrides) -> CombinedModel:
 class TestCoalescing:
     def test_concurrent_submits_share_grid_calls(self):
         async def main():
-            batcher = MicroBatcher(max_batch=16, max_wait=0.01)
+            batcher = MicroBatcher(max_batch=16)
             await batcher.start()
             answers = await asyncio.gather(
                 *(batcher.submit(model(i)) for i in range(24))
@@ -46,9 +46,53 @@ class TestCoalescing:
         assert batcher.evaluations == 24
         assert batcher.batches < 24  # genuinely coalesced
 
+    def test_lone_submit_answered_without_waiting(self):
+        # No timer holds a lone request: it is answered within a few
+        # loop ticks of the caller, with no wall-clock wait anywhere.
+        async def main():
+            batcher = MicroBatcher()
+            await batcher.start()
+            task = asyncio.ensure_future(batcher.submit(model(0)))
+            ticks = 0
+            while not task.done() and ticks < 10:
+                await asyncio.sleep(0)
+                ticks += 1
+            done = task.done()
+            await batcher.stop()
+            return done, batcher
+
+        done, batcher = asyncio.run(main())
+        assert done
+        assert batcher.batches == 1
+
+    def test_queued_submits_drain_in_max_batch_chunks(self):
+        sizes = []
+
+        class Recording(MicroBatcher):
+            def _execute(self, batch):
+                sizes.append(len(batch))
+                super()._execute(batch)
+
+        async def main():
+            batcher = Recording(max_batch=8)
+            await batcher.start()
+            # Every submit task runs its put_nowait before the collector
+            # takes its first request off the queue.
+            tasks = [
+                asyncio.ensure_future(batcher.submit(model(i)))
+                for i in range(20)
+            ]
+            answers = await asyncio.gather(*tasks)
+            await batcher.stop()
+            return answers
+
+        answers = asyncio.run(main())
+        assert len(answers) == 20
+        assert sizes == [8, 8, 4]
+
     def test_batched_answers_bit_identical_to_scalar(self):
         async def main():
-            batcher = MicroBatcher(max_batch=64, max_wait=0.01)
+            batcher = MicroBatcher(max_batch=64)
             await batcher.start()
             answers = await asyncio.gather(
                 *(batcher.submit(model(i)) for i in range(32))
@@ -77,7 +121,7 @@ class TestCoalescing:
         ]
 
         async def main():
-            batcher = MicroBatcher(max_batch=8, max_wait=0.01)
+            batcher = MicroBatcher(max_batch=8)
             await batcher.start()
             answers = await asyncio.gather(*(batcher.submit(m) for m in models))
             await batcher.stop()
@@ -92,7 +136,7 @@ class TestCoalescing:
         good = model(1)
 
         async def main():
-            batcher = MicroBatcher(max_batch=8, max_wait=0.01)
+            batcher = MicroBatcher(max_batch=8)
             await batcher.start()
             answers = await asyncio.gather(
                 batcher.submit(bad), batcher.submit(good)
@@ -136,7 +180,7 @@ class TestBackpressure:
         async def main():
             metrics = MetricsRegistry()
             batcher = MicroBatcher(
-                max_batch=4, max_wait=0.01, queue_limit=2, metrics=metrics
+                max_batch=4, queue_limit=2, metrics=metrics
             )
             await batcher.start()
             # Create all submit tasks, then yield once: every task runs
@@ -161,7 +205,7 @@ class TestBackpressure:
     def test_queue_depth_gauge_tracks(self):
         async def main():
             metrics = MetricsRegistry()
-            batcher = MicroBatcher(max_wait=0.001, metrics=metrics)
+            batcher = MicroBatcher(metrics=metrics)
             await batcher.start()
             await batcher.submit(model(0))
             await batcher.stop()
@@ -175,7 +219,7 @@ class TestBackpressure:
 class TestLifecycle:
     def test_stop_drains_admitted_requests(self):
         async def main():
-            batcher = MicroBatcher(max_batch=4, max_wait=0.05)
+            batcher = MicroBatcher(max_batch=4)
             await batcher.start()
             tasks = [
                 asyncio.ensure_future(batcher.submit(model(i)))
@@ -204,7 +248,5 @@ class TestLifecycle:
     def test_bad_knobs_rejected(self):
         with pytest.raises(ConfigurationError):
             MicroBatcher(max_batch=0)
-        with pytest.raises(ConfigurationError):
-            MicroBatcher(max_wait=-1.0)
         with pytest.raises(ConfigurationError):
             MicroBatcher(queue_limit=0)

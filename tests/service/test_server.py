@@ -37,7 +37,7 @@ def model(i: int = 0, **overrides) -> CombinedModel:
 
 @pytest.fixture(scope="module")
 def server():
-    runner = ServerThread(max_batch=32, max_wait=0.005).start()
+    runner = ServerThread(max_batch=32).start()
     yield runner
     runner.stop()
 
@@ -116,22 +116,17 @@ def raw_exchange(port: int, request: bytes) -> bytes:
 
 
 class TestNonFiniteInput:
-    def test_nan_request_fails_alone_not_its_batch(self):
-        # A wide batch window makes the three requests share one batch.
-        runner = ServerThread(max_batch=8, max_wait=0.2).start()
+    def test_nan_request_fails_alone_not_its_batch(self, server):
         bodies = [
             {**model_to_dict(model(0)), "redundancy": float("nan")},
             model_to_dict(model(1)),
             model_to_dict(model(2)),
         ]
-        try:
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                statuses = list(pool.map(
-                    lambda body: post_status(runner.port, "/evaluate", body),
-                    bodies,
-                ))
-        finally:
-            runner.stop()
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            statuses = list(pool.map(
+                lambda body: post_status(server.port, "/evaluate", body),
+                bodies,
+            ))
         assert statuses == [400, 200, 200]
 
     def test_recommend_with_infinity_is_400(self, server):
