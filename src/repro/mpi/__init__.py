@@ -3,7 +3,7 @@
 Implements the slice of MPI the paper's redundancy layer interposes on:
 point-to-point send/recv (blocking and non-blocking, with tags and
 ``ANY_SOURCE``/``ANY_TAG`` wildcards), request handles with
-wait/test/waitall, probe, and the standard collectives built from
+wait/test/waitall, and the standard collectives built from
 point-to-point messages (which is exactly why redundancy multiplies
 collective cost by ``r`` in Eq. 1 — there are no hardware collectives
 here either).

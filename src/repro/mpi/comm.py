@@ -264,13 +264,5 @@ class Communicator(CollectiveAPI):
         results = yield from _waitall(self.env, [send_request, recv_request])
         return results[1]
 
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True if a matching message is already queued."""
-        global_source = source if source == ANY_SOURCE else self.global_rank(source)
-        my_global = self.global_rank(self._local_rank)
-        return (
-            self._runtime.probe(my_global, global_source, tag, self._cid) is not None
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Communicator {self.name} rank={self.rank}/{self.size}>"

@@ -18,7 +18,7 @@ message of a pair pays the same wire latency.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Tuple
 
 from ..errors import MPIError
 from ..simkit.events import Event
@@ -112,13 +112,6 @@ class MatchingEngine:
                 del self._posted[index]
                 return True
         return False
-
-    def probe(self, source: int, tag: int, cid: int = 0) -> Optional[Envelope]:
-        """Non-consuming look at the first matching unexpected message."""
-        for envelope in self._unexpected:
-            if _pattern_matches(source, tag, cid, envelope):
-                return envelope
-        return None
 
     # -- delivery side -----------------------------------------------------
 

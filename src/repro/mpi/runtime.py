@@ -246,10 +246,6 @@ class SimMPI:
             raise MPIError(f"dead rank {rank} attempted a receive")
         return self._engines[rank].post(self.env, source, tag, cid)
 
-    def probe(self, rank: int, source: int, tag: int, cid: int):
-        """Non-consuming probe of ``rank``'s unexpected queue."""
-        return self._engines[rank].probe(source, tag, cid)
-
     def cancel_recv(self, rank: int, event: Event) -> bool:
         """Withdraw a posted receive (redundancy layer, dead peers).
 
@@ -328,10 +324,6 @@ class SimMPI:
             return
         everyone = AllOf(self.env, list(self._processes.values()))
         self.env.run(until=everyone)
-
-    def all_done(self) -> bool:
-        """True when every spawned rank process has finished."""
-        return all(process.triggered for process in self._processes.values())
 
     def result_of(self, rank: int) -> Any:
         """Return value of a finished rank's program."""

@@ -12,10 +12,14 @@ waste.  :class:`ResultsStore` exploits this:
 * :mod:`codec` — lossless, NaN/inf-safe JSON round-trip codecs for
   ``JobReport``/``CombinedResult`` (and the advisor's
   ``Recommendation``);
-* :mod:`backend` — sharded on-disk storage with atomic writes,
-  CRC-verified reads and an in-process LRU;
-* :mod:`index` — an append-only key index with invalidate-by-version
-  (entries from older package versions are garbage-collected on open).
+* :mod:`backend` — sharded on-disk blob files (one ``<crc32> <key>``
+  header line, then the canonical JSON body) with atomic writes,
+  CRC-verified reads and an in-process LRU.
+
+The directory tree is the only record of what the store holds: blobs
+live under ``root/objects/<version>/``, and opening a store deletes
+every other version's directory (entries an older package version
+wrote can never be read by this one, because keys are version-salted).
 
 The campaign executor consults the store before running a cell and
 persists each completed cell as it finishes, so interrupted campaigns
@@ -31,9 +35,11 @@ Resolution order for the CLI: ``--store DIR`` > ``REPRO_STORE`` env >
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+import shutil
+from pathlib import Path
+from typing import Any, Callable, Dict, Optional
 
-from ..errors import CodecError, StoreError, UnkeyableError
+from ..errors import CodecError
 from ..orchestration.job import JobConfig, JobReport
 from .backend import DiskBackend
 from .codec import (
@@ -42,15 +48,13 @@ from .codec import (
     encode_payload,
     encode_report,
 )
-from .index import StoreIndex
-from .keys import CODE_VERSION, fingerprint, job_key, model_key
+from .keys import CODE_VERSION, fingerprint, job_key
 
 __all__ = [
     "DEFAULT_STORE_DIR",
     "STORE_ENV",
     "DiskBackend",
     "ResultsStore",
-    "StoreIndex",
     "resolve_store",
 ]
 
@@ -62,110 +66,91 @@ DEFAULT_STORE_DIR = ".repro-store"
 
 
 class ResultsStore:
-    """Facade tying keys + codec + backend + index together.
+    """Facade tying keys + codec + backend together.
 
     Parameters
     ----------
     root:
-        Store directory (created if missing).  Payload files live under
-        ``root/objects``, the index at ``root/index.jsonl``.
-    lru_capacity:
-        In-process LRU entries fronting the disk (0 disables).
+        Store directory (created if missing).  Blobs live under
+        ``root/objects/<version>``.
     version:
         Code version salted into every key; defaults to the package
-        version.  Entries from any other version are deleted on open.
+        version.  On open, every other entry of ``root/objects``
+        (other versions' directories, their quarantined blobs included)
+        is deleted.
     """
 
-    def __init__(
-        self,
-        root,
-        lru_capacity: int = 256,
-        version: Optional[str] = None,
-    ) -> None:
+    def __init__(self, root, version: Optional[str] = None) -> None:
         self.version = CODE_VERSION if version is None else str(version)
-        self.index = StoreIndex(root)
-        self.backend = DiskBackend(
-            self.index.root / "objects", lru_capacity=lru_capacity
-        )
-        #: Entries from older code versions dropped on open.
-        self.invalidated = 0
-        stale = self.index.stale_keys(self.version)
-        for key in stale:
-            self.backend.delete(key)
-            self.index.record_delete(key)
-        if stale:
-            self.invalidated = len(stale)
-            self.index.compact()
+        self.root = Path(root)
+        objects = self.root / "objects"
+        self.backend = DiskBackend(objects / self.version)
+        #: Blobs of other code versions deleted on open.
+        self.invalidated = _remove_all_but(objects, self.version)
+        # The append-only op log an earlier store layout kept.
+        (self.root / "index.jsonl").unlink(missing_ok=True)
         #: Logical hit/miss counters (one per get_* call).
         self.hits = 0
         self.misses = 0
         self.writes = 0
 
-    @property
-    def root(self):
-        """The store's root directory (a ``pathlib.Path``)."""
-        return self.index.root
-
     # -- job reports --------------------------------------------------------
 
     def get_report(self, config: JobConfig) -> Optional[JobReport]:
-        """The stored report for ``config``, or ``None`` on a miss.
-
-        A payload that fails to decode (codec drift inside one version,
-        which should not happen, or manual tampering that preserved the
-        CRC) is deleted and counted as a miss rather than raised: the
-        store must never make a resumable campaign *less* reliable than
-        recomputing.
-        """
-        key = job_key(config, version=self.version)
-        payload = self.backend.get(key)
-        if payload is None:
-            self.misses += 1
-            return None
-        try:
-            report = decode_report(payload)
-        except CodecError:
-            self.backend.delete(key)
-            self.index.record_delete(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return report
+        """The stored report for ``config``, or ``None`` on a miss."""
+        return self._get(job_key(config, version=self.version), decode_report)
 
     def put_report(self, config: JobConfig, report: JobReport) -> None:
         """Persist one completed cell's report under its config key."""
-        key = job_key(config, version=self.version)
-        self.backend.put(key, encode_report(report))
-        self.index.record_put(key, "job", self.version)
-        self.writes += 1
+        self._put(job_key(config, version=self.version), encode_report(report))
 
     # -- arbitrary memoized objects (serving layer) -------------------------
 
     def get_object(self, kind: str, params: Any) -> Optional[Any]:
         """A memoized object stored under ``(kind, params)``, or None."""
-        key = fingerprint(kind, params, version=self.version)
-        payload = self.backend.get(key)
-        if payload is None:
-            self.misses += 1
-            return None
-        try:
-            obj = decode_payload(payload)
-        except CodecError:
-            self.backend.delete(key)
-            self.index.record_delete(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return obj
+        return self._get(
+            fingerprint(kind, params, version=self.version), decode_payload
+        )
 
     def put_object(self, kind: str, params: Any, obj: Any) -> None:
         """Memoize ``obj`` under ``(kind, params)``."""
-        key = fingerprint(kind, params, version=self.version)
-        self.backend.put(key, encode_payload(obj))
-        self.index.record_put(key, kind, self.version)
+        self._put(
+            fingerprint(kind, params, version=self.version), encode_payload(obj)
+        )
+
+    def _get(self, key: str, decode: Callable[[Any], Any]) -> Optional[Any]:
+        """Decode the payload under ``key``; any failure is a counted miss.
+
+        A payload that fails to decode (codec drift inside one version,
+        which should not happen, or manual tampering that preserved the
+        CRC) is deleted rather than raised: the store must never make a
+        resumable campaign *less* reliable than recomputing.
+        """
+        payload = self.backend.get(key)
+        if payload is not None:
+            try:
+                value = decode(payload)
+            except CodecError:
+                self.backend.delete(key)
+            else:
+                self.hits += 1
+                return value
+        self.misses += 1
+        return None
+
+    def _put(self, key: str, payload: Any) -> None:
+        self.backend.put(key, payload)
         self.writes += 1
 
     # -- stats --------------------------------------------------------------
+
+    @property
+    def entries(self) -> int:
+        """Blobs of this version on disk, whoever wrote them.
+
+        Quarantined (``*.corrupt``) and temporary files do not count.
+        """
+        return sum(1 for _ in self.backend.root.glob("*/*.json"))
 
     @property
     def hit_ratio(self) -> float:
@@ -181,7 +166,7 @@ class ResultsStore:
             "writes": self.writes,
             "hit_ratio": self.hit_ratio,
             "invalidated": self.invalidated,
-            "entries": len(self.index),
+            "entries": self.entries,
             "version": self.version,
             "backend": self.backend.stats(),
         }
@@ -190,15 +175,29 @@ class ResultsStore:
         """One-line human summary (the CLI epilogue)."""
         return (
             f"store: {self.hits} hits, {self.misses} misses, "
-            f"{self.writes} writes ({len(self.index)} entries at {self.root})"
+            f"{self.writes} writes ({self.entries} entries at {self.root})"
         )
+
+
+def _remove_all_but(objects: Path, keep: str) -> int:
+    """Delete every entry of ``objects`` except ``keep``; count the blobs."""
+    removed = 0
+    for entry in objects.iterdir():
+        if entry.name == keep:
+            continue
+        if entry.is_dir():
+            removed += sum(1 for _ in entry.rglob("*.json"))
+            shutil.rmtree(entry, ignore_errors=True)
+        else:
+            removed += entry.suffix == ".json"
+            entry.unlink(missing_ok=True)
+    return removed
 
 
 def resolve_store(
     path: Optional[str] = None,
     resume: bool = False,
     disabled: bool = False,
-    lru_capacity: int = 256,
 ) -> Optional[ResultsStore]:
     """CLI/env store resolution (see module doc for the order)."""
     if disabled:
@@ -209,4 +208,4 @@ def resolve_store(
         path = DEFAULT_STORE_DIR
     if path is None:
         return None
-    return ResultsStore(path, lru_capacity=lru_capacity)
+    return ResultsStore(path)

@@ -1,24 +1,27 @@
-"""On-disk key/value backend: atomic writes, CRC-verified reads, LRU.
+"""On-disk key/value backend: CRC-framed blob files plus an LRU.
 
 Layout: ``root/<key[:2]>/<key[2:]>.json`` — two-hex-char shard
-directories keep any one directory small under large campaigns.
+directories keep any one directory small under large campaigns.  A blob
+is one header line, ``<crc32 hex> <key>``, followed by the payload's
+canonical JSON body.
 
 Durability/integrity contract:
 
-* **atomic writes** — payloads are written to a same-directory temp
-  file and ``os.replace``d into place, so readers (including other
+* **atomic writes** — blobs are written to a same-directory temp file
+  and ``os.replace``d into place, so readers (including other
   processes) never observe a half-written entry and a crash never
   leaves a corrupt *final* file, only an orphan temp;
-* **CRC-verified reads** — each record stores a CRC32 of the canonical
-  JSON of its payload; the CRC is recomputed on every disk read, and a
-  mismatch (at-rest bit rot, truncation, manual tampering) is treated
-  as a **miss**, counted, and the damaged file is quarantined out of
-  the way so a re-run simply recomputes and rewrites the entry;
-* **in-process LRU** — a bounded ``OrderedDict`` fronts the disk so a
-  hot key (the serving layer's memoized recommendations) costs no I/O
-  after first touch.  Cached payloads are shared objects; callers must
-  treat them as read-only (the codec builds fresh objects on decode,
-  so normal store usage never mutates them).
+* **CRC-verified reads** — the header's key and CRC32 are checked
+  against the raw body bytes before the body is parsed; a mismatch
+  (at-rest bit rot, truncation, manual tampering) is treated as a
+  **miss**, counted, and the damaged file is quarantined to
+  ``*.corrupt`` so a re-run simply recomputes and rewrites the entry;
+* **in-process LRU** — a bounded ``OrderedDict`` of
+  :data:`LRU_CAPACITY` entries fronts the disk so a hot key (the
+  serving layer's memoized recommendations) costs no I/O after first
+  touch.  Cached payloads are shared objects; callers must treat them
+  as read-only (the codec builds fresh objects on decode, so normal
+  store usage never mutates them).
 """
 
 from __future__ import annotations
@@ -30,34 +33,26 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from ..errors import ConfigurationError, StoreError
+from ..errors import StoreError
 
-__all__ = ["DiskBackend"]
+__all__ = ["LRU_CAPACITY", "DiskBackend"]
+
+#: Payloads the in-process LRU keeps resident.
+LRU_CAPACITY = 256
 
 _KEY_CHARS = set("0123456789abcdef")
 
 
-def _canonical_dumps(payload: Any) -> str:
-    # allow_nan=False: payloads are codec output, where non-finite
-    # floats are tagged; a raw nan/inf here is a bug upstream and would
-    # break the CRC canonicalisation (nan != nan after a round trip).
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
-        allow_nan=False,
-    )
+def _header(body: bytes, key: str) -> bytes:
+    return f"{zlib.crc32(body):08x} {key}".encode("ascii")
 
 
 class DiskBackend:
     """Sharded, CRC-verified, LRU-fronted on-disk payload store."""
 
-    def __init__(self, root, lru_capacity: int = 256) -> None:
-        if lru_capacity < 0:
-            raise ConfigurationError(
-                f"lru_capacity must be >= 0, got {lru_capacity}"
-            )
+    def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.lru_capacity = int(lru_capacity)
         self._lru: "OrderedDict[str, Any]" = OrderedDict()
         self._tmp_serial = 0
         #: Counters exposed through :meth:`stats`.
@@ -80,14 +75,18 @@ class DiskBackend:
     def put(self, key: str, payload: Any) -> None:
         """Atomically persist ``payload`` under ``key`` (overwrites)."""
         path = self._path(key)
+        # allow_nan=False: payloads are codec output, where non-finite
+        # floats are tagged; a raw nan/inf here is a bug upstream.
+        body = json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+            allow_nan=False,
+        ).encode("ascii")
         path.parent.mkdir(parents=True, exist_ok=True)
-        body = _canonical_dumps(payload)
-        record = {"key": key, "crc": zlib.crc32(body.encode("utf-8")), "payload": payload}
         self._tmp_serial += 1
         tmp = path.parent / f".{path.name}.{os.getpid()}.{self._tmp_serial}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(_canonical_dumps(record))
+            with open(tmp, "wb") as handle:
+                handle.write(_header(body, key) + b"\n" + body)
             os.replace(tmp, path)
         finally:
             if tmp.exists():  # write or replace failed midway
@@ -103,8 +102,9 @@ class DiskBackend:
     def get(self, key: str) -> Optional[Any]:
         """The payload stored under ``key``, or ``None`` (miss).
 
-        Damaged entries (unparseable, wrong key, CRC mismatch) count as
-        misses: the file is quarantined and the caller recomputes.
+        Damaged entries (wrong key, CRC mismatch, unparseable body)
+        count as misses: the file is quarantined and the caller
+        recomputes.
         """
         cached = self._lru.get(key)
         if cached is not None:
@@ -113,34 +113,22 @@ class DiskBackend:
             return cached
         path = self._path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
+            raw = path.read_bytes()
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, json.JSONDecodeError):
-            self._quarantine(path)
-            self.corrupt += 1
-            self.misses += 1
-            return None
-        payload = record.get("payload") if isinstance(record, dict) else None
-        if (
-            not isinstance(record, dict)
-            or record.get("key") != key
-            or record.get("crc")
-            != zlib.crc32(_canonical_dumps(payload).encode("utf-8"))
-        ):
-            self._quarantine(path)
-            self.corrupt += 1
-            self.misses += 1
-            return None
+        except OSError:
+            return self._damaged(path)
+        header, _, body = raw.partition(b"\n")
+        if header != _header(body, key):
+            return self._damaged(path)
+        try:
+            payload = json.loads(body)
+        except ValueError:
+            return self._damaged(path)
         self._remember(key, payload)
         self.disk_hits += 1
         return payload
-
-    def has(self, key: str) -> bool:
-        """Whether ``key`` exists (no CRC verification)."""
-        return key in self._lru or self._path(key).exists()
 
     # -- delete --------------------------------------------------------------
 
@@ -171,17 +159,17 @@ class DiskBackend:
     # -- internals ----------------------------------------------------------
 
     def _remember(self, key: str, payload: Any) -> None:
-        if self.lru_capacity == 0:
-            return
         self._lru[key] = payload
         self._lru.move_to_end(key)
-        while len(self._lru) > self.lru_capacity:
+        if len(self._lru) > LRU_CAPACITY:
             self._lru.popitem(last=False)
 
-    @staticmethod
-    def _quarantine(path: Path) -> None:
-        """Move a damaged entry aside so a rewrite starts clean."""
+    def _damaged(self, path: Path) -> None:
+        """Quarantine a damaged entry so a rewrite starts clean; a miss."""
         try:
             os.replace(path, path.with_suffix(".corrupt"))
         except OSError:  # pragma: no cover - racing delete is fine
             pass
+        self.corrupt += 1
+        self.misses += 1
+        return None

@@ -43,11 +43,9 @@ __all__ = [
     "decode",
     "decode_payload",
     "decode_report",
-    "decode_result",
     "encode",
     "encode_payload",
     "encode_report",
-    "encode_result",
 ]
 
 #: Bump on incompatible payload layout changes.
@@ -193,23 +191,3 @@ def decode_report(payload: Any) -> JobReport:
             "expected JobReport"
         )
     return report
-
-
-def encode_result(result: CombinedResult) -> Dict[str, Any]:
-    """Envelope one :class:`~repro.models.combined.CombinedResult`."""
-    if not isinstance(result, CombinedResult):
-        raise CodecError(
-            f"expected a CombinedResult, got {type(result).__name__}"
-        )
-    return encode_payload(result)
-
-
-def decode_result(payload: Any) -> CombinedResult:
-    """Decode a payload that must hold a ``CombinedResult``."""
-    result = decode_payload(payload)
-    if not isinstance(result, CombinedResult):
-        raise CodecError(
-            f"stored payload decoded to {type(result).__name__}, "
-            "expected CombinedResult"
-        )
-    return result

@@ -20,9 +20,9 @@ canonical form here delivers all three:
 
 The final key is the SHA-256 of the canonical JSON of
 ``{kind, schema, version, payload}`` — so bumping the package version
-(or the key schema) invalidates every previously stored entry, which
-:class:`~repro.store.index.StoreIndex` exploits to garbage-collect
-stale results.
+(or the key schema) invalidates every previously stored entry, and
+:class:`~repro.store.ResultsStore` deletes other versions' blobs on
+open.
 
 What is *excluded*: :class:`~repro.orchestration.job.JobConfig`'s
 ``trace_dir``/``trace_label`` fields.  Tracing never touches the
@@ -48,7 +48,6 @@ __all__ = [
     "canonical",
     "fingerprint",
     "job_key",
-    "model_key",
 ]
 
 #: Package version baked into every key (invalidate-by-version).
@@ -145,8 +144,3 @@ def job_key(config: Any, version: str = CODE_VERSION) -> str:
     ]
     return fingerprint("job", {"config": type(config).__name__, "fields": fields},
                        version=version)
-
-
-def model_key(model: Any, version: str = CODE_VERSION) -> str:
-    """Cache key of one :class:`~repro.models.combined.CombinedModel`."""
-    return fingerprint("model", model, version=version)

@@ -20,10 +20,6 @@ SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
 SECONDS_PER_YEAR = 365.25 * SECONDS_PER_DAY
 
-KIB = 1024
-MIB = 1024 * KIB
-GIB = 1024 * MIB
-
 
 def seconds(value: float) -> float:
     """Identity helper; makes mixed-unit call sites self-documenting."""
@@ -63,16 +59,6 @@ def to_hours(value_seconds: float) -> float:
 def to_years(value_seconds: float) -> float:
     """Convert seconds to years."""
     return float(value_seconds) / SECONDS_PER_YEAR
-
-
-def mib(value: float) -> int:
-    """Convert mebibytes to bytes (rounded down)."""
-    return int(float(value) * MIB)
-
-
-def gib(value: float) -> int:
-    """Convert gibibytes to bytes (rounded down)."""
-    return int(float(value) * GIB)
 
 
 def parse_duration(text: str) -> float:

@@ -142,21 +142,6 @@ class TestNonBlocking:
         run_world(2, program)
         assert out["first_done"] == (1, "fast")
 
-    def test_iprobe(self):
-        out = {}
-
-        def program(ctx):
-            if ctx.rank == 0:
-                out["before"] = ctx.comm.iprobe(source=1, tag=3)
-                yield ctx.compute(1.0)  # let the message arrive
-                out["after"] = ctx.comm.iprobe(source=1, tag=3)
-                yield from ctx.comm.recv(source=1, tag=3)
-            else:
-                yield from ctx.comm.send(b"probe-me", dest=0, tag=3)
-
-        run_world(2, program)
-        assert out == {"before": False, "after": True}
-
 
 class TestValidation:
     def test_user_tag_limit(self):

@@ -88,16 +88,6 @@ class TestDeliverThenPost:
 
 
 class TestProbeAndCancel:
-    def test_probe_non_consuming(self, env):
-        engine = MatchingEngine(rank=1)
-        engine.deliver(make_envelope(tag=3))
-        assert engine.probe(source=ANY_SOURCE, tag=3) is not None
-        assert engine.unexpected_messages == 1
-
-    def test_probe_miss(self, env):
-        engine = MatchingEngine(rank=1)
-        assert engine.probe(source=0, tag=3) is None
-
     def test_cancel_pending(self, env):
         engine = MatchingEngine(rank=1)
         event = engine.post(env, source=0, tag=1)

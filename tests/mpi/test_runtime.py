@@ -51,17 +51,6 @@ class TestLifecycle:
         world.spawn(program)
         world.run(until=1.0)
         assert env.now == 1.0
-        assert not world.all_done()
-
-    def test_all_done(self):
-        world = SimMPI(Environment(), size=2)
-
-        def program(ctx):
-            yield ctx.compute(float(ctx.rank))
-
-        world.spawn(program)
-        world.run()
-        assert world.all_done()
 
     def test_world_size_validation(self):
         with pytest.raises(MPIError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CodecError
-from repro.models import CombinedModel
+from repro.models import CombinedModel, CombinedResult
 from repro.errors import ModelDivergence
 from repro.orchestration import JobReport
 from repro.orchestration.job import TimelineEvent
@@ -16,11 +16,9 @@ from repro.store.codec import (
     decode,
     decode_payload,
     decode_report,
-    decode_result,
     encode,
     encode_payload,
     encode_report,
-    encode_result,
 )
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
@@ -143,11 +141,12 @@ class TestResultRoundTrip:
             result = model.evaluate()
         except ModelDivergence:
             return  # nothing to store for this draw
-        wire = strict_dumps(encode_result(result))
-        restored = decode_result(json.loads(wire))
+        wire = strict_dumps(encode_payload(result))
+        restored = decode_payload(json.loads(wire))
         # All-finite dataclass tree: equality IS bit-identity here.
+        assert isinstance(restored, CombinedResult)
         assert restored == result
-        assert strict_dumps(encode_result(restored)) == wire
+        assert strict_dumps(encode_payload(restored)) == wire
 
 
 class TestEnvelopes:

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import UnkeyableError
 from repro.models import CombinedModel
 from repro.orchestration import JobConfig
-from repro.store.keys import canonical, fingerprint, job_key, model_key
+from repro.store.keys import canonical, fingerprint, job_key
 from repro.workloads import SyntheticWorkload
 
 
@@ -115,8 +115,10 @@ class TestModelAndFingerprint:
             checkpoint_cost=60.0,
             restart_cost=120.0,
         )
-        assert model_key(model) == model_key(model)
-        assert model_key(model) != model_key(replace(model, alpha=0.21))
+        assert fingerprint("model", model) == fingerprint("model", model)
+        assert fingerprint("model", model) != fingerprint(
+            "model", replace(model, alpha=0.21)
+        )
 
     def test_kind_separates_namespaces(self):
         assert fingerprint("job", {"x": 1}) != fingerprint("model", {"x": 1})

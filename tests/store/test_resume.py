@@ -8,6 +8,7 @@ from repro.models import CombinedModel, recommend
 from repro.orchestration import JobConfig, run_redundancy_sweep
 from repro.store import DEFAULT_STORE_DIR, STORE_ENV, ResultsStore, resolve_store
 from repro.store.codec import encode_report
+from repro.store.keys import fingerprint
 from repro.workloads import SyntheticWorkload
 
 MTBFS = [3.0, 6.0]
@@ -62,10 +63,25 @@ class TestFacade:
         run_redundancy_sweep(
             base_config(), node_mtbfs=[3.0], degrees=[1.0], store=old
         )
-        assert len(old.index) == 1
+        assert old.stats()["entries"] == 1
         new = ResultsStore(tmp_path, version="1.0.0")
         assert new.invalidated == 1
-        assert len(new.index) == 0
+        assert new.stats()["entries"] == 0
+
+    def test_version_bump_leaves_no_old_file(self, tmp_path):
+        old = ResultsStore(tmp_path, version="0.9.0")
+        old.put_object("memo", 1, {"v": 1})
+        old.put_object("memo", 2, {"v": 2})
+        # A blob written below the facade, and a quarantined one.
+        old.backend.put("ab" * 32, {"v": 3})
+        key = fingerprint("memo", 1, version="0.9.0")
+        (old.backend.root / key[:2] / f"{key[2:]}.json").write_text("garbage")
+        assert ResultsStore(tmp_path, version="0.9.0").get_object("memo", 1) is None
+        assert list((tmp_path / "objects").rglob("*.corrupt"))
+        new = ResultsStore(tmp_path, version="1.0.0")
+        assert new.invalidated == 2
+        leftovers = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert leftovers == []
 
     def test_object_memoization(self, tmp_path):
         store = ResultsStore(tmp_path)

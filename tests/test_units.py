@@ -36,12 +36,6 @@ class TestConversions:
     def test_roundtrip_hours(self, value):
         assert units.to_hours(units.hours(value)) == pytest.approx(value)
 
-    def test_mib(self):
-        assert units.mib(1) == 1024 * 1024
-
-    def test_gib(self):
-        assert units.gib(2) == 2 * 1024**3
-
 
 class TestParseDuration:
     @pytest.mark.parametrize(
