@@ -80,7 +80,7 @@ class CheckpointConfig:
     retry_backoff: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
+        if not self.interval > 0:
             raise ConfigurationError(f"interval must be > 0, got {self.interval}")
         if self.fixed_cost is None or not self.fixed_cost >= 0:
             raise ConfigurationError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
@@ -23,6 +24,13 @@ _REGISTRY = {
     "fig13": "fig13",
     "fig14": "fig14",
     "chaos": "chaos",
+}
+
+#: Where an experiment's ``**kwargs`` catch-all sends its keys, by the
+#: catch-all's name: the callee's parameters are accepted overrides too.
+_FORWARDED = {
+    "execution": ("repro.orchestration", "CampaignExecutor"),
+    "model_params": ("repro.experiments.fig13", "base_model"),
 }
 
 
@@ -73,6 +81,33 @@ def get_experiment(experiment: str):
     return importlib.import_module(f"repro.experiments.{module_name}")
 
 
+def _accepted_params(run) -> List[str]:
+    """Keyword names ``run`` takes, including what its ``**kwargs`` forward."""
+    names = []
+    for name, param in inspect.signature(run).parameters.items():
+        if param.kind is inspect.Parameter.VAR_KEYWORD:
+            module, attr = _FORWARDED[name]
+            names += _accepted_params(getattr(importlib.import_module(module), attr))
+        elif param.kind is not inspect.Parameter.VAR_POSITIONAL:
+            names.append(name)
+    return sorted(names)
+
+
 def run_experiment(experiment: str, **params) -> ExperimentResult:
-    """Run an experiment by id with optional parameter overrides."""
-    return get_experiment(experiment).run(**params)
+    """Run an experiment by id with optional parameter overrides.
+
+    Raises
+    ------
+    ConfigurationError
+        For an unknown experiment, or a parameter it does not take
+        (before anything runs).
+    """
+    run = get_experiment(experiment).run
+    accepted = _accepted_params(run)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"{experiment} takes no parameter {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(accepted)}"
+        )
+    return run(**params)

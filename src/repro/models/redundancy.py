@@ -84,21 +84,6 @@ class RedundancyPartition:
         """Realised degree ``N_total / N`` (≤ requested ``r``, Eq. 8)."""
         return self.total_processes / self.virtual_processes
 
-    def replication_of(self, virtual_rank: int) -> int:
-        """Integer replication level assigned to one virtual rank.
-
-        By convention (matching the paper's experiments, where "1.5x
-        means every other process has a replica"), the *lower*-numbered
-        virtual ranks get the *higher* replication level.
-        """
-        if not 0 <= virtual_rank < self.virtual_processes:
-            raise ConfigurationError(
-                f"virtual rank {virtual_rank} outside [0, {self.virtual_processes})"
-            )
-        if virtual_rank < self.ceil_count:
-            return self.ceil_level
-        return self.floor_level
-
 
 def partition_counts(virtual_processes, redundancy):
     """The Eqs. 5-8 partial-r partition, element-wise.

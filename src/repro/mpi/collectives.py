@@ -14,9 +14,7 @@ Algorithms (standard MPICH-style):
 * ``allreduce``  — reduce to rank 0, then broadcast;
 * ``gather``     — linear fan-in with posted receives;
 * ``allgather``  — gather + broadcast;
-* ``scatter``    — linear fan-out;
-* ``alltoall``   — pairwise exchange with offset scheduling;
-* ``scan``       — linear pipeline inclusive prefix reduction.
+* ``alltoall``   — pairwise exchange with offset scheduling.
 
 All functions are generators and must be driven with ``yield from``
 inside a simkit process.  Every rank of the communicator must call the
@@ -25,7 +23,7 @@ same collectives in the same order (the usual MPI contract).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
 from ..errors import CommunicatorError
 
@@ -142,29 +140,6 @@ def allgather(comm, value: Any):
     return result
 
 
-def scatter(comm, values: Optional[List[Any]], root: int = 0):
-    """Linear scatter from root; returns this rank's element."""
-    size = comm.size
-    rank = comm.rank
-    _check_root(root, size)
-    tag = comm._next_collective_tag()
-    if rank == root:
-        if values is None or len(values) != size:
-            raise CommunicatorError(
-                f"scatter root needs exactly {size} values, got "
-                f"{'None' if values is None else len(values)}"
-            )
-        requests = [
-            comm.isend(values[peer], peer, tag, _internal=True)
-            for peer in range(size)
-            if peer != root
-        ]
-        yield from comm.waitall(requests)
-        return values[root]
-    payload, _status = yield from comm.recv(root, tag)
-    return payload
-
-
 def alltoall(comm, values: List[Any]):
     """Pairwise-exchange personalised all-to-all.
 
@@ -194,27 +169,6 @@ def alltoall(comm, values: List[Any]):
             payload, status = result
             received[status.source] = payload
     return received
-
-
-def scan(comm, value: Any, op):
-    """Inclusive prefix reduction (MPI_Scan): rank k gets op(v_0..v_k).
-
-    Linear pipeline: rank k receives the prefix from k-1, folds its own
-    value, forwards to k+1.  O(P) latency but exact MPI semantics for
-    non-commutative usage (values are folded in rank order).
-    """
-    size = comm.size
-    rank = comm.rank
-    if size == 1:
-        return value
-    tag = comm._next_collective_tag()
-    accumulator = value
-    if rank > 0:
-        prefix, _status = yield from comm.recv(rank - 1, tag)
-        accumulator = op(prefix, value)
-    if rank < size - 1:
-        yield from comm.send(accumulator, rank + 1, tag, _internal=True)
-    return accumulator
 
 
 def _check_root(root: int, size: int) -> None:

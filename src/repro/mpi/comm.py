@@ -1,9 +1,9 @@
 """The communicator: the per-rank handle for all communication.
 
 Each simulated rank holds its own :class:`Communicator` object (as in
-real MPI, where the handle is process-local).  A communicator is a view
-onto a *group* of global ranks with a private context id, so traffic on
-different communicators never cross-matches.
+real MPI, where the handle is process-local).  The world is the only
+communicator: its ranks are world ranks and its envelopes all carry
+:data:`WORLD_CID`.
 
 Blocking operations are generators — call them with ``yield from``:
 
@@ -17,7 +17,7 @@ handles; complete them with ``yield from request.wait()`` or
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List
 
 from ..errors import CommunicatorError
 from .requests import RECV, Request, waitall as _waitall, waitany as _waitany
@@ -25,6 +25,9 @@ from .status import ANY_SOURCE, ANY_TAG
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import SimMPI
+
+#: Context id of the world communicator, the only one there is.
+WORLD_CID = 0
 
 #: User tags must stay below this; collectives use the space above it.
 USER_TAG_LIMIT = 1 << 20
@@ -105,13 +108,6 @@ class CollectiveAPI:
         result = yield from collectives.allgather(self, value)
         return result
 
-    def scatter(self, values: Optional[List[Any]], root: int = 0):
-        """Generator: scatter ``values`` from root; returns this rank's item."""
-        from . import collectives
-
-        result = yield from collectives.scatter(self, values, root)
-        return result
-
     def alltoall(self, values: List[Any]):
         """Generator: personalised all-to-all; returns the received list."""
         from . import collectives
@@ -119,81 +115,31 @@ class CollectiveAPI:
         result = yield from collectives.alltoall(self, values)
         return result
 
-    def scan(self, value: Any, op):
-        """Generator: inclusive prefix reduction; rank k gets op(v_0..v_k)."""
-        from . import collectives
-
-        result = yield from collectives.scan(self, value, op)
-        return result
-
 
 class Communicator(CollectiveAPI):
-    """A group-scoped communication handle for one rank."""
+    """The world communication handle for one rank."""
 
-    def __init__(
-        self,
-        runtime: "SimMPI",
-        group: Sequence[int],
-        local_rank: int,
-        cid: int,
-        name: str = "comm",
-    ) -> None:
-        if local_rank < 0 or local_rank >= len(group):
-            raise CommunicatorError(
-                f"local rank {local_rank} outside group of size {len(group)}"
-            )
+    #: Context id stamped on this communicator's envelopes.
+    cid = WORLD_CID
+
+    def __init__(self, runtime: "SimMPI", rank: int) -> None:
         self._runtime = runtime
-        self._group: List[int] = list(group)
-        self._local_rank = local_rank
-        self._cid = cid
-        self.name = name
-        self._global_of: Dict[int, int] = dict(enumerate(self._group))
-        self._local_of: Dict[int, int] = {g: l for l, g in self._global_of.items()}
+        self.rank = rank
+        self.size = runtime.size
         self._coll_seq = 0
-
-    # -- identity ---------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        """This process's rank within the communicator."""
-        return self._local_rank
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the communicator."""
-        return len(self._group)
 
     @property
     def env(self):
         """The simulation environment (for ``waitall`` etc.)."""
         return self._runtime.env
 
-    @property
-    def cid(self) -> int:
-        """Context id separating this communicator's traffic."""
-        return self._cid
-
-    def global_rank(self, local: int) -> int:
-        """Translate a communicator rank to the world rank."""
-        try:
-            return self._global_of[local]
-        except KeyError as exc:
-            raise CommunicatorError(f"no local rank {local} in {self.name}") from exc
-
-    def local_rank_of(self, global_rank: int) -> int:
-        """Translate a world rank back into this communicator."""
-        try:
-            return self._local_of[global_rank]
-        except KeyError as exc:
-            raise CommunicatorError(
-                f"world rank {global_rank} not in communicator {self.name}"
-            ) from exc
-
-    def peer_alive(self, local: int) -> bool:
-        """Liveness of a peer (used by the redundancy layer)."""
-        return self._runtime.is_alive(self.global_rank(local))
-
     # -- point to point ----------------------------------------------------
+
+    def _check_peer(self, peer: int) -> None:
+        if not 0 <= peer < self.size:
+            raise CommunicatorError(
+                f"rank {peer} outside communicator of size {self.size}"
+            )
 
     def _check_tag(self, tag: int, internal: bool) -> None:
         if tag < 0:
@@ -206,13 +152,9 @@ class Communicator(CollectiveAPI):
     def isend(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False) -> Request:
         """Non-blocking send; returns a request completing at injection."""
         self._check_tag(tag, _internal)
-        global_dest = self.global_rank(dest)
+        self._check_peer(dest)
         event = self._runtime.post_send(
-            src=self.global_rank(self._local_rank),
-            dst=global_dest,
-            tag=tag,
-            payload=payload,
-            cid=self._cid,
+            src=self.rank, dst=dest, tag=tag, payload=payload, cid=WORLD_CID
         )
         return Request(kind="send", event=event, peer=dest, tag=tag)
 
@@ -222,18 +164,12 @@ class Communicator(CollectiveAPI):
         """Non-blocking receive; request completes when matched."""
         if tag != ANY_TAG:
             self._check_tag(tag, _internal)
-        global_source = source if source == ANY_SOURCE else self.global_rank(source)
-        my_global = self.global_rank(self._local_rank)
+        if source != ANY_SOURCE:
+            self._check_peer(source)
         event = self._runtime.post_recv(
-            rank=my_global, source=global_source, tag=tag, cid=self._cid
+            rank=self.rank, source=source, tag=tag, cid=WORLD_CID
         )
-        return Request(
-            kind=RECV,
-            event=event,
-            peer=source,
-            tag=tag,
-            source_map=self.local_rank_of,
-        )
+        return Request(kind=RECV, event=event, peer=source, tag=tag)
 
     def send(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False):
         """Blocking send (generator)."""
@@ -265,4 +201,4 @@ class Communicator(CollectiveAPI):
         return results[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Communicator {self.name} rank={self.rank}/{self.size}>"
+        return f"<Communicator rank={self.rank}/{self.size}>"

@@ -8,7 +8,7 @@ for sends).  Blocking calls are ``yield from request.wait()``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..errors import RequestError
 from ..simkit.events import AllOf, Event
@@ -30,19 +30,9 @@ class Request:
         "_event",
         "_status",
         "_consumed",
-        "_on_complete",
-        "_source_map",
     )
 
-    def __init__(
-        self,
-        kind: str,
-        event: Event,
-        peer: int,
-        tag: int,
-        on_complete: Optional[Callable[["Request"], None]] = None,
-        source_map: Optional[Callable[[int], int]] = None,
-    ) -> None:
+    def __init__(self, kind: str, event: Event, peer: int, tag: int) -> None:
         if kind not in (SEND, RECV):
             raise RequestError(f"unknown request kind {kind!r}")
         self.kind = kind
@@ -51,8 +41,6 @@ class Request:
         self._event = event
         self._status: Optional[Status] = None
         self._consumed = False
-        self._on_complete = on_complete
-        self._source_map = source_map
 
     @property
     def event(self) -> Event:
@@ -76,13 +64,10 @@ class Request:
         result: Any = None
         if self.kind == RECV:
             envelope: Envelope = raw
-            source = envelope.source
-            if self._source_map is not None:
-                source = self._source_map(source)
-            self._status = Status(source=source, tag=envelope.tag, nbytes=envelope.nbytes)
+            self._status = Status(
+                source=envelope.source, tag=envelope.tag, nbytes=envelope.nbytes
+            )
             result = (envelope.payload, self._status)
-        if self._on_complete is not None:
-            self._on_complete(self)
         return result
 
     def wait(self):

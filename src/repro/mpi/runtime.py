@@ -26,7 +26,7 @@ from typing import (
     Any, Callable, DefaultDict, Deque, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
-from ..errors import CommunicatorError, MPIError
+from ..errors import MPIError
 from ..netsim import Network
 from ..simkit import Environment
 from ..simkit.events import AllOf, Event
@@ -34,8 +34,6 @@ from ..simkit.process import Process
 from .comm import Communicator
 from .datatypes import message_wire_size
 from .matching import Envelope, MatchingEngine
-#: The world communicator's context id; sub-communicators count up.
-WORLD_CID = 0
 
 #: A send queued at its sender's NIC: the envelope, its injection time,
 #: whether source and destination share a node, and the event that
@@ -64,10 +62,9 @@ class RankContext:
     def compute(self, seconds: float):
         """Event representing ``seconds`` of local computation.
 
-        Yield it from the program.  Scaled by the runtime's
-        ``compute_scale`` (useful to shrink experiments).
+        Yield it from the program.
         """
-        return self.env.timeout(seconds * self.runtime.compute_scale)
+        return self.env.timeout(seconds)
 
 
 class SimMPI:
@@ -84,8 +81,6 @@ class SimMPI:
     placement:
         Mapping rank→node index; defaults to one rank per node,
         ``{rank: rank}`` (the paper's assumption 2).
-    compute_scale:
-        Multiplier applied to all ``ctx.compute`` durations.
     """
 
     def __init__(
@@ -94,7 +89,6 @@ class SimMPI:
         size: int,
         network: Optional[Network] = None,
         placement: Optional[Dict[int, int]] = None,
-        compute_scale: float = 1.0,
     ) -> None:
         if size < 1:
             raise MPIError(f"world size must be >= 1, got {size}")
@@ -104,7 +98,6 @@ class SimMPI:
         self.placement = placement or {rank: rank for rank in range(size)}
         if not set(self.placement).issuperset(range(size)):
             raise MPIError("placement must cover every rank")
-        self.compute_scale = compute_scale
         #: Named float counters (messages, bytes, drops, kills, votes).
         self.counters: DefaultDict[str, float] = defaultdict(float)
         self._engines: Dict[int, MatchingEngine] = {
@@ -119,7 +112,6 @@ class SimMPI:
         }
         self._alive: Set[int] = set(range(size))
         self._processes: Dict[int, Process] = {}
-        self._next_cid = WORLD_CID + 1
         self._send_seq = 0
         self._death_watchers: List[Callable[[int], None]] = []
         #: Per-(src, dst) sent and consumed message counts — the
@@ -147,32 +139,6 @@ class SimMPI:
     def alive_ranks(self) -> Set[int]:
         """Snapshot of the currently live ranks."""
         return set(self._alive)
-
-    # -- communicators --------------------------------------------------------
-
-    def world_comm(self, rank: int) -> Communicator:
-        """The world communicator handle for ``rank``."""
-        return Communicator(
-            self, group=range(self.size), local_rank=rank, cid=WORLD_CID, name="world"
-        )
-
-    def create_comm(self, group: Sequence[int]) -> Dict[int, Communicator]:
-        """Mint a sub-communicator over ``group`` (world ranks).
-
-        Returns one handle per member, keyed by world rank.  All
-        handles share a fresh context id.
-        """
-        group = list(group)
-        if len(set(group)) != len(group):
-            raise CommunicatorError("communicator group has duplicate ranks")
-        cid = self._next_cid
-        self._next_cid += 1
-        return {
-            world_rank: Communicator(
-                self, group=group, local_rank=local, cid=cid, name=f"comm{cid}"
-            )
-            for local, world_rank in enumerate(group)
-        }
 
     # -- traffic -----------------------------------------------------------------
 
@@ -280,7 +246,7 @@ class SimMPI:
         for rank in ranks if ranks is not None else range(self.size):
             if rank in self._processes:
                 raise MPIError(f"rank {rank} already spawned")
-            context = RankContext(self, rank, self.world_comm(rank))
+            context = RankContext(self, rank, Communicator(self, rank))
             self._processes[rank] = self.env.process(
                 program(context), name=f"rank{rank}"
             )

@@ -48,6 +48,10 @@ from ..simkit import Environment
 from ..simkit.events import AllOf, AnyOf
 from ..workloads import WorkShell, Workload
 
+#: Restarts a job may pay before it gives up (never reached by the
+#: paper's settings; a guard against a job that can make no progress).
+MAX_RESTARTS = 10_000
+
 
 @dataclass
 class JobConfig:
@@ -64,7 +68,6 @@ class JobConfig:
     virtual_processes: int
     redundancy: float = 1.0
     mode: str = ALL_TO_ALL
-    replica_strategy: str = "interleaved"
     node_mtbf: Optional[float] = None
     seed: int = 0
     checkpointing: bool = True
@@ -78,9 +81,7 @@ class JobConfig:
     #: assumption), "weibull" (field-study-realistic, shape 0.7) or
     #: "lognormal" — a robustness knob the paper leaves to future work.
     failure_distribution: str = "exponential"
-    max_restarts: int = 10_000
     bookmark_exchange: bool = False
-    compute_scale: float = 1.0
     network_latency: float = QDR_LATENCY
     network_bandwidth: float = QDR_BANDWIDTH
     #: Chaos layer: storage fault probabilities (None, or a config with
@@ -106,12 +107,18 @@ class JobConfig:
     def __post_init__(self) -> None:
         if self.virtual_processes < 1:
             raise ConfigurationError("virtual_processes must be >= 1")
-        if self.redundancy < 1.0:
-            raise ConfigurationError("redundancy must be >= 1")
+        if not 1.0 <= self.redundancy < math.inf:
+            raise ConfigurationError(
+                f"redundancy must be finite and >= 1, got {self.redundancy}"
+            )
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown redundancy mode {self.mode!r}")
-        if self.node_mtbf is not None and self.node_mtbf <= 0:
-            raise ConfigurationError("node_mtbf must be > 0")
+        for name in ("node_mtbf", "checkpoint_interval", "expected_base_time"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and > 0, got {value}"
+                )
         Network.validate(self.network_latency, self.network_bandwidth)
         if self.checkpointing and (
             self.checkpoint_cost is None or not self.checkpoint_cost >= 0
@@ -124,8 +131,6 @@ class JobConfig:
             raise ConfigurationError(
                 f"restart_cost must be >= 0, got {self.restart_cost}"
             )
-        if self.max_restarts < 0:
-            raise ConfigurationError("max_restarts must be >= 0")
         if self.failure_distribution not in ("exponential", "weibull", "lognormal"):
             raise ConfigurationError(
                 f"unknown failure_distribution {self.failure_distribution!r}"
@@ -298,9 +303,7 @@ class ResilientJob:
                 **RunManifest.for_job(cfg, label=self._trace_label()).as_record(),
             )
         rng = StreamRegistry(cfg.seed)
-        replica_map = ReplicaMap(
-            cfg.virtual_processes, cfg.redundancy, strategy=cfg.replica_strategy
-        )
+        replica_map = ReplicaMap(cfg.virtual_processes, cfg.redundancy)
         total_physical = replica_map.total_physical
         fault_model = (
             StorageFaultModel(cfg.storage_faults)
@@ -367,7 +370,7 @@ class ResilientJob:
                 completed = True
                 result = attempt["result"]
                 break
-            if attempts > cfg.max_restarts:
+            if attempts > MAX_RESTARTS:
                 self._log(env, "gave_up", f"after {attempts} attempts")
                 break
             restart_manager.note_rollback()
@@ -479,7 +482,6 @@ class ResilientJob:
             env,
             size=total_physical,
             network=Network(cfg.network_latency, cfg.network_bandwidth),
-            compute_scale=cfg.compute_scale,
         )
         self._world = world
         tracker = SphereTracker(replica_map)

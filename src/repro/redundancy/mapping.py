@@ -2,18 +2,18 @@
 
 Physical world layout: ranks ``0 .. N-1`` are the primaries (physical
 rank == virtual rank), and shadow replicas occupy ``N .. N_total-1`` in
-virtual-rank order.  Which virtual ranks get the extra replica is
-decided by the Eq. 5-8 partition; the *interleaved* strategy spreads
-them evenly (the paper's experiments: "a redundancy degree of 1.5x
+virtual-rank order.  How many virtual ranks get the extra replica is
+decided by the Eq. 5-8 partition; they are spread evenly over the
+virtual ranks (the paper's experiments: "a redundancy degree of 1.5x
 means that every other process (i.e., every even process) has a
-replica"), while *block* gives them to the lowest virtual ranks.
+replica").
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..errors import ConfigurationError, RedundancyError
+from ..errors import RedundancyError
 from ..models.redundancy import partition_processes
 
 
@@ -26,23 +26,9 @@ class ReplicaMap:
         ``N`` — the application's process count.
     redundancy:
         Real-valued degree ``r >= 1``.
-    strategy:
-        ``"interleaved"`` (default, matches the paper's experiments) or
-        ``"block"`` — how the higher replication level is distributed
-        when ``r`` is fractional.
     """
 
-    def __init__(
-        self,
-        virtual_processes: int,
-        redundancy: float,
-        strategy: str = "interleaved",
-    ) -> None:
-        if strategy not in ("interleaved", "block"):
-            raise ConfigurationError(
-                f"strategy must be 'interleaved' or 'block', got {strategy!r}"
-            )
-        self.strategy = strategy
+    def __init__(self, virtual_processes: int, redundancy: float) -> None:
         self.partition = partition_processes(virtual_processes, redundancy)
         self.virtual_processes = virtual_processes
         self.redundancy = redundancy
@@ -56,21 +42,11 @@ class ReplicaMap:
         part = self.partition
         n = self.virtual_processes
         levels = [part.floor_level] * n
-        if part.ceil_count == 0:
-            return levels
-        if self.strategy == "block":
-            chosen = range(part.ceil_count)
-        else:
-            # Bresenham-style even spread: rank v is upgraded when the
-            # running quota crosses an integer boundary.
-            chosen = [
-                v
-                for v in range(n)
-                if (v * part.ceil_count) % n < part.ceil_count
-            ]
-            # Quota arithmetic yields exactly ceil_count upgrades.
-            chosen = chosen[: part.ceil_count]
-        for v in chosen:
+        # Bresenham-style even spread: rank v is upgraded when the
+        # running quota crosses an integer boundary.
+        chosen = [v for v in range(n) if (v * part.ceil_count) % n < part.ceil_count]
+        # Quota arithmetic yields exactly ceil_count upgrades.
+        for v in chosen[: part.ceil_count]:
             levels[v] = part.ceil_level
         return levels
 
@@ -87,11 +63,6 @@ class ReplicaMap:
         self.total_physical = next_shadow
 
     # -- queries -----------------------------------------------------------
-
-    def replication_of(self, virtual_rank: int) -> int:
-        """Number of physical replicas backing ``virtual_rank``."""
-        self._check_virtual(virtual_rank)
-        return self._levels[virtual_rank]
 
     def replicas_of(self, virtual_rank: int) -> List[int]:
         """Physical ranks of a sphere, primary first."""
@@ -125,5 +96,5 @@ class ReplicaMap:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ReplicaMap N={self.virtual_processes} r={self.redundancy} "
-            f"physical={self.total_physical} strategy={self.strategy}>"
+            f"physical={self.total_physical}>"
         )

@@ -9,7 +9,7 @@ sphere exhaustion.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from ..errors import RedundancyError
 from .mapping import ReplicaMap
@@ -77,11 +77,3 @@ class SphereTracker:
     def exhausted_virtual_rank(self) -> Optional[int]:
         """The first virtual rank to lose all replicas (or None)."""
         return self._exhausted
-
-    def death_counts(self) -> Dict[int, int]:
-        """Per-virtual-rank number of dead replicas (diagnostics)."""
-        counts: Dict[int, int] = {}
-        for rank in self._dead:
-            virtual = self.replica_map.virtual_of(rank)
-            counts[virtual] = counts.get(virtual, 0) + 1
-        return counts

@@ -11,25 +11,16 @@ transparently (RedMPI's headline property).
   benchmark, with the same irregular-communication flavour
   (matvec + allgather + dot-product allreduces) and a repeat knob to
   lengthen runs, exactly as the paper modified CG;
-* :mod:`stencil` — a 2-D Jacobi heat-diffusion kernel with halo
-  exchange (neighbour p2p) and periodic global residual reductions;
 * :mod:`synthetic` — a tunable compute/communicate loop for
-  model-matching experiments where ``alpha`` must be exact;
-* :mod:`montecarlo` — a master/slave pi estimator whose wildcard
-  (ANY_SOURCE) result collection exercises the Section 3 envelope-
-  forwarding protocol inside a real application.
+  model-matching experiments where ``alpha`` must be exact.
 """
 
 from .base import WorkShell, Workload
 from .cg import ConjugateGradientWorkload
-from .montecarlo import MonteCarloWorkload
-from .stencil import StencilWorkload
 from .synthetic import SyntheticWorkload
 
 __all__ = [
     "ConjugateGradientWorkload",
-    "MonteCarloWorkload",
-    "StencilWorkload",
     "SyntheticWorkload",
     "WorkShell",
     "Workload",

@@ -2,7 +2,6 @@
 
 from repro.checkpoint import BookmarkCoordinator
 from repro.mpi import SimMPI
-from repro.simkit import Environment
 
 
 class TestQuiesce:

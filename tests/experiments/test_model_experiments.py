@@ -5,8 +5,6 @@ corresponding paper artifact — who wins, monotonicity, where
 crossovers fall — not absolute numbers.
 """
 
-import math
-
 import pytest
 
 from repro.experiments import run_experiment

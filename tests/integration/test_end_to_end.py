@@ -10,21 +10,13 @@ import pytest
 
 from repro.orchestration import JobConfig, ResilientJob
 from repro.redundancy import MSG_PLUS_HASH
-from repro.workloads import (
-    ConjugateGradientWorkload,
-    StencilWorkload,
-    SyntheticWorkload,
-)
+from repro.workloads import ConjugateGradientWorkload, SyntheticWorkload
 
 
 def cg_factory():
     return ConjugateGradientWorkload(
         grid=8, total_steps=30, cycle_length=25, flops_per_second=2e4
     )
-
-
-def stencil_factory():
-    return StencilWorkload(grid=12, total_steps=30, flops_per_second=2e4)
 
 
 class TestCGUnderTheFullStack:
@@ -76,52 +68,6 @@ class TestCGUnderTheFullStack:
         assert report.completed
         assert report.result["checksum"] == pytest.approx(
             clean_result["checksum"], abs=1e-9
-        )
-
-    def test_block_replica_strategy(self, clean_result):
-        report = ResilientJob(
-            JobConfig(
-                workload_factory=cg_factory,
-                virtual_processes=4,
-                redundancy=1.5,
-                replica_strategy="block",
-                node_mtbf=15.0,
-                checkpoint_interval=0.8,
-                checkpoint_cost=0.05,
-                restart_cost=0.2,
-                seed=13,
-            )
-        ).run()
-        assert report.completed
-        assert report.result["checksum"] == pytest.approx(
-            clean_result["checksum"], abs=1e-9
-        )
-
-
-class TestStencilUnderTheFullStack:
-    def test_heat_answer_survives_failures(self):
-        clean = ResilientJob(
-            JobConfig(
-                workload_factory=stencil_factory,
-                virtual_processes=3,
-                checkpointing=False,
-            )
-        ).run()
-        faulty = ResilientJob(
-            JobConfig(
-                workload_factory=stencil_factory,
-                virtual_processes=3,
-                redundancy=2.0,
-                node_mtbf=10.0,
-                checkpoint_interval=0.5,
-                checkpoint_cost=0.03,
-                restart_cost=0.15,
-                seed=4,
-            )
-        ).run()
-        assert faulty.completed
-        assert faulty.result["total_heat"] == pytest.approx(
-            clean.result["total_heat"], rel=1e-12
         )
 
 

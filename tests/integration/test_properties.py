@@ -1,7 +1,5 @@
 """Property-based stress tests across subsystem boundaries."""
 
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mpi import SimMPI, ops

@@ -437,6 +437,25 @@ class TestGridSemantics:
         for count, vector_time in zip(counts, times):
             assert float(vector_time) == model.with_processes(count).total_time_or_inf()
 
+    def test_degree_by_count_grid_equals_scalar_loop(self):
+        # The Fig. 13/14 shape: a (degree x count) grid spanning cells
+        # that diverge (inf on both sides) and cells that do not.
+        model = reference_model(virtual_processes=1000)
+        counts = np.unique(np.round(np.logspace(0.5, 6, 60)).astype(int))
+        degrees = np.asarray(PAPER_REDUNDANCY_GRID)
+        grid = total_time_grid(
+            model, processes=counts.astype(float), redundancy=degrees[:, None]
+        )
+        scalar = np.array([
+            [
+                model.with_processes(int(n)).with_redundancy(float(r)).total_time_or_inf()
+                for n in counts
+            ]
+            for r in degrees
+        ])
+        assert np.isinf(scalar).any() and np.isfinite(scalar).any()
+        assert np.array_equal(grid, scalar)
+
     def test_expected_checkpoints_property(self):
         model = reference_model(redundancy=2.0)
         grid = evaluate_model_grid(model)

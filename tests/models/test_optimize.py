@@ -156,6 +156,13 @@ class TestEvaluationCache:
         assert second.hits > first.hits
         assert second.misses == first.misses
 
+    def test_memoised_search_equals_cold(self):
+        clear_model_cache()
+        cold = find_crossover(model(), 1.0, 2.0)
+        warm = find_crossover(model(), 1.0, 2.0)
+        assert model_cache_info().hits > 0
+        assert warm == cold
+
     def test_cached_values_match_direct_evaluation(self):
         clear_model_cache()
         cross = find_crossover(model(), 1.0, 2.0)

@@ -76,17 +76,6 @@ class TestPartition:
         part = partition_processes(7, 1.3)
         assert part.effective_redundancy <= 1.3 + 1.0 / 7
 
-    def test_replication_of_block_convention(self):
-        part = partition_processes(4, 1.25)
-        levels = [part.replication_of(v) for v in range(4)]
-        assert sorted(levels, reverse=True) == levels  # ceil first
-        assert levels.count(2) == part.ceil_count
-
-    def test_replication_of_bad_rank(self):
-        part = partition_processes(4, 1.5)
-        with pytest.raises(ConfigurationError):
-            part.replication_of(4)
-
     @given(process_counts, degrees)
     def test_invariants(self, n, r):
         part = partition_processes(n, r)

@@ -1,7 +1,5 @@
 """Tests for the Section 6 simplified model."""
 
-import math
-
 import pytest
 
 from repro import units

@@ -44,7 +44,8 @@ class TestEachCollective:
 
     def test_reduce_max_at_root(self, size):
         def program(ctx):
-            result = yield from ctx.comm.reduce(ctx.rank * 10, ops.MAX, root=0)
+            # Any commutative callable is an op, not only repro.mpi.ops.
+            result = yield from ctx.comm.reduce(ctx.rank * 10, max, root=0)
             return result
 
         world = run_collective(size, program)
@@ -67,15 +68,6 @@ class TestEachCollective:
         world = run_collective(size, program)
         expected = [chr(ord("a") + r) for r in range(size)]
         assert all(world.result_of(r) == expected for r in range(size))
-
-    def test_scatter(self, size):
-        def program(ctx):
-            values = [f"s{i}" for i in range(ctx.size)] if ctx.rank == 0 else None
-            result = yield from ctx.comm.scatter(values, root=0)
-            return result
-
-        world = run_collective(size, program)
-        assert all(world.result_of(r) == f"s{r}" for r in range(size))
 
     def test_alltoall(self, size):
         def program(ctx):
@@ -114,7 +106,7 @@ class TestNumericsAndValidation:
 
     def test_reduce_min(self):
         def program(ctx):
-            result = yield from ctx.comm.reduce(-ctx.rank, ops.MIN, root=0)
+            result = yield from ctx.comm.reduce(-ctx.rank, min, root=0)
             return result
 
         world = run_collective(5, program)
@@ -123,26 +115,16 @@ class TestNumericsAndValidation:
     def test_logical_ops(self):
         def program(ctx):
             any_true = yield from ctx.comm.allreduce(ctx.rank == 2, ops.LOR)
-            all_true = yield from ctx.comm.allreduce(ctx.rank < 10, ops.LAND)
-            return any_true, all_true
+            none_true = yield from ctx.comm.allreduce(ctx.rank >= 10, ops.LOR)
+            return any_true, none_true
 
         world = run_collective(4, program)
-        assert world.result_of(0) == (True, True)
+        assert world.result_of(0) == (True, False)
 
     def test_bad_root_rejected(self):
         def program(ctx):
             with pytest.raises(CommunicatorError):
                 yield from ctx.comm.bcast("x", root=5)
-
-        run_collective(2, program)
-
-    def test_scatter_wrong_length_rejected(self):
-        def program(ctx):
-            if ctx.rank == 0:
-                with pytest.raises(CommunicatorError):
-                    yield from ctx.comm.scatter(["only-one"], root=0)
-            else:
-                yield ctx.env.timeout(0)
 
         run_collective(2, program)
 
@@ -163,52 +145,3 @@ class TestNumericsAndValidation:
 
         world = run_collective(6, program)
         assert world.result_of(3) == (6, 60, list(range(6)))
-
-
-class TestScan:
-    @pytest.mark.parametrize("size", SIZES)
-    def test_inclusive_prefix_sums(self, size):
-        def program(ctx):
-            result = yield from ctx.comm.scan(ctx.rank + 1, ops.SUM)
-            return result
-
-        world = run_collective(size, program)
-        for rank in range(size):
-            assert world.result_of(rank) == (rank + 1) * (rank + 2) // 2
-
-    def test_scan_respects_rank_order(self):
-        # Fold strings: non-commutative, so ordering is observable.
-        def program(ctx):
-            result = yield from ctx.comm.scan(str(ctx.rank), lambda a, b: a + b)
-            return result
-
-        world = run_collective(4, program)
-        assert world.result_of(3) == "0123"
-
-    def test_scan_single_rank(self):
-        def program(ctx):
-            result = yield from ctx.comm.scan(7, ops.SUM)
-            return result
-
-        world = run_collective(1, program)
-        assert world.result_of(0) == 7
-
-    def test_scan_under_redundancy(self):
-        from repro.redundancy import RedComm, ReplicaMap, SphereTracker
-        from repro.simkit import Environment
-
-        env = Environment()
-        rmap = ReplicaMap(4, 2.0)
-        tracker = SphereTracker(rmap)
-        world = SimMPI(env, size=rmap.total_physical)
-        results = {}
-
-        def program(ctx):
-            red = RedComm(ctx, rmap, tracker)
-            value = yield from red.scan(red.rank, ops.SUM)
-            results[ctx.rank] = (red.rank, value)
-
-        world.spawn(program)
-        world.run()
-        for _physical, (virtual, value) in results.items():
-            assert value == virtual * (virtual + 1) // 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CommunicatorError, MPIError
+from repro.errors import CommunicatorError
 from repro.mpi import ANY_SOURCE, SimMPI
 from repro.mpi.comm import USER_TAG_LIMIT
 from repro.simkit import Environment

@@ -1,7 +1,6 @@
 """Tests for payload sizing and digests."""
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.mpi.datatypes import (

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import MPIError
 from repro.mpi import ANY_SOURCE, ANY_TAG
 from repro.mpi.matching import Envelope, MatchingEngine
-from repro.simkit import Environment
 
 
 def make_envelope(source=0, dest=1, tag=0, payload=b"", cid=0, seq=0):

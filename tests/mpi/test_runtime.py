@@ -56,17 +56,6 @@ class TestLifecycle:
         with pytest.raises(MPIError):
             SimMPI(Environment(), size=0)
 
-    def test_compute_scale(self):
-        env = Environment()
-        world = SimMPI(env, size=1, compute_scale=0.5)
-
-        def program(ctx):
-            yield ctx.compute(10.0)
-
-        world.spawn(program)
-        world.run()
-        assert env.now == pytest.approx(5.0)
-
 
 class TestLiveness:
     def test_kill_rank_updates_liveness(self):
@@ -245,43 +234,6 @@ class TestInFlightCount:
             assert world.channels_quiet() == pairwise_quiet(world)
         env.run()
         assert world.channels_quiet() and pairwise_quiet(world)
-
-
-class TestSubCommunicators:
-    def test_create_comm_isolated_traffic(self):
-        env = Environment()
-        world = SimMPI(env, size=4)
-        sub = world.create_comm([1, 3])
-        out = {}
-
-        def program(ctx):
-            if ctx.rank in (1, 3):
-                comm = sub[ctx.rank]
-                from repro.mpi import ops
-
-                total = yield from comm.allreduce(comm.rank, ops.SUM)
-                out[ctx.rank] = (comm.rank, comm.size, total)
-            else:
-                yield ctx.compute(0.0)
-
-        world.spawn(program)
-        world.run()
-        assert out[1] == (0, 2, 1)
-        assert out[3] == (1, 2, 1)
-
-    def test_duplicate_group_rejected(self):
-        world = SimMPI(Environment(), size=3)
-        from repro.errors import CommunicatorError
-
-        with pytest.raises(CommunicatorError):
-            world.create_comm([1, 1])
-
-    def test_local_global_translation(self):
-        world = SimMPI(Environment(), size=4)
-        sub = world.create_comm([2, 0])
-        comm = sub[2]
-        assert comm.global_rank(0) == 2
-        assert comm.local_rank_of(0) == 1
 
 
 class TestPlacement:

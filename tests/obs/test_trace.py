@@ -1,6 +1,5 @@
 """Tests for the tracing substrate: records, null object, part merging."""
 
-import json
 import os
 
 from repro.obs import (

@@ -14,6 +14,7 @@ from functools import partial
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.table4 import QUICK_DEGREES, QUICK_MTBF_HOURS, ScaledSetup
 from repro.faults import StorageFaultConfig
 from repro.orchestration import (
     CampaignExecutionError,
@@ -230,6 +231,23 @@ class TestPoolExecution:
             assert left.node_mtbf == right.node_mtbf
             assert left.redundancy == right.redundancy
             assert report_signature(left.report) == report_signature(right.report)
+
+    def test_quick_table4_grid_pool_matches_serial(self):
+        """The quick Table 4 grid (3 MTBFs x 5 degrees): workers=4 == serial."""
+        setup = ScaledSetup(
+            virtual_processes=4, steps=30, compute_seconds=0.03,
+            message_bytes=32 * 1024, expected_base_time=1.2,
+        )
+        mtbfs = [setup.mtbf_to_sim(hours) for hours in QUICK_MTBF_HOURS]
+        serial = run_redundancy_sweep(setup.job_config(), mtbfs, QUICK_DEGREES)
+        pooled = run_redundancy_sweep(
+            setup.job_config(), mtbfs, QUICK_DEGREES, workers=4
+        )
+        assert len(serial) == len(pooled) == 15
+        assert [report_signature(c.report) for c in serial] == [
+            report_signature(c.report) for c in pooled
+        ]
+        assert any(c.report.rollbacks for c in serial)
 
     def test_pool_error_capture_keeps_campaign_alive(self):
         specs = [

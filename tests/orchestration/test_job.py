@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.orchestration import JobConfig, ResilientJob
+from repro.orchestration import job as job_module
 from repro.workloads import ConjugateGradientWorkload, SyntheticWorkload
 
 
@@ -108,12 +109,14 @@ class TestCheckpointingAndFaults:
             or first.failures_injected != second.failures_injected
         )
 
-    def test_max_restarts_bounds_attempts(self):
-        report = ResilientJob(
-            self.fault_config(node_mtbf=0.3, max_restarts=3)
-        ).run()
-        if not report.completed:
-            assert report.attempts == 4
+    def test_max_restarts_bounds_attempts(self, monkeypatch):
+        monkeypatch.setattr(job_module, "MAX_RESTARTS", 3)
+        # A failure every ~12 ms against 0.4 s between checkpoints: no
+        # attempt lives long enough to commit one, let alone finish.
+        report = ResilientJob(self.fault_config(node_mtbf=0.05)).run()
+        assert not report.completed
+        assert report.attempts == 4
+        assert report.rollbacks == 3
 
     def test_derived_daly_interval(self):
         config = self.fault_config(
@@ -241,6 +244,17 @@ class TestConfigValidation:
             {"restart_cost": None},
             {"restart_cost": -1.0},
             {"restart_cost": float("nan")},
+            {"redundancy": float("nan")},
+            {"redundancy": float("inf")},
+            {"node_mtbf": float("nan")},
+            {"node_mtbf": float("inf")},
+            {"checkpointing": True, "checkpoint_cost": 1.0,
+             "checkpoint_interval": float("nan")},
+            {"checkpointing": True, "checkpoint_cost": 1.0,
+             "checkpoint_interval": 0.0},
+            {"expected_base_time": 0.0},
+            {"expected_base_time": -1.0},
+            {"expected_base_time": float("nan")},
         ],
     )
     def test_missing_or_bad_cost_rejected_at_construction(self, costs):

@@ -4,9 +4,60 @@ import pytest
 
 from repro.errors import RedundancyError
 from repro.mpi import ANY_SOURCE, SimMPI
+from repro.orchestration import JobConfig, ResilientJob
 from repro.redundancy import RedComm, ReplicaMap, SphereTracker
 from repro.redundancy.anysource import CONTROL_TAG_BASE, anysource_recv
 from repro.simkit import Environment
+from repro.workloads import Workload
+
+TASK_TAG = 31
+RESULT_TAG = 32
+
+
+class MasterWorker(Workload):
+    """Rank 0 hands each worker a task per step and takes the results
+    back with wildcard receives, whoever finishes first: the master/
+    worker pattern the Section 3 protocol exists for.
+
+    Tasks take uneven time, so results arrive out of rank order.  The
+    answer weights each result by the source its status reports, so it
+    is independent of arrival order but not of who sent what.
+    """
+
+    def __init__(self, steps=12):
+        self.steps = steps
+
+    def configure(self, rank, size, rng):
+        self.rank = rank
+        self.size = size
+        self.total = 0
+
+    @property
+    def total_steps(self):
+        return self.steps
+
+    def step(self, shell, index):
+        comm = shell.comm
+        if self.rank != 0:
+            task, _status = yield from comm.recv(source=0, tag=TASK_TAG)
+            yield shell.compute(0.01 * (1 + (task * 7) % 5))
+            yield from comm.send(task * task, 0, RESULT_TAG)
+            return
+        for worker in range(1, self.size):
+            yield from comm.send(index * self.size + worker, worker, TASK_TAG)
+        for _ in range(1, self.size):
+            result, status = yield from comm.recv(source=ANY_SOURCE, tag=RESULT_TAG)
+            self.total += status.source * result
+
+    def finalize(self, shell):
+        total = yield from shell.comm.bcast(self.total, root=0)
+        return total
+
+    def state(self):
+        return {"total": self.total}
+
+    def load(self, state):
+        self.total = state["total"]
 
 
 def run_world(n, r, body, kill_plan=()):
@@ -89,7 +140,7 @@ class TestProtocol:
             return None
 
         _, rmap, _, results = run_world(4, 1.5, body)
-        assert rmap.replication_of(1) == 1
+        assert rmap.replicas_of(1) == [1]
         assert results[1] == ("dup", 0)
 
     def test_lead_failover_before_call(self):
@@ -130,3 +181,38 @@ class TestProtocol:
         world, rmap, _, _ = run_world(2, 2.0, body)
         # Each physical replica of virtual 0 counts one wildcard recv.
         assert world.counters["wildcard_recvs"] == len(rmap.replicas_of(0))
+
+
+class TestUnderTheFullStack:
+    def plain_total(self):
+        report = ResilientJob(
+            JobConfig(workload_factory=MasterWorker, virtual_processes=4,
+                      checkpointing=False)
+        ).run()
+        return report.result
+
+    def test_redundant_run_matches_plain(self):
+        redundant = ResilientJob(
+            JobConfig(workload_factory=MasterWorker, virtual_processes=4,
+                      redundancy=2.0, checkpointing=False)
+        ).run()
+        assert redundant.counters["wildcard_recvs"] > 0
+        assert redundant.result == self.plain_total()
+
+    def test_survives_failures_with_rollbacks(self):
+        config = dict(
+            workload_factory=MasterWorker,
+            virtual_processes=4,
+            redundancy=1.5,  # the master's sphere has two replicas
+            checkpoint_interval=0.2,
+            checkpoint_cost=0.02,
+            restart_cost=0.1,
+            seed=23,
+        )
+        clean = ResilientJob(JobConfig(**config)).run()
+        faulty = ResilientJob(JobConfig(node_mtbf=1.0, **config)).run()
+        assert clean.failures_injected == 0
+        assert faulty.completed
+        assert faulty.failures_injected > 0
+        assert faulty.rollbacks > 0
+        assert faulty.result == clean.result == self.plain_total()

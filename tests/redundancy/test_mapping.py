@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ConfigurationError, RedundancyError
+from repro.errors import RedundancyError
 from repro.redundancy import ReplicaMap
 
 
@@ -25,7 +25,7 @@ class TestIntegerDegrees:
     def test_r3(self):
         rmap = ReplicaMap(2, 3.0)
         assert rmap.total_physical == 6
-        assert rmap.replication_of(0) == 3
+        assert len(rmap.replicas_of(0)) == 3
 
     def test_primary_rank_equals_virtual(self):
         rmap = ReplicaMap(5, 2.0)
@@ -37,20 +37,13 @@ class TestPartialDegrees:
     def test_1_5x_interleaved_replicates_even_ranks(self):
         # The paper: "1.5x means every other process (every even
         # process) has a replica".
-        rmap = ReplicaMap(4, 1.5, strategy="interleaved")
-        assert rmap.replication_of(0) == 2
-        assert rmap.replication_of(1) == 1
-        assert rmap.replication_of(2) == 2
-        assert rmap.replication_of(3) == 1
+        rmap = ReplicaMap(4, 1.5)
+        assert [len(rmap.replicas_of(v)) for v in range(4)] == [2, 1, 2, 1]
         assert rmap.total_physical == 6
-
-    def test_block_strategy_replicates_prefix(self):
-        rmap = ReplicaMap(4, 1.5, strategy="block")
-        assert [rmap.replication_of(v) for v in range(4)] == [2, 2, 1, 1]
 
     def test_2_5x(self):
         rmap = ReplicaMap(4, 2.5)
-        levels = sorted(rmap.replication_of(v) for v in range(4))
+        levels = sorted(len(rmap.replicas_of(v)) for v in range(4))
         assert levels == [2, 2, 3, 3]
         assert rmap.total_physical == 10
 
@@ -72,10 +65,6 @@ class TestPartialDegrees:
         with pytest.raises(RedundancyError):
             rmap.virtual_of(5)
 
-    def test_bad_strategy(self):
-        with pytest.raises(ConfigurationError):
-            ReplicaMap(2, 1.5, strategy="random")
-
     def test_spheres(self):
         rmap = ReplicaMap(3, 2.0)
         spheres = rmap.spheres()
@@ -87,10 +76,9 @@ class TestInvariants:
     @given(
         st.integers(min_value=1, max_value=64),
         st.floats(min_value=1.0, max_value=3.0, allow_nan=False),
-        st.sampled_from(["interleaved", "block"]),
     )
-    def test_partition_counts_match_model(self, n, r, strategy):
-        rmap = ReplicaMap(n, r, strategy=strategy)
+    def test_partition_counts_match_model(self, n, r):
+        rmap = ReplicaMap(n, r)
         part = rmap.partition
         # Physical total matches Eq. 8.
         assert rmap.total_physical == part.total_processes
@@ -102,7 +90,7 @@ class TestInvariants:
                 seen.add(physical)
         assert seen == set(range(rmap.total_physical))
         # Level histogram matches the Eq. 6-7 partition.
-        levels = [rmap.replication_of(v) for v in range(n)]
+        levels = [len(rmap.replicas_of(v)) for v in range(n)]
         assert levels.count(part.ceil_level) >= part.ceil_count or (
             part.floor_level == part.ceil_level
         )
@@ -110,8 +98,8 @@ class TestInvariants:
 
     @given(st.integers(min_value=2, max_value=40))
     def test_interleave_spreads_evenly(self, n):
-        rmap = ReplicaMap(n, 1.5, strategy="interleaved")
-        upgraded = [v for v in range(n) if rmap.replication_of(v) == 2]
+        rmap = ReplicaMap(n, 1.5)
+        upgraded = [v for v in range(n) if len(rmap.replicas_of(v)) == 2]
         # No two adjacent upgrades when exactly half are upgraded and n even.
         if n % 2 == 0:
             assert upgraded == list(range(0, n, 2))

@@ -35,9 +35,13 @@ class TestLiveness:
         assert tracker.exhausted_virtual_rank == 2
 
     def test_duplicate_death_ignored(self, tracker):
-        tracker.notice_death(0)
-        tracker.notice_death(0)
-        assert tracker.death_counts() == {0: 1}
+        fired = []
+        tracker.on_sphere_exhausted(fired.append)
+        for _ in range(2):
+            tracker.notice_death(0)
+        assert tracker.is_dead(0)
+        assert tracker.alive_replicas(0) == tracker.replica_map.replicas_of(0)[1:]
+        assert fired == []
 
     def test_lead_replica_moves_on_death(self, tracker):
         replicas = tracker.replica_map.replicas_of(0)
@@ -55,13 +59,6 @@ class TestLiveness:
         tracker.notice_death(4)
         assert tracker.is_dead(4)
         assert not tracker.is_dead(0)
-
-    def test_death_counts_by_virtual(self, tracker):
-        rmap = tracker.replica_map
-        tracker.notice_death(rmap.replicas_of(0)[0])
-        tracker.notice_death(rmap.replicas_of(1)[0])
-        tracker.notice_death(rmap.replicas_of(1)[1])
-        assert tracker.death_counts() == {0: 1, 1: 2}
 
 
 class TestUnreplicated:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ProcessInterrupted, SimulationError
-from repro.simkit import Environment
 
 
 class TestBasics:

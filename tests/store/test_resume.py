@@ -2,8 +2,6 @@
 
 from functools import partial
 
-import pytest
-
 from repro.models import CombinedModel, recommend
 from repro.orchestration import JobConfig, run_redundancy_sweep
 from repro.store import DEFAULT_STORE_DIR, STORE_ENV, ResultsStore, resolve_store

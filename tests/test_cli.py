@@ -79,6 +79,23 @@ class TestCommands:
         assert main(["chaos", "oops"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table2", "bogus=1"],
+            ["run", "fig13", "bogus=1"],
+            ["campaign", "--quick", "bogus=1"],
+            ["chaos", "--quick", "bogus=1"],
+        ],
+    )
+    def test_unknown_parameter_fails_before_running(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        # One error line naming the key and what is accepted; no cell ran.
+        assert captured.err.count("error:") == 1
+        assert "'bogus'" in captured.err and "accepted:" in captured.err
+        assert "cell " not in captured.out
+
 
 class TestAdvise:
     def test_recommends_dual_at_scale(self, capsys):

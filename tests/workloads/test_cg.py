@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.errors import ConfigurationError
 from repro.mpi import SimMPI
