@@ -2,8 +2,7 @@
 
 Each simulated rank holds its own :class:`Communicator` object (as in
 real MPI, where the handle is process-local).  The world is the only
-communicator: its ranks are world ranks and its envelopes all carry
-:data:`WORLD_CID`.
+communicator, so its ranks are world ranks.
 
 Blocking operations are generators — call them with ``yield from``:
 
@@ -20,14 +19,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List
 
 from ..errors import CommunicatorError
+from ..simkit.events import Event
+from .datatypes import message_wire_size
 from .requests import RECV, Request, waitall as _waitall, waitany as _waitany
 from .status import ANY_SOURCE, ANY_TAG
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import SimMPI
-
-#: Context id of the world communicator, the only one there is.
-WORLD_CID = 0
 
 #: User tags must stay below this; collectives use the space above it.
 USER_TAG_LIMIT = 1 << 20
@@ -119,9 +117,6 @@ class CollectiveAPI:
 class Communicator(CollectiveAPI):
     """The world communication handle for one rank."""
 
-    #: Context id stamped on this communicator's envelopes.
-    cid = WORLD_CID
-
     def __init__(self, runtime: "SimMPI", rank: int) -> None:
         self._runtime = runtime
         self.rank = rank
@@ -153,8 +148,10 @@ class Communicator(CollectiveAPI):
         """Non-blocking send; returns a request completing at injection."""
         self._check_tag(tag, _internal)
         self._check_peer(dest)
-        event = self._runtime.post_send(
-            src=self.rank, dst=dest, tag=tag, payload=payload, cid=WORLD_CID
+        event = Event(self._runtime.env)
+        self._runtime.post_send(
+            self.rank, dest, tag, payload, message_wire_size(payload),
+            event.succeed_inline,
         )
         return Request(kind="send", event=event, peer=dest, tag=tag)
 
@@ -166,9 +163,8 @@ class Communicator(CollectiveAPI):
             self._check_tag(tag, _internal)
         if source != ANY_SOURCE:
             self._check_peer(source)
-        event = self._runtime.post_recv(
-            rank=self.rank, source=source, tag=tag, cid=WORLD_CID
-        )
+        event = Event(self._runtime.env)
+        self._runtime.post_recv(self.rank, source, tag, event.succeed_inline)
         return Request(kind=RECV, event=event, peer=source, tag=tag)
 
     def send(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False):

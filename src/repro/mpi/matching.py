@@ -6,6 +6,10 @@ previously *posted* receive (matched in post order) or join the
 *unexpected-message queue* (in arrival order) until a matching receive
 is posted.
 
+A posted receive completes by calling its ``done`` with the matched
+:class:`Envelope`: an event's ``succeed_inline``, or a request set's
+countdown, so a replica member builds no event of its own.
+
 Matching follows MPI's rules: a posted ``(source, tag)`` pattern
 matches an envelope when each field is equal or the pattern field is a
 wildcard (:data:`~repro.mpi.status.ANY_SOURCE` /
@@ -18,56 +22,46 @@ message of a pair pays the same wire latency.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Tuple
+from typing import Any, Callable, Deque, List, Tuple
 
 from ..errors import MPIError
-from ..simkit.events import Event
 from .status import ANY_SOURCE, ANY_TAG
 
 
 class Envelope:
     """One message in flight (or queued): addressing + payload.
 
-    ``cid`` is the communicator context id: messages only ever match
-    receives posted on the same communicator, exactly as in MPI.
     ``seq`` is the global send sequence number (diagnostics and
     determinism checks).  Treat an envelope as immutable.
     """
 
-    __slots__ = ("source", "dest", "tag", "payload", "nbytes", "cid", "seq")
+    __slots__ = ("source", "dest", "tag", "payload", "nbytes", "seq")
 
     def __init__(
-        self,
-        source: int,
-        dest: int,
-        tag: int,
-        payload: Any,
-        nbytes: int,
-        cid: int = 0,
-        seq: int = 0,
+        self, source: int, dest: int, tag: int, payload: Any, nbytes: int, seq: int = 0
     ) -> None:
         self.source = source
         self.dest = dest
         self.tag = tag
         self.payload = payload
         self.nbytes = nbytes
-        self.cid = cid
         self.seq = seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Envelope(source={self.source}, dest={self.dest}, tag={self.tag}, "
-            f"nbytes={self.nbytes}, cid={self.cid}, seq={self.seq})"
+            f"nbytes={self.nbytes}, seq={self.seq})"
         )
 
 
-#: A posted receive: (source, tag, cid, completion event).
-_PostedReceive = Tuple[int, int, int, Event]
+#: A receive's completion: called once with the matched envelope.
+Completion = Callable[[Envelope], None]
+
+#: A posted receive: (source, tag, completion).
+_PostedReceive = Tuple[int, int, Completion]
 
 
-def _pattern_matches(source: int, tag: int, cid: int, envelope: Envelope) -> bool:
-    if cid != envelope.cid:
-        return False
+def _pattern_matches(source: int, tag: int, envelope: Envelope) -> bool:
     source_ok = source == ANY_SOURCE or source == envelope.source
     tag_ok = tag == ANY_TAG or tag == envelope.tag
     return source_ok and tag_ok
@@ -84,31 +78,29 @@ class MatchingEngine:
 
     # -- receive side -----------------------------------------------------
 
-    def post(self, env_factory, source: int, tag: int, cid: int = 0) -> Event:
-        """Post a receive; returns an event that fires with the Envelope.
+    def post(self, env, source: int, tag: int, done: Completion) -> None:
+        """Post a receive; ``done(envelope)`` runs when it matches.
 
-        ``env_factory`` is the simulation environment (used to mint the
-        completion event).  If an unexpected message already matches,
-        the event fires immediately.
+        If an unexpected message already matches, ``done`` is queued on
+        ``env`` for the current instant: one heap step, behind entries
+        already queued for it.  A later arrival calls ``done`` inline.
         """
         if self._closed:
             raise MPIError(f"rank {self.rank} matching engine is closed")
-        event = Event(env_factory)
         for index, envelope in enumerate(self._unexpected):
-            if _pattern_matches(source, tag, cid, envelope):
+            if _pattern_matches(source, tag, envelope):
                 del self._unexpected[index]
-                event.succeed(envelope)
-                return event
-        self._posted.append((source, tag, cid, event))
-        return event
+                env._schedule_call(0.0, done, envelope)
+                return
+        self._posted.append((source, tag, done))
 
-    def cancel(self, event: Event) -> bool:
-        """Withdraw a posted receive identified by its event.
+    def cancel(self, source: int, done: Completion) -> bool:
+        """Withdraw the posted receive from ``source`` completing via ``done``.
 
         Returns True if it was still pending (and is now cancelled).
         """
         for index, posted in enumerate(self._posted):
-            if posted[3] is event:
+            if posted[0] == source and posted[2] == done:
                 del self._posted[index]
                 return True
         return False
@@ -118,14 +110,14 @@ class MatchingEngine:
     def deliver(self, envelope: Envelope) -> None:
         """Hand an arriving envelope to matching (or queue it).
 
-        A matched receive completes inline: its callbacks run now.
+        A matched receive completes inline: its ``done`` runs now.
         """
         if self._closed:
             return  # rank died; fail-stop networks drop its traffic
-        for index, (source, tag, cid, event) in enumerate(self._posted):
-            if _pattern_matches(source, tag, cid, envelope):
+        for index, (source, tag, done) in enumerate(self._posted):
+            if _pattern_matches(source, tag, envelope):
                 del self._posted[index]
-                event.succeed_inline(envelope)
+                done(envelope)
                 return
         self._unexpected.append(envelope)
 

@@ -29,16 +29,15 @@ from typing import (
 from ..errors import MPIError
 from ..netsim import Network
 from ..simkit import Environment
-from ..simkit.events import AllOf, Event
+from ..simkit.events import AllOf
 from ..simkit.process import Process
 from .comm import Communicator
-from .datatypes import message_wire_size
-from .matching import Envelope, MatchingEngine
+from .matching import Completion, Envelope, MatchingEngine
 
 #: A send queued at its sender's NIC: the envelope, its injection time,
-#: whether source and destination share a node, and the event that
+#: whether source and destination share a node, and the callable that
 #: completes it.
-_QueuedSend = Tuple[Envelope, float, bool, Event]
+_QueuedSend = Tuple[Envelope, float, bool, Callable[[], None]]
 
 
 class RankContext:
@@ -142,27 +141,22 @@ class SimMPI:
 
     # -- traffic -----------------------------------------------------------------
 
-    def post_send(self, src: int, dst: int, tag: int, payload: Any, cid: int) -> Event:
-        """Inject a message; returns the sender-completion event.
+    def post_send(
+        self, src: int, dst: int, tag: int, payload: Any, nbytes: int, done: Callable[[], None]
+    ) -> None:
+        """Inject a message; ``done()`` runs when it leaves the NIC.
 
-        Fail-stop semantics: sends to dead ranks complete locally (the
-        sender cannot know) but the message is dropped.
+        ``nbytes`` is ``message_wire_size(payload)``, from the caller so
+        a fan-out sizes its payload once.  Fail-stop semantics: sends to
+        dead ranks complete locally (the sender cannot know) but the
+        message is dropped.
         """
         if src not in self._alive:
             raise MPIError(f"dead rank {src} attempted a send")
-        nbytes = message_wire_size(payload)
         same_node = self.node_of(src) == self.node_of(dst)
         busy = self.network.sender_busy_time(nbytes, same_node)
         self._send_seq += 1
-        envelope = Envelope(
-            source=src,
-            dest=dst,
-            tag=tag,
-            payload=payload,
-            nbytes=nbytes,
-            cid=cid,
-            seq=self._send_seq,
-        )
+        envelope = Envelope(src, dst, tag, payload, nbytes, self._send_seq)
         counters = self.counters
         counters["p2p_messages"] += 1
         counters["p2p_bytes"] += nbytes
@@ -170,22 +164,20 @@ class SimMPI:
         self.sent_counts[key] = self.sent_counts.get(key, 0) + 1
         if dst in self._alive:
             self._in_flight += 1
-        completion = Event(self.env)
         nic = self._nics[src]
-        nic.append((envelope, busy, same_node, completion))
+        nic.append((envelope, busy, same_node, done))
         if len(nic) == 1:
             self.env._schedule_call(busy, self._injected, nic)
-        return completion
 
     def _injected(self, nic: Deque[_QueuedSend]) -> None:
         """The head send left the NIC: put it on the wire and complete it.
 
         A sender killed meanwhile still drains its queue; the fail-stop
         check is on the destination only.  The arrival timer is queued
-        before the completion's callbacks run inline, so whatever they
-        schedule queues behind it.
+        before the completion runs inline, so whatever it schedules
+        queues behind it.
         """
-        envelope, _busy, same_node, completion = nic.popleft()
+        envelope, _busy, same_node, done = nic.popleft()
         env = self.env
         if nic:
             env._schedule_call(nic[0][1], self._injected, nic)
@@ -193,7 +185,7 @@ class SimMPI:
             env._schedule_call(self.network.wire_latency(same_node), self._arrive, envelope)
         else:
             self.counters["p2p_dropped"] += 1
-        completion.succeed_inline()
+        done()
 
     def _arrive(self, envelope: Envelope) -> None:
         dest = envelope.dest
@@ -206,19 +198,19 @@ class SimMPI:
             self._in_flight -= 1
         self._engines[dest].deliver(envelope)
 
-    def post_recv(self, rank: int, source: int, tag: int, cid: int) -> Event:
-        """Post a receive on ``rank``'s matching engine."""
+    def post_recv(self, rank: int, source: int, tag: int, done: Completion) -> None:
+        """Post a receive on ``rank``'s engine; ``done(envelope)`` on match."""
         if not self.is_alive(rank):
             raise MPIError(f"dead rank {rank} attempted a receive")
-        return self._engines[rank].post(self.env, source, tag, cid)
+        self._engines[rank].post(self.env, source, tag, done)
 
-    def cancel_recv(self, rank: int, event: Event) -> bool:
+    def cancel_recv(self, rank: int, source: int, done: Completion) -> bool:
         """Withdraw a posted receive (redundancy layer, dead peers).
 
         Returns True if the receive was still pending and is now gone;
         False if it already matched (its message will be delivered).
         """
-        return self._engines[rank].cancel(event)
+        return self._engines[rank].cancel(source, done)
 
     def channels_quiet(self) -> bool:
         """True when every sent message has arrived (bookmarks equal).
@@ -290,6 +282,17 @@ class SimMPI:
             return
         everyone = AllOf(self.env, list(self._processes.values()))
         self.env.run(until=everyone)
+
+    def dispose(self) -> None:
+        """Drop the watchers, processes, engines and NICs of a finished world.
+
+        Each can point back at the world, which would then wait for a
+        cyclic garbage collection instead of being freed by refcount.
+        """
+        self._death_watchers.clear()
+        self._processes.clear()
+        self._engines.clear()
+        self._nics.clear()
 
     def result_of(self, rank: int) -> Any:
         """Return value of a finished rank's program."""

@@ -546,6 +546,7 @@ class ResilientJob:
         }
         if everyone.triggered and everyone.ok:
             lead_result = results.get(tracker.lead_replica(0))
+            world.dispose()
             self._world = None
             self._service = None
             return {
@@ -559,6 +560,7 @@ class ResilientJob:
         # Sphere exhausted: tear the attempt down.
         for rank in list(world.alive_ranks):
             world.kill_rank(rank, cause="attempt aborted")
+        world.dispose()
         self._world = None
         self._service = None
         return {

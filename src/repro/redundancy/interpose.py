@@ -28,7 +28,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import RedundancyError
 from ..mpi.comm import USER_TAG_LIMIT, CollectiveAPI
-from ..mpi.datatypes import payload_digest, payload_nbytes
+from ..mpi.datatypes import message_wire_size, payload_digest, payload_nbytes
+from ..mpi.matching import Envelope
 from ..mpi.status import ANY_SOURCE, ANY_TAG, Status
 from ..simkit.events import Event
 from .mapping import ReplicaMap
@@ -36,7 +37,7 @@ from .sphere import SphereTracker
 from .voting import ALL_TO_ALL, MODES, ReplicaCopy, plan_copies, vote
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..mpi.runtime import RankContext
+    from ..mpi.runtime import RankContext, SimMPI
 
 #: Digest copies of a message tagged ``t`` travel at ``t + HASH_TAG_OFFSET``.
 HASH_TAG_OFFSET = 1 << 24
@@ -46,66 +47,71 @@ HASH_TAG_OFFSET = 1 << 24
 Corruptor = Callable[[int, int, Any], Any]
 
 
+def _shipment(copy_kind: str, tag: int, payload: Any) -> Tuple[int, Any, int]:
+    """``(tag, payload, wire bytes)`` of one copy: the message or its digest."""
+    if copy_kind == "full":
+        return tag, payload, message_wire_size(payload)
+    digest = payload_digest(payload)
+    return tag + HASH_TAG_OFFSET, digest, message_wire_size(digest)
+
+
 class RedRequest:
     """A request *set*: the application-level handle over replica requests.
 
-    A countdown over its member operations: it completes when every
-    member has completed, and members whose peer replica dies are
-    withdrawn from the count.  For receives, completion triggers the
-    vote and yields ``(payload, Status)`` with the *virtual* source
-    rank.
+    A countdown over its member operations, which the runtime completes
+    by calling ``_send_done()`` or ``_recv_done(envelope)`` (bound per
+    post; no member builds an event).  It completes when every member
+    has; a receive member whose sender replica dies is withdrawn from
+    the count.  For receives, completion triggers the vote and yields
+    ``(payload, Status)`` with the *virtual* source rank.  It holds the
+    runtime, not its ``RedComm``, whose pending-receive list holds it:
+    no cycle keeps a finished world alive.
     """
 
     __slots__ = (
-        "comm", "kind", "virtual_peer", "tag", "event", "_remaining",
-        "_members", "_copies", "_armed", "_consumed", "_on_member",
+        "runtime", "physical_rank", "kind", "virtual_peer", "tag", "event",
+        "_remaining", "_copies", "_consumed",
     )
 
-    def __init__(self, comm: "RedComm", kind: str, virtual_peer: int, tag: int) -> None:
-        self.comm = comm
+    def __init__(
+        self, runtime: "SimMPI", physical_rank: int, kind: str, virtual_peer: int, tag: int
+    ) -> None:
+        self.runtime = runtime
+        self.physical_rank = physical_rank
         self.kind = kind
         self.virtual_peer = virtual_peer
         self.tag = tag
-        self.event = Event(comm.env)
+        self.event = Event(runtime.env)
         self._remaining = 0
-        #: Each peer replica's member event (a receive's peer is its sender).
-        self._members: Dict[int, Event] = {}
         self._copies: List[ReplicaCopy] = []
-        self._armed = False
         self._consumed = False
-        # Bound once: every member event gets this same callback.
-        self._on_member = self._member_done
 
     # -- construction (layer-internal) -----------------------------------
 
-    def add_member(self, member: Event, peer_physical: int) -> None:
-        """Count one per-replica send or receive into the set."""
-        self._remaining += 1
-        self._members[peer_physical] = member
-        member.add_callback(self._on_member)
-
-    def arm(self) -> None:
-        """All members registered; complete immediately if set is empty."""
-        self._armed = True
+    def arm(self, members: int) -> None:
+        """All ``members`` posted (none completes inside its post)."""
+        self._remaining = members
         self._maybe_complete()
 
     # -- progress ----------------------------------------------------------
 
-    def _member_done(self, event: Event) -> None:
-        if self.kind == "recv":
-            # The matched envelope names the sender replica; a digest
-            # copy travels under the shifted tag.
-            envelope = event.value
-            if envelope.tag == self.tag:
-                copy = ReplicaCopy.full(envelope.source, envelope.payload)
-            else:
-                copy = ReplicaCopy.hash_only(envelope.source, envelope.payload)
-            self._copies.append(copy)
+    def _send_done(self) -> None:
+        self._remaining -= 1
+        self._maybe_complete()
+
+    def _recv_done(self, envelope: Envelope) -> None:
+        # The matched envelope names the sender replica; a digest copy
+        # travels under the shifted tag.
+        if envelope.tag == self.tag:
+            copy = ReplicaCopy.full(envelope.source, envelope.payload)
+        else:
+            copy = ReplicaCopy.hash_only(envelope.source, envelope.payload)
+        self._copies.append(copy)
         self._remaining -= 1
         self._maybe_complete()
 
     def _maybe_complete(self) -> None:
-        if self._remaining or not self._armed or self.event.triggered:
+        if self._remaining:
             return
         if self.kind == "recv":
             if not self._copies:
@@ -126,10 +132,7 @@ class RedRequest:
         """
         if self.kind != "recv" or self.event.triggered:
             return
-        member = self._members.get(dead_physical)
-        if member is not None and self.comm.runtime.cancel_recv(
-            self.comm.physical_rank, member
-        ):
+        if self.runtime.cancel_recv(self.physical_rank, dead_physical, self._recv_done):
             self._remaining -= 1
         self._maybe_complete()
 
@@ -159,7 +162,7 @@ class RedRequest:
             return None
         outcome = vote(raw)
         if not outcome.unanimous:
-            counters = self.comm.runtime.counters
+            counters = self.runtime.counters
             counters["votes_not_unanimous"] += 1
             counters["corrupt_copies_voted_out"] += len(outcome.corrupt_senders)
         status = Status(
@@ -191,7 +194,6 @@ class RedComm(CollectiveAPI):
         self.mode = mode
         self.corruptor = corruptor
         self._virtual_rank = replica_map.virtual_of(ctx.rank)
-        self._cid = ctx.comm.cid
         self._coll_seq = 0
         self._active_recvs: List[RedRequest] = []
         # Per-sphere live replica lists and per-(sender sphere, receiver
@@ -278,22 +280,23 @@ class RedComm(CollectiveAPI):
         # and receiver agree on who carries the full payload in
         # Msg-PlusHash mode even after replica deaths.
         plan = self._plan(self._virtual_rank, dest)
-        request_set = RedRequest(self, kind="send", virtual_peer=dest, tag=tag)
         runtime = self.runtime
-        runtime.counters["app_sends"] += 1
         me = self.physical_rank
-        for receiver in self._alive_sphere(dest):
-            shipped = payload
-            if self.corruptor is not None:
-                shipped = self.corruptor(me, receiver, payload)
-            if plan[(me, receiver)] == "full":
-                member = runtime.post_send(me, receiver, tag, shipped, self._cid)
-            else:
-                member = runtime.post_send(
-                    me, receiver, tag + HASH_TAG_OFFSET, payload_digest(shipped), self._cid
-                )
-            request_set.add_member(member, receiver)
-        request_set.arm()
+        request_set = RedRequest(runtime, me, "send", dest, tag)
+        runtime.counters["app_sends"] += 1
+        corruptor = self.corruptor
+        # Each kind of copy is sized (and digested) once per send, unless
+        # a corruptor ships something different to each receiver.
+        shipments: Dict[str, Tuple[int, Any, int]] = {}
+        receivers = self._alive_sphere(dest)
+        for receiver in receivers:
+            copy_kind = plan[(me, receiver)]
+            shipment = shipments.get(copy_kind)
+            if shipment is None or corruptor is not None:
+                shipped = payload if corruptor is None else corruptor(me, receiver, payload)
+                shipment = shipments[copy_kind] = _shipment(copy_kind, tag, shipped)
+            runtime.post_send(me, receiver, *shipment, request_set._send_done)
+        request_set.arm(len(receivers))
         return request_set
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = True) -> RedRequest:
@@ -322,21 +325,20 @@ class RedComm(CollectiveAPI):
         skip_sender: Optional[int] = None,
     ) -> RedRequest:
         plan = self._plan(source, self._virtual_rank)
-        request_set = RedRequest(self, kind="recv", virtual_peer=source, tag=tag)
+        runtime = self.runtime
+        me = self.physical_rank
+        request_set = RedRequest(runtime, me, "recv", source, tag)
         if already_have is not None:
             request_set._copies.append(already_have)
-        runtime = self.runtime
         runtime.counters["app_recvs"] += 1
-        me = self.physical_rank
+        members = 0
         for sender in self._alive_sphere(source):
             if sender == skip_sender:
                 continue
-            if plan[(sender, me)] != "full":
-                member = runtime.post_recv(me, sender, tag + HASH_TAG_OFFSET, self._cid)
-            else:
-                member = runtime.post_recv(me, sender, tag, self._cid)
-            request_set.add_member(member, sender)
-        request_set.arm()
+            member_tag = tag if plan[(sender, me)] == "full" else tag + HASH_TAG_OFFSET
+            runtime.post_recv(me, sender, member_tag, request_set._recv_done)
+            members += 1
+        request_set.arm(members)
         if len(self._active_recvs) > 64:
             self._active_recvs = [
                 pending

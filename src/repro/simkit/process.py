@@ -79,9 +79,13 @@ class Process(Event):
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
-            except ProcessInterrupted:
+            except ProcessInterrupted as interrupt:
                 # An interrupt escaped the generator: treat as clean
-                # termination with no value (the rank was killed).
+                # termination with no value (the rank was killed).  Its
+                # traceback holds this frame, whose ``event`` holds the
+                # interrupt: drop it, so the dead generator's frames are
+                # freed by refcount, not by a cyclic collection.
+                interrupt.__traceback__ = None
                 self.succeed(None)
                 return
             except BaseException as exc:

@@ -118,7 +118,7 @@ class TestLiveness:
         world.spawn(program)
         world.kill_rank(0)
         with pytest.raises(MPIError):
-            world.post_send(src=0, dst=1, tag=0, payload=b"", cid=0)
+            world.post_send(0, 1, 0, b"", message_wire_size(b""), done=lambda: None)
 
     def test_message_in_flight_to_dying_rank_dropped(self):
         env = Environment()
@@ -224,7 +224,10 @@ class TestInFlightCount:
             if op[0] == "send":
                 _, src, dst = op
                 if world.is_alive(src):
-                    world.post_send(src, dst, tag=0, payload=b"m" * 100, cid=0)
+                    world.post_send(
+                        src, dst, 0, b"m" * 100, message_wire_size(b"m" * 100),
+                        done=lambda: None,
+                    )
             elif op[0] == "kill":
                 world.kill_rank(op[1])
             else:

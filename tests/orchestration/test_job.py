@@ -1,10 +1,16 @@
 """Tests for ResilientJob: the full fault-tolerance stack."""
 
+import gc
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.table4 import ScaledSetup
+from repro.mpi import SimMPI
 from repro.orchestration import JobConfig, ResilientJob
 from repro.orchestration import job as job_module
+from repro.orchestration.campaign import failure_free_sweep_specs, redundancy_sweep_specs
+from repro.redundancy import RedComm, RedRequest
 from repro.workloads import ConjugateGradientWorkload, SyntheticWorkload
 
 
@@ -305,3 +311,37 @@ class TestFailureDistributions:
         report = ResilientJob(config).run()
         assert report.completed
         assert report.result["iterations"] == 40
+
+
+def _table_cell(mtbf_hours):
+    """A shortened Table 4/5 cell at 1.5x: failure-free, or at an MTBF."""
+    setup = ScaledSetup(virtual_processes=8, steps=5)
+    if mtbf_hours is None:
+        (spec,) = failure_free_sweep_specs(setup.job_config(), [1.5])
+    else:
+        (spec,) = redundancy_sweep_specs(
+            setup.job_config(), [setup.mtbf_to_sim(mtbf_hours)], [1.5]
+        )
+    return spec.config
+
+
+class TestWorldRelease:
+    @pytest.mark.parametrize("mtbf_hours", [None, 6.0], ids=["failure-free", "6h-mtbf"])
+    def test_finished_worlds_are_freed_by_refcount(self, mtbf_hours):
+        """No simulated world outlives its job without a cyclic collection."""
+        config = _table_cell(mtbf_hours)
+        gc.collect()
+        gc.disable()
+        try:
+            report = ResilientJob(config).run()
+            left = [
+                type(obj).__name__
+                for obj in gc.get_objects()
+                if isinstance(obj, (SimMPI, RedComm, RedRequest))
+            ]
+        finally:
+            gc.enable()
+        assert report.completed
+        if mtbf_hours is not None:
+            assert report.rollbacks > 0  # failed attempts were torn down too
+        assert left == []

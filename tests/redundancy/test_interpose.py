@@ -6,6 +6,7 @@ from repro.errors import RedundancyError, VotingError
 from repro.mpi import ANY_SOURCE, ANY_TAG, SimMPI, ops
 from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, RedComm, ReplicaMap, SphereTracker
 from repro.simkit import Environment
+from repro.simkit.events import Event
 
 
 def run_redundant(n, r, program_body, mode=ALL_TO_ALL, corruptor=None, kill_plan=()):
@@ -111,6 +112,33 @@ class TestTransparency:
         world, rmap, _, _ = run_redundant(4, r, body)
         expected = len(rmap.replicas_of(0)) * len(rmap.replicas_of(1))
         assert world.counters["p2p_messages"] == expected
+
+    def test_members_build_no_events(self, monkeypatch):
+        """An r=2 exchange builds one Event per request set: replica
+        members complete by a direct call into the set."""
+        built = []
+        original_init = Event.__init__
+
+        def counting_init(event, env):
+            built.append(type(event).__name__)
+            original_init(event, env)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+
+        def body(red):
+            peer = 1 - red.rank
+            before = len(built)
+            requests = [red.isend(red.rank, peer, tag=2), red.irecv(peer, tag=2)]
+            posted = built[before:]
+            results = yield from red.waitall(requests)
+            return posted, results[1][0] == peer
+
+        world, _, _, results = run_redundant(2, 2.0, body)
+        # Two request sets per rank, each over two replica members.
+        assert world.counters["p2p_messages"] == 4 * 2
+        for physical, (posted, got_peer_rank) in results.items():
+            assert posted == ["Event", "Event"], physical
+            assert got_peer_rank, physical
 
 
 class TestWildcards:
