@@ -73,13 +73,6 @@ def _add_sweep_flags(subparser: argparse.ArgumentParser, quick_help: str) -> Non
         "(default: REPRO_CELL_TIMEOUT env, else unlimited; pool mode only)",
     )
     subparser.add_argument(
-        "--cell-retries",
-        type=int,
-        default=None,
-        help="resubmissions per cell lost to a broken worker pool "
-        "(default: REPRO_CELL_RETRIES env, else 2)",
-    )
-    subparser.add_argument(
         "--trace",
         metavar="FILE",
         default=None,
@@ -279,7 +272,6 @@ def _sweep(args) -> int:
     execution = dict(
         workers=args.workers,
         cell_timeout=args.cell_timeout,
-        cell_retries=args.cell_retries,
         obs=obs,
         store=store,
     )

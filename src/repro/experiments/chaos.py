@@ -170,7 +170,8 @@ def run(
     :class:`~repro.orchestration.CellOutcome`; ``execution`` is
     forwarded untouched to the self-healing
     :class:`~repro.orchestration.CampaignExecutor` (``workers``,
-    ``cell_timeout``, ``store``, ``obs``, ...).
+    ``cell_timeout``, ``store``, ``obs``), whose dead pools charge only
+    the cells they were running.
     """
     setup = setup or ChaosSetup()
     if probs is None:

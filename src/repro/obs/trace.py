@@ -66,10 +66,6 @@ class Span:
         if fields:
             self._record.update(fields)
 
-    def annotate(self, **fields: Any) -> None:
-        """Attach extra fields without closing the span."""
-        self._record.update(fields)
-
 
 class _NullSpan:
     """End of the null tracer's spans: does nothing."""
@@ -77,9 +73,6 @@ class _NullSpan:
     __slots__ = ()
 
     def end(self, sim_time: Optional[float] = None, **fields: Any) -> None:
-        pass
-
-    def annotate(self, **fields: Any) -> None:
         pass
 
 

@@ -21,7 +21,6 @@ from .executor import (
     CampaignExecutor,
     CellOutcome,
     CellSpec,
-    resolve_cell_retries,
     resolve_cell_timeout,
     resolve_workers,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "JobConfig",
     "JobReport",
     "ResilientJob",
-    "resolve_cell_retries",
     "resolve_cell_timeout",
     "resolve_workers",
     "run_failure_free_sweep",

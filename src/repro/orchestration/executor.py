@@ -24,36 +24,40 @@ Self-healing (the chaos-hardening layer):
 * **completeness** — every spec produces exactly one outcome, always;
   a cell the pool lost is synthesized as a failed outcome, never
   silently dropped;
-* **broken-pool recovery** — a worker dying mid-campaign
-  (``BrokenProcessPool``) no longer kills the sweep: completed results
-  are kept, not-yet-completed cells are resubmitted to a *fresh* pool
-  (up to ``cell_retries`` times per cell and ``MAX_POOL_REBUILDS``
-  rebuilds overall) before any cell is declared lost;
+* **one recovery path** — a pool dies when a worker crashes
+  (``BrokenProcessPool``) or when a timeout reclaims its workers;
+  either way completed results are kept and every unfinished cell
+  moves to a *fresh* pool.  Only a crash is charged, and only to the
+  cells the dead pool was running: such a cell is declared lost once
+  it has been running in more than ``CELL_RETRIES`` broken pools, and
+  every unfinished cell is declared lost after ``MAX_POOL_REBUILDS``
+  crashes.  Cells the dead pool never started move free;
 * **per-cell wall-clock timeouts** — ``cell_timeout`` (or the
   ``REPRO_CELL_TIMEOUT`` env var) bounds how long one cell may run in
-  a worker; an overdue cell is recorded as a failed outcome, its
-  worker is terminated and the survivors move to a fresh pool.
-  Timeouts apply only under pooling (the serial path cannot preempt).
+  a worker; an overdue cell is recorded as a failed outcome and its
+  pool's workers are terminated.  Timeouts apply only under pooling
+  (the serial path cannot preempt).
 
 One execution context:
 
 :class:`CampaignExecutor`'s keyword arguments — ``workers``,
-``cell_timeout``, ``cell_retries``, ``obs`` and ``store`` — are the only
-place the execution options are named and resolved.  Every layer above
+``cell_timeout``, ``obs`` and ``store`` — are the only place the
+execution options are named and resolved.  Every layer above
 (the campaign sweeps, the ``table4``/``table5``/``chaos`` experiments,
 the CLI's ``run`` overrides) accepts them as one opaque ``**execution``
 mapping and forwards it here untouched, exactly once.  Each option
 resolves as: explicit argument, then its environment variable
-(``REPRO_WORKERS``, ``REPRO_CELL_TIMEOUT``, ``REPRO_CELL_RETRIES``),
-then the default (serial, no timeout, 2 retries).  ``obs`` (an
-:class:`~repro.obs.ObsSession`) replaces separate tracer/metrics
-handles: the executor takes its tracer and registry from it and stamps
-its ``parts_dir`` onto every spec as ``trace_dir``; whoever built the
-session stamps its manifest before the run and finalizes it after.
+(``REPRO_WORKERS``, ``REPRO_CELL_TIMEOUT``), then the default (serial,
+no timeout).  ``obs`` (an :class:`~repro.obs.ObsSession`) replaces
+separate tracer/metrics handles: the executor takes its tracer and
+registry from it and stamps its ``parts_dir`` onto every spec as
+``trace_dir``; whoever built the session stamps its manifest before the
+run and finalizes it after.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import time
@@ -71,9 +75,9 @@ from .job import JobConfig, JobReport, ResilientJob
 WORKERS_ENV = "REPRO_WORKERS"
 #: Environment variable: per-cell wall-clock timeout in seconds.
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
-#: Environment variable: resubmissions allowed per cell lost to a
-#: broken pool.
-CELL_RETRIES_ENV = "REPRO_CELL_RETRIES"
+#: Broken pools a cell may be running in and still be resubmitted; one
+#: more and it is synthesized as a failed (lost) outcome.
+CELL_RETRIES = 2
 
 
 class CampaignExecutionError(ReproError):
@@ -144,44 +148,43 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 def resolve_cell_timeout(cell_timeout: Optional[float] = None) -> Optional[float]:
-    """Resolve the per-cell timeout: argument > env > None (no timeout)."""
+    """Resolve the per-cell timeout: argument > env > None (no timeout).
+
+    The one validation point for the keyword, ``REPRO_CELL_TIMEOUT`` and
+    ``--cell-timeout``: the value must be finite and > 0 (``inf`` would
+    overflow ``wait``, and ``nan`` would never fire).
+    """
     cell_timeout = _env_value(cell_timeout, CELL_TIMEOUT_ENV, float, "a number")
     if cell_timeout is None:
         return None
-    if cell_timeout <= 0:
+    if not 0.0 < cell_timeout < math.inf:
         raise ConfigurationError(
-            f"cell timeout must be > 0, got {cell_timeout}"
+            f"cell timeout must be finite and > 0, got {cell_timeout}"
         )
     return float(cell_timeout)
-
-
-def resolve_cell_retries(cell_retries: Optional[int] = None) -> int:
-    """Resolve the lost-cell retry cap: argument > env > 2."""
-    cell_retries = _env_value(cell_retries, CELL_RETRIES_ENV, int, "an integer")
-    if cell_retries is None:
-        return 2
-    if cell_retries < 0:
-        raise ConfigurationError(
-            f"cell retries must be >= 0, got {cell_retries}"
-        )
-    return int(cell_retries)
 
 
 def _execute_spec(spec: CellSpec) -> Tuple[Optional[JobReport], Optional[str], Optional[str]]:
     """Run one cell, capturing any error as data (worker-side).
 
-    Returns ``(report, error_type, error_message)`` rather than raising
-    so a broken cell never tears down the pool, and exceptions that do
-    not pickle cleanly cannot poison the result channel.
+    Returns ``(report, error_message, error_type)`` — the field order of
+    :class:`CellOutcome` after ``spec`` — rather than raising, so a
+    broken cell never tears down the pool, and exceptions that do not
+    pickle cleanly cannot poison the result channel.
     """
     try:
         return ResilientJob(spec.config).run(), None, None
     except Exception as error:  # noqa: BLE001 - per-cell capture is the point
-        return None, type(error).__name__, str(error)
+        return None, str(error), type(error).__name__
 
 
 class CampaignExecutor:
     """Run cell specs serially or across a self-healing process pool.
+
+    A pool that dies — a worker crashed, or a timeout reclaimed the
+    workers — is replaced by a fresh one that takes every unfinished
+    cell.  Only a crash is charged, and only to the cells the dead pool
+    was running (see ``CELL_RETRIES`` and :attr:`MAX_POOL_REBUILDS`).
 
     Parameters
     ----------
@@ -192,10 +195,6 @@ class CampaignExecutor:
         Wall-clock seconds one cell may spend in a worker before it is
         declared failed.  ``None`` consults ``REPRO_CELL_TIMEOUT``;
         unset means no timeout.  Pool mode only.
-    cell_retries:
-        How many times a cell lost to a broken pool is resubmitted
-        before being synthesized as a failed outcome.  ``None``
-        consults ``REPRO_CELL_RETRIES``; default 2.
     obs:
         Optional :class:`~repro.obs.ObsSession`.  Its tracer receives
         wall-clock cell spans and pool events (queue/run timings,
@@ -218,21 +217,19 @@ class CampaignExecutor:
         ``campaign.cache_hits``/``campaign.cache_misses``.
     """
 
-    #: Fresh pools built after breakage before the remaining cells are
-    #: declared lost (a poison cell would otherwise rebuild forever).
+    #: Fresh pools built after a worker crash before the remaining cells
+    #: are declared lost (a poison cell would otherwise rebuild forever).
     MAX_POOL_REBUILDS = 3
 
     def __init__(
         self,
         workers: Optional[int] = None,
         cell_timeout: Optional[float] = None,
-        cell_retries: Optional[int] = None,
         obs: Optional[ObsSession] = None,
         store=None,
     ) -> None:
         self.workers = resolve_workers(workers)
         self.cell_timeout = resolve_cell_timeout(cell_timeout)
-        self.cell_retries = resolve_cell_retries(cell_retries)
         self.obs = obs
         self.tracer = obs.tracer if obs is not None else NULL_TRACER
         self.metrics = obs.metrics if obs is not None else None
@@ -242,7 +239,7 @@ class CampaignExecutor:
         self.last_mode: Optional[str] = None
         #: Broken-pool events survived during the last :meth:`run`.
         self.pool_breakages = 0
-        #: Cells resubmitted to a fresh pool during the last :meth:`run`.
+        #: Running cells moved to a fresh pool during the last :meth:`run`.
         self.cells_resubmitted = 0
         #: Cells failed by the wall-clock timeout during the last run.
         self.cells_timed_out = 0
@@ -429,14 +426,9 @@ class CampaignExecutor:
         if entry is not None:
             span, cell_started = entry
             seconds = time.monotonic() - cell_started
-            if not status:
-                if outcome is None:
-                    status = "lost"
-                else:
-                    status = outcome.error_type or "ok"
             span.end(
                 ok=outcome.ok if outcome is not None else False,
-                status=status,
+                status=status or outcome.error_type or "ok",
                 seconds=round(seconds, 6),
             )
         self._busy_seconds += seconds
@@ -447,6 +439,20 @@ class CampaignExecutor:
             self.metrics.histogram("campaign.cell_wall_seconds").observe(seconds)
         if outcome is not None:
             self._persist(outcome)
+
+    def _settle(
+        self,
+        outcomes: List[Optional[CellOutcome]],
+        index: int,
+        outcome: CellOutcome,
+        progress: Optional[Callable[[CellOutcome], None]],
+        status: str = "",
+    ) -> None:
+        """Record a cell's one outcome, close its span, report progress."""
+        outcomes[index] = outcome
+        self._finish_cell(index, outcome, status)
+        if progress is not None:
+            progress(outcome)
 
     # -- execution paths ----------------------------------------------------
 
@@ -466,18 +472,12 @@ class CampaignExecutor:
     ) -> List[CellOutcome]:
         if self.last_mode != "serial-fallback":
             self.last_mode = "serial"
-        outcomes = []
+        outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
         for index, spec in enumerate(specs):
             self._begin_cell(index, spec)
-            report, error_type, error = _execute_spec(spec)
-            outcome = CellOutcome(
-                spec=spec, report=report, error=error, error_type=error_type
-            )
-            self._finish_cell(index, outcome)
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(outcome)
-        return outcomes
+            outcome = CellOutcome(spec, *_execute_spec(spec))
+            self._settle(outcomes, index, outcome, progress)
+        return list(outcomes)
 
     def _run_pool(
         self,
@@ -491,45 +491,45 @@ class CampaignExecutor:
         todo = list(range(total))
         rebuilds = 0
         while todo:
-            try:
-                resubmit = self._drain_pool(specs, todo, outcomes, progress)
-            except BrokenProcessPool as breakage:
+            in_flight, queued, breakage = self._drain_pool(
+                specs, todo, outcomes, progress
+            )
+            if breakage is not None:
                 self.pool_breakages += 1
                 rebuilds += 1
                 self.tracer.event(
                     "pool_breakage", rebuilds=rebuilds, error=str(breakage)
                 )
-                if rebuilds == 1 and not any(outcomes):
+                if rebuilds == 1 and all(o is None for o in outcomes):
                     # Nothing ever completed: the pool likely never
                     # worked at all (creation half-succeeded).  Let the
                     # caller fall back to the serial path wholesale.
-                    raise
-                survivors = []
-                for index in todo:
-                    if outcomes[index] is not None:
-                        continue
-                    lost_counts[index] += 1
-                    exhausted = (
-                        lost_counts[index] > self.cell_retries
-                        or rebuilds > self.MAX_POOL_REBUILDS
-                    )
-                    if exhausted:
-                        outcomes[index] = self._lost_outcome(
-                            specs[index], breakage, lost_counts[index]
-                        )
-                        self._finish_cell(index, outcomes[index], status="lost")
-                        if progress is not None:
-                            progress(outcomes[index])
-                    else:
+                    for index in in_flight:
                         self._finish_cell(index, None, status="resubmitted")
-                        self.tracer.event("cell_resubmitted", index=index)
-                        survivors.append(index)
-                self.cells_resubmitted += len(survivors)
-                todo = survivors
-                continue
-            # Timeout rebuild: overdue cells already have outcomes; the
-            # rest move to a fresh pool (their workers were reclaimed).
-            todo = resubmit
+                    raise breakage
+                # A crash is charged only to the cells the pool was running.
+                for index in in_flight:
+                    lost_counts[index] += 1
+            running = set(in_flight)
+            todo = []
+            for index in sorted(running.union(queued)):
+                attempts = lost_counts[index]
+                if attempts > CELL_RETRIES or rebuilds > self.MAX_POOL_REBUILDS:
+                    lost = CellOutcome(
+                        spec=specs[index],
+                        error_type=type(breakage).__name__,
+                        error=(
+                            f"cell lost to a broken worker pool after "
+                            f"{attempts} attempt(s): {breakage}"
+                        ),
+                    )
+                    self._settle(outcomes, index, lost, progress, status="lost")
+                    continue
+                if index in running:
+                    self._finish_cell(index, None, status="resubmitted")
+                    self.tracer.event("cell_resubmitted", index=index)
+                    self.cells_resubmitted += 1
+                todo.append(index)
         # Completeness invariant: exactly one outcome per spec.  A None
         # here would mean a cell was silently dropped — synthesize a
         # failure loudly instead of truncating the result list.
@@ -549,37 +549,43 @@ class CampaignExecutor:
         indices: Sequence[int],
         outcomes: List[Optional[CellOutcome]],
         progress: Optional[Callable[[CellOutcome], None]],
-    ) -> List[int]:
+    ) -> Tuple[List[int], List[int], Optional[BrokenProcessPool]]:
         """One pool round over ``indices``, filling ``outcomes`` in place.
 
         Cells are fed to the pool in a window of ``workers`` so every
         submitted future is actually running — which is what makes the
-        wall-clock deadline per cell meaningful.  Returns indices that
-        must be resubmitted to a fresh pool (after a timeout reclaimed
-        this pool's workers); raises ``BrokenProcessPool`` when a worker
-        died (the caller heals).
+        wall-clock deadline per cell meaningful.  The round ends when
+        every cell has an outcome or when its pool dies: a worker
+        crashed, or a timeout made the round terminate the workers.
+        Returns ``(in_flight, queued, breakage)``: the cells the pool
+        was running when it died, the cells it never submitted, and the
+        ``BrokenProcessPool`` when a worker crashed (else None).
         """
         workers = min(self.workers, len(indices))
         queue = deque(indices)
         pending: Dict[object, int] = {}
         deadlines: Dict[object, float] = {}
+        in_flight: List[int] = []
+        overdue: List[object] = []
+        breakage: Optional[BrokenProcessPool] = None
         pool = ProcessPoolExecutor(max_workers=workers)
-        abandoned = False
         try:
-            def fill() -> None:
-                while queue and len(pending) < workers:
-                    index = queue.popleft()
-                    # The submit window equals the worker count, so a
-                    # submitted cell is running: its span measures run
-                    # time, not queue time.
-                    self._begin_cell(index, specs[index])
-                    future = pool.submit(_execute_spec, specs[index])
-                    pending[future] = index
-                    if self.cell_timeout is not None:
-                        deadlines[future] = time.monotonic() + self.cell_timeout
-
-            fill()
-            while pending:
+            while True:
+                try:
+                    while queue and len(pending) < workers:
+                        future = pool.submit(_execute_spec, specs[queue[0]])
+                        index = queue.popleft()
+                        # The submit window equals the worker count, so a
+                        # submitted cell is running: its span measures run
+                        # time, not queue time.
+                        self._begin_cell(index, specs[index])
+                        pending[future] = index
+                        if self.cell_timeout is not None:
+                            deadlines[future] = time.monotonic() + self.cell_timeout
+                except BrokenProcessPool as error:
+                    breakage = error
+                if breakage is not None or not pending:
+                    break
                 done, _ = wait(
                     pending,
                     timeout=self._wait_budget(deadlines),
@@ -589,58 +595,47 @@ class CampaignExecutor:
                     index = pending.pop(future)
                     deadlines.pop(future, None)
                     try:
-                        report, error_type, error = future.result()
-                    except BrokenProcessPool:
-                        raise
+                        result = future.result()
+                    except BrokenProcessPool as error:
+                        breakage = error
+                        in_flight.append(index)
+                        continue
                     except Exception as exc:  # result unpicklable etc.
-                        report, error_type, error = None, type(exc).__name__, str(exc)
-                    outcome = CellOutcome(
-                        spec=specs[index],
-                        report=report,
-                        error=error,
-                        error_type=error_type,
-                    )
-                    outcomes[index] = outcome
-                    self._finish_cell(index, outcome)
-                    if progress is not None:
-                        progress(outcome)
+                        result = None, str(exc), type(exc).__name__
+                    outcome = CellOutcome(specs[index], *result)
+                    self._settle(outcomes, index, outcome, progress)
+                if breakage is not None:
+                    break
                 overdue = self._collect_overdue(pending, deadlines)
+                for future in overdue:
+                    index = pending.pop(future)
+                    future.cancel()
+                    self.cells_timed_out += 1
+                    timed_out = CellOutcome(
+                        spec=specs[index],
+                        error_type="CellTimeout",
+                        error=(
+                            f"cell exceeded the {self.cell_timeout}s "
+                            "wall-clock timeout"
+                        ),
+                    )
+                    self._settle(
+                        outcomes, index, timed_out, progress, status="timeout"
+                    )
+                    self.tracer.event(
+                        "cell_timeout", index=index, limit=self.cell_timeout
+                    )
                 if overdue:
-                    for future in overdue:
-                        index = pending.pop(future)
-                        deadlines.pop(future, None)
-                        future.cancel()
-                        self.cells_timed_out += 1
-                        outcomes[index] = CellOutcome(
-                            spec=specs[index],
-                            error_type="CellTimeout",
-                            error=(
-                                f"cell exceeded the {self.cell_timeout}s "
-                                "wall-clock timeout"
-                            ),
-                        )
-                        self._finish_cell(index, outcomes[index], status="timeout")
-                        self.tracer.event(
-                            "cell_timeout", index=index, limit=self.cell_timeout
-                        )
-                        if progress is not None:
-                            progress(outcomes[index])
-                    # The overdue cells' workers are still grinding;
-                    # terminate them and hand the survivors to a fresh
-                    # pool so the campaign keeps its full parallelism.
-                    abandoned = True
-                    self._terminate_workers(pool)
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    # Survivors move to a fresh pool: close their spans
-                    # (a new one opens when they are resubmitted).
-                    for index in pending.values():
-                        self._finish_cell(index, None, status="repooled")
-                    return list(pending.values()) + list(queue)
-                fill()
-            return []
+                    # The overdue cells' workers are still grinding: the
+                    # round ends and its workers are terminated.
+                    break
+            in_flight += pending.values()
+            return in_flight, list(queue), breakage
         finally:
-            if not abandoned:
-                pool.shutdown(wait=True)
+            died = breakage is not None or bool(overdue)
+            if died:
+                self._terminate_workers(pool)
+            pool.shutdown(wait=not died, cancel_futures=True)
 
     # -- helpers ------------------------------------------------------------
 
@@ -673,16 +668,3 @@ class CampaignExecutor:
                 process.terminate()
             except Exception:  # noqa: BLE001 - best-effort reclamation
                 pass
-
-    @staticmethod
-    def _lost_outcome(
-        spec: CellSpec, breakage: BaseException, attempts: int
-    ) -> CellOutcome:
-        return CellOutcome(
-            spec=spec,
-            error_type=type(breakage).__name__,
-            error=(
-                f"cell lost to a broken worker pool after {attempts} "
-                f"attempt(s): {breakage}"
-            ),
-        )

@@ -224,10 +224,6 @@ class RedComm(CollectiveAPI):
         """This process's position within its sphere (0 = primary)."""
         return self.replica_map.replica_index(self.physical_rank)
 
-    def peer_alive(self, virtual: int) -> bool:
-        """True while the peer sphere has at least one live replica."""
-        return bool(self.tracker.alive_replicas(virtual))
-
     def _alive_sphere(self, virtual: int) -> List[int]:
         """Live replicas of a sphere, consulting both tracker and runtime."""
         alive = self._spheres.get(virtual)

@@ -51,12 +51,6 @@ class TestTracer:
         (record,) = tracer.records
         assert record["t1"] == 2.0
 
-    def test_span_annotate(self):
-        tracer = Tracer()
-        span = tracer.begin("cell", sim_time=None)
-        span.annotate(index=7)
-        assert tracer.records[0]["index"] == 7
-
     def test_common_fields_merged_at_read(self):
         tracer = Tracer(common={"job": "r1-seed0"})
         tracer.event("x")
@@ -78,7 +72,6 @@ class TestTracer:
 class TestNullTracer:
     def test_everything_is_a_noop(self, tmp_path):
         span = NULL_TRACER.begin("attempt", sim_time=0.0)
-        span.annotate(x=1)
         span.end(sim_time=1.0)
         NULL_TRACER.event("failure", sim_time=0.5)
         NULL_TRACER.record("summary", total=1.0)

@@ -6,6 +6,7 @@ the serial fallback for unpicklable configs, and the determinism
 regression: a pooled campaign is bit-identical to a serial one.
 """
 
+import math
 import os
 import signal
 import time
@@ -16,12 +17,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.table4 import QUICK_DEGREES, QUICK_MTBF_HOURS, ScaledSetup
 from repro.faults import StorageFaultConfig
+from repro.orchestration import executor as executor_module
 from repro.orchestration import (
     CampaignExecutionError,
     CampaignExecutor,
     CellSpec,
     JobConfig,
-    resolve_cell_retries,
     resolve_cell_timeout,
     resolve_workers,
     run_failure_free_sweep,
@@ -327,19 +328,14 @@ class TestResolveHardeningKnobs:
             resolve_cell_timeout(None)
         with pytest.raises(ConfigurationError):
             resolve_cell_timeout(0.0)
-
-    def test_retries_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CELL_RETRIES", raising=False)
-        assert resolve_cell_retries(None) == 2
-
-    def test_retries_env_and_explicit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_RETRIES", "5")
-        assert resolve_cell_retries(None) == 5
-        assert resolve_cell_retries(0) == 0
-
-    def test_retries_invalid_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            resolve_cell_retries(-1)
+        # Non-finite values: inf overflows wait(), nan never fires.
+        for value in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                resolve_cell_timeout(value)
+        for raw in ("inf", "nan"):
+            monkeypatch.setenv("REPRO_CELL_TIMEOUT", raw)
+            with pytest.raises(ConfigurationError):
+                resolve_cell_timeout(None)
 
 
 class TestChaosNoOp:
@@ -379,7 +375,7 @@ class TestSelfHealing:
         assert executor.pool_breakages >= 1
         assert os.path.exists(sentinel)
 
-    def test_poison_cell_synthesized_after_retries(self):
+    def test_poison_cell_synthesized_after_retries(self, monkeypatch):
         """A cell that kills its worker every time is eventually declared
         lost instead of rebuilding pools forever — and the healthy cells
         still all complete."""
@@ -392,7 +388,8 @@ class TestSelfHealing:
             ),
             CellSpec(node_mtbf=None, redundancy=2.0, config=picklable_config()),
         ]
-        executor = CampaignExecutor(workers=2, cell_retries=1)
+        monkeypatch.setattr(executor_module, "CELL_RETRIES", 1)
+        executor = CampaignExecutor(workers=2)
         outcomes = executor.run(specs)
         assert len(outcomes) == len(specs)
         statuses = [o.ok for o in outcomes]
@@ -401,6 +398,37 @@ class TestSelfHealing:
         assert statuses[0] and statuses[2]
         assert not statuses[1]
         assert outcomes[1].error_type is not None
+
+    def test_poison_cell_spares_queued_cells(self):
+        """A breakage charges only the cells its pool was running: cells
+        still queued when the poison cell keeps killing workers move to
+        the fresh pool free and all complete."""
+        poison = CellSpec(
+            node_mtbf=None,
+            redundancy=1.5,
+            config=special_config(PoisonWorkload, delay=0.4),
+        )
+        slow = [
+            CellSpec(
+                node_mtbf=None,
+                redundancy=2.0 + k,
+                config=special_config(GlacialWorkload, sleep_seconds=1.0),
+            )
+            for k in range(4)
+        ]
+        specs = [
+            CellSpec(node_mtbf=None, redundancy=1.0, config=picklable_config()),
+            poison,
+            *slow,
+        ]
+        executor = CampaignExecutor(workers=2)
+        outcomes = executor.run(specs)
+        assert len(outcomes) == len(specs)
+        ok = [o.ok for o in outcomes]
+        assert not ok[1]
+        assert ok[0] and ok[3] and ok[4] and ok[5], [
+            (o.error_type, o.error) for o in outcomes
+        ]
 
     def test_cell_timeout_fails_slow_cell_only(self):
         specs = [

@@ -86,6 +86,8 @@ class TestCommands:
             ["run", "fig13", "bogus=1"],
             ["campaign", "--quick", "bogus=1"],
             ["chaos", "--quick", "bogus=1"],
+            # The pool's retry budget is a constant, not an option.
+            ["run", "table4", "cell_retries=3"],
         ],
     )
     def test_unknown_parameter_fails_before_running(self, argv, capsys):
@@ -93,7 +95,17 @@ class TestCommands:
         captured = capsys.readouterr()
         # One error line naming the key and what is accepted; no cell ran.
         assert captured.err.count("error:") == 1
-        assert "'bogus'" in captured.err and "accepted:" in captured.err
+        key = argv[-1].partition("=")[0]
+        assert repr(key) in captured.err and "accepted:" in captured.err
+        assert "cell " not in captured.out
+
+    def test_non_finite_cell_timeout_fails_before_running(self, capsys):
+        argv = ["campaign", "--failure-free", "--workers", "2",
+                "--cell-timeout", "inf", "degrees=(1.0,2.0)"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1
+        assert "cell timeout" in captured.err
         assert "cell " not in captured.out
 
 
