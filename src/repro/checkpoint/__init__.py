@@ -22,12 +22,11 @@ simulator:
 from .storage import StableStorage, StoredBlob
 from .image import ProcessImage, capture_image, restore_image
 from .coordinator import BookmarkCoordinator
-from .service import CheckpointConfig, CheckpointService
+from .service import CheckpointService
 from .restart import RecoveryLine, RestartManager
 
 __all__ = [
     "BookmarkCoordinator",
-    "CheckpointConfig",
     "CheckpointService",
     "ProcessImage",
     "RecoveryLine",

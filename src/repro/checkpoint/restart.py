@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import CorruptImageError, NoCheckpointError, StorageReadError
+from ..errors import CorruptImageError, NoCheckpointError
 from ..obs.trace import NULL_TRACER
 from .image import restore_image
 from .storage import StableStorage
@@ -45,7 +45,7 @@ class RestartManager:
         self.history: list = []
         #: Recovery lines skipped because an image failed its CRC.
         self.corrupt_lines_skipped = 0
-        #: Recovery lines skipped because storage refused a read.
+        #: Recovery lines skipped because storage lacked one of their blobs.
         self.unreadable_lines_skipped = 0
         #: Depth of the line used by the most recent restore (1 = newest).
         self.last_rollback_depth = 0
@@ -107,9 +107,9 @@ class RestartManager:
         """Restore every rank, falling back across retained lines.
 
         Tries the newest retained line first; a corrupt image
-        (CRC mismatch) or an injected read failure condemns the whole
-        line — a partial restore would mix steps — and the next older
-        line is tried.  Returns the line actually used plus the
+        (CRC mismatch) or a missing blob condemns the whole line — a
+        partial restore would mix steps — and the next older line is
+        tried.  Returns the line actually used plus the
         restored images.
 
         Raises
@@ -138,7 +138,7 @@ class RestartManager:
                     depth=depth,
                 )
                 continue
-            except (StorageReadError, NoCheckpointError):
+            except NoCheckpointError:
                 self.unreadable_lines_skipped += 1
                 self.tracer.event(
                     "recovery_line_unreadable",

@@ -22,22 +22,21 @@ The checkpoint path:
 A failure anywhere in 1-4 leaves the previous recovery line intact.
 
 Chaos hardening: when stable storage carries an active fault model,
-step 4 retries an injected write failure with capped exponential
-backoff (abort + re-stage of this rank's image).  If a rank exhausts
-its retries, the whole set is abandoned — the ranks agree via one
-extra LOR allreduce, the committer aborts the staged set, and the
-interval is *skipped* and counted (graceful degradation; the next
-interval checkpoints normally).  With the fault model absent or
+step 4 retries an injected write failure up to :data:`WRITE_RETRIES`
+times with exponential backoff from :data:`RETRY_BACKOFF` (re-stage of
+this rank's image).  If a rank exhausts its retries, the whole set is
+abandoned — the ranks agree via one extra LOR allreduce, the committer
+aborts the staged set, and the interval is *skipped* and counted
+(graceful degradation; the next interval checkpoints normally).  With the fault model absent or
 disabled no write fails and the extra allreduce is not run, so the
 fault-free path pays exactly one stage and one ``fixed_cost`` pause.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import ConfigurationError, StorageWriteError
+from ..errors import StorageWriteError
 from ..mpi import ops
 from ..obs.trace import NULL_TRACER
 from .coordinator import BookmarkCoordinator
@@ -49,15 +48,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import SimMPI
 
 
-@dataclass(frozen=True)
-class CheckpointConfig:
-    """How a job checkpoints.
+#: Times a rank re-stages its image after an injected write failure
+#: before the set is abandoned (chaos layer only).
+WRITE_RETRIES = 2
+#: Pause before the first re-stage; it doubles for each later one.
+RETRY_BACKOFF = 0.002
 
-    Attributes
+
+class CheckpointService:
+    """Per-attempt coordinated-checkpoint driver (shared by all ranks).
+
+    Parameters
     ----------
     interval:
-        Seconds between checkpoints (``delta``); the orchestrator
-        usually derives it from Daly's Eq. 15 at the system MTBF.
+        Seconds between checkpoints (``delta``); the job derives it
+        from Daly's Eq. 15 at the system MTBF unless given one.
     fixed_cost:
         Every checkpoint pauses the application exactly this long
         (per-rank, in parallel) while its image is staged — the paper's
@@ -65,52 +70,27 @@ class CheckpointConfig:
     bookmark_exchange:
         Run the all-to-all bookmark round before quiescing (costs one
         alltoall; the quiescence check itself is always performed).
-    max_retries:
-        How many times a rank re-stages its image after an injected
-        write failure before the set is abandoned (chaos layer only).
-    retry_backoff:
-        Initial pause before a retry; doubles per retry, capped at
-        ``max(1.0, retry_backoff)`` (capped exponential backoff).
+
+    :class:`~repro.orchestration.job.JobConfig` validates ``interval``
+    and ``fixed_cost``; the service takes them as given.
     """
-
-    interval: float
-    fixed_cost: float
-    bookmark_exchange: bool = False
-    max_retries: int = 2
-    retry_backoff: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not self.interval > 0:
-            raise ConfigurationError(f"interval must be > 0, got {self.interval}")
-        if self.fixed_cost is None or not self.fixed_cost >= 0:
-            raise ConfigurationError(
-                f"fixed_cost must be >= 0, got {self.fixed_cost}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff < 0:
-            raise ConfigurationError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-
-
-class CheckpointService:
-    """Per-attempt coordinated-checkpoint driver (shared by all ranks)."""
 
     def __init__(
         self,
         runtime: "SimMPI",
         storage: StableStorage,
         restart_manager: RestartManager,
-        config: CheckpointConfig,
+        interval: float,
+        fixed_cost: float,
+        bookmark_exchange: bool = False,
         tracer=NULL_TRACER,
     ) -> None:
         self.runtime = runtime
         self.storage = storage
         self.restart_manager = restart_manager
-        self.config = config
+        self.interval = interval
+        self.fixed_cost = fixed_cost
+        self.bookmark_exchange = bookmark_exchange
         self.tracer = tracer
         self.env = runtime.env
         self._last_checkpoint = self.env.now
@@ -148,7 +128,7 @@ class CheckpointService:
 
     def due(self) -> bool:
         """Has the checkpoint interval elapsed (this rank's local view)?"""
-        return (self.env.now - self._last_checkpoint) >= self.config.interval
+        return (self.env.now - self._last_checkpoint) >= self.interval
 
     def at_step_boundary(self, comm, workload, step: int):
         """Generator: collective decision + checkpoint if due.
@@ -178,7 +158,7 @@ class CheckpointService:
         self._participants += 1
         try:
             yield from comm.barrier()
-            if self.config.bookmark_exchange:
+            if self.bookmark_exchange:
                 yield from self._coordinator.exchange_bookmarks(comm)
             yield from self._coordinator.quiesce()
 
@@ -226,16 +206,14 @@ class CheckpointService:
         """Generator: persist one rank's image, retrying injected failures.
 
         Stages the blob and pays ``fixed_cost``.  An injected write
-        failure re-stages it with capped exponential backoff; a stage
+        failure re-stages it with exponential backoff; a stage
         under the same (set, key) simply replaces the staged blob, so
         no explicit per-key abort is needed.  Returns ``True`` when the
         rank exhausted its retries — the caller then abandons the whole
         set via the collective verdict + ``abort_set``.
         """
-        cfg = self.config
-        backoff = cfg.retry_backoff
-        max_backoff = max(1.0, cfg.retry_backoff)
-        for attempt in range(cfg.max_retries + 1):
+        backoff = RETRY_BACKOFF
+        for attempt in range(WRITE_RETRIES + 1):
             persisted = True
             try:
                 self.storage.stage_untimed(set_id, key, image.data)
@@ -244,7 +222,7 @@ class CheckpointService:
                 self.checkpoint_write_failures += 1
             # The pause is paid either way: the failure surfaces at the
             # end of the write, not before it starts.
-            yield self.env.timeout(cfg.fixed_cost)
+            yield self.env.timeout(self.fixed_cost)
             if persisted:
                 return False
             self.tracer.event(
@@ -254,7 +232,7 @@ class CheckpointService:
                 key=key,
                 attempt=attempt,
             )
-            if attempt >= cfg.max_retries:
+            if attempt >= WRITE_RETRIES:
                 return True
             self.checkpoint_retries += 1
             self.tracer.event(
@@ -264,9 +242,8 @@ class CheckpointService:
                 key=key,
                 backoff=backoff,
             )
-            if backoff > 0.0:
-                yield self.env.timeout(backoff)
-            backoff = min(backoff * 2.0, max_backoff)
+            yield self.env.timeout(backoff)
+            backoff *= 2.0
         return True  # pragma: no cover - loop always returns earlier
 
     def _is_committer(self, comm) -> bool:

@@ -11,16 +11,17 @@ staging and commit leaves the previous committed set intact.
 
 Two hardening layers on top:
 
-* **Versioned recovery lines** — the last ``keep_sets`` committed sets
-  are retained (newest last) instead of overwritten, so restart can
-  fall back line by line when the newest images turn out corrupt.
+* **Versioned recovery lines** — the last :data:`RECOVERY_LINES`
+  committed sets are retained (newest last) instead of overwritten, so
+  restart can fall back line by line when the newest images turn out
+  corrupt.
 * **Fault injection** — an optional
   :class:`~repro.faults.storage_faults.StorageFaultModel` decides, per
-  operation, whether a write fails (:class:`StorageWriteError`), a read
-  fails (:class:`StorageReadError`) or a blob is silently damaged at
-  rest (surfaces as :class:`CorruptImageError` on verification).  With
-  no model — or a model whose probabilities are all zero — every path
-  below behaves exactly as the fault-free storage.
+  write, whether it fails (:class:`StorageWriteError`) or the blob is
+  silently damaged at rest (surfaces as :class:`CorruptImageError` on
+  verification).  With no model — or a model whose probabilities are
+  all zero — every path below behaves exactly as the fault-free
+  storage.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import (
     CheckpointError,
-    ConfigurationError,
     CorruptImageError,
     NoCheckpointError,
-    StorageReadError,
     StorageWriteError,
 )
 from ..faults.storage_faults import StorageFaultModel
 from ..simkit import Environment
+
+#: Committed sets retained as fallback recovery lines.
+RECOVERY_LINES = 3
 
 
 @dataclass
@@ -66,23 +68,15 @@ class StableStorage:
         Optional storage fault model (chaos layer).  ``None`` — or a
         model with all probabilities zero — makes every operation
         behave exactly as the fault-free storage.
-    keep_sets:
-        How many committed sets to retain as fallback recovery lines.
     """
 
     def __init__(
-        self,
-        env: Environment,
-        faults: Optional[StorageFaultModel] = None,
-        keep_sets: int = 3,
+        self, env: Environment, faults: Optional[StorageFaultModel] = None
     ) -> None:
-        if keep_sets < 1:
-            raise ConfigurationError(f"keep_sets must be >= 1, got {keep_sets}")
         self.env = env
-        self.keep_sets = keep_sets
         self.faults = faults
         self._staged: Dict[str, Dict[str, StoredBlob]] = {}
-        #: Committed sets, oldest first, newest last; bounded by keep_sets.
+        #: Committed sets, oldest first; at most RECOVERY_LINES of them.
         self._history: List[Tuple[str, Dict[str, StoredBlob]]] = []
 
     @property
@@ -116,14 +110,14 @@ class StableStorage:
     def commit_set(self, set_id: str) -> None:
         """Atomically promote a staged set to the newest recovery line.
 
-        Older committed sets are retained (up to ``keep_sets``) as
-        fallback lines for restart.
+        Older committed sets are retained (up to
+        :data:`RECOVERY_LINES`) as fallback lines for restart.
         """
         staged = self._staged.pop(set_id, None)
         if not staged:
             raise CheckpointError(f"no staged blobs under set {set_id!r}")
         self._history.append((set_id, staged))
-        while len(self._history) > self.keep_sets:
+        while len(self._history) > RECOVERY_LINES:
             self._history.pop(0)
 
     def abort_set(self, set_id: str) -> None:
@@ -137,18 +131,15 @@ class StableStorage:
     # -- access -------------------------------------------------------------
 
     def fetch(self, set_id: Optional[str], key: str) -> StoredBlob:
-        """Fault-aware access to a committed blob (default: the newest set).
+        """A committed blob (default: the newest set).
 
         The read's time is part of the fixed restart cost paid
-        elsewhere, but the fault model still decides whether it
-        succeeds.  Raises :class:`StorageReadError` on an injected read
-        failure; callers verify the returned blob's integrity themselves.
+        elsewhere.  Callers verify the returned blob's integrity
+        themselves: at-rest corruption surfaces there, not here.
         """
         blob = self._committed_blob(set_id, key)
-        if self.faults_active and self.faults.on_read().fail:
-            raise StorageReadError(
-                f"read of blob {key!r} from set {set_id!r} failed"
-            )
+        if self.faults is not None:
+            self.faults.on_read()
         return blob
 
     def corrupt(self, key: str, set_id: Optional[str] = None) -> None:

@@ -96,22 +96,14 @@ class CorruptImageError(CheckpointError):
     """A stored process image failed its integrity check on read-back."""
 
 
-class TransientStorageError(CheckpointError):
-    """Base class for injected stable-storage faults.
+class StorageWriteError(CheckpointError):
+    """A stable-storage write was rejected by the fault model.
 
-    Transient in the sense of the fault model: the *operation* failed,
-    not the device — retrying the same operation may succeed.  Raised
-    only when a :class:`~repro.faults.storage_faults.StorageFaultModel`
-    is wired into :class:`~repro.checkpoint.storage.StableStorage`.
+    Transient: the *operation* failed, not the device, so re-staging
+    the same image may succeed.  Raised only when a
+    :class:`~repro.faults.storage_faults.StorageFaultModel` is wired
+    into :class:`~repro.checkpoint.storage.StableStorage`.
     """
-
-
-class StorageWriteError(TransientStorageError):
-    """A stable-storage write was rejected by the fault model."""
-
-
-class StorageReadError(TransientStorageError):
-    """A stable-storage read was rejected by the fault model."""
 
 
 # --------------------------------------------------------------------------

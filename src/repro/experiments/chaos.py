@@ -6,8 +6,8 @@ Poisson failure process *and* a :class:`~repro.faults.StorageFaultConfig`
 whose probabilities are swept, in two modes:
 
 * ``write-fail`` — every per-rank checkpoint write fails with
-  probability ``p``; the service retries with capped backoff and skips
-  the interval when a rank exhausts its retries;
+  probability ``p``; the service retries with exponential backoff and
+  skips the interval when a rank exhausts its retries;
 * ``corrupt`` — every stored blob is silently bit-flipped with
   probability ``p``; restore detects the CRC mismatch and falls back
   line by line across the retained recovery sets.
@@ -40,6 +40,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
 
+from ..checkpoint.service import WRITE_RETRIES
+from ..checkpoint.storage import RECOVERY_LINES
 from ..errors import ModelDivergence, ReproError
 from ..faults import StorageFaultConfig
 from ..models.checkpointing import total_time
@@ -72,9 +74,6 @@ class ChaosSetup:
     restart_cost: float = 0.05
     expected_base_time: float = 1.6
     alpha_estimate: float = 0.2
-    recovery_line_depth: int = 3
-    checkpoint_max_retries: int = 2
-    checkpoint_retry_backoff: float = 0.002
     seed: int = 20120612
 
     def job_config(self) -> JobConfig:
@@ -99,9 +98,6 @@ class ChaosSetup:
             restart_cost=self.restart_cost,
             expected_base_time=self.expected_base_time,
             alpha_estimate=self.alpha_estimate,
-            recovery_line_depth=self.recovery_line_depth,
-            checkpoint_max_retries=self.checkpoint_max_retries,
-            checkpoint_retry_backoff=self.checkpoint_retry_backoff,
         )
 
     @property
@@ -129,16 +125,15 @@ def _predict(setup: ChaosSetup, delta: float, mode: str, prob: float) -> float:
     delta_eff = delta
     restart_eff = setup.restart_cost
     if mode == "write-fail" and prob > 0.0:
-        rank_exhausts = prob ** (setup.checkpoint_max_retries + 1)
+        rank_exhausts = prob ** (WRITE_RETRIES + 1)
         set_skipped = 1.0 - (1.0 - rank_exhausts) ** n
         if set_skipped >= 1.0:
             return float("inf")
         delta_eff = delta / (1.0 - set_skipped)
     elif mode == "corrupt" and prob > 0.0:
         line_bad = 1.0 - (1.0 - prob) ** n
-        depth = setup.recovery_line_depth
-        fallback_rework = sum(line_bad ** k for k in range(1, depth))
-        cold_start = line_bad ** depth
+        fallback_rework = sum(line_bad ** k for k in range(1, RECOVERY_LINES))
+        cold_start = line_bad ** RECOVERY_LINES
         restart_eff = (
             setup.restart_cost
             + delta * fallback_rework
@@ -280,8 +275,8 @@ def run(
         notes=[
             f"setup: N={setup.virtual_processes}, {setup.steps} steps, "
             f"node MTBF {setup.node_mtbf}s, c={setup.checkpoint_cost}s, "
-            f"R={setup.restart_cost}s, keep {setup.recovery_line_depth} "
-            f"recovery lines, {setup.checkpoint_max_retries} write retries",
+            f"R={setup.restart_cost}s, keep {RECOVERY_LINES} "
+            f"recovery lines, {WRITE_RETRIES} write retries",
             "prediction: Eq. 14 with delta/(1-q) for skipped sets and the "
             "depth-truncated fallback + cold-start stretch of R for "
             "corruption (first-order; single stochastic runs, expect noise; "

@@ -9,25 +9,19 @@ checkpoint/restart phases is configurable — the paper's experiments
 suppress them (Section 6, observation 5), its full model does not.
 
 :mod:`storage_faults` extends injection to the fault-tolerance
-machinery itself: seeded write failures, read failures and at-rest bit
-corruption for stable storage (the chaos layer).
+machinery itself: seeded write failures and at-rest bit corruption
+for stable storage (the chaos layer).
 """
 
 from .distributions import Exponential, LogNormal, Weibull
 from .injector import FailureInjector, FailureRecord
-from .storage_faults import (
-    ReadVerdict,
-    StorageFaultConfig,
-    StorageFaultModel,
-    WriteVerdict,
-)
+from .storage_faults import StorageFaultConfig, StorageFaultModel, WriteVerdict
 
 __all__ = [
     "Exponential",
     "FailureInjector",
     "FailureRecord",
     "LogNormal",
-    "ReadVerdict",
     "StorageFaultConfig",
     "StorageFaultModel",
     "Weibull",

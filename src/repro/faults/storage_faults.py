@@ -1,12 +1,12 @@
 """Storage fault injection: the chaos model for stable storage.
 
 The paper's harness assumes the fault-tolerance machinery itself is
-perfect — checkpoints always commit, images are never damaged, reads
-always succeed.  Real parallel file systems violate all three: writes
-and reads fail transiently under load, and data rots at rest (silent
-bit corruption, the regime of Aupy et al.'s silent-error work).
-:class:`StorageFaultModel` injects exactly those three fault classes
-into :class:`~repro.checkpoint.storage.StableStorage`,
+perfect — checkpoints always commit and images are never damaged.
+Real parallel file systems violate both: writes fail transiently under
+load, and data rots at rest (silent bit corruption, the regime of Aupy
+et al.'s silent-error work).  :class:`StorageFaultModel` injects
+exactly those two fault classes into
+:class:`~repro.checkpoint.storage.StableStorage`,
 deterministically from a seed, so chaos campaigns are reproducible and
 sweepable under common random numbers.
 
@@ -18,9 +18,10 @@ Determinism contract:
   operation *regardless of which individual probabilities are zero*,
   so sweeping one probability while holding the seed keeps every other
   fault decision aligned (common random numbers across sweep points).
-  A write draws three variates and a read two.  The first of each is
-  unused; it is still drawn so that every seeded fault stream matches
-  the one earlier versions drew.
+  A write draws three variates and a read two.  The first variate of
+  a write, and both of a read, are unused; they are still drawn so
+  that seeded fault streams, and the chaos outputs pinned to them, do
+  not shift.
 """
 
 from __future__ import annotations
@@ -36,22 +37,21 @@ from ..errors import ConfigurationError
 #: with the failure injector's stream for the same campaign seed.
 _STREAM_KEY = 0x5F0C5
 
-_PROBABILITIES = ("write_fail_prob", "read_fail_prob", "corrupt_prob")
+_PROBABILITIES = ("write_fail_prob", "corrupt_prob")
 
 
 @dataclass(frozen=True)
 class StorageFaultConfig:
     """Chaos knobs for stable storage.
 
-    All probabilities are per *operation* (one blob write or read).
-    ``corrupt_prob`` is the chance a successfully written blob is
-    silently damaged at rest — its payload is bit-flipped while the
-    recorded CRC keeps the original value, so the damage surfaces only
-    on read-back verification, exactly like real at-rest corruption.
+    Both probabilities are per blob write.  ``corrupt_prob`` is the
+    chance a successfully written blob is silently damaged at rest —
+    its payload is bit-flipped while the recorded CRC keeps the
+    original value, so the damage surfaces only on read-back
+    verification, exactly like real at-rest corruption.
     """
 
     write_fail_prob: float = 0.0
-    read_fail_prob: float = 0.0
     corrupt_prob: float = 0.0
     seed: int = 0
 
@@ -77,17 +77,9 @@ class WriteVerdict:
     corrupt: bool = False
 
 
-@dataclass(frozen=True)
-class ReadVerdict:
-    """What the fault model decided about one read."""
-
-    fail: bool = False
-
-
-#: Verdicts returned on every operation while the model is disabled —
-#: shared constants so the no-op path allocates nothing per call.
+#: Verdict returned on every write while the model is disabled — a
+#: shared constant so the no-op path allocates nothing per call.
 _CLEAN_WRITE = WriteVerdict()
-_CLEAN_READ = ReadVerdict()
 
 
 class StorageFaultModel:
@@ -106,7 +98,6 @@ class StorageFaultModel:
         )
         self._rng = np.random.default_rng(sequence)
         self.writes_failed = 0
-        self.reads_failed = 0
         self.blobs_corrupted = 0
 
     @property
@@ -130,15 +121,12 @@ class StorageFaultModel:
             return WriteVerdict(corrupt=True)
         return _CLEAN_WRITE
 
-    def on_read(self) -> ReadVerdict:
-        """Decide the fate of one blob read (two aligned draws)."""
-        if not self.enabled:
-            return _CLEAN_READ
-        _, fail = self._rng.random(2)
-        if fail < self.config.read_fail_prob:
-            self.reads_failed += 1
-            return ReadVerdict(fail=True)
-        return _CLEAN_READ
+    def on_read(self) -> None:
+        """Account one blob read; reads never fail."""
+        if self.enabled:
+            # Two unused draws: without them every later decision of a
+            # seeded stream shifts, and so do the seeded chaos outputs.
+            self._rng.random(2)
 
     def damage(self, data: bytes) -> bytes:
         """Flip one bit of ``data`` at a position drawn from the stream."""
@@ -154,6 +142,5 @@ class StorageFaultModel:
         """Injection counts so far (surfaced in job reports)."""
         return {
             "storage_writes_failed": self.writes_failed,
-            "storage_reads_failed": self.reads_failed,
             "storage_blobs_corrupted": self.blobs_corrupted,
         }

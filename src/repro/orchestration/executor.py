@@ -31,7 +31,11 @@ Self-healing (the chaos-hardening layer):
   cells the dead pool was running: such a cell is declared lost once
   it has been running in more than ``CELL_RETRIES`` broken pools, and
   every unfinished cell is declared lost after ``MAX_POOL_REBUILDS``
-  crashes.  Cells the dead pool never started move free;
+  crashes.  Cells the dead pool never started move free.  A cell's
+  last attempt runs alone in a one-worker pool, so a cell is lost
+  only to its own crash, never to a neighbour's, and a crash in such a
+  round does not count toward ``MAX_POOL_REBUILDS`` (``CELL_RETRIES``
+  already bounds it);
 * **per-cell wall-clock timeouts** — ``cell_timeout`` (or the
   ``REPRO_CELL_TIMEOUT`` env var) bounds how long one cell may run in
   a worker; an overdue cell is recorded as a failed outcome and its
@@ -58,6 +62,7 @@ run and finalizes it after.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import pickle
 import time
@@ -142,21 +147,34 @@ def _env_value(value, env: str, parse, kind: str):
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve the worker count: argument > ``REPRO_WORKERS`` env > 1."""
+    """Resolve the worker count: argument > ``REPRO_WORKERS`` env > 1.
+
+    A bool or a non-integer (``"two"``, ``2.5``) is rejected rather
+    than coerced.
+    """
     workers = _env_value(workers, WORKERS_ENV, int, "an integer")
-    return 1 if workers is None else max(1, int(workers))
+    if workers is None:
+        return 1
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ConfigurationError(f"workers must be an integer, got {workers!r}")
+    return max(1, int(workers))
 
 
 def resolve_cell_timeout(cell_timeout: Optional[float] = None) -> Optional[float]:
     """Resolve the per-cell timeout: argument > env > None (no timeout).
 
     The one validation point for the keyword, ``REPRO_CELL_TIMEOUT`` and
-    ``--cell-timeout``: the value must be finite and > 0 (``inf`` would
-    overflow ``wait``, and ``nan`` would never fire).
+    ``--cell-timeout``: the value must be a number (not a bool), finite
+    and > 0 (``inf`` would overflow ``wait``, and ``nan`` would never
+    fire).
     """
     cell_timeout = _env_value(cell_timeout, CELL_TIMEOUT_ENV, float, "a number")
     if cell_timeout is None:
         return None
+    if isinstance(cell_timeout, bool) or not isinstance(cell_timeout, numbers.Real):
+        raise ConfigurationError(
+            f"cell timeout must be a number, got {cell_timeout!r}"
+        )
     if not 0.0 < cell_timeout < math.inf:
         raise ConfigurationError(
             f"cell timeout must be finite and > 0, got {cell_timeout}"
@@ -184,7 +202,8 @@ class CampaignExecutor:
     A pool that dies — a worker crashed, or a timeout reclaimed the
     workers — is replaced by a fresh one that takes every unfinished
     cell.  Only a crash is charged, and only to the cells the dead pool
-    was running (see ``CELL_RETRIES`` and :attr:`MAX_POOL_REBUILDS`).
+    was running (see ``CELL_RETRIES`` and :attr:`MAX_POOL_REBUILDS`);
+    a cell's last attempt runs alone.
 
     Parameters
     ----------
@@ -217,8 +236,10 @@ class CampaignExecutor:
         ``campaign.cache_hits``/``campaign.cache_misses``.
     """
 
-    #: Fresh pools built after a worker crash before the remaining cells
-    #: are declared lost (a poison cell would otherwise rebuild forever).
+    #: Fresh pools built after a shared pool's worker crashed before the
+    #: remaining cells are declared lost (a pool that keeps dying would
+    #: otherwise rebuild forever).  A one-cell last-attempt round does
+    #: not count: ``CELL_RETRIES`` bounds it.
     MAX_POOL_REBUILDS = 3
 
     def __init__(
@@ -491,12 +512,18 @@ class CampaignExecutor:
         todo = list(range(total))
         rebuilds = 0
         while todo:
+            # A cell's last attempt runs alone, so the crash that loses
+            # it is its own; earlier attempts share the pool at full width.
+            last_try = [i for i in todo if lost_counts[i] == CELL_RETRIES][:1]
+            batch = last_try or todo
+            held = set(todo).difference(batch)
             in_flight, queued, breakage = self._drain_pool(
-                specs, todo, outcomes, progress
+                specs, batch, outcomes, progress
             )
             if breakage is not None:
                 self.pool_breakages += 1
-                rebuilds += 1
+                if not last_try:
+                    rebuilds += 1
                 self.tracer.event(
                     "pool_breakage", rebuilds=rebuilds, error=str(breakage)
                 )
@@ -512,7 +539,7 @@ class CampaignExecutor:
                     lost_counts[index] += 1
             running = set(in_flight)
             todo = []
-            for index in sorted(running.union(queued)):
+            for index in sorted(running.union(queued, held)):
                 attempts = lost_counts[index]
                 if attempts > CELL_RETRIES or rebuilds > self.MAX_POOL_REBUILDS:
                     lost = CellOutcome(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from .. import units
-from ..checkpoint import CheckpointConfig, CheckpointService, RestartManager, StableStorage
+from ..checkpoint import CheckpointService, RestartManager, StableStorage
 from ..errors import ConfigurationError, NoCheckpointError
 from ..faults import (
     Exponential,
@@ -86,15 +86,10 @@ class JobConfig:
     network_bandwidth: float = QDR_BANDWIDTH
     #: Chaos layer: storage fault probabilities (None, or a config with
     #: all probabilities zero, leaves every code path bit-identical to
-    #: the fault-free pipeline).
+    #: the fault-free pipeline).  Recovery-line depth and write retries
+    #: are the constants ``checkpoint.storage.RECOVERY_LINES`` and
+    #: ``checkpoint.service.WRITE_RETRIES``/``RETRY_BACKOFF``.
     storage_faults: Optional[StorageFaultConfig] = None
-    #: How many committed recovery lines storage retains for fallback.
-    recovery_line_depth: int = 3
-    #: Per-rank re-stage attempts after an injected checkpoint write
-    #: failure before the interval is skipped.
-    checkpoint_max_retries: int = 2
-    #: Initial backoff before a checkpoint retry (doubles, capped).
-    checkpoint_retry_backoff: float = 0.05
     #: Observability: directory this job writes its trace part file
     #: into (``None`` disables tracing — the default — and keeps the
     #: whole pipeline on the null tracer, bit-identical to untraced).
@@ -134,19 +129,6 @@ class JobConfig:
         if self.failure_distribution not in ("exponential", "weibull", "lognormal"):
             raise ConfigurationError(
                 f"unknown failure_distribution {self.failure_distribution!r}"
-            )
-        if self.recovery_line_depth < 1:
-            raise ConfigurationError(
-                f"recovery_line_depth must be >= 1, got {self.recovery_line_depth}"
-            )
-        if self.checkpoint_max_retries < 0:
-            raise ConfigurationError(
-                f"checkpoint_max_retries must be >= 0, got {self.checkpoint_max_retries}"
-            )
-        if self.checkpoint_retry_backoff < 0:
-            raise ConfigurationError(
-                f"checkpoint_retry_backoff must be >= 0, got "
-                f"{self.checkpoint_retry_backoff}"
             )
 
     def resolve_interval(self) -> Optional[float]:
@@ -310,9 +292,7 @@ class ResilientJob:
             if cfg.storage_faults is not None
             else None
         )
-        storage = StableStorage(
-            env, faults=fault_model, keep_sets=cfg.recovery_line_depth
-        )
+        storage = StableStorage(env, faults=fault_model)
         restart_manager = RestartManager(storage, tracer=self._tracer)
         delta = cfg.resolve_interval()
 
@@ -496,13 +476,9 @@ class ResilientJob:
                 runtime=world,
                 storage=storage,
                 restart_manager=restart_manager,
-                config=CheckpointConfig(
-                    interval=delta,
-                    fixed_cost=cfg.checkpoint_cost,
-                    bookmark_exchange=cfg.bookmark_exchange,
-                    max_retries=cfg.checkpoint_max_retries,
-                    retry_backoff=cfg.checkpoint_retry_backoff,
-                ),
+                interval=delta,
+                fixed_cost=cfg.checkpoint_cost,
+                bookmark_exchange=cfg.bookmark_exchange,
                 tracer=self._tracer,
             )
         self._service = service

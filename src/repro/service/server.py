@@ -333,17 +333,26 @@ class ModelServer:
                 await writer.wait_closed()
 
     @staticmethod
-    async def _read_request(reader):
-        line = await reader.readline()
+    async def _read_line(reader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError as error:  # the line overran the stream's limit
+            raise _RejectedRequest(400, "request or header line too long") from error
+
+    @classmethod
+    async def _read_request(cls, reader):
+        line = await cls._read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").split()
-        if len(parts) < 2:
+        if not parts:
             return None
+        if len(parts) < 2:
+            raise _RejectedRequest(400, f"malformed request line {parts[0][:64]!r}")
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
         while True:
-            header = await reader.readline()
+            header = await cls._read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")

@@ -1,29 +1,30 @@
 """Tests for the multi-line restore: CRC fallback across recovery sets."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.checkpoint import RestartManager, StableStorage
+from repro.checkpoint import storage as storage_module
 from repro.checkpoint.image import capture_image
 from repro.errors import NoCheckpointError
-from repro.faults import ReadVerdict, StorageFaultConfig, StorageFaultModel
+from repro.faults import StorageFaultConfig, StorageFaultModel
 from repro.simkit import Environment
-
-from .test_storage_chaos import ScriptedFaults
 
 RANKS = (0, 1)
 
 
-def commit_line(storage, manager, set_id, step, now=0.0):
+def commit_line(storage, manager, set_id, step, now=0.0, ranks=RANKS):
     """Stage one image per rank (payload encodes the step) and commit."""
-    for rank in RANKS:
+    for rank in ranks:
         payload = {"step": step, "state": f"{set_id}-r{rank}"}
         storage.stage_untimed(set_id, RestartManager.key_for(rank), capture_image(payload).data)
     manager.note_commit(set_id, step, now)
 
 
-def build_history(env, lines=3, keep_sets=3, faults=None):
-    storage = StableStorage(env, faults=faults, keep_sets=keep_sets)
+def build_history(env, lines=3, faults=None):
+    storage = StableStorage(env, faults=faults)
     manager = RestartManager(storage)
     for index in range(lines):
         commit_line(storage, manager, f"set{index}", step=10 * (index + 1))
@@ -39,8 +40,9 @@ class TestHappyPath:
         assert images[0]["state"] == "set2-r0"
         assert images[1]["state"] == "set2-r1"
 
-    def test_retained_lines_newest_first(self, env):
-        _, manager = build_history(env, lines=4, keep_sets=2)
+    def test_retained_lines_newest_first(self, env, monkeypatch):
+        monkeypatch.setattr(storage_module, "RECOVERY_LINES", 2)
+        _, manager = build_history(env, lines=4)
         assert [line.set_id for line in manager.retained_lines()] == ["set3", "set2"]
 
 
@@ -88,18 +90,21 @@ class TestCorruptionFallback:
 
 
 class TestUnreadableFallback:
-    def test_injected_read_failure_condemns_the_line(self, env):
-        faults = ScriptedFaults(reads=[ReadVerdict(fail=True)])
-        _, manager = build_history(env, faults=faults)
+    def test_missing_blob_condemns_the_line(self, env):
+        storage, manager = build_history(env, lines=2)
+        # The newest line lacks rank 1's image: restoring only rank 0
+        # from it would mix steps, so the whole line is skipped.
+        commit_line(storage, manager, "set2", step=30, ranks=RANKS[:1])
         line, _ = manager.restore_states(RANKS)
         assert line.set_id == "set1"
         assert manager.unreadable_lines_skipped == 1
         assert manager.corrupt_lines_skipped == 0
 
-    def test_trimmed_history_not_consulted(self, env):
-        # keep_sets=2 retains only set2/set1; the manager's history still
-        # remembers set0 but restore must not try the evicted set.
-        storage, manager = build_history(env, lines=3, keep_sets=2)
+    def test_trimmed_history_not_consulted(self, env, monkeypatch):
+        # Two recovery lines retain only set2/set1; the manager's history
+        # still remembers set0 but restore must not try the evicted set.
+        monkeypatch.setattr(storage_module, "RECOVERY_LINES", 2)
+        storage, manager = build_history(env, lines=3)
         storage.corrupt(RestartManager.key_for(0), set_id="set2")
         storage.corrupt(RestartManager.key_for(0), set_id="set1")
         with pytest.raises(NoCheckpointError):
@@ -151,16 +156,19 @@ class TestIntegrityProperty:
     def test_restores_newest_line_without_a_corrupt_blob(self, history):
         states, damaged = history
         ranks = range(len(states[0]))
-        storage = StableStorage(Environment(), keep_sets=len(states))
+        storage = StableStorage(Environment())
         manager = RestartManager(storage)
-        for index, line_states in enumerate(states):
-            for rank in ranks:
-                storage.stage_untimed(
-                    f"set{index}",
-                    RestartManager.key_for(rank),
-                    capture_image(line_states[rank]).data,
-                )
-            manager.note_commit(f"set{index}", step=index + 1, now=float(index))
+        # Retain every generated line (hypothesis cannot take the
+        # function-scoped monkeypatch fixture).
+        with mock.patch.object(storage_module, "RECOVERY_LINES", len(states)):
+            for index, line_states in enumerate(states):
+                for rank in ranks:
+                    storage.stage_untimed(
+                        f"set{index}",
+                        RestartManager.key_for(rank),
+                        capture_image(line_states[rank]).data,
+                    )
+                manager.note_commit(f"set{index}", step=index + 1, now=float(index))
         for index, rank in damaged:
             storage.corrupt(RestartManager.key_for(rank), set_id=f"set{index}")
 

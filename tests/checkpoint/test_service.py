@@ -2,24 +2,20 @@
 
 import pytest
 
-from repro.checkpoint import (
-    CheckpointConfig,
-    CheckpointService,
-    RestartManager,
-    StableStorage,
-)
-from repro.errors import ConfigurationError, NoCheckpointError
+from repro.checkpoint import CheckpointService, RestartManager, StableStorage
+from repro.errors import NoCheckpointError
 from repro.mpi import SimMPI
 from repro.simkit import Environment
 from repro.workloads import SyntheticWorkload, WorkShell
 
 
-def run_with_service(size, steps, config, compute_seconds=0.05):
+def run_with_service(size, steps, compute_seconds=0.05, **service_kwargs):
+    """Run a synthetic workload under a service built from ``service_kwargs``."""
     env = Environment()
     world = SimMPI(env, size=size)
     storage = StableStorage(env)
     manager = RestartManager(storage)
-    service = CheckpointService(world, storage, manager, config)
+    service = CheckpointService(world, storage, manager, **service_kwargs)
     states = {}
 
     def program(ctx):
@@ -41,41 +37,33 @@ def run_with_service(size, steps, config, compute_seconds=0.05):
 
 
 class TestConfig:
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ConfigurationError):
-            CheckpointConfig(interval=0.0, fixed_cost=0.0)
-
-    def test_rejects_negative_fixed_cost(self):
-        with pytest.raises(ConfigurationError):
-            CheckpointConfig(interval=1.0, fixed_cost=-1.0)
-
-    @pytest.mark.parametrize("cost", [float("nan"), None])
-    def test_rejects_nan_or_missing_fixed_cost(self, cost):
-        with pytest.raises(ConfigurationError):
-            CheckpointConfig(interval=1.0, fixed_cost=cost)
-
-    def test_fixed_cost_required(self):
+    # JobConfig is the one validation point for interval and cost
+    # (tests/orchestration/test_job.py); the service only requires them.
+    def test_fixed_cost_required(self, env):
+        storage = StableStorage(env)
         with pytest.raises(TypeError):
-            CheckpointConfig(interval=1.0)
+            CheckpointService(
+                SimMPI(env, size=1), storage, RestartManager(storage), interval=1.0
+            )
 
 
 class TestCheckpointPath:
     def test_checkpoints_taken_at_interval(self):
-        config = CheckpointConfig(interval=0.2, fixed_cost=0.01)
-        env, _, _, manager, service, _ = run_with_service(2, 20, config)
+        env, _, _, manager, service, _ = run_with_service(
+            2, 20, interval=0.2, fixed_cost=0.01
+        )
         assert manager.commits >= 3
         assert service.checkpoints_taken == manager.commits
 
     def test_fixed_cost_charged(self):
-        cheap = CheckpointConfig(interval=0.2, fixed_cost=0.0)
-        costly = CheckpointConfig(interval=0.2, fixed_cost=0.5)
-        env_cheap, *_ = run_with_service(2, 20, cheap)
-        env_costly, *_ = run_with_service(2, 20, costly)
+        env_cheap, *_ = run_with_service(2, 20, interval=0.2, fixed_cost=0.0)
+        env_costly, *_ = run_with_service(2, 20, interval=0.2, fixed_cost=0.5)
         assert env_costly.now > env_cheap.now
 
     def test_recovery_line_matches_states(self):
-        config = CheckpointConfig(interval=0.2, fixed_cost=0.0)
-        _, _, _, manager, _, final_states = run_with_service(2, 20, config)
+        _, _, _, manager, _, final_states = run_with_service(
+            2, 20, interval=0.2, fixed_cost=0.0
+        )
         line = manager.line
         assert 0 < line.step <= 20
         _, images = manager.restore_states([0, 1])
@@ -83,20 +71,19 @@ class TestCheckpointPath:
             assert images[rank]["step"] == line.step
 
     def test_no_checkpoint_before_interval(self):
-        config = CheckpointConfig(interval=1e9, fixed_cost=0.0)
-        _, _, _, manager, _, _ = run_with_service(2, 5, config)
+        _, _, _, manager, _, _ = run_with_service(
+            2, 5, interval=1e9, fixed_cost=0.0
+        )
         assert manager.commits == 0
         assert not manager.has_checkpoint
         with pytest.raises(NoCheckpointError):
             manager.line
 
     def test_bookmark_exchange_adds_traffic(self):
-        plain = CheckpointConfig(interval=0.2, fixed_cost=0.0)
-        with_bookmarks = CheckpointConfig(
-            interval=0.2, fixed_cost=0.0, bookmark_exchange=True
+        _, world_plain, *_ = run_with_service(3, 10, interval=0.2, fixed_cost=0.0)
+        _, world_marked, *_ = run_with_service(
+            3, 10, interval=0.2, fixed_cost=0.0, bookmark_exchange=True
         )
-        _, world_plain, *_ = run_with_service(3, 10, plain)
-        _, world_marked, *_ = run_with_service(3, 10, with_bookmarks)
         assert (
             world_marked.counters["p2p_messages"]
             > world_plain.counters["p2p_messages"]

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.checkpoint import (
-    CheckpointConfig,
-    CheckpointService,
-    RestartManager,
-    StableStorage,
-)
-from repro.errors import ConfigurationError
+from repro.checkpoint import CheckpointService, RestartManager, StableStorage
+from repro.checkpoint import service as service_module
+from repro.checkpoint.service import RETRY_BACKOFF
+from repro.checkpoint.storage import RECOVERY_LINES
 from repro.mpi import SimMPI
 from repro.simkit import Environment
 from repro.workloads import SyntheticWorkload, WorkShell
@@ -17,13 +14,13 @@ from repro.workloads import SyntheticWorkload, WorkShell
 from .test_storage_chaos import ScriptedFaults, WriteVerdict
 
 
-def run_chaos_service(size, steps, config, faults=None, compute_seconds=0.05):
+def run_chaos_service(size, steps, faults=None, compute_seconds=0.05):
     """The test_service harness, with an optional fault model attached."""
     env = Environment()
     world = SimMPI(env, size=size)
     storage = StableStorage(env, faults=faults)
     manager = RestartManager(storage)
-    service = CheckpointService(world, storage, manager, config)
+    service = CheckpointService(world, storage, manager, interval=0.2, fixed_cost=0.01)
 
     def program(ctx):
         workload = SyntheticWorkload(
@@ -45,52 +42,43 @@ def failing_writes(count):
     return [WriteVerdict(fail=True)] * count
 
 
-class TestConfigValidation:
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CheckpointConfig(interval=1.0, fixed_cost=0.0, max_retries=-1)
-
-
 class TestRetrySuccess:
     def test_transient_failure_retried_and_committed(self):
-        config = CheckpointConfig(
-            interval=0.2, fixed_cost=0.01, max_retries=2, retry_backoff=0.001
-        )
         # One rank's first persist fails once; its retry succeeds.
         faults = ScriptedFaults(writes=failing_writes(1))
-        env, _, manager, service = run_chaos_service(2, 20, config, faults)
+        env, _, manager, service = run_chaos_service(2, 20, faults)
         assert service.checkpoint_write_failures == 1
         assert service.checkpoint_retries == 1
         assert service.checkpoints_skipped == 0
         assert manager.commits == service.checkpoints_taken
         assert manager.commits >= 3
+        # The retry delays the job by one more fixed cost plus the first
+        # backoff (to within the interleaving of the ranks' messages).
+        plain_env, *_ = run_chaos_service(2, 20)
+        assert env.now - plain_env.now == pytest.approx(0.01 + RETRY_BACKOFF, abs=5e-4)
 
 
 class TestRetryExhaustion:
-    def test_exhausted_rank_skips_the_interval(self):
-        config = CheckpointConfig(
-            interval=0.2, fixed_cost=0.01, max_retries=1, retry_backoff=0.001
-        )
+    def test_exhausted_rank_skips_the_interval(self, monkeypatch):
+        monkeypatch.setattr(service_module, "WRITE_RETRIES", 1)
         # Both ranks exhaust every attempt of the first interval:
-        # 2 ranks x (1 + max_retries) attempts = 4 scripted failures.
+        # 2 ranks x (1 + WRITE_RETRIES) attempts = 4 scripted failures.
         faults = ScriptedFaults(writes=failing_writes(4))
-        env, storage, manager, service = run_chaos_service(2, 20, config, faults)
+        env, storage, manager, service = run_chaos_service(2, 20, faults)
         assert service.checkpoints_skipped == 1
         assert service.checkpoint_write_failures == 4
         # Later intervals checkpoint normally; the job degrades gracefully.
         assert manager.commits >= 1
         assert service.checkpoints_taken == manager.commits
         # The abandoned set never became a recovery line.
-        assert len(storage.committed_sets()) == min(manager.commits, storage.keep_sets)
+        assert len(storage.committed_sets()) == min(manager.commits, RECOVERY_LINES)
 
-    def test_single_exhausted_rank_condemns_the_set(self):
-        config = CheckpointConfig(
-            interval=0.2, fixed_cost=0.01, max_retries=0, retry_backoff=0.0
-        )
+    def test_single_exhausted_rank_condemns_the_set(self, monkeypatch):
+        monkeypatch.setattr(service_module, "WRITE_RETRIES", 0)
         # Only one rank fails (once, with zero retries allowed) — the
         # collective verdict must still abandon the whole set.
         faults = ScriptedFaults(writes=failing_writes(1))
-        _, _, manager, service = run_chaos_service(2, 20, config, faults)
+        _, _, manager, service = run_chaos_service(2, 20, faults)
         assert service.checkpoints_skipped == 1
         assert service.checkpoint_retries == 0
         assert manager.commits >= 1
@@ -100,14 +88,13 @@ class TestFaultFreeNoOp:
     def test_zero_prob_model_keeps_timeline_identical(self):
         """The acceptance criterion at the service level: an attached but
         all-zero fault model must not change the simulated clock at all."""
-        config = CheckpointConfig(interval=0.2, fixed_cost=0.01)
         from repro.faults import StorageFaultConfig, StorageFaultModel
 
         plain_env, _, plain_manager, plain_service = run_chaos_service(
-            2, 20, config, faults=None
+            2, 20, faults=None
         )
         chaos_env, _, chaos_manager, chaos_service = run_chaos_service(
-            2, 20, config, faults=StorageFaultModel(StorageFaultConfig())
+            2, 20, faults=StorageFaultModel(StorageFaultConfig())
         )
         assert chaos_env.now == plain_env.now
         assert chaos_manager.commits == plain_manager.commits

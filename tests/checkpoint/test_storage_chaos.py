@@ -1,34 +1,31 @@
 """Tests for the chaos-hardened storage: versioned sets + injected faults."""
 
+import copy
+
 import pytest
 
 from repro.checkpoint import StableStorage
+from repro.checkpoint import storage as storage_module
 from repro.errors import (
     CheckpointError,
-    ConfigurationError,
     CorruptImageError,
     NoCheckpointError,
-    StorageReadError,
     StorageWriteError,
 )
-from repro.faults import ReadVerdict, StorageFaultConfig, StorageFaultModel, WriteVerdict
+from repro.faults import StorageFaultConfig, StorageFaultModel, WriteVerdict
 
 
 class ScriptedFaults(StorageFaultModel):
-    """Fault model whose verdicts come from explicit scripts (FIFO)."""
+    """Fault model whose write verdicts come from an explicit script (FIFO)."""
 
-    def __init__(self, writes=(), reads=()):
+    def __init__(self, writes=()):
         # Any positive probability flips ``enabled``; verdicts below
         # never consult the RNG.
         super().__init__(StorageFaultConfig(write_fail_prob=1e-9))
         self.write_script = list(writes)
-        self.read_script = list(reads)
 
     def on_write(self):
         return self.write_script.pop(0) if self.write_script else WriteVerdict()
-
-    def on_read(self):
-        return self.read_script.pop(0) if self.read_script else ReadVerdict()
 
 
 class TestVersionedSets:
@@ -36,30 +33,28 @@ class TestVersionedSets:
         storage.stage_untimed(set_id, "k", payload)
         storage.commit_set(set_id)
 
-    def test_retains_last_k_sets_newest_first(self, env):
-        storage = StableStorage(env, keep_sets=2)
+    def test_retains_last_k_sets_newest_first(self, env, monkeypatch):
+        monkeypatch.setattr(storage_module, "RECOVERY_LINES", 2)
+        storage = StableStorage(env)
         for index in range(4):
             self._commit(storage, f"s{index}", b"data%d" % index)
         assert storage.committed_sets() == ["s3", "s2"]
 
-    def test_trimmed_set_unreachable(self, env):
-        storage = StableStorage(env, keep_sets=2)
+    def test_trimmed_set_unreachable(self, env, monkeypatch):
+        monkeypatch.setattr(storage_module, "RECOVERY_LINES", 2)
+        storage = StableStorage(env)
         for index in range(3):
             self._commit(storage, f"s{index}", b"x")
         with pytest.raises(NoCheckpointError):
             storage.fetch("s0", "k")
 
     def test_fetch_reads_from_named_older_set(self, env):
-        storage = StableStorage(env, keep_sets=3)
+        storage = StableStorage(env)
         self._commit(storage, "old", b"old-data")
         self._commit(storage, "new", b"new-data")
         assert storage.fetch("old", "k").data == b"old-data"
         assert storage.fetch("new", "k").data == b"new-data"
         assert storage.fetch(None, "k").data == b"new-data"
-
-    def test_keep_sets_must_be_positive(self, env):
-        with pytest.raises(ConfigurationError):
-            StableStorage(env, keep_sets=0)
 
 
 class TestFaultsActive:
@@ -102,16 +97,16 @@ class TestInjectedWriteFaults:
             blob.verify()
 
 
-class TestInjectedReadFaults:
-    def _committed(self, env, faults):
+class TestReads:
+    def test_fetch_draws_two_variates_from_an_enabled_model(self, env):
+        """Reads never fail, but each still advances an enabled fault
+        stream by two variates, so seeded corruption stays where it was."""
+        faults = StorageFaultModel(StorageFaultConfig(corrupt_prob=0.5, seed=3))
         storage = StableStorage(env, faults=faults)
         storage.stage_untimed("s", "k", b"payload")
         storage.commit_set("s")
-        return storage
-
-    def test_fetch_applies_read_faults(self, env):
-        faults = ScriptedFaults(reads=[ReadVerdict(fail=True), ReadVerdict()])
-        storage = self._committed(env, faults)
-        with pytest.raises(StorageReadError):
+        reference = copy.deepcopy(faults._rng)
+        for _ in range(2):
             storage.fetch("s", "k")
-        assert storage.fetch("s", "k").data == b"payload"
+        reference.random(4)
+        assert faults._rng.bit_generator.state == reference.bit_generator.state

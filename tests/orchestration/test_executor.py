@@ -337,6 +337,16 @@ class TestResolveHardeningKnobs:
             with pytest.raises(ConfigurationError):
                 resolve_cell_timeout(None)
 
+    @pytest.mark.parametrize("value", ["soon", "7.5", True, [1.0]])
+    def test_timeout_non_number_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            resolve_cell_timeout(value)
+
+    @pytest.mark.parametrize("value", ["two", "2", 2.5, 2.0, True])
+    def test_workers_non_integer_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            resolve_workers(value)
+
 
 class TestChaosNoOp:
     def test_zero_prob_fault_model_bit_identical(self):
@@ -402,7 +412,9 @@ class TestSelfHealing:
     def test_poison_cell_spares_queued_cells(self):
         """A breakage charges only the cells its pool was running: cells
         still queued when the poison cell keeps killing workers move to
-        the fresh pool free and all complete."""
+        the fresh pool free and all complete.  The healthy cell that ran
+        beside the poison cell is charged too, but its last attempt runs
+        alone and completes."""
         poison = CellSpec(
             node_mtbf=None,
             redundancy=1.5,
@@ -426,9 +438,46 @@ class TestSelfHealing:
         assert len(outcomes) == len(specs)
         ok = [o.ok for o in outcomes]
         assert not ok[1]
-        assert ok[0] and ok[3] and ok[4] and ok[5], [
+        assert ok[0] and ok[2] and ok[3] and ok[4] and ok[5], [
             (o.error_type, o.error) for o in outcomes
         ]
+
+    def test_two_poison_cells_spare_the_rest(self):
+        """Two adjacent poison cells crash their shared pools, then each
+        crashes alone on its last attempt.  Those one-cell rounds do not
+        use up ``MAX_POOL_REBUILDS``, so the slow cells behind them still
+        run and complete."""
+        poison = [
+            CellSpec(
+                node_mtbf=None,
+                redundancy=1.5 + k / 10,
+                config=special_config(PoisonWorkload, delay=0.4),
+            )
+            for k in range(2)
+        ]
+        slow = [
+            CellSpec(
+                node_mtbf=None,
+                redundancy=2.0 + k,
+                config=special_config(GlacialWorkload, sleep_seconds=1.0),
+            )
+            for k in range(4)
+        ]
+        specs = [
+            CellSpec(node_mtbf=None, redundancy=1.0, config=picklable_config()),
+            *poison,
+            *slow,
+        ]
+        executor = CampaignExecutor(workers=2)
+        outcomes = executor.run(specs)
+        assert len(outcomes) == len(specs)
+        ok = [o.ok for o in outcomes]
+        assert not ok[1] and not ok[2]
+        assert ok[0] and all(ok[3:]), [(o.error_type, o.error) for o in outcomes]
+        assert executor.last_mode == "process"
+        for lost in outcomes[1:3]:
+            retries = executor_module.CELL_RETRIES
+            assert f"after {retries + 1} attempt(s)" in lost.error
 
     def test_cell_timeout_fails_slow_cell_only(self):
         specs = [

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import logging
 import os
 import signal
 import socket
@@ -198,6 +199,33 @@ class TestRequestBoundary:
         reply = raw_exchange(server.port, request.encode())
         assert reply.startswith(b"HTTP/1.1 413 ")
         assert b"Connection: close" in reply
+
+
+class TestMalformedRequest:
+    """Requests the parser cannot frame get a 400 and a hang-up, never
+    an unhandled exception in the connection callback."""
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GARBAGE\r\n\r\n",
+            # One header line over asyncio's 64 KiB stream limit.
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["request-line", "oversized-header"],
+    )
+    def test_answered_with_400(self, server, caplog, request_bytes):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            reply = raw_exchange(server.port, request_bytes)
+            # A second exchange lets the loop run any pending callback
+            # of the first connection before the log is read.
+            health = raw_exchange(
+                server.port, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+            )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert health.startswith(b"HTTP/1.1 200 ")
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
 
 class TestServeProcess:

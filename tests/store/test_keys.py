@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import UnkeyableError
+from repro.faults import StorageFaultConfig
 from repro.models import CombinedModel
 from repro.orchestration import JobConfig
 from repro.store.keys import canonical, fingerprint, job_key
@@ -99,7 +100,7 @@ class TestJobKey:
             ("redundancy", 2.0),
             ("node_mtbf", 7.0),
             ("checkpoint_cost", 0.1),
-            ("recovery_line_depth", 5),
+            ("storage_faults", StorageFaultConfig(corrupt_prob=0.1)),
         ):
             assert job_key(base) != job_key(replace(base, **{field: value}))
 

@@ -99,6 +99,19 @@ class TestCommands:
         assert repr(key) in captured.err and "accepted:" in captured.err
         assert "cell " not in captured.out
 
+    @pytest.mark.parametrize(
+        "override",
+        ["workers=two", "workers=2.5", "workers=True", "cell_timeout=soon"],
+    )
+    def test_bad_execution_value_fails_before_running(self, override, capsys):
+        assert main(["run", "table5", override, "degrees=(1.0,2.0)"]) == 2
+        captured = capsys.readouterr()
+        # One error line naming the option, no traceback, and no cell ran.
+        assert captured.err.count("error:") == 1
+        assert override.partition("=")[0].replace("_", " ") in captured.err
+        assert "Traceback" not in captured.err
+        assert "cell " not in captured.out
+
     def test_non_finite_cell_timeout_fails_before_running(self, capsys):
         argv = ["campaign", "--failure-free", "--workers", "2",
                 "--cell-timeout", "inf", "degrees=(1.0,2.0)"]
