@@ -40,7 +40,7 @@ def barrier(comm):
         dest = (rank + distance) % size
         source = (rank - distance) % size
         send_request = comm.isend(b"", dest, tag, _internal=True)
-        recv_request = comm.irecv(source, tag)
+        recv_request = comm.irecv(source, tag, _internal=True)
         yield from comm.waitall([send_request, recv_request])
         distance <<= 1
 
@@ -60,7 +60,7 @@ def bcast(comm, value: Any, root: int = 0):
     while mask < size:
         if relative & mask:
             source = (rank - mask) % size
-            payload, _status = yield from comm.recv(source, tag)
+            payload, _status = yield from comm.recv(source, tag, _internal=True)
             value = payload
             break
         mask <<= 1
@@ -100,7 +100,7 @@ def reduce(comm, value: Any, op, root: int = 0):
         partner_relative = relative | mask
         if partner_relative < size:
             source = (rank + mask) % size
-            payload, _status = yield from comm.recv(source, tag)
+            payload, _status = yield from comm.recv(source, tag, _internal=True)
             accumulator = op(accumulator, payload)
         mask <<= 1
     if rank == root:
@@ -126,7 +126,9 @@ def gather(comm, value: Any, root: int = 0):
         return None
     collected: List[Any] = [None] * size
     collected[root] = value
-    requests = [comm.irecv(peer, tag) for peer in range(size) if peer != root]
+    requests = [
+        comm.irecv(peer, tag, _internal=True) for peer in range(size) if peer != root
+    ]
     results = yield from comm.waitall(requests)
     for payload, status in results:
         collected[status.source] = payload
@@ -162,7 +164,7 @@ def alltoall(comm, values: List[Any]):
         dest = (rank + offset) % size
         source = (rank - offset) % size
         requests.append(comm.isend(values[dest], dest, tag, _internal=True))
-        requests.append(comm.irecv(source, tag))
+        requests.append(comm.irecv(source, tag, _internal=True))
     results = yield from comm.waitall(requests)
     for request, result in zip(requests, results):
         if request.kind == "recv":

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, List
 
 from ..errors import CommunicatorError
 from ..simkit.events import Event
+from . import collectives
 from .datatypes import message_wire_size
 from .requests import RECV, Request, waitall as _waitall, waitany as _waitany
 from .status import ANY_SOURCE, ANY_TAG
@@ -65,53 +66,15 @@ class CollectiveAPI:
         result = yield from _waitany(self.env, requests)
         return result
 
-    def barrier(self):
-        """Generator: dissemination barrier."""
-        from . import collectives
-
-        yield from collectives.barrier(self)
-
-    def bcast(self, value: Any, root: int = 0):
-        """Generator: binomial-tree broadcast; returns the value everywhere."""
-        from . import collectives
-
-        result = yield from collectives.bcast(self, value, root)
-        return result
-
-    def reduce(self, value: Any, op, root: int = 0):
-        """Generator: binomial-tree reduce; returns result at root else None."""
-        from . import collectives
-
-        result = yield from collectives.reduce(self, value, op, root)
-        return result
-
-    def allreduce(self, value: Any, op):
-        """Generator: reduce-to-root + broadcast; returns result everywhere."""
-        from . import collectives
-
-        result = yield from collectives.allreduce(self, value, op)
-        return result
-
-    def gather(self, value: Any, root: int = 0):
-        """Generator: gather values; returns the list at root else None."""
-        from . import collectives
-
-        result = yield from collectives.gather(self, value, root)
-        return result
-
-    def allgather(self, value: Any):
-        """Generator: gather + broadcast; returns the list everywhere."""
-        from . import collectives
-
-        result = yield from collectives.allgather(self, value)
-        return result
-
-    def alltoall(self, values: List[Any]):
-        """Generator: personalised all-to-all; returns the received list."""
-        from . import collectives
-
-        result = yield from collectives.alltoall(self, values)
-        return result
+    # The collectives take the communicator as their first argument,
+    # so the functions themselves are the methods.
+    barrier = collectives.barrier
+    bcast = collectives.bcast
+    reduce = collectives.reduce
+    allreduce = collectives.allreduce
+    gather = collectives.gather
+    allgather = collectives.allgather
+    alltoall = collectives.alltoall
 
 
 class Communicator(CollectiveAPI):
@@ -156,7 +119,7 @@ class Communicator(CollectiveAPI):
         return Request(kind="send", event=event, peer=dest, tag=tag)
 
     def irecv(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = True
+        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = False
     ) -> Request:
         """Non-blocking receive; request completes when matched."""
         if tag != ANY_TAG:
@@ -172,9 +135,9 @@ class Communicator(CollectiveAPI):
         request = self.isend(payload, dest, tag, _internal=_internal)
         yield from request.wait()
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = False):
         """Blocking receive (generator); returns ``(payload, Status)``."""
-        request = self.irecv(source, tag)
+        request = self.irecv(source, tag, _internal=_internal)
         result = yield from request.wait()
         return result
 

@@ -90,7 +90,7 @@ class MatchingEngine:
         for index, envelope in enumerate(self._unexpected):
             if _pattern_matches(source, tag, envelope):
                 del self._unexpected[index]
-                env._schedule_call(0.0, done, envelope)
+                env._schedule_call_at(env.now, done, envelope)
                 return
         self._posted.append((source, tag, done))
 

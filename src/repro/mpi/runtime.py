@@ -21,10 +21,8 @@ callables taking a :class:`RankContext` and returning a generator.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import (
-    Any, Callable, DefaultDict, Deque, Dict, List, Optional, Sequence, Set, Tuple,
-)
+from collections import defaultdict
+from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Set
 
 from ..errors import MPIError
 from ..netsim import Network
@@ -33,12 +31,6 @@ from ..simkit.events import AllOf
 from ..simkit.process import Process
 from .comm import Communicator
 from .matching import Completion, Envelope, MatchingEngine
-
-#: A send queued at its sender's NIC: the envelope, its injection time,
-#: whether source and destination share a node, and the callable that
-#: completes it.
-_QueuedSend = Tuple[Envelope, float, bool, Callable[[], None]]
-
 
 class RankContext:
     """Everything a rank's program sees: its identity, comm and clock."""
@@ -105,10 +97,9 @@ class SimMPI:
         # Per-rank NIC FIFO: a rank can only push one message into the
         # network at a time (the LogP overhead/gap), which is what makes
         # the redundancy layer's r-fold fan-out cost r times the sender
-        # time (Eq. 1).  The head of each queue is being injected.
-        self._nics: Dict[int, Deque[_QueuedSend]] = {
-            rank: deque() for rank in range(size)
-        }
+        # time (Eq. 1).  Each entry is the time the rank's last posted
+        # send leaves its NIC.
+        self._nic_free: List[float] = [0.0] * size
         self._alive: Set[int] = set(range(size))
         self._processes: Dict[int, Process] = {}
         self._send_seq = 0
@@ -142,21 +133,37 @@ class SimMPI:
     # -- traffic -----------------------------------------------------------------
 
     def post_send(
-        self, src: int, dst: int, tag: int, payload: Any, nbytes: int, done: Callable[[], None]
+        self,
+        src: int,
+        dst: int,
+        tag: int,
+        payload: Any,
+        nbytes: int,
+        done: Optional[Callable[[Any], None]] = None,
     ) -> None:
-        """Inject a message; ``done()`` runs when it leaves the NIC.
+        """Inject a message; ``done(None)`` runs when it leaves the NIC.
 
         ``nbytes`` is ``message_wire_size(payload)``, from the caller so
-        a fan-out sizes its payload once.  Fail-stop semantics: sends to
-        dead ranks complete locally (the sender cannot know) but the
-        message is dropped.
+        a fan-out sizes its payload once.  The NIC is a FIFO whose busy
+        times are known at post, so the exit time is computed here and
+        the wire arrival and ``done`` are queued at once, at absolute
+        times.  Fail-stop semantics: sends to dead ranks complete
+        locally (the sender cannot know) but the message is dropped —
+        here if the destination is already dead, at arrival if it dies
+        later.  A sender killed meanwhile still drains its NIC.
         """
         if src not in self._alive:
             raise MPIError(f"dead rank {src} attempted a send")
         same_node = self.node_of(src) == self.node_of(dst)
-        busy = self.network.sender_busy_time(nbytes, same_node)
+        network = self.network
+        env = self.env
+        now = env._now
+        free = self._nic_free[src]
+        # Busy times summed from the instant the NIC last went idle,
+        # exactly as a timer per send would sum them.
+        finish = (free if free > now else now) + network.sender_busy_time(nbytes, same_node)
+        self._nic_free[src] = finish
         self._send_seq += 1
-        envelope = Envelope(src, dst, tag, payload, nbytes, self._send_seq)
         counters = self.counters
         counters["p2p_messages"] += 1
         counters["p2p_bytes"] += nbytes
@@ -164,28 +171,14 @@ class SimMPI:
         self.sent_counts[key] = self.sent_counts.get(key, 0) + 1
         if dst in self._alive:
             self._in_flight += 1
-        nic = self._nics[src]
-        nic.append((envelope, busy, same_node, done))
-        if len(nic) == 1:
-            self.env._schedule_call(busy, self._injected, nic)
-
-    def _injected(self, nic: Deque[_QueuedSend]) -> None:
-        """The head send left the NIC: put it on the wire and complete it.
-
-        A sender killed meanwhile still drains its queue; the fail-stop
-        check is on the destination only.  The arrival timer is queued
-        before the completion runs inline, so whatever it schedules
-        queues behind it.
-        """
-        envelope, _busy, same_node, done = nic.popleft()
-        env = self.env
-        if nic:
-            env._schedule_call(nic[0][1], self._injected, nic)
-        if envelope.dest in self._alive:
-            env._schedule_call(self.network.wire_latency(same_node), self._arrive, envelope)
+            envelope = Envelope(src, dst, tag, payload, nbytes, self._send_seq)
+            env._schedule_call_at(
+                finish + network.wire_latency(same_node), self._arrive, envelope
+            )
         else:
-            self.counters["p2p_dropped"] += 1
-        done()
+            counters["p2p_dropped"] += 1
+        if done is not None:
+            env._schedule_call_at(finish, done, None)
 
     def _arrive(self, envelope: Envelope) -> None:
         dest = envelope.dest
@@ -284,7 +277,7 @@ class SimMPI:
         self.env.run(until=everyone)
 
     def dispose(self) -> None:
-        """Drop the watchers, processes, engines and NICs of a finished world.
+        """Drop the watchers, processes and engines of a finished world.
 
         Each can point back at the world, which would then wait for a
         cyclic garbage collection instead of being freed by refcount.
@@ -292,7 +285,6 @@ class SimMPI:
         self._death_watchers.clear()
         self._processes.clear()
         self._engines.clear()
-        self._nics.clear()
 
     def result_of(self, rank: int) -> Any:
         """Return value of a finished rank's program."""

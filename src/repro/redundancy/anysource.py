@@ -50,7 +50,7 @@ def anysource_recv(redcomm: "RedComm", tag: int):
 
     if redcomm.physical_rank == lead:
         # Step 1: only the lead posts the true wildcard.
-        member = redcomm._world.irecv(ANY_SOURCE, tag)
+        member = redcomm._world.irecv(ANY_SOURCE, tag, _internal=True)
         payload, status = yield from member.wait()
         sender_physical = status.source
         sender_virtual = redcomm.replica_map.virtual_of(sender_physical)
@@ -69,7 +69,9 @@ def anysource_recv(redcomm: "RedComm", tag: int):
     else:
         # Step 3: siblings learn the virtual sender from the lead, then
         # receive their own copies via specific receives.
-        envelope_info, _status = yield from redcomm._world.recv(lead, control_tag)
+        envelope_info, _status = yield from redcomm._world.recv(
+            lead, control_tag, _internal=True
+        )
         sender_virtual = envelope_info
         request_set = redcomm._post_specific_recv(sender_virtual, tag)
 

@@ -58,11 +58,12 @@ def _shipment(copy_kind: str, tag: int, payload: Any) -> Tuple[int, Any, int]:
 class RedRequest:
     """A request *set*: the application-level handle over replica requests.
 
-    A countdown over its member operations, which the runtime completes
-    by calling ``_send_done()`` or ``_recv_done(envelope)`` (bound per
-    post; no member builds an event).  It completes when every member
-    has; a receive member whose sender replica dies is withdrawn from
-    the count.  For receives, completion triggers the vote and yields
+    A send set completes when its last copy leaves the NIC: the runtime
+    calls its event's ``succeed_inline`` then.  A receive set is a
+    countdown over its members, which the runtime completes by calling
+    ``_recv_done(envelope)`` (bound per post; no member builds an
+    event); a member whose sender replica dies is withdrawn from the
+    count.  Its completion triggers the vote and yields
     ``(payload, Status)`` with the *virtual* source rank.  It holds the
     runtime, not its ``RedComm``, whose pending-receive list holds it:
     no cycle keeps a finished world alive.
@@ -89,15 +90,11 @@ class RedRequest:
     # -- construction (layer-internal) -----------------------------------
 
     def arm(self, members: int) -> None:
-        """All ``members`` posted (none completes inside its post)."""
+        """All ``members`` receives posted (none completes inside its post)."""
         self._remaining = members
         self._maybe_complete()
 
     # -- progress ----------------------------------------------------------
-
-    def _send_done(self) -> None:
-        self._remaining -= 1
-        self._maybe_complete()
 
     def _recv_done(self, envelope: Envelope) -> None:
         # The matched envelope names the sender replica; a digest copy
@@ -113,16 +110,13 @@ class RedRequest:
     def _maybe_complete(self) -> None:
         if self._remaining:
             return
-        if self.kind == "recv":
-            if not self._copies:
-                # Every source replica died before sending: the request
-                # can never be satisfied.  Leave it pending — the sphere
-                # tracker has (or will) declare the job failed and force
-                # a rollback.
-                return
-            self.event.succeed_inline(self._copies)
-        else:
-            self.event.succeed_inline()
+        if not self._copies:
+            # Every source replica died before sending: the request
+            # can never be satisfied.  Leave it pending — the sphere
+            # tracker has (or will) declare the job failed and force
+            # a rollback.
+            return
+        self.event.succeed_inline(self._copies)
 
     def drop_sender(self, dead_physical: int) -> None:
         """A peer replica died: withdraw its member receive if still posted.
@@ -285,17 +279,27 @@ class RedComm(CollectiveAPI):
         # a corruptor ships something different to each receiver.
         shipments: Dict[str, Tuple[int, Any, int]] = {}
         receivers = self._alive_sphere(dest)
+        if not receivers:
+            request_set.event.succeed_inline()
+            return request_set
+        last = receivers[-1]
         for receiver in receivers:
             copy_kind = plan[(me, receiver)]
             shipment = shipments.get(copy_kind)
             if shipment is None or corruptor is not None:
                 shipped = payload if corruptor is None else corruptor(me, receiver, payload)
                 shipment = shipments[copy_kind] = _shipment(copy_kind, tag, shipped)
-            runtime.post_send(me, receiver, *shipment, request_set._send_done)
-        request_set.arm(len(receivers))
+            # The NIC is a FIFO, so the last copy leaves last: the set
+            # completes with it, and the other copies complete nothing.
+            runtime.post_send(
+                me, receiver, *shipment,
+                request_set.event.succeed_inline if receiver == last else None,
+            )
         return request_set
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = True) -> RedRequest:
+    def irecv(
+        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = False
+    ) -> RedRequest:
         """Fan-in receive from every live replica of virtual ``source``.
 
         Wildcard sources are only supported through the blocking
@@ -346,10 +350,10 @@ class RedComm(CollectiveAPI):
 
     def send(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False):
         """Blocking fan-out send (generator)."""
-        request_set = self.isend(payload, dest, tag, _internal=_internal)
-        yield from request_set.wait()
+        # The set is never handed out, so nothing is left to finalize.
+        yield self.isend(payload, dest, tag, _internal=_internal).event
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = False):
         """Blocking fan-in receive (generator) → ``(payload, Status)``.
 
         With ``source=ANY_SOURCE`` runs the Section 3 wildcard
@@ -357,15 +361,14 @@ class RedComm(CollectiveAPI):
         virtual sender.
         """
         if source == ANY_SOURCE:
+            self._check_tag(tag, _internal)
             from .anysource import anysource_recv
 
             result = yield from anysource_recv(self, tag)
             return result
-        if tag == ANY_TAG:
-            raise RedundancyError("ANY_TAG is not supported under redundancy")
-        request_set = self.irecv(source, tag)
-        result = yield from request_set.wait()
-        return result
+        request_set = self.irecv(source, tag, _internal)
+        raw = yield request_set.event
+        return request_set._finalize(raw)
 
     def sendrecv(
         self,

@@ -26,7 +26,7 @@ digest-only copy has to be compared.
 from __future__ import annotations
 
 from collections import Counter as _TallyCounter
-from dataclasses import dataclass
+from math import copysign
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +41,6 @@ MSG_PLUS_HASH = "msg-plus-hash"
 MODES = (ALL_TO_ALL, MSG_PLUS_HASH)
 
 
-@dataclass(frozen=True)
 class ReplicaCopy:
     """One copy received from one sender replica.
 
@@ -51,33 +50,54 @@ class ReplicaCopy:
     when the copies disagree.
     """
 
-    sender_physical: int
-    digest: Optional[int] = None
-    payload: Any = None
-    has_payload: bool = False
+    __slots__ = ("sender_physical", "digest", "payload", "has_payload")
+
+    def __init__(
+        self,
+        sender_physical: int,
+        digest: Optional[int] = None,
+        payload: Any = None,
+        has_payload: bool = False,
+    ) -> None:
+        self.sender_physical = sender_physical
+        self.digest = digest
+        self.payload = payload
+        self.has_payload = has_payload
 
     @staticmethod
     def full(sender_physical: int, payload: Any) -> "ReplicaCopy":
         """A complete-message copy."""
-        return ReplicaCopy(
-            sender_physical=sender_physical, payload=payload, has_payload=True
-        )
+        return ReplicaCopy(sender_physical, None, payload, True)
 
     @staticmethod
     def hash_only(sender_physical: int, digest: int) -> "ReplicaCopy":
         """A digest-only copy."""
-        return ReplicaCopy(sender_physical=sender_physical, digest=digest)
+        return ReplicaCopy(sender_physical, digest)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"ReplicaCopy(sender_physical={self.sender_physical}, "
+            f"digest={self.digest}, has_payload={self.has_payload})"
+        )
 
 
-@dataclass(frozen=True)
 class VoteResult:
     """Outcome of comparing the copies of one virtual message."""
 
-    payload: Any
-    #: True when every copy agreed.
-    unanimous: bool
-    #: Physical sender ranks whose copy disagreed with the majority.
-    corrupt_senders: Tuple[int, ...]
+    __slots__ = ("payload", "unanimous", "corrupt_senders")
+
+    def __init__(self, payload: Any, unanimous: bool, corrupt_senders: Tuple[int, ...]) -> None:
+        self.payload = payload
+        #: True when every copy agreed.
+        self.unanimous = unanimous
+        #: Physical sender ranks whose copy disagreed with the majority.
+        self.corrupt_senders = corrupt_senders
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"VoteResult(unanimous={self.unanimous}, "
+            f"corrupt_senders={self.corrupt_senders})"
+        )
 
 
 def vote(copies: Sequence[ReplicaCopy]) -> VoteResult:
@@ -132,35 +152,55 @@ def vote(copies: Sequence[ReplicaCopy]) -> VoteResult:
     )
 
 
+#: Unsigned integer dtypes by item size: an array viewed as one is
+#: compared bit for bit, with no copy of its buffer.
+_BIT_VIEWS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
 def _all_agree(copies: Sequence[ReplicaCopy]) -> bool:
     """True when every copy is full and its payload digests like the first.
 
-    Decided without hashing: a shared object agrees with itself, two
-    ndarrays are compared by dtype, shape and raw bytes, and any other
-    pair by the bytes :func:`payload_digest` would hash
-    (:func:`digest_bytes`).
+    Decided without hashing and, for the payloads the workloads send,
+    without building the bytes :func:`digest_bytes` would give: see
+    :func:`_same_digest_bytes`.
     """
     if not all(copy.has_payload for copy in copies):
         return False
     first = copies[0].payload
-    first_buffer = first_bytes = None
     for copy in copies[1:]:
         other = copy.payload
-        if other is first:
-            continue
-        if isinstance(first, np.ndarray) and isinstance(other, np.ndarray):
-            if other.shape != first.shape or str(other.dtype) != str(first.dtype):
-                return False
-            if first_buffer is None:
-                first_buffer = first.tobytes()
-            if other.tobytes() != first_buffer:
-                return False
-        else:
-            if first_bytes is None:
-                first_bytes = digest_bytes(first)
-            if digest_bytes(other) != first_bytes:
-                return False
+        if other is not first and not _same_digest_bytes(first, other):
+            return False
     return True
+
+
+def _same_digest_bytes(first: Any, other: Any) -> bool:
+    """``digest_bytes(first) == digest_bytes(other)``, mostly without them.
+
+    Two ndarrays agree when dtype and shape match and their elements
+    are bitwise equal.  Two scalars of one exact type agree as their
+    ``repr`` does: a float (or ``np.float64``) by value and sign, with
+    every NaN alike; an int, str or bytes by value.  Any other pair,
+    mixed types included (``True``, ``1`` and ``1.0`` differ), falls
+    back to comparing :func:`digest_bytes`.
+    """
+    if isinstance(first, np.ndarray) and isinstance(other, np.ndarray):
+        dtype = first.dtype
+        if other.shape != first.shape or str(other.dtype) != str(dtype):
+            return False
+        bits = None if dtype.hasobject else _BIT_VIEWS.get(dtype.itemsize)
+        if bits is None:
+            return first.tobytes() == other.tobytes()
+        return bool((first.view(bits) == other.view(bits)).all())
+    kind = type(first)
+    if kind is type(other):
+        if kind is float or kind is np.float64:
+            if first == other:
+                return copysign(1.0, first) == copysign(1.0, other)
+            return first != first and other != other
+        if kind is int or kind is str or kind is bytes:
+            return first == other
+    return digest_bytes(first) == digest_bytes(other)
 
 
 def plan_copies(

@@ -68,16 +68,18 @@ class Environment:
             self._queue, (self._now + delay, priority, self._sequence, _process_event, event)
         )
 
-    def _schedule_call(self, delay: float, call: Callable[[Any], None], arg: Any) -> None:
-        """Queue a bare timer: ``call(arg)`` runs ``delay`` from now.
+    def _schedule_call_at(self, when: float, call: Callable[[Any], None], arg: Any) -> None:
+        """Queue a bare timer: ``call(arg)`` runs at the absolute time ``when``.
 
         Ordered with events by (time, priority, insertion), at normal
-        priority.  For kernel activities nobody waits on.
+        priority.  For kernel activities nobody waits on.  The time is
+        absolute because the runtime sums it from an earlier instant:
+        ``now + (when - now)`` may round to a different float.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if when < self._now:
+            raise SimulationError(f"cannot schedule into the past ({when} < {self._now})")
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, NORMAL, self._sequence, call, arg))
+        heapq.heappush(self._queue, (when, NORMAL, self._sequence, call, arg))
 
     # -- execution -------------------------------------------------------
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.table4 import ScaledSetup
 from repro.orchestration import run_failure_free_sweep, run_redundancy_sweep
+from repro.simkit.env import Environment
 
 SETUP = ScaledSetup(virtual_processes=8, steps=5)
 
@@ -22,6 +23,12 @@ FAILURE_FREE = {
     1.25: ("0x1.0a402a927ac17p-2", 1, 0, 0, 228, 9_846_336, 170),
     2.25: ("0x1.34e592967019ap-2", 1, 0, 0, 692, 32_816_224, 294),
 }
+
+#: Kernel heap steps of the 2.25x Table 5 cell.  A send costs one step
+#: per copy (its wire arrival) plus one for the whole request set (its
+#: completion); a timer per copy leaving the NIC would cost 692 steps
+#: where the 294 set completions cost 294, for 1,630 in all.
+STEPS_2_25X = 1_232
 
 #: The Table 4 cell at the 6 h MTBF and 2.0x, same fields.
 MTBF_6H_2X = ("0x1.0c29b1aa31975p-2", 1, 3, 0, 608, 17_737_632, 346)
@@ -54,3 +61,16 @@ def test_failure_cell_is_exact():
         workers=1,
     )
     assert _observed(cell) == MTBF_6H_2X
+
+
+def test_failure_free_cell_heap_steps(monkeypatch):
+    steps = []
+    step = Environment.step
+
+    def counting_step(env):
+        steps.append(None)
+        step(env)
+
+    monkeypatch.setattr(Environment, "step", counting_step)
+    run_failure_free_sweep(SETUP.job_config(), degrees=[2.25], workers=1)
+    assert len(steps) == STEPS_2_25X

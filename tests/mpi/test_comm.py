@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CommunicatorError
 from repro.mpi import ANY_SOURCE, SimMPI
-from repro.mpi.comm import USER_TAG_LIMIT
+from repro.mpi.comm import USER_TAG_LIMIT, Communicator
 from repro.simkit import Environment
 
 
@@ -151,6 +151,26 @@ class TestValidation:
             yield ctx.env.timeout(0)
 
         run_world(1, program)
+
+    def test_user_receive_at_collective_tags_rejected_before_any_step(self):
+        env = Environment()
+        comm = Communicator(SimMPI(env, size=2), 0)
+        with pytest.raises(CommunicatorError):
+            comm.irecv(0, tag=USER_TAG_LIMIT)
+        with pytest.raises(CommunicatorError):
+            next(comm.recv(0, tag=USER_TAG_LIMIT))
+        assert env.peek() == float("inf") and env.now == 0.0
+
+    def test_user_receive_cannot_take_collective_traffic(self):
+        def program(ctx):
+            if ctx.rank == 1:
+                with pytest.raises(CommunicatorError):
+                    ctx.comm.irecv(0, tag=USER_TAG_LIMIT)
+            value = yield from ctx.comm.bcast(41.0 if ctx.rank == 0 else None)
+            return value
+
+        _, world = run_world(2, program)
+        assert [world.result_of(rank) for rank in range(2)] == [41.0, 41.0]
 
     def test_negative_tag_rejected(self):
         def program(ctx):

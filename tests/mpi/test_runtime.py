@@ -118,7 +118,7 @@ class TestLiveness:
         world.spawn(program)
         world.kill_rank(0)
         with pytest.raises(MPIError):
-            world.post_send(0, 1, 0, b"", message_wire_size(b""), done=lambda: None)
+            world.post_send(0, 1, 0, b"", message_wire_size(b""), done=None)
 
     def test_message_in_flight_to_dying_rank_dropped(self):
         env = Environment()
@@ -226,7 +226,7 @@ class TestInFlightCount:
                 if world.is_alive(src):
                     world.post_send(
                         src, dst, 0, b"m" * 100, message_wire_size(b"m" * 100),
-                        done=lambda: None,
+                        done=None,
                     )
             elif op[0] == "kill":
                 world.kill_rank(op[1])
@@ -332,6 +332,61 @@ class TestNicInjection:
         assert arrived == [end + wire for end, dest in zip(ends, destinations) if dest == 1]
         assert world.arrived_counts[(0, 1)] == 3
         assert world.counters["p2p_dropped"] == 2
+
+    def test_destination_killed_before_the_copy_leaves_the_nic(self):
+        env = Environment()
+        world = SimMPI(env, size=2)
+        busy, _wire = self._costs(world, 0, 1)
+        start = 1.0
+        completed, delivered = [], []
+
+        def program(ctx):
+            if ctx.rank == 0:
+                yield ctx.compute(start)
+                yield from ctx.comm.isend(self.PAYLOAD, dest=1).wait()
+                completed.append(env.now)
+            else:
+                request = ctx.comm.irecv(source=0)
+                request.event.add_callback(lambda _e: delivered.append(env.now))
+                yield ctx.compute(1000.0)
+
+        def killer(env):
+            yield env.timeout(start + 0.5 * busy)
+            world.kill_rank(1)
+
+        world.spawn(program)
+        env.process(killer(env))
+        world.run(until=100.0)
+        assert completed == [start + busy]
+        assert delivered == []
+        assert world.counters["p2p_dropped"] == 1
+        assert world.arrived_counts == {}
+
+    def test_send_to_a_dead_rank_is_dropped_at_post(self):
+        env = Environment()
+        world = SimMPI(env, size=2)
+        world.kill_rank(1)
+        nbytes = message_wire_size(self.PAYLOAD)
+        completions = []
+        world.post_send(0, 1, 0, self.PAYLOAD, nbytes, completions.append)
+        assert world.counters["p2p_dropped"] == 1
+        env.run()
+        # The sender still pays its NIC time; nothing reaches the wire.
+        assert completions == [None]
+        assert env.now == world.network.sender_busy_time(nbytes, False)
+        assert world.arrived_counts == {}
+
+    def test_post_queues_one_arrival_and_one_completion(self):
+        env = Environment()
+        world = SimMPI(env, size=2)
+        busy, wire = self._costs(world, 0, 1)
+        nbytes = message_wire_size(self.PAYLOAD)
+        world.post_send(0, 1, 0, self.PAYLOAD, nbytes, lambda _value: None)
+        world.post_send(0, 1, 0, self.PAYLOAD, nbytes, None)
+        queued = sorted((when, call.__name__) for when, _p, _s, call, _a in env._queue)
+        assert queued == [
+            (busy, "<lambda>"), (busy + wire, "_arrive"), (busy + busy + wire, "_arrive"),
+        ]
 
     def test_colocated_ranks_pay_loopback_costs_on_the_nic(self):
         # Ranks 0 and 1 share node 0; rank 2 is alone on node 1.  Above

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import RedundancyError, VotingError
 from repro.mpi import ANY_SOURCE, ANY_TAG, SimMPI, ops
+from repro.mpi.comm import USER_TAG_LIMIT, Communicator
+from repro.mpi.runtime import RankContext
 from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, RedComm, ReplicaMap, SphereTracker
 from repro.simkit import Environment
 from repro.simkit.events import Event
@@ -139,6 +141,45 @@ class TestTransparency:
         for physical, (posted, got_peer_rank) in results.items():
             assert posted == ["Event", "Event"], physical
             assert got_peer_rank, physical
+
+    def test_send_set_queues_one_completion_for_its_copies(self):
+        """An r=2 isend queues one wire arrival per copy and one
+        completion for the set: the last copy leaves the FIFO NIC last."""
+        queued = {}
+
+        def body(red):
+            if red.rank == 0 and red.replica_index == 0:
+                before = red.env._sequence
+                request = red.isend(b"data", 1, tag=1)
+                new = sorted(entry for entry in red.env._queue if entry[2] > before)
+                queued["calls"] = [entry[3].__name__ for entry in new]
+                queued["times"] = [entry[0] for entry in new]
+                yield from request.wait()
+                queued["done_at"] = red.env.now
+            elif red.rank == 0:
+                yield from red.send(b"data", 1, tag=1)
+            else:
+                yield from red.recv(source=0, tag=1)
+            return None
+
+        world, *_ = run_redundant(2, 2.0, body)
+        assert sorted(queued["calls"]) == ["_arrive", "_arrive", "succeed_inline"]
+        completion = queued["times"][queued["calls"].index("succeed_inline")]
+        assert queued["done_at"] == completion
+        assert world.counters["p2p_messages"] == 4
+
+    def test_user_receive_at_collective_tags_rejected(self):
+        rmap = ReplicaMap(2, 2.0)
+        env = Environment()
+        world = SimMPI(env, size=rmap.total_physical)
+        ctx = RankContext(world, 0, Communicator(world, 0))
+        red = RedComm(ctx, rmap, SphereTracker(rmap))
+        for source in (1, ANY_SOURCE):
+            with pytest.raises(RedundancyError):
+                next(red.recv(source, tag=USER_TAG_LIMIT))
+        with pytest.raises(RedundancyError):
+            red.irecv(1, tag=USER_TAG_LIMIT)
+        assert env.now == 0.0 and world.counters["app_recvs"] == 0
 
 
 class TestWildcards:

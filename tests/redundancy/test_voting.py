@@ -1,16 +1,18 @@
 """Tests for replica-copy voting and copy planning."""
 
+import pickle
 from collections import Counter as _TallyCounter
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import VotingError
 from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, vote
-from repro.redundancy.voting import ReplicaCopy, plan_copies
-from repro.mpi.datatypes import payload_digest
+from repro.redundancy.voting import ReplicaCopy, _all_agree, plan_copies
+from repro.mpi.datatypes import digest_bytes, payload_digest
 
 
 def full(sender, payload):
@@ -197,6 +199,84 @@ class TestVoteMatchesEagerTally:
         copy = ReplicaCopy.full(0, payload)
         assert copy.digest is None
         assert vote([copy, ReplicaCopy.full(1, payload.copy())]).unanimous
+
+
+#: Scalars whose values collide across types and signs: ``True``, ``1``
+#: and ``1.0`` digest differently, as do ``0.0`` and ``-0.0``.
+_LOOKALIKES = [
+    True, 1, 1.0, np.float64(1.0), False, 0, 0.0, -0.0, np.float64(-0.0),
+    float("nan"), -float("nan"), np.float64("nan"), float("inf"), -float("inf"),
+    b"1", "1", "", b"", None,
+]
+
+_SCALARS = st.one_of(
+    st.sampled_from(_LOOKALIKES),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.binary(max_size=4),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def scalar_pairs(draw):
+    first = draw(_SCALARS)
+    # An equal value in a distinct object, or an unrelated scalar.
+    other = draw(st.one_of(st.just(pickle.loads(pickle.dumps(first))), _SCALARS))
+    return first, other
+
+
+#: A dtype of the same item size for each dtype ``array_pairs`` draws.
+_RETYPE = {
+    "float64": "int64", "float32": "int32", "int32": "float32",
+    "int16": "uint16", "uint8": "int8", "bool": "uint8", "complex128": "V16",
+}
+
+
+@st.composite
+def array_pairs(draw):
+    dtype = draw(st.sampled_from(sorted(_RETYPE)))
+    first = draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, max_side=4)))
+    how = draw(st.sampled_from(["copy", "strided", "dtype", "shape", "bit"]))
+    if how == "copy":
+        other = first.copy()
+    elif how == "strided":
+        wide = np.zeros(first.shape + (2,), dtype=first.dtype)
+        wide[..., 1] = first
+        other = wide[..., 1]  # non-contiguous, same values
+    elif how == "dtype":
+        other = first.view(_RETYPE[dtype])  # same bytes, other dtype
+    elif how == "shape":
+        other = first.reshape(1, -1) if first.ndim == 1 else first.reshape(-1)
+    else:
+        other = first.copy()
+        raw = other.reshape(-1).view(np.uint8)
+        if raw.size:
+            raw[draw(st.integers(0, raw.size - 1))] ^= 1 << draw(st.integers(0, 7))
+    return first, other
+
+
+class TestAgreementWithoutDigestBytes:
+    @settings(max_examples=400)
+    @given(
+        st.one_of(
+            scalar_pairs(),
+            array_pairs(),
+            st.tuples(_SCALARS, array_pairs().map(lambda pair: pair[0])),
+        )
+    )
+    def test_agrees_exactly_when_digest_bytes_do(self, pair):
+        first, other = pair
+        expected = digest_bytes(first) == digest_bytes(other)
+        assert _all_agree([full(0, first), full(1, other)]) == expected
+
+    @pytest.mark.parametrize("first, other", [(True, 1), (1, 1.0), (0.0, -0.0), (1.0, True)])
+    def test_lookalike_scalars_disagree(self, first, other):
+        assert not _all_agree([full(0, first), full(1, other)])
+
+    def test_every_nan_agrees(self):
+        assert _all_agree([full(0, float("nan")), full(1, -float("nan"))])
 
 
 class TestPlanCopies:

@@ -65,11 +65,11 @@ class TestBareEntries:
             record(event.value)
 
         env.timeout(2.0, value="event@2").add_callback(on_event)
-        env._schedule_call(1.0, record, "bare@1")
-        env._schedule_call(2.0, record, "bare@2")
+        env._schedule_call_at(1.0, record, "bare@1")
+        env._schedule_call_at(2.0, record, "bare@2")
         env.timeout(1.0, value="event@1").add_callback(on_event)
         env.timeout(0.0, value="event@0").add_callback(on_event)
-        env._schedule_call(0.0, record, "bare@0")
+        env._schedule_call_at(0.0, record, "bare@0")
         urgent = env.event()
         urgent.add_callback(lambda _event: record("urgent@1"))
         env._schedule(urgent, 1.0, priority=URGENT)
@@ -86,7 +86,7 @@ class TestBareEntries:
 
     def test_a_bare_entry_is_one_step(self, env):
         calls = []
-        env._schedule_call(3.0, calls.append, "ran")
+        env._schedule_call_at(3.0, calls.append, "ran")
         assert env.peek() == 3.0
         env.step()
         assert calls == ["ran"] and env.now == 3.0
@@ -95,12 +95,12 @@ class TestBareEntries:
 
     def test_bare_entry_rejects_negative_delay(self, env):
         with pytest.raises(SimulationError):
-            env._schedule_call(-1.0, print, None)
+            env._schedule_call_at(-1.0, print, None)
 
     def test_run_until_horizon_processes_bare_entries_up_to_it(self, env):
         calls = []
-        env._schedule_call(1.0, calls.append, 1)
-        env._schedule_call(5.0, calls.append, 5)
+        env._schedule_call_at(1.0, calls.append, 1)
+        env._schedule_call_at(5.0, calls.append, 5)
         env.run(until=2.0)
         assert calls == [1] and env.now == 2.0
         env.run()
