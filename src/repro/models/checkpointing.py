@@ -20,8 +20,11 @@ checkpoint or a restart (model assumption 5).  The model yields:
   shares reported in the paper's Tables 2 and 3.
 
 Each equation is one NumPy function over floats or broadcastable
-arrays, without input validation of its own (see
-:mod:`repro.models.reliability`).
+arrays, without input validation or ``np.errstate`` handling of its
+own: the :func:`~repro.models.grid.evaluate_grid` kernel checks the
+domain and enters ``np.errstate`` once for the whole pipeline, and the
+standalone :func:`total_time` and :func:`time_breakdown` do the latter
+themselves.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, ModelDivergence
+from .reliability import select
 
 
 def segment_failure_pdf(t: float, delta: float, checkpoint_cost: float, mtbf: float) -> float:
@@ -97,7 +101,6 @@ def expected_restart_rework(lost_work, restart_cost, mtbf):
     return fail * truncated_expectation + survive * x
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def completion_time(base_time, delta, checkpoint_cost, failure_rate, restart_cost):
     """Eqs. 12-14 element-wise: ``(T_total, t_lw, t_RR)``.
 
@@ -115,14 +118,15 @@ def completion_time(base_time, delta, checkpoint_cost, failure_rate, restart_cos
     rework = expected_restart_rework(lost_work, restart_cost, mtbf)
     useful = base_time + base_time * checkpoint_cost / delta
     loss = failure_rate * rework
-    total = np.where(
+    total = select(
         failure_rate == 0.0,
         useful,
-        np.where(loss < 1.0, useful / (1.0 - loss), np.inf),
-    )[()]
+        select(loss < 1.0, useful / (1.0 - loss), np.inf),
+    )
     return total, lost_work, rework
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _solve(base_time, delta, checkpoint_cost, failure_rate, restart_cost):
     solution = completion_time(
         base_time, delta, checkpoint_cost, failure_rate, restart_cost
@@ -168,7 +172,7 @@ def daly_interval(checkpoint_cost, mtbf):
     ratio = checkpoint_cost / (2.0 * mtbf)
     base = np.sqrt(2.0 * checkpoint_cost * mtbf)
     correction = 1.0 + np.sqrt(ratio) / 3.0 + ratio / 9.0
-    return np.where(ratio >= 1.0, mtbf, base * correction - checkpoint_cost)[()]
+    return select(ratio >= 1.0, mtbf, base * correction - checkpoint_cost)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ Figures 4-6 and 13-14 are produced:
    term.
 
 The arithmetic is the kernel's: :meth:`CombinedModel.evaluate` is a
-one-cell :func:`~repro.models.grid.evaluate_grid` call, and a model is
-checked against the input domain (:data:`~repro.models.grid.DOMAIN`)
-when it is constructed.
+one-cell :func:`~repro.models.grid.evaluate_model_grid` call, and a
+model is checked against the input domain
+(:data:`~repro.models.grid.DOMAIN`) when it is constructed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional
 
 from ..errors import ModelDivergence
 from .checkpointing import TimeBreakdown
-from .grid import DOMAIN, check_domain, evaluate_grid
+from .grid import DOMAIN, check_domain, evaluate_model_grid
 from .redundancy import RedundancyPartition, partition_processes
 
 
@@ -120,7 +120,8 @@ class CombinedModel:
     virtual_processes:
         ``N`` — application (virtual) process count.
     redundancy:
-        ``r`` — real-valued redundancy degree in ``[1, ...)``.
+        ``r`` — real-valued redundancy degree in ``[1, 64]``
+        (:data:`~repro.models.grid.MAX_REDUNDANCY`).
     node_mtbf:
         ``theta`` — MTBF of one node.
     alpha:
@@ -175,7 +176,8 @@ class CombinedModel:
     def evaluate(self) -> CombinedResult:
         """Run the full Section 4.3 pipeline for this configuration.
 
-        A one-cell :func:`~repro.models.grid.evaluate_grid` call.
+        A one-cell :func:`~repro.models.grid.evaluate_model_grid` call,
+        the same one the service makes for a lone request.
 
         Raises
         ------
@@ -183,19 +185,7 @@ class CombinedModel:
             When the configuration has no finite expected completion
             time (see :func:`repro.models.checkpointing.completion_time`).
         """
-        grid = evaluate_grid(
-            self.virtual_processes,
-            self.redundancy,
-            self.node_mtbf,
-            self.alpha,
-            self.base_time,
-            self.checkpoint_cost,
-            self.restart_cost,
-            interval_rule=self.interval_rule,
-            checkpoint_interval=self.checkpoint_interval,
-            exact_reliability=self.exact_reliability,
-        )
-        return CombinedResult.of(self, grid)
+        return CombinedResult.of(self, evaluate_model_grid(self))
 
     def total_time_or_inf(self) -> float:
         """``evaluate().total_time``, with divergence mapped to ``inf``.

@@ -11,7 +11,10 @@ sweeps are many-cell calls, and a cell's bits do not depend on the
 batch it is evaluated in.
 
 The input domain is stated once, in :data:`DOMAIN`, and enforced by
-:func:`check_domain` at ``CombinedModel`` construction and here.
+:func:`check_domain` at ``CombinedModel`` construction and at this
+kernel's entry; the per-equation functions check nothing.  The kernel
+also enters ``np.errstate`` once per call for the whole pipeline, so
+the equations it composes carry no error-state handling of their own.
 
 Divergent cells (where ``CombinedModel.evaluate()`` raises
 :class:`~repro.errors.ModelDivergence`) carry ``inf`` total time, the
@@ -33,10 +36,11 @@ from .checkpointing import completion_time, daly_interval, young_interval
 from .redundancy import (
     mtbf_from_rate,
     partition_counts,
+    partition_reliability,
     rate_from_reliability,
     redundant_time,
-    system_reliability,
 )
+from .reliability import node_failure_probability, select
 
 if TYPE_CHECKING:
     from .combined import CombinedModel
@@ -44,6 +48,7 @@ if TYPE_CHECKING:
 __all__ = [
     "DOMAIN",
     "INTERVALS",
+    "MAX_REDUNDANCY",
     "ModelGrid",
     "check_domain",
     "evaluate_grid",
@@ -55,6 +60,13 @@ __all__ = [
 INTERVALS = {"daly": daly_interval, "young": young_interval}
 
 
+#: Largest redundancy degree the model accepts.  The paper sweeps 1x..3x;
+#: Eq. 9's sphere power is a multiply chain of ``ceil(r)`` steps, so an
+#: unbounded degree would let one request hold the process for as long
+#: as it likes.
+MAX_REDUNDANCY = 64
+
+
 #: The model's input domain: field -> (test, what the test demands).
 #: Every test is False for NaN and +-inf, so each field must be finite.
 DOMAIN = {
@@ -62,7 +74,10 @@ DOMAIN = {
         lambda v: (v >= 1) & (v < math.inf) & (v % 1 == 0),
         "an integer >= 1",
     ),
-    "redundancy": (lambda v: (v >= 1) & (v < math.inf), ">= 1"),
+    "redundancy": (
+        lambda v: (v >= 1) & (v <= MAX_REDUNDANCY),
+        f"in [1, {MAX_REDUNDANCY}]",
+    ),
     "node_mtbf": (lambda v: (v > 0) & (v < math.inf), "> 0"),
     "alpha": (lambda v: (v >= 0) & (v <= 1), "in [0, 1]"),
     "base_time": (lambda v: (v > 0) & (v < math.inf), "> 0"),
@@ -172,9 +187,13 @@ def evaluate_grid(
     Every parameter accepts a scalar or an array; arrays broadcast
     against each other with normal NumPy rules (e.g. a column of
     degrees against a row of process counts yields the full 2-D grid).
+    All-scalar inputs give ``np.float64`` fields, computed on NumPy's
+    scalar paths with the bits an array of such cells would hold.
     """
-    # DOMAIN lists the fields in this function's positional order; Python
-    # numbers are checked as they are, which is cheaper than as 0-d arrays.
+    # DOMAIN lists the fields in this function's positional order.  Each
+    # input is converted once: a Python number is checked as it is (cheaper
+    # than as a 0-d array) and computed with as an np.float64 scalar, which
+    # takes NumPy's scalar paths; anything else becomes a float64 array.
     fields = {
         name: value if value is None or isinstance(value, (int, float))
         else np.asarray(value, dtype=np.float64)
@@ -188,13 +207,14 @@ def evaluate_grid(
     }
     check_domain(interval_rule, **fields)
     n, r, theta, a, t, c, rc, override = (
-        None if value is None else np.asarray(value, dtype=np.float64)
+        value if value is None or isinstance(value, np.ndarray) else np.float64(value)
         for value in fields.values()
     )
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_red = redundant_time(t, a, r)
-        total_processes = partition_counts(n, r)[-1]
-        r_sys = system_reliability(n, r, t_red, theta, exact=exact_reliability)
+        partition = partition_counts(n, r)
+        p = node_failure_probability(t_red, theta, exact=exact_reliability)
+        r_sys = partition_reliability(partition, p)
         rate = rate_from_reliability(r_sys, t_red)
         mtbf = mtbf_from_rate(rate)
         if override is None:
@@ -204,21 +224,21 @@ def evaluate_grid(
             delta = np.minimum(INTERVALS[interval_rule](c, mtbf), t_red)
         else:
             delta = override
-        delta = np.where(np.isinf(rate), np.nan, delta)
+        delta = select(np.isinf(rate), np.nan, delta)
         total, lost_work, rework = completion_time(t_red, delta, c, rate, rc)
 
-    shape = np.broadcast(
-        n, r, theta, a, t, c, rc, *(() if override is None else (override,))
-    ).shape
-    return ModelGrid(
-        *(
-            value if value.shape == shape else np.broadcast_to(value, shape)
-            for value in (
-                t_red, total_processes, r_sys, rate, mtbf, delta, total,
-                lost_work, rework,
-            )
-        )
+    cells = (
+        t_red, partition[-1], r_sys, rate, mtbf, delta, total, lost_work, rework,
     )
+    inputs = (n, r, theta, a, t, c, rc) + (() if override is None else (override,))
+    shape = n.shape
+    if any(value.shape != shape for value in inputs):
+        shape = np.broadcast_shapes(*(value.shape for value in inputs))
+        cells = (
+            value if value.shape == shape else np.broadcast_to(value, shape)
+            for value in cells
+        )
+    return ModelGrid(*cells)
 
 
 def evaluate_model_grid(model: "CombinedModel", **axes) -> ModelGrid:

@@ -13,6 +13,13 @@ side of the combined model:
   ``Theta_sys``;
 * Section 4.3's birthday-problem approximation for the probability of a
   primary and its shadow failing together.
+
+:func:`partition_reliability`, :func:`rate_from_reliability` and
+:func:`mtbf_from_rate` are the bare equations the
+:func:`~repro.models.grid.evaluate_grid` kernel composes inside its one
+``np.errstate`` block; :func:`system_reliability`,
+:func:`system_failure_rate` and :func:`system_mtbf` are the standalone
+entries, and enter ``np.errstate`` themselves.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from .reliability import node_failure_probability, sphere_failure_probability
+from .reliability import node_failure_probability, select, sphere_failure_probability
 
 #: Redundancy degrees the paper sweeps (1x .. 3x in 0.25 steps).
 PAPER_REDUNDANCY_GRID = tuple(1.0 + 0.25 * i for i in range(9))
@@ -123,38 +130,44 @@ def partition_processes(virtual_processes: int, redundancy: float) -> Redundancy
     )
 
 
+def partition_reliability(partition, p):
+    """Eq. 9 over a :func:`partition_counts` partition.
+
+    ``R_sys = [1 - p^floor(r)]^{N_floor} * [1 - p^ceil(r)]^{N_ceil}``
+
+    where ``p`` is the node failure probability over the exposure.
+    Computed in log space: at the paper's scales (``N`` up to 10^6) the
+    direct product underflows.  A set whose spheres fail for certain
+    (``p^k == 1``) contributes ``-inf``, so ``R_sys`` is exactly 0.
+    """
+    floor_level, ceil_level, floor_count, ceil_count, _total = partition
+    floor_fail = sphere_failure_probability(p, floor_level)
+    # ceil(r) is floor(r) or floor(r) + 1, and ``floor_fail * p`` is
+    # exactly the ascending chain's next multiply: one chain, same bits.
+    # An integral r has an empty floor set, masked below.
+    ceil_fail = select(ceil_level > floor_level, floor_fail * p, floor_fail)
+    log_r = 0.0
+    for count, sphere_fail in ((floor_count, floor_fail), (ceil_count, ceil_fail)):
+        log_r = log_r + select(count > 0, count * np.log1p(-sphere_fail), 0.0)
+    return np.exp(log_r)
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def system_reliability(
     virtual_processes, redundancy, exposure_time, node_mtbf, exact: bool = False
 ):
     """Probability that *every* virtual process survives (Eq. 9).
 
-    ``R_sys = [1 - p^floor(r)]^{N_floor} * [1 - p^ceil(r)]^{N_ceil}``
-
-    where ``p = Pr(node failure before exposure_time)`` — linearised
-    ``t_Red/theta`` by default, exact exponential CDF with
-    ``exact=True``.
-
-    Computed in log space: at the paper's scales (``N`` up to 10^6) the
-    direct product underflows.  A set whose spheres fail for certain
-    (``p^k == 1``) contributes ``-inf``, so ``R_sys`` is exactly 0.
+    :func:`partition_reliability` of the Eqs. 5-8 partition, with ``p =
+    Pr(node failure before exposure_time)`` — linearised ``t_Red/theta``
+    by default, exact exponential CDF with ``exact=True``.
     """
-    floor_level, ceil_level, floor_count, ceil_count, _total = partition_counts(
-        virtual_processes, redundancy
+    return partition_reliability(
+        partition_counts(virtual_processes, redundancy),
+        node_failure_probability(exposure_time, node_mtbf, exact=exact),
     )
-    p = node_failure_probability(exposure_time, node_mtbf, exact=exact)
-    floor_fail = sphere_failure_probability(p, floor_level)
-    # ceil(r) is floor(r) or floor(r) + 1, and ``floor_fail * p`` is
-    # exactly the ascending chain's next multiply: one chain, same bits.
-    # An integral r has an empty floor set, masked below.
-    ceil_fail = np.where(ceil_level > floor_level, floor_fail * p, floor_fail)
-    log_r = 0.0
-    for count, sphere_fail in ((floor_count, floor_fail), (ceil_count, ceil_fail)):
-        log_r = log_r + np.where(count > 0, count * np.log1p(-sphere_fail), 0.0)
-    return np.exp(log_r)
 
 
-@np.errstate(divide="ignore")
 def rate_from_reliability(reliability, exposure_time):
     """System failure rate ``lambda_sys = -ln(R_sys) / t_Red`` (Eq. 10).
 
@@ -164,16 +177,16 @@ def rate_from_reliability(reliability, exposure_time):
     return -np.log(reliability) / exposure_time
 
 
-@np.errstate(divide="ignore")
 def mtbf_from_rate(rate):
     """System MTBF ``Theta_sys = 1 / lambda_sys`` (Eq. 10).
 
     ``inf`` for a failure-free system (``lambda_sys == 0``) and ``0.0``
     where the failure rate diverges.
     """
-    return np.where(rate == 0.0, np.inf, np.divide(1.0, rate))[()]
+    return select(rate == 0.0, np.inf, np.divide(1.0, rate))
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def system_failure_rate(
     virtual_processes, redundancy, exposure_time, node_mtbf, exact: bool = False
 ):
@@ -182,6 +195,7 @@ def system_failure_rate(
     return rate_from_reliability(system_reliability(*args), exposure_time)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def system_mtbf(
     virtual_processes, redundancy, exposure_time, node_mtbf, exact: bool = False
 ):

@@ -18,9 +18,14 @@ otherwise produce negative reliabilities downstream in Eq. 9.
 Like every equation of the model, each function here is written once,
 in NumPy, and accepts floats or broadcastable arrays alike; the
 vectorized :func:`~repro.models.grid.evaluate_grid` kernel is their
-composition.  Inputs are not validated here: the model's domain is
-checked once, at :class:`~repro.models.combined.CombinedModel`
-construction and at the kernel's entry.
+composition.  Inputs are not validated here.  The model's domain
+(:data:`~repro.models.grid.DOMAIN`) is checked when a
+:class:`~repro.models.combined.CombinedModel` is built and again at the
+kernel's entry, which is also the check for array axes that never pass
+through a model.
+
+:func:`select` is the equations' ``np.where``: it keeps a one-cell
+evaluation on NumPy's scalar paths.
 """
 
 from __future__ import annotations
@@ -28,6 +33,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
+
+
+def select(condition, x, y):
+    """``np.where(condition, x, y)``, scalar for scalar operands.
+
+    With no array among the operands the chosen operand is returned as an
+    ``np.float64`` directly: the same bits ``np.where`` gives, without its
+    microseconds of array dispatch, so a one-cell evaluation stays on
+    NumPy's scalar fast paths.  A 0-d result is unwrapped to a scalar too.
+    """
+    if (
+        isinstance(condition, np.ndarray)
+        or isinstance(x, np.ndarray)
+        or isinstance(y, np.ndarray)
+    ):
+        return np.where(condition, x, y)[()]
+    return np.float64(x if condition else y)
 
 
 def node_failure_probability(t, theta, exact: bool = False):
@@ -63,13 +85,14 @@ def sphere_failure_probability(p, level):
     at its own level: a fixed chain of correctly rounded steps gives the
     same bits for a batch of one and a batch of a thousand, which
     ``np.power`` (whose array and scalar loops disagree in the last ULP)
-    does not.  Levels on the model path are tiny integers, so the chain
-    is short.
+    does not.  Levels on the model path are integers no larger than
+    :data:`~repro.models.grid.MAX_REDUNDANCY`, so the chain is short.
     """
+    top = level.max(initial=1) if isinstance(level, np.ndarray) else level
     result = power = p
-    for k in range(2, int(np.asarray(level).max(initial=1)) + 1):
+    for k in range(2, int(top) + 1):
         power = power * p
-        result = np.where(level >= k, power, result)
+        result = select(level >= k, power, result)
     return result
 
 

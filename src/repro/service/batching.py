@@ -7,28 +7,32 @@ answered by a *single* vectorized
 vectorized pipeline amortises its fixed cost over the batch, which is
 what lets one process serve heavy traffic.
 
-The collection rule has no timer: the collector awaits a first
-request, yields one loop tick so handlers woken by the same poll can
-submit, then drains whatever is already queued, up to ``max_batch``.
-A lone request is evaluated at once; under a burst, requests pile up
-while the previous grid call runs and the next batch takes them all.
+The collection rule has no timer and no collector task: the first
+:meth:`MicroBatcher.submit` of an event-loop pass schedules a flush
+with ``loop.call_soon``, so it runs on the next pass, after every
+handler woken by the same poll has submitted.  A flush evaluates up to
+``max_batch`` pending requests and, if more are left, schedules the
+next flush.  A lone request is evaluated one pass after it arrives;
+under a burst, requests pile up while a grid call runs and the next
+flush takes them all.
 
 Correctness contract — **batched answers are bit-identical to direct
 ``CombinedModel.evaluate()`` calls**.  Two facts guarantee it:
 
 * there is one kernel: ``evaluate()`` is itself a one-cell
-  :func:`~repro.models.grid.evaluate_grid` call, and the kernel's
-  element-wise arithmetic (numpy ufuncs and a masked multiply chain for
-  the sphere powers) gives each cell the same bits in a batch of one
-  and in a batch of a thousand;
+  :func:`~repro.models.grid.evaluate_model_grid` call — the very call a
+  group of one makes here — and the kernel's element-wise arithmetic
+  (numpy ufuncs and a masked multiply chain for the sphere powers)
+  gives each cell the same bits as a scalar, in a batch of one and in a
+  batch of a thousand;
 * requests are grouped by the non-numeric knobs (``interval_rule``,
   ``exact_reliability``, override presence) so every grid call is
   homogeneous in code path and only the numeric inputs vary.
 
 Robustness: a :class:`~repro.models.combined.CombinedModel` checks its
 domain when it is built, so an out-of-domain request fails (a 400)
-before it exists as a model, let alone joins a batch; the queue is
-bounded and overflowing requests are shed immediately with
+before it exists as a model, let alone joins a batch; the pending
+list is bounded and overflowing requests are shed immediately with
 :class:`~repro.errors.ServiceOverloadedError` (the server's 429).
 """
 
@@ -46,7 +50,7 @@ from ..errors import (
     ServiceOverloadedError,
 )
 from ..models.combined import CombinedModel
-from ..models.grid import DOMAIN, evaluate_grid
+from ..models.grid import DOMAIN, evaluate_grid, evaluate_model_grid
 
 __all__ = ["MicroBatcher", "model_to_dict"]
 
@@ -54,8 +58,6 @@ __all__ = ["MicroBatcher", "model_to_dict"]
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
 )
-
-_STOP = object()
 
 
 def model_to_dict(model: CombinedModel) -> Dict[str, Any]:
@@ -105,9 +107,10 @@ class MicroBatcher:
         self.max_batch = int(max_batch)
         self.queue_limit = int(queue_limit)
         self.metrics = metrics
-        self._queue: Optional[asyncio.Queue] = None
-        self._task: Optional[asyncio.Task] = None
-        self._closed = False
+        #: Admitted requests not yet evaluated, in arrival order.  While it
+        #: is non-empty a flush is scheduled on the loop.
+        self._pending: List[Tuple[CombinedModel, asyncio.Future]] = []
+        self._closed = True
         #: Totals over the batcher's lifetime.
         self.batches = 0
         self.evaluations = 0
@@ -116,28 +119,19 @@ class MicroBatcher:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Create the queue and the collector task (idempotent)."""
-        if self._task is not None:
-            return
+        """Begin admitting requests (idempotent)."""
         self._closed = False
-        self._queue = asyncio.Queue(maxsize=self.queue_limit)
-        self._task = asyncio.create_task(self._run(), name="micro-batcher")
 
     async def stop(self) -> None:
-        """Drain: admitted requests are answered, then the task exits."""
+        """Drain: refuse new requests, answer every admitted one."""
         self._closed = True
-        if self._task is None:
-            return
-        # The sentinel lands behind every admitted request, so the
-        # collector answers everything in flight before it sees it.
-        await self._queue.put(_STOP)
-        await self._task
-        self._task = None
+        while self._pending:
+            await asyncio.sleep(0)
 
     @property
     def queue_depth(self) -> int:
         """Requests admitted but not yet evaluated."""
-        return self._queue.qsize() if self._queue is not None else 0
+        return len(self._pending)
 
     # -- request path --------------------------------------------------------
 
@@ -145,46 +139,36 @@ class MicroBatcher:
         """Admit one request; resolves with its evaluation answer.
 
         Raises ``ServiceClosedError`` when draining/stopped and
-        ``ServiceOverloadedError`` when the bounded queue is full.
+        ``ServiceOverloadedError`` when ``queue_limit`` requests are
+        already pending.
         """
-        if self._closed or self._queue is None:
+        if self._closed:
             raise ServiceClosedError("service is draining; no new requests")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        try:
-            self._queue.put_nowait((model, future))
-        except asyncio.QueueFull:
+        if len(self._pending) >= self.queue_limit:
             self.shed += 1
             if self.metrics is not None:
                 self.metrics.counter("serve.shed").inc()
             raise ServiceOverloadedError(
                 f"request queue full ({self.queue_limit}); retry later"
-            ) from None
+            )
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        if not self._pending:
+            loop.call_soon(self._flush)
+        self._pending.append((model, future))
         if self.metrics is not None:
-            self.metrics.gauge("serve.queue_depth").set(self._queue.qsize())
+            self.metrics.gauge("serve.queue_depth").set(len(self._pending))
         return await future
 
-    # -- collector -----------------------------------------------------------
-
-    async def _run(self) -> None:
-        while True:
-            first = await self._queue.get()
-            if first is _STOP:
-                return
-            # One loop tick lets handlers woken by the same poll submit.
-            await asyncio.sleep(0)
-            batch: List[Tuple[CombinedModel, asyncio.Future]] = [first]
-            stop = False
-            while len(batch) < self.max_batch and not self._queue.empty():
-                item = self._queue.get_nowait()
-                if item is _STOP:
-                    stop = True
-                    break
-                batch.append(item)
-            self._execute(batch)
-            if self.metrics is not None:
-                self.metrics.gauge("serve.queue_depth").set(self._queue.qsize())
-            if stop:
-                return
+    def _flush(self) -> None:
+        """One loop pass's batch: the oldest ``max_batch`` pending requests."""
+        batch = self._pending[: self.max_batch]
+        del self._pending[: self.max_batch]
+        if self._pending:
+            asyncio.get_running_loop().call_soon(self._flush)
+        self._execute(batch)
+        if self.metrics is not None:
+            self.metrics.gauge("serve.queue_depth").set(len(self._pending))
 
     def _execute(
         self, batch: List[Tuple[CombinedModel, asyncio.Future]]
@@ -209,17 +193,22 @@ class MicroBatcher:
         for (rule, exact, has_override), items in groups.items():
             models = [model for model, _future in items]
             try:
-                grid = evaluate_grid(
-                    interval_rule=rule,
-                    exact_reliability=exact,
-                    **{
-                        name: np.array(
-                            [getattr(m, name) for m in models], dtype=np.float64
-                        )
-                        for name in DOMAIN
-                        if has_override or name != "checkpoint_interval"
-                    },
-                )
+                if len(models) == 1:
+                    # A group of one takes evaluate()'s own scalar call.
+                    grid, cells = evaluate_model_grid(models[0]), [()]
+                else:
+                    grid = evaluate_grid(
+                        interval_rule=rule,
+                        exact_reliability=exact,
+                        **{
+                            name: np.array(
+                                [getattr(m, name) for m in models], dtype=np.float64
+                            )
+                            for name in DOMAIN
+                            if has_override or name != "checkpoint_interval"
+                        },
+                    )
+                    cells = range(len(models))
             except Exception as error:  # noqa: BLE001 - backstop; models
                 # are validated when built, so this is an internal failure
                 # and every member of the group must hear about it.
@@ -227,21 +216,21 @@ class MicroBatcher:
                     if not future.done():
                         future.set_exception(error)
                 continue
-            for position, (model, future) in enumerate(items):
+            for cell, (model, future) in zip(cells, items):
                 if not future.done():
-                    future.set_result(self._answer(grid, position, model))
+                    future.set_result(self._answer(grid, cell, model))
 
     @staticmethod
-    def _answer(grid, position: int, model: CombinedModel) -> Dict[str, Any]:
-        total_time = float(grid.total_time[position])
+    def _answer(grid, cell, model: CombinedModel) -> Dict[str, Any]:
+        total_time = float(grid.total_time[cell])
         return {
             "model": model_to_dict(model),
-            "redundant_time": float(grid.redundant_time[position]),
-            "total_processes": int(grid.total_processes[position]),
-            "system_reliability": float(grid.system_reliability[position]),
-            "failure_rate": float(grid.failure_rate[position]),
-            "system_mtbf": float(grid.system_mtbf[position]),
-            "checkpoint_interval": float(grid.checkpoint_interval[position]),
+            "redundant_time": float(grid.redundant_time[cell]),
+            "total_processes": int(grid.total_processes[cell]),
+            "system_reliability": float(grid.system_reliability[cell]),
+            "failure_rate": float(grid.failure_rate[cell]),
+            "system_mtbf": float(grid.system_mtbf[cell]),
+            "checkpoint_interval": float(grid.checkpoint_interval[cell]),
             "total_time": total_time,
             "diverged": not math.isfinite(total_time),
         }

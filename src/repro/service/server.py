@@ -11,7 +11,8 @@ model evaluations and advisor recommendations over JSON:
     ``CombinedModel.evaluate()``.
 ``POST /recommend``
     Body is ``{"model": {...}, "grid"?, "node_budget"?, "time_weight"?,
-    "resource_weight"?}``; answered by
+    "resource_weight"?}``, with at most :data:`MAX_GRID_DEGREES` grid
+    degrees; answered by
     :func:`~repro.models.advisor.recommend`, memoized twice — in
     process (the advisor's own LRU) and, when a results store is
     attached, across restarts via
@@ -62,6 +63,11 @@ __all__ = ["ModelServer", "ServerThread", "parse_model", "recommendation_to_dict
 
 #: Largest request body read; a bigger ``Content-Length`` gets 413.
 MAX_BODY_BYTES = 1 << 20
+
+#: Most candidate degrees one ``/recommend`` ``grid`` may list.  The sweep
+#: runs on the event loop and its result stays in the advisor's memo, so a
+#: longer grid gets 400 (1,000 degrees take well under 0.1 s).
+MAX_GRID_DEGREES = 1000
 
 _REASONS = {
     200: "OK",
@@ -446,6 +452,10 @@ class ModelServer:
         grid = body.get("grid", PAPER_REDUNDANCY_GRID)
         if not isinstance(grid, (list, tuple)):
             raise ConfigurationError(f"grid must be a list of numbers, got {grid!r}")
+        if len(grid) > MAX_GRID_DEGREES:
+            raise ConfigurationError(
+                f"grid lists {len(grid)} degrees; at most {MAX_GRID_DEGREES}"
+            )
         grid = tuple(_number("grid", degree) for degree in grid)
         budget = body.get("node_budget")
         node_budget = (

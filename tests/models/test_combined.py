@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro import units
 from repro.errors import ConfigurationError, ModelDivergence
 from repro.models import CombinedModel
+from repro.models.grid import MAX_REDUNDANCY
 
 
 def paper_model(**overrides):
@@ -22,6 +23,13 @@ def paper_model(**overrides):
     )
     params.update(overrides)
     return CombinedModel(**params)
+
+
+class TestRedundancyBound:
+    # Degrees above the bound are OUT_OF_DOMAIN cases in test_grid.py.
+    def test_degree_at_the_bound_evaluates(self):
+        result = paper_model(redundancy=float(MAX_REDUNDANCY)).evaluate()
+        assert result.total_processes == 50_000 * MAX_REDUNDANCY
 
 
 class TestPipeline:

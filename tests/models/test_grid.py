@@ -18,6 +18,7 @@ from repro import units
 from repro.errors import ConfigurationError, ModelDivergence
 from repro.models import CombinedModel, PAPER_REDUNDANCY_GRID
 from repro.models.grid import (
+    MAX_REDUNDANCY,
     ModelGrid,
     evaluate_grid,
     evaluate_model_grid,
@@ -209,7 +210,9 @@ class TestScalarEquivalence:
 
 
 #: The model domain's disagreements between entry points before it was
-#: stated once: each must be a ConfigurationError everywhere.
+#: stated once, and degrees above MAX_REDUNDANCY, whose ceil(r)-step
+#: sphere power once held the caller indefinitely: each must be a
+#: ConfigurationError everywhere.
 OUT_OF_DOMAIN = [
     {"node_mtbf": math.nan},
     {"alpha": math.nan},
@@ -217,6 +220,9 @@ OUT_OF_DOMAIN = [
     {"checkpoint_cost": math.nan},
     {"base_time": 0.0},
     {"base_time": math.inf},
+    {"redundancy": 1e300},
+    {"redundancy": 1e6},
+    {"redundancy": MAX_REDUNDANCY + 0.5},
 ]
 
 
@@ -231,7 +237,7 @@ class TestDomain:
             evaluate_grid(**params)
 
     def test_array_reports_the_offending_cell(self):
-        with pytest.raises(ConfigurationError, match="redundancy must be >= 1, got 0.5"):
+        with pytest.raises(ConfigurationError, match=r"redundancy must be in \[1, 64\], got 0.5"):
             evaluate_model_grid(reference_model(), redundancy=np.array([1.0, 0.5]))
 
     def test_fractional_process_count_rejected(self):

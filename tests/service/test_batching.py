@@ -1,8 +1,12 @@
 """Tests for the micro-batching engine (plain asyncio.run, no plugins)."""
 
 import asyncio
+import dataclasses
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -11,9 +15,11 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.models import CombinedModel
+from repro.models.grid import evaluate_model_grid
 from repro.obs.metrics import MetricsRegistry
 from repro.service import MicroBatcher, model_to_dict
 from repro.service.server import parse_model
+from tests.models.test_grid import model_cells
 
 
 def model(i: int = 0, **overrides) -> CombinedModel:
@@ -76,8 +82,8 @@ class TestCoalescing:
         async def main():
             batcher = Recording(max_batch=8)
             await batcher.start()
-            # Every submit task runs its put_nowait before the collector
-            # takes its first request off the queue.
+            # Every submit task runs in the same loop pass, before the
+            # flush the first one scheduled.
             tasks = [
                 asyncio.ensure_future(batcher.submit(model(i)))
                 for i in range(20)
@@ -151,6 +157,97 @@ class TestCoalescing:
         assert served_good["total_time"] == good.evaluate().total_time
 
 
+#: The answer fields that carry a number.
+NUMERIC_ANSWER_FIELDS = (
+    "redundant_time",
+    "total_processes",
+    "system_reliability",
+    "failure_rate",
+    "system_mtbf",
+    "checkpoint_interval",
+    "total_time",
+)
+
+#: Every grouping key a batch is split by: interval rule, exact
+#: reliability and whether the interval is overridden.
+GROUP_KEYS = tuple(itertools.product(("daly", "young"), (False, True), (False, True)))
+
+
+def divergent_cells(rule, exact, override):
+    """Strategy: a model whose node MTBF is shorter than its run, so most
+    draws have no finite completion time (served ``diverged``)."""
+    return st.builds(
+        dataclasses.replace,
+        model_cells(rule, exact, override),
+        node_mtbf=st.floats(min_value=1.0, max_value=100.0),
+        base_time=st.just(1e5),
+    )
+
+
+#: Strategy: a model under any grouping key, finite or divergent.
+ANY_CELL = st.one_of(
+    *(model_cells(*key) for key in GROUP_KEYS),
+    *(divergent_cells(*key) for key in GROUP_KEYS),
+)
+
+
+def serve_in_waves(waves):
+    """Answers for ``waves`` of models; each wave is submitted in one loop
+    pass, so it is one batch, and a one-model wave is a lone request."""
+
+    async def main():
+        batcher = MicroBatcher(max_batch=64)
+        await batcher.start()
+        answers = []
+        for wave in waves:
+            answers += await asyncio.gather(*(batcher.submit(m) for m in wave))
+        await batcher.stop()
+        return answers
+
+    return asyncio.run(main())
+
+
+def hex_fields(answer):
+    return {
+        name: float(answer[name]).hex() for name in NUMERIC_ANSWER_FIELDS
+    }
+
+
+def kernel_answer(m: CombinedModel):
+    """The one-cell kernel's numbers for ``m``, as served fields."""
+    grid = evaluate_model_grid(m)
+    return {name: getattr(grid, name)[()] for name in NUMERIC_ANSWER_FIELDS}
+
+
+class TestBitIdentity:
+    """Served answers equal ``evaluate()`` and the one-cell kernel in
+    every bit (``float.hex`` tells -0.0 from 0.0 and sees NaN), whether a
+    model is served alone or inside a mixed batch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(waves=st.lists(st.lists(ANY_CELL, min_size=1, max_size=10),
+                          min_size=1, max_size=4))
+    def test_lone_and_mixed_groups_match_scalar(self, waves):
+        answers = serve_in_waves(waves)
+        for m, served in zip(itertools.chain(*waves), answers):
+            assert hex_fields(served) == hex_fields(kernel_answer(m)), m
+            try:
+                direct = m.evaluate()
+            except ModelDivergence:
+                assert served["diverged"] is True, m
+                continue
+            assert served["diverged"] is False, m
+            expected = {name: getattr(direct, name) for name in NUMERIC_ANSWER_FIELDS}
+            assert hex_fields(served) == hex_fields(expected), m
+
+    def test_lone_model_matches_itself_in_a_big_batch(self):
+        lone = model(4, redundancy=2.75, exact_reliability=True)
+        crowd = [model(i, exact_reliability=True) for i in range(40)]
+        alone, *in_batch = serve_in_waves([[lone], crowd[:20] + [lone] + crowd[20:]])
+        assert hex_fields(alone) == hex_fields(in_batch[20])
+        assert alone == in_batch[20]
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "overrides",
@@ -183,9 +280,9 @@ class TestBackpressure:
                 max_batch=4, queue_limit=2, metrics=metrics
             )
             await batcher.start()
-            # Create all submit tasks, then yield once: every task runs
-            # its put_nowait before the collector task gets scheduled,
-            # so exactly queue_limit are admitted.
+            # Create all submit tasks, then yield once: every task
+            # submits before the flush the first one scheduled runs, so
+            # exactly queue_limit are admitted.
             tasks = [
                 asyncio.ensure_future(batcher.submit(model(i)))
                 for i in range(10)
@@ -226,7 +323,7 @@ class TestLifecycle:
                 for i in range(6)
             ]
             await asyncio.sleep(0)  # admit everything
-            await batcher.stop()  # sentinel lands behind them
+            await batcher.stop()  # answers everything admitted
             answers = await asyncio.gather(*tasks)
             return batcher, answers
 

@@ -18,7 +18,7 @@ from repro.errors import ConfigurationError, ServiceError
 from repro.models import CombinedModel, recommend
 from repro.service import ServeClient, ServerThread
 from repro.service import model_to_dict
-from repro.service.server import MAX_BODY_BYTES, parse_model
+from repro.service.server import MAX_BODY_BYTES, MAX_GRID_DEGREES, parse_model
 from repro.store import ResultsStore
 
 
@@ -139,13 +139,22 @@ class TestNonFiniteInput:
         assert post_status(server.port, "/recommend", body) == 400
 
 
+class TestRecommendGridLength:
+    def test_longest_grid_is_answered(self, client):
+        grid = [1.0 + i / MAX_GRID_DEGREES for i in range(MAX_GRID_DEGREES)]
+        served = client.recommend(model(7), grid=grid)
+        assert len(served["candidates"]) == MAX_GRID_DEGREES
+
+
 def model_body(**overrides):
     return {**model_to_dict(model(0)), **overrides}
 
 
 #: Bodies the HTTP boundary must answer with 400: wrong JSON types are
 #: rejected rather than coerced, out-of-domain values fail the model's
-#: construction, and no grid or budget can reach a 500.
+#: construction, and no grid or budget can reach a 500.  A huge degree
+#: or grid must be refused before any evaluation: Eq. 9's sphere power
+#: takes ceil(r) multiplies on the loop every client shares.
 BAD_REQUESTS = {
     "fractional_processes": ("/evaluate", model_body(virtual_processes=1.5)),
     "boolean_processes": ("/evaluate", model_body(virtual_processes=True)),
@@ -164,6 +173,16 @@ BAD_REQUESTS = {
     "string_budget": ("/recommend", {"model": model_body(), "node_budget": "x"}),
     "fractional_budget": ("/recommend", {"model": model_body(), "node_budget": 1.5}),
     "boolean_budget": ("/recommend", {"model": model_body(), "node_budget": True}),
+    "huge_redundancy": ("/evaluate", model_body(redundancy=1e300)),
+    "large_redundancy": ("/evaluate", model_body(redundancy=1e6)),
+    "recommend_huge_redundancy": ("/recommend", {"model": model_body(redundancy=1e300)}),
+    "recommend_large_redundancy": ("/recommend", {"model": model_body(redundancy=1e6)}),
+    "huge_grid_degree": ("/recommend", {"model": model_body(), "grid": [1.0, 1e300]}),
+    "large_grid_degree": ("/recommend", {"model": model_body(), "grid": [1.0, 1e6]}),
+    "grid_too_long": (
+        "/recommend",
+        {"model": model_body(), "grid": [1.0] * (MAX_GRID_DEGREES + 1)},
+    ),
 }
 
 
