@@ -69,8 +69,8 @@ def _add_sweep_flags(subparser: argparse.ArgumentParser, quick_help: str) -> Non
         "--cell-timeout",
         type=float,
         default=None,
-        help="wall-clock seconds one grid cell may run in a worker "
-        "(default: REPRO_CELL_TIMEOUT env, else unlimited; pool mode only)",
+        help="wall-clock seconds one grid cell may run in its process "
+        "(default: REPRO_CELL_TIMEOUT env, else unlimited; process mode only)",
     )
     subparser.add_argument(
         "--trace",

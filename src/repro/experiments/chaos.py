@@ -165,8 +165,8 @@ def run(
     :class:`~repro.orchestration.CellOutcome`; ``execution`` is
     forwarded untouched to the self-healing
     :class:`~repro.orchestration.CampaignExecutor` (``workers``,
-    ``cell_timeout``, ``store``, ``obs``), whose dead pools charge only
-    the cells they were running.
+    ``cell_timeout``, ``store``, ``obs``), which charges a crash or
+    timeout only to the cell it hit.
     """
     setup = setup or ChaosSetup()
     if probs is None:

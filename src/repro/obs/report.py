@@ -104,7 +104,7 @@ class TraceReport:
     tolerance: float = DEFAULT_TOLERANCE
     #: Campaign manifest record, when the trace head carries one.
     manifest: Optional[Dict[str, Any]] = None
-    #: Executor-side (parent) counts: cells, timeouts, pool events.
+    #: Executor-side (parent) counts: cells, timeouts, crashes.
     parent_events: Dict[str, int] = field(default_factory=dict)
 
     @property

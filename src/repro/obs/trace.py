@@ -7,7 +7,7 @@ Every record is one JSON object per line.  Two record types:
   e.g. the campaign executor's per-cell timings); wall-clock bounds in
   ``wall0``/``wall1``.
 * ``event`` — a point occurrence (a failure injection, a CRC mismatch,
-  a pool rebuild) with ``t`` (sim) and ``wall`` stamps.
+  a crashed cell process) with ``t`` (sim) and ``wall`` stamps.
 
 A third type, ``manifest``/``summary``, is emitted by jobs so a trace
 is self-describing: the manifest record captures the config and seed

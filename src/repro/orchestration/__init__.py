@@ -9,9 +9,10 @@ time and event counts the evaluation tables are built from.
 
 :mod:`campaign` sweeps jobs over (MTBF, redundancy) grids to
 regenerate Table 4 / Figures 8-9, and failure-free runs for
-Table 5 / Figure 10.  :mod:`executor` fans independent grid cells out
-over a process pool (``workers``/``REPRO_WORKERS``) with bit-identical
-results, ordered collection and per-cell error capture.
+Table 5 / Figure 10.  :mod:`executor` runs independent grid cells side
+by side, one forked process per running cell (``workers``/
+``REPRO_WORKERS``), with bit-identical results, ordered collection and
+per-cell error capture.
 """
 
 from .job import JobConfig, JobReport, ResilientJob

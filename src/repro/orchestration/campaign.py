@@ -9,9 +9,9 @@ steps.
 Cells are independent, so both sweeps delegate to
 :class:`~repro.orchestration.executor.CampaignExecutor`, forwarding
 its keyword arguments as one ``**execution`` mapping: pass
-``workers > 1`` (or set ``REPRO_WORKERS``) to fan the grid out over a
-process pool.  Seeds are derived before submission, so parallel runs
-are bit-identical to serial ones.
+``workers > 1`` (or set ``REPRO_WORKERS``) to run that many cells at
+once, each in its own process.  Seeds are derived before submission,
+so parallel runs are bit-identical to serial ones.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Campaign grids (Table 4/5, Figures 8-10) are embarrassingly parallel:
 every cell is one self-contained :class:`~repro.orchestration.job.ResilientJob`
 whose outcome depends only on its :class:`~repro.orchestration.job.JobConfig`
-(including the seed).  :class:`CampaignExecutor` fans cells out over a
-``concurrent.futures.ProcessPoolExecutor`` while preserving exactly the
+(including the seed).  :class:`CampaignExecutor` runs each in-flight
+cell in a process of its own, forked for that cell and gone when it
+ends, at most ``workers`` at a time, while preserving exactly the
 serial semantics:
 
 * **determinism** — seeds are derived *before* submission, so a parallel
@@ -15,32 +16,26 @@ serial semantics:
   cells complete (completion order, which may differ from spec order);
 * **error capture** — one diverged/broken cell is recorded as a failed
   :class:`CellOutcome`; the rest of the campaign keeps running;
-* **graceful fallback** — anything that prevents pooling (``workers <= 1``,
-  a single cell, unpicklable configs, a sandbox without process support)
-  silently drops to the serial path.
+* **serial paths** — ``workers <= 1`` and a single cell run in-process;
+  a cell whose process cannot be started runs in the parent instead.
 
-Self-healing (the chaos-hardening layer):
+A forked child inherits its spec, so specs are never pickled; only the
+child's ``(report, error, error_type)`` tuple travels back, through a
+one-shot pipe.  A failure costs only the cell it hits, as in the
+paper's redundancy and rollback:
 
 * **completeness** — every spec produces exactly one outcome, always;
-  a cell the pool lost is synthesized as a failed outcome, never
+  a cell lost to crashes is synthesized as a failed outcome, never
   silently dropped;
-* **one recovery path** — a pool dies when a worker crashes
-  (``BrokenProcessPool``) or when a timeout reclaims its workers;
-  either way completed results are kept and every unfinished cell
-  moves to a *fresh* pool.  Only a crash is charged, and only to the
-  cells the dead pool was running: such a cell is declared lost once
-  it has been running in more than ``CELL_RETRIES`` broken pools, and
-  every unfinished cell is declared lost after ``MAX_POOL_REBUILDS``
-  crashes.  Cells the dead pool never started move free.  A cell's
-  last attempt runs alone in a one-worker pool, so a cell is lost
-  only to its own crash, never to a neighbour's, and a crash in such a
-  round does not count toward ``MAX_POOL_REBUILDS`` (``CELL_RETRIES``
-  already bounds it);
+* **per-cell crashes** — a pipe that reaches end-of-file with no result
+  means that cell's process died.  Only that cell is charged: it is
+  run again in a fresh process up to ``CELL_RETRIES`` times, then
+  declared lost (``WorkerCrash``).  Its neighbours never notice;
 * **per-cell wall-clock timeouts** — ``cell_timeout`` (or the
   ``REPRO_CELL_TIMEOUT`` env var) bounds how long one cell may run in
-  a worker; an overdue cell is recorded as a failed outcome and its
-  pool's workers are terminated.  Timeouts apply only under pooling
-  (the serial path cannot preempt).
+  its process; an overdue cell's process alone is killed and the cell
+  is recorded as a failed outcome.  Timeouts apply only to cells run
+  in a process (the serial path cannot preempt).
 
 One execution context:
 
@@ -62,14 +57,13 @@ run and finalizes it after.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 import os
-import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ReproError
@@ -80,8 +74,8 @@ from .job import JobConfig, JobReport, ResilientJob
 WORKERS_ENV = "REPRO_WORKERS"
 #: Environment variable: per-cell wall-clock timeout in seconds.
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
-#: Broken pools a cell may be running in and still be resubmitted; one
-#: more and it is synthesized as a failed (lost) outcome.
+#: Times a cell whose process crashed is run again; one more crash and
+#: it is synthesized as a failed (lost) outcome.
 CELL_RETRIES = 2
 
 
@@ -183,12 +177,11 @@ def resolve_cell_timeout(cell_timeout: Optional[float] = None) -> Optional[float
 
 
 def _execute_spec(spec: CellSpec) -> Tuple[Optional[JobReport], Optional[str], Optional[str]]:
-    """Run one cell, capturing any error as data (worker-side).
+    """Run one cell, capturing any error as data.
 
     Returns ``(report, error_message, error_type)`` — the field order of
     :class:`CellOutcome` after ``spec`` — rather than raising, so a
-    broken cell never tears down the pool, and exceptions that do not
-    pickle cleanly cannot poison the result channel.
+    broken cell is one failed outcome, in a child process or serially.
     """
     try:
         return ResilientJob(spec.config).run(), None, None
@@ -196,29 +189,40 @@ def _execute_spec(spec: CellSpec) -> Tuple[Optional[JobReport], Optional[str], O
         return None, str(error), type(error).__name__
 
 
-class CampaignExecutor:
-    """Run cell specs serially or across a self-healing process pool.
+def _run_child(spec: CellSpec, writer) -> None:
+    """A forked cell process: run the cell, send its result tuple back.
 
-    A pool that dies — a worker crashed, or a timeout reclaimed the
-    workers — is replaced by a fresh one that takes every unfinished
-    cell.  Only a crash is charged, and only to the cells the dead pool
-    was running (see ``CELL_RETRIES`` and :attr:`MAX_POOL_REBUILDS`);
-    a cell's last attempt runs alone.
+    A report that does not pickle is sent as that cell's error instead.
+    """
+    result = _execute_spec(spec)
+    try:
+        writer.send(result)
+    except Exception as error:  # noqa: BLE001 - the pickle failure is the result
+        writer.send((None, str(error), type(error).__name__))
+
+
+class CampaignExecutor:
+    """Run cell specs serially or one forked process per running cell.
+
+    A cell whose process crashes is charged alone and run again in a
+    fresh process, up to ``CELL_RETRIES`` times; an overdue cell has
+    only its own process killed.
 
     Parameters
     ----------
     workers:
-        Worker processes to use.  ``None`` consults ``REPRO_WORKERS``;
-        ``<= 1`` runs serially in-process.
+        Cells to run at once, each in its own process.  ``None``
+        consults ``REPRO_WORKERS``; ``<= 1`` runs serially in-process.
     cell_timeout:
-        Wall-clock seconds one cell may spend in a worker before it is
-        declared failed.  ``None`` consults ``REPRO_CELL_TIMEOUT``;
-        unset means no timeout.  Pool mode only.
+        Wall-clock seconds one cell may spend in its process before it
+        is killed and declared failed.  ``None`` consults
+        ``REPRO_CELL_TIMEOUT``; unset means no timeout.  Process mode
+        only.
     obs:
         Optional :class:`~repro.obs.ObsSession`.  Its tracer receives
-        wall-clock cell spans and pool events (queue/run timings,
-        timeouts, rebuilds); its metrics registry receives cell
-        counters, wall-time histograms and the final
+        wall-clock cell spans and executor events (run timings,
+        timeouts, crashes, resubmissions); its metrics registry receives
+        cell counters, wall-time histograms and the final
         worker-utilization gauge; its ``parts_dir`` is stamped onto
         every spec's config as ``trace_dir`` so each cell's job writes
         a trace part; and the number of cells that ran to a report is
@@ -236,12 +240,6 @@ class CampaignExecutor:
         ``campaign.cache_hits``/``campaign.cache_misses``.
     """
 
-    #: Fresh pools built after a shared pool's worker crashed before the
-    #: remaining cells are declared lost (a pool that keeps dying would
-    #: otherwise rebuild forever).  A one-cell last-attempt round does
-    #: not count: ``CELL_RETRIES`` bounds it.
-    MAX_POOL_REBUILDS = 3
-
     def __init__(
         self,
         workers: Optional[int] = None,
@@ -255,12 +253,13 @@ class CampaignExecutor:
         self.tracer = obs.tracer if obs is not None else NULL_TRACER
         self.metrics = obs.metrics if obs is not None else None
         self.store = store
-        #: How the last :meth:`run` actually executed ("serial"/
-        #: "process"; "cached" when the store restored every cell).
+        #: How the last :meth:`run` actually executed ("serial",
+        #: "process", "serial-fallback" when a cell's process could not
+        #: be started; "cached" when the store restored every cell).
         self.last_mode: Optional[str] = None
-        #: Broken-pool events survived during the last :meth:`run`.
-        self.pool_breakages = 0
-        #: Running cells moved to a fresh pool during the last :meth:`run`.
+        #: Cell processes that died without a result during the last run.
+        self.worker_crashes = 0
+        #: Crashed cells run again in a fresh process during the last run.
         self.cells_resubmitted = 0
         #: Cells failed by the wall-clock timeout during the last run.
         self.cells_timed_out = 0
@@ -282,15 +281,16 @@ class CampaignExecutor:
     ) -> List[CellOutcome]:
         """Execute every spec; outcomes are returned in spec order.
 
-        Exactly one outcome per spec, always — cells the pool lost come
-        back as failed outcomes rather than disappearing.  ``progress``
-        is invoked in the calling process once per cell: first for
-        store-restored cells (spec order, ``cached=True``), then for
-        executed cells as they complete (completion order under
-        pooling).
+        Exactly one outcome per spec, always — cells lost to crashes or
+        timeouts come back as failed outcomes rather than disappearing.
+        ``progress`` is invoked in the calling process once per cell:
+        first for store-restored cells (spec order, ``cached=True``),
+        then for executed cells as they complete (completion order in
+        process mode).
         """
         specs = self._stamp_trace_dir(specs)
-        self.pool_breakages = 0
+        self.last_mode = None
+        self.worker_crashes = 0
         self.cells_resubmitted = 0
         self.cells_timed_out = 0
         self.cells_cached = 0
@@ -309,21 +309,10 @@ class CampaignExecutor:
             if not live:
                 self.last_mode = "cached"
                 executed = []
-            elif self.workers <= 1 or len(live) == 1 or not self._poolable(live):
+            elif self.workers <= 1 or len(live) == 1:
                 executed = self._run_serial(live, progress)
             else:
-                try:
-                    executed = self._run_pool(live, progress)
-                except (OSError, PermissionError, ImportError, BrokenProcessPool):
-                    # Pool could not be created or broke beyond repair —
-                    # BrokenProcessPool is a RuntimeError subclass, so it
-                    # must be caught explicitly (a pool whose creation
-                    # half-succeeds surfaces it here rather than
-                    # OSError).  The cells themselves are untouched, so
-                    # serial is equivalent.
-                    self.last_mode = "serial-fallback"
-                    self.tracer.event("serial_fallback")
-                    executed = self._run_serial(live, progress)
+                executed = self._run_forked(live, progress)
             merged: List[Optional[CellOutcome]] = [None] * len(specs)
             for index, outcome in restored.items():
                 merged[index] = outcome
@@ -333,14 +322,15 @@ class CampaignExecutor:
             assert len(outcomes) == len(specs)
         finally:
             elapsed = time.monotonic() - started
-            lanes = self.workers if self.last_mode == "process" else 1
+            live_cells = len(specs) - self.cells_cached
+            lanes = min(self.workers, live_cells) if self.last_mode == "process" else 1
             utilization = (
                 self._busy_seconds / (elapsed * lanes) if elapsed > 0.0 else 0.0
             )
             campaign_span.end(
                 mode=self.last_mode,
                 utilization=round(utilization, 4),
-                pool_breakages=self.pool_breakages,
+                worker_crashes=self.worker_crashes,
                 cells_resubmitted=self.cells_resubmitted,
                 cells_timed_out=self.cells_timed_out,
                 cells_cached=self.cells_cached,
@@ -348,8 +338,8 @@ class CampaignExecutor:
             if self.metrics is not None:
                 self.metrics.gauge("campaign.workers").set(self.workers)
                 self.metrics.gauge("campaign.utilization").set(utilization)
-                self.metrics.counter("campaign.pool_breakages").inc(
-                    self.pool_breakages
+                self.metrics.counter("campaign.worker_crashes").inc(
+                    self.worker_crashes
                 )
                 self.metrics.counter("campaign.cells_resubmitted").inc(
                     self.cells_resubmitted
@@ -477,22 +467,12 @@ class CampaignExecutor:
 
     # -- execution paths ----------------------------------------------------
 
-    @staticmethod
-    def _poolable(specs: Sequence[CellSpec]) -> bool:
-        """Whether the specs survive the trip to a worker process."""
-        try:
-            pickle.dumps(specs)
-            return True
-        except Exception:  # noqa: BLE001 - any pickling failure means serial
-            return False
-
     def _run_serial(
         self,
         specs: Sequence[CellSpec],
         progress: Optional[Callable[[CellOutcome], None]],
     ) -> List[CellOutcome]:
-        if self.last_mode != "serial-fallback":
-            self.last_mode = "serial"
+        self.last_mode = "serial"
         outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
         for index, spec in enumerate(specs):
             self._begin_cell(index, spec)
@@ -500,143 +480,70 @@ class CampaignExecutor:
             self._settle(outcomes, index, outcome, progress)
         return list(outcomes)
 
-    def _run_pool(
+    def _run_forked(
         self,
         specs: Sequence[CellSpec],
         progress: Optional[Callable[[CellOutcome], None]],
     ) -> List[CellOutcome]:
-        self.last_mode = "process"
-        total = len(specs)
-        outcomes: List[Optional[CellOutcome]] = [None] * total
-        lost_counts = [0] * total
-        todo = list(range(total))
-        rebuilds = 0
-        while todo:
-            # A cell's last attempt runs alone, so the crash that loses
-            # it is its own; earlier attempts share the pool at full width.
-            last_try = [i for i in todo if lost_counts[i] == CELL_RETRIES][:1]
-            batch = last_try or todo
-            held = set(todo).difference(batch)
-            in_flight, queued, breakage = self._drain_pool(
-                specs, batch, outcomes, progress
-            )
-            if breakage is not None:
-                self.pool_breakages += 1
-                if not last_try:
-                    rebuilds += 1
-                self.tracer.event(
-                    "pool_breakage", rebuilds=rebuilds, error=str(breakage)
-                )
-                if rebuilds == 1 and all(o is None for o in outcomes):
-                    # Nothing ever completed: the pool likely never
-                    # worked at all (creation half-succeeded).  Let the
-                    # caller fall back to the serial path wholesale.
-                    for index in in_flight:
-                        self._finish_cell(index, None, status="resubmitted")
-                    raise breakage
-                # A crash is charged only to the cells the pool was running.
-                for index in in_flight:
-                    lost_counts[index] += 1
-            running = set(in_flight)
-            todo = []
-            for index in sorted(running.union(queued, held)):
-                attempts = lost_counts[index]
-                if attempts > CELL_RETRIES or rebuilds > self.MAX_POOL_REBUILDS:
-                    lost = CellOutcome(
-                        spec=specs[index],
-                        error_type=type(breakage).__name__,
-                        error=(
-                            f"cell lost to a broken worker pool after "
-                            f"{attempts} attempt(s): {breakage}"
-                        ),
-                    )
-                    self._settle(outcomes, index, lost, progress, status="lost")
-                    continue
-                if index in running:
-                    self._finish_cell(index, None, status="resubmitted")
-                    self.tracer.event("cell_resubmitted", index=index)
-                    self.cells_resubmitted += 1
-                todo.append(index)
-        # Completeness invariant: exactly one outcome per spec.  A None
-        # here would mean a cell was silently dropped — synthesize a
-        # failure loudly instead of truncating the result list.
-        for index, outcome in enumerate(outcomes):
-            if outcome is None:  # pragma: no cover - defensive backstop
-                outcomes[index] = CellOutcome(
-                    spec=specs[index],
-                    error_type="LostCell",
-                    error="cell produced no outcome (executor bug backstop)",
-                )
-        assert len(outcomes) == total
-        return list(outcomes)
+        """Run each in-flight cell in its own forked process.
 
-    def _drain_pool(
-        self,
-        specs: Sequence[CellSpec],
-        indices: Sequence[int],
-        outcomes: List[Optional[CellOutcome]],
-        progress: Optional[Callable[[CellOutcome], None]],
-    ) -> Tuple[List[int], List[int], Optional[BrokenProcessPool]]:
-        """One pool round over ``indices``, filling ``outcomes`` in place.
-
-        Cells are fed to the pool in a window of ``workers`` so every
-        submitted future is actually running — which is what makes the
-        wall-clock deadline per cell meaningful.  The round ends when
-        every cell has an outcome or when its pool dies: a worker
-        crashed, or a timeout made the round terminate the workers.
-        Returns ``(in_flight, queued, breakage)``: the cells the pool
-        was running when it died, the cells it never submitted, and the
-        ``BrokenProcessPool`` when a worker crashed (else None).
+        At most ``workers`` cells run at once, in spec order; the parent
+        waits on their result pipes.  A pipe that reaches end-of-file
+        with no result is its cell's crash: that cell alone is charged
+        and queued again, and lost after ``CELL_RETRIES`` reruns.  A
+        cell past its deadline has its own process killed.  A cell
+        whose process cannot be started runs here, in the parent.
         """
-        workers = min(self.workers, len(indices))
-        queue = deque(indices)
-        pending: Dict[object, int] = {}
-        deadlines: Dict[object, float] = {}
-        in_flight: List[int] = []
-        overdue: List[object] = []
-        breakage: Optional[BrokenProcessPool] = None
-        pool = ProcessPoolExecutor(max_workers=workers)
+        self.last_mode = "process"
+        context = multiprocessing.get_context("fork")
+        outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
+        crashes = [0] * len(specs)
+        queue = deque(range(len(specs)))
+        #: Result pipe of each running cell -> (index, process, deadline).
+        running: Dict[object, Tuple[int, object, float]] = {}
         try:
-            while True:
-                try:
-                    while queue and len(pending) < workers:
-                        future = pool.submit(_execute_spec, specs[queue[0]])
-                        index = queue.popleft()
-                        # The submit window equals the worker count, so a
-                        # submitted cell is running: its span measures run
-                        # time, not queue time.
-                        self._begin_cell(index, specs[index])
-                        pending[future] = index
-                        if self.cell_timeout is not None:
-                            deadlines[future] = time.monotonic() + self.cell_timeout
-                except BrokenProcessPool as error:
-                    breakage = error
-                if breakage is not None or not pending:
-                    break
-                done, _ = wait(
-                    pending,
-                    timeout=self._wait_budget(deadlines),
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    index = pending.pop(future)
-                    deadlines.pop(future, None)
+            while queue or running:
+                while queue and len(running) < self.workers:
+                    index = queue.popleft()
+                    spec = specs[index]
+                    self._begin_cell(index, spec)
                     try:
-                        result = future.result()
-                    except BrokenProcessPool as error:
-                        breakage = error
-                        in_flight.append(index)
+                        reader, process = self._start(context, spec)
+                    except OSError as error:
+                        self.last_mode = "serial-fallback"
+                        self.tracer.event("serial_fallback", error=str(error))
+                        outcome = CellOutcome(spec, *_execute_spec(spec))
+                        self._settle(outcomes, index, outcome, progress)
                         continue
-                    except Exception as exc:  # result unpicklable etc.
-                        result = None, str(exc), type(exc).__name__
-                    outcome = CellOutcome(specs[index], *result)
-                    self._settle(outcomes, index, outcome, progress)
-                if breakage is not None:
+                    deadline = time.monotonic() + (self.cell_timeout or math.inf)
+                    running[reader] = (index, process, deadline)
+                if not running:
                     break
-                overdue = self._collect_overdue(pending, deadlines)
-                for future in overdue:
-                    index = pending.pop(future)
-                    future.cancel()
+                soonest = min(entry[2] for entry in running.values())
+                timeout = None
+                if soonest < math.inf:
+                    timeout = max(soonest - time.monotonic(), 0.0)
+                for reader in wait(list(running), timeout):
+                    index, process, _ = running.pop(reader)
+                    try:
+                        result = reader.recv()
+                    except EOFError:  # the process died before sending
+                        result = None
+                    exitcode = self._reap(reader, process)
+                    if result is not None:
+                        outcome = CellOutcome(specs[index], *result)
+                        self._settle(outcomes, index, outcome, progress)
+                        continue
+                    crashes[index] += 1
+                    lost = self._crashed(specs[index], index, crashes[index], exitcode)
+                    if lost is None:
+                        queue.append(index)
+                    else:
+                        self._settle(outcomes, index, lost, progress, status="lost")
+                now = time.monotonic()
+                for reader in [r for r, entry in running.items() if entry[2] <= now]:
+                    index, process, _ = running.pop(reader)
+                    self._reap(reader, process, kill=True)
                     self.cells_timed_out += 1
                     timed_out = CellOutcome(
                         spec=specs[index],
@@ -646,52 +553,57 @@ class CampaignExecutor:
                             "wall-clock timeout"
                         ),
                     )
-                    self._settle(
-                        outcomes, index, timed_out, progress, status="timeout"
-                    )
+                    self._settle(outcomes, index, timed_out, progress, status="timeout")
                     self.tracer.event(
                         "cell_timeout", index=index, limit=self.cell_timeout
                     )
-                if overdue:
-                    # The overdue cells' workers are still grinding: the
-                    # round ends and its workers are terminated.
-                    break
-            in_flight += pending.values()
-            return in_flight, list(queue), breakage
         finally:
-            died = breakage is not None or bool(overdue)
-            if died:
-                self._terminate_workers(pool)
-            pool.shutdown(wait=not died, cancel_futures=True)
+            for reader, (_, process, _) in running.items():
+                self._reap(reader, process, kill=True)
+        return list(outcomes)
 
-    # -- helpers ------------------------------------------------------------
-
-    def _wait_budget(self, deadlines: Dict[object, float]) -> Optional[float]:
-        """Seconds ``wait`` may block before the next deadline check."""
-        if not deadlines:
-            return None
-        budget = min(deadlines.values()) - time.monotonic()
-        return max(budget, 0.01)
-
-    @staticmethod
-    def _collect_overdue(
-        pending: Dict[object, int], deadlines: Dict[object, float]
-    ) -> List[object]:
-        if not deadlines:
-            return []
-        now = time.monotonic()
-        return [
-            future
-            for future in pending
-            if future in deadlines and deadlines[future] <= now
-        ]
+    def _crashed(
+        self, spec: CellSpec, index: int, attempts: int, exitcode: Optional[int]
+    ) -> Optional[CellOutcome]:
+        """Charge a crash to its cell: None to run it again, else its loss."""
+        self.worker_crashes += 1
+        self.tracer.event("worker_crash", index=index, exitcode=exitcode)
+        if attempts > CELL_RETRIES:
+            return CellOutcome(
+                spec=spec,
+                error_type="WorkerCrash",
+                error=(
+                    f"cell lost to a worker crash after {attempts} attempt(s): "
+                    f"exit code {exitcode}"
+                ),
+            )
+        self._finish_cell(index, None, status="resubmitted")
+        self.tracer.event("cell_resubmitted", index=index)
+        self.cells_resubmitted += 1
+        return None
 
     @staticmethod
-    def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-        """Hard-stop a pool's worker processes (timeout reclamation)."""
-        processes = getattr(pool, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:  # noqa: BLE001 - best-effort reclamation
-                pass
+    def _start(context, spec: CellSpec):
+        """Fork one cell's process; return its result pipe and process."""
+        reader, writer = context.Pipe(duplex=False)
+        process = context.Process(target=_run_child, args=(spec, writer), daemon=True)
+        try:
+            process.start()
+        except OSError:
+            reader.close()
+            raise
+        finally:
+            # Only the child holds the write end, so its death is an EOF.
+            writer.close()
+        return reader, process
+
+    @staticmethod
+    def _reap(reader, process, kill: bool = False) -> Optional[int]:
+        """Close a cell's pipe and process (killing it first if asked)."""
+        if kill:
+            process.kill()
+        process.join()
+        reader.close()
+        exitcode = process.exitcode
+        process.close()
+        return exitcode

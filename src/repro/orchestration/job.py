@@ -93,7 +93,7 @@ class JobConfig:
     #: Observability: directory this job writes its trace part file
     #: into (``None`` disables tracing — the default — and keeps the
     #: whole pipeline on the null tracer, bit-identical to untraced).
-    #: A plain string so configs still pickle across pool workers.
+    #: A plain path string, left out of the results-store key.
     trace_dir: Optional[str] = None
     #: Label stamped on every trace record ("job" field).  ``None``
     #: derives one from the cell coordinates and seed.

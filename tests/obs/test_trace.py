@@ -167,7 +167,7 @@ class TestTraceSession:
     def test_finalize_merges_parent_and_worker_parts(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         session = TraceSession(path)
-        session.tracer.event("pool_breakage")
+        session.tracer.event("worker_crash")
         worker = Tracer(common={"job": "r1-seed7"})
         worker.event("failure", sim_time=1.0)
         worker.write_part(session.parts_dir, label="r1-seed7")

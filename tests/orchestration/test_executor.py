@@ -2,11 +2,13 @@
 
 Covers worker-count resolution (argument > ``REPRO_WORKERS`` > serial),
 ordered result collection, progress marshalling, per-cell error capture,
-the serial fallback for unpicklable configs, and the determinism
-regression: a pooled campaign is bit-identical to a serial one.
+the in-parent fallback when a cell's process cannot start, per-cell
+crash and timeout recovery, and the determinism regression: a campaign
+run one process per cell is bit-identical to a serial one.
 """
 
 import math
+import multiprocessing
 import os
 import signal
 import time
@@ -17,6 +19,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.table4 import QUICK_DEGREES, QUICK_MTBF_HOURS, ScaledSetup
 from repro.faults import StorageFaultConfig
+from repro.obs import ObsSession
 from repro.orchestration import executor as executor_module
 from repro.orchestration import (
     CampaignExecutionError,
@@ -34,7 +37,7 @@ from repro.workloads import SyntheticWorkload
 
 #: PID of the pytest process: the suicide workloads below must never
 #: fire in the parent (e.g. on the serial-fallback path) — only in a
-#: forked pool worker, whose PID differs.
+#: forked cell process, whose PID differs.
 _PARENT_PID = os.getpid()
 
 
@@ -47,11 +50,10 @@ def _kill_current_worker(delay):
 
 
 class KamikazeWorkload(SyntheticWorkload):
-    """Kills its host pool worker once; a sentinel file marks it done.
+    """Kills its host cell process once; a sentinel file marks it done.
 
-    Module-level (picklable by reference) so pool workers can build it.
-    The delay lets sibling cells finish first, making the mid-campaign
-    breakage deterministic rather than a pool-creation failure.
+    The delay lets sibling cells finish first, so the crash happens
+    mid-campaign.
     """
 
     def __init__(self, sentinel, delay=0.0, **kwargs):
@@ -68,7 +70,7 @@ class KamikazeWorkload(SyntheticWorkload):
 
 
 class PoisonWorkload(SyntheticWorkload):
-    """Kills its host pool worker every single time (retry exhaustion)."""
+    """Kills its host cell process every single time (retry exhaustion)."""
 
     def __init__(self, delay=0.0, **kwargs):
         super().__init__(**kwargs)
@@ -80,7 +82,7 @@ class PoisonWorkload(SyntheticWorkload):
 
 
 class GlacialWorkload(SyntheticWorkload):
-    """Burns wall-clock time in the worker (for the cell-timeout tests)."""
+    """Burns wall-clock time in the cell (for the timeout tests)."""
 
     def __init__(self, sleep_seconds, **kwargs):
         super().__init__(**kwargs)
@@ -261,14 +263,56 @@ class TestPoolExecution:
         assert [o.ok for o in outcomes] == [True, False, True]
         assert outcomes[1].error_type == "ConfigurationError"
 
-    def test_unpicklable_config_falls_back_to_serial(self):
+    def test_unpicklable_config_runs_in_processes(self):
+        """A forked cell inherits its spec, so a closure factory is fine."""
         specs = redundancy_sweep_specs(
             lambda_config(), node_mtbfs=[5.0], degrees=[1.0, 2.0]
         )
         executor = CampaignExecutor(workers=2)
         outcomes = executor.run(specs)
-        assert executor.last_mode == "serial"
+        assert executor.last_mode == "process"
         assert all(o.ok for o in outcomes)
+
+    def test_unpicklable_result_is_that_cells_error(self, monkeypatch):
+        """A child whose result does not pickle sends the error instead."""
+        def unpicklable(spec):
+            return None, lambda: None, "Odd"
+
+        monkeypatch.setattr(executor_module, "_execute_spec", unpicklable)
+        specs = redundancy_sweep_specs(
+            picklable_config(), node_mtbfs=[5.0], degrees=[1.0, 2.0]
+        )
+        executor = CampaignExecutor(workers=2)
+        outcomes = executor.run(specs)
+        assert executor.last_mode == "process"
+        assert executor.worker_crashes == 0
+        assert all(not o.ok and o.error_type not in (None, "Odd") for o in outcomes)
+
+    def test_process_start_failure_runs_cells_in_parent(self, monkeypatch):
+        def refuse(process):
+            raise OSError("no processes left")
+
+        fork_process = multiprocessing.get_context("fork").Process
+        monkeypatch.setattr(fork_process, "start", refuse)
+        base = picklable_config(node_mtbf=2.0)
+        specs = redundancy_sweep_specs(base, node_mtbfs=[2.0], degrees=[1.0, 2.0])
+        serial = CampaignExecutor(workers=1).run(specs)
+        executor = CampaignExecutor(workers=2)
+        outcomes = executor.run(specs)
+        assert all(o.ok for o in outcomes)
+        assert executor.last_mode == "serial-fallback"
+        assert [report_signature(o.report) for o in outcomes] == [
+            report_signature(o.report) for o in serial
+        ]
+
+    def test_utilization_counts_only_lanes_that_ran(self):
+        """Two equal cells at workers=8 keep at most two lanes busy."""
+        specs = redundancy_sweep_specs(
+            picklable_config(), node_mtbfs=[5.0], degrees=[1.0, 1.0]
+        )
+        obs = ObsSession(metrics=True)
+        CampaignExecutor(workers=8, obs=obs).run(specs)
+        assert obs.metrics.gauge("campaign.utilization").value > 0.3
 
     def test_single_cell_stays_serial(self):
         specs = redundancy_sweep_specs(
@@ -382,12 +426,12 @@ class TestSelfHealing:
         assert all(o.ok for o in outcomes), [
             (o.error_type, o.error) for o in outcomes if not o.ok
         ]
-        assert executor.pool_breakages >= 1
+        assert executor.worker_crashes == 1
         assert os.path.exists(sentinel)
 
     def test_poison_cell_synthesized_after_retries(self, monkeypatch):
-        """A cell that kills its worker every time is eventually declared
-        lost instead of rebuilding pools forever — and the healthy cells
+        """A cell that kills its process every time is eventually declared
+        lost instead of being rerun forever — and the healthy cells
         still all complete."""
         specs = [
             CellSpec(node_mtbf=None, redundancy=1.0, config=picklable_config()),
@@ -403,18 +447,16 @@ class TestSelfHealing:
         outcomes = executor.run(specs)
         assert len(outcomes) == len(specs)
         statuses = [o.ok for o in outcomes]
-        # The poison cell must come back as a synthesized failure (pool
+        # The poison cell must come back as a synthesized failure (process
         # path) or a captured error (serial fallback); never dropped.
         assert statuses[0] and statuses[2]
         assert not statuses[1]
         assert outcomes[1].error_type is not None
 
     def test_poison_cell_spares_queued_cells(self):
-        """A breakage charges only the cells its pool was running: cells
-        still queued when the poison cell keeps killing workers move to
-        the fresh pool free and all complete.  The healthy cell that ran
-        beside the poison cell is charged too, but its last attempt runs
-        alone and completes."""
+        """A crash charges only the cell whose process died: the healthy
+        cell that ran beside the poison cell and the cells queued behind
+        it all complete, and only the poison cell is ever resubmitted."""
         poison = CellSpec(
             node_mtbf=None,
             redundancy=1.5,
@@ -441,12 +483,12 @@ class TestSelfHealing:
         assert ok[0] and ok[2] and ok[3] and ok[4] and ok[5], [
             (o.error_type, o.error) for o in outcomes
         ]
+        assert executor.cells_resubmitted == executor_module.CELL_RETRIES
 
     def test_two_poison_cells_spare_the_rest(self):
-        """Two adjacent poison cells crash their shared pools, then each
-        crashes alone on its last attempt.  Those one-cell rounds do not
-        use up ``MAX_POOL_REBUILDS``, so the slow cells behind them still
-        run and complete."""
+        """Two adjacent poison cells each crash their own process on every
+        attempt and are lost after ``CELL_RETRIES`` reruns; the slow
+        cells behind them still run and complete."""
         poison = [
             CellSpec(
                 node_mtbf=None,
@@ -515,6 +557,24 @@ class TestSelfHealing:
         assert len(outcomes) == 4
         assert [o.ok for o in outcomes] == [False, True, True, True]
         assert outcomes[0].error_type == "CellTimeout"
+
+    def test_timeout_spares_running_neighbour(self):
+        """The third cell is mid-run when the first one's deadline fires;
+        only the overdue cell's process is killed, so the neighbour
+        finishes without a restart."""
+        specs = [
+            CellSpec(
+                node_mtbf=None,
+                redundancy=1.0 + k / 2,
+                config=special_config(GlacialWorkload, sleep_seconds=seconds),
+            )
+            for k, seconds in enumerate([30.0, 0.5, 0.5])
+        ]
+        executor = CampaignExecutor(workers=2, cell_timeout=3.0)
+        outcomes = executor.run(specs)
+        assert [o.ok for o in outcomes] == [False, True, True]
+        assert executor.cells_timed_out == 1
+        assert executor.cells_resubmitted == 0
 
     def test_no_timeout_means_no_deadline_bookkeeping(self):
         specs = redundancy_sweep_specs(
