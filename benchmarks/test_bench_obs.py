@@ -5,8 +5,8 @@ Two timings of the same small failure-prone campaign sweep:
 * tracing **off** (the default ``NULL_TRACER`` path) — this is the
   production hot path, and the run must be bit-identical to a traced
   one (the acceptance box from the observability issue);
-* tracing **on** (JSONL part files per job, merged at the end) — the
-  overhead is printed and must stay within a loose envelope (traced
+* tracing **on** (each cell's records sent home with its result, one
+  JSONL file written at the end) — the overhead is printed and must stay within a loose envelope (traced
   <= 2x untraced wall-clock; in practice it is a few percent, but CI
   boxes are noisy and the envelope only guards against accidental
   hot-path work when tracing is off... which the bit-identity check
@@ -30,7 +30,7 @@ MTBFS = (2.0, 6.0)
 DEGREES = (1.0, 2.0) if QUICK else (1.0, 1.5, 2.0)
 
 
-def base_config(trace_dir=None):
+def base_config():
     return JobConfig(
         workload_factory=partial(
             SyntheticWorkload,
@@ -43,17 +43,11 @@ def base_config(trace_dir=None):
         checkpoint_cost=0.03,
         restart_cost=0.15,
         seed=11,
-        trace_dir=trace_dir,
     )
 
 
 def signatures(cells):
-    def fields(report):
-        out = dataclasses.asdict(report)
-        out.pop("checkpoint_union_time")  # only populated when traced
-        return out
-
-    return [fields(cell.report) for cell in cells]
+    return [dataclasses.asdict(cell.report) for cell in cells]
 
 
 def test_bench_tracing_overhead(once, tmp_path):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,19 +138,6 @@ def _cached_total_time(
     )
 
 
-def _time_at(model: CombinedModel, processes: int, redundancy: float) -> float:
-    """Memoized Eq. 14 evaluation at ``(N, r)``.
-
-    The exponential-scan + bisection loops below probe the *same*
-    low-degree configurations over and over (``find_crossover`` holds
-    ``low_redundancy`` fixed while halving on ``N``;
-    ``throughput_break_even`` re-evaluates the plain 1x job at every
-    probe).  ``CombinedModel`` is a frozen — hence hashable — dataclass,
-    so an LRU memo on the full configuration is exact.
-    """
-    return _cached_total_time(model, processes, redundancy)
-
-
 def clear_model_cache() -> None:
     """Drop the memoized ``(model, N, r)`` evaluations (for tests/benchmarks)."""
     _cached_total_time.cache_clear()
@@ -159,6 +146,60 @@ def clear_model_cache() -> None:
 def model_cache_info():
     """Statistics of the memoized evaluation cache."""
     return _cached_total_time.cache_info()
+
+
+def _first_win(
+    model: CombinedModel,
+    low_redundancy: float,
+    high_redundancy: float,
+    wins: Callable[[float, float], bool],
+    min_processes: int,
+    max_processes: int,
+    never: str,
+) -> CrossoverPoint:
+    """Smallest ``N`` where ``wins(T(N, low), T(N, high))`` holds.
+
+    An exponential scan from ``min_processes`` brackets the boundary,
+    then bisection narrows it.  The probes revisit the *same*
+    configurations over and over (the low degree at every ``N``), so
+    every time comes from the LRU memo: ``CombinedModel`` is a frozen,
+    hence hashable, dataclass, and the memo is exact.  Raises
+    :class:`ModelDivergence` (``never`` up to ``max_processes``) when
+    no ``N`` in range wins.
+    """
+
+    def times(processes: int) -> Tuple[float, float]:
+        return (
+            _cached_total_time(model, processes, low_redundancy),
+            _cached_total_time(model, processes, high_redundancy),
+        )
+
+    def wins_at(processes: int) -> bool:
+        return wins(*times(processes))
+
+    lo = hi = min_processes
+    while hi <= max_processes and not wins_at(hi):
+        lo = hi
+        hi *= 2
+    if hi > max_processes:
+        if not wins_at(max_processes):
+            raise ModelDivergence(f"{never} up to N={max_processes}")
+        hi = max_processes
+    # Binary search for the boundary inside (lo, hi].
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if wins_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    low_time, high_time = times(hi)
+    return CrossoverPoint(
+        low_redundancy=low_redundancy,
+        high_redundancy=high_redundancy,
+        processes=hi,
+        low_time=low_time,
+        high_time=high_time,
+    )
 
 
 def find_crossover(
@@ -176,39 +217,14 @@ def find_crossover(
     """
     if min_processes < 1 or max_processes <= min_processes:
         raise ConfigurationError("need 1 <= min_processes < max_processes")
-
-    def high_wins(processes: int) -> bool:
-        low = _time_at(model, processes, low_redundancy)
-        high = _time_at(model, processes, high_redundancy)
-        return high <= low
-
-    # Exponential scan for a bracketing interval.
-    lo = min_processes
-    hi = lo
-    while hi <= max_processes and not high_wins(hi):
-        lo = hi
-        hi *= 2
-    if hi > max_processes:
-        if high_wins(max_processes):
-            hi = max_processes
-        else:
-            raise ModelDivergence(
-                f"{high_redundancy}x never beats {low_redundancy}x "
-                f"up to N={max_processes}"
-            )
-    # Binary search for the boundary inside (lo, hi].
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if high_wins(mid):
-            hi = mid
-        else:
-            lo = mid
-    return CrossoverPoint(
-        low_redundancy=low_redundancy,
-        high_redundancy=high_redundancy,
-        processes=hi,
-        low_time=_time_at(model, hi, low_redundancy),
-        high_time=_time_at(model, hi, high_redundancy),
+    return _first_win(
+        model,
+        low_redundancy,
+        high_redundancy,
+        lambda low, high: high <= low,
+        min_processes,
+        max_processes,
+        f"{high_redundancy}x never beats {low_redundancy}x",
     )
 
 
@@ -227,39 +243,14 @@ def throughput_break_even(
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-
-    def wins(processes: int) -> bool:
-        plain = _time_at(model, processes, 1.0)
-        redundant = _time_at(model, processes, redundancy)
-        if math.isinf(plain):
-            return True
-        return jobs * redundant <= plain
-
-    lo = min_processes
-    hi = lo
-    while hi <= max_processes and not wins(hi):
-        lo = hi
-        hi *= 2
-    if hi > max_processes:
-        if wins(max_processes):
-            hi = max_processes
-        else:
-            raise ModelDivergence(
-                f"{jobs} jobs at {redundancy}x never fit in one 1x job "
-                f"up to N={max_processes}"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if wins(mid):
-            hi = mid
-        else:
-            lo = mid
-    return CrossoverPoint(
-        low_redundancy=1.0,
-        high_redundancy=redundancy,
-        processes=hi,
-        low_time=_time_at(model, hi, 1.0),
-        high_time=_time_at(model, hi, redundancy),
+    return _first_win(
+        model,
+        1.0,
+        redundancy,
+        lambda plain, redundant: math.isinf(plain) or jobs * redundant <= plain,
+        min_processes,
+        max_processes,
+        f"{jobs} jobs at {redundancy}x never fit in one 1x job",
     )
 
 

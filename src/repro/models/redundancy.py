@@ -86,11 +86,6 @@ class RedundancyPartition:
     ceil_count: int
     total_processes: int
 
-    @property
-    def effective_redundancy(self) -> float:
-        """Realised degree ``N_total / N`` (≤ requested ``r``, Eq. 8)."""
-        return self.total_processes / self.virtual_processes
-
 
 def partition_counts(virtual_processes, redundancy):
     """The Eqs. 5-8 partial-r partition, element-wise.

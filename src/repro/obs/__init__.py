@@ -3,13 +3,13 @@
 Three pieces, all zero-overhead when off:
 
 * :mod:`repro.obs.trace` — JSONL span/event tracing (sim + wall time)
-  with a process-safe sink for the parallel campaign executor;
+  whose records travel home with each campaign cell's result;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with a cross-process snapshot/merge protocol;
 * :mod:`repro.obs.manifest` — provenance records (config, seeds,
   versions, outcome) that make any trace self-describing.
 
-:mod:`repro.obs.report` turns a merged trace back into the per-phase
+:mod:`repro.obs.report` turns a trace file back into the per-phase
 time-breakdown table, and :mod:`repro.obs.session` bundles the lot for
 the CLI.
 """
@@ -34,10 +34,11 @@ from .trace import (
     NULL_TRACER,
     Span,
     Tracer,
-    TraceSession,
-    merge_trace_parts,
+    parse_jsonl,
     read_trace,
+    to_jsonl,
     write_jsonl,
+    write_trace,
 )
 
 __all__ = [
@@ -52,14 +53,15 @@ __all__ = [
     "RunManifest",
     "Span",
     "TraceReport",
-    "TraceSession",
     "Tracer",
     "build_report",
     "collect_versions",
     "config_snapshot",
-    "merge_trace_parts",
+    "parse_jsonl",
     "read_trace",
     "render_report",
     "report_from_file",
+    "to_jsonl",
     "write_jsonl",
+    "write_trace",
 ]

@@ -4,7 +4,7 @@ A :class:`RunManifest` captures what produced a run — the fully
 resolved configuration, the seeds, the toolchain versions and (once
 known) the outcome.  Jobs embed their manifest as the first record of
 their trace stream; campaigns write one manifest at the head of the
-merged trace file, so a trace is self-describing: re-running the
+trace file, so a trace is self-describing: re-running the
 config in the manifest with the same seed reproduces the records below
 it bit for bit.
 """
@@ -12,7 +12,6 @@ it bit for bit.
 from __future__ import annotations
 
 import dataclasses
-import json
 import platform
 import time
 from dataclasses import dataclass, field
@@ -132,17 +131,3 @@ class RunManifest:
         record = dataclasses.asdict(self)
         record["type"] = "manifest"
         return record
-
-    def write(self, path: str) -> None:
-        """Persist as a standalone JSON document."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(dataclasses.asdict(self), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def read(cls, path: str) -> "RunManifest":
-        """Load a manifest written by :meth:`write`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        payload.pop("type", None)
-        return cls(**payload)

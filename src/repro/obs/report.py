@@ -1,6 +1,6 @@
 """Post-mortem of a trace file: the per-phase time-breakdown table.
 
-``repro-exp report <trace>`` loads a merged JSONL trace and, for every
+``repro-exp report <trace>`` loads a JSONL trace file and, for every
 job in it, folds the phase spans into the same categories as the
 model's :class:`~repro.models.checkpointing.TimeBreakdown` (Eq. 14's
 predicted breakdown): work, checkpoint, restart — so a simulated run
@@ -17,8 +17,9 @@ than assumes: a job's clock only advances inside its ``attempt`` and
 * ``sum(checkpoint)`` must equal the reported checkpoint union time.
 
 Any job whose spans disagree with its own summary record beyond the
-tolerance (default 1%) marks the report failed — a torn trace (lost
-part file, mid-run kill) is detected instead of silently mis-summing.
+tolerance (default 1%) marks the report failed — a torn trace (records
+lost or cut short, a trace file edited by hand) is detected instead of
+silently mis-summing.
 """
 
 from __future__ import annotations

@@ -1,20 +1,23 @@
 """ObsSession: one run's observability bundle (trace + metrics).
 
 The CLI (and the experiment entry points) deal with exactly one object:
-an :class:`ObsSession` owns the optional :class:`~repro.obs.trace.TraceSession`
-and the optional :class:`~repro.obs.metrics.MetricsRegistry`, hands the
-right tracer/registry (or the null objects) to whoever asks, and
-finalizes everything — merge the worker part files, prepend the
-campaign manifest — in one call.
+an :class:`ObsSession` owns the optional trace path with the parent
+process's own :class:`~repro.obs.trace.Tracer`, and the optional
+:class:`~repro.obs.metrics.MetricsRegistry`; it hands the right
+tracer/registry (or the null objects) to whoever asks, keeps the
+records each traced cell sends home, and finalizes everything — the
+campaign manifest first, then every record in wall-clock order — in
+one call.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import os
+from typing import Any, Dict, List, Optional
 
 from .manifest import RunManifest
 from .metrics import MetricsRegistry
-from .trace import NULL_TRACER, TraceSession
+from .trace import NULL_TRACER, Tracer, parse_jsonl, write_trace
 
 __all__ = ["ObsSession"]
 
@@ -27,30 +30,28 @@ class ObsSession:
         trace_path: Optional[str] = None,
         metrics: bool = False,
     ) -> None:
-        self.trace: Optional[TraceSession] = (
-            TraceSession(trace_path) if trace_path else None
+        #: Where :meth:`finalize` writes the trace (``None``: no trace).
+        self.trace_path: Optional[str] = (
+            os.fspath(trace_path) if trace_path else None
+        )
+        if self.trace_path is not None:
+            # The trace's directory is made now, so a bad path fails
+            # before the run rather than after it.
+            os.makedirs(os.path.dirname(os.path.abspath(self.trace_path)), exist_ok=True)
+        #: The parent-side tracer (the null tracer when tracing is off).
+        self.tracer = (
+            Tracer(common={"job": "__parent__"}) if self.trace_path else NULL_TRACER
         )
         self.metrics: Optional[MetricsRegistry] = (
             MetricsRegistry() if metrics else None
         )
         self.manifest: Optional[RunManifest] = None
-
-    # -- what the layers consume --------------------------------------------
+        self._cell_records: List[Dict[str, Any]] = []
 
     @property
     def enabled(self) -> bool:
         """True when anything is actually being collected."""
-        return self.trace is not None or self.metrics is not None
-
-    @property
-    def tracer(self):
-        """The parent-side tracer (the null tracer when tracing is off)."""
-        return self.trace.tracer if self.trace is not None else NULL_TRACER
-
-    @property
-    def parts_dir(self) -> Optional[str]:
-        """Directory worker jobs write their trace parts into."""
-        return self.trace.parts_dir if self.trace is not None else None
+        return self.trace_path is not None or self.metrics is not None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -68,13 +69,19 @@ class ObsSession:
         )
         return self.manifest
 
+    def add_records(self, jsonl: str) -> None:
+        """Keep the records one traced cell sent home as JSONL text."""
+        self._cell_records.extend(parse_jsonl(jsonl))
+
     def finalize(self, **outcome: Any) -> int:
-        """Merge trace parts (manifest first); returns the record count."""
+        """Write the trace (manifest first); returns the record count."""
         if self.manifest is not None and outcome:
             self.manifest.finish(**outcome)
-        if self.trace is None:
+        if self.trace_path is None:
             return 0
         head = []
         if self.manifest is not None:
             head.append(self.manifest.as_record())
-        return self.trace.finalize(head=head)
+        return write_trace(
+            self.trace_path, self._cell_records + list(self.tracer.records), head=head
+        )

@@ -22,15 +22,14 @@ Design constraints (the whole point of this module):
 * **never perturbs the simulation** — a tracer only *reads* ``env.now``
   passed in by the caller; it cannot advance the clock, so even a
   traced run is sim-identical to an untraced one.
-* **process-safe** — parallel campaign workers never share a file:
-  each traced job writes its records to a uniquely-named part file
-  inside a parts directory (pid + per-process sequence in the name),
-  and the parent merges the parts into one JSONL trace afterwards.
+* **one channel home** — a traced campaign cell never touches the file
+  system: its records travel back to the parent with its result, as
+  the JSONL text :func:`to_jsonl` makes (a string always pickles), and
+  the parent writes the one trace file at the end.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import time
@@ -39,15 +38,13 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "NULL_TRACER",
     "Span",
-    "TraceSession",
     "Tracer",
-    "merge_trace_parts",
+    "parse_jsonl",
     "read_trace",
+    "to_jsonl",
     "write_jsonl",
+    "write_trace",
 ]
-
-#: Per-process part-file sequence (unique names even for same-label jobs).
-_PART_SEQUENCE = itertools.count()
 
 
 class Span:
@@ -77,10 +74,10 @@ class _NullSpan:
 
 
 class Tracer:
-    """Collects span/event records in memory; flush with :meth:`write`.
+    """Collects span/event records in memory; read them via :attr:`records`.
 
     ``common`` fields (e.g. the job label) are merged into every record
-    at write time, so per-call cost stays one small dict construction.
+    when it is read, so per-call cost stays one small dict construction.
     """
 
     enabled = True
@@ -129,47 +126,17 @@ class Tracer:
         record.update(fields)
         self._records.append(record)
 
-    # -- access / flush -----------------------------------------------------
+    # -- access -------------------------------------------------------------
 
     @property
     def records(self) -> Tuple[Dict[str, Any], ...]:
         """Snapshot of the records collected so far (common fields merged)."""
-        return tuple(self._finalized())
+        if not self.common:
+            return tuple(self._records)
+        return tuple({**self.common, **record} for record in self._records)
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def _finalized(self) -> List[Dict[str, Any]]:
-        if not self.common:
-            return list(self._records)
-        merged = []
-        for record in self._records:
-            out = dict(self.common)
-            out.update(record)
-            merged.append(out)
-        return merged
-
-    def write(self, path: str) -> int:
-        """Append all records to ``path`` as JSONL; returns the count."""
-        return write_jsonl(path, self._finalized())
-
-    def write_part(self, parts_dir: str, label: str = "trace") -> Optional[str]:
-        """Write records to a uniquely-named part file in ``parts_dir``.
-
-        The name embeds the pid and a per-process sequence number, so
-        concurrent workers (and repeated jobs in one worker) can never
-        collide — this is what makes the sink process-safe without any
-        locking.  Returns the part path (``None`` when empty).
-        """
-        if not self._records:
-            return None
-        os.makedirs(parts_dir, exist_ok=True)
-        safe = "".join(ch if (ch.isalnum() or ch in "._-") else "_" for ch in label)
-        part = os.path.join(
-            parts_dir, f"{safe}-{os.getpid()}-{next(_PART_SEQUENCE)}.part.jsonl"
-        )
-        write_jsonl(part, self._finalized())
-        return part
 
 
 class _NullTracer:
@@ -195,40 +162,42 @@ class _NullTracer:
     def __len__(self) -> int:
         return 0
 
-    def write(self, path: str) -> int:
-        return 0
-
-    def write_part(self, parts_dir: str, label: str = "trace") -> None:
-        return None
-
 
 #: Shared singleton used wherever tracing is off.
 NULL_TRACER = _NullTracer()
 
 
-# -- files ------------------------------------------------------------------
+# -- text and files ---------------------------------------------------------
+
+
+def to_jsonl(records: Iterable[Dict[str, Any]]) -> str:
+    """``records`` as JSONL text: one JSON object per line.
+
+    A value JSON cannot carry degrades to its ``str``, so the text (and
+    anything that carries it, such as a cell's result) always pickles.
+    """
+    return "".join(
+        json.dumps(record, sort_keys=True, default=str) + "\n" for record in records
+    )
+
+
+def parse_jsonl(text: str) -> List[Dict[str, Any]]:
+    """The records of JSONL ``text`` (blank lines skipped)."""
+    return [json.loads(line) for line in text.split("\n") if line.strip()]
 
 
 def write_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> int:
     """Append ``records`` to ``path``, one JSON object per line."""
-    count = 0
+    records = list(records)
     with open(path, "a", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True, default=str))
-            handle.write("\n")
-            count += 1
-    return count
+        handle.write(to_jsonl(records))
+    return len(records)
 
 
 def read_trace(path: str) -> List[Dict[str, Any]]:
     """Load a JSONL trace file (blank lines skipped)."""
-    records = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        return parse_jsonl(handle.read())
 
 
 def _record_order(record: Dict[str, Any]) -> float:
@@ -239,61 +208,18 @@ def _record_order(record: Dict[str, Any]) -> float:
     return float("inf")
 
 
-def merge_trace_parts(
-    parts_dir: str,
-    out_path: str,
+def write_trace(
+    path: str,
+    records: Iterable[Dict[str, Any]],
     head: Iterable[Dict[str, Any]] = (),
-    remove_parts: bool = True,
 ) -> int:
-    """Merge every part file under ``parts_dir`` into one JSONL trace.
+    """Write one trace file, replacing any file already at ``path``.
 
-    Records are ordered by wall-clock stamp (stable across equal
-    stamps), ``head`` records (e.g. a campaign manifest) go first, and
-    the part files are removed afterwards.  Returns the record count.
+    ``head`` records (e.g. a campaign manifest) go first, then
+    ``records`` ordered by wall-clock stamp (stable across equal
+    stamps; unstamped records last).  Returns the record count.
     """
-    records: List[Dict[str, Any]] = []
-    parts = []
-    if os.path.isdir(parts_dir):
-        parts = sorted(
-            os.path.join(parts_dir, name)
-            for name in os.listdir(parts_dir)
-            if name.endswith(".part.jsonl")
-        )
-    for part in parts:
-        records.extend(read_trace(part))
-    records.sort(key=_record_order)
-    merged = list(head) + records
-    if os.path.exists(out_path):
-        os.remove(out_path)
-    count = write_jsonl(out_path, merged)
-    if remove_parts:
-        for part in parts:
-            try:
-                os.remove(part)
-            except OSError:
-                pass
-        try:
-            os.rmdir(parts_dir)
-        except OSError:
-            pass
-    return count
-
-
-class TraceSession:
-    """Parent-side lifecycle of one traced run.
-
-    Owns the final trace path, the parts directory workers write into,
-    and the parent process's own :class:`Tracer` (executor events).
-    ``finalize()`` merges everything into the final JSONL file.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        self.parts_dir = self.path + ".parts"
-        os.makedirs(self.parts_dir, exist_ok=True)
-        self.tracer = Tracer(common={"job": "__parent__"})
-
-    def finalize(self, head: Iterable[Dict[str, Any]] = ()) -> int:
-        """Merge worker parts + parent records into ``self.path``."""
-        self.tracer.write_part(self.parts_dir, label="parent")
-        return merge_trace_parts(self.parts_dir, self.path, head=head)
+    ordered = list(head) + sorted(records, key=_record_order)
+    if os.path.exists(path):
+        os.remove(path)
+    return write_jsonl(path, ordered)

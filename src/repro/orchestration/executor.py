@@ -20,9 +20,11 @@ serial semantics:
   a cell whose process cannot be started runs in the parent instead.
 
 A forked child inherits its spec, so specs are never pickled; only the
-child's ``(report, error, error_type)`` tuple travels back, through a
-one-shot pipe.  A failure costs only the cell it hits, as in the
-paper's redundancy and rollback:
+child's result travels back, through a one-shot pipe: its
+``(report, error, error_type)``, its job's trace records as JSONL text
+when the run is traced, and the CPU seconds the cell used.  The serial
+paths return the same result directly.  A failure costs only the cell
+it hits, as in the paper's redundancy and rollback:
 
 * **completeness** — every spec produces exactly one outcome, always;
   a cell lost to crashes is synthesized as a failed outcome, never
@@ -49,9 +51,9 @@ resolves as: explicit argument, then its environment variable
 (``REPRO_WORKERS``, ``REPRO_CELL_TIMEOUT``), then the default (serial,
 no timeout).  ``obs`` (an :class:`~repro.obs.ObsSession`) replaces
 separate tracer/metrics handles: the executor takes its tracer and
-registry from it and stamps its ``parts_dir`` onto every spec as
-``trace_dir``; whoever built the session stamps its manifest before the
-run and finalizes it after.
+registry from it, traces every cell's job when the session traces, and
+hands each cell's records to the session; whoever built the session
+stamps its manifest before the run and finalizes it after.
 """
 
 from __future__ import annotations
@@ -62,13 +64,13 @@ import numbers
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ReproError
-from ..obs import NULL_TRACER, ObsSession
-from .job import JobConfig, JobReport, ResilientJob
+from ..obs import NULL_TRACER, ObsSession, Tracer, to_jsonl
+from .job import JobConfig, JobReport, ResilientJob, trace_label
 
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -176,29 +178,57 @@ def resolve_cell_timeout(cell_timeout: Optional[float] = None) -> Optional[float
     return float(cell_timeout)
 
 
-def _execute_spec(spec: CellSpec) -> Tuple[Optional[JobReport], Optional[str], Optional[str]]:
+#: What a cell sends home: its ``_execute_spec`` tuple, then the CPU
+#: seconds it used.
+_Sent = Tuple[Optional[JobReport], Optional[str], Optional[str], str, float]
+
+
+def _execute_spec(
+    spec: CellSpec, traced: bool
+) -> Tuple[Optional[JobReport], Optional[str], Optional[str], str]:
     """Run one cell, capturing any error as data.
 
-    Returns ``(report, error_message, error_type)`` — the field order of
-    :class:`CellOutcome` after ``spec`` — rather than raising, so a
-    broken cell is one failed outcome, in a child process or serially.
+    Returns ``(report, error_message, error_type, trace)`` rather than
+    raising, so a broken cell is one failed outcome, in a child process
+    or serially.  The first three are the fields of :class:`CellOutcome`
+    after ``spec``; ``trace`` is the job's records as JSONL text when
+    ``traced``, and empty otherwise or when the cell raised.
     """
+    tracer = Tracer(common={"job": trace_label(spec.config)}) if traced else NULL_TRACER
     try:
-        return ResilientJob(spec.config).run(), None, None
+        report = ResilientJob(spec.config, tracer=tracer).run()
     except Exception as error:  # noqa: BLE001 - per-cell capture is the point
-        return None, str(error), type(error).__name__
+        return None, str(error), type(error).__name__, ""
+    return report, None, None, to_jsonl(tracer.records)
 
 
-def _run_child(spec: CellSpec, writer) -> None:
-    """A forked cell process: run the cell, send its result tuple back.
+def _run_here(spec: CellSpec, traced: bool) -> _Sent:
+    """Run one cell in this process; its CPU time is the delta around it."""
+    started = time.process_time()
+    result = _execute_spec(spec, traced)
+    return (*result, time.process_time() - started)
 
-    A report that does not pickle is sent as that cell's error instead.
+
+def _run_child(spec: CellSpec, traced: bool, writer) -> None:
+    """A forked cell process: run the cell, send its result back.
+
+    The process exists for this one cell, so its whole CPU time is the
+    cell's.  A report that does not pickle is sent as that cell's error
+    instead.
     """
-    result = _execute_spec(spec)
+    result = _execute_spec(spec, traced)
     try:
-        writer.send(result)
+        writer.send((*result, time.process_time()))
     except Exception as error:  # noqa: BLE001 - the pickle failure is the result
-        writer.send((None, str(error), type(error).__name__))
+        writer.send((None, str(error), type(error).__name__, "", time.process_time()))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class CampaignExecutor:
@@ -222,12 +252,12 @@ class CampaignExecutor:
         Optional :class:`~repro.obs.ObsSession`.  Its tracer receives
         wall-clock cell spans and executor events (run timings,
         timeouts, crashes, resubmissions); its metrics registry receives
-        cell counters, wall-time histograms and the final
-        worker-utilization gauge; its ``parts_dir`` is stamped onto
-        every spec's config as ``trace_dir`` so each cell's job writes
-        a trace part; and the number of cells that ran to a report is
-        recorded in its campaign manifest.  Omitted (or disabled),
-        nothing is collected.
+        cell counters, wall-time histograms and the final CPU
+        utilization gauge; when it traces, every cell's job is traced
+        too and the records each cell sends home are handed to it; and
+        the number of cells that ran to a report is recorded in its
+        campaign manifest.  Omitted (or disabled), nothing is
+        collected.
     store:
         Optional :class:`~repro.store.ResultsStore`.  Before execution,
         every spec is looked up by its canonical config key: stored
@@ -269,8 +299,8 @@ class CampaignExecutor:
         self.store_write_failures = 0
         #: Open per-cell spans + wall start stamps, keyed by spec index.
         self._cell_spans: Dict[int, tuple] = {}
-        #: Summed per-cell wall time (utilization numerator).
-        self._busy_seconds = 0.0
+        #: Summed CPU seconds of the cells that ran (utilization numerator).
+        self._cpu_seconds = 0.0
 
     # -- public API ---------------------------------------------------------
 
@@ -288,7 +318,6 @@ class CampaignExecutor:
         then for executed cells as they complete (completion order in
         process mode).
         """
-        specs = self._stamp_trace_dir(specs)
         self.last_mode = None
         self.worker_crashes = 0
         self.cells_resubmitted = 0
@@ -296,7 +325,7 @@ class CampaignExecutor:
         self.cells_cached = 0
         self.store_write_failures = 0
         self._cell_spans = {}
-        self._busy_seconds = 0.0
+        self._cpu_seconds = 0.0
         if not specs:
             return []
         started = time.monotonic()
@@ -321,11 +350,16 @@ class CampaignExecutor:
             outcomes = [outcome for outcome in merged if outcome is not None]
             assert len(outcomes) == len(specs)
         finally:
+            # The cells' CPU seconds over what their lanes could give:
+            # a sleeping cell uses none, and no more lanes run at once
+            # than there are CPUs.
             elapsed = time.monotonic() - started
-            live_cells = len(specs) - self.cells_cached
-            lanes = min(self.workers, live_cells) if self.last_mode == "process" else 1
+            lanes = 1
+            if self.last_mode == "process":
+                live_cells = len(specs) - self.cells_cached
+                lanes = min(self.workers, live_cells, _usable_cpus())
             utilization = (
-                self._busy_seconds / (elapsed * lanes) if elapsed > 0.0 else 0.0
+                self._cpu_seconds / (elapsed * lanes) if elapsed > 0.0 else 0.0
             )
             campaign_span.end(
                 mode=self.last_mode,
@@ -350,16 +384,6 @@ class CampaignExecutor:
         if self.obs is not None and self.obs.manifest is not None:
             self.obs.manifest.finish(cells=sum(o.ok for o in outcomes))
         return outcomes
-
-    def _stamp_trace_dir(self, specs: Sequence[CellSpec]) -> List[CellSpec]:
-        """Point every cell's job at the session's trace-part directory."""
-        parts_dir = self.obs.parts_dir if self.obs is not None else None
-        if parts_dir is None:
-            return list(specs)
-        return [
-            replace(spec, config=replace(spec.config, trace_dir=parts_dir))
-            for spec in specs
-        ]
 
     # -- results store ------------------------------------------------------
 
@@ -442,7 +466,6 @@ class CampaignExecutor:
                 status=status or outcome.error_type or "ok",
                 seconds=round(seconds, 6),
             )
-        self._busy_seconds += seconds
         if self.metrics is not None and outcome is not None:
             self.metrics.counter("campaign.cells").inc()
             if not outcome.ok:
@@ -465,6 +488,22 @@ class CampaignExecutor:
         if progress is not None:
             progress(outcome)
 
+    def _complete(
+        self,
+        outcomes: List[Optional[CellOutcome]],
+        index: int,
+        spec: CellSpec,
+        sent: _Sent,
+        progress: Optional[Callable[[CellOutcome], None]],
+    ) -> None:
+        """Settle a cell that sent a result; keep its records and CPU time."""
+        report, error, error_type, trace, cpu_seconds = sent
+        self._cpu_seconds += cpu_seconds
+        if trace:
+            self.obs.add_records(trace)
+        outcome = CellOutcome(spec, report, error, error_type)
+        self._settle(outcomes, index, outcome, progress)
+
     # -- execution paths ----------------------------------------------------
 
     def _run_serial(
@@ -474,10 +513,10 @@ class CampaignExecutor:
     ) -> List[CellOutcome]:
         self.last_mode = "serial"
         outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
+        traced = self.tracer.enabled
         for index, spec in enumerate(specs):
             self._begin_cell(index, spec)
-            outcome = CellOutcome(spec, *_execute_spec(spec))
-            self._settle(outcomes, index, outcome, progress)
+            self._complete(outcomes, index, spec, _run_here(spec, traced), progress)
         return list(outcomes)
 
     def _run_forked(
@@ -495,6 +534,7 @@ class CampaignExecutor:
         whose process cannot be started runs here, in the parent.
         """
         self.last_mode = "process"
+        traced = self.tracer.enabled
         context = multiprocessing.get_context("fork")
         outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
         crashes = [0] * len(specs)
@@ -508,12 +548,12 @@ class CampaignExecutor:
                     spec = specs[index]
                     self._begin_cell(index, spec)
                     try:
-                        reader, process = self._start(context, spec)
+                        reader, process = self._start(context, spec, traced)
                     except OSError as error:
                         self.last_mode = "serial-fallback"
                         self.tracer.event("serial_fallback", error=str(error))
-                        outcome = CellOutcome(spec, *_execute_spec(spec))
-                        self._settle(outcomes, index, outcome, progress)
+                        sent = _run_here(spec, traced)
+                        self._complete(outcomes, index, spec, sent, progress)
                         continue
                     deadline = time.monotonic() + (self.cell_timeout or math.inf)
                     running[reader] = (index, process, deadline)
@@ -526,13 +566,12 @@ class CampaignExecutor:
                 for reader in wait(list(running), timeout):
                     index, process, _ = running.pop(reader)
                     try:
-                        result = reader.recv()
+                        sent = reader.recv()
                     except EOFError:  # the process died before sending
-                        result = None
+                        sent = None
                     exitcode = self._reap(reader, process)
-                    if result is not None:
-                        outcome = CellOutcome(specs[index], *result)
-                        self._settle(outcomes, index, outcome, progress)
+                    if sent is not None:
+                        self._complete(outcomes, index, specs[index], sent, progress)
                         continue
                     crashes[index] += 1
                     lost = self._crashed(specs[index], index, crashes[index], exitcode)
@@ -583,10 +622,12 @@ class CampaignExecutor:
         return None
 
     @staticmethod
-    def _start(context, spec: CellSpec):
+    def _start(context, spec: CellSpec, traced: bool):
         """Fork one cell's process; return its result pipe and process."""
         reader, writer = context.Pipe(duplex=False)
-        process = context.Process(target=_run_child, args=(spec, writer), daemon=True)
+        process = context.Process(
+            target=_run_child, args=(spec, traced, writer), daemon=True
+        )
         try:
             process.start()
         except OSError:

@@ -40,7 +40,7 @@ from ..models.redundancy import redundant_time, system_mtbf
 from ..mpi import SimMPI
 from ..netsim import QDR_BANDWIDTH, QDR_LATENCY, Network
 from ..obs.manifest import RunManifest
-from ..obs.trace import NULL_TRACER, Tracer
+from ..obs.trace import NULL_TRACER
 from ..redundancy import ALL_TO_ALL, RedComm, ReplicaMap, SphereTracker
 from ..redundancy.voting import MODES
 from ..rng import StreamRegistry
@@ -90,13 +90,9 @@ class JobConfig:
     #: are the constants ``checkpoint.storage.RECOVERY_LINES`` and
     #: ``checkpoint.service.WRITE_RETRIES``/``RETRY_BACKOFF``.
     storage_faults: Optional[StorageFaultConfig] = None
-    #: Observability: directory this job writes its trace part file
-    #: into (``None`` disables tracing — the default — and keeps the
-    #: whole pipeline on the null tracer, bit-identical to untraced).
-    #: A plain path string, left out of the results-store key.
-    trace_dir: Optional[str] = None
     #: Label stamped on every trace record ("job" field).  ``None``
-    #: derives one from the cell coordinates and seed.
+    #: derives one from the cell coordinates and seed.  Left out of the
+    #: results-store key: it cannot change a result.
     trace_label: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -174,6 +170,14 @@ class JobConfig:
         return float(daly_interval(self.checkpoint_cost, theta_sys))
 
 
+def trace_label(config: JobConfig) -> str:
+    """The ``job`` field of a job's trace records."""
+    if config.trace_label:
+        return config.trace_label
+    mtbf = 0.0 if config.node_mtbf is None else config.node_mtbf
+    return f"r{config.redundancy:g}-mtbf{mtbf:g}-seed{config.seed}"
+
+
 @dataclass(frozen=True)
 class TimelineEvent:
     """One entry in a job's event log."""
@@ -226,9 +230,16 @@ class JobReport:
 
 
 class ResilientJob:
-    """Assemble and run one job; see module docstring for the lifecycle."""
+    """Assemble and run one job; see module docstring for the lifecycle.
 
-    def __init__(self, config: JobConfig) -> None:
+    ``tracer`` (the null tracer by default) receives the job's manifest,
+    its attempt/restart spans, the events of every layer it builds and
+    a closing summary; the caller reads them from the tracer after
+    :meth:`run`.  The tracer only *reads* the simulation clock, so a
+    traced run is sim-identical to an untraced one.
+    """
+
+    def __init__(self, config: JobConfig, tracer=NULL_TRACER) -> None:
         self.config = config
         self._world: Optional[SimMPI] = None
         self._service: Optional[CheckpointService] = None
@@ -237,18 +248,11 @@ class ResilientJob:
         self._failures_delivered = 0
         self._timeline: list = []
         self._env: Optional[Environment] = None
-        self._tracer = NULL_TRACER
+        self._tracer = tracer
 
     def _log(self, env: Environment, kind: str, detail: str = "") -> None:
         self._timeline.append(TimelineEvent(time=env.now, kind=kind, detail=detail))
         self._tracer.event(kind, sim_time=env.now, detail=detail)
-
-    def _trace_label(self) -> str:
-        cfg = self.config
-        if cfg.trace_label:
-            return cfg.trace_label
-        mtbf = 0.0 if cfg.node_mtbf is None else cfg.node_mtbf
-        return f"r{cfg.redundancy:g}-mtbf{mtbf:g}-seed{cfg.seed}"
 
     # -- injector plumbing ---------------------------------------------------
 
@@ -276,13 +280,10 @@ class ResilientJob:
         cfg = self.config
         env = Environment()
         self._env = env
-        if cfg.trace_dir is not None:
-            # The tracer only *reads* env.now: even a traced run is
-            # sim-identical to an untraced one.
-            self._tracer = Tracer(common={"job": self._trace_label()})
+        if self._tracer.enabled:
             self._tracer.record(
                 "manifest",
-                **RunManifest.for_job(cfg, label=self._trace_label()).as_record(),
+                **RunManifest.for_job(cfg, label=trace_label(cfg)).as_record(),
             )
         rng = StreamRegistry(cfg.seed)
         replica_map = ReplicaMap(cfg.virtual_processes, cfg.redundancy)
@@ -414,8 +415,6 @@ class ResilientJob:
                 checkpoint_interval=delta,
                 physical_processes=total_physical,
             )
-            self._tracer.write_part(cfg.trace_dir, label=self._trace_label())
-            self._tracer = NULL_TRACER
         return JobReport(
             completed=completed,
             total_time=env.now,

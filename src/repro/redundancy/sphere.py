@@ -67,13 +67,3 @@ class SphereTracker:
         if not alive:
             raise RedundancyError(f"sphere of virtual rank {virtual_rank} exhausted")
         return alive[0]
-
-    @property
-    def job_failed(self) -> bool:
-        """True once any sphere has been exhausted."""
-        return self._exhausted is not None
-
-    @property
-    def exhausted_virtual_rank(self) -> Optional[int]:
-        """The first virtual rank to lose all replicas (or None)."""
-        return self._exhausted

@@ -91,12 +91,6 @@ class Environment:
         self._now = when
         call(arg)
 
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` if the queue is empty."""
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
-
     def run(self, until: Optional[object] = None) -> Any:
         """Run the simulation.
 

@@ -25,7 +25,8 @@ The final key is the SHA-256 of the canonical JSON of
 open.
 
 What is *excluded*: :class:`~repro.orchestration.job.JobConfig`'s
-``trace_dir``/``trace_label`` fields.  Tracing never touches the
+``trace_label`` field, which only names a job's trace records.  Whether
+a run is traced is not in the config at all: tracing never touches the
 simulation clock (traced results are bit-identical to untraced ones),
 so a traced re-run of a stored campaign must hit the cache.
 """
@@ -57,7 +58,7 @@ CODE_VERSION = __version__
 KEY_SCHEMA = 1
 
 #: JobConfig fields that cannot affect simulation results.
-JOB_KEY_EXCLUDED_FIELDS: Tuple[str, ...] = ("trace_dir", "trace_label")
+JOB_KEY_EXCLUDED_FIELDS: Tuple[str, ...] = ("trace_label",)
 
 
 def _callable_name(func: Any) -> str:
@@ -133,7 +134,7 @@ def fingerprint(kind: str, payload: Any, version: str = CODE_VERSION) -> str:
 def job_key(config: Any, version: str = CODE_VERSION) -> str:
     """Cache key of one :class:`~repro.orchestration.job.JobConfig`.
 
-    Every field participates except the trace knobs (which cannot
+    Every field participates except ``trace_label`` (which cannot
     change results); the seed is an ordinary field, so common-random-
     number sweeps key each cell separately.
     """

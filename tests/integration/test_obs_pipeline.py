@@ -5,7 +5,7 @@ Two contracts from the issue's acceptance criteria:
 * with tracing **disabled** the simulation is bit-identical — same
   reports field for field — to a traced run of the same config (the
   tracer only reads ``env.now``, it never advances the clock);
-* with tracing **enabled** across a multi-process campaign, the merged
+* with tracing **enabled** across a multi-process campaign, the one
   JSONL trace reconciles: every job's span sums agree with its own
   summary record within the report's 1% tolerance (exactly, in fact —
   the job clock only advances inside attempt/restart spans).
@@ -15,7 +15,14 @@ import dataclasses
 from functools import partial
 
 from repro.cli import main
-from repro.obs import ObsSession, build_report, read_trace, report_from_file
+from repro.obs import (
+    ObsSession,
+    Tracer,
+    build_report,
+    read_trace,
+    report_from_file,
+    to_jsonl,
+)
 from repro.orchestration import JobConfig, ResilientJob, run_redundancy_sweep
 from repro.workloads import SyntheticWorkload
 
@@ -40,30 +47,32 @@ def faulty_config(**overrides):
     return JobConfig(**params)
 
 
-def report_fields(report):
-    """Every JobReport field except the trace-only union counter."""
-    fields = dataclasses.asdict(report)
-    fields.pop("checkpoint_union_time")
-    return fields
+def write_lone_job_trace(path):
+    """Trace one job outside any campaign and write it to ``path``."""
+    obs = ObsSession(trace_path=path)
+    tracer = Tracer(common={"job": "lone"})
+    ResilientJob(faulty_config(), tracer=tracer).run()
+    obs.add_records(to_jsonl(tracer.records))
+    obs.finalize(cells=1)
 
 
 class TestTracingNeverPerturbs:
-    def test_traced_job_bit_identical_to_untraced(self, tmp_path):
+    def test_traced_job_bit_identical_to_untraced(self):
         untraced = ResilientJob(faulty_config()).run()
-        traced = ResilientJob(
-            faulty_config(trace_dir=str(tmp_path / "parts"))
-        ).run()
+        tracer = Tracer(common={"job": "lone"})
+        traced = ResilientJob(faulty_config(), tracer=tracer).run()
         assert untraced.failures_injected > 0  # the run actually rolls back
-        assert report_fields(traced) == report_fields(untraced)
+        assert len(tracer) > 0
+        assert dataclasses.asdict(traced) == dataclasses.asdict(untraced)
 
     def test_traced_sweep_bit_identical_to_untraced(self, tmp_path):
         kwargs = dict(node_mtbfs=[4.0, 12.0], degrees=[1.0, 2.0])
         untraced = run_redundancy_sweep(faulty_config(), **kwargs)
-        traced = run_redundancy_sweep(
-            faulty_config(trace_dir=str(tmp_path / "parts")), **kwargs
-        )
+        obs = ObsSession(trace_path=str(tmp_path / "sweep.jsonl"))
+        traced = run_redundancy_sweep(faulty_config(), obs=obs, **kwargs)
+        assert obs.finalize() > 0
         for a, b in zip(untraced, traced):
-            assert report_fields(a.report) == report_fields(b.report)
+            assert dataclasses.asdict(a.report) == dataclasses.asdict(b.report)
 
 
 class TestTracedCampaignReconciles:
@@ -80,6 +89,16 @@ class TestTracedCampaignReconciles:
         )
         obs.finalize()
         return path, cells, obs
+
+    def test_creates_no_path_but_its_trace_file(self, tmp_path):
+        path = tmp_path / "campaign.jsonl"
+        obs = ObsSession(trace_path=str(path))
+        run_redundancy_sweep(
+            faulty_config(), node_mtbfs=[4.0], degrees=[1.0, 2.0], workers=2, obs=obs
+        )
+        assert list(tmp_path.iterdir()) == []
+        obs.finalize()
+        assert list(tmp_path.iterdir()) == [path]
 
     def check(self, path, cells):
         report = report_from_file(path)
@@ -103,7 +122,7 @@ class TestTracedCampaignReconciles:
     def test_workers_4_merged_trace(self, tmp_path):
         path, cells, obs = self.run_traced(tmp_path, workers=4)
         self.check(path, cells)
-        # Per-job manifests made it through the part merge.
+        # Per-job manifests came home with their cells' results.
         records = read_trace(path)
         manifests = [
             r for r in records
@@ -129,18 +148,14 @@ class TestTracedCampaignReconciles:
 
 class TestReportCli:
     def test_report_command_ok(self, tmp_path, capsys):
-        obs = ObsSession(trace_path=str(tmp_path / "t.jsonl"))
-        ResilientJob(faulty_config(trace_dir=obs.parts_dir)).run()
-        obs.finalize(cells=1)
+        write_lone_job_trace(str(tmp_path / "t.jsonl"))
         assert main(["report", str(tmp_path / "t.jsonl")]) == 0
         out = capsys.readouterr().out
         assert "reconciliation: all 1 job(s)" in out
 
     def test_report_command_flags_torn_trace(self, tmp_path, capsys):
-        obs = ObsSession(trace_path=str(tmp_path / "t.jsonl"))
-        ResilientJob(faulty_config(trace_dir=obs.parts_dir)).run()
-        obs.finalize(cells=1)
         path = tmp_path / "t.jsonl"
+        write_lone_job_trace(str(path))
         torn = [
             line for line in path.read_text().splitlines()
             if '"name": "restart"' not in line

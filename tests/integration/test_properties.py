@@ -80,6 +80,8 @@ class TestRedundancyInvariants:
         rank must still compute the exact collective results."""
         rmap = ReplicaMap(n, r)
         tracker = SphereTracker(rmap)
+        exhausted = []
+        tracker.on_sphere_exhausted(exhausted.append)
         # Choose victims that never exhaust a sphere: at most
         # (replicas - 1) per virtual rank.
         victims = []
@@ -108,7 +110,7 @@ class TestRedundancyInvariants:
 
             env.process(killer(env))
         world.run()
-        assert not tracker.job_failed
+        assert exhausted == []
         values = set(results.values())
         assert len(values) == 1
         expected = sum(

@@ -72,10 +72,6 @@ class TestPartition:
         assert part.floor_count == 64 and part.ceil_count == 64
         assert part.total_processes == 64 * 2 + 64 * 3
 
-    def test_effective_redundancy_bounded(self):
-        part = partition_processes(7, 1.3)
-        assert part.effective_redundancy <= 1.3 + 1.0 / 7
-
     @given(process_counts, degrees)
     def test_invariants(self, n, r):
         part = partition_processes(n, r)

@@ -159,7 +159,7 @@ class TestValidation:
             comm.irecv(0, tag=USER_TAG_LIMIT)
         with pytest.raises(CommunicatorError):
             next(comm.recv(0, tag=USER_TAG_LIMIT))
-        assert env.peek() == float("inf") and env.now == 0.0
+        assert not env._queue and env.now == 0.0
 
     def test_user_receive_cannot_take_collective_traffic(self):
         def program(ctx):

@@ -4,7 +4,13 @@ import json
 from dataclasses import dataclass
 from functools import partial
 
-from repro.obs import RunManifest, collect_versions, config_snapshot
+from repro.obs import (
+    RunManifest,
+    collect_versions,
+    config_snapshot,
+    read_trace,
+    write_jsonl,
+)
 from repro.orchestration import JobConfig
 from repro.workloads import SyntheticWorkload
 
@@ -78,10 +84,11 @@ class TestRunManifest:
         assert record["type"] == "manifest"
         assert record["kind"] == "campaign"
 
-    def test_write_read_roundtrip(self, tmp_path):
-        path = str(tmp_path / "manifest.json")
+    def test_record_roundtrips_through_a_trace(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
         manifest = RunManifest.for_campaign("table5", base_seed=7)
         manifest.finish(cells=9)
-        manifest.write(path)
-        loaded = RunManifest.read(path)
-        assert loaded == manifest
+        write_jsonl(path, [manifest.as_record()])
+        (record,) = read_trace(path)
+        assert record.pop("type") == "manifest"
+        assert RunManifest(**record) == manifest

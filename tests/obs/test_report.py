@@ -1,6 +1,13 @@
 """Tests for the trace report: phase folding and reconciliation."""
 
-from repro.obs import ObsSession, build_report, render_report
+from repro.obs import (
+    ObsSession,
+    Tracer,
+    build_report,
+    read_trace,
+    render_report,
+    to_jsonl,
+)
 
 
 def job_records(label, attempts, restarts, checkpoints, failures=0):
@@ -129,23 +136,21 @@ class TestObsSession:
         session = ObsSession()
         assert not session.enabled
         assert session.tracer.enabled is False
-        assert session.parts_dir is None
+        assert session.trace_path is None
         assert session.stamp("table4") is None
         assert session.finalize(cells=0) == 0
 
     def test_metrics_only_session(self):
         session = ObsSession(metrics=True)
         assert session.enabled
-        assert session.trace is None
+        assert session.trace_path is None
         assert session.metrics is not None
         assert session.finalize(cells=1) == 0
 
     def test_traced_session_writes_manifest_head(self, tmp_path):
-        from repro.obs import read_trace
-
         path = str(tmp_path / "run.jsonl")
         session = ObsSession(trace_path=path)
-        assert session.enabled and session.parts_dir == path + ".parts"
+        assert session.enabled and session.trace_path == path
         session.stamp("table4", params={"quick": True}, base_seed=1)
         session.tracer.event("cell_timeout")
         count = session.finalize(cells=15)
@@ -154,3 +159,18 @@ class TestObsSession:
         assert records[0]["type"] == "manifest"
         assert records[0]["outcome"] == {"cells": 15}
         assert records[1]["name"] == "cell_timeout"
+
+    def test_finalize_merges_parent_and_cell_records(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        session = ObsSession(trace_path=path)
+        session.tracer.event("worker_crash")
+        cell = Tracer(common={"job": "r1-seed7"})
+        cell.event("failure", sim_time=1.0)
+        session.add_records(to_jsonl(cell.records))
+        session.stamp("table4")
+        count = session.finalize()
+        assert count == 3
+        records = read_trace(path)
+        assert records[0]["kind"] == "campaign"
+        assert [record["job"] for record in records[1:]] == ["__parent__", "r1-seed7"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.jsonl"]

@@ -1,14 +1,15 @@
-"""Tests for the tracing substrate: records, null object, part merging."""
+"""Tests for the tracing substrate: records, null object, JSONL text and files."""
 
-import os
+import pickle
 
 from repro.obs import (
     NULL_TRACER,
     Tracer,
-    TraceSession,
-    merge_trace_parts,
+    parse_jsonl,
     read_trace,
+    to_jsonl,
     write_jsonl,
+    write_trace,
 )
 
 
@@ -70,16 +71,13 @@ class TestTracer:
 
 
 class TestNullTracer:
-    def test_everything_is_a_noop(self, tmp_path):
+    def test_everything_is_a_noop(self):
         span = NULL_TRACER.begin("attempt", sim_time=0.0)
         span.end(sim_time=1.0)
         NULL_TRACER.event("failure", sim_time=0.5)
         NULL_TRACER.record("summary", total=1.0)
         assert NULL_TRACER.records == ()
         assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.write(str(tmp_path / "t.jsonl")) == 0
-        assert NULL_TRACER.write_part(str(tmp_path)) is None
-        assert not os.path.exists(tmp_path / "t.jsonl")
 
     def test_disabled_flag(self):
         assert NULL_TRACER.enabled is False
@@ -105,76 +103,47 @@ class TestFiles:
         (record,) = read_trace(path)
         assert "object" in record["obj"]
 
-    def test_part_names_never_collide(self, tmp_path):
-        parts_dir = str(tmp_path / "parts")
-        names = set()
-        for _ in range(3):
-            tracer = Tracer()
-            tracer.event("x")
-            names.add(tracer.write_part(parts_dir, label="same-label"))
-        assert len(names) == 3
+    def test_text_roundtrip(self):
+        tracer = Tracer(common={"job": "r1-seed7"}, clock=FakeClock())
+        tracer.event("failure", sim_time=1.0, slot=2)
+        tracer.begin("attempt", sim_time=0.0).end(sim_time=3.0)
+        text = to_jsonl(tracer.records)
+        assert text.count("\n") == 2
+        assert parse_jsonl(text) == list(tracer.records)
+        assert parse_jsonl(to_jsonl([])) == []
 
-    def test_part_label_is_sanitised(self, tmp_path):
+    def test_text_always_pickles(self):
         tracer = Tracer()
-        tracer.event("x")
-        part = tracer.write_part(str(tmp_path), label="a/b c")
-        assert "/" not in os.path.basename(part).split(".part")[0].replace(
-            "-", ""
-        ) and os.path.exists(part)
-
-    def test_empty_tracer_writes_no_part(self, tmp_path):
-        assert Tracer().write_part(str(tmp_path)) is None
+        tracer.event("odd", payload=lambda: None)
+        text = to_jsonl(tracer.records)
+        assert pickle.loads(pickle.dumps(text)) == text
+        (record,) = parse_jsonl(text)
+        assert "lambda" in record["payload"]
 
 
 class TestMerge:
-    def test_merge_orders_by_wall_and_removes_parts(self, tmp_path):
-        parts_dir = str(tmp_path / "parts")
-        os.makedirs(parts_dir)
-        write_jsonl(
-            os.path.join(parts_dir, "b-1-0.part.jsonl"),
-            [{"name": "late", "wall": 5.0}],
-        )
-        write_jsonl(
-            os.path.join(parts_dir, "a-2-1.part.jsonl"),
-            [{"name": "early", "wall": 1.0}, {"name": "span", "wall0": 3.0}],
-        )
+    def test_merge_orders_by_wall_after_the_head(self, tmp_path):
         out = str(tmp_path / "merged.jsonl")
         head = [{"type": "manifest", "kind": "campaign"}]
-        count = merge_trace_parts(parts_dir, out, head=head)
+        records = [
+            {"name": "late", "wall": 5.0},
+            {"name": "early", "wall": 1.0},
+            {"name": "span", "wall0": 3.0},
+        ]
+        count = write_trace(out, records, head=head)
         assert count == 4
         merged = read_trace(out)
         assert merged[0]["type"] == "manifest"
         assert [r.get("name") for r in merged[1:]] == ["early", "span", "late"]
-        assert not os.path.exists(parts_dir)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["merged.jsonl"]
 
     def test_merge_overwrites_stale_output(self, tmp_path):
         out = str(tmp_path / "merged.jsonl")
         write_jsonl(out, [{"stale": True}])
-        merge_trace_parts(str(tmp_path / "nothing"), out)
+        write_trace(out, [])
         assert read_trace(out) == []
 
     def test_records_without_stamps_sort_last(self, tmp_path):
-        parts_dir = str(tmp_path / "parts")
-        write_jsonl_dir = os.path.join(parts_dir, "x-1-0.part.jsonl")
-        os.makedirs(parts_dir)
-        write_jsonl(write_jsonl_dir, [{"name": "unstamped"}, {"name": "a", "wall": 1.0}])
         out = str(tmp_path / "merged.jsonl")
-        merge_trace_parts(parts_dir, out)
+        write_trace(out, [{"name": "unstamped"}, {"name": "a", "wall": 1.0}])
         assert [r["name"] for r in read_trace(out)] == ["a", "unstamped"]
-
-
-class TestTraceSession:
-    def test_finalize_merges_parent_and_worker_parts(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        session = TraceSession(path)
-        session.tracer.event("worker_crash")
-        worker = Tracer(common={"job": "r1-seed7"})
-        worker.event("failure", sim_time=1.0)
-        worker.write_part(session.parts_dir, label="r1-seed7")
-        count = session.finalize(head=[{"type": "manifest", "kind": "campaign"}])
-        assert count == 3
-        records = read_trace(path)
-        assert records[0]["kind"] == "campaign"
-        jobs = {record.get("job") for record in records[1:]}
-        assert jobs == {"__parent__", "r1-seed7"}
-        assert not os.path.exists(session.parts_dir)

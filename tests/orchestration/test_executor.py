@@ -275,8 +275,8 @@ class TestPoolExecution:
 
     def test_unpicklable_result_is_that_cells_error(self, monkeypatch):
         """A child whose result does not pickle sends the error instead."""
-        def unpicklable(spec):
-            return None, lambda: None, "Odd"
+        def unpicklable(spec, traced):
+            return None, lambda: None, "Odd", ""
 
         monkeypatch.setattr(executor_module, "_execute_spec", unpicklable)
         specs = redundancy_sweep_specs(
@@ -313,6 +313,21 @@ class TestPoolExecution:
         obs = ObsSession(metrics=True)
         CampaignExecutor(workers=8, obs=obs).run(specs)
         assert obs.metrics.gauge("campaign.utilization").value > 0.3
+
+    def test_utilization_counts_cpu_time_not_wall_time(self):
+        """Cells whose ranks sleep hold their lanes but use no CPU."""
+        specs = [
+            CellSpec(
+                node_mtbf=None,
+                redundancy=1.0,
+                config=special_config(GlacialWorkload, sleep_seconds=0.1),
+            )
+            for _ in range(2)
+        ]
+        obs = ObsSession(metrics=True)
+        outcomes = CampaignExecutor(workers=2, obs=obs).run(specs)
+        assert all(o.ok for o in outcomes)
+        assert obs.metrics.gauge("campaign.utilization").value < 0.5
 
     def test_single_cell_stays_serial(self):
         specs = redundancy_sweep_specs(

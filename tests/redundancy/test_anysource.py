@@ -64,6 +64,8 @@ def run_world(n, r, body, kill_plan=()):
     env = Environment()
     rmap = ReplicaMap(n, r)
     tracker = SphereTracker(rmap)
+    exhausted = []
+    tracker.on_sphere_exhausted(exhausted.append)
     world = SimMPI(env, size=rmap.total_physical)
     results = {}
 
@@ -81,7 +83,7 @@ def run_world(n, r, body, kill_plan=()):
 
         env.process(killer(env))
     world.run()
-    return world, rmap, tracker, results
+    return world, rmap, exhausted, results
 
 
 class TestProtocol:
@@ -156,12 +158,12 @@ class TestProtocol:
                 yield from red.send("late", 0, tag=6)
             return None
 
-        _, rmap, tracker, results = run_world(
+        _, rmap, exhausted, results = run_world(
             2, 2.0, body, kill_plan=[(0.001, 0)]  # primary of virtual 0
         )
         shadow = rmap.replicas_of(0)[1]
         assert results[shadow] == ("late", 1)
-        assert not tracker.job_failed
+        assert exhausted == []
 
     def test_tag_range_validation(self):
         def body(red):

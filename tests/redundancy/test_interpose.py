@@ -12,10 +12,16 @@ from repro.simkit.events import Event
 
 
 def run_redundant(n, r, program_body, mode=ALL_TO_ALL, corruptor=None, kill_plan=()):
-    """Run ``program_body(red)`` on every physical rank; return world etc."""
+    """Run ``program_body(red)`` on every physical rank.
+
+    Returns the world, the replica map, the virtual ranks whose spheres
+    were exhausted (in order) and each physical rank's result.
+    """
     env = Environment()
     rmap = ReplicaMap(n, r)
     tracker = SphereTracker(rmap)
+    exhausted = []
+    tracker.on_sphere_exhausted(exhausted.append)
     world = SimMPI(env, size=rmap.total_physical)
     results = {}
 
@@ -33,7 +39,7 @@ def run_redundant(n, r, program_body, mode=ALL_TO_ALL, corruptor=None, kill_plan
 
         env.process(killer(env))
     world.run()
-    return world, rmap, tracker, results
+    return world, rmap, exhausted, results
 
 
 class TestTransparency:
@@ -329,10 +335,10 @@ class TestReplicaDeath:
                 acc += yield from red.allreduce(red.rank + iteration, ops.SUM)
             return acc
 
-        _, rmap, tracker, results = run_redundant(
+        _, rmap, exhausted, results = run_redundant(
             4, 2.0, body, kill_plan=[(0.0004, 6)]
         )
-        assert not tracker.job_failed
+        assert exhausted == []
         values = set(results.values())
         assert len(values) == 1  # every survivor computed the same sums
         assert len(results) == rmap.total_physical - 1
@@ -364,9 +370,9 @@ class TestReplicaDeath:
             payload, _ = yield from red.recv(source=0, tag=6)
             return payload
 
-        _, rmap, tracker, results = run_redundant(
+        _, rmap, exhausted, results = run_redundant(
             2, 2.0, body, kill_plan=[(0.001, 3)]  # virtual 1's shadow
         )
         survivor = rmap.replicas_of(1)[0]
         assert results[survivor] == "ping"
-        assert not tracker.job_failed
+        assert exhausted == []

@@ -13,14 +13,17 @@ def tracker():
 
 class TestLiveness:
     def test_initially_all_alive(self, tracker):
-        assert tracker.alive_replicas(0) == tracker.replica_map.replicas_of(0)
-        assert not tracker.job_failed
+        rmap = tracker.replica_map
+        for virtual in range(rmap.virtual_processes):
+            assert tracker.alive_replicas(virtual) == rmap.replicas_of(virtual)
 
     def test_one_death_keeps_sphere_alive(self, tracker):
+        fired = []
+        tracker.on_sphere_exhausted(fired.append)
         shadow = tracker.replica_map.replicas_of(1)[1]
         tracker.notice_death(shadow)
         assert tracker.alive_replicas(1) == [1]
-        assert not tracker.job_failed
+        assert fired == []
 
     def test_sphere_exhaustion_fires_once(self, tracker):
         fired = []
@@ -31,8 +34,6 @@ class TestLiveness:
         for physical in tracker.replica_map.replicas_of(0):
             tracker.notice_death(physical)
         assert fired == [2]
-        assert tracker.job_failed
-        assert tracker.exhausted_virtual_rank == 2
 
     def test_duplicate_death_ignored(self, tracker):
         fired = []

@@ -43,11 +43,6 @@ class TestScheduling:
         with pytest.raises(SimulationDeadlock):
             env.step()
 
-    def test_peek(self, env):
-        assert env.peek() == float("inf")
-        env.timeout(4.0)
-        assert env.peek() == 4.0
-
     def test_negative_delay_rejected(self, env):
         event = env.event()
         with pytest.raises(SimulationError):
@@ -87,7 +82,7 @@ class TestBareEntries:
     def test_a_bare_entry_is_one_step(self, env):
         calls = []
         env._schedule_call_at(3.0, calls.append, "ran")
-        assert env.peek() == 3.0
+        assert env._queue[0][0] == 3.0
         env.step()
         assert calls == ["ran"] and env.now == 3.0
         with pytest.raises(SimulationDeadlock):

@@ -88,7 +88,7 @@ class TestJobKey:
 
     def test_trace_fields_do_not_change_key(self):
         base = config()
-        traced = replace(base, trace_dir="/tmp/x", trace_label="cell-1")
+        traced = replace(base, trace_label="cell-1")
         assert job_key(base) == job_key(traced)
 
     def test_version_salts_key(self):
