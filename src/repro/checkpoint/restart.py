@@ -29,7 +29,6 @@ class RecoveryLine:
     set_id: str
     #: First step that still has to be (re)executed.
     step: int
-    committed_at: float
 
 
 class RestartManager:
@@ -41,7 +40,8 @@ class RestartManager:
         self._line: Optional[RecoveryLine] = None
         self.commits = 0
         self.rollbacks = 0
-        #: Every recovery line ever committed, in order (job timeline).
+        #: Every recovery line ever committed, in order (the retained
+        #: ones are the restore candidates).
         self.history: list = []
         #: Recovery lines skipped because an image failed its CRC.
         self.corrupt_lines_skipped = 0
@@ -57,9 +57,10 @@ class RestartManager:
     def note_commit(self, set_id: str, step: int, now: float) -> None:
         """Record that ``set_id`` (state after ``step-1``) is committed."""
         self.storage.commit_set(set_id)
-        self._line = RecoveryLine(set_id=set_id, step=step, committed_at=now)
+        self._line = RecoveryLine(set_id=set_id, step=step)
         self.history.append(self._line)
         self.commits += 1
+        self.tracer.event("checkpoint_commit", sim_time=now, detail=f"step {step}")
 
     # -- restart side ---------------------------------------------------------
 

@@ -98,11 +98,8 @@ class CheckpointService:
         self._union_started = 0.0
         self._union_span = None
         self.checkpoints_taken = 0
-        self.time_in_checkpoints = 0.0
         #: Union of the per-rank checkpoint windows: the wallclock the
-        #: application actually spent checkpointing.  (The per-rank
-        #: windows overlap almost completely, so ``time_in_checkpoints``
-        #: — their *sum* — overcounts by roughly the rank count.)
+        #: application actually spent checkpointing.
         self.checkpoint_union_time = 0.0
         #: Intervals abandoned after retry exhaustion (graceful degradation).
         self.checkpoints_skipped = 0
@@ -195,7 +192,6 @@ class CheckpointService:
             self._last_checkpoint = self.env.now
         finally:
             self._participants -= 1
-            self.time_in_checkpoints += self.env.now - started
             if self._participants == 0:
                 self.checkpoint_union_time += self.env.now - self._union_started
                 if self._union_span is not None:

@@ -253,7 +253,9 @@ def _chaos_progress(outcome) -> None:
         if outcome.ok
         else f"FAILED ({outcome.error_type})"
     )
-    print(f"  cell p={outcome.spec.redundancy:g}: {status}", flush=True)
+    faults = outcome.config.storage_faults
+    prob = 0.0 if faults is None else max(faults.write_fail_prob, faults.corrupt_prob)
+    print(f"  cell p={prob:g}: {status}", flush=True)
 
 
 def _sweep(args) -> int:

@@ -45,7 +45,7 @@ from ..checkpoint.storage import RECOVERY_LINES
 from ..errors import ModelDivergence, ReproError
 from ..faults import StorageFaultConfig
 from ..models.checkpointing import total_time
-from ..orchestration import CampaignExecutor, CellSpec, JobConfig
+from ..orchestration import CampaignExecutor, JobConfig
 from ..util.plot import ascii_plot
 from ..workloads import SyntheticWorkload
 from .runner import ExperimentResult
@@ -183,25 +183,19 @@ def run(
     points = [("baseline", 0.0)]
     points += [("write-fail", p) for p in probs if p > 0.0]
     points += [("corrupt", p) for p in probs if p > 0.0]
-    specs = []
-    for mode, prob in points:
-        config = base
-        if prob > 0.0:
-            config = replace(
-                base, storage_faults=_fault_config(setup, mode, prob)
-            )
-        # Chaos cells share seed/degree/MTBF, so the job's automatic
-        # trace label would collide; name cells by (mode, p) instead.
-        config = replace(config, trace_label=f"{mode}-p{prob:g}")
-        # The spec's (node_mtbf, redundancy) coordinates are not
-        # meaningful for this sweep; the probability rides in
-        # ``redundancy`` so progress callbacks can distinguish cells.
-        specs.append(
-            CellSpec(node_mtbf=setup.node_mtbf, redundancy=prob, config=config)
+    configs = [
+        replace(
+            base,
+            storage_faults=_fault_config(setup, mode, prob) if prob > 0.0 else None,
+            # Chaos cells share seed/degree/MTBF, so the job's automatic
+            # trace label would collide; name cells by (mode, p) instead.
+            trace_label=f"{mode}-p{prob:g}",
         )
+        for mode, prob in points
+    ]
 
     executor = CampaignExecutor(**execution)
-    outcomes = executor.run(specs, progress=progress)
+    outcomes = executor.run(configs, progress=progress)
     failures = [o for o in outcomes if not o.ok]
     if failures:
         raise ReproError(

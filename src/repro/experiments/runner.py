@@ -10,21 +10,21 @@ from typing import Any, Dict, List, Sequence
 from ..errors import ConfigurationError
 from ..util.tables import render_table
 
-#: experiment id -> module name (within repro.experiments).
-_REGISTRY = {
-    "table1": "table1",
-    "table2": "table2",
-    "table3": "table3",
-    "fig2": "fig2",
-    "figs4to6": "figs4to6",
-    "table4": "table4",
-    "table5": "table5",
-    "fig11": "fig11",
-    "fig12": "fig12",
-    "fig13": "fig13",
-    "fig14": "fig14",
-    "chaos": "chaos",
-}
+#: Experiment ids; each is the name of its module in repro.experiments.
+_EXPERIMENTS = (
+    "table1",
+    "table2",
+    "table3",
+    "fig2",
+    "figs4to6",
+    "table4",
+    "table5",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "chaos",
+)
 
 #: Where an experiment's ``**kwargs`` catch-all sends its keys, by the
 #: catch-all's name: the callee's parameters are accepted overrides too.
@@ -67,18 +67,16 @@ class ExperimentResult:
 
 def list_experiments() -> List[str]:
     """All registered experiment ids."""
-    return sorted(_REGISTRY)
+    return sorted(_EXPERIMENTS)
 
 
 def get_experiment(experiment: str):
     """Import and return the experiment module for an id."""
-    try:
-        module_name = _REGISTRY[experiment]
-    except KeyError as exc:
+    if experiment not in _EXPERIMENTS:
         raise ConfigurationError(
             f"unknown experiment {experiment!r}; known: {list_experiments()}"
-        ) from exc
-    return importlib.import_module(f"repro.experiments.{module_name}")
+        )
+    return importlib.import_module(f"repro.experiments.{experiment}")
 
 
 def _accepted_params(run) -> List[str]:

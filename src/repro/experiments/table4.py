@@ -27,7 +27,7 @@ from functools import partial
 from typing import List, Optional, Sequence
 
 from ..models.redundancy import PAPER_REDUNDANCY_GRID
-from ..orchestration import CampaignCell, JobConfig, run_redundancy_sweep
+from ..orchestration import CellOutcome, JobConfig, run_redundancy_sweep
 from ..orchestration.campaign import cells_to_matrix
 from ..util.plot import ascii_heatmap, ascii_plot
 from ..workloads import SyntheticWorkload
@@ -118,7 +118,7 @@ def sweep_cells(
     degrees: Sequence[float],
     progress=None,
     **execution,
-) -> List[CampaignCell]:
+) -> List[CellOutcome]:
     """The raw campaign cells of a Table 4 grid (also fig12's input).
 
     ``execution`` is forwarded untouched to the

@@ -16,22 +16,19 @@ per-cell error capture.
 """
 
 from .job import JobConfig, JobReport, ResilientJob
-from .campaign import CampaignCell, run_failure_free_sweep, run_redundancy_sweep
+from .campaign import run_failure_free_sweep, run_redundancy_sweep
 from .executor import (
     CampaignExecutionError,
     CampaignExecutor,
     CellOutcome,
-    CellSpec,
     resolve_cell_timeout,
     resolve_workers,
 )
 
 __all__ = [
-    "CampaignCell",
     "CampaignExecutionError",
     "CampaignExecutor",
     "CellOutcome",
-    "CellSpec",
     "JobConfig",
     "JobReport",
     "ResilientJob",

@@ -6,6 +6,9 @@ same failure-time draws per physical slot), exactly how the paper's
 experiments sweep node MTBF 6-30 h against redundancy 1x-3x in 0.25x
 steps.
 
+Each cell is one :class:`~repro.orchestration.job.JobConfig` and comes
+back as the :class:`~repro.orchestration.executor.CellOutcome` the
+executor made of it; the sweeps return those that ran to a report.
 Cells are independent, so both sweeps delegate to
 :class:`~repro.orchestration.executor.CampaignExecutor`, forwarding
 its keyword arguments as one ``**execution`` mapping: pass
@@ -16,51 +19,21 @@ so parallel runs are bit-identical to serial ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
-from .executor import (
-    CampaignExecutionError,
-    CampaignExecutor,
-    CellOutcome,
-    CellSpec,
-)
-from .job import JobConfig, JobReport
+from .executor import CampaignExecutionError, CampaignExecutor, CellOutcome
+from .job import JobConfig
 
 
-@dataclass(frozen=True)
-class CampaignCell:
-    """One grid cell's outcome."""
-
-    node_mtbf: Optional[float]
-    redundancy: float
-    report: JobReport
-    #: True when the report came from the results store (resumed run).
-    cached: bool = False
-
-    @property
-    def minutes(self) -> float:
-        """Completion time in minutes (the paper's Table 4 unit)."""
-        return self.report.total_minutes
-
-
-def _cell_from(outcome: CellOutcome) -> CampaignCell:
-    return CampaignCell(
-        node_mtbf=outcome.spec.node_mtbf,
-        redundancy=outcome.spec.redundancy,
-        report=outcome.report,
-        cached=outcome.cached,
-    )
-
-
-def _run_specs(
-    specs: Sequence[CellSpec],
-    progress: Optional[Callable[[CampaignCell], None]],
+def _run_cells(
+    configs: Sequence[JobConfig],
+    progress: Optional[Callable[[CellOutcome], None]],
     strict: bool,
     execution: Dict[str, Any],
-) -> List[CampaignCell]:
-    """Execute specs and convert outcomes, enforcing error policy.
+) -> List[CellOutcome]:
+    """Execute the cells and keep those that ran to a report.
 
     ``strict=True`` raises
     :class:`~repro.orchestration.executor.CampaignExecutionError` if any
@@ -72,22 +45,22 @@ def _run_specs(
 
     def on_outcome(outcome: CellOutcome) -> None:
         if progress is not None and outcome.ok:
-            progress(_cell_from(outcome))
+            progress(outcome)
 
-    outcomes = CampaignExecutor(**execution).run(specs, progress=on_outcome)
+    outcomes = CampaignExecutor(**execution).run(configs, progress=on_outcome)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     if failures and strict:
         raise CampaignExecutionError(failures)
-    return [_cell_from(outcome) for outcome in outcomes if outcome.ok]
+    return [outcome for outcome in outcomes if outcome.ok]
 
 
-def redundancy_sweep_specs(
+def redundancy_sweep_configs(
     base: JobConfig,
     node_mtbfs: Sequence[float],
     degrees: Sequence[float],
     seed_offset: int = 0,
-) -> List[CellSpec]:
-    """The Table 4 grid as executable cell specs (row-major order).
+) -> List[JobConfig]:
+    """The Table 4 grid as one job config per cell (row-major order).
 
     Seeds differ per MTBF row (the failure processes differ) but are
     shared across degrees in a row so degrees are compared under common
@@ -95,17 +68,16 @@ def redundancy_sweep_specs(
     """
     if not node_mtbfs or not degrees:
         raise ConfigurationError("sweep needs at least one MTBF and one degree")
-    specs = []
-    for row, mtbf in enumerate(node_mtbfs):
-        for degree in degrees:
-            config = replace(
-                base,
-                node_mtbf=mtbf,
-                redundancy=degree,
-                seed=base.seed + seed_offset + 1000 * row,
-            )
-            specs.append(CellSpec(node_mtbf=mtbf, redundancy=degree, config=config))
-    return specs
+    return [
+        replace(
+            base,
+            node_mtbf=mtbf,
+            redundancy=degree,
+            seed=base.seed + seed_offset + 1000 * row,
+        )
+        for row, mtbf in enumerate(node_mtbfs)
+        for degree in degrees
+    ]
 
 
 def run_redundancy_sweep(
@@ -113,10 +85,10 @@ def run_redundancy_sweep(
     node_mtbfs: Sequence[float],
     degrees: Sequence[float],
     seed_offset: int = 0,
-    progress: Optional[Callable[[CampaignCell], None]] = None,
+    progress: Optional[Callable[[CellOutcome], None]] = None,
     strict: bool = True,
     **execution: Any,
-) -> List[CampaignCell]:
+) -> List[CellOutcome]:
     """The Table 4 grid: completion time per (MTBF, redundancy) cell.
 
     Every cell reuses the base config with only ``node_mtbf``,
@@ -125,48 +97,42 @@ def run_redundancy_sweep(
     untouched (``workers``, ``store``, ...); results are identical and
     ordered however the cells execute.
     """
-    specs = redundancy_sweep_specs(base, node_mtbfs, degrees, seed_offset)
-    return _run_specs(specs, progress, strict, execution)
+    configs = redundancy_sweep_configs(base, node_mtbfs, degrees, seed_offset)
+    return _run_cells(configs, progress, strict, execution)
 
 
-def failure_free_sweep_specs(
+def failure_free_sweep_configs(
     base: JobConfig,
     degrees: Sequence[float],
-) -> List[CellSpec]:
-    """The Table 5 sweep as executable cell specs."""
+) -> List[JobConfig]:
+    """The Table 5 sweep as one job config per degree."""
     if not degrees:
         raise ConfigurationError("sweep needs at least one degree")
-    specs = []
-    for degree in degrees:
-        config = replace(
-            base,
-            node_mtbf=None,
-            redundancy=degree,
-            checkpointing=False,
-        )
-        specs.append(CellSpec(node_mtbf=None, redundancy=degree, config=config))
-    return specs
+    return [
+        replace(base, node_mtbf=None, redundancy=degree, checkpointing=False)
+        for degree in degrees
+    ]
 
 
 def run_failure_free_sweep(
     base: JobConfig,
     degrees: Sequence[float],
-    progress: Optional[Callable[[CampaignCell], None]] = None,
+    progress: Optional[Callable[[CellOutcome], None]] = None,
     strict: bool = True,
     **execution: Any,
-) -> List[CampaignCell]:
+) -> List[CellOutcome]:
     """The Table 5 sweep: failure-free execution time vs redundancy.
 
     Failure injection and checkpointing are disabled; what remains is
     the pure redundancy overhead (Figure 10's super-linear curve).
     ``execution`` is forwarded as in :func:`run_redundancy_sweep`.
     """
-    specs = failure_free_sweep_specs(base, degrees)
-    return _run_specs(specs, progress, strict, execution)
+    configs = failure_free_sweep_configs(base, degrees)
+    return _run_cells(configs, progress, strict, execution)
 
 
 def cells_to_matrix(
-    cells: Sequence[CampaignCell],
+    cells: Sequence[CellOutcome],
 ) -> Dict[float, Dict[float, float]]:
     """Pivot cells into {mtbf: {degree: minutes}} for table rendering."""
     matrix: Dict[float, Dict[float, float]] = {}

@@ -9,24 +9,26 @@ ends, at most ``workers`` at a time, while preserving exactly the
 serial semantics:
 
 * **determinism** — seeds are derived *before* submission, so a parallel
-  run is bit-identical to a serial run of the same specs;
-* **ordered results** — outcomes come back in spec order regardless of
+  run is bit-identical to a serial run of the same configs;
+* **ordered results** — outcomes come back in config order regardless of
   completion order;
 * **progress** — an optional callback fires in the *parent* process as
-  cells complete (completion order, which may differ from spec order);
+  cells complete (completion order, which may differ from config order);
 * **error capture** — one diverged/broken cell is recorded as a failed
   :class:`CellOutcome`; the rest of the campaign keeps running;
 * **serial paths** — ``workers <= 1`` and a single cell run in-process;
   a cell whose process cannot be started runs in the parent instead.
 
-A forked child inherits its spec, so specs are never pickled; only the
-child's result travels back, through a one-shot pipe: its
+A cell is its ``JobConfig``: the config carries the cell's grid
+coordinates, and its :class:`CellOutcome` reads them back off it.  A
+forked child inherits its config, so configs are never pickled; only
+the child's result travels back, through a one-shot pipe: its
 ``(report, error, error_type)``, its job's trace records as JSONL text
 when the run is traced, and the CPU seconds the cell used.  The serial
 paths return the same result directly.  A failure costs only the cell
 it hits, as in the paper's redundancy and rollback:
 
-* **completeness** — every spec produces exactly one outcome, always;
+* **completeness** — every config produces exactly one outcome, always;
   a cell lost to crashes is synthesized as a failed outcome, never
   silently dropped;
 * **per-cell crashes** — a pipe that reaches end-of-file with no result
@@ -89,7 +91,7 @@ class CampaignExecutionError(ReproError):
 
     def __init__(self, failures: Sequence["CellOutcome"]) -> None:
         summary = "; ".join(
-            f"(mtbf={o.spec.node_mtbf}, r={o.spec.redundancy}): "
+            f"(mtbf={o.node_mtbf}, r={o.redundancy}): "
             f"{o.error_type}: {o.error}"
             for o in failures
         )
@@ -98,24 +100,10 @@ class CampaignExecutionError(ReproError):
 
 
 @dataclass(frozen=True)
-class CellSpec:
-    """One grid cell to execute: a fully-resolved config plus coordinates.
-
-    The coordinates (``node_mtbf``, ``redundancy``) are carried alongside
-    the config so results can be pivoted back into the campaign matrix
-    without re-deriving them.
-    """
-
-    node_mtbf: Optional[float]
-    redundancy: float
-    config: JobConfig
-
-
-@dataclass(frozen=True)
 class CellOutcome:
     """What one cell produced: a report, or a captured error."""
 
-    spec: CellSpec
+    config: JobConfig
     report: Optional[JobReport] = None
     error: Optional[str] = None
     error_type: Optional[str] = None
@@ -127,6 +115,21 @@ class CellOutcome:
     def ok(self) -> bool:
         """True when the cell ran to a report (even an incomplete job)."""
         return self.report is not None
+
+    @property
+    def node_mtbf(self) -> Optional[float]:
+        """The cell's grid row (``None`` for a failure-free cell)."""
+        return self.config.node_mtbf
+
+    @property
+    def redundancy(self) -> float:
+        """The cell's grid column."""
+        return self.config.redundancy
+
+    @property
+    def minutes(self) -> float:
+        """Completion time in minutes (the paper's Table 4 unit)."""
+        return self.report.total_minutes
 
 
 def _env_value(value, env: str, parse, kind: str):
@@ -178,45 +181,45 @@ def resolve_cell_timeout(cell_timeout: Optional[float] = None) -> Optional[float
     return float(cell_timeout)
 
 
-#: What a cell sends home: its ``_execute_spec`` tuple, then the CPU
+#: What a cell sends home: its ``_execute_cell`` tuple, then the CPU
 #: seconds it used.
 _Sent = Tuple[Optional[JobReport], Optional[str], Optional[str], str, float]
 
 
-def _execute_spec(
-    spec: CellSpec, traced: bool
+def _execute_cell(
+    config: JobConfig, traced: bool
 ) -> Tuple[Optional[JobReport], Optional[str], Optional[str], str]:
     """Run one cell, capturing any error as data.
 
     Returns ``(report, error_message, error_type, trace)`` rather than
     raising, so a broken cell is one failed outcome, in a child process
     or serially.  The first three are the fields of :class:`CellOutcome`
-    after ``spec``; ``trace`` is the job's records as JSONL text when
+    after ``config``; ``trace`` is the job's records as JSONL text when
     ``traced``, and empty otherwise or when the cell raised.
     """
-    tracer = Tracer(common={"job": trace_label(spec.config)}) if traced else NULL_TRACER
+    tracer = Tracer(common={"job": trace_label(config)}) if traced else NULL_TRACER
     try:
-        report = ResilientJob(spec.config, tracer=tracer).run()
+        report = ResilientJob(config, tracer=tracer).run()
     except Exception as error:  # noqa: BLE001 - per-cell capture is the point
         return None, str(error), type(error).__name__, ""
     return report, None, None, to_jsonl(tracer.records)
 
 
-def _run_here(spec: CellSpec, traced: bool) -> _Sent:
+def _run_here(config: JobConfig, traced: bool) -> _Sent:
     """Run one cell in this process; its CPU time is the delta around it."""
     started = time.process_time()
-    result = _execute_spec(spec, traced)
+    result = _execute_cell(config, traced)
     return (*result, time.process_time() - started)
 
 
-def _run_child(spec: CellSpec, traced: bool, writer) -> None:
+def _run_child(config: JobConfig, traced: bool, writer) -> None:
     """A forked cell process: run the cell, send its result back.
 
     The process exists for this one cell, so its whole CPU time is the
     cell's.  A report that does not pickle is sent as that cell's error
     instead.
     """
-    result = _execute_spec(spec, traced)
+    result = _execute_cell(config, traced)
     try:
         writer.send((*result, time.process_time()))
     except Exception as error:  # noqa: BLE001 - the pickle failure is the result
@@ -232,7 +235,7 @@ def _usable_cpus() -> int:
 
 
 class CampaignExecutor:
-    """Run cell specs serially or one forked process per running cell.
+    """Run cells serially or one forked process per running cell.
 
     A cell whose process crashes is charged alone and run again in a
     fresh process, up to ``CELL_RETRIES`` times; an overdue cell has
@@ -260,9 +263,9 @@ class CampaignExecutor:
         collected.
     store:
         Optional :class:`~repro.store.ResultsStore`.  Before execution,
-        every spec is looked up by its canonical config key: stored
+        every cell is looked up by its canonical config key: stored
         cells come back as ``cached=True`` outcomes (progress fires for
-        them too, in spec order) and are *not* re-run; every cell that
+        them too, in config order) and are *not* re-run; every cell that
         does run to a report is persisted from the parent process as it
         completes.  This is what makes campaigns resumable — and a
         repeat of an identical campaign all cache hits, bit-identical
@@ -297,7 +300,7 @@ class CampaignExecutor:
         self.cells_cached = 0
         #: Store writes that failed during the last run (best-effort).
         self.store_write_failures = 0
-        #: Open per-cell spans + wall start stamps, keyed by spec index.
+        #: Open per-cell spans + wall start stamps, keyed by cell index.
         self._cell_spans: Dict[int, tuple] = {}
         #: Summed CPU seconds of the cells that ran (utilization numerator).
         self._cpu_seconds = 0.0
@@ -306,17 +309,17 @@ class CampaignExecutor:
 
     def run(
         self,
-        specs: Sequence[CellSpec],
+        configs: Sequence[JobConfig],
         progress: Optional[Callable[[CellOutcome], None]] = None,
     ) -> List[CellOutcome]:
-        """Execute every spec; outcomes are returned in spec order.
+        """Execute every cell; outcomes are returned in config order.
 
-        Exactly one outcome per spec, always — cells lost to crashes or
-        timeouts come back as failed outcomes rather than disappearing.
-        ``progress`` is invoked in the calling process once per cell:
-        first for store-restored cells (spec order, ``cached=True``),
-        then for executed cells as they complete (completion order in
-        process mode).
+        Exactly one outcome per config, always — cells lost to crashes
+        or timeouts come back as failed outcomes rather than
+        disappearing.  ``progress`` is invoked in the calling process
+        once per cell: first for store-restored cells (config order,
+        ``cached=True``), then for executed cells as they complete
+        (completion order in process mode).
         """
         self.last_mode = None
         self.worker_crashes = 0
@@ -326,15 +329,15 @@ class CampaignExecutor:
         self.store_write_failures = 0
         self._cell_spans = {}
         self._cpu_seconds = 0.0
-        if not specs:
+        if not configs:
             return []
         started = time.monotonic()
         campaign_span = self.tracer.begin(
-            "campaign", cells=len(specs), workers=self.workers
+            "campaign", cells=len(configs), workers=self.workers
         )
         try:
-            restored, remaining = self._restore_cached(specs, progress)
-            live = [specs[i] for i in remaining]
+            restored, remaining = self._restore_cached(configs, progress)
+            live = [configs[i] for i in remaining]
             if not live:
                 self.last_mode = "cached"
                 executed = []
@@ -342,13 +345,13 @@ class CampaignExecutor:
                 executed = self._run_serial(live, progress)
             else:
                 executed = self._run_forked(live, progress)
-            merged: List[Optional[CellOutcome]] = [None] * len(specs)
+            merged: List[Optional[CellOutcome]] = [None] * len(configs)
             for index, outcome in restored.items():
                 merged[index] = outcome
             for index, outcome in zip(remaining, executed):
                 merged[index] = outcome
             outcomes = [outcome for outcome in merged if outcome is not None]
-            assert len(outcomes) == len(specs)
+            assert len(outcomes) == len(configs)
         finally:
             # The cells' CPU seconds over what their lanes could give:
             # a sleeping cell uses none, and no more lanes run at once
@@ -356,7 +359,7 @@ class CampaignExecutor:
             elapsed = time.monotonic() - started
             lanes = 1
             if self.last_mode == "process":
-                live_cells = len(specs) - self.cells_cached
+                live_cells = len(configs) - self.cells_cached
                 lanes = min(self.workers, live_cells, _usable_cpus())
             utilization = (
                 self._cpu_seconds / (elapsed * lanes) if elapsed > 0.0 else 0.0
@@ -389,29 +392,29 @@ class CampaignExecutor:
 
     def _restore_cached(
         self,
-        specs: Sequence[CellSpec],
+        configs: Sequence[JobConfig],
         progress: Optional[Callable[[CellOutcome], None]],
     ) -> Tuple[Dict[int, CellOutcome], List[int]]:
-        """Look every spec up in the store; return (restored, to-run).
+        """Look every cell up in the store; return (restored, to-run).
 
-        Restored outcomes fire ``progress`` immediately (spec order)
+        Restored outcomes fire ``progress`` immediately (config order)
         with ``cached=True`` so TTY progress and traces account for
         resumed cells instead of silently under-counting them.
         """
         if self.store is None:
-            return {}, list(range(len(specs)))
+            return {}, list(range(len(configs)))
         restored: Dict[int, CellOutcome] = {}
         remaining: List[int] = []
-        for index, spec in enumerate(specs):
-            report = self.store.get_report(spec.config)
+        for index, config in enumerate(configs):
+            report = self.store.get_report(config)
             if report is None:
                 remaining.append(index)
                 continue
-            outcome = CellOutcome(spec=spec, report=report, cached=True)
+            outcome = CellOutcome(config, report, cached=True)
             restored[index] = outcome
             self.cells_cached += 1
             self.tracer.event(
-                "cell_cached", index=index, mtbf=spec.node_mtbf, r=spec.redundancy
+                "cell_cached", index=index, mtbf=config.node_mtbf, r=config.redundancy
             )
             if self.metrics is not None:
                 self.metrics.counter("campaign.cells").inc()
@@ -436,7 +439,7 @@ class CampaignExecutor:
         ):
             return
         try:
-            self.store.put_report(outcome.spec.config, outcome.report)
+            self.store.put_report(outcome.config, outcome.report)
         except Exception as error:  # noqa: BLE001 - persistence is optional
             self.store_write_failures += 1
             self.tracer.event("store_write_failed", error=str(error))
@@ -445,10 +448,10 @@ class CampaignExecutor:
 
     # -- observability ------------------------------------------------------
 
-    def _begin_cell(self, index: int, spec: CellSpec) -> None:
+    def _begin_cell(self, index: int, config: JobConfig) -> None:
         """Open the wall-clock span for one cell (at submit/run time)."""
         span = self.tracer.begin(
-            "cell", index=index, mtbf=spec.node_mtbf, r=spec.redundancy
+            "cell", index=index, mtbf=config.node_mtbf, r=config.redundancy
         )
         self._cell_spans[index] = (span, time.monotonic())
 
@@ -492,7 +495,7 @@ class CampaignExecutor:
         self,
         outcomes: List[Optional[CellOutcome]],
         index: int,
-        spec: CellSpec,
+        config: JobConfig,
         sent: _Sent,
         progress: Optional[Callable[[CellOutcome], None]],
     ) -> None:
@@ -501,32 +504,33 @@ class CampaignExecutor:
         self._cpu_seconds += cpu_seconds
         if trace:
             self.obs.add_records(trace)
-        outcome = CellOutcome(spec, report, error, error_type)
+        outcome = CellOutcome(config, report, error, error_type)
         self._settle(outcomes, index, outcome, progress)
 
     # -- execution paths ----------------------------------------------------
 
     def _run_serial(
         self,
-        specs: Sequence[CellSpec],
+        configs: Sequence[JobConfig],
         progress: Optional[Callable[[CellOutcome], None]],
     ) -> List[CellOutcome]:
         self.last_mode = "serial"
-        outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
+        outcomes: List[Optional[CellOutcome]] = [None] * len(configs)
         traced = self.tracer.enabled
-        for index, spec in enumerate(specs):
-            self._begin_cell(index, spec)
-            self._complete(outcomes, index, spec, _run_here(spec, traced), progress)
+        for index, config in enumerate(configs):
+            self._begin_cell(index, config)
+            sent = _run_here(config, traced)
+            self._complete(outcomes, index, config, sent, progress)
         return list(outcomes)
 
     def _run_forked(
         self,
-        specs: Sequence[CellSpec],
+        configs: Sequence[JobConfig],
         progress: Optional[Callable[[CellOutcome], None]],
     ) -> List[CellOutcome]:
         """Run each in-flight cell in its own forked process.
 
-        At most ``workers`` cells run at once, in spec order; the parent
+        At most ``workers`` cells run at once, in config order; the parent
         waits on their result pipes.  A pipe that reaches end-of-file
         with no result is its cell's crash: that cell alone is charged
         and queued again, and lost after ``CELL_RETRIES`` reruns.  A
@@ -536,24 +540,24 @@ class CampaignExecutor:
         self.last_mode = "process"
         traced = self.tracer.enabled
         context = multiprocessing.get_context("fork")
-        outcomes: List[Optional[CellOutcome]] = [None] * len(specs)
-        crashes = [0] * len(specs)
-        queue = deque(range(len(specs)))
+        outcomes: List[Optional[CellOutcome]] = [None] * len(configs)
+        crashes = [0] * len(configs)
+        queue = deque(range(len(configs)))
         #: Result pipe of each running cell -> (index, process, deadline).
         running: Dict[object, Tuple[int, object, float]] = {}
         try:
             while queue or running:
                 while queue and len(running) < self.workers:
                     index = queue.popleft()
-                    spec = specs[index]
-                    self._begin_cell(index, spec)
+                    config = configs[index]
+                    self._begin_cell(index, config)
                     try:
-                        reader, process = self._start(context, spec, traced)
+                        reader, process = self._start(context, config, traced)
                     except OSError as error:
                         self.last_mode = "serial-fallback"
                         self.tracer.event("serial_fallback", error=str(error))
-                        sent = _run_here(spec, traced)
-                        self._complete(outcomes, index, spec, sent, progress)
+                        sent = _run_here(config, traced)
+                        self._complete(outcomes, index, config, sent, progress)
                         continue
                     deadline = time.monotonic() + (self.cell_timeout or math.inf)
                     running[reader] = (index, process, deadline)
@@ -571,10 +575,10 @@ class CampaignExecutor:
                         sent = None
                     exitcode = self._reap(reader, process)
                     if sent is not None:
-                        self._complete(outcomes, index, specs[index], sent, progress)
+                        self._complete(outcomes, index, configs[index], sent, progress)
                         continue
                     crashes[index] += 1
-                    lost = self._crashed(specs[index], index, crashes[index], exitcode)
+                    lost = self._crashed(configs[index], index, crashes[index], exitcode)
                     if lost is None:
                         queue.append(index)
                     else:
@@ -585,7 +589,7 @@ class CampaignExecutor:
                     self._reap(reader, process, kill=True)
                     self.cells_timed_out += 1
                     timed_out = CellOutcome(
-                        spec=specs[index],
+                        configs[index],
                         error_type="CellTimeout",
                         error=(
                             f"cell exceeded the {self.cell_timeout}s "
@@ -602,14 +606,14 @@ class CampaignExecutor:
         return list(outcomes)
 
     def _crashed(
-        self, spec: CellSpec, index: int, attempts: int, exitcode: Optional[int]
+        self, config: JobConfig, index: int, attempts: int, exitcode: Optional[int]
     ) -> Optional[CellOutcome]:
         """Charge a crash to its cell: None to run it again, else its loss."""
         self.worker_crashes += 1
         self.tracer.event("worker_crash", index=index, exitcode=exitcode)
         if attempts > CELL_RETRIES:
             return CellOutcome(
-                spec=spec,
+                config,
                 error_type="WorkerCrash",
                 error=(
                     f"cell lost to a worker crash after {attempts} attempt(s): "
@@ -622,11 +626,11 @@ class CampaignExecutor:
         return None
 
     @staticmethod
-    def _start(context, spec: CellSpec, traced: bool):
+    def _start(context, config: JobConfig, traced: bool):
         """Fork one cell's process; return its result pipe and process."""
         reader, writer = context.Pipe(duplex=False)
         process = context.Process(
-            target=_run_child, args=(spec, traced, writer), daemon=True
+            target=_run_child, args=(config, traced, writer), daemon=True
         )
         try:
             process.start()

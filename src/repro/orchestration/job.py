@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import units
 from ..checkpoint import CheckpointService, RestartManager, StableStorage
@@ -51,6 +51,26 @@ from ..workloads import WorkShell, Workload
 #: Restarts a job may pay before it gives up (never reached by the
 #: paper's settings; a guard against a job that can make no progress).
 MAX_RESTARTS = 10_000
+
+#: ``JobConfig.failure_distribution`` names and their interarrival laws.
+_DISTRIBUTIONS = {
+    "exponential": Exponential,
+    "weibull": Weibull,
+    "lognormal": LogNormal,
+}
+
+#: ``JobReport`` fields the closing ``summary`` trace record carries.
+_SUMMARY_FIELDS = (
+    "completed",
+    "total_time",
+    "attempts",
+    "failures_injected",
+    "rollbacks",
+    "checkpoints_committed",
+    "checkpoint_union_time",
+    "checkpoint_interval",
+    "physical_processes",
+)
 
 
 @dataclass
@@ -122,7 +142,7 @@ class JobConfig:
             raise ConfigurationError(
                 f"restart_cost must be >= 0, got {self.restart_cost}"
             )
-        if self.failure_distribution not in ("exponential", "weibull", "lognormal"):
+        if self.failure_distribution not in _DISTRIBUTIONS:
             raise ConfigurationError(
                 f"unknown failure_distribution {self.failure_distribution!r}"
             )
@@ -178,15 +198,6 @@ def trace_label(config: JobConfig) -> str:
     return f"r{config.redundancy:g}-mtbf{mtbf:g}-seed{config.seed}"
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One entry in a job's event log."""
-
-    time: float
-    kind: str
-    detail: str = ""
-
-
 @dataclass
 class JobReport:
     """What one job run produced."""
@@ -197,18 +208,13 @@ class JobReport:
     failures_injected: int
     rollbacks: int
     checkpoints_committed: int
-    time_in_checkpoints: float
     result: Any
     #: Wallclock the *application* spent checkpointing: the union of
-    #: per-rank checkpoint windows (``time_in_checkpoints`` sums the
-    #: overlapping per-rank windows, so it overcounts by ~the rank
-    #: count; this is the phase-breakdown quantity).
+    #: per-rank checkpoint windows (the phase-breakdown quantity).
     checkpoint_union_time: float = 0.0
     counters: Dict[str, float] = field(default_factory=dict)
     checkpoint_interval: Optional[float] = None
     physical_processes: int = 0
-    #: Ordered job events: attempts, failures, commits, rollbacks.
-    timeline: list = field(default_factory=list)
     #: Chaos stats — all zero/empty when no storage faults are injected.
     checkpoints_skipped: int = 0
     checkpoint_retries: int = 0
@@ -233,10 +239,12 @@ class ResilientJob:
     """Assemble and run one job; see module docstring for the lifecycle.
 
     ``tracer`` (the null tracer by default) receives the job's manifest,
-    its attempt/restart spans, the events of every layer it builds and
-    a closing summary; the caller reads them from the tracer after
-    :meth:`run`.  The tracer only *reads* the simulation clock, so a
-    traced run is sim-identical to an untraced one.
+    its attempt/restart spans, its events (attempts, failures, commits,
+    rollbacks: the job's one event log) and those of every layer it
+    builds, and a closing summary built from the report; the caller
+    reads them from the tracer after :meth:`run`.  The tracer only
+    *reads* the simulation clock, so a traced run is sim-identical to
+    an untraced one.
     """
 
     def __init__(self, config: JobConfig, tracer=NULL_TRACER) -> None:
@@ -246,12 +254,10 @@ class ResilientJob:
         self._in_restart = False
         self._restart_disturbed = False
         self._failures_delivered = 0
-        self._timeline: list = []
         self._env: Optional[Environment] = None
         self._tracer = tracer
 
     def _log(self, env: Environment, kind: str, detail: str = "") -> None:
-        self._timeline.append(TimelineEvent(time=env.now, kind=kind, detail=detail))
         self._tracer.event(kind, sim_time=env.now, detail=detail)
 
     # -- injector plumbing ---------------------------------------------------
@@ -299,15 +305,10 @@ class ResilientJob:
 
         injector = None
         if cfg.node_mtbf is not None:
-            distributions = {
-                "exponential": Exponential,
-                "weibull": Weibull,
-                "lognormal": LogNormal,
-            }
             injector = FailureInjector(
                 env,
                 slots=total_physical,
-                distribution=distributions[cfg.failure_distribution](cfg.node_mtbf),
+                distribution=_DISTRIBUTIONS[cfg.failure_distribution](cfg.node_mtbf),
                 rng=rng.stream("faults"),
                 kill=self._kill,
                 cr_active=self._cr_active,
@@ -318,15 +319,16 @@ class ResilientJob:
 
         attempts = 0
         restored: Optional[tuple] = None
-        completed = False
-        result: Any = None
-        total_checkpoint_time = 0.0
-        checkpoint_union_time = 0.0
-        checkpoints_skipped = 0
-        checkpoint_retries = 0
-        checkpoint_write_failures = 0
         cold_starts = 0
-        merged_counters: Dict[str, float] = {}
+        #: ``CheckpointService`` totals summed over the attempts, keyed by
+        #: the service attribute and the ``JobReport`` field alike.
+        totals: Dict[str, Any] = {
+            "checkpoint_union_time": 0.0,
+            "checkpoints_skipped": 0,
+            "checkpoint_retries": 0,
+            "checkpoint_write_failures": 0,
+        }
+        counters: Dict[str, float] = {}
         while True:
             attempts += 1
             self._log(env, "attempt_start", f"attempt {attempts}")
@@ -336,20 +338,12 @@ class ResilientJob:
             attempt_span = self._tracer.begin(
                 "attempt", sim_time=env.now, attempt=attempts
             )
-            attempt = self._run_attempt(
-                env, rng, replica_map, storage, restart_manager, restored, delta
+            completed, result = self._run_attempt(
+                env, rng, replica_map, storage, restart_manager, restored, delta,
+                totals, counters,
             )
-            attempt_span.end(sim_time=env.now, completed=attempt["completed"])
-            total_checkpoint_time += attempt["checkpoint_time"]
-            checkpoint_union_time += attempt["checkpoint_union"]
-            checkpoints_skipped += attempt["checkpoints_skipped"]
-            checkpoint_retries += attempt["checkpoint_retries"]
-            checkpoint_write_failures += attempt["checkpoint_write_failures"]
-            for name, value in attempt["counters"].items():
-                merged_counters[name] = merged_counters.get(name, 0.0) + value
-            if attempt["completed"]:
-                completed = True
-                result = attempt["result"]
+            attempt_span.end(sim_time=env.now, completed=completed)
+            if completed:
                 break
             if attempts > MAX_RESTARTS:
                 self._log(env, "gave_up", f"after {attempts} attempts")
@@ -391,47 +385,18 @@ class ResilientJob:
             injector.stop()
         if completed:
             self._log(env, "completed", "")
-        for line in restart_manager.history:
-            self._timeline.append(
-                TimelineEvent(
-                    time=line.committed_at,
-                    kind="checkpoint_commit",
-                    detail=f"step {line.step}",
-                )
-            )
-        self._timeline.sort(key=lambda event: event.time)
         self._env = None
-        if self._tracer.enabled:
-            self._tracer.record(
-                "summary",
-                completed=completed,
-                total_time=env.now,
-                attempts=attempts,
-                failures_injected=self._failures_delivered,
-                rollbacks=restart_manager.rollbacks,
-                checkpoints_committed=restart_manager.commits,
-                time_in_checkpoints=total_checkpoint_time,
-                checkpoint_union_time=checkpoint_union_time,
-                checkpoint_interval=delta,
-                physical_processes=total_physical,
-            )
-        return JobReport(
+        report = JobReport(
             completed=completed,
             total_time=env.now,
             attempts=attempts,
             failures_injected=self._failures_delivered,
             rollbacks=restart_manager.rollbacks,
             checkpoints_committed=restart_manager.commits,
-            time_in_checkpoints=total_checkpoint_time,
-            checkpoint_union_time=checkpoint_union_time,
             result=result,
-            counters=merged_counters,
+            counters=counters,
             checkpoint_interval=delta,
             physical_processes=total_physical,
-            timeline=list(self._timeline),
-            checkpoints_skipped=checkpoints_skipped,
-            checkpoint_retries=checkpoint_retries,
-            checkpoint_write_failures=checkpoint_write_failures,
             max_rollback_depth=restart_manager.max_rollback_depth,
             recovery_lines_skipped=(
                 restart_manager.corrupt_lines_skipped
@@ -441,7 +406,13 @@ class ResilientJob:
             storage_fault_counts=(
                 fault_model.counters() if fault_model is not None else {}
             ),
+            **totals,
         )
+        if self._tracer.enabled:
+            self._tracer.record(
+                "summary", **{name: getattr(report, name) for name in _SUMMARY_FIELDS}
+            )
+        return report
 
     # -- one attempt --------------------------------------------------------------
 
@@ -454,7 +425,14 @@ class ResilientJob:
         restart_manager: RestartManager,
         restored: Optional[tuple],
         delta: Optional[float],
-    ) -> Dict[str, Any]:
+        totals: Dict[str, Any],
+        counters: Dict[str, float],
+    ) -> Tuple[bool, Any]:
+        """Run one attempt; return ``(completed, lead replica's result)``.
+
+        The attempt's service totals and world counters are added into
+        ``totals`` and ``counters``.
+        """
         cfg = self.config
         total_physical = replica_map.total_physical
         world = SimMPI(
@@ -509,43 +487,22 @@ class ResilientJob:
         everyone = AllOf(env, [world.process_of(p) for p in range(total_physical)])
         env.run(until=AnyOf(env, [everyone, failed_event]))
 
-        checkpoint_time = service.time_in_checkpoints if service else 0.0
-        checkpoint_union = service.checkpoint_union_time if service else 0.0
-        counters = dict(world.counters)
-        chaos_stats = {
-            "checkpoints_skipped": service.checkpoints_skipped if service else 0,
-            "checkpoint_retries": service.checkpoint_retries if service else 0,
-            "checkpoint_write_failures": (
-                service.checkpoint_write_failures if service else 0
-            ),
-        }
-        if everyone.triggered and everyone.ok:
-            lead_result = results.get(tracker.lead_replica(0))
-            world.dispose()
-            self._world = None
-            self._service = None
-            return {
-                "completed": True,
-                "result": lead_result,
-                "checkpoint_time": checkpoint_time,
-                "checkpoint_union": checkpoint_union,
-                "counters": counters,
-                **chaos_stats,
-            }
-        # Sphere exhausted: tear the attempt down.
-        for rank in list(world.alive_ranks):
-            world.kill_rank(rank, cause="attempt aborted")
+        # Read the totals before an aborted attempt's ranks are killed:
+        # the kills unwind their open checkpoint windows.
+        if service is not None:
+            for name in totals:
+                totals[name] += getattr(service, name)
+        for name, value in world.counters.items():
+            counters[name] = counters.get(name, 0.0) + value
+        completed = everyone.triggered and everyone.ok
+        result = results.get(tracker.lead_replica(0)) if completed else None
+        if not completed:  # a sphere is exhausted: tear the attempt down
+            for rank in list(world.alive_ranks):
+                world.kill_rank(rank, cause="attempt aborted")
         world.dispose()
         self._world = None
         self._service = None
-        return {
-            "completed": False,
-            "result": None,
-            "checkpoint_time": checkpoint_time,
-            "checkpoint_union": checkpoint_union,
-            "counters": counters,
-            **chaos_stats,
-        }
+        return completed, result
 
     # -- restart window ---------------------------------------------------------------
 

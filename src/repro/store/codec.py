@@ -36,7 +36,7 @@ from ..models.checkpointing import TimeBreakdown
 from ..models.combined import CombinedModel, CombinedResult
 from ..models.optimize import CrossoverPoint, RedundancySweepPoint
 from ..models.redundancy import RedundancyPartition
-from ..orchestration.job import JobReport, TimelineEvent
+from ..orchestration.job import JobReport
 
 __all__ = [
     "CODEC_VERSION",
@@ -48,15 +48,15 @@ __all__ = [
     "encode_report",
 ]
 
-#: Bump on incompatible payload layout changes.
-CODEC_VERSION = 1
+#: Bump on incompatible payload layout changes.  Version 2: ``JobReport``
+#: dropped its event list and its per-rank checkpoint-time sum.
+CODEC_VERSION = 2
 
 #: Dataclasses the codec may embed.  Name-keyed (not module-keyed) so a
 #: payload survives module moves; names must therefore stay unique.
 REGISTERED_TYPES: Dict[str, Type] = {
     cls.__name__: cls
     for cls in (
-        TimelineEvent,
         JobReport,
         CombinedModel,
         RedundancyPartition,

@@ -98,4 +98,6 @@ class TestFaultFreeNoOp:
         )
         assert chaos_env.now == plain_env.now
         assert chaos_manager.commits == plain_manager.commits
-        assert chaos_service.time_in_checkpoints == plain_service.time_in_checkpoints
+        assert (
+            chaos_service.checkpoint_union_time == plain_service.checkpoint_union_time
+        )

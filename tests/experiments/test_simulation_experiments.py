@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import run_experiment
 from repro.experiments.table4 import ScaledSetup
+from repro.orchestration import run_failure_free_sweep
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,24 @@ class TestTable5Tiny:
         assert result.findings["first_step_relative_jump"] > 0
 
 
+class TestPinnedInputs:
+    """``ScaledSetup``'s hand-pinned model inputs match its own workload.
+
+    ``expected_base_time`` and ``alpha_estimate`` set the Daly interval
+    and so every Table 4 golden; they stay pinned, and the failure-free
+    1x and 2x cells must still measure them to the pinned precision.
+    """
+
+    def test_failure_free_cells_match_pinned_inputs(self):
+        setup = ScaledSetup()
+        t1, t2 = (
+            cell.report.total_time
+            for cell in run_failure_free_sweep(setup.job_config(), [1.0, 2.0])
+        )
+        assert t1 == pytest.approx(setup.expected_base_time, abs=0.005)
+        assert t2 / t1 - 1.0 == pytest.approx(setup.alpha_estimate, abs=0.005)
+
+
 class TestFig12Tiny:
     def test_fit_statistics_produced(self, tiny_setup):
         result = run_experiment(
@@ -101,8 +120,8 @@ def no_cells(monkeypatch):
 
     submitted = []
 
-    def refuse(self, specs, progress=None):
-        submitted.append(list(specs))
+    def refuse(self, configs, progress=None):
+        submitted.append(list(configs))
         raise _CellRan()
 
     monkeypatch.setattr(CampaignExecutor, "run", refuse)
@@ -131,8 +150,8 @@ class TestGridValidation:
 
         with pytest.raises(_CellRan):
             table4.run(quick=True, mtbf_hours=(6.0,), degrees=(1.0,))
-        (specs,) = no_cells
-        assert [(s.node_mtbf, s.redundancy) for s in specs] == [
+        (configs,) = no_cells
+        assert [(c.node_mtbf, c.redundancy) for c in configs] == [
             (ScaledSetup().mtbf_to_sim(6.0), 1.0)
         ]
 
@@ -141,9 +160,9 @@ class TestGridValidation:
 
         with pytest.raises(_CellRan):
             table4.run(quick=True, degrees=(2.0,))
-        (specs,) = no_cells
-        assert len(specs) == len(table4.QUICK_MTBF_HOURS)
-        assert {s.redundancy for s in specs} == {2.0}
+        (configs,) = no_cells
+        assert len(configs) == len(table4.QUICK_MTBF_HOURS)
+        assert {c.redundancy for c in configs} == {2.0}
 
     def test_chaos_explicit_probs_win_over_quick(self, no_cells):
         from repro.errors import ReproError
@@ -153,5 +172,10 @@ class TestGridValidation:
             chaos.run(quick=True, probs=(0.0, 1.5))
         with pytest.raises(_CellRan):
             chaos.run(quick=True, probs=(0.0, 0.2))
-        (specs,) = no_cells
-        assert sorted({s.redundancy for s in specs}) == [0.0, 0.2]
+        (configs,) = no_cells
+        faults = [c.storage_faults for c in configs]
+        assert faults[0] is None  # the shared p=0 baseline
+        assert {(f.write_fail_prob, f.corrupt_prob) for f in faults[1:]} == {
+            (0.2, 0.0),
+            (0.0, 0.2),
+        }

@@ -23,6 +23,7 @@ from repro.obs import (
     report_from_file,
     to_jsonl,
 )
+from repro.obs.report import PARENT_JOB
 from repro.orchestration import JobConfig, ResilientJob, run_redundancy_sweep
 from repro.workloads import SyntheticWorkload
 
@@ -144,6 +145,20 @@ class TestTracedCampaignReconciles:
             }
 
         assert phase_totals(serial_path) == phase_totals(pool_path)
+
+        def events(path):
+            """Each job's (name, sim_time, detail) event sequence."""
+            sequences = {}
+            for record in read_trace(path):
+                if record["type"] == "event" and record.get("job") != PARENT_JOB:
+                    sequences.setdefault(record["job"], []).append(
+                        (record["name"], record["t"], record.get("detail"))
+                    )
+            return sequences
+
+        serial_events = events(serial_path)
+        assert len(serial_events) == 4
+        assert serial_events == events(pool_path)
 
 
 class TestReportCli:

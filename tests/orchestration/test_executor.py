@@ -24,14 +24,13 @@ from repro.orchestration import executor as executor_module
 from repro.orchestration import (
     CampaignExecutionError,
     CampaignExecutor,
-    CellSpec,
     JobConfig,
     resolve_cell_timeout,
     resolve_workers,
     run_failure_free_sweep,
     run_redundancy_sweep,
 )
-from repro.orchestration.campaign import redundancy_sweep_specs
+from repro.orchestration.campaign import redundancy_sweep_configs
 from repro.workloads import SyntheticWorkload
 
 
@@ -157,11 +156,10 @@ def report_signature(report):
         report.failures_injected,
         report.rollbacks,
         report.checkpoints_committed,
-        report.time_in_checkpoints,
+        report.checkpoint_union_time,
         tuple(sorted(report.counters.items())),
         report.checkpoint_interval,
         report.physical_processes,
-        tuple((e.time, e.kind, e.detail) for e in report.timeline),
     )
 
 
@@ -190,32 +188,29 @@ class TestResolveWorkers:
 
 class TestSerialExecution:
     def test_ordered_outcomes(self):
-        specs = redundancy_sweep_specs(
+        configs = redundancy_sweep_configs(
             picklable_config(), node_mtbfs=[5.0, 10.0], degrees=[1.0, 2.0]
         )
         executor = CampaignExecutor(workers=1)
-        outcomes = executor.run(specs)
+        outcomes = executor.run(configs)
         assert executor.last_mode == "serial"
-        assert [(o.spec.node_mtbf, o.spec.redundancy) for o in outcomes] == [
+        assert [(o.node_mtbf, o.redundancy) for o in outcomes] == [
             (5.0, 1.0), (5.0, 2.0), (10.0, 1.0), (10.0, 2.0),
         ]
         assert all(o.ok for o in outcomes)
 
     def test_progress_callback_per_cell(self):
-        specs = redundancy_sweep_specs(
+        configs = redundancy_sweep_configs(
             picklable_config(), node_mtbfs=[5.0], degrees=[1.0, 2.0]
         )
         seen = []
-        CampaignExecutor(workers=1).run(specs, progress=seen.append)
+        CampaignExecutor(workers=1).run(configs, progress=seen.append)
         assert len(seen) == 2
         assert all(o.ok for o in seen)
 
     def test_error_captured_not_raised(self):
-        specs = [
-            CellSpec(node_mtbf=None, redundancy=1.0, config=broken_config()),
-            CellSpec(node_mtbf=None, redundancy=2.0, config=picklable_config()),
-        ]
-        outcomes = CampaignExecutor(workers=1).run(specs)
+        configs = [broken_config(), picklable_config(redundancy=2.0)]
+        outcomes = CampaignExecutor(workers=1).run(configs)
         assert not outcomes[0].ok
         assert outcomes[0].error_type == "ConfigurationError"
         assert "node_mtbf" in outcomes[0].error
@@ -253,37 +248,37 @@ class TestPoolExecution:
         assert any(c.report.rollbacks for c in serial)
 
     def test_pool_error_capture_keeps_campaign_alive(self):
-        specs = [
-            CellSpec(node_mtbf=None, redundancy=1.0, config=picklable_config()),
-            CellSpec(node_mtbf=None, redundancy=1.5, config=broken_config()),
-            CellSpec(node_mtbf=None, redundancy=2.0, config=picklable_config()),
+        configs = [
+            picklable_config(),
+            broken_config(),
+            picklable_config(redundancy=2.0),
         ]
         executor = CampaignExecutor(workers=2)
-        outcomes = executor.run(specs)
+        outcomes = executor.run(configs)
         assert [o.ok for o in outcomes] == [True, False, True]
         assert outcomes[1].error_type == "ConfigurationError"
 
     def test_unpicklable_config_runs_in_processes(self):
-        """A forked cell inherits its spec, so a closure factory is fine."""
-        specs = redundancy_sweep_specs(
+        """A forked cell inherits its config, so a closure factory is fine."""
+        configs = redundancy_sweep_configs(
             lambda_config(), node_mtbfs=[5.0], degrees=[1.0, 2.0]
         )
         executor = CampaignExecutor(workers=2)
-        outcomes = executor.run(specs)
+        outcomes = executor.run(configs)
         assert executor.last_mode == "process"
         assert all(o.ok for o in outcomes)
 
     def test_unpicklable_result_is_that_cells_error(self, monkeypatch):
         """A child whose result does not pickle sends the error instead."""
-        def unpicklable(spec, traced):
+        def unpicklable(config, traced):
             return None, lambda: None, "Odd", ""
 
-        monkeypatch.setattr(executor_module, "_execute_spec", unpicklable)
-        specs = redundancy_sweep_specs(
+        monkeypatch.setattr(executor_module, "_execute_cell", unpicklable)
+        configs = redundancy_sweep_configs(
             picklable_config(), node_mtbfs=[5.0], degrees=[1.0, 2.0]
         )
         executor = CampaignExecutor(workers=2)
-        outcomes = executor.run(specs)
+        outcomes = executor.run(configs)
         assert executor.last_mode == "process"
         assert executor.worker_crashes == 0
         assert all(not o.ok and o.error_type not in (None, "Odd") for o in outcomes)
@@ -295,10 +290,10 @@ class TestPoolExecution:
         fork_process = multiprocessing.get_context("fork").Process
         monkeypatch.setattr(fork_process, "start", refuse)
         base = picklable_config(node_mtbf=2.0)
-        specs = redundancy_sweep_specs(base, node_mtbfs=[2.0], degrees=[1.0, 2.0])
-        serial = CampaignExecutor(workers=1).run(specs)
+        configs = redundancy_sweep_configs(base, node_mtbfs=[2.0], degrees=[1.0, 2.0])
+        serial = CampaignExecutor(workers=1).run(configs)
         executor = CampaignExecutor(workers=2)
-        outcomes = executor.run(specs)
+        outcomes = executor.run(configs)
         assert all(o.ok for o in outcomes)
         assert executor.last_mode == "serial-fallback"
         assert [report_signature(o.report) for o in outcomes] == [
@@ -307,34 +302,27 @@ class TestPoolExecution:
 
     def test_utilization_counts_only_lanes_that_ran(self):
         """Two equal cells at workers=8 keep at most two lanes busy."""
-        specs = redundancy_sweep_specs(
+        configs = redundancy_sweep_configs(
             picklable_config(), node_mtbfs=[5.0], degrees=[1.0, 1.0]
         )
         obs = ObsSession(metrics=True)
-        CampaignExecutor(workers=8, obs=obs).run(specs)
+        CampaignExecutor(workers=8, obs=obs).run(configs)
         assert obs.metrics.gauge("campaign.utilization").value > 0.3
 
     def test_utilization_counts_cpu_time_not_wall_time(self):
         """Cells whose ranks sleep hold their lanes but use no CPU."""
-        specs = [
-            CellSpec(
-                node_mtbf=None,
-                redundancy=1.0,
-                config=special_config(GlacialWorkload, sleep_seconds=0.1),
-            )
-            for _ in range(2)
-        ]
+        configs = [special_config(GlacialWorkload, sleep_seconds=0.1)] * 2
         obs = ObsSession(metrics=True)
-        outcomes = CampaignExecutor(workers=2, obs=obs).run(specs)
+        outcomes = CampaignExecutor(workers=2, obs=obs).run(configs)
         assert all(o.ok for o in outcomes)
         assert obs.metrics.gauge("campaign.utilization").value < 0.5
 
     def test_single_cell_stays_serial(self):
-        specs = redundancy_sweep_specs(
+        configs = redundancy_sweep_configs(
             picklable_config(), node_mtbfs=[5.0], degrees=[1.0]
         )
         executor = CampaignExecutor(workers=4)
-        outcomes = executor.run(specs)
+        outcomes = executor.run(configs)
         assert executor.last_mode == "serial"
         assert outcomes[0].ok
 
@@ -426,18 +414,14 @@ class TestSelfHealing:
     def test_killed_worker_loses_zero_cells(self, tmp_path):
         """Acceptance: a SIGKILLed pool worker mid-campaign loses nothing."""
         sentinel = str(tmp_path / "killed-once")
-        specs = [
-            CellSpec(node_mtbf=None, redundancy=1.0, config=picklable_config()),
-            CellSpec(
-                node_mtbf=None,
-                redundancy=1.5,
-                config=special_config(KamikazeWorkload, sentinel=sentinel, delay=1.0),
-            ),
-            CellSpec(node_mtbf=None, redundancy=2.0, config=picklable_config()),
+        configs = [
+            picklable_config(),
+            special_config(KamikazeWorkload, sentinel=sentinel, delay=1.0),
+            picklable_config(redundancy=2.0),
         ]
         executor = CampaignExecutor(workers=2)
-        outcomes = executor.run(specs)
-        assert len(outcomes) == len(specs)
+        outcomes = executor.run(configs)
+        assert len(outcomes) == len(configs)
         assert all(o.ok for o in outcomes), [
             (o.error_type, o.error) for o in outcomes if not o.ok
         ]
@@ -448,19 +432,15 @@ class TestSelfHealing:
         """A cell that kills its process every time is eventually declared
         lost instead of being rerun forever — and the healthy cells
         still all complete."""
-        specs = [
-            CellSpec(node_mtbf=None, redundancy=1.0, config=picklable_config()),
-            CellSpec(
-                node_mtbf=None,
-                redundancy=1.5,
-                config=special_config(PoisonWorkload, delay=0.3),
-            ),
-            CellSpec(node_mtbf=None, redundancy=2.0, config=picklable_config()),
+        configs = [
+            picklable_config(),
+            special_config(PoisonWorkload, delay=0.3),
+            picklable_config(redundancy=2.0),
         ]
         monkeypatch.setattr(executor_module, "CELL_RETRIES", 1)
         executor = CampaignExecutor(workers=2)
-        outcomes = executor.run(specs)
-        assert len(outcomes) == len(specs)
+        outcomes = executor.run(configs)
+        assert len(outcomes) == len(configs)
         statuses = [o.ok for o in outcomes]
         # The poison cell must come back as a synthesized failure (process
         # path) or a captured error (serial fallback); never dropped.
@@ -472,27 +452,12 @@ class TestSelfHealing:
         """A crash charges only the cell whose process died: the healthy
         cell that ran beside the poison cell and the cells queued behind
         it all complete, and only the poison cell is ever resubmitted."""
-        poison = CellSpec(
-            node_mtbf=None,
-            redundancy=1.5,
-            config=special_config(PoisonWorkload, delay=0.4),
-        )
-        slow = [
-            CellSpec(
-                node_mtbf=None,
-                redundancy=2.0 + k,
-                config=special_config(GlacialWorkload, sleep_seconds=1.0),
-            )
-            for k in range(4)
-        ]
-        specs = [
-            CellSpec(node_mtbf=None, redundancy=1.0, config=picklable_config()),
-            poison,
-            *slow,
-        ]
+        poison = special_config(PoisonWorkload, delay=0.4)
+        slow = [special_config(GlacialWorkload, sleep_seconds=1.0)] * 4
+        configs = [picklable_config(), poison, *slow]
         executor = CampaignExecutor(workers=2)
-        outcomes = executor.run(specs)
-        assert len(outcomes) == len(specs)
+        outcomes = executor.run(configs)
+        assert len(outcomes) == len(configs)
         ok = [o.ok for o in outcomes]
         assert not ok[1]
         assert ok[0] and ok[2] and ok[3] and ok[4] and ok[5], [
@@ -504,30 +469,12 @@ class TestSelfHealing:
         """Two adjacent poison cells each crash their own process on every
         attempt and are lost after ``CELL_RETRIES`` reruns; the slow
         cells behind them still run and complete."""
-        poison = [
-            CellSpec(
-                node_mtbf=None,
-                redundancy=1.5 + k / 10,
-                config=special_config(PoisonWorkload, delay=0.4),
-            )
-            for k in range(2)
-        ]
-        slow = [
-            CellSpec(
-                node_mtbf=None,
-                redundancy=2.0 + k,
-                config=special_config(GlacialWorkload, sleep_seconds=1.0),
-            )
-            for k in range(4)
-        ]
-        specs = [
-            CellSpec(node_mtbf=None, redundancy=1.0, config=picklable_config()),
-            *poison,
-            *slow,
-        ]
+        poison = [special_config(PoisonWorkload, delay=0.4)] * 2
+        slow = [special_config(GlacialWorkload, sleep_seconds=1.0)] * 4
+        configs = [picklable_config(), *poison, *slow]
         executor = CampaignExecutor(workers=2)
-        outcomes = executor.run(specs)
-        assert len(outcomes) == len(specs)
+        outcomes = executor.run(configs)
+        assert len(outcomes) == len(configs)
         ok = [o.ok for o in outcomes]
         assert not ok[1] and not ok[2]
         assert ok[0] and all(ok[3:]), [(o.error_type, o.error) for o in outcomes]
@@ -537,17 +484,13 @@ class TestSelfHealing:
             assert f"after {retries + 1} attempt(s)" in lost.error
 
     def test_cell_timeout_fails_slow_cell_only(self):
-        specs = [
-            CellSpec(node_mtbf=None, redundancy=1.0, config=picklable_config()),
-            CellSpec(
-                node_mtbf=None,
-                redundancy=1.5,
-                config=special_config(GlacialWorkload, sleep_seconds=30.0),
-            ),
+        configs = [
+            picklable_config(),
+            special_config(GlacialWorkload, sleep_seconds=30.0),
         ]
         executor = CampaignExecutor(workers=2, cell_timeout=1.5)
         start = time.monotonic()
-        outcomes = executor.run(specs)
+        outcomes = executor.run(configs)
         elapsed = time.monotonic() - start
         assert elapsed < 15.0  # the 30 s sleeper was reclaimed, not awaited
         assert len(outcomes) == 2
@@ -557,18 +500,14 @@ class TestSelfHealing:
         assert executor.cells_timed_out == 1
 
     def test_timeout_survivors_move_to_fresh_pool(self):
-        specs = [
-            CellSpec(
-                node_mtbf=None,
-                redundancy=1.0,
-                config=special_config(GlacialWorkload, sleep_seconds=30.0),
-            ),
-            CellSpec(node_mtbf=None, redundancy=1.5, config=picklable_config()),
-            CellSpec(node_mtbf=None, redundancy=2.0, config=picklable_config()),
-            CellSpec(node_mtbf=None, redundancy=2.5, config=picklable_config()),
+        configs = [
+            special_config(GlacialWorkload, sleep_seconds=30.0),
+            picklable_config(redundancy=1.5),
+            picklable_config(redundancy=2.0),
+            picklable_config(redundancy=2.5),
         ]
         executor = CampaignExecutor(workers=2, cell_timeout=2.0)
-        outcomes = executor.run(specs)
+        outcomes = executor.run(configs)
         assert len(outcomes) == 4
         assert [o.ok for o in outcomes] == [False, True, True, True]
         assert outcomes[0].error_type == "CellTimeout"
@@ -577,25 +516,21 @@ class TestSelfHealing:
         """The third cell is mid-run when the first one's deadline fires;
         only the overdue cell's process is killed, so the neighbour
         finishes without a restart."""
-        specs = [
-            CellSpec(
-                node_mtbf=None,
-                redundancy=1.0 + k / 2,
-                config=special_config(GlacialWorkload, sleep_seconds=seconds),
-            )
-            for k, seconds in enumerate([30.0, 0.5, 0.5])
+        configs = [
+            special_config(GlacialWorkload, sleep_seconds=seconds)
+            for seconds in (30.0, 0.5, 0.5)
         ]
         executor = CampaignExecutor(workers=2, cell_timeout=3.0)
-        outcomes = executor.run(specs)
+        outcomes = executor.run(configs)
         assert [o.ok for o in outcomes] == [False, True, True]
         assert executor.cells_timed_out == 1
         assert executor.cells_resubmitted == 0
 
     def test_no_timeout_means_no_deadline_bookkeeping(self):
-        specs = redundancy_sweep_specs(
+        configs = redundancy_sweep_configs(
             picklable_config(), node_mtbfs=[5.0], degrees=[1.0, 2.0]
         )
         executor = CampaignExecutor(workers=2, cell_timeout=None)
-        outcomes = executor.run(specs)
+        outcomes = executor.run(configs)
         assert all(o.ok for o in outcomes)
         assert executor.cells_timed_out == 0

@@ -7,9 +7,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.table4 import ScaledSetup
 from repro.mpi import SimMPI
+from repro.obs import Tracer
 from repro.orchestration import JobConfig, ResilientJob
 from repro.orchestration import job as job_module
-from repro.orchestration.campaign import failure_free_sweep_specs, redundancy_sweep_specs
+from repro.orchestration.campaign import failure_free_sweep_configs, redundancy_sweep_configs
 from repro.redundancy import RedComm, RedRequest
 from repro.workloads import ConjugateGradientWorkload, SyntheticWorkload
 
@@ -99,7 +100,7 @@ class TestCheckpointingAndFaults:
     def test_checkpoints_committed(self):
         report = ResilientJob(self.fault_config()).run()
         assert report.checkpoints_committed > 0
-        assert report.time_in_checkpoints > 0
+        assert report.checkpoint_union_time > 0
 
     def test_deterministic_given_seed(self):
         first = ResilientJob(self.fault_config(seed=9)).run()
@@ -163,7 +164,17 @@ class TestCheckpointingAndFaults:
         )
 
 
+def traced_events(config):
+    """Run ``config`` traced; return its report and its event records."""
+    tracer = Tracer()
+    report = ResilientJob(config, tracer=tracer).run()
+    events = [record for record in tracer.records if record["type"] == "event"]
+    return report, events
+
+
 class TestTimeline:
+    """The job's event log is its trace's ``event`` records."""
+
     def fault_config(self, **overrides):
         params = dict(
             workload_factory=lambda: SyntheticWorkload(
@@ -180,13 +191,14 @@ class TestTimeline:
         return JobConfig(**params)
 
     def test_timeline_is_time_ordered(self):
-        report = ResilientJob(self.fault_config()).run()
-        times = [event.time for event in report.timeline]
+        _, events = traced_events(self.fault_config())
+        times = [event["t"] for event in events]
         assert times == sorted(times)
 
     def test_timeline_event_counts_match_report(self):
-        report = ResilientJob(self.fault_config()).run()
-        kinds = [event.kind for event in report.timeline]
+        report, events = traced_events(self.fault_config())
+        kinds = [event["name"] for event in events]
+        assert report.failures_injected > 0
         assert kinds.count("failure") == report.failures_injected
         assert kinds.count("rollback") == report.rollbacks
         assert kinds.count("checkpoint_commit") == report.checkpoints_committed
@@ -194,18 +206,18 @@ class TestTimeline:
         assert kinds.count("completed") == (1 if report.completed else 0)
 
     def test_rollback_follows_failure(self):
-        report = ResilientJob(self.fault_config(redundancy=1.0)).run()
-        kinds = [event.kind for event in report.timeline]
-        if "rollback" in kinds:
-            first_rollback = kinds.index("rollback")
-            assert "failure" in kinds[:first_rollback]
+        _, events = traced_events(self.fault_config(redundancy=1.0))
+        kinds = [event["name"] for event in events]
+        assert "rollback" in kinds
+        first_rollback = kinds.index("rollback")
+        assert "failure" in kinds[:first_rollback]
 
     def test_failure_free_timeline_minimal(self):
-        report = ResilientJob(
+        _, events = traced_events(
             self.fault_config(node_mtbf=None, checkpointing=False,
                               checkpoint_interval=None)
-        ).run()
-        kinds = {event.kind for event in report.timeline}
+        )
+        kinds = {event["name"] for event in events}
         assert kinds == {"attempt_start", "completed"}
 
 
@@ -317,12 +329,12 @@ def _table_cell(mtbf_hours):
     """A shortened Table 4/5 cell at 1.5x: failure-free, or at an MTBF."""
     setup = ScaledSetup(virtual_processes=8, steps=5)
     if mtbf_hours is None:
-        (spec,) = failure_free_sweep_specs(setup.job_config(), [1.5])
+        (config,) = failure_free_sweep_configs(setup.job_config(), [1.5])
     else:
-        (spec,) = redundancy_sweep_specs(
+        (config,) = redundancy_sweep_configs(
             setup.job_config(), [setup.mtbf_to_sim(mtbf_hours)], [1.5]
         )
-    return spec.config
+    return config
 
 
 class TestWorldRelease:

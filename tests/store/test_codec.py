@@ -10,7 +10,6 @@ from repro.errors import CodecError
 from repro.models import CombinedModel, CombinedResult
 from repro.errors import ModelDivergence
 from repro.orchestration import JobReport
-from repro.orchestration.job import TimelineEvent
 from repro.store.codec import (
     CODEC_VERSION,
     decode,
@@ -24,13 +23,6 @@ from repro.store.codec import (
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 small_int = st.integers(min_value=0, max_value=1000)
 
-timeline_events = st.builds(
-    TimelineEvent,
-    time=st.floats(min_value=0, max_value=1e9, allow_nan=False),
-    kind=st.sampled_from(["attempt", "failure", "commit", "rollback"]),
-    detail=st.text(max_size=20),
-)
-
 reports = st.builds(
     JobReport,
     completed=st.booleans(),
@@ -39,13 +31,11 @@ reports = st.builds(
     failures_injected=small_int,
     rollbacks=small_int,
     checkpoints_committed=small_int,
-    time_in_checkpoints=any_float,
     result=st.none() | st.integers() | st.text(max_size=10),
     checkpoint_union_time=any_float,
     counters=st.dictionaries(st.text(max_size=10), any_float, max_size=4),
     checkpoint_interval=st.none() | st.floats(min_value=1e-6, max_value=1e6),
     physical_processes=small_int,
-    timeline=st.lists(timeline_events, max_size=3),
     checkpoints_skipped=small_int,
     checkpoint_retries=small_int,
     checkpoint_write_failures=small_int,
@@ -88,7 +78,6 @@ class TestReportRoundTrip:
                 assert math.isnan(came_back)
             else:
                 assert came_back == value
-        assert restored.timeline == report.timeline
         assert restored.storage_fault_counts == report.storage_fault_counts
 
     def test_diverged_cell_with_chaos_counters(self):
@@ -100,7 +89,7 @@ class TestReportRoundTrip:
             failures_injected=6,
             rollbacks=5,
             checkpoints_committed=4,
-            time_in_checkpoints=math.nan,
+            checkpoint_union_time=math.nan,
             result=None,
             counters={"mpi.sends": 123.0, "lost": -math.inf},
             checkpoints_skipped=2,
@@ -113,7 +102,7 @@ class TestReportRoundTrip:
         wire = strict_dumps(encode_report(report))
         restored = decode_report(json.loads(wire))
         assert restored.total_time == math.inf
-        assert math.isnan(restored.time_in_checkpoints)
+        assert math.isnan(restored.checkpoint_union_time)
         assert restored.counters["lost"] == -math.inf
         assert restored.storage_fault_counts == report.storage_fault_counts
         assert strict_dumps(encode_report(restored)) == wire

@@ -6,7 +6,7 @@ from repro.models import CombinedModel, recommend
 from repro.orchestration import JobConfig, run_redundancy_sweep
 from repro.store import DEFAULT_STORE_DIR, STORE_ENV, ResultsStore, resolve_store
 from repro.store.codec import encode_report
-from repro.store.keys import fingerprint
+from repro.store.keys import fingerprint, job_key
 from repro.workloads import SyntheticWorkload
 
 MTBFS = [3.0, 6.0]
@@ -55,6 +55,26 @@ class TestFacade:
         )
         assert fresh.hits == 1 and fresh.misses == 0
         assert wire(resumed) == wire(cells)
+
+    def test_codec_v1_report_is_a_counted_miss_and_reruns(self, tmp_path):
+        """A report stored with the version-1 layout (it still had a
+        ``timeline``) is a miss, its blob is deleted and the cell reruns."""
+        store = ResultsStore(tmp_path)
+        (cell,) = run_redundancy_sweep(
+            base_config(), node_mtbfs=[3.0], degrees=[1.0], store=store
+        )
+        payload = encode_report(cell.report)
+        payload["codec"] = 1
+        payload["data"]["f"].update(timeline=[], time_in_checkpoints=0.0)
+        store.backend.put(job_key(cell.config, version=store.version), payload)
+        old = ResultsStore(tmp_path)
+        assert old.get_report(cell.config) is None
+        assert (old.hits, old.misses, old.entries) == (0, 1, 0)
+        (rerun,) = run_redundancy_sweep(
+            base_config(), node_mtbfs=[3.0], degrees=[1.0], store=old
+        )
+        assert not rerun.cached and old.writes == 1
+        assert wire([rerun]) == wire([cell])
 
     def test_version_bump_invalidates(self, tmp_path):
         old = ResultsStore(tmp_path, version="0.9.0")
