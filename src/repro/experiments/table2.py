@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 from .. import units
+from ..errors import ModelDivergence
 from ..models import CombinedModel
 from .runner import ExperimentResult
 
@@ -45,20 +46,19 @@ def run(
             restart_cost=restart_cost,
         )
         try:
-            outcome = model.evaluate()
-            breakdown = outcome.breakdown
+            result = model.evaluate()
             rows.append(
                 [
                     int(nodes),
-                    f"{breakdown.work:.0%}",
-                    f"{breakdown.checkpoint:.0%}",
-                    f"{breakdown.recompute:.0%}",
-                    f"{breakdown.restart:.0%}",
-                    round(units.to_hours(outcome.total_time), 1),
+                    f"{result.work_share:.0%}",
+                    f"{result.checkpoint_share:.0%}",
+                    f"{result.recompute_share:.0%}",
+                    f"{result.restart_share:.0%}",
+                    round(units.to_hours(result.total_time), 1),
                 ]
             )
-            work_shares.append(breakdown.work)
-        except Exception:  # ModelDivergence at extreme scale
+            work_shares.append(result.work_share)
+        except ModelDivergence:  # at extreme scale
             rows.append([int(nodes), "-", "-", "-", "-", math.inf])
             work_shares.append(0.0)
     monotone = all(

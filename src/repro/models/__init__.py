@@ -64,12 +64,10 @@ from .redundancy import (
     system_reliability,
 )
 from .checkpointing import (
-    TimeBreakdown,
     daly_interval,
     expected_lost_work,
     expected_restart_rework,
     segment_failure_pdf,
-    time_breakdown,
     total_time,
     young_interval,
 )
@@ -84,7 +82,6 @@ from .optimize import (
     model_cache_info,
     optimal_interval,
     optimal_redundancy,
-    sweep_processes,
     sweep_redundancy,
     throughput_break_even,
 )
@@ -110,13 +107,11 @@ __all__ = [
     "evaluate_model_grid",
     "model_cache_info",
     "optimal_interval",
-    "sweep_processes",
     "total_time_grid",
     "CombinedResult",
     "CrossoverPoint",
     "RedundancyPartition",
     "RedundancySweepPoint",
-    "TimeBreakdown",
     "birthday_collision_probability",
     "daly_interval",
     "expected_lost_work",
@@ -137,7 +132,6 @@ __all__ = [
     "system_mtbf",
     "system_reliability",
     "throughput_break_even",
-    "time_breakdown",
     "total_time",
     "weighted_cost",
     "young_interval",

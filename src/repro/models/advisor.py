@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence
 from ..errors import ConfigurationError, ModelDivergence
 from .combined import CombinedModel, CombinedResult
 from .cost import weighted_cost
-from .optimize import RedundancySweepPoint, sweep_redundancy
-from .redundancy import PAPER_REDUNDANCY_GRID, partition_processes
+from .optimize import RedundancySweepPoint, sweep_redundancy_grid
+from .redundancy import PAPER_REDUNDANCY_GRID
 
 
 @dataclass(frozen=True)
@@ -120,16 +120,11 @@ def _cached_recommend(
             f"node budget {node_budget} cannot host even r=1 "
             f"({model.virtual_processes} processes)"
         )
-    candidates = sweep_redundancy(model, grid)
-    feasible = []
-    for point in candidates:
-        if node_budget is not None:
-            needed = partition_processes(
-                model.virtual_processes, point.redundancy
-            ).total_processes
-            if needed > node_budget:
-                continue
-        feasible.append(point)
+    cells, candidates = sweep_redundancy_grid(model, grid)
+    feasible = candidates
+    if node_budget is not None:
+        fits = cells.total_processes <= node_budget
+        feasible = [point for point, fit in zip(candidates, fits) if fit]
     if not feasible:
         raise ConfigurationError("node budget excludes every candidate degree")
     finite = [p for p in feasible if p.result is not None]

@@ -15,22 +15,22 @@ checkpoint or a restart (model assumption 5).  The model yields:
   total for callers that treat divergence as an error;
 * :func:`daly_interval` — Eq. 15, Daly's higher-order optimum
   checkpoint interval, and :func:`young_interval` for the classic
-  first-order rule;
-* :func:`time_breakdown` — the work / checkpoint / recompute / restart
-  shares reported in the paper's Tables 2 and 3.
+  first-order rule.
+
+The work / checkpoint / recompute / restart shares of the paper's
+Tables 2 and 3 are derived from Eq. 14's terms on
+:class:`~repro.models.grid.ModelGrid`.
 
 Each equation is one NumPy function over floats or broadcastable
 arrays, without input validation or ``np.errstate`` handling of its
 own: the :func:`~repro.models.grid.evaluate_grid` kernel checks the
 domain and enters ``np.errstate`` once for the whole pipeline, and the
-standalone :func:`total_time` and :func:`time_breakdown` do the latter
-themselves.
+standalone :func:`total_time` does the latter itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,17 +127,6 @@ def completion_time(base_time, delta, checkpoint_cost, failure_rate, restart_cos
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _solve(base_time, delta, checkpoint_cost, failure_rate, restart_cost):
-    solution = completion_time(
-        base_time, delta, checkpoint_cost, failure_rate, restart_cost
-    )
-    if np.any(np.isinf(solution[0])):
-        raise ModelDivergence(
-            "lambda * t_RR >= 1 (or lambda infinite); no finite completion time"
-        )
-    return solution
-
-
 def total_time(base_time, delta, checkpoint_cost, failure_rate, restart_cost):
     """Total completion time ``T_total`` (Eq. 14).
 
@@ -151,7 +140,14 @@ def total_time(base_time, delta, checkpoint_cost, failure_rate, restart_cost):
         per failure exceeds the time between failures, so the job makes
         no expected forward progress.
     """
-    return _solve(base_time, delta, checkpoint_cost, failure_rate, restart_cost)[0]
+    total = completion_time(
+        base_time, delta, checkpoint_cost, failure_rate, restart_cost
+    )[0]
+    if np.any(np.isinf(total)):
+        raise ModelDivergence(
+            "lambda * t_RR >= 1 (or lambda infinite); no finite completion time"
+        )
+    return total
 
 
 def young_interval(checkpoint_cost, mtbf):
@@ -173,70 +169,3 @@ def daly_interval(checkpoint_cost, mtbf):
     base = np.sqrt(2.0 * checkpoint_cost * mtbf)
     correction = 1.0 + np.sqrt(ratio) / 3.0 + ratio / 9.0
     return select(ratio >= 1.0, mtbf, base * correction - checkpoint_cost)
-
-
-@dataclass(frozen=True)
-class TimeBreakdown:
-    """Where the wallclock time of a protected job goes (Tables 2-3).
-
-    Fractions sum to 1 (up to float rounding).  ``recompute`` is the
-    rework share, ``restart`` the image-reload/respawn share; the paper
-    reports both separately even though Eq. 13 folds them into one
-    phase — we split ``t_RR`` proportionally to its two inputs.
-    """
-
-    total_time: float
-    work: float
-    checkpoint: float
-    recompute: float
-    restart: float
-    checkpoints_taken: float
-    expected_failures: float
-
-    @property
-    def useful_fraction(self) -> float:
-        """Alias for the work share (the headline number in Table 2)."""
-        return self.work
-
-    @classmethod
-    def split(
-        cls, base_time, delta, checkpoint_cost, failure_rate, restart_cost, solution
-    ) -> "TimeBreakdown":
-        """The shares of one :func:`completion_time` ``solution``."""
-        t_total, t_lw, t_rr = (float(value) for value in solution)
-        if failure_rate == 0.0:
-            recompute_share = restart_share = failures = 0.0
-        else:
-            failures = t_total * failure_rate
-            rr_share = failure_rate * t_rr
-            phase = restart_cost + t_lw
-            if phase > 0.0:
-                recompute_share = rr_share * (t_lw / phase)
-                restart_share = rr_share * (restart_cost / phase)
-            else:
-                recompute_share = restart_share = 0.0
-        return cls(
-            total_time=t_total,
-            work=base_time / t_total,
-            checkpoint=(base_time * checkpoint_cost / delta) / t_total,
-            recompute=recompute_share,
-            restart=restart_share,
-            checkpoints_taken=base_time / delta,
-            expected_failures=failures,
-        )
-
-
-def time_breakdown(
-    base_time: float,
-    delta: float,
-    checkpoint_cost: float,
-    failure_rate: float,
-    restart_cost: float,
-) -> TimeBreakdown:
-    """Work / checkpoint / recompute / restart shares of ``T_total``.
-
-    Mirrors the Sandia-study presentation the paper reprints as Tables
-    2 and 3: each share is a fraction of the total wallclock time.
-    """
-    args = (base_time, delta, checkpoint_cost, failure_rate, restart_cost)
-    return TimeBreakdown.split(*args, _solve(*args))

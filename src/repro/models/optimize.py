@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, ModelDivergence
 from .combined import CombinedModel, CombinedResult
-from .grid import evaluate_model_grid
+from .grid import ModelGrid, evaluate_model_grid
 from .redundancy import PAPER_REDUNDANCY_GRID
 
 
@@ -46,20 +46,24 @@ class RedundancySweepPoint:
         return self.result is None
 
 
-def _sweep(model: CombinedModel, candidates, **axes) -> List[RedundancySweepPoint]:
-    """``candidates`` (copies of ``model`` along ``axes``) in one kernel call."""
-    cells = evaluate_model_grid(model, **axes)
+def sweep_redundancy_grid(
+    model: CombinedModel,
+    grid: Sequence[float] = PAPER_REDUNDANCY_GRID,
+) -> Tuple[ModelGrid, List[RedundancySweepPoint]]:
+    """:func:`sweep_redundancy`'s points, with the kernel grid they are read off."""
+    degrees = list(grid)
+    cells = evaluate_model_grid(
+        model, redundancy=np.asarray(degrees, dtype=np.float64)
+    )
     points = []
-    for index, candidate in enumerate(candidates):
+    for index, degree in enumerate(degrees):
         try:
-            result = CombinedResult.of(candidate, cells, index)
+            result = CombinedResult.of(model.with_redundancy(degree), cells, index)
         except ModelDivergence:
-            points.append(RedundancySweepPoint(candidate.redundancy, math.inf, None))
+            points.append(RedundancySweepPoint(degree, math.inf, None))
         else:
-            points.append(
-                RedundancySweepPoint(candidate.redundancy, result.total_time, result)
-            )
-    return points
+            points.append(RedundancySweepPoint(degree, result.total_time, result))
+    return cells, points
 
 
 def sweep_redundancy(
@@ -67,12 +71,7 @@ def sweep_redundancy(
     grid: Sequence[float] = PAPER_REDUNDANCY_GRID,
 ) -> List[RedundancySweepPoint]:
     """Evaluate ``model`` at every redundancy degree in ``grid``."""
-    degrees = list(grid)
-    return _sweep(
-        model,
-        [model.with_redundancy(degree) for degree in degrees],
-        redundancy=np.asarray(degrees, dtype=np.float64),
-    )
+    return sweep_redundancy_grid(model, grid)[1]
 
 
 def optimal_redundancy(
@@ -251,26 +250,4 @@ def throughput_break_even(
         min_processes,
         max_processes,
         f"{jobs} jobs at {redundancy}x never fit in one 1x job",
-    )
-
-
-def sweep_processes(
-    model: CombinedModel,
-    redundancy: float,
-    process_counts: Iterable[int],
-) -> List[RedundancySweepPoint]:
-    """Total time across process counts at a fixed degree (Figs. 13-14).
-
-    Returns sweep points whose ``redundancy`` field carries the fixed
-    degree; the varying quantity is in ``result.model.virtual_processes``.
-    """
-    counts = [int(count) for count in process_counts]
-    return _sweep(
-        model,
-        [
-            replace(model, virtual_processes=count, redundancy=redundancy)
-            for count in counts
-        ],
-        virtual_processes=np.asarray(counts, dtype=np.float64),
-        redundancy=redundancy,
     )

@@ -133,13 +133,3 @@ class MatchingEngine:
     def closed(self) -> bool:
         """True once the owning rank has died."""
         return self._closed
-
-    @property
-    def pending_receives(self) -> int:
-        """Number of posted-but-unmatched receives."""
-        return len(self._posted)
-
-    @property
-    def unexpected_messages(self) -> int:
-        """Number of queued unexpected messages."""
-        return len(self._unexpected)

@@ -2,9 +2,9 @@
 
 ``repro-exp report <trace>`` loads a JSONL trace file and, for every
 job in it, folds the phase spans into the same categories as the
-model's :class:`~repro.models.checkpointing.TimeBreakdown` (Eq. 14's
-predicted breakdown): work, checkpoint, restart — so a simulated run
-and the analytic prediction can be compared side by side.  (Observed
+model's Tables 2-3 shares on :class:`~repro.models.grid.ModelGrid`
+(Eq. 14's predicted breakdown): work, checkpoint, restart — so a
+simulated run and the analytic prediction can be compared side by side.  (Observed
 "work" includes recomputed steps; the model splits those out as its
 ``recompute`` share.)
 

@@ -32,10 +32,8 @@ from typing import Any, Dict, Type
 from ..errors import CodecError
 from ..faults import StorageFaultConfig
 from ..models.advisor import Recommendation
-from ..models.checkpointing import TimeBreakdown
 from ..models.combined import CombinedModel, CombinedResult
 from ..models.optimize import CrossoverPoint, RedundancySweepPoint
-from ..models.redundancy import RedundancyPartition
 from ..orchestration.job import JobReport
 
 __all__ = [
@@ -49,8 +47,10 @@ __all__ = [
 ]
 
 #: Bump on incompatible payload layout changes.  Version 2: ``JobReport``
-#: dropped its event list and its per-rank checkpoint-time sum.
-CODEC_VERSION = 2
+#: dropped its event list and its per-rank checkpoint-time sum.  Version
+#: 3: ``CombinedResult`` carries its kernel cell's values, not a nested
+#: partition and time breakdown.
+CODEC_VERSION = 3
 
 #: Dataclasses the codec may embed.  Name-keyed (not module-keyed) so a
 #: payload survives module moves; names must therefore stay unique.
@@ -59,8 +59,6 @@ REGISTERED_TYPES: Dict[str, Type] = {
     for cls in (
         JobReport,
         CombinedModel,
-        RedundancyPartition,
-        TimeBreakdown,
         CombinedResult,
         RedundancySweepPoint,
         CrossoverPoint,

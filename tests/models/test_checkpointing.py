@@ -9,11 +9,11 @@ from scipy import integrate
 from repro import units
 from repro.errors import ConfigurationError, ModelDivergence
 from repro.models import (
+    CombinedModel,
     daly_interval,
     expected_lost_work,
     expected_restart_rework,
     segment_failure_pdf,
-    time_breakdown,
     total_time,
     young_interval,
 )
@@ -178,33 +178,52 @@ class TestIntervals:
             assert t_daly <= total_time(1000.0, daly * factor, c, rate, restart) * 1.001
 
 
+def breakdown(node_mtbf):
+    """One cell with ``t_Red = 100``, ``delta = 10``, ``c = 1``, ``R = 5``;
+    a single process, so ``node_mtbf`` sets the failure rate."""
+    return CombinedModel(
+        virtual_processes=1,
+        redundancy=1.0,
+        node_mtbf=node_mtbf,
+        alpha=0.0,
+        base_time=100.0,
+        checkpoint_cost=1.0,
+        restart_cost=5.0,
+        checkpoint_interval=10.0,
+    ).evaluate()
+
+
 class TestBreakdown:
+    """The Tables 2-3 shares of ``evaluate()``, derived from Eq. 14's terms."""
+
     def test_shares_sum_to_one(self):
-        breakdown = time_breakdown(100.0, 10.0, 1.0, 1e-3, 5.0)
+        result = breakdown(node_mtbf=1e3)
+        assert result.failure_rate == pytest.approx(1e-3, rel=0.1)
         total = (
-            breakdown.work
-            + breakdown.checkpoint
-            + breakdown.recompute
-            + breakdown.restart
+            result.work_share
+            + result.checkpoint_share
+            + result.recompute_share
+            + result.restart_share
         )
         assert total == pytest.approx(1.0)
 
     def test_failure_free_shares(self):
-        breakdown = time_breakdown(100.0, 10.0, 1.0, 0.0, 5.0)
-        assert breakdown.work == pytest.approx(100.0 / 110.0)
-        assert breakdown.restart == 0.0
-        assert breakdown.recompute == 0.0
-        assert breakdown.expected_failures == 0.0
+        result = breakdown(node_mtbf=1e300)
+        assert result.failure_rate == 0.0
+        assert result.work_share == pytest.approx(100.0 / 110.0)
+        assert result.checkpoint_share == pytest.approx(10.0 / 110.0)
+        assert result.restart_share == 0.0
+        assert result.recompute_share == 0.0
+        assert math.copysign(1.0, result.expected_failures) == 1.0
+        assert result.expected_failures == 0.0
 
     def test_checkpoint_count(self):
-        breakdown = time_breakdown(100.0, 10.0, 1.0, 0.0, 5.0)
-        assert breakdown.checkpoints_taken == pytest.approx(10.0)
-
-    def test_useful_fraction_alias(self):
-        breakdown = time_breakdown(100.0, 10.0, 1.0, 1e-3, 5.0)
-        assert breakdown.useful_fraction == breakdown.work
+        assert breakdown(node_mtbf=1e300).expected_checkpoints == pytest.approx(10.0)
 
     def test_higher_rate_lower_work_share(self):
-        quiet = time_breakdown(100.0, 10.0, 1.0, 1e-4, 5.0)
-        noisy = time_breakdown(100.0, 10.0, 1.0, 5e-3, 5.0)
-        assert noisy.work < quiet.work
+        quiet = breakdown(node_mtbf=1e4)
+        noisy = breakdown(node_mtbf=2e2)
+        assert noisy.failure_rate > quiet.failure_rate
+        assert noisy.work_share < quiet.work_share
+        assert noisy.restart_share > quiet.restart_share
+        assert noisy.recompute_share > quiet.recompute_share

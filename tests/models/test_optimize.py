@@ -14,7 +14,6 @@ from repro.models import (
     model_cache_info,
     optimal_interval,
     optimal_redundancy,
-    sweep_processes,
     sweep_redundancy,
     throughput_break_even,
 )
@@ -61,11 +60,6 @@ class TestSweeps:
         doomed = model(virtual_processes=10_000_000, node_mtbf=units.hours(5))
         with pytest.raises(ModelDivergence):
             optimal_redundancy(doomed, grid=[1.0])
-
-    def test_sweep_processes(self):
-        points = sweep_processes(model(), 2.0, [100, 1000, 10_000])
-        times = [p.total_time for p in points]
-        assert times == sorted(times)  # weak scaling: more procs, more time
 
 
 class TestOptimalInterval:

@@ -41,7 +41,7 @@ class TestPostThenDeliver:
         engine.post(env, source=0, tag=7, done=inbox)
         engine.deliver(make_envelope(source=2, tag=7))
         assert inbox.envelopes == []
-        assert engine.unexpected_messages == 1
+        assert len(engine._unexpected) == 1
 
     def test_tag_mismatch_queues(self, env):
         engine = MatchingEngine(rank=1)
@@ -84,7 +84,7 @@ class TestDeliverThenPost:
         engine.post(env, source=0, tag=0, done=inbox)
         env.run()
         assert inbox.payloads == [b"old"]
-        assert engine.unexpected_messages == 1
+        assert len(engine._unexpected) == 1
 
     def test_skips_non_matching_unexpected(self, env):
         engine = MatchingEngine(rank=1)
@@ -120,7 +120,7 @@ class TestCancel:
         assert engine.cancel(0, inbox)
         engine.deliver(make_envelope(tag=1))
         assert inbox.envelopes == []
-        assert engine.unexpected_messages == 1
+        assert len(engine._unexpected) == 1
 
     def test_cancel_unknown_returns_false(self, env):
         engine = MatchingEngine(rank=1)
@@ -131,7 +131,7 @@ class TestCancel:
         inbox = Inbox()
         engine.post(env, source=0, tag=1, done=inbox)
         assert not engine.cancel(2, inbox)
-        assert engine.pending_receives == 1
+        assert len(engine._posted) == 1
 
     def test_cancel_withdraws_only_the_named_receive(self, env):
         engine = MatchingEngine(rank=1)
@@ -156,7 +156,7 @@ class TestLifecycle:
         engine = MatchingEngine(rank=1)
         engine.close()
         engine.deliver(make_envelope())
-        assert engine.unexpected_messages == 0
+        assert len(engine._unexpected) == 0
 
     def test_closed_engine_rejects_posts(self, env):
         engine = MatchingEngine(rank=1)
@@ -169,6 +169,6 @@ class TestLifecycle:
         engine.post(env, source=0, tag=0, done=Inbox())
         engine.deliver(make_envelope(tag=5))
         engine.close()
-        assert engine.pending_receives == 0
-        assert engine.unexpected_messages == 0
+        assert len(engine._posted) == 0
+        assert len(engine._unexpected) == 0
         assert engine.closed

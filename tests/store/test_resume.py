@@ -5,7 +5,7 @@ from functools import partial
 from repro.models import CombinedModel, recommend
 from repro.orchestration import JobConfig, run_redundancy_sweep
 from repro.store import DEFAULT_STORE_DIR, STORE_ENV, ResultsStore, resolve_store
-from repro.store.codec import encode_report
+from repro.store.codec import encode_payload, encode_report
 from repro.store.keys import fingerprint, job_key
 from repro.workloads import SyntheticWorkload
 
@@ -118,6 +118,47 @@ class TestFacade:
         store.put_object("recommend", params, rec)
         restored = ResultsStore(tmp_path).get_object("recommend", params)
         assert restored == rec
+
+    def test_codec_v2_recommendation_is_a_counted_miss_and_recomputes(
+        self, tmp_path
+    ):
+        """A recommendation stored with the version-2 layout (its result
+        still nested a partition and a time breakdown) is a miss, its
+        blob is deleted and the recomputed answer is stored afresh."""
+        model = CombinedModel(
+            virtual_processes=50_000,
+            redundancy=1.0,
+            node_mtbf=5 * 365 * 24 * 3600.0,
+            alpha=0.2,
+            base_time=128 * 3600.0,
+            checkpoint_cost=480.0,
+            restart_cost=720.0,
+        )
+        params = {"model": model, "grid": (1.0, 2.0, 3.0)}
+        rec = recommend(model, grid=(1.0, 2.0, 3.0))
+        payload = encode_payload(rec)
+        payload["codec"] = 2
+        result = payload["data"]["f"]["result"]["f"]
+        for name in (
+            "expected_checkpoints", "expected_failures", "node_seconds",
+            "work_share", "checkpoint_share", "recompute_share", "restart_share",
+        ):
+            del result[name]
+        result.update(
+            partition={"__dc": "RedundancyPartition", "f": {}},
+            breakdown={"__dc": "TimeBreakdown", "f": {}},
+        )
+        store = ResultsStore(tmp_path)
+        store.backend.put(
+            fingerprint("recommend", params, version=store.version), payload
+        )
+        old = ResultsStore(tmp_path)
+        assert old.get_object("recommend", params) is None
+        assert (old.hits, old.misses, old.entries) == (0, 1, 0)
+        old.put_object("recommend", params, recommend(model, grid=(1.0, 2.0, 3.0)))
+        fresh = ResultsStore(tmp_path)
+        assert fresh.get_object("recommend", params) == rec
+        assert (fresh.hits, fresh.misses) == (1, 0)
 
     def test_hit_ratio_and_render(self, tmp_path):
         store = ResultsStore(tmp_path)
