@@ -14,12 +14,16 @@ side of the combined model:
 * Section 4.3's birthday-problem approximation for the probability of a
   primary and its shadow failing together.
 
-:func:`partition_reliability`, :func:`rate_from_reliability` and
+:func:`partition_log_reliability`, :func:`rate_from_reliability` and
 :func:`mtbf_from_rate` are the bare equations the
 :func:`~repro.models.grid.evaluate_grid` kernel composes inside its one
 ``np.errstate`` block; :func:`system_reliability`,
 :func:`system_failure_rate` and :func:`system_mtbf` are the standalone
 entries, and enter ``np.errstate`` themselves.
+
+Eq. 9 is computed in log space and ``ln R_sys`` is kept: at the paper's
+scales ``R_sys`` itself underflows to 0 (beyond ~745 expected sphere
+failures per ``t_Red``), and Eq. 10 then takes its rate from the log.
 """
 
 from __future__ import annotations
@@ -125,8 +129,8 @@ def partition_processes(virtual_processes: int, redundancy: float) -> Redundancy
     )
 
 
-def partition_reliability(partition, p):
-    """Eq. 9 over a :func:`partition_counts` partition.
+def partition_log_reliability(partition, p):
+    """Eq. 9 over a :func:`partition_counts` partition, as ``ln R_sys``.
 
     ``R_sys = [1 - p^floor(r)]^{N_floor} * [1 - p^ceil(r)]^{N_ceil}``
 
@@ -144,7 +148,14 @@ def partition_reliability(partition, p):
     log_r = 0.0
     for count, sphere_fail in ((floor_count, floor_fail), (ceil_count, ceil_fail)):
         log_r = log_r + select(count > 0, count * np.log1p(-sphere_fail), 0.0)
-    return np.exp(log_r)
+    return log_r
+
+
+def _log_reliability(virtual_processes, redundancy, exposure_time, node_mtbf, exact):
+    return partition_log_reliability(
+        partition_counts(virtual_processes, redundancy),
+        node_failure_probability(exposure_time, node_mtbf, exact=exact),
+    )
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -153,23 +164,27 @@ def system_reliability(
 ):
     """Probability that *every* virtual process survives (Eq. 9).
 
-    :func:`partition_reliability` of the Eqs. 5-8 partition, with ``p =
-    Pr(node failure before exposure_time)`` — linearised ``t_Red/theta``
-    by default, exact exponential CDF with ``exact=True``.
+    ``exp`` of :func:`partition_log_reliability` over the Eqs. 5-8
+    partition, with ``p = Pr(node failure before exposure_time)`` —
+    linearised ``t_Red/theta`` by default, exact exponential CDF with
+    ``exact=True``.
     """
-    return partition_reliability(
-        partition_counts(virtual_processes, redundancy),
-        node_failure_probability(exposure_time, node_mtbf, exact=exact),
+    return np.exp(
+        _log_reliability(virtual_processes, redundancy, exposure_time, node_mtbf, exact)
     )
 
 
-def rate_from_reliability(reliability, exposure_time):
+def rate_from_reliability(reliability, log_reliability, exposure_time):
     """System failure rate ``lambda_sys = -ln(R_sys) / t_Red`` (Eq. 10).
 
-    ``inf`` where the system reliability is zero over the exposure
-    interval (the linearised model with ``t_Red >= theta``).
+    Takes ``R_sys`` and its log.  The rate comes from ``R_sys`` where
+    that is > 0, so a system whose reliability rounds to 1 is
+    failure-free, and from ``ln R_sys`` where ``R_sys`` underflows to 0.
+    ``inf`` where ``ln R_sys`` is ``-inf``: the linearised model with
+    ``t_Red >= theta``, where every node fails for certain.
     """
-    return -np.log(reliability) / exposure_time
+    hazard = select(reliability > 0.0, -np.log(reliability), -log_reliability)
+    return hazard / exposure_time
 
 
 def mtbf_from_rate(rate):
@@ -186,8 +201,10 @@ def system_failure_rate(
     virtual_processes, redundancy, exposure_time, node_mtbf, exact: bool = False
 ):
     """Eq. 10's failure rate of the Eq. 9 system reliability."""
-    args = (virtual_processes, redundancy, exposure_time, node_mtbf, exact)
-    return rate_from_reliability(system_reliability(*args), exposure_time)
+    log_r = _log_reliability(
+        virtual_processes, redundancy, exposure_time, node_mtbf, exact
+    )
+    return rate_from_reliability(np.exp(log_r), log_r, exposure_time)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

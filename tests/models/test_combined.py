@@ -9,6 +9,11 @@ from repro import units
 from repro.errors import ConfigurationError, ModelDivergence
 from repro.models import CombinedModel
 from repro.models.grid import MAX_REDUNDANCY
+from repro.models.redundancy import (
+    system_failure_rate,
+    system_mtbf,
+    system_reliability,
+)
 
 
 def paper_model(**overrides):
@@ -125,3 +130,42 @@ class TestProperties:
         low = paper_model(redundancy=1.0).evaluate().system_reliability
         high = paper_model(redundancy=r).evaluate().system_reliability
         assert high >= low - 1e-12
+
+
+class TestReliabilityUnderflow:
+    """Eq. 10 takes its rate from ``ln R_sys`` where ``R_sys`` underflows."""
+
+    @staticmethod
+    def table3_cell(hours):
+        return CombinedModel(
+            virtual_processes=100_000,
+            redundancy=1.0,
+            node_mtbf=units.years(5),
+            alpha=0.0,
+            base_time=units.hours(hours),
+            checkpoint_cost=units.minutes(10),
+            restart_cost=units.minutes(12),
+        )
+
+    def test_rate_stays_finite_past_underflow(self):
+        short = self.table3_cell(168).evaluate()
+        long = self.table3_cell(700).evaluate()
+        assert short.system_reliability > 0.0
+        assert long.system_reliability == 0.0
+        assert math.isfinite(long.failure_rate)
+        assert long.failure_rate == pytest.approx(short.failure_rate, rel=0.01)
+        assert math.isfinite(long.total_time)
+
+    def test_standalone_rate_and_mtbf_agree_with_the_kernel(self):
+        long = self.table3_cell(700).evaluate()
+        args = (100_000, 1.0, units.hours(700), units.years(5))
+        assert system_reliability(*args) == 0.0
+        assert system_failure_rate(*args) == long.failure_rate
+        assert system_mtbf(*args) == long.system_mtbf
+
+    def test_linearised_certain_failure_still_diverges(self):
+        # t_Red = 153.6 h >= theta: every node fails for certain.
+        doomed = paper_model(node_mtbf=units.hours(100))
+        with pytest.raises(ModelDivergence, match="failure rate diverged"):
+            doomed.evaluate()
+        assert math.isinf(doomed.total_time_or_inf())
