@@ -13,6 +13,7 @@ import os
 import signal
 import time
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -300,14 +301,28 @@ class TestPoolExecution:
             report_signature(o.report) for o in serial
         ]
 
-    def test_utilization_counts_only_lanes_that_ran(self):
-        """Two equal cells at workers=8 keep at most two lanes busy."""
+    def test_utilization_counts_only_lanes_that_ran(self, monkeypatch):
+        """Two equal cells at workers=8 keep at most two lanes busy.
+
+        A fake clock and fixed CPU seconds keep host load out of the
+        gauge: the run lasts 1 s, each cell reports 0.75 CPU seconds and
+        two lanes ran, so it reads 0.75 (0.1875 over all eight workers).
+        """
+        ticks = iter([0.0])
+        fake_time = SimpleNamespace(
+            monotonic=lambda: next(ticks, 1.0), process_time=lambda: 0.75
+        )
+        # Forked cells inherit the module's fake clock.
+        monkeypatch.setattr(executor_module, "time", fake_time)
+        monkeypatch.setattr(executor_module, "_usable_cpus", lambda: 8)
         configs = redundancy_sweep_configs(
             picklable_config(), node_mtbfs=[5.0], degrees=[1.0, 1.0]
         )
         obs = ObsSession(metrics=True)
-        CampaignExecutor(workers=8, obs=obs).run(configs)
-        assert obs.metrics.gauge("campaign.utilization").value > 0.3
+        executor = CampaignExecutor(workers=8, obs=obs)
+        executor.run(configs)
+        assert executor.last_mode == "process"
+        assert obs.metrics.gauge("campaign.utilization").value == 0.75
 
     def test_utilization_counts_cpu_time_not_wall_time(self):
         """Cells whose ranks sleep hold their lanes but use no CPU."""
