@@ -22,7 +22,7 @@ import numpy as np
 from .. import units
 from ..errors import ModelDivergence
 from ..models import CombinedModel, find_crossover
-from ..models.grid import total_time_grid
+from ..models.grid import evaluate_grid
 from ..util.plot import ascii_plot
 from .runner import ExperimentResult
 
@@ -63,11 +63,11 @@ def run(
     counts = sorted(set(counts))
     # One vectorized (degree x count) evaluation instead of a scalar
     # model call per cell; divergent cells come back as inf.
-    times = total_time_grid(
+    times = evaluate_grid(
         model,
-        processes=np.asarray(counts, dtype=float),
+        virtual_processes=np.asarray(counts, dtype=float),
         redundancy=np.asarray(degrees, dtype=float)[:, None],
-    )
+    ).total_time
     columns = {
         degree: [float(units.to_hours(t)) for t in times[i]]
         for i, degree in enumerate(degrees)

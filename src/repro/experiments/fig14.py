@@ -19,7 +19,7 @@ import numpy as np
 from .. import units
 from ..errors import ModelDivergence
 from ..models import find_crossover, throughput_break_even
-from ..models.grid import total_time_grid
+from ..models.grid import evaluate_grid
 from ..util.plot import ascii_plot
 from .fig13 import DEFAULT_DEGREES, base_model
 from .runner import ExperimentResult
@@ -40,11 +40,11 @@ def run(
         )
     )
     # One vectorized (degree x count) evaluation; inf marks divergence.
-    times = total_time_grid(
+    times = evaluate_grid(
         model,
-        processes=np.asarray(counts, dtype=float),
+        virtual_processes=np.asarray(counts, dtype=float),
         redundancy=np.asarray(degrees, dtype=float)[:, None],
-    )
+    ).total_time
     columns = {
         degree: [float(units.to_hours(t)) for t in times[i]]
         for i, degree in enumerate(degrees)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import units
 from ..models import CombinedModel
-from ..models.grid import evaluate_model_grid
+from ..models.grid import evaluate_grid
 from ..util.plot import ascii_plot
 from .runner import ExperimentResult
 
@@ -44,7 +44,7 @@ def sweep_configuration(
     """One figure's sweep; returns (times in hours, annotations).
 
     The whole degree grid is evaluated in one vectorized
-    :func:`~repro.models.grid.evaluate_model_grid` call; divergent
+    :func:`~repro.models.grid.evaluate_grid` call; divergent
     degrees carry ``inf``.
     """
     model = CombinedModel(
@@ -56,7 +56,7 @@ def sweep_configuration(
         checkpoint_cost=checkpoint_cost,
         restart_cost=restart_cost,
     )
-    grid = evaluate_model_grid(model, redundancy=np.asarray(degrees, dtype=float))
+    grid = evaluate_grid(model, redundancy=np.asarray(degrees, dtype=float))
     total = grid.total_time
     finite = np.isfinite(total)
     best_index = int(np.argmin(np.where(finite, total, np.inf)))

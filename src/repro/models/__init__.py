@@ -37,7 +37,8 @@ Module map
     Young's first-order interval for comparison.
 ``grid``
     :func:`evaluate_grid`, the one kernel composing the above NumPy
-    equations over parameter arrays, and the model's input domain.
+    equations over a model with some fields replaced by arrays, and the
+    model's input domain, checked once per input.
 ``combined``
     :class:`CombinedModel` — one configuration; ``evaluate()`` is a
     one-cell kernel call.
@@ -72,7 +73,7 @@ from .checkpointing import (
     young_interval,
 )
 from .combined import CombinedModel, CombinedResult
-from .grid import ModelGrid, evaluate_grid, evaluate_model_grid, total_time_grid
+from .grid import ModelGrid, evaluate_grid
 from .simplified import simplified_total_time
 from .optimize import (
     CrossoverPoint,
@@ -104,10 +105,8 @@ __all__ = [
     "ModelGrid",
     "clear_model_cache",
     "evaluate_grid",
-    "evaluate_model_grid",
     "model_cache_info",
     "optimal_interval",
-    "total_time_grid",
     "CombinedResult",
     "CrossoverPoint",
     "RedundancyPartition",

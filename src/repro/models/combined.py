@@ -15,10 +15,11 @@ Figures 4-6 and 13-14 are produced:
    term.
 
 The arithmetic is the kernel's: :meth:`CombinedModel.evaluate` is a
-one-cell :func:`~repro.models.grid.evaluate_model_grid` call, its
-:class:`CombinedResult` is that cell read into Python numbers, and a
-model is checked against the input domain
-(:data:`~repro.models.grid.DOMAIN`) when it is constructed.
+one-cell :func:`~repro.models.grid.evaluate_grid` call and its
+:class:`CombinedResult` is that cell read into Python numbers.  A model
+is checked against the input domain (:data:`~repro.models.grid.DOMAIN`)
+once, when it is constructed; the kernel takes a built model as proof
+that its fields are in the domain.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..errors import ModelDivergence
-from .grid import DOMAIN, check_domain, evaluate_model_grid
+from .grid import DOMAIN, check_domain, evaluate_grid
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,10 @@ class CombinedResult:
     """Everything the combined model derives for one configuration.
 
     One cell of a :class:`~repro.models.grid.ModelGrid`, read into
-    Python numbers: each field after ``model`` is the grid quantity of
-    the same name (documented there), and no arithmetic happens here.
+    Python numbers: each field is the grid quantity of the same name
+    (documented there), and no arithmetic happens here.
     """
 
-    #: Input configuration echo (useful in sweep records).
-    model: "CombinedModel"
     redundant_time: float
     total_processes: int
     system_reliability: float
@@ -59,8 +58,8 @@ class CombinedResult:
     restart_share: float
 
     @classmethod
-    def of(cls, model: "CombinedModel", grid, index=None) -> "CombinedResult":
-        """Cell ``index`` of a kernel ``grid``, the cell ``model`` describes.
+    def of(cls, grid, index=None) -> "CombinedResult":
+        """Cell ``index`` of a kernel ``grid``.
 
         ``index`` is ``None`` for a one-cell grid, whose fields are
         NumPy scalars.  Raises :class:`ModelDivergence` when the cell has
@@ -78,7 +77,7 @@ class CombinedResult:
                 else "lambda * t_RR >= 1; no finite completion time"
             )
         return cls(
-            model, t_red, int(processes), reliability, rate, mtbf, delta, total,
+            t_red, int(processes), reliability, rate, mtbf, delta, total,
             *map(read, grid.derived.values()),
         )
 
@@ -156,15 +155,11 @@ class CombinedModel:
         """Copy of this configuration at a different redundancy degree."""
         return replace(self, redundancy=redundancy)
 
-    def with_processes(self, virtual_processes: int) -> "CombinedModel":
-        """Copy of this configuration at a different process count."""
-        return replace(self, virtual_processes=virtual_processes)
-
     def evaluate(self) -> CombinedResult:
         """Run the full Section 4.3 pipeline for this configuration.
 
-        A one-cell :func:`~repro.models.grid.evaluate_model_grid` call,
-        the same one the service makes for a lone request.
+        A one-cell :func:`~repro.models.grid.evaluate_grid` call, the
+        same one the service makes for a lone request.
 
         Raises
         ------
@@ -172,7 +167,7 @@ class CombinedModel:
             When the configuration has no finite expected completion
             time (see :func:`repro.models.checkpointing.completion_time`).
         """
-        return CombinedResult.of(self, evaluate_model_grid(self))
+        return CombinedResult.of(evaluate_grid(self))
 
     def total_time_or_inf(self) -> float:
         """The one cell's total time: ``inf`` where ``evaluate()`` diverges.
@@ -181,4 +176,4 @@ class CombinedModel:
         impossible configurations as infinitely expensive rather than
         exceptional.
         """
-        return float(evaluate_model_grid(self).total_time)
+        return float(evaluate_grid(self).total_time)

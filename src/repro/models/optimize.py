@@ -19,7 +19,7 @@ closed form (Eq. 15) sits at the true minimum of Eq. 14.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ModelDivergence
 from .combined import CombinedModel, CombinedResult
-from .grid import ModelGrid, evaluate_model_grid
+from .grid import ModelGrid, evaluate_grid
 from .redundancy import PAPER_REDUNDANCY_GRID
 
 
@@ -52,13 +52,11 @@ def sweep_redundancy_grid(
 ) -> Tuple[ModelGrid, List[RedundancySweepPoint]]:
     """:func:`sweep_redundancy`'s points, with the kernel grid they are read off."""
     degrees = list(grid)
-    cells = evaluate_model_grid(
-        model, redundancy=np.asarray(degrees, dtype=np.float64)
-    )
+    cells = evaluate_grid(model, redundancy=np.asarray(degrees, dtype=np.float64))
     points = []
     for index, degree in enumerate(degrees):
         try:
-            result = CombinedResult.of(model.with_redundancy(degree), cells, index)
+            result = CombinedResult.of(cells, index)
         except ModelDivergence:
             points.append(RedundancySweepPoint(degree, math.inf, None))
         else:
@@ -102,10 +100,7 @@ def optimal_interval(
     daly = reference.checkpoint_interval
 
     def objective(delta: float) -> float:
-        # dataclasses.replace keeps every other field — including ones
-        # added after this code was written — in the objective.
-        candidate = replace(model, checkpoint_interval=float(delta))
-        return candidate.total_time_or_inf()
+        return float(evaluate_grid(model, checkpoint_interval=float(delta)).total_time)
 
     from scipy.optimize import minimize_scalar
 
@@ -132,8 +127,10 @@ class CrossoverPoint:
 def _cached_total_time(
     model: CombinedModel, processes: int, redundancy: float
 ) -> float:
-    return (
-        model.with_processes(processes).with_redundancy(redundancy).total_time_or_inf()
+    return float(
+        evaluate_grid(
+            model, virtual_processes=processes, redundancy=redundancy
+        ).total_time
     )
 
 

@@ -19,10 +19,9 @@ Like every equation of the model, each function here is written once,
 in NumPy, and accepts floats or broadcastable arrays alike; the
 vectorized :func:`~repro.models.grid.evaluate_grid` kernel is their
 composition.  Inputs are not validated here.  The model's domain
-(:data:`~repro.models.grid.DOMAIN`) is checked when a
-:class:`~repro.models.combined.CombinedModel` is built and again at the
-kernel's entry, which is also the check for array axes that never pass
-through a model.
+(:data:`~repro.models.grid.DOMAIN`) is checked once per input: when a
+:class:`~repro.models.combined.CombinedModel` is built, and for the
+array axes that replace a model's fields, at the kernel's entry.
 
 :func:`select` is the equations' ``np.where``: it keeps a one-cell
 evaluation on NumPy's scalar paths.

@@ -49,8 +49,9 @@ __all__ = [
 #: Bump on incompatible payload layout changes.  Version 2: ``JobReport``
 #: dropped its event list and its per-rank checkpoint-time sum.  Version
 #: 3: ``CombinedResult`` carries its kernel cell's values, not a nested
-#: partition and time breakdown.
-CODEC_VERSION = 3
+#: partition and time breakdown.  Version 4: ``CombinedResult`` no longer
+#: echoes its ``CombinedModel`` (a sweep point carries its degree).
+CODEC_VERSION = 4
 
 #: Dataclasses the codec may embed.  Name-keyed (not module-keyed) so a
 #: payload survives module moves; names must therefore stay unique.

@@ -1,6 +1,7 @@
 """Tests for sweeps, optimal degrees, crossovers and break-evens."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -89,8 +90,8 @@ class TestCrossovers:
 
     def test_crossover_is_tight(self):
         cross = find_crossover(model(), 1.0, 2.0)
-        below = model().with_processes(cross.processes - 1)
-        at = model().with_processes(cross.processes)
+        below = model(virtual_processes=cross.processes - 1)
+        at = model(virtual_processes=cross.processes)
         assert below.with_redundancy(2.0).total_time_or_inf() > (
             below.with_redundancy(1.0).total_time_or_inf()
         )
@@ -160,12 +161,9 @@ class TestEvaluationCache:
     def test_cached_values_match_direct_evaluation(self):
         clear_model_cache()
         cross = find_crossover(model(), 1.0, 2.0)
-        direct = (
-            model()
-            .with_processes(cross.processes)
-            .with_redundancy(2.0)
-            .total_time_or_inf()
-        )
+        direct = replace(
+            model(), virtual_processes=cross.processes, redundancy=2.0
+        ).total_time_or_inf()
         assert cross.high_time == direct
 
     def test_clear_resets_statistics(self):
@@ -183,13 +181,10 @@ class TestThroughputBreakEven:
 
     def test_two_jobs_fit(self):
         point = throughput_break_even(model(), redundancy=2.0, jobs=2)
-        plain = model().with_processes(point.processes).total_time_or_inf()
-        redundant = (
-            model()
-            .with_processes(point.processes)
-            .with_redundancy(2.0)
-            .total_time_or_inf()
-        )
+        plain = replace(model(), virtual_processes=point.processes).total_time_or_inf()
+        redundant = replace(
+            model(), virtual_processes=point.processes, redundancy=2.0
+        ).total_time_or_inf()
         assert 2 * redundant <= plain
 
     def test_more_jobs_need_more_processes(self):

@@ -15,11 +15,11 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.models import CombinedModel
-from repro.models.grid import evaluate_model_grid
+from repro.models.grid import evaluate_grid
 from repro.obs.metrics import MetricsRegistry
 from repro.service import MicroBatcher, model_to_dict
 from repro.service.server import parse_model
-from tests.models.test_grid import model_cells
+from tests.models.test_grid import domain_checks, model_cells  # noqa: F401
 
 
 def model(i: int = 0, **overrides) -> CombinedModel:
@@ -215,7 +215,7 @@ def hex_fields(answer):
 
 def kernel_answer(m: CombinedModel):
     """The one-cell kernel's numbers for ``m``, as served fields."""
-    grid = evaluate_model_grid(m)
+    grid = evaluate_grid(m)
     return {name: getattr(grid, name)[()] for name in NUMERIC_ANSWER_FIELDS}
 
 
@@ -270,6 +270,25 @@ class TestValidation:
             model(0, **overrides)
         with pytest.raises(ConfigurationError):
             parse_model({**model_to_dict(model(0)), **overrides})
+
+
+class TestOneCheckPerRequest:
+    def test_lone_evaluate_checks_its_numbers_once(self, domain_checks):
+        # The model checks its fields when parse_model builds it; the
+        # batcher's one-cell kernel call takes that as proof.
+        body = model_to_dict(model(3))
+        domain_checks.clear()
+
+        async def main():
+            batcher = MicroBatcher()
+            await batcher.start()
+            answer = await batcher.submit(parse_model(body))
+            await batcher.stop()
+            return answer
+
+        answer = asyncio.run(main())
+        assert answer["model"] == body
+        assert len(domain_checks) == 1
 
 
 class TestBackpressure:

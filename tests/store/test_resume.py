@@ -5,7 +5,7 @@ from functools import partial
 from repro.models import CombinedModel, recommend
 from repro.orchestration import JobConfig, run_redundancy_sweep
 from repro.store import DEFAULT_STORE_DIR, STORE_ENV, ResultsStore, resolve_store
-from repro.store.codec import encode_payload, encode_report
+from repro.store.codec import encode, encode_payload, encode_report
 from repro.store.keys import fingerprint, job_key
 from repro.workloads import SyntheticWorkload
 
@@ -119,12 +119,11 @@ class TestFacade:
         restored = ResultsStore(tmp_path).get_object("recommend", params)
         assert restored == rec
 
-    def test_codec_v2_recommendation_is_a_counted_miss_and_recomputes(
-        self, tmp_path
-    ):
-        """A recommendation stored with the version-2 layout (its result
-        still nested a partition and a time breakdown) is a miss, its
-        blob is deleted and the recomputed answer is stored afresh."""
+    @staticmethod
+    def assert_stale_recommendation_recomputed(tmp_path, version, restyle):
+        """A recommendation stored under codec ``version``, its result
+        reshaped by ``restyle`` into that version's layout, is a counted
+        miss; the recomputed answer is stored afresh and then hits."""
         model = CombinedModel(
             virtual_processes=50_000,
             redundancy=1.0,
@@ -137,17 +136,8 @@ class TestFacade:
         params = {"model": model, "grid": (1.0, 2.0, 3.0)}
         rec = recommend(model, grid=(1.0, 2.0, 3.0))
         payload = encode_payload(rec)
-        payload["codec"] = 2
-        result = payload["data"]["f"]["result"]["f"]
-        for name in (
-            "expected_checkpoints", "expected_failures", "node_seconds",
-            "work_share", "checkpoint_share", "recompute_share", "restart_share",
-        ):
-            del result[name]
-        result.update(
-            partition={"__dc": "RedundancyPartition", "f": {}},
-            breakdown={"__dc": "TimeBreakdown", "f": {}},
-        )
+        payload["codec"] = version
+        restyle(payload["data"]["f"]["result"]["f"], model)
         store = ResultsStore(tmp_path)
         store.backend.put(
             fingerprint("recommend", params, version=store.version), payload
@@ -159,6 +149,36 @@ class TestFacade:
         fresh = ResultsStore(tmp_path)
         assert fresh.get_object("recommend", params) == rec
         assert (fresh.hits, fresh.misses) == (1, 0)
+
+    def test_codec_v2_recommendation_is_a_counted_miss_and_recomputes(
+        self, tmp_path
+    ):
+        """The version-2 layout: the result still nested a partition and
+        a time breakdown."""
+
+        def restyle(result, _model):
+            for name in (
+                "expected_checkpoints", "expected_failures", "node_seconds",
+                "work_share", "checkpoint_share", "recompute_share",
+                "restart_share",
+            ):
+                del result[name]
+            result.update(
+                partition={"__dc": "RedundancyPartition", "f": {}},
+                breakdown={"__dc": "TimeBreakdown", "f": {}},
+            )
+
+        self.assert_stale_recommendation_recomputed(tmp_path, 2, restyle)
+
+    def test_codec_v3_recommendation_is_a_counted_miss_and_recomputes(
+        self, tmp_path
+    ):
+        """The version-3 layout: the result echoed its model."""
+
+        def restyle(result, model):
+            result["model"] = encode(model)
+
+        self.assert_stale_recommendation_recomputed(tmp_path, 3, restyle)
 
     def test_hit_ratio_and_render(self, tmp_path):
         store = ResultsStore(tmp_path)
