@@ -181,9 +181,11 @@ def rate_from_reliability(reliability, log_reliability, exposure_time):
     that is > 0, so a system whose reliability rounds to 1 is
     failure-free, and from ``ln R_sys`` where ``R_sys`` underflows to 0.
     ``inf`` where ``ln R_sys`` is ``-inf``: the linearised model with
-    ``t_Red >= theta``, where every node fails for certain.
+    ``t_Red >= theta``, where every node fails for certain.  A
+    failure-free system gets ``+0.0``: ``0.0 - ln 1`` is ``+0.0`` where
+    ``-ln 1`` would be ``-0.0``, and equals ``-ln R`` everywhere else.
     """
-    hazard = select(reliability > 0.0, -np.log(reliability), -log_reliability)
+    hazard = select(reliability > 0.0, 0.0 - np.log(reliability), -log_reliability)
     return hazard / exposure_time
 
 

@@ -71,6 +71,21 @@ class TestEvaluate:
         assert served["diverged"] is True
         assert served["total_time"] == float("inf")
 
+    def test_failure_free_rate_is_positive_zero(self, server):
+        # -ln(1) is -0.0; the wire must carry 0.0 for a failure-free cell.
+        body = json.dumps(
+            model_to_dict(model(0, virtual_processes=1, node_mtbf=1e300))
+        ).encode()
+        reply = raw_exchange(
+            server.port,
+            b"POST /evaluate HTTP/1.1\r\nConnection: close\r\n"
+            + b"Content-Length: %d\r\n\r\n" % len(body)
+            + body,
+        )
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert b'"failure_rate": 0.0,' in reply
+        assert b"-0.0" not in reply
+
     def test_missing_field_is_400(self, client):
         with pytest.raises(ConfigurationError, match="missing model fields"):
             client._request("POST", "/evaluate", {"virtual_processes": 10})
