@@ -82,14 +82,16 @@ class PoisonWorkload(SyntheticWorkload):
 
 
 class GlacialWorkload(SyntheticWorkload):
-    """Burns wall-clock time in the cell (for the timeout tests)."""
+    """Burns ``sleep_seconds`` of wall-clock time once per cell, in rank
+    0's ``configure`` (for the timeout and crash-timeline tests)."""
 
     def __init__(self, sleep_seconds, **kwargs):
         super().__init__(**kwargs)
         self._sleep_seconds = sleep_seconds
 
     def configure(self, rank, size, rng):
-        time.sleep(self._sleep_seconds)
+        if rank == 0:
+            time.sleep(self._sleep_seconds)
         return super().configure(rank, size, rng)
 
 
@@ -326,7 +328,7 @@ class TestPoolExecution:
 
     def test_utilization_counts_cpu_time_not_wall_time(self):
         """Cells whose ranks sleep hold their lanes but use no CPU."""
-        configs = [special_config(GlacialWorkload, sleep_seconds=0.1)] * 2
+        configs = [special_config(GlacialWorkload, sleep_seconds=0.4)] * 2
         obs = ObsSession(metrics=True)
         outcomes = CampaignExecutor(workers=2, obs=obs).run(configs)
         assert all(o.ok for o in outcomes)
@@ -467,6 +469,10 @@ class TestSelfHealing:
         """A crash charges only the cell whose process died: the healthy
         cell that ran beside the poison cell and the cells queued behind
         it all complete, and only the poison cell is ever resubmitted."""
+        # Two lanes.  The plain cell ends at ~0.1 s and the first slow
+        # cell takes its lane until ~1.1 s, so it is mid-run when the
+        # poison cell first dies, at 0.4 s.  The reruns wait behind the
+        # slow cells, which take ~1 s each.
         poison = special_config(PoisonWorkload, delay=0.4)
         slow = [special_config(GlacialWorkload, sleep_seconds=1.0)] * 4
         configs = [picklable_config(), poison, *slow]
@@ -484,6 +490,10 @@ class TestSelfHealing:
         """Two adjacent poison cells each crash their own process on every
         attempt and are lost after ``CELL_RETRIES`` reruns; the slow
         cells behind them still run and complete."""
+        # Each poison cell dies 0.4 s after it starts: the first beside
+        # the second (~0.4 s), the second beside the first slow cell
+        # (~0.5 s).  Their reruns wait behind the slow cells, which run
+        # two at a time for ~1 s each.
         poison = [special_config(PoisonWorkload, delay=0.4)] * 2
         slow = [special_config(GlacialWorkload, sleep_seconds=1.0)] * 4
         configs = [picklable_config(), *poison, *slow]
@@ -499,11 +509,12 @@ class TestSelfHealing:
             assert f"after {retries + 1} attempt(s)" in lost.error
 
     def test_cell_timeout_fails_slow_cell_only(self):
+        # The plain cell ends at ~0.1 s; the sleeper is killed at 1 s.
         configs = [
             picklable_config(),
             special_config(GlacialWorkload, sleep_seconds=30.0),
         ]
-        executor = CampaignExecutor(workers=2, cell_timeout=1.5)
+        executor = CampaignExecutor(workers=2, cell_timeout=1.0)
         start = time.monotonic()
         outcomes = executor.run(configs)
         elapsed = time.monotonic() - start
@@ -515,13 +526,15 @@ class TestSelfHealing:
         assert executor.cells_timed_out == 1
 
     def test_timeout_survivors_move_to_fresh_pool(self):
+        # The three plain cells take the other lane in turn and end by
+        # ~0.3 s; the sleeper is killed at 1 s.
         configs = [
             special_config(GlacialWorkload, sleep_seconds=30.0),
             picklable_config(redundancy=1.5),
             picklable_config(redundancy=2.0),
             picklable_config(redundancy=2.5),
         ]
-        executor = CampaignExecutor(workers=2, cell_timeout=2.0)
+        executor = CampaignExecutor(workers=2, cell_timeout=1.0)
         outcomes = executor.run(configs)
         assert len(outcomes) == 4
         assert [o.ok for o in outcomes] == [False, True, True, True]
@@ -531,11 +544,15 @@ class TestSelfHealing:
         """The third cell is mid-run when the first one's deadline fires;
         only the overdue cell's process is killed, so the neighbour
         finishes without a restart."""
+        # Timeline: the first cell sleeps past its 1.5 s deadline; the
+        # second runs 0 -> ~1 s and the third ~1 -> ~2 s, so that deadline
+        # falls ~0.5 s into the third cell's run and ~0.5 s before its
+        # end, and the third cell ends ~0.5 s before its own deadline.
         configs = [
             special_config(GlacialWorkload, sleep_seconds=seconds)
-            for seconds in (30.0, 0.5, 0.5)
+            for seconds in (30.0, 1.0, 1.0)
         ]
-        executor = CampaignExecutor(workers=2, cell_timeout=3.0)
+        executor = CampaignExecutor(workers=2, cell_timeout=1.5)
         outcomes = executor.run(configs)
         assert [o.ok for o in outcomes] == [False, True, True]
         assert executor.cells_timed_out == 1
