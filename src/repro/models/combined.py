@@ -25,9 +25,8 @@ that its fields are in the domain.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 from ..errors import ModelDivergence
 from .grid import DOMAIN, check_domain, evaluate_grid
@@ -58,17 +57,19 @@ class CombinedResult:
     restart_share: float
 
     @classmethod
-    def of(cls, grid, index=None) -> "CombinedResult":
-        """Cell ``index`` of a kernel ``grid``.
-
-        ``index`` is ``None`` for a one-cell grid, whose fields are
-        NumPy scalars.  Raises :class:`ModelDivergence` when the cell has
-        no finite completion time.
+    def of(cls, grid) -> "CombinedResult":
+        """The cell of a one-cell kernel ``grid``, whose fields are NumPy
+        scalars.  Raises :class:`ModelDivergence` as :meth:`read` does.
         """
-        read = float if index is None else operator.methodcaller("item", index)
-        t_red, processes, reliability, rate, mtbf, delta, total = map(
-            read, _grid_fields(grid)
-        )
+        return cls.read([float(value) for value in _grid_columns(grid)])
+
+    @classmethod
+    def read(cls, cell) -> "CombinedResult":
+        """A cell's values as Python numbers, in field order (see
+        :func:`grid_cells`).  Raises :class:`ModelDivergence` when the
+        cell has no finite completion time.
+        """
+        t_red, processes, reliability, rate, mtbf, delta, total, *derived = cell
         if total == math.inf:
             raise ModelDivergence(
                 "system failure rate diverged (t_Red >= node MTBF under the "
@@ -77,22 +78,31 @@ class CombinedResult:
                 else "lambda * t_RR >= 1; no finite completion time"
             )
         return cls(
-            t_red, int(processes), reliability, rate, mtbf, delta, total,
-            *map(read, grid.derived.values()),
+            t_red, int(processes), reliability, rate, mtbf, delta, total, *derived
         )
 
 
-#: The kernel fields a :class:`CombinedResult` starts with, in order;
-#: the grid's derived quantities follow.
-_grid_fields = operator.attrgetter(
-    "redundant_time",
-    "total_processes",
-    "system_reliability",
-    "failure_rate",
-    "system_mtbf",
-    "checkpoint_interval",
-    "total_time",
-)
+def grid_cells(grid) -> Iterator[Tuple[float, ...]]:
+    """Each cell of a one-axis kernel ``grid`` as Python numbers, in
+    :class:`CombinedResult`'s field order: each column is read once.
+    """
+    return zip(*[column.tolist() for column in _grid_columns(grid)])
+
+
+def _grid_columns(grid) -> Tuple:
+    """The kernel fields a :class:`CombinedResult` starts with, in order,
+    then the grid's derived quantities.
+    """
+    return (
+        grid.redundant_time,
+        grid.total_processes,
+        grid.system_reliability,
+        grid.failure_rate,
+        grid.system_mtbf,
+        grid.checkpoint_interval,
+        grid.total_time,
+        *grid.derived.values(),
+    )
 
 
 @dataclass(frozen=True)

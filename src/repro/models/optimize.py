@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError, ModelDivergence
-from .combined import CombinedModel, CombinedResult
+from .combined import CombinedModel, CombinedResult, grid_cells
 from .grid import ModelGrid, evaluate_grid
 from .redundancy import PAPER_REDUNDANCY_GRID
 
@@ -54,9 +54,9 @@ def sweep_redundancy_grid(
     degrees = list(grid)
     cells = evaluate_grid(model, redundancy=np.asarray(degrees, dtype=np.float64))
     points = []
-    for index, degree in enumerate(degrees):
+    for degree, cell in zip(degrees, grid_cells(cells)):
         try:
-            result = CombinedResult.of(cells, index)
+            result = CombinedResult.read(cell)
         except ModelDivergence:
             points.append(RedundancySweepPoint(degree, math.inf, None))
         else:

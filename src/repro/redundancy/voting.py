@@ -186,7 +186,11 @@ def _same_digest_bytes(first: Any, other: Any) -> bool:
     """
     if isinstance(first, np.ndarray) and isinstance(other, np.ndarray):
         dtype = first.dtype
-        if other.shape != first.shape or str(other.dtype) != str(dtype):
+        if other.shape != first.shape:
+            return False
+        # ``digest_bytes`` spells the dtype with ``str``, which costs
+        # microseconds; one dtype object spells alike without it.
+        if other.dtype is not dtype and str(other.dtype) != str(dtype):
             return False
         bits = None if dtype.hasobject else _BIT_VIEWS.get(dtype.itemsize)
         if bits is None:

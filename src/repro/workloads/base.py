@@ -13,7 +13,9 @@ simulator passes message objects by reference, and the redundancy
 layer compares a message's replica copies when the receive completes,
 not when each copy arrives, so an in-place update after the send would
 change what is voted on.  Send a copy (``field[0].copy()``) or rebind
-the name to a new object instead.
+the name to a new object instead.  The synthetic workload's ring
+payloads are read-only arrays, shared by every replica of a rank, so
+for them the rule is enforced: writing into one raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class Workload(abc.ABC):
 
         Never mutate an object after passing it to a send: the message
         holds a reference to it until every receiver has voted (see the
-        module docstring).
+        module docstring).  The synthetic workload's payloads are
+        read-only; a write into one raises ``ValueError``.
         """
 
     @abc.abstractmethod

@@ -489,14 +489,13 @@ class TestSelfHealing:
     def test_two_poison_cells_spare_the_rest(self):
         """Two adjacent poison cells each crash their own process on every
         attempt and are lost after ``CELL_RETRIES`` reruns; the slow
-        cells behind them still run and complete."""
-        # Each poison cell dies 0.4 s after it starts: the first beside
-        # the second (~0.4 s), the second beside the first slow cell
-        # (~0.5 s).  Their reruns wait behind the slow cells, which run
-        # two at a time for ~1 s each.
+        cells around them still run and complete."""
+        # Each poison cell dies 0.4 s after it starts, both first runs
+        # beside the first slow cell (~0.4 s and ~0.8 s into its ~1 s).
+        # Their reruns wait behind the other slow cells.
         poison = [special_config(PoisonWorkload, delay=0.4)] * 2
-        slow = [special_config(GlacialWorkload, sleep_seconds=1.0)] * 4
-        configs = [picklable_config(), *poison, *slow]
+        slow = special_config(GlacialWorkload, sleep_seconds=1.0)
+        configs = [slow, *poison, slow, slow, slow]
         executor = CampaignExecutor(workers=2)
         outcomes = executor.run(configs)
         assert len(outcomes) == len(configs)
@@ -504,9 +503,12 @@ class TestSelfHealing:
         assert not ok[1] and not ok[2]
         assert ok[0] and all(ok[3:]), [(o.error_type, o.error) for o in outcomes]
         assert executor.last_mode == "process"
+        retries = executor_module.CELL_RETRIES
         for lost in outcomes[1:3]:
-            retries = executor_module.CELL_RETRIES
             assert f"after {retries + 1} attempt(s)" in lost.error
+        # Only the poison cells were ever charged: a crash charged to the
+        # slow neighbour too would rerun it, and it would still complete.
+        assert executor.cells_resubmitted == 2 * retries
 
     def test_cell_timeout_fails_slow_cell_only(self):
         # The plain cell ends at ~0.1 s; the sleeper is killed at 1 s.

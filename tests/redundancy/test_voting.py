@@ -238,9 +238,13 @@ _RETYPE = {
 def array_pairs(draw):
     dtype = draw(st.sampled_from(sorted(_RETYPE)))
     first = draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=2, max_side=4)))
-    how = draw(st.sampled_from(["copy", "strided", "dtype", "shape", "bit"]))
+    how = draw(st.sampled_from(["copy", "strided", "dtype", "swapped", "shape", "bit"]))
     if how == "copy":
         other = first.copy()
+    elif how == "swapped":
+        # Equal values in the other byte order: a distinct dtype object,
+        # whose ``str`` differs unless its items are single bytes.
+        other = first.astype(first.dtype.newbyteorder())
     elif how == "strided":
         wide = np.zeros(first.shape + (2,), dtype=first.dtype)
         wide[..., 1] = first

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.checkpoint import capture_image, restore_image
 from repro.errors import ConfigurationError
 from repro.mpi import SimMPI
 from repro.simkit import Environment
 from repro.workloads import SyntheticWorkload, WorkShell
+from repro.workloads.synthetic import PAYLOAD_MEMO_SIZE, ring_payload
 
 
 def run_synthetic(size, **kwargs):
@@ -67,6 +70,56 @@ class TestCheckpointContract:
         clone.load(state)
         assert clone.token == 123.0
         assert np.array_equal(clone.payload, workload.payload)
+
+
+def configured(rank, size=4, **kwargs):
+    workload = SyntheticWorkload(**kwargs)
+    workload.configure(rank, size, np.random.default_rng(0))
+    return workload
+
+
+class TestSharedPayload:
+    def test_one_read_only_payload_per_rank(self):
+        first, second = configured(2), configured(2)
+        assert first.payload is second.payload
+        assert not first.payload.flags.writeable
+        assert configured(3).payload is not first.payload
+
+    def test_writing_into_the_payload_raises(self):
+        workload = configured(1)
+        with pytest.raises(ValueError):
+            workload.payload[0] = 5.0
+        assert workload.payload[0] == 1.0
+
+    def test_state_holds_the_payload_itself(self):
+        workload = configured(1)
+        assert workload.state()["payload"] is workload.payload
+
+    @given(
+        rank_and_size=st.integers(1, 64).flatmap(
+            lambda size: st.tuples(st.integers(0, size - 1), st.just(size))
+        ),
+        message_bytes=st.integers(8, 4096),
+    )
+    def test_image_roundtrip_is_bit_identical_and_read_only(
+        self, rank_and_size, message_bytes
+    ):
+        rank, size = rank_and_size
+        workload = configured(rank, size, message_bytes=message_bytes)
+        image = capture_image(workload.state())
+        clone = configured(0, size, message_bytes=message_bytes)
+        clone.load(restore_image(image.data))
+        assert clone.payload.tobytes() == workload.payload.tobytes()
+        assert clone.payload.dtype == np.float64
+        assert not clone.payload.flags.writeable
+        assert clone.token == workload.token
+
+    def test_memo_is_bounded(self):
+        assert PAYLOAD_MEMO_SIZE == 64
+        assert ring_payload.cache_info().maxsize == PAYLOAD_MEMO_SIZE
+        for rank in range(2 * PAYLOAD_MEMO_SIZE):
+            configured(rank, 2 * PAYLOAD_MEMO_SIZE, message_bytes=64)
+        assert ring_payload.cache_info().currsize == PAYLOAD_MEMO_SIZE
 
 
 class TestValidation:
