@@ -29,7 +29,6 @@ class BookmarkCoordinator:
 
     def __init__(self, runtime: "SimMPI") -> None:
         self.runtime = runtime
-        self.rounds_waited = 0
 
     def exchange_bookmarks(self, comm):
         """Generator: one all-to-all round of bookmark tokens.
@@ -49,5 +48,4 @@ class BookmarkCoordinator:
     def quiesce(self):
         """Generator: wait until every sent message has been delivered."""
         while not self.runtime.channels_quiet():
-            self.rounds_waited += 1
             yield self.runtime.env.timeout(POLL_INTERVAL)

@@ -97,7 +97,6 @@ class CheckpointService:
         self._participants = 0
         self._union_started = 0.0
         self._union_span = None
-        self.checkpoints_taken = 0
         #: Union of the per-rank checkpoint windows: the wallclock the
         #: application actually spent checkpointing.
         self.checkpoint_union_time = 0.0
@@ -187,7 +186,6 @@ class CheckpointService:
                     )
                     self.storage.abort_set(set_id)
                 else:
-                    self.checkpoints_taken += 1
                     self.restart_manager.note_commit(set_id, step + 1, self.env.now)
             self._last_checkpoint = self.env.now
         finally:

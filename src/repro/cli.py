@@ -12,8 +12,8 @@ Usage::
     repro-exp advise --processes 50000 --mtbf 5y --base-time 128h \
                --alpha 0.2 --checkpoint-cost 8min --restart-cost 12min
 
-The campaign/table sweeps honour the ``REPRO_WORKERS`` environment
-variable when no explicit worker count is given; seeds are derived
+Execution options are set only by flags (``--workers``,
+``--cell-timeout``, ``--store``) or ``run`` overrides; seeds are derived
 before fan-out, so parallel grids are bit-identical to serial ones.
 
 Parameter overrides are ``key=value`` pairs; values are parsed as
@@ -60,9 +60,9 @@ def _add_sweep_flags(subparser: argparse.ArgumentParser, quick_help: str) -> Non
     subparser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker processes for the sweep (default: REPRO_WORKERS env, "
-        "else serial); results are bit-identical either way",
+        default=1,
+        help="worker processes for the sweep (default 1: serial); results "
+        "are bit-identical either way",
     )
     subparser.add_argument("--quick", action="store_true", help=quick_help)
     subparser.add_argument(
@@ -70,7 +70,7 @@ def _add_sweep_flags(subparser: argparse.ArgumentParser, quick_help: str) -> Non
         type=float,
         default=None,
         help="wall-clock seconds one grid cell may run in its process "
-        "(default: REPRO_CELL_TIMEOUT env, else unlimited; process mode only)",
+        "(default: unlimited; process mode only)",
     )
     subparser.add_argument(
         "--trace",
@@ -85,7 +85,7 @@ def _add_sweep_flags(subparser: argparse.ArgumentParser, quick_help: str) -> Non
         help="print parent-side campaign metrics (counters, gauges, "
         "wall-time histograms) after the sweep",
     )
-    _add_store_flags(subparser)
+    _add_store_flag(subparser)
     subparser.add_argument(
         "overrides",
         nargs="*",
@@ -93,35 +93,24 @@ def _add_sweep_flags(subparser: argparse.ArgumentParser, quick_help: str) -> Non
     )
 
 
-def _add_store_flags(subparser: argparse.ArgumentParser) -> None:
-    """Results-store knobs shared by the sweep/serve subcommands."""
+def _add_store_flag(subparser: argparse.ArgumentParser) -> None:
+    """The results-store flag shared by the sweep/serve subcommands."""
     subparser.add_argument(
         "--store",
         metavar="DIR",
         default=None,
-        help="results-store directory (default: REPRO_STORE env); finished "
-        "cells are persisted and already-stored cells are restored",
-    )
-    subparser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the default store (.repro-store) when no --store "
-        "or REPRO_STORE is given",
-    )
-    subparser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="disable the results store even if REPRO_STORE is set",
+        help="results-store directory (default: none); finished cells "
+        "are persisted and already-stored cells are restored",
     )
 
 
-def _resolve_store(args):
-    """Build the ResultsStore selected by the store flags (or None)."""
-    from .store import resolve_store
+def _open_store(args):
+    """The ResultsStore at ``--store DIR``, or None without the flag."""
+    if not args.store:
+        return None
+    from .store import ResultsStore
 
-    return resolve_store(
-        path=args.store, resume=args.resume, disabled=args.no_store
-    )
+    return ResultsStore(args.store)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     server.add_argument("--queue-limit", type=int, default=256,
                         help="bounded request queue; beyond it requests are "
                         "shed with 429 (default 256)")
-    _add_store_flags(server)
+    _add_store_flag(server)
     return parser
 
 
@@ -270,7 +259,7 @@ def _sweep(args) -> int:
         overrides.setdefault("quick", True)
     obs = ObsSession(trace_path=args.trace, metrics=args.metrics)
     obs.stamp(experiment, params=overrides)
-    store = _resolve_store(args)
+    store = _open_store(args)
     execution = dict(
         workers=args.workers,
         cell_timeout=args.cell_timeout,
@@ -352,7 +341,7 @@ def _serve(args) -> int:
 
     from .service import ModelServer
 
-    store = _resolve_store(args)
+    store = _open_store(args)
 
     async def _main() -> None:
         server = ModelServer(

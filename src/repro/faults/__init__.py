@@ -14,13 +14,12 @@ for stable storage (the chaos layer).
 """
 
 from .distributions import Exponential, LogNormal, Weibull
-from .injector import FailureInjector, FailureRecord
+from .injector import FailureInjector
 from .storage_faults import StorageFaultConfig, StorageFaultModel, WriteVerdict
 
 __all__ = [
     "Exponential",
     "FailureInjector",
-    "FailureRecord",
     "LogNormal",
     "StorageFaultConfig",
     "StorageFaultModel",

@@ -71,7 +71,6 @@ class LogNormal:
         if cv <= 0:
             raise ConfigurationError(f"cv must be > 0, got {cv}")
         self.mean = mean
-        self.cv = cv
         self._sigma = math.sqrt(math.log1p(cv**2))
         self._mu = math.log(mean) - 0.5 * self._sigma**2
 

@@ -21,8 +21,6 @@ progress — a due failure is re-armed until the window closes.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -31,14 +29,6 @@ from ..errors import ConfigurationError
 from ..obs.trace import NULL_TRACER
 from ..simkit import Environment
 from .distributions import Distribution
-
-
-@dataclass(frozen=True)
-class FailureRecord:
-    """One delivered failure."""
-
-    time: float
-    slot: int
 
 
 class FailureInjector:
@@ -53,7 +43,6 @@ class FailureInjector:
         kill: Callable[[int], None],
         cr_active: Optional[Callable[[], bool]] = None,
         suppress_during_cr: bool = True,
-        retry_interval: Optional[float] = None,
         tracer=NULL_TRACER,
     ) -> None:
         if slots < 1:
@@ -66,13 +55,6 @@ class FailureInjector:
         self.kill = kill
         self.cr_active = cr_active or (lambda: False)
         self.suppress_during_cr = suppress_during_cr
-        #: How long a suppressed failure waits before re-checking.
-        self.retry_interval = retry_interval or distribution.mean * 1e-4
-        self.records: List[FailureRecord] = []
-        #: Delivery times only, kept in lockstep with ``records`` so
-        #: :meth:`injected_since` can bisect (simulation time is
-        #: monotone, so this list is sorted by construction).
-        self._record_times: List[float] = []
         self.suppressed = 0
         self._schedule: List[tuple] = []
         self._process = None
@@ -124,8 +106,6 @@ class FailureInjector:
                         (self.env.now + self.distribution.sample(self.rng), slot),
                     )
                     continue
-                self.records.append(FailureRecord(time=self.env.now, slot=slot))
-                self._record_times.append(self.env.now)
                 self.tracer.event(
                     "failure_injected", sim_time=self.env.now, slot=slot
                 )
@@ -138,19 +118,3 @@ class FailureInjector:
                 )
         except ProcessInterrupted:
             return
-
-    # -- statistics ----------------------------------------------------------
-
-    @property
-    def injected(self) -> int:
-        """Failures delivered so far."""
-        return len(self.records)
-
-    def injected_since(self, time: float) -> int:
-        """Failures delivered at or after ``time`` (per-attempt counts).
-
-        O(log n) bisection over the time-ordered record list rather
-        than an O(n) scan — campaigns call this once per attempt and
-        long hostile runs accumulate thousands of records.
-        """
-        return len(self._record_times) - bisect_left(self._record_times, time)

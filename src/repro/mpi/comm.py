@@ -22,7 +22,7 @@ from ..errors import CommunicatorError
 from ..simkit.events import Event
 from . import collectives
 from .datatypes import message_wire_size
-from .requests import RECV, Request, waitall as _waitall, waitany as _waitany
+from .requests import RECV, Request, waitall as _waitall
 from .status import ANY_SOURCE, ANY_TAG
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,11 +59,6 @@ class CollectiveAPI:
     def waitall(self, requests: List[Request]):
         """Generator: complete all requests; returns values in order."""
         result = yield from _waitall(self.env, requests)
-        return result
-
-    def waitany(self, requests: List[Request]):
-        """Generator: complete one request; returns ``(index, value)``."""
-        result = yield from _waitany(self.env, requests)
         return result
 
     # The collectives take the communicator as their first argument,

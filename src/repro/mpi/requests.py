@@ -8,7 +8,7 @@ for sends).  Blocking calls are ``yield from request.wait()``.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List
 
 from ..errors import RequestError
 from ..simkit.events import AllOf, Event
@@ -28,7 +28,6 @@ class Request:
         "peer",
         "tag",
         "_event",
-        "_status",
         "_consumed",
     )
 
@@ -39,7 +38,6 @@ class Request:
         self.peer = peer
         self.tag = tag
         self._event = event
-        self._status: Optional[Status] = None
         self._consumed = False
 
     @property
@@ -47,28 +45,16 @@ class Request:
         """The underlying kernel event (advanced use / request sets)."""
         return self._event
 
-    @property
-    def done(self) -> bool:
-        """True once the operation has completed."""
-        return self._event.processed
-
-    @property
-    def status(self) -> Optional[Status]:
-        """Receive status; populated after a completed receive."""
-        return self._status
-
     def _finalize(self, raw: Any) -> Any:
         if self._consumed:
             raise RequestError("request waited on twice")
         self._consumed = True
-        result: Any = None
-        if self.kind == RECV:
-            envelope: Envelope = raw
-            self._status = Status(
-                source=envelope.source, tag=envelope.tag, nbytes=envelope.nbytes
-            )
-            result = (envelope.payload, self._status)
-        return result
+        if self.kind != RECV:
+            return None
+        envelope: Envelope = raw
+        return envelope.payload, Status(
+            source=envelope.source, tag=envelope.tag, nbytes=envelope.nbytes
+        )
 
     def wait(self):
         """Generator: block the calling process until completion.
@@ -77,17 +63,6 @@ class Request:
         """
         raw = yield self._event
         return self._finalize(raw)
-
-    def test(self) -> Tuple[bool, Any]:
-        """Non-blocking completion check.
-
-        Returns ``(False, None)`` while pending, else ``(True, value)``
-        where value matches :meth:`wait`'s return.  The request is
-        consumed by the first successful test.
-        """
-        if not self._event.processed:
-            return False, None
-        return True, self._finalize(self._event.value)
 
 
 def waitall(env, requests: List[Request]):
@@ -102,15 +77,3 @@ def waitall(env, requests: List[Request]):
     raw_values = yield AllOf(env, [request.event for request in requests])
     return [request._finalize(raw) for request, raw in zip(requests, raw_values)]
 
-
-def waitany(env, requests: List[Request]):
-    """Generator: wait until one request completes; returns (index, value)."""
-    from ..simkit.events import AnyOf
-
-    if not requests:
-        raise RequestError("waitany on an empty request list")
-    for index, request in enumerate(requests):
-        if request.done:
-            return index, request._finalize(request.event.value)
-    index, raw = yield AnyOf(env, [request.event for request in requests])
-    return index, requests[index]._finalize(raw)

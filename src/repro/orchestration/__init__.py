@@ -10,20 +10,13 @@ time and event counts the evaluation tables are built from.
 :mod:`campaign` sweeps jobs over (MTBF, redundancy) grids to
 regenerate Table 4 / Figures 8-9, and failure-free runs for
 Table 5 / Figure 10.  :mod:`executor` runs independent grid cells side
-by side, one forked process per running cell (``workers``/
-``REPRO_WORKERS``), with bit-identical results, ordered collection and
-per-cell error capture.
+by side, one forked process per running cell (``workers``), with
+bit-identical results, ordered collection and per-cell error capture.
 """
 
 from .job import JobConfig, JobReport, ResilientJob
 from .campaign import run_failure_free_sweep, run_redundancy_sweep
-from .executor import (
-    CampaignExecutionError,
-    CampaignExecutor,
-    CellOutcome,
-    resolve_cell_timeout,
-    resolve_workers,
-)
+from .executor import CampaignExecutionError, CampaignExecutor, CellOutcome
 
 __all__ = [
     "CampaignExecutionError",
@@ -32,8 +25,6 @@ __all__ = [
     "JobConfig",
     "JobReport",
     "ResilientJob",
-    "resolve_cell_timeout",
-    "resolve_workers",
     "run_failure_free_sweep",
     "run_redundancy_sweep",
 ]

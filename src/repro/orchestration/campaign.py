@@ -12,8 +12,8 @@ executor made of it; the sweeps return those that ran to a report.
 Cells are independent, so both sweeps delegate to
 :class:`~repro.orchestration.executor.CampaignExecutor`, forwarding
 its keyword arguments as one ``**execution`` mapping: pass
-``workers > 1`` (or set ``REPRO_WORKERS``) to run that many cells at
-once, each in its own process.  Seeds are derived before submission,
+``workers > 1`` to run that many cells at once, each in its own
+process.  Seeds are derived before submission,
 so parallel runs are bit-identical to serial ones.
 """
 

@@ -35,23 +35,21 @@ it hits, as in the paper's redundancy and rollback:
   means that cell's process died.  Only that cell is charged: it is
   run again in a fresh process up to ``CELL_RETRIES`` times, then
   declared lost (``WorkerCrash``).  Its neighbours never notice;
-* **per-cell wall-clock timeouts** — ``cell_timeout`` (or the
-  ``REPRO_CELL_TIMEOUT`` env var) bounds how long one cell may run in
-  its process; an overdue cell's process alone is killed and the cell
-  is recorded as a failed outcome.  Timeouts apply only to cells run
-  in a process (the serial path cannot preempt).
+* **per-cell wall-clock timeouts** — ``cell_timeout`` bounds how long
+  one cell may run in its process; an overdue cell's process alone is
+  killed and the cell is recorded as a failed outcome.  Timeouts apply
+  only to cells run in a process (the serial path cannot preempt).
 
 One execution context:
 
 :class:`CampaignExecutor`'s keyword arguments — ``workers``,
 ``cell_timeout``, ``obs`` and ``store`` — are the only place the
-execution options are named and resolved.  Every layer above
+execution options are named and checked.  Every layer above
 (the campaign sweeps, the ``table4``/``table5``/``chaos`` experiments,
-the CLI's ``run`` overrides) accepts them as one opaque ``**execution``
-mapping and forwards it here untouched, exactly once.  Each option
-resolves as: explicit argument, then its environment variable
-(``REPRO_WORKERS``, ``REPRO_CELL_TIMEOUT``), then the default (serial,
-no timeout).  ``obs`` (an :class:`~repro.obs.ObsSession`) replaces
+the CLI's flags and ``run`` overrides) accepts them as one opaque
+``**execution`` mapping and forwards it here untouched, exactly once.
+No environment variable changes them: the defaults are serial and no
+timeout.  ``obs`` (an :class:`~repro.obs.ObsSession`) replaces
 separate tracer/metrics handles: the executor takes its tracer and
 registry from it, traces every cell's job when the session traces, and
 hands each cell's records to the session; whoever built the session
@@ -74,10 +72,6 @@ from ..errors import ConfigurationError, ReproError
 from ..obs import NULL_TRACER, ObsSession, Tracer, to_jsonl
 from .job import JobConfig, JobReport, ResilientJob, trace_label
 
-#: Environment variable consulted when no explicit worker count is given.
-WORKERS_ENV = "REPRO_WORKERS"
-#: Environment variable: per-cell wall-clock timeout in seconds.
-CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 #: Times a cell whose process crashed is run again; one more crash and
 #: it is synthesized as a failed (lost) outcome.
 CELL_RETRIES = 2
@@ -130,55 +124,6 @@ class CellOutcome:
     def minutes(self) -> float:
         """Completion time in minutes (the paper's Table 4 unit)."""
         return self.report.total_minutes
-
-
-def _env_value(value, env: str, parse, kind: str):
-    """``value`` if given, else ``env`` parsed by ``parse``, else None."""
-    if value is not None:
-        return value
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return None
-    try:
-        return parse(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{env} must be {kind}, got {raw!r}") from exc
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve the worker count: argument > ``REPRO_WORKERS`` env > 1.
-
-    A bool or a non-integer (``"two"``, ``2.5``) is rejected rather
-    than coerced.
-    """
-    workers = _env_value(workers, WORKERS_ENV, int, "an integer")
-    if workers is None:
-        return 1
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
-        raise ConfigurationError(f"workers must be an integer, got {workers!r}")
-    return max(1, int(workers))
-
-
-def resolve_cell_timeout(cell_timeout: Optional[float] = None) -> Optional[float]:
-    """Resolve the per-cell timeout: argument > env > None (no timeout).
-
-    The one validation point for the keyword, ``REPRO_CELL_TIMEOUT`` and
-    ``--cell-timeout``: the value must be a number (not a bool), finite
-    and > 0 (``inf`` would overflow ``wait``, and ``nan`` would never
-    fire).
-    """
-    cell_timeout = _env_value(cell_timeout, CELL_TIMEOUT_ENV, float, "a number")
-    if cell_timeout is None:
-        return None
-    if isinstance(cell_timeout, bool) or not isinstance(cell_timeout, numbers.Real):
-        raise ConfigurationError(
-            f"cell timeout must be a number, got {cell_timeout!r}"
-        )
-    if not 0.0 < cell_timeout < math.inf:
-        raise ConfigurationError(
-            f"cell timeout must be finite and > 0, got {cell_timeout}"
-        )
-    return float(cell_timeout)
 
 
 #: What a cell sends home: its ``_execute_cell`` tuple, then the CPU
@@ -244,13 +189,13 @@ class CampaignExecutor:
     Parameters
     ----------
     workers:
-        Cells to run at once, each in its own process.  ``None``
-        consults ``REPRO_WORKERS``; ``<= 1`` runs serially in-process.
+        Cells to run at once, each in its own process; an integer (not
+        a bool), and ``<= 1`` runs serially in-process.
     cell_timeout:
         Wall-clock seconds one cell may spend in its process before it
-        is killed and declared failed.  ``None`` consults
-        ``REPRO_CELL_TIMEOUT``; unset means no timeout.  Process mode
-        only.
+        is killed and declared failed: a number (not a bool), finite
+        (``inf`` would overflow ``wait``, and ``nan`` would never fire)
+        and > 0.  ``None`` means no timeout.  Process mode only.
     obs:
         Optional :class:`~repro.obs.ObsSession`.  Its tracer receives
         wall-clock cell spans and executor events (run timings,
@@ -275,13 +220,27 @@ class CampaignExecutor:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
+        workers: int = 1,
         cell_timeout: Optional[float] = None,
         obs: Optional[ObsSession] = None,
         store=None,
     ) -> None:
-        self.workers = resolve_workers(workers)
-        self.cell_timeout = resolve_cell_timeout(cell_timeout)
+        if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+            raise ConfigurationError(f"workers must be an integer, got {workers!r}")
+        if cell_timeout is not None:
+            if isinstance(cell_timeout, bool) or not isinstance(
+                cell_timeout, numbers.Real
+            ):
+                raise ConfigurationError(
+                    f"cell timeout must be a number, got {cell_timeout!r}"
+                )
+            if not 0.0 < cell_timeout < math.inf:
+                raise ConfigurationError(
+                    f"cell timeout must be finite and > 0, got {cell_timeout}"
+                )
+            cell_timeout = float(cell_timeout)
+        self.workers = max(1, int(workers))
+        self.cell_timeout = cell_timeout
         self.obs = obs
         self.tracer = obs.tracer if obs is not None else NULL_TRACER
         self.metrics = obs.metrics if obs is not None else None

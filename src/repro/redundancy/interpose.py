@@ -132,21 +132,10 @@ class RedRequest:
 
     # -- application API -----------------------------------------------------
 
-    @property
-    def done(self) -> bool:
-        """True once the whole set has completed."""
-        return self.event.processed
-
     def wait(self):
         """Generator: block until the set completes; returns the value."""
         raw = yield self.event
         return self._finalize(raw)
-
-    def test(self):
-        """Non-blocking check: ``(False, None)`` or ``(True, value)``."""
-        if not self.event.processed:
-            return False, None
-        return True, self._finalize(self.event.value)
 
     def _finalize(self, raw: Any) -> Any:
         if self._consumed:

@@ -35,7 +35,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[_QueueEntry] = []
         self._sequence = 0
-        self._active_processes = 0
 
     # -- clock -------------------------------------------------------------
 

@@ -25,16 +25,11 @@ The campaign executor consults the store before running a cell and
 persists each completed cell as it finishes, so interrupted campaigns
 **resume** and repeated campaigns are near-instant with bit-identical
 results; the serving layer memoizes ``/recommend`` answers through the
-same store.
-
-Resolution order for the CLI: ``--store DIR`` > ``REPRO_STORE`` env >
-``--resume`` (default directory ``.repro-store``) > disabled;
-``--no-store`` forces disabled.
+same store.  The CLI opens a store only when ``--store DIR`` is given.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
@@ -50,19 +45,7 @@ from .codec import (
 )
 from .keys import CODE_VERSION, fingerprint, job_key
 
-__all__ = [
-    "DEFAULT_STORE_DIR",
-    "STORE_ENV",
-    "DiskBackend",
-    "ResultsStore",
-    "resolve_store",
-]
-
-#: Environment variable naming the store directory (same as ``--store``).
-STORE_ENV = "REPRO_STORE"
-
-#: Directory used by ``--resume`` when no path is given.
-DEFAULT_STORE_DIR = ".repro-store"
+__all__ = ["DiskBackend", "ResultsStore"]
 
 
 class ResultsStore:
@@ -193,19 +176,3 @@ def _remove_all_but(objects: Path, keep: str) -> int:
             entry.unlink(missing_ok=True)
     return removed
 
-
-def resolve_store(
-    path: Optional[str] = None,
-    resume: bool = False,
-    disabled: bool = False,
-) -> Optional[ResultsStore]:
-    """CLI/env store resolution (see module doc for the order)."""
-    if disabled:
-        return None
-    if path is None:
-        path = os.environ.get(STORE_ENV, "").strip() or None
-    if path is None and resume:
-        path = DEFAULT_STORE_DIR
-    if path is None:
-        return None
-    return ResultsStore(path)

@@ -30,10 +30,9 @@ import math
 from typing import Any, Dict, Type
 
 from ..errors import CodecError
-from ..faults import StorageFaultConfig
 from ..models.advisor import Recommendation
-from ..models.combined import CombinedModel, CombinedResult
-from ..models.optimize import CrossoverPoint, RedundancySweepPoint
+from ..models.combined import CombinedResult
+from ..models.optimize import RedundancySweepPoint
 from ..orchestration.job import JobReport
 
 __all__ = [
@@ -53,19 +52,13 @@ __all__ = [
 #: echoes its ``CombinedModel`` (a sweep point carries its degree).
 CODEC_VERSION = 4
 
-#: Dataclasses the codec may embed.  Name-keyed (not module-keyed) so a
-#: payload survives module moves; names must therefore stay unique.
+#: Dataclasses the codec may embed: the stored roots (``JobReport``,
+#: ``Recommendation``) and the dataclasses their fields hold.
+#: Name-keyed (not module-keyed) so a payload survives module moves;
+#: names must therefore stay unique.
 REGISTERED_TYPES: Dict[str, Type] = {
     cls.__name__: cls
-    for cls in (
-        JobReport,
-        CombinedModel,
-        CombinedResult,
-        RedundancySweepPoint,
-        CrossoverPoint,
-        Recommendation,
-        StorageFaultConfig,
-    )
+    for cls in (JobReport, CombinedResult, RedundancySweepPoint, Recommendation)
 }
 
 _TAGS = ("__f", "__t", "__dc", "__d")

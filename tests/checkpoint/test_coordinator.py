@@ -18,7 +18,6 @@ class TestQuiesce:
         world.spawn(program)
         world.run()
         assert world.result_of(0) == 0.0
-        assert coordinator.rounds_waited == 0
 
     def test_waits_for_in_flight_message(self, env):
         world = SimMPI(env, size=2)

@@ -48,12 +48,11 @@ class TestConfig:
 
 
 class TestCheckpointPath:
-    def test_checkpoints_taken_at_interval(self):
-        env, _, _, manager, service, _ = run_with_service(
+    def test_commits_at_interval(self):
+        _, _, _, manager, _, _ = run_with_service(
             2, 20, interval=0.2, fixed_cost=0.01
         )
         assert manager.commits >= 3
-        assert service.checkpoints_taken == manager.commits
 
     def test_fixed_cost_charged(self):
         env_cheap, *_ = run_with_service(2, 20, interval=0.2, fixed_cost=0.0)

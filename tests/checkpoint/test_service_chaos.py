@@ -50,7 +50,6 @@ class TestRetrySuccess:
         assert service.checkpoint_write_failures == 1
         assert service.checkpoint_retries == 1
         assert service.checkpoints_skipped == 0
-        assert manager.commits == service.checkpoints_taken
         assert manager.commits >= 3
         # The retry delays the job by one more fixed cost plus the first
         # backoff (to within the interleaving of the ranks' messages).
@@ -69,7 +68,6 @@ class TestRetryExhaustion:
         assert service.checkpoint_write_failures == 4
         # Later intervals checkpoint normally; the job degrades gracefully.
         assert manager.commits >= 1
-        assert service.checkpoints_taken == manager.commits
         # The abandoned set never became a recovery line.
         assert len(storage.committed_sets()) == min(manager.commits, RECOVERY_LINES)
 

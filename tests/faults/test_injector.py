@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import Exponential, FailureInjector
+from repro.obs import Tracer
 from repro.simkit import Environment
 
 
@@ -48,11 +49,19 @@ class TestRates:
 
     def test_records_match_kills(self, env):
         kills = []
-        injector = make_injector(env, kill=kills.append)
+        tracer = Tracer()
+        injector = make_injector(env, kill=kills.append, tracer=tracer)
         injector.start()
         env.run(until=20.0)
-        assert injector.injected == len(kills)
-        assert [record.slot for record in injector.records] == kills
+        injected = [
+            (record["t"], record["slot"])
+            for record in tracer.records
+            if record["name"] == "failure_injected"
+        ]
+        assert kills
+        assert [slot for _, slot in injected] == kills
+        times = [time for time, _ in injected]
+        assert times == sorted(times)
 
 
 class TestSuppression:
@@ -103,37 +112,6 @@ class TestLifecycle:
         injector.start()
         with pytest.raises(ConfigurationError):
             injector.start()
-
-    def test_injected_since(self, env):
-        kills = []
-        injector = make_injector(env, mtbf=0.2, kill=kills.append)
-        injector.start()
-        env.run(until=10.0)
-        total = injector.injected
-        late = injector.injected_since(5.0)
-        assert 0 < late < total
-
-    def test_injected_since_matches_linear_scan(self, env):
-        """The bisect fast path must agree with the O(n) definition."""
-        injector = make_injector(env, mtbf=0.3)
-        injector.start()
-        env.run(until=20.0)
-        assert injector.injected > 10
-        for time in (0.0, 0.001, 5.0, 13.37, 19.99, 20.0, 100.0):
-            expected = sum(1 for r in injector.records if r.time >= time)
-            assert injector.injected_since(time) == expected
-
-    def test_injected_since_exact_boundary_inclusive(self, env):
-        injector = make_injector(env, mtbf=0.5)
-        injector.start()
-        env.run(until=10.0)
-        first = injector.records[0].time
-        # A query at exactly a record's timestamp counts that record.
-        assert injector.injected_since(first) == injector.injected
-
-    def test_injected_since_empty(self, env):
-        injector = make_injector(env)
-        assert injector.injected_since(0.0) == 0
 
     def test_slot_validation(self, env):
         with pytest.raises(ConfigurationError):

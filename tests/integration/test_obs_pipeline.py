@@ -117,7 +117,7 @@ class TestTracedCampaignReconciles:
             assert job.completed is True
 
     def test_serial(self, tmp_path):
-        path, cells, _ = self.run_traced(tmp_path, workers=None)
+        path, cells, _ = self.run_traced(tmp_path, workers=1)
         self.check(path, cells)
 
     def test_workers_4_merged_trace(self, tmp_path):
@@ -135,7 +135,7 @@ class TestTracedCampaignReconciles:
         assert obs.metrics.counter("campaign.cells").value == len(cells)
 
     def test_parallel_trace_reconciles_like_serial(self, tmp_path):
-        serial_path, _, _ = self.run_traced(tmp_path / "serial", workers=None)
+        serial_path, _, _ = self.run_traced(tmp_path / "serial", workers=1)
         pool_path, _, _ = self.run_traced(tmp_path / "pool", workers=4)
 
         def phase_totals(path):

@@ -122,26 +122,6 @@ class TestNonBlocking:
         run_world(2, program)
         assert out["values"] == ["first", "second"]
 
-    def test_waitany_returns_earliest(self):
-        out = {}
-
-        def program(ctx):
-            if ctx.rank == 0:
-                requests = [
-                    ctx.comm.irecv(source=1, tag=1),
-                    ctx.comm.irecv(source=1, tag=2),
-                ]
-                index, (payload, _) = yield from ctx.comm.waitany(requests)
-                out["first_done"] = (index, payload)
-                yield from requests[0].wait()
-            else:
-                yield from ctx.comm.send("fast", dest=0, tag=2)
-                yield ctx.compute(1.0)
-                yield from ctx.comm.send("slow", dest=0, tag=1)
-
-        run_world(2, program)
-        assert out["first_done"] == (1, "fast")
-
 
 class TestValidation:
     def test_user_tag_limit(self):

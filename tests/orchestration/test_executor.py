@@ -1,6 +1,6 @@
 """Tests for the parallel campaign executor.
 
-Covers worker-count resolution (argument > ``REPRO_WORKERS`` > serial),
+Covers the checks on the ``workers`` and ``cell_timeout`` arguments,
 ordered result collection, progress marshalling, per-cell error capture,
 the in-parent fallback when a cell's process cannot start, per-cell
 crash and timeout recovery, and the determinism regression: a campaign
@@ -21,13 +21,12 @@ from repro.errors import ConfigurationError
 from repro.experiments.table4 import QUICK_DEGREES, QUICK_MTBF_HOURS, ScaledSetup
 from repro.faults import StorageFaultConfig
 from repro.obs import ObsSession
+from repro.orchestration import campaign as campaign_module
 from repro.orchestration import executor as executor_module
 from repro.orchestration import (
     CampaignExecutionError,
     CampaignExecutor,
     JobConfig,
-    resolve_cell_timeout,
-    resolve_workers,
     run_failure_free_sweep,
     run_redundancy_sweep,
 )
@@ -167,26 +166,15 @@ def report_signature(report):
 
 
 class TestResolveWorkers:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
+    def test_default_is_serial(self):
+        assert CampaignExecutor().workers == 1
 
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "8")
-        assert resolve_workers(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers(None) == 5
-
-    def test_env_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ConfigurationError):
-            resolve_workers(None)
+    def test_explicit_wins(self):
+        assert CampaignExecutor(workers=3).workers == 3
 
     def test_nonpositive_clamped_to_serial(self):
-        assert resolve_workers(0) == 1
-        assert resolve_workers(-4) == 1
+        assert CampaignExecutor(workers=0).workers == 1
+        assert CampaignExecutor(workers=-4).workers == 1
 
 
 class TestSerialExecution:
@@ -366,50 +354,47 @@ class TestSweepErrorPolicy:
         )
         assert cells == []
 
-    def test_env_workers_used_by_sweep(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        cells = run_failure_free_sweep(picklable_config(), degrees=[1.0, 2.0])
+    def test_sweep_forwards_workers(self, monkeypatch):
+        built = []
+
+        class Recording(CampaignExecutor):
+            def __init__(self, **execution):
+                super().__init__(**execution)
+                built.append(self)
+
+        monkeypatch.setattr(campaign_module, "CampaignExecutor", Recording)
+        cells = run_failure_free_sweep(
+            picklable_config(), degrees=[1.0, 2.0], workers=2
+        )
         assert len(cells) == 2
         assert all(cell.report.completed for cell in cells)
+        assert [executor.workers for executor in built] == [2]
 
 
 class TestResolveHardeningKnobs:
-    def test_timeout_default_is_unlimited(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CELL_TIMEOUT", raising=False)
-        assert resolve_cell_timeout(None) is None
+    def test_timeout_default_is_unlimited(self):
+        assert CampaignExecutor().cell_timeout is None
 
-    def test_timeout_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "7.5")
-        assert resolve_cell_timeout(None) == 7.5
+    def test_timeout_explicit_wins(self):
+        assert CampaignExecutor(cell_timeout=3.0).cell_timeout == 3.0
+        timeout = CampaignExecutor(cell_timeout=3).cell_timeout
+        assert timeout == 3.0 and isinstance(timeout, float)
 
-    def test_timeout_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "7.5")
-        assert resolve_cell_timeout(3.0) == 3.0
-
-    def test_timeout_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "soon")
-        with pytest.raises(ConfigurationError):
-            resolve_cell_timeout(None)
-        with pytest.raises(ConfigurationError):
-            resolve_cell_timeout(0.0)
+    def test_timeout_invalid_rejected(self):
         # Non-finite values: inf overflows wait(), nan never fires.
-        for value in (math.inf, math.nan):
+        for value in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ConfigurationError):
-                resolve_cell_timeout(value)
-        for raw in ("inf", "nan"):
-            monkeypatch.setenv("REPRO_CELL_TIMEOUT", raw)
-            with pytest.raises(ConfigurationError):
-                resolve_cell_timeout(None)
+                CampaignExecutor(cell_timeout=value)
 
     @pytest.mark.parametrize("value", ["soon", "7.5", True, [1.0]])
     def test_timeout_non_number_rejected(self, value):
         with pytest.raises(ConfigurationError):
-            resolve_cell_timeout(value)
+            CampaignExecutor(cell_timeout=value)
 
-    @pytest.mark.parametrize("value", ["two", "2", 2.5, 2.0, True])
+    @pytest.mark.parametrize("value", ["two", "2", 2.5, 2.0, True, None])
     def test_workers_non_integer_rejected(self, value):
         with pytest.raises(ConfigurationError):
-            resolve_workers(value)
+            CampaignExecutor(workers=value)
 
 
 class TestChaosNoOp:

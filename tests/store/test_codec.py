@@ -1,7 +1,9 @@
 """Property tests: stored payloads round-trip bit-identically."""
 
+import dataclasses
 import json
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CodecError
 from repro.models import CombinedModel, CombinedResult
 from repro.errors import ModelDivergence
+from repro.models.advisor import Recommendation
 from repro.orchestration import JobReport
 from repro.store.codec import (
     CODEC_VERSION,
+    REGISTERED_TYPES,
     decode,
     decode_payload,
     decode_report,
@@ -173,3 +177,25 @@ class TestEnvelopes:
     def test_wrong_payload_type_refused(self):
         with pytest.raises(CodecError):
             decode_report(encode_payload({"not": "a report"}))
+
+
+def reachable_dataclasses(roots):
+    """The dataclass types ``roots`` are or hold, through their field hints."""
+    seen = set()
+    pending = list(roots)
+    while pending:
+        hint = pending.pop()
+        if dataclasses.is_dataclass(hint):
+            if hint not in seen:
+                seen.add(hint)
+                pending.extend(typing.get_type_hints(hint).values())
+        else:
+            pending.extend(typing.get_args(hint))
+    return seen
+
+
+class TestRegistry:
+    def test_registered_types_are_the_stored_dataclasses(self):
+        """The store holds ``JobReport`` and ``Recommendation`` payloads."""
+        reachable = reachable_dataclasses([JobReport, Recommendation])
+        assert {cls.__name__: cls for cls in reachable} == REGISTERED_TYPES

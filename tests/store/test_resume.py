@@ -1,11 +1,12 @@
 """Store facade + campaign resumability: the ISSUE's acceptance cases."""
 
+from dataclasses import asdict
 from functools import partial
 
 from repro.models import CombinedModel, recommend
 from repro.orchestration import JobConfig, run_redundancy_sweep
-from repro.store import DEFAULT_STORE_DIR, STORE_ENV, ResultsStore, resolve_store
-from repro.store.codec import encode, encode_payload, encode_report
+from repro.store import ResultsStore
+from repro.store.codec import encode_payload, encode_report
 from repro.store.keys import fingerprint, job_key
 from repro.workloads import SyntheticWorkload
 
@@ -176,7 +177,7 @@ class TestFacade:
         """The version-3 layout: the result echoed its model."""
 
         def restyle(result, model):
-            result["model"] = encode(model)
+            result["model"] = {"__dc": "CombinedModel", "f": asdict(model)}
 
         self.assert_stale_recommendation_recomputed(tmp_path, 3, restyle)
 
@@ -186,31 +187,6 @@ class TestFacade:
         assert store.hit_ratio == 0.0
         text = store.render_stats()
         assert "0 hits" in text and "1 misses" in text
-
-
-class TestResolveStore:
-    def test_disabled_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, str(tmp_path))
-        assert resolve_store(disabled=True) is None
-
-    def test_explicit_path_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, str(tmp_path / "env"))
-        store = resolve_store(path=str(tmp_path / "flag"))
-        assert store.root.name == "flag"
-
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, str(tmp_path / "env"))
-        assert resolve_store().root.name == "env"
-
-    def test_resume_uses_default_dir(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(STORE_ENV, raising=False)
-        monkeypatch.chdir(tmp_path)
-        store = resolve_store(resume=True)
-        assert store.root.name == DEFAULT_STORE_DIR
-
-    def test_nothing_selected_means_no_store(self, monkeypatch):
-        monkeypatch.delenv(STORE_ENV, raising=False)
-        assert resolve_store() is None
 
 
 class TestCampaignResume:

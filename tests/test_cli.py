@@ -167,19 +167,28 @@ class TestStoreFlags:
         for command in ("campaign", "chaos", "serve"):
             args = parser.parse_args([command, "--store", "/tmp/s"])
             assert args.store == "/tmp/s"
-            args = parser.parse_args([command, "--resume"])
-            assert args.resume and args.store is None
-            args = parser.parse_args([command, "--no-store"])
-            assert args.no_store
+            assert parser.parse_args([command]).store is None
 
-    def test_no_store_flag_disables_env(self, monkeypatch, tmp_path):
-        from types import SimpleNamespace
 
-        from repro.cli import _resolve_store
-        from repro.store import STORE_ENV
+class TestStrayEnvironment:
+    def test_environment_sets_no_execution_option(self, monkeypatch, tmp_path, capsys):
+        """Execution options come from arguments and flags, never the env."""
+        from repro.cli import build_parser
+        from repro.orchestration import CampaignExecutor
 
-        monkeypatch.setenv(STORE_ENV, str(tmp_path))
-        args = SimpleNamespace(store=None, resume=False, no_store=True)
-        assert _resolve_store(args) is None
-        args = SimpleNamespace(store=None, resume=False, no_store=False)
-        assert _resolve_store(args) is not None
+        stray = {"WORKERS": "3", "CELL_TIMEOUT": "0.05", "STORE": "stray-store"}
+        for name, value in stray.items():
+            monkeypatch.setenv(f"REPRO_{name}", value)
+        monkeypatch.chdir(tmp_path)
+
+        executor = CampaignExecutor()
+        assert executor.workers == 1 and executor.cell_timeout is None
+
+        parser = build_parser()
+        for command in ("campaign", "chaos", "serve"):
+            options = vars(parser.parse_args([command]))
+            assert "resume" not in options and "no_store" not in options
+
+        assert main(["campaign", "--failure-free", "degrees=(1.0, 2.0)"]) == 0
+        assert "store:" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
