@@ -41,8 +41,7 @@ from ..mpi import ops
 from ..obs.trace import NULL_TRACER
 from .coordinator import BookmarkCoordinator
 from .image import capture_image
-from .restart import RestartManager
-from .storage import StableStorage
+from .storage import StableStorage, image_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import SimMPI
@@ -79,7 +78,6 @@ class CheckpointService:
         self,
         runtime: "SimMPI",
         storage: StableStorage,
-        restart_manager: RestartManager,
         interval: float,
         fixed_cost: float,
         bookmark_exchange: bool = False,
@@ -87,7 +85,6 @@ class CheckpointService:
     ) -> None:
         self.runtime = runtime
         self.storage = storage
-        self.restart_manager = restart_manager
         self.interval = interval
         self.fixed_cost = fixed_cost
         self.bookmark_exchange = bookmark_exchange
@@ -160,8 +157,9 @@ class CheckpointService:
 
             set_id = f"step{step + 1}"
             image = capture_image({"step": step + 1, "state": workload.state()})
-            key = RestartManager.key_for(comm.rank)
-            rank_failed = yield from self._persist_with_retry(set_id, key, image)
+            rank_failed = yield from self._persist_with_retry(
+                set_id, image_key(comm.rank), image
+            )
 
             if self.storage.faults_active:
                 # One extra LOR round: every rank must agree the set is
@@ -186,7 +184,7 @@ class CheckpointService:
                     )
                     self.storage.abort_set(set_id)
                 else:
-                    self.restart_manager.note_commit(set_id, step + 1, self.env.now)
+                    self.storage.commit_set(set_id, step + 1)
             self._last_checkpoint = self.env.now
         finally:
             self._participants -= 1

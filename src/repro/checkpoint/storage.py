@@ -1,4 +1,4 @@
-"""Stable storage: the durability abstraction checkpoints write to.
+"""Stable storage: what checkpoints write to and restart rolls back to.
 
 Storage charges no time of its own: the checkpointer pays the paper's
 fixed checkpoint cost ``c`` and the job pays its fixed restart cost
@@ -6,15 +6,21 @@ fixed checkpoint cost ``c`` and the job pays its fixed restart cost
 restores real numbers.
 
 Write sets are two-phase: images are *staged* under a set id and become
-the newest recovery line only at :meth:`commit_set`.  A crash between
-staging and commit leaves the previous committed set intact.
+the newest recovery line only at :meth:`StableStorage.commit_set`.  A
+crash between staging and commit leaves the previous committed set
+intact.
 
 Two hardening layers on top:
 
 * **Versioned recovery lines** — the last :data:`RECOVERY_LINES`
-  committed sets are retained (newest last) instead of overwritten, so
-  restart can fall back line by line when the newest images turn out
-  corrupt.
+  committed lines are retained instead of overwritten, and
+  :meth:`StableStorage.restore` verifies every image's CRC and falls
+  back line by line when the newest images turn out corrupt or
+  unreadable (several checkpoints against silent errors, as in Aupy et
+  al.).  The job restarts from the older line's step, so the extra
+  rework is charged to it.  Only when every retained line is bad does
+  restore raise :class:`NoCheckpointError`; the job then cold-starts
+  from step 0.
 * **Fault injection** — an optional
   :class:`~repro.faults.storage_faults.StorageFaultModel` decides, per
   write, whether it fails (:class:`StorageWriteError`) or the blob is
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import (
     CheckpointError,
@@ -37,10 +43,26 @@ from ..errors import (
     StorageWriteError,
 )
 from ..faults.storage_faults import StorageFaultModel
+from ..obs.trace import NULL_TRACER
 from ..simkit import Environment
+from .image import restore_image
 
 #: Committed sets retained as fallback recovery lines.
 RECOVERY_LINES = 3
+
+
+def image_key(virtual_rank: int) -> str:
+    """Storage key of a virtual rank's image."""
+    return f"v{virtual_rank}"
+
+
+@dataclass(frozen=True)
+class RecoveryLine:
+    """Identity of a committed checkpoint to restart from."""
+
+    set_id: str
+    #: First step that still has to be (re)executed.
+    step: int
 
 
 @dataclass
@@ -68,16 +90,36 @@ class StableStorage:
         Optional storage fault model (chaos layer).  ``None`` — or a
         model with all probabilities zero — makes every operation
         behave exactly as the fault-free storage.
+    tracer:
+        Receives the commit, skipped-line and fallback events.
     """
 
     def __init__(
-        self, env: Environment, faults: Optional[StorageFaultModel] = None
+        self,
+        env: Environment,
+        faults: Optional[StorageFaultModel] = None,
+        tracer=NULL_TRACER,
     ) -> None:
         self.env = env
         self.faults = faults
+        self.tracer = tracer
         self._staged: Dict[str, Dict[str, StoredBlob]] = {}
-        #: Committed sets, oldest first; at most RECOVERY_LINES of them.
-        self._history: List[Tuple[str, Dict[str, StoredBlob]]] = []
+        #: Committed lines with their blobs, oldest first; at most
+        #: RECOVERY_LINES of them.
+        self._lines: List[Tuple[RecoveryLine, Dict[str, StoredBlob]]] = []
+        #: Lines trimmed from ``_lines``, oldest first.  A restore still
+        #: tries each one whose set id a retained line reuses, and so
+        #: reads that retained line's blobs a second time: the seeded
+        #: chaos outputs were recorded with these extra tries.
+        self._trimmed: List[RecoveryLine] = []
+        #: The line of the newest commit, or the older one the last
+        #: restore fell back to (``None`` before the first commit).
+        self.line: Optional[RecoveryLine] = None
+        self.commits = 0
+        #: Recovery lines restores skipped (a corrupt or missing image).
+        self.lines_skipped = 0
+        #: Deepest fallback any restore needed so far (1 = newest line).
+        self.max_rollback_depth = 0
 
     @property
     def faults_active(self) -> bool:
@@ -107,26 +149,86 @@ class StableStorage:
 
     # -- set lifecycle ------------------------------------------------------
 
-    def commit_set(self, set_id: str) -> None:
+    def commit_set(self, set_id: str, step: int) -> None:
         """Atomically promote a staged set to the newest recovery line.
 
-        Older committed sets are retained (up to
-        :data:`RECOVERY_LINES`) as fallback lines for restart.
+        ``step`` is the first step a restart from it re-executes.  Older
+        lines are retained (up to :data:`RECOVERY_LINES`) as fallbacks.
         """
         staged = self._staged.pop(set_id, None)
         if not staged:
             raise CheckpointError(f"no staged blobs under set {set_id!r}")
-        self._history.append((set_id, staged))
-        while len(self._history) > RECOVERY_LINES:
-            self._history.pop(0)
+        self.line = RecoveryLine(set_id=set_id, step=step)
+        self._lines.append((self.line, staged))
+        while len(self._lines) > RECOVERY_LINES:
+            self._trimmed.append(self._lines.pop(0)[0])
+        self.commits += 1
+        self.tracer.event(
+            "checkpoint_commit", sim_time=self.env.now, detail=f"step {step}"
+        )
 
     def abort_set(self, set_id: str) -> None:
         """Discard a staged set (failure mid-checkpoint)."""
         self._staged.pop(set_id, None)
 
-    def committed_sets(self) -> List[str]:
-        """Ids of every retained recovery line, newest first."""
-        return [set_id for set_id, _ in reversed(self._history)]
+    def recovery_lines(self) -> List[RecoveryLine]:
+        """Every retained recovery line, newest first."""
+        return [line for line, _ in reversed(self._lines)]
+
+    def restore(
+        self, virtual_ranks: Iterable[int]
+    ) -> Tuple[RecoveryLine, int, Dict[int, Any]]:
+        """Restore every rank from the newest usable line.
+
+        A corrupt image (CRC mismatch) or a missing blob condemns the
+        whole line — a partial restore would mix steps — and the next
+        older line is tried; after the retained lines come the trimmed
+        ones whose set id is still held.  Returns the line used, its
+        depth (1 = the newest line) and the restored images by rank.
+
+        Raises
+        ------
+        NoCheckpointError
+            When no line was ever committed or every retained line is
+            unusable (the job must cold-start from step 0).
+        """
+        ranks = list(virtual_ranks)
+        if not self._lines:
+            raise NoCheckpointError("no committed checkpoint set")
+        held = {line.set_id for line, _ in self._lines}
+        candidates = self.recovery_lines() + [
+            line for line in reversed(self._trimmed) if line.set_id in held
+        ]
+        for depth, line in enumerate(candidates, start=1):
+            try:
+                states: Dict[int, Any] = {}
+                for rank in ranks:
+                    blob = self.fetch(line.set_id, image_key(rank))
+                    blob.verify()
+                    states[rank] = restore_image(blob.data)
+            except CorruptImageError:
+                skipped = "recovery_line_corrupt"
+            except NoCheckpointError:
+                skipped = "recovery_line_unreadable"
+            else:
+                self.line = line
+                self.max_rollback_depth = max(self.max_rollback_depth, depth)
+                if depth > 1:
+                    self.tracer.event(
+                        "recovery_fallback_used",
+                        sim_time=self.env.now,
+                        set=line.set_id,
+                        depth=depth,
+                    )
+                return line, depth, states
+            self.lines_skipped += 1
+            self.tracer.event(
+                skipped, sim_time=self.env.now, set=line.set_id, depth=depth
+            )
+        raise NoCheckpointError(
+            f"all {len(candidates)} recovery line(s) are corrupt "
+            "or unreadable"
+        )
 
     # -- access -------------------------------------------------------------
 
@@ -154,10 +256,10 @@ class StableStorage:
     def _committed_blob(self, set_id: Optional[str], key: str) -> StoredBlob:
         """A committed blob of a retained set (default: the newest)."""
         if set_id is None:
-            blobs = self._history[-1][1] if self._history else {}
+            blobs = self._lines[-1][1] if self._lines else {}
         else:
-            for candidate, blobs in reversed(self._history):
-                if candidate == set_id:
+            for line, blobs in reversed(self._lines):
+                if line.set_id == set_id:
                     break
             else:
                 raise NoCheckpointError(f"no committed set {set_id!r}")

@@ -106,11 +106,11 @@ class ChaosSetup:
         return self.virtual_processes / self.node_mtbf
 
 
-def _fault_config(setup: ChaosSetup, mode: str, prob: float) -> StorageFaultConfig:
+def _fault_config(mode: str, prob: float) -> StorageFaultConfig:
     if mode == "write-fail":
-        return StorageFaultConfig(write_fail_prob=prob, seed=setup.seed)
+        return StorageFaultConfig(write_fail_prob=prob)
     if mode == "corrupt":
-        return StorageFaultConfig(corrupt_prob=prob, seed=setup.seed)
+        return StorageFaultConfig(corrupt_prob=prob)
     raise ReproError(f"unknown chaos mode {mode!r}")
 
 
@@ -186,7 +186,7 @@ def run(
     configs = [
         replace(
             base,
-            storage_faults=_fault_config(setup, mode, prob) if prob > 0.0 else None,
+            storage_faults=_fault_config(mode, prob) if prob > 0.0 else None,
             # Chaos cells share seed/degree/MTBF, so the job's automatic
             # trace label would collide; name cells by (mode, p) instead.
             trace_label=f"{mode}-p{prob:g}",

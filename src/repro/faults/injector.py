@@ -55,7 +55,6 @@ class FailureInjector:
         self.kill = kill
         self.cr_active = cr_active or (lambda: False)
         self.suppress_during_cr = suppress_during_cr
-        self.suppressed = 0
         self._schedule: List[tuple] = []
         self._process = None
 
@@ -97,7 +96,6 @@ class FailureInjector:
                     # (memoryless, so this is exactly "the Poisson process
                     # pauses during C/R windows") — deferring it instead
                     # would bunch failures at the window's end.
-                    self.suppressed += 1
                     self.tracer.event(
                         "failure_suppressed", sim_time=self.env.now, slot=slot
                     )

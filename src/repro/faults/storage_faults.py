@@ -53,7 +53,6 @@ class StorageFaultConfig:
 
     write_fail_prob: float = 0.0
     corrupt_prob: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in _PROBABILITIES:
@@ -85,17 +84,15 @@ _CLEAN_WRITE = WriteVerdict()
 class StorageFaultModel:
     """Seeded, deterministic fault decisions for stable storage.
 
-    One model instance serves one job (all attempts): the stream
-    advances across restarts, so a retried write sees a *fresh* draw —
-    which is what makes retry-with-backoff effective against transient
-    write failures.
+    ``seed`` is the job's own seed.  One model instance serves one job
+    (all attempts): the stream advances across restarts, so a retried
+    write sees a *fresh* draw — which is what makes retry-with-backoff
+    effective against transient write failures.
     """
 
-    def __init__(self, config: StorageFaultConfig) -> None:
+    def __init__(self, config: StorageFaultConfig, seed: int = 0) -> None:
         self.config = config
-        sequence = np.random.SeedSequence(
-            entropy=int(config.seed), spawn_key=(_STREAM_KEY,)
-        )
+        sequence = np.random.SeedSequence(entropy=int(seed), spawn_key=(_STREAM_KEY,))
         self._rng = np.random.default_rng(sequence)
         self.writes_failed = 0
         self.blobs_corrupted = 0

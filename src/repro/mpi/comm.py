@@ -111,7 +111,7 @@ class Communicator(CollectiveAPI):
             self.rank, dest, tag, payload, message_wire_size(payload),
             event.succeed_inline,
         )
-        return Request(kind="send", event=event, peer=dest, tag=tag)
+        return Request(kind="send", event=event)
 
     def irecv(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = False
@@ -123,7 +123,7 @@ class Communicator(CollectiveAPI):
             self._check_peer(source)
         event = Event(self._runtime.env)
         self._runtime.post_recv(self.rank, source, tag, event.succeed_inline)
-        return Request(kind=RECV, event=event, peer=source, tag=tag)
+        return Request(kind=RECV, event=event)
 
     def send(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False):
         """Blocking send (generator)."""

@@ -23,20 +23,12 @@ RECV = "recv"
 class Request:
     """Handle to an in-flight non-blocking operation."""
 
-    __slots__ = (
-        "kind",
-        "peer",
-        "tag",
-        "_event",
-        "_consumed",
-    )
+    __slots__ = ("kind", "_event", "_consumed")
 
-    def __init__(self, kind: str, event: Event, peer: int, tag: int) -> None:
+    def __init__(self, kind: str, event: Event) -> None:
         if kind not in (SEND, RECV):
             raise RequestError(f"unknown request kind {kind!r}")
         self.kind = kind
-        self.peer = peer
-        self.tag = tag
         self._event = event
         self._consumed = False
 

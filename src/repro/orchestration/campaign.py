@@ -8,7 +8,8 @@ steps.
 
 Each cell is one :class:`~repro.orchestration.job.JobConfig` and comes
 back as the :class:`~repro.orchestration.executor.CellOutcome` the
-executor made of it; the sweeps return those that ran to a report.
+executor made of it; a sweep returns them all, or raises once every
+cell has finished if any failed.
 Cells are independent, so both sweeps delegate to
 :class:`~repro.orchestration.executor.CampaignExecutor`, forwarding
 its keyword arguments as one ``**execution`` mapping: pass
@@ -30,17 +31,14 @@ from .job import JobConfig
 def _run_cells(
     configs: Sequence[JobConfig],
     progress: Optional[Callable[[CellOutcome], None]],
-    strict: bool,
     execution: Dict[str, Any],
 ) -> List[CellOutcome]:
-    """Execute the cells and keep those that ran to a report.
+    """Execute the cells; every one must run to a report.
 
-    ``strict=True`` raises
-    :class:`~repro.orchestration.executor.CampaignExecutionError` if any
-    cell failed — after every other cell has finished; ``strict=False``
-    silently drops failed cells from the result.  ``progress`` fires
-    for every cell that ran to a report, store-restored ones included
-    (``cached=True``).
+    Raises :class:`~repro.orchestration.executor.CampaignExecutionError`
+    if any cell failed — after every other cell has finished.
+    ``progress`` fires for every cell that ran to a report,
+    store-restored ones included (``cached=True``).
     """
 
     def on_outcome(outcome: CellOutcome) -> None:
@@ -49,16 +47,15 @@ def _run_cells(
 
     outcomes = CampaignExecutor(**execution).run(configs, progress=on_outcome)
     failures = [outcome for outcome in outcomes if not outcome.ok]
-    if failures and strict:
+    if failures:
         raise CampaignExecutionError(failures)
-    return [outcome for outcome in outcomes if outcome.ok]
+    return outcomes
 
 
 def redundancy_sweep_configs(
     base: JobConfig,
     node_mtbfs: Sequence[float],
     degrees: Sequence[float],
-    seed_offset: int = 0,
 ) -> List[JobConfig]:
     """The Table 4 grid as one job config per cell (row-major order).
 
@@ -73,7 +70,7 @@ def redundancy_sweep_configs(
             base,
             node_mtbf=mtbf,
             redundancy=degree,
-            seed=base.seed + seed_offset + 1000 * row,
+            seed=base.seed + 1000 * row,
         )
         for row, mtbf in enumerate(node_mtbfs)
         for degree in degrees
@@ -84,9 +81,7 @@ def run_redundancy_sweep(
     base: JobConfig,
     node_mtbfs: Sequence[float],
     degrees: Sequence[float],
-    seed_offset: int = 0,
     progress: Optional[Callable[[CellOutcome], None]] = None,
-    strict: bool = True,
     **execution: Any,
 ) -> List[CellOutcome]:
     """The Table 4 grid: completion time per (MTBF, redundancy) cell.
@@ -97,8 +92,8 @@ def run_redundancy_sweep(
     untouched (``workers``, ``store``, ...); results are identical and
     ordered however the cells execute.
     """
-    configs = redundancy_sweep_configs(base, node_mtbfs, degrees, seed_offset)
-    return _run_cells(configs, progress, strict, execution)
+    configs = redundancy_sweep_configs(base, node_mtbfs, degrees)
+    return _run_cells(configs, progress, execution)
 
 
 def failure_free_sweep_configs(
@@ -118,7 +113,6 @@ def run_failure_free_sweep(
     base: JobConfig,
     degrees: Sequence[float],
     progress: Optional[Callable[[CellOutcome], None]] = None,
-    strict: bool = True,
     **execution: Any,
 ) -> List[CellOutcome]:
     """The Table 5 sweep: failure-free execution time vs redundancy.
@@ -128,7 +122,7 @@ def run_failure_free_sweep(
     ``execution`` is forwarded as in :func:`run_redundancy_sweep`.
     """
     configs = failure_free_sweep_configs(base, degrees)
-    return _run_cells(configs, progress, strict, execution)
+    return _run_cells(configs, progress, execution)
 
 
 def cells_to_matrix(

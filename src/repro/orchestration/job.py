@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import units
-from ..checkpoint import CheckpointService, RestartManager, StableStorage
+from ..checkpoint import CheckpointService, StableStorage
 from ..errors import ConfigurationError, NoCheckpointError
 from ..faults import (
     Exponential,
@@ -295,12 +295,11 @@ class ResilientJob:
         replica_map = ReplicaMap(cfg.virtual_processes, cfg.redundancy)
         total_physical = replica_map.total_physical
         fault_model = (
-            StorageFaultModel(cfg.storage_faults)
+            StorageFaultModel(cfg.storage_faults, seed=cfg.seed)
             if cfg.storage_faults is not None
             else None
         )
-        storage = StableStorage(env, faults=fault_model)
-        restart_manager = RestartManager(storage, tracer=self._tracer)
+        storage = StableStorage(env, faults=fault_model, tracer=self._tracer)
         delta = cfg.resolve_interval()
 
         injector = None
@@ -339,8 +338,7 @@ class ResilientJob:
                 "attempt", sim_time=env.now, attempt=attempts
             )
             completed, result = self._run_attempt(
-                env, rng, replica_map, storage, restart_manager, restored, delta,
-                totals, counters,
+                env, rng, replica_map, storage, restored, delta, totals, counters
             )
             attempt_span.end(sim_time=env.now, completed=completed)
             if completed:
@@ -348,19 +346,17 @@ class ResilientJob:
             if attempts > MAX_RESTARTS:
                 self._log(env, "gave_up", f"after {attempts} attempts")
                 break
-            restart_manager.note_rollback()
-            self._log(env, "rollback", f"to step {restart_manager.line.step if restart_manager.has_checkpoint else 0}")
+            line = storage.line
+            self._log(env, "rollback", f"to step {line.step if line else 0}")
             restart_span = self._tracer.begin(
                 "restart", sim_time=env.now, attempt=attempts
             )
             self._pay_restart(env)
             restart_span.end(sim_time=env.now)
             self._log(env, "restart_paid", "")
-            if restart_manager.has_checkpoint:
+            if line is not None:
                 try:
-                    line, images = restart_manager.restore_states(
-                        range(cfg.virtual_processes)
-                    )
+                    line, depth, images = storage.restore(range(cfg.virtual_processes))
                 except NoCheckpointError:
                     # Every retained recovery line is corrupt or
                     # unreadable: degrade to a cold start from step 0
@@ -369,12 +365,11 @@ class ResilientJob:
                     self._log(env, "cold_start", "all recovery lines unusable")
                     restored = None
                 else:
-                    if restart_manager.last_rollback_depth > 1:
+                    if depth > 1:
                         self._log(
                             env,
                             "recovery_fallback",
-                            f"depth {restart_manager.last_rollback_depth} "
-                            f"to set {line.set_id}",
+                            f"depth {depth} to set {line.set_id}",
                         )
                     states = {rank: image["state"] for rank, image in images.items()}
                     restored = (line.step, states)
@@ -391,17 +386,14 @@ class ResilientJob:
             total_time=env.now,
             attempts=attempts,
             failures_injected=self._failures_delivered,
-            rollbacks=restart_manager.rollbacks,
-            checkpoints_committed=restart_manager.commits,
+            rollbacks=attempts - 1,
+            checkpoints_committed=storage.commits,
             result=result,
             counters=counters,
             checkpoint_interval=delta,
             physical_processes=total_physical,
-            max_rollback_depth=restart_manager.max_rollback_depth,
-            recovery_lines_skipped=(
-                restart_manager.corrupt_lines_skipped
-                + restart_manager.unreadable_lines_skipped
-            ),
+            max_rollback_depth=storage.max_rollback_depth,
+            recovery_lines_skipped=storage.lines_skipped,
             cold_starts=cold_starts,
             storage_fault_counts=(
                 fault_model.counters() if fault_model is not None else {}
@@ -422,7 +414,6 @@ class ResilientJob:
         rng: StreamRegistry,
         replica_map: ReplicaMap,
         storage: StableStorage,
-        restart_manager: RestartManager,
         restored: Optional[tuple],
         delta: Optional[float],
         totals: Dict[str, Any],
@@ -452,7 +443,6 @@ class ResilientJob:
             service = CheckpointService(
                 runtime=world,
                 storage=storage,
-                restart_manager=restart_manager,
                 interval=delta,
                 fixed_cost=cfg.checkpoint_cost,
                 bookmark_exchange=cfg.bookmark_exchange,

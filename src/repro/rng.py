@@ -1,4 +1,4 @@
-"""Named, forkable deterministic random-number streams.
+"""Named deterministic random-number streams.
 
 Every stochastic component of the simulator (failure injector, workload
 data generation) draws from its **own** named stream
@@ -18,7 +18,7 @@ Streams are ``numpy.random.Generator`` instances seeded via
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator
+from typing import Dict
 
 import numpy as np
 
@@ -59,16 +59,3 @@ class StreamRegistry:
             generator = np.random.default_rng(sequence)
             self._streams[name] = generator
         return generator
-
-    def fork(self, name: str) -> "StreamRegistry":
-        """Derive an independent child registry (e.g. per simulated job).
-
-        The child's streams do not overlap the parent's even for equal
-        stream names.
-        """
-        child_seed = int(self.stream(f"__fork__/{name}").integers(0, 2**63 - 1))
-        return StreamRegistry(seed=child_seed)
-
-    def names(self) -> Iterator[str]:
-        """Iterate over the names of streams created so far."""
-        return iter(sorted(self._streams))

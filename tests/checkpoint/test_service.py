@@ -1,8 +1,8 @@
-"""Tests for the coordinated checkpoint service and restart manager."""
+"""Tests for the coordinated checkpoint service and the restore it feeds."""
 
 import pytest
 
-from repro.checkpoint import CheckpointService, RestartManager, StableStorage
+from repro.checkpoint import CheckpointService, StableStorage
 from repro.errors import NoCheckpointError
 from repro.mpi import SimMPI
 from repro.simkit import Environment
@@ -14,9 +14,7 @@ def run_with_service(size, steps, compute_seconds=0.05, **service_kwargs):
     env = Environment()
     world = SimMPI(env, size=size)
     storage = StableStorage(env)
-    manager = RestartManager(storage)
-    service = CheckpointService(world, storage, manager, **service_kwargs)
-    states = {}
+    service = CheckpointService(world, storage, **service_kwargs)
 
     def program(ctx):
         workload = SyntheticWorkload(
@@ -29,30 +27,24 @@ def run_with_service(size, steps, compute_seconds=0.05, **service_kwargs):
         for step in range(steps):
             yield from workload.step(shell, step)
             yield from service.at_step_boundary(ctx.comm, workload, step)
-        states[ctx.rank] = workload.state()
 
     world.spawn(program)
     world.run()
-    return env, world, storage, manager, service, states
+    return env, world, storage, service
 
 
 class TestConfig:
     # JobConfig is the one validation point for interval and cost
     # (tests/orchestration/test_job.py); the service only requires them.
     def test_fixed_cost_required(self, env):
-        storage = StableStorage(env)
         with pytest.raises(TypeError):
-            CheckpointService(
-                SimMPI(env, size=1), storage, RestartManager(storage), interval=1.0
-            )
+            CheckpointService(SimMPI(env, size=1), StableStorage(env), interval=1.0)
 
 
 class TestCheckpointPath:
     def test_commits_at_interval(self):
-        _, _, _, manager, _, _ = run_with_service(
-            2, 20, interval=0.2, fixed_cost=0.01
-        )
-        assert manager.commits >= 3
+        _, _, storage, _ = run_with_service(2, 20, interval=0.2, fixed_cost=0.01)
+        assert storage.commits >= 3
 
     def test_fixed_cost_charged(self):
         env_cheap, *_ = run_with_service(2, 20, interval=0.2, fixed_cost=0.0)
@@ -60,23 +52,19 @@ class TestCheckpointPath:
         assert env_costly.now > env_cheap.now
 
     def test_recovery_line_matches_states(self):
-        _, _, _, manager, _, final_states = run_with_service(
-            2, 20, interval=0.2, fixed_cost=0.0
-        )
-        line = manager.line
+        _, _, storage, _ = run_with_service(2, 20, interval=0.2, fixed_cost=0.0)
+        line, depth, images = storage.restore([0, 1])
+        assert (line, depth) == (storage.line, 1)
         assert 0 < line.step <= 20
-        _, images = manager.restore_states([0, 1])
         for rank in (0, 1):
             assert images[rank]["step"] == line.step
 
     def test_no_checkpoint_before_interval(self):
-        _, _, _, manager, _, _ = run_with_service(
-            2, 5, interval=1e9, fixed_cost=0.0
-        )
-        assert manager.commits == 0
-        assert not manager.has_checkpoint
+        _, _, storage, _ = run_with_service(2, 5, interval=1e9, fixed_cost=0.0)
+        assert storage.commits == 0
+        assert storage.line is None
         with pytest.raises(NoCheckpointError):
-            manager.line
+            storage.restore([0, 1])
 
     def test_bookmark_exchange_adds_traffic(self):
         _, world_plain, *_ = run_with_service(3, 10, interval=0.2, fixed_cost=0.0)
@@ -87,11 +75,3 @@ class TestCheckpointPath:
             world_marked.counters["p2p_messages"]
             > world_plain.counters["p2p_messages"]
         )
-
-
-class TestRestartManager:
-    def test_rollback_counter(self, env):
-        manager = RestartManager(StableStorage(env))
-        manager.note_rollback()
-        manager.note_rollback()
-        assert manager.rollbacks == 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.checkpoint import CheckpointService, RestartManager, StableStorage
+from repro.checkpoint import CheckpointService, StableStorage
 from repro.checkpoint import service as service_module
 from repro.checkpoint.service import RETRY_BACKOFF
 from repro.checkpoint.storage import RECOVERY_LINES
@@ -19,8 +19,7 @@ def run_chaos_service(size, steps, faults=None, compute_seconds=0.05):
     env = Environment()
     world = SimMPI(env, size=size)
     storage = StableStorage(env, faults=faults)
-    manager = RestartManager(storage)
-    service = CheckpointService(world, storage, manager, interval=0.2, fixed_cost=0.01)
+    service = CheckpointService(world, storage, interval=0.2, fixed_cost=0.01)
 
     def program(ctx):
         workload = SyntheticWorkload(
@@ -34,7 +33,7 @@ def run_chaos_service(size, steps, faults=None, compute_seconds=0.05):
 
     world.spawn(program)
     world.run()
-    return env, storage, manager, service
+    return env, storage, service
 
 
 def failing_writes(count):
@@ -46,11 +45,11 @@ class TestRetrySuccess:
     def test_transient_failure_retried_and_committed(self):
         # One rank's first persist fails once; its retry succeeds.
         faults = ScriptedFaults(writes=failing_writes(1))
-        env, _, manager, service = run_chaos_service(2, 20, faults)
+        env, storage, service = run_chaos_service(2, 20, faults)
         assert service.checkpoint_write_failures == 1
         assert service.checkpoint_retries == 1
         assert service.checkpoints_skipped == 0
-        assert manager.commits >= 3
+        assert storage.commits >= 3
         # The retry delays the job by one more fixed cost plus the first
         # backoff (to within the interleaving of the ranks' messages).
         plain_env, *_ = run_chaos_service(2, 20)
@@ -63,23 +62,25 @@ class TestRetryExhaustion:
         # Both ranks exhaust every attempt of the first interval:
         # 2 ranks x (1 + WRITE_RETRIES) attempts = 4 scripted failures.
         faults = ScriptedFaults(writes=failing_writes(4))
-        env, storage, manager, service = run_chaos_service(2, 20, faults)
+        env, storage, service = run_chaos_service(2, 20, faults)
         assert service.checkpoints_skipped == 1
         assert service.checkpoint_write_failures == 4
         # Later intervals checkpoint normally; the job degrades gracefully.
-        assert manager.commits >= 1
+        assert storage.commits >= 1
         # The abandoned set never became a recovery line.
-        assert len(storage.committed_sets()) == min(manager.commits, RECOVERY_LINES)
+        lines = storage.recovery_lines()
+        assert len(lines) == min(storage.commits, RECOVERY_LINES)
+        assert "step1" not in {line.set_id for line in lines}
 
     def test_single_exhausted_rank_condemns_the_set(self, monkeypatch):
         monkeypatch.setattr(service_module, "WRITE_RETRIES", 0)
         # Only one rank fails (once, with zero retries allowed) — the
         # collective verdict must still abandon the whole set.
         faults = ScriptedFaults(writes=failing_writes(1))
-        _, _, manager, service = run_chaos_service(2, 20, faults)
+        _, storage, service = run_chaos_service(2, 20, faults)
         assert service.checkpoints_skipped == 1
         assert service.checkpoint_retries == 0
-        assert manager.commits >= 1
+        assert storage.commits >= 1
 
 
 class TestFaultFreeNoOp:
@@ -88,14 +89,14 @@ class TestFaultFreeNoOp:
         all-zero fault model must not change the simulated clock at all."""
         from repro.faults import StorageFaultConfig, StorageFaultModel
 
-        plain_env, _, plain_manager, plain_service = run_chaos_service(
+        plain_env, plain_storage, plain_service = run_chaos_service(
             2, 20, faults=None
         )
-        chaos_env, _, chaos_manager, chaos_service = run_chaos_service(
+        chaos_env, chaos_storage, chaos_service = run_chaos_service(
             2, 20, faults=StorageFaultModel(StorageFaultConfig())
         )
         assert chaos_env.now == plain_env.now
-        assert chaos_manager.commits == plain_manager.commits
+        assert chaos_storage.commits == plain_storage.commits
         assert (
             chaos_service.checkpoint_union_time == plain_service.checkpoint_union_time
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CheckpointError, CorruptImageError, NoCheckpointError
-from repro.checkpoint import StableStorage
+from repro.checkpoint import RecoveryLine, StableStorage
 
 
 class TestSetLifecycle:
@@ -15,8 +15,8 @@ class TestSetLifecycle:
 
     def test_commit_promotes(self, env):
         storage = self._staged(env)
-        storage.commit_set("set-a")
-        assert storage.committed_sets() == ["set-a"]
+        storage.commit_set("set-a", 1)
+        assert storage.recovery_lines() == [RecoveryLine("set-a", 1)]
         assert storage.fetch(None, "k1").data == b"one"
         assert storage.fetch(None, "k2").data == b"two"
 
@@ -28,19 +28,19 @@ class TestSetLifecycle:
     def test_commit_unknown_set_rejected(self, env):
         storage = StableStorage(env)
         with pytest.raises(CheckpointError):
-            storage.commit_set("ghost")
+            storage.commit_set("ghost", 1)
 
     def test_abort_discards(self, env):
         storage = self._staged(env)
         storage.abort_set("set-a")
         with pytest.raises(CheckpointError):
-            storage.commit_set("set-a")
+            storage.commit_set("set-a", 1)
 
     def test_new_commit_replaces_old(self, env):
         storage = self._staged(env)
-        storage.commit_set("set-a")
+        storage.commit_set("set-a", 1)
         storage.stage_untimed("set-b", "k1", b"newer")
-        storage.commit_set("set-b")
+        storage.commit_set("set-b", 2)
         assert storage.fetch(None, "k1").data == b"newer"
         with pytest.raises(NoCheckpointError):
             storage.fetch(None, "k2")
@@ -48,7 +48,7 @@ class TestSetLifecycle:
     def test_stage_untimed(self, env):
         storage = StableStorage(env)
         storage.stage_untimed("s", "k", b"fast")
-        storage.commit_set("s")
+        storage.commit_set("s", 1)
         assert env.now == 0.0
         assert storage.fetch(None, "k").data == b"fast"
 
@@ -57,13 +57,13 @@ class TestIntegrity:
     def test_verify_passes_for_clean_blob(self, env):
         storage = StableStorage(env)
         storage.stage_untimed("s", "k", b"sound")
-        storage.commit_set("s")
+        storage.commit_set("s", 1)
         storage.fetch(None, "k").verify()
 
     def test_corrupt_detected_on_read(self, env):
         storage = StableStorage(env)
         storage.stage_untimed("s", "k", b"will-break")
-        storage.commit_set("s")
+        storage.commit_set("s", 1)
         storage.corrupt("k")
         with pytest.raises(CorruptImageError):
             storage.fetch(None, "k").verify()
@@ -76,6 +76,6 @@ class TestIntegrity:
     def test_corrupt_empty_blob_rejected(self, env):
         storage = StableStorage(env)
         storage.stage_untimed("s", "k", b"")
-        storage.commit_set("s")
+        storage.commit_set("s", 1)
         with pytest.raises(CheckpointError):
             storage.corrupt("k")

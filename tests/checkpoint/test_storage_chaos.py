@@ -31,14 +31,14 @@ class ScriptedFaults(StorageFaultModel):
 class TestVersionedSets:
     def _commit(self, storage, set_id, payload):
         storage.stage_untimed(set_id, "k", payload)
-        storage.commit_set(set_id)
+        storage.commit_set(set_id, 1)
 
     def test_retains_last_k_sets_newest_first(self, env, monkeypatch):
         monkeypatch.setattr(storage_module, "RECOVERY_LINES", 2)
         storage = StableStorage(env)
         for index in range(4):
             self._commit(storage, f"s{index}", b"data%d" % index)
-        assert storage.committed_sets() == ["s3", "s2"]
+        assert [line.set_id for line in storage.recovery_lines()] == ["s3", "s2"]
 
     def test_trimmed_set_unreachable(self, env, monkeypatch):
         monkeypatch.setattr(storage_module, "RECOVERY_LINES", 2)
@@ -77,7 +77,7 @@ class TestInjectedWriteFaults:
         with pytest.raises(StorageWriteError):
             storage.stage_untimed("s", "k", b"doomed")
         with pytest.raises(CheckpointError):
-            storage.commit_set("s")
+            storage.commit_set("s", 1)
 
     def test_untimed_stage_failure(self, env):
         faults = ScriptedFaults(writes=[WriteVerdict(fail=True)])
@@ -87,10 +87,10 @@ class TestInjectedWriteFaults:
 
     def test_corrupt_write_keeps_pristine_crc(self, env):
         """At-rest rot: damaged payload, original digest — silent until read."""
-        faults = StorageFaultModel(StorageFaultConfig(corrupt_prob=1.0, seed=1))
+        faults = StorageFaultModel(StorageFaultConfig(corrupt_prob=1.0), seed=1)
         storage = StableStorage(env, faults=faults)
         storage.stage_untimed("s", "k", b"pristine-payload")
-        storage.commit_set("s")
+        storage.commit_set("s", 1)
         blob = storage.fetch(None, "k")
         assert blob.data != b"pristine-payload"
         with pytest.raises(CorruptImageError):
@@ -101,10 +101,10 @@ class TestReads:
     def test_fetch_draws_two_variates_from_an_enabled_model(self, env):
         """Reads never fail, but each still advances an enabled fault
         stream by two variates, so seeded corruption stays where it was."""
-        faults = StorageFaultModel(StorageFaultConfig(corrupt_prob=0.5, seed=3))
+        faults = StorageFaultModel(StorageFaultConfig(corrupt_prob=0.5), seed=3)
         storage = StableStorage(env, faults=faults)
         storage.stage_untimed("s", "k", b"payload")
-        storage.commit_set("s")
+        storage.commit_set("s", 1)
         reference = copy.deepcopy(faults._rng)
         for _ in range(2):
             storage.fetch("s", "k")

@@ -64,13 +64,20 @@ class TestRates:
         assert times == sorted(times)
 
 
+def suppressed(tracer):
+    """Failures the injector dropped inside a C/R window."""
+    return sum(record["name"] == "failure_suppressed" for record in tracer.records)
+
+
 class TestSuppression:
     def test_cr_window_drops_failures(self, env):
         window = {"open": False}
         kills = []
+        tracer = Tracer()
         injector = make_injector(
             env, slots=8, mtbf=0.5, kill=kills.append,
             cr_active=lambda: window["open"], suppress_during_cr=True,
+            tracer=tracer,
         )
         injector.start()
         env.run(until=10.0)
@@ -79,21 +86,22 @@ class TestSuppression:
         env.run(until=20.0)
         during = len(kills) - before
         assert during == 0
-        assert injector.suppressed > 0
+        assert suppressed(tracer) > 0
         window["open"] = False
         env.run(until=30.0)
         assert len(kills) > before  # failures resume
 
     def test_suppression_disabled_kills_anyway(self, env):
         kills = []
+        tracer = Tracer()
         injector = make_injector(
             env, slots=8, mtbf=0.5, kill=kills.append,
-            cr_active=lambda: True, suppress_during_cr=False,
+            cr_active=lambda: True, suppress_during_cr=False, tracer=tracer,
         )
         injector.start()
         env.run(until=5.0)
         assert kills
-        assert injector.suppressed == 0
+        assert suppressed(tracer) == 0
 
 
 class TestLifecycle:

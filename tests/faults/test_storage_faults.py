@@ -16,7 +16,6 @@ class TestConfig:
 
     def test_enabled_iff_any_probability_positive(self):
         assert not StorageFaultConfig().enabled
-        assert not StorageFaultConfig(seed=9).enabled
         assert StorageFaultConfig(corrupt_prob=0.01).enabled
         assert StorageFaultConfig(write_fail_prob=0.5).enabled
 
@@ -34,7 +33,7 @@ class TestDisabledIsNoOp:
 
     def test_disabled_model_draws_nothing(self):
         """The stream must not advance: disabled == strict no-op."""
-        model = StorageFaultModel(StorageFaultConfig(seed=7))
+        model = StorageFaultModel(StorageFaultConfig(), seed=7)
         before = model._rng.bit_generator.state
         for _ in range(10):
             model.on_write()
@@ -43,45 +42,42 @@ class TestDisabledIsNoOp:
 
 
 class TestDeterminism:
-    def _verdicts(self, config, n=50):
-        model = StorageFaultModel(config)
+    def _verdicts(self, config, seed, n=50):
+        model = StorageFaultModel(config, seed=seed)
         return [model.on_write() for _ in range(n)]
 
     def test_same_seed_same_verdicts(self):
-        config = StorageFaultConfig(
-            write_fail_prob=0.3, corrupt_prob=0.2, seed=11
-        )
-        assert self._verdicts(config) == self._verdicts(config)
+        config = StorageFaultConfig(write_fail_prob=0.3, corrupt_prob=0.2)
+        assert self._verdicts(config, 11) == self._verdicts(config, 11)
 
     def test_different_seed_different_verdicts(self):
-        a = StorageFaultConfig(write_fail_prob=0.5, seed=1)
-        b = StorageFaultConfig(write_fail_prob=0.5, seed=2)
-        assert self._verdicts(a) != self._verdicts(b)
+        config = StorageFaultConfig(write_fail_prob=0.5)
+        assert self._verdicts(config, 1) != self._verdicts(config, 2)
 
     def test_fixed_draws_per_operation(self):
         """Three variates per write and two per read, whatever the probabilities."""
-        config = StorageFaultConfig(write_fail_prob=1.0, seed=4)
-        model = StorageFaultModel(config)
+        config = StorageFaultConfig(write_fail_prob=1.0)
+        model = StorageFaultModel(config, seed=4)
         model.on_write()
         model.on_read()
-        reference = StorageFaultModel(config)._rng
+        reference = StorageFaultModel(config, seed=4)._rng
         reference.random(3)
         reference.random(2)
         assert model._rng.bit_generator.state == reference.bit_generator.state
 
     def test_common_random_numbers_across_sweep_points(self):
         """Sweeping one probability keeps the other decisions aligned."""
-        lo = StorageFaultConfig(write_fail_prob=0.4, corrupt_prob=0.0, seed=5)
-        hi = StorageFaultConfig(write_fail_prob=0.4, corrupt_prob=0.9, seed=5)
-        fails_lo = [v.fail for v in self._verdicts(lo)]
-        fails_hi = [v.fail for v in self._verdicts(hi)]
+        lo = StorageFaultConfig(write_fail_prob=0.4, corrupt_prob=0.0)
+        hi = StorageFaultConfig(write_fail_prob=0.4, corrupt_prob=0.9)
+        fails_lo = [v.fail for v in self._verdicts(lo, 5)]
+        fails_hi = [v.fail for v in self._verdicts(hi, 5)]
         assert fails_lo == fails_hi
         assert any(fails_lo)
 
 
 class TestDamage:
     def test_flips_exactly_one_bit(self):
-        model = StorageFaultModel(StorageFaultConfig(corrupt_prob=1.0, seed=3))
+        model = StorageFaultModel(StorageFaultConfig(corrupt_prob=1.0), seed=3)
         data = bytes(range(256))
         damaged = model.damage(data)
         assert damaged != data
@@ -97,7 +93,7 @@ class TestDamage:
 
 class TestCounters:
     def test_counts_follow_injections(self):
-        model = StorageFaultModel(StorageFaultConfig(write_fail_prob=1.0, seed=0))
+        model = StorageFaultModel(StorageFaultConfig(write_fail_prob=1.0))
         for _ in range(4):
             assert model.on_write().fail
         model.on_read()  # reads never fail, whatever the probabilities

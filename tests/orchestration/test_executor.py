@@ -345,15 +345,6 @@ class TestSweepErrorPolicy:
             )
         assert len(excinfo.value.failures) == 2
 
-    def test_lenient_drops_failed_cells(self):
-        cells = run_redundancy_sweep(
-            self.broken_sweep_config(),
-            node_mtbfs=[5.0],
-            degrees=[1.0, 2.0],
-            strict=False,
-        )
-        assert cells == []
-
     def test_sweep_forwards_workers(self, monkeypatch):
         built = []
 

@@ -33,7 +33,7 @@ class TestFailureFree:
         assert report.completed
         assert report.attempts == 1
         assert report.failures_injected == 0
-        assert report.rollbacks == 0
+        assert report.rollbacks == report.attempts - 1 == 0
         assert report.result["iterations"] == 40
 
     def test_redundancy_overhead_monotone(self):
@@ -90,7 +90,7 @@ class TestCheckpointingAndFaults:
         report = ResilientJob(self.fault_config(redundancy=1.0)).run()
         # r=1: every injected failure that lands mid-attempt kills the job.
         assert report.rollbacks > 0
-        assert report.attempts == report.rollbacks + 1
+        assert report.rollbacks == report.attempts - 1
 
     def test_redundancy_reduces_rollbacks(self):
         plain = ResilientJob(self.fault_config(redundancy=1.0)).run()
@@ -123,7 +123,7 @@ class TestCheckpointingAndFaults:
         report = ResilientJob(self.fault_config(node_mtbf=0.05)).run()
         assert not report.completed
         assert report.attempts == 4
-        assert report.rollbacks == 3
+        assert report.rollbacks == report.attempts - 1 == 3
 
     def test_derived_daly_interval(self):
         config = self.fault_config(
@@ -203,6 +203,7 @@ class TestTimeline:
         assert kinds.count("rollback") == report.rollbacks
         assert kinds.count("checkpoint_commit") == report.checkpoints_committed
         assert kinds.count("attempt_start") == report.attempts
+        assert report.rollbacks == report.attempts - 1
         assert kinds.count("completed") == (1 if report.completed else 0)
 
     def test_rollback_follows_failure(self):

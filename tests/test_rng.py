@@ -34,22 +34,6 @@ class TestStreamRegistry:
         b = StreamRegistry(seed=2).stream("s").random()
         assert a != b
 
-    def test_fork_is_deterministic(self):
-        one = StreamRegistry(seed=4).fork("child").stream("z").random()
-        two = StreamRegistry(seed=4).fork("child").stream("z").random()
-        assert one == two
-
-    def test_fork_differs_from_parent(self):
-        parent = StreamRegistry(seed=4)
-        child = parent.fork("child")
-        assert parent.stream("z").random() != child.stream("z").random()
-
-    def test_names_lists_created_streams(self):
-        registry = StreamRegistry(seed=0)
-        registry.stream("b")
-        registry.stream("a")
-        assert list(registry.names()) == ["a", "b"]
-
     def test_rejects_non_int_seed(self):
         with pytest.raises(ConfigurationError):
             StreamRegistry(seed="nope")
