@@ -19,6 +19,11 @@ Algorithms (standard MPICH-style):
 All functions are generators and must be driven with ``yield from``
 inside a simkit process.  Every rank of the communicator must call the
 same collectives in the same order (the usual MPI contract).
+
+``bcast`` and ``reduce`` carry every ``allreduce``, so each hop posts
+with ``isend``/``irecv`` and yields the request's event itself, one
+generator frame shallower than ``yield from comm.send/recv``; a
+receive is finalized here, which for a request set is its vote.
 """
 
 from __future__ import annotations
@@ -60,8 +65,9 @@ def bcast(comm, value: Any, root: int = 0):
     while mask < size:
         if relative & mask:
             source = (rank - mask) % size
-            payload, _status = yield from comm.recv(source, tag, _internal=True)
-            value = payload
+            request = comm.irecv(source, tag, _internal=True)
+            raw = yield request.event
+            value = request._finalize(raw)[0]
             break
         mask <<= 1
     else:
@@ -72,7 +78,7 @@ def bcast(comm, value: Any, root: int = 0):
     while mask > 0:
         if relative + mask < size:
             dest = (rank + mask) % size
-            yield from comm.send(value, dest, tag, _internal=True)
+            yield comm.isend(value, dest, tag, _internal=True).event
         mask >>= 1
     return value
 
@@ -95,13 +101,14 @@ def reduce(comm, value: Any, op, root: int = 0):
     while mask < size:
         if relative & mask:
             dest = (rank - mask) % size
-            yield from comm.send(accumulator, dest, tag, _internal=True)
+            yield comm.isend(accumulator, dest, tag, _internal=True).event
             break
         partner_relative = relative | mask
         if partner_relative < size:
             source = (rank + mask) % size
-            payload, _status = yield from comm.recv(source, tag, _internal=True)
-            accumulator = op(accumulator, payload)
+            request = comm.irecv(source, tag, _internal=True)
+            raw = yield request.event
+            accumulator = op(accumulator, request._finalize(raw)[0])
         mask <<= 1
     if rank == root:
         return accumulator

@@ -36,12 +36,12 @@ _COLLECTIVE_TAG_BASE = USER_TAG_LIMIT
 class CollectiveAPI:
     """Mixin providing collectives + request completion over p2p calls.
 
-    Any class exposing ``rank``, ``size``, ``env``, ``isend``, ``irecv``,
-    ``send``, ``recv`` and a ``_coll_seq`` counter gets the full
-    collective API.  Used by both the plain :class:`Communicator` and
-    the redundancy layer's ``RedComm`` — which is exactly how the paper
-    justifies Eq. 1: collectives decompose to (interposed)
-    point-to-point messages.
+    Any class exposing ``rank``, ``size``, ``env``, ``isend``, ``irecv``
+    (whose requests expose ``event`` and ``_finalize``), ``send`` and a
+    ``_coll_seq`` counter gets the full collective API.  Used by both
+    the plain :class:`Communicator` and the redundancy layer's
+    ``RedComm`` — which is exactly how the paper justifies Eq. 1:
+    collectives decompose to (interposed) point-to-point messages.
     """
 
     _coll_seq: int
@@ -151,8 +151,12 @@ class Communicator(CollectiveAPI):
         """
         send_request = self.isend(payload, dest, send_tag)
         recv_request = self.irecv(source, recv_tag)
-        results = yield from _waitall(self.env, [send_request, recv_request])
-        return results[1]
+        # One event after the other, whichever completes last: no AllOf,
+        # so no heap step of its own.  The send request is never handed
+        # out, so nothing is left to finalize.
+        yield send_request.event
+        raw = yield recv_request.event
+        return recv_request._finalize(raw)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Communicator rank={self.rank}/{self.size}>"

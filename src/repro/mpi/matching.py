@@ -114,8 +114,13 @@ class MatchingEngine:
         """
         if self._closed:
             return  # rank died; fail-stop networks drop its traffic
+        # ``_pattern_matches`` inline: this runs once per arriving message.
+        sender = envelope.source
+        sent_tag = envelope.tag
         for index, (source, tag, done) in enumerate(self._posted):
-            if _pattern_matches(source, tag, envelope):
+            if (source == sender or source == ANY_SOURCE) and (
+                tag == sent_tag or tag == ANY_TAG
+            ):
                 del self._posted[index]
                 done(envelope)
                 return

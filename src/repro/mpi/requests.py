@@ -44,9 +44,7 @@ class Request:
         if self.kind != RECV:
             return None
         envelope: Envelope = raw
-        return envelope.payload, Status(
-            source=envelope.source, tag=envelope.tag, nbytes=envelope.nbytes
-        )
+        return envelope.payload, Status(envelope.source, envelope.tag, envelope.nbytes)
 
     def wait(self):
         """Generator: block the calling process until completion.

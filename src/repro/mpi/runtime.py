@@ -22,11 +22,13 @@ callables taking a :class:`RankContext` and returning a generator.
 from __future__ import annotations
 
 from collections import defaultdict
+from heapq import heappush
 from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Set
 
 from ..errors import MPIError
 from ..netsim import Network
 from ..simkit import Environment
+from ..simkit.env import NORMAL
 from ..simkit.events import AllOf
 from ..simkit.process import Process
 from .comm import Communicator
@@ -112,14 +114,7 @@ class SimMPI:
         #: ``sent - arrived`` over pairs whose ends are both alive.
         self._in_flight = 0
 
-    # -- placement ---------------------------------------------------------
-
-    def node_of(self, rank: int) -> int:
-        """Node index hosting ``rank``."""
-        try:
-            return self.placement[rank]
-        except KeyError as exc:
-            raise MPIError(f"no placement for rank {rank}") from exc
+    # -- liveness ----------------------------------------------------------
 
     def is_alive(self, rank: int) -> bool:
         """Fail-stop liveness of a rank."""
@@ -154,7 +149,11 @@ class SimMPI:
         """
         if src not in self._alive:
             raise MPIError(f"dead rank {src} attempted a send")
-        same_node = self.node_of(src) == self.node_of(dst)
+        placement = self.placement
+        try:
+            same_node = placement[src] == placement[dst]
+        except KeyError as exc:
+            raise MPIError(f"no placement for rank {dst}") from exc
         network = self.network
         env = self.env
         now = env._now
@@ -169,16 +168,23 @@ class SimMPI:
         counters["p2p_bytes"] += nbytes
         key = (src, dst)
         self.sent_counts[key] = self.sent_counts.get(key, 0) + 1
+        # The two entries are ``env._schedule_call_at`` inline: neither
+        # time is in the past, as ``finish >= now``.
+        queue = env._queue
         if dst in self._alive:
             self._in_flight += 1
             envelope = Envelope(src, dst, tag, payload, nbytes, self._send_seq)
-            env._schedule_call_at(
-                finish + network.wire_latency(same_node), self._arrive, envelope
+            env._sequence += 1
+            heappush(
+                queue,
+                (finish + network.wire_latency(same_node), NORMAL, env._sequence,
+                 self._arrive, envelope),
             )
         else:
             counters["p2p_dropped"] += 1
         if done is not None:
-            env._schedule_call_at(finish, done, None)
+            env._sequence += 1
+            heappush(queue, (finish, NORMAL, env._sequence, done, None))
 
     def _arrive(self, envelope: Envelope) -> None:
         dest = envelope.dest
@@ -193,7 +199,7 @@ class SimMPI:
 
     def post_recv(self, rank: int, source: int, tag: int, done: Completion) -> None:
         """Post a receive on ``rank``'s engine; ``done(envelope)`` on match."""
-        if not self.is_alive(rank):
+        if rank not in self._alive:
             raise MPIError(f"dead rank {rank} attempted a receive")
         self._engines[rank].post(self.env, source, tag, done)
 

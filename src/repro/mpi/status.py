@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Wildcard matching any sending rank (MPI_ANY_SOURCE).
 ANY_SOURCE = -1
@@ -10,9 +10,11 @@ ANY_SOURCE = -1
 ANY_TAG = -2
 
 
-@dataclass(frozen=True)
-class Status:
-    """Completion metadata of a receive.
+class Status(NamedTuple):
+    """Completion metadata of a receive: an immutable, hashable record.
+
+    A tuple, so building one (once per completed receive) costs a
+    single allocation.
 
     Attributes
     ----------

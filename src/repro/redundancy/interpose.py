@@ -61,7 +61,7 @@ class RedRequest:
     A send set completes when its last copy leaves the NIC: the runtime
     calls its event's ``succeed_inline`` then.  A receive set is a
     countdown over its members, which the runtime completes by calling
-    ``_recv_done(envelope)`` (bound per post; no member builds an
+    ``_recv_done(envelope)`` (bound once per set; no member builds an
     event); a member whose sender replica dies is withdrawn from the
     count.  Its completion triggers the vote and yields
     ``(payload, Status)`` with the *virtual* source rank.  It holds the
@@ -100,12 +100,13 @@ class RedRequest:
         # The matched envelope names the sender replica; a digest copy
         # travels under the shifted tag.
         if envelope.tag == self.tag:
-            copy = ReplicaCopy.full(envelope.source, envelope.payload)
+            copy = ReplicaCopy(envelope.source, None, envelope.payload, True)
         else:
-            copy = ReplicaCopy.hash_only(envelope.source, envelope.payload)
+            copy = ReplicaCopy(envelope.source, envelope.payload)
         self._copies.append(copy)
         self._remaining -= 1
-        self._maybe_complete()
+        if not self._remaining:
+            self._maybe_complete()
 
     def _maybe_complete(self) -> None:
         if self._remaining:
@@ -148,12 +149,8 @@ class RedRequest:
             counters = self.runtime.counters
             counters["votes_not_unanimous"] += 1
             counters["corrupt_copies_voted_out"] += len(outcome.corrupt_senders)
-        status = Status(
-            source=self.virtual_peer,
-            tag=self.tag,
-            nbytes=payload_nbytes(outcome.payload),
-        )
-        return outcome.payload, status
+        payload = outcome.payload
+        return payload, Status(self.virtual_peer, self.tag, payload_nbytes(payload))
 
 
 class RedComm(CollectiveAPI):
@@ -321,11 +318,12 @@ class RedComm(CollectiveAPI):
             request_set._copies.append(already_have)
         runtime.counters["app_recvs"] += 1
         members = 0
+        done = request_set._recv_done
         for sender in self._alive_sphere(source):
             if sender == skip_sender:
                 continue
             member_tag = tag if plan[(sender, me)] == "full" else tag + HASH_TAG_OFFSET
-            runtime.post_recv(me, sender, member_tag, request_set._recv_done)
+            runtime.post_recv(me, sender, member_tag, done)
             members += 1
         request_set.arm(members)
         if len(self._active_recvs) > 64:
@@ -374,8 +372,12 @@ class RedComm(CollectiveAPI):
             )
         send_set = self.isend(payload, dest, send_tag)
         recv_set = self.irecv(source, recv_tag)
-        results = yield from self.waitall([send_set, recv_set])
-        return results[1]
+        # One event after the other, whichever completes last: no AllOf,
+        # so no heap step of its own.  The send set is never handed out,
+        # so nothing is left to finalize.
+        yield send_set.event
+        raw = yield recv_set.event
+        return recv_set._finalize(raw)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

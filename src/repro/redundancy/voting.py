@@ -45,9 +45,9 @@ class ReplicaCopy:
     """One copy received from one sender replica.
 
     ``payload`` is ``None`` for digest-only copies (Msg-PlusHash mode),
-    whose ``digest`` is the one the sender shipped.  A full copy's
-    ``digest`` stays ``None``: :func:`vote` hashes the payload only
-    when the copies disagree.
+    built as ``ReplicaCopy(sender, digest)``, whose ``digest`` is the
+    one the sender shipped.  A full copy's ``digest`` stays ``None``:
+    :func:`vote` hashes the payload only when the copies disagree.
     """
 
     __slots__ = ("sender_physical", "digest", "payload", "has_payload")
@@ -68,11 +68,6 @@ class ReplicaCopy:
     def full(sender_physical: int, payload: Any) -> "ReplicaCopy":
         """A complete-message copy."""
         return ReplicaCopy(sender_physical, None, payload, True)
-
-    @staticmethod
-    def hash_only(sender_physical: int, digest: int) -> "ReplicaCopy":
-        """A digest-only copy."""
-        return ReplicaCopy(sender_physical, digest)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -164,10 +159,11 @@ def _all_agree(copies: Sequence[ReplicaCopy]) -> bool:
     without building the bytes :func:`digest_bytes` would give: see
     :func:`_same_digest_bytes`.
     """
-    if not all(copy.has_payload for copy in copies):
-        return False
+    # A plain loop: this runs once per voted message.
     first = copies[0].payload
-    for copy in copies[1:]:
+    for copy in copies:
+        if not copy.has_payload:
+            return False
         other = copy.payload
         if other is not first and not _same_digest_bytes(first, other):
             return False

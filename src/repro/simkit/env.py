@@ -6,7 +6,7 @@ import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..errors import SimulationDeadlock, SimulationError
-from .events import Event, Timeout
+from .events import PROCESSED, Event, Timeout
 from .process import Process
 
 #: Queue entries: (time, priority, sequence, call, arg); processing one
@@ -113,7 +113,7 @@ class Environment:
             return None
         if isinstance(until, Event):
             target = until
-            while not target.processed:
+            while target._state != PROCESSED:
                 if not self._queue:
                     raise SimulationDeadlock(
                         "queue drained before the awaited event fired"

@@ -106,7 +106,11 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self._process()
+        # ``_process`` inline: this runs once per zero-delay hop.
+        self._state = PROCESSED
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
         return self
 
     # -- kernel hooks -----------------------------------------------------

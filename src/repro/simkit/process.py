@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import ProcessInterrupted, SimulationError
-from .events import Event
+from .events import PROCESSED, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .env import Environment
@@ -72,10 +72,10 @@ class Process(Event):
         self._waiting_on = None
         while True:
             try:
-                if event.ok:
-                    target = self._generator.send(event.value)
+                if event._ok:
+                    target = self._generator.send(event._value)
                 else:
-                    target = self._generator.throw(event.value)
+                    target = self._generator.throw(event._value)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
@@ -99,7 +99,7 @@ class Process(Event):
                 )
                 self._generator.throw(error)
                 raise error
-            if target.processed:
+            if target._state == PROCESSED:
                 # Already-fired event: feed its outcome straight back in
                 # (loop, not recursion, to keep stack depth flat).
                 event = target

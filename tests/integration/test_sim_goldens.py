@@ -13,6 +13,7 @@ import pytest
 from repro.experiments.table4 import ScaledSetup
 from repro.orchestration import run_failure_free_sweep, run_redundancy_sweep
 from repro.simkit.env import Environment
+from repro.simkit.process import Process
 
 SETUP = ScaledSetup(virtual_processes=8, steps=5)
 
@@ -27,8 +28,18 @@ FAILURE_FREE = {
 #: Kernel heap steps of the 2.25x Table 5 cell.  A send costs one step
 #: per copy (its wire arrival) plus one for the whole request set (its
 #: completion); a timer per copy leaving the NIC would cost 692 steps
-#: where the 294 set completions cost 294, for 1,630 in all.
-STEPS_2_25X = 1_232
+#: where the 294 set completions cost 294, for 1,540 in all.  A
+#: ``sendrecv`` waits its two events in turn and takes no step of its
+#: own (an ``AllOf`` would add one per call, 90 here).
+STEPS_2_25X = 1_142
+
+#: Process resumes of the same cell: a work count, pinned exactly.  A
+#: ``sendrecv`` resumes once per event still pending when it is yielded.
+RESUMES_2_25X = 638
+
+#: Kernel heap steps of the Table 4 cell below, with its kills and
+#: restart: a work count, pinned exactly.
+STEPS_6H_2X = 1_073
 
 #: The Table 4 cell at the 6 h MTBF and 2.0x, same fields.
 MTBF_6H_2X = ("0x1.0c29b1aa31975p-2", 1, 3, 0, 608, 17_737_632, 346)
@@ -63,14 +74,37 @@ def test_failure_cell_is_exact():
     assert _observed(cell) == MTBF_6H_2X
 
 
+def _count_calls(monkeypatch, cls, name):
+    """Count the calls of ``cls.name`` from now on; returns the tally list."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counting(self, *args):
+        calls.append(None)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 def test_failure_free_cell_heap_steps(monkeypatch):
-    steps = []
-    step = Environment.step
-
-    def counting_step(env):
-        steps.append(None)
-        step(env)
-
-    monkeypatch.setattr(Environment, "step", counting_step)
+    steps = _count_calls(monkeypatch, Environment, "step")
     run_failure_free_sweep(SETUP.job_config(), degrees=[2.25], workers=1)
     assert len(steps) == STEPS_2_25X
+
+
+def test_failure_free_cell_resumes(monkeypatch):
+    resumes = _count_calls(monkeypatch, Process, "_resume")
+    run_failure_free_sweep(SETUP.job_config(), degrees=[2.25], workers=1)
+    assert len(resumes) == RESUMES_2_25X
+
+
+def test_failure_cell_heap_steps(monkeypatch):
+    steps = _count_calls(monkeypatch, Environment, "step")
+    run_redundancy_sweep(
+        SETUP.job_config(),
+        node_mtbfs=[SETUP.mtbf_to_sim(6.0)],
+        degrees=[2.0],
+        workers=1,
+    )
+    assert len(steps) == STEPS_6H_2X

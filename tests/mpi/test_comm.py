@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import CommunicatorError
-from repro.mpi import ANY_SOURCE, SimMPI
+from repro.mpi import ANY_SOURCE, SimMPI, Status
 from repro.mpi.comm import USER_TAG_LIMIT, Communicator
+from repro.mpi.datatypes import message_wire_size
 from repro.simkit import Environment
 
 
@@ -14,6 +15,31 @@ def run_world(size, program, **kwargs):
     world.spawn(program)
     world.run()
     return env, world
+
+
+def record_completions(comm, order):
+    """Append "send" or "recv" to ``order`` as each request ``comm`` posts completes."""
+    for name in ("isend", "irecv"):
+
+        def post(*args, _post=getattr(comm, name), _kind=name[1:], **kwargs):
+            request = _post(*args, **kwargs)
+            request.event.add_callback(lambda _event: order.append(_kind))
+            return request
+
+        setattr(comm, name, post)
+
+
+class TestStatus:
+    def test_status_is_a_light_immutable_record(self):
+        status = Status(source=3, tag=7, nbytes=64)
+        assert (status.source, status.tag, status.nbytes) == (3, 7, 64)
+        assert status == Status(3, 7, 64)
+        assert status != Status(3, 7, 65)
+        assert hash(status) == hash(Status(3, 7, 64))
+        assert len({status, Status(3, 7, 64), Status(4, 7, 64)}) == 2
+        with pytest.raises(AttributeError):
+            status.source = 4
+        assert not hasattr(status, "__dict__")
 
 
 class TestBlocking:
@@ -71,6 +97,34 @@ class TestBlocking:
 
         run_world(2, program)
         assert out == {0: "from1", 1: "from0"}
+
+    @pytest.mark.parametrize("nbytes, last", [(8, "recv"), (128 * 1024, "send")])
+    def test_sendrecv_whichever_request_finishes_last(self, nbytes, last):
+        """Rank 0 sends ``nbytes`` and gets 8 bytes back.  A rendezvous
+        payload (> 64 KB) keeps its NIC busy past the reply's arrival,
+        so the send finishes last; at 8 bytes the receive does."""
+        out = {}
+
+        def program(ctx):
+            order = []
+            record_completions(ctx.comm, order)
+            partner = 1 - ctx.rank
+            payload = bytes(nbytes) if ctx.rank == 0 else b"8 bytes!"
+            got, status = yield from ctx.comm.sendrecv(
+                payload, partner, source=partner, send_tag=3, recv_tag=3
+            )
+            # A copy: both requests must be complete when sendrecv returns.
+            out[ctx.rank] = got, status, list(order)
+
+        run_world(2, program)
+        got, status, order = out[0]
+        assert sorted(order) == ["recv", "send"] and order[-1] == last
+        # A world receive's status counts the message's wire bytes.
+        assert got == b"8 bytes!"
+        assert status == Status(source=1, tag=3, nbytes=message_wire_size(got))
+        got, status, _ = out[1]
+        assert got == bytes(nbytes)
+        assert status == Status(source=0, tag=3, nbytes=message_wire_size(got))
 
     def test_wildcard_source_reports_actual(self):
         sources = []

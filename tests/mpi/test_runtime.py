@@ -242,7 +242,7 @@ class TestInFlightCount:
 class TestPlacement:
     def test_default_placement_is_one_rank_per_node(self):
         world = SimMPI(Environment(), size=4)
-        assert [world.node_of(rank) for rank in range(4)] == [0, 1, 2, 3]
+        assert [world.placement[rank] for rank in range(4)] == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("placement", [{0: 0}, {0: 0, 2: 1}])
     def test_placement_must_cover_every_rank(self, placement):
@@ -260,7 +260,7 @@ class TestNicInjection:
     PAYLOAD = b"n" * 4096
 
     def _costs(self, world, src, dst):
-        same_node = world.node_of(src) == world.node_of(dst)
+        same_node = world.placement[src] == world.placement[dst]
         busy = world.network.sender_busy_time(
             message_wire_size(self.PAYLOAD), same_node
         )

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.errors import RedundancyError, VotingError
-from repro.mpi import ANY_SOURCE, ANY_TAG, SimMPI, ops
+from repro.mpi import ANY_SOURCE, ANY_TAG, SimMPI, Status, ops
 from repro.mpi.comm import USER_TAG_LIMIT, Communicator
 from repro.mpi.runtime import RankContext
 from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, RedComm, ReplicaMap, SphereTracker
 from repro.simkit import Environment
 from repro.simkit.events import Event
+from tests.mpi.test_comm import record_completions
 
 
 def run_redundant(n, r, program_body, mode=ALL_TO_ALL, corruptor=None, kill_plan=()):
@@ -66,6 +67,35 @@ class TestTransparency:
         _, _, _, results = run_redundant(5, r, body)
         for _, (payload, source) in results.items():
             assert payload == source  # neighbour sent its own rank
+
+    @pytest.mark.parametrize("nbytes, last", [(8, "recv"), (128 * 1024, "send")])
+    def test_sendrecv_whichever_set_finishes_last(self, nbytes, last):
+        """Virtual 0 sends ``nbytes`` and gets 8 bytes back.  A
+        rendezvous payload (> 64 KB) keeps its replicas' NICs busy past
+        the replies' arrival, so the send set finishes last; at 8 bytes
+        the receive set does."""
+
+        def body(red):
+            order = []
+            record_completions(red, order)
+            partner = 1 - red.rank
+            payload = bytes(nbytes) if red.rank == 0 else b"8 bytes!"
+            got, status = yield from red.sendrecv(
+                payload, partner, source=partner, send_tag=3, recv_tag=3
+            )
+            # A copy: both sets must be complete when sendrecv returns.
+            return got, status, list(order)
+
+        _, rmap, _, results = run_redundant(2, 2.0, body)
+        for physical in rmap.replicas_of(0):
+            got, status, order = results[physical]
+            assert sorted(order) == ["recv", "send"] and order[-1] == last
+            assert got == b"8 bytes!"
+            assert status == Status(source=1, tag=3, nbytes=8)
+        for physical in rmap.replicas_of(1):
+            got, status, _ = results[physical]
+            assert got == bytes(nbytes)
+            assert status == Status(source=0, tag=3, nbytes=nbytes)
 
     def test_status_reports_virtual_source(self):
         def body(red):
@@ -360,6 +390,33 @@ class TestReplicaDeath:
         # still complete from the surviving replica's copy.
         for physical in rmap.replicas_of(1):
             assert results[physical] == "late"
+
+    def test_sendrecv_source_replica_killed_mid_exchange(self):
+        """Virtual 1's shadow dies before it sends: virtual 0's receive
+        sets complete at the kill, from the surviving replica's copy."""
+        rmap = ReplicaMap(2, 2.0)
+        survivor, shadow = rmap.replicas_of(1)
+
+        def body(red):
+            order = []
+            record_completions(red, order)
+            if red.physical_rank == shadow:
+                yield red.env.timeout(0.01)  # killed before it gets here
+            partner = 1 - red.rank
+            got, status = yield from red.sendrecv(
+                f"from{red.rank}", partner, source=partner, send_tag=3, recv_tag=3
+            )
+            return got, status, list(order), red.env.now
+
+        _, _, exhausted, results = run_redundant(
+            2, 2.0, body, kill_plan=[(0.001, shadow)]
+        )
+        assert exhausted == [] and shadow not in results
+        for physical in rmap.replicas_of(0):
+            got, status, order, finished = results[physical]
+            assert (got, status) == ("from1", Status(source=1, tag=3, nbytes=5))
+            assert order[-1] == "recv" and finished == 0.001
+        assert results[survivor][:2] == ("from0", Status(source=0, tag=3, nbytes=5))
 
     def test_send_to_partially_dead_sphere(self):
         def body(red):

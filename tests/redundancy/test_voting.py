@@ -20,7 +20,7 @@ def full(sender, payload):
 
 
 def hash_copy(sender, payload):
-    return ReplicaCopy.hash_only(sender, payload_digest(payload))
+    return ReplicaCopy(sender, payload_digest(payload))
 
 
 class TestVote:
