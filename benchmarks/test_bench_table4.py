@@ -23,7 +23,7 @@ def test_bench_table4(once):
     kwargs = {"mtbf_hours": MTBFS}
     if DEGREES is not None:
         kwargs["degrees"] = DEGREES
-    result = once(run_experiment, "table4", **kwargs)
+    result = once(run_experiment, "table4", kwargs)
     print("\n" + result.render())
     minima = result.findings["argmin_degree_per_mtbf"]
 

@@ -5,15 +5,16 @@ Usage::
     repro-exp list
     repro-exp run table2
     repro-exp run fig13 max_processes=50000
-    repro-exp run table4 quick=true workers=4   # reduced grid, 4 workers
+    repro-exp run table4 quick=true             # reduced grid, serial
     repro-exp campaign --quick --workers 4      # Table 4 grid with progress
     repro-exp campaign --failure-free           # Table 5 sweep
     repro-exp chaos --quick --workers 4         # storage-fault sweep
     repro-exp advise --processes 50000 --mtbf 5y --base-time 128h \
                --alpha 0.2 --checkpoint-cost 8min --restart-cost 12min
 
-Execution options are set only by flags (``--workers``,
-``--cell-timeout``, ``--store``) or ``run`` overrides; seeds are derived
+Execution options are set only by the ``campaign``/``chaos`` flags
+(``--workers``, ``--cell-timeout``, ``--store``), which build the one
+executor a sweep runs on; ``run`` executes serially.  Seeds are derived
 before fan-out, so parallel grids are bit-identical to serial ones.
 
 Parameter overrides are ``key=value`` pairs; values are parsed as
@@ -223,7 +224,7 @@ def _list(args) -> int:
 
 
 def _run(args) -> int:
-    result = run_experiment(args.experiment, **_parse_overrides(args.overrides))
+    result = run_experiment(args.experiment, _parse_overrides(args.overrides))
     print(result.render())
     return 0
 
@@ -249,6 +250,8 @@ def _chaos_progress(outcome) -> None:
 
 def _sweep(args) -> int:
     """Run a simulated sweep (Table 4, Table 5 or chaos) with live progress."""
+    from .orchestration import CampaignExecutor
+
     overrides = _parse_overrides(args.overrides)
     if args.command == "chaos":
         experiment, progress = "chaos", _chaos_progress
@@ -260,13 +263,10 @@ def _sweep(args) -> int:
     obs = ObsSession(trace_path=args.trace, metrics=args.metrics)
     obs.stamp(experiment, params=overrides)
     store = _open_store(args)
-    execution = dict(
-        workers=args.workers,
-        cell_timeout=args.cell_timeout,
-        obs=obs,
-        store=store,
+    executor = CampaignExecutor(
+        workers=args.workers, cell_timeout=args.cell_timeout, obs=obs, store=store
     )
-    result = run_experiment(experiment, progress=progress, **execution, **overrides)
+    result = run_experiment(experiment, overrides, progress, executor)
     obs.finalize()
     print(result.render())
     if obs.metrics is not None:

@@ -1,8 +1,9 @@
 """experiments — regeneration code for every table and figure.
 
-Each module exposes ``run(**params) -> ExperimentResult`` with defaults
-that reproduce the paper's setting (scaled down where the experiment is
-a simulation — see DESIGN.md's substitution table).  The registry in
+Each module exposes ``run(...) -> ExperimentResult`` whose parameter
+defaults reproduce the paper's setting (scaled down where the experiment
+is a simulation — see DESIGN.md's substitution table); the simulated
+sweeps also take a ``progress`` callback and the ``executor`` to run on.  The registry in
 :mod:`runner` maps experiment ids (``table2``, ``fig13``, ...) to their
 modules; the CLI and the benchmark harness both go through it.
 

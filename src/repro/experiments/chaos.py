@@ -45,7 +45,7 @@ from ..checkpoint.storage import RECOVERY_LINES
 from ..errors import ModelDivergence, ReproError
 from ..faults import StorageFaultConfig
 from ..models.checkpointing import total_time
-from ..orchestration import CampaignExecutor, JobConfig
+from ..orchestration import CampaignExecutionError, CampaignExecutor, JobConfig
 from ..util.plot import ascii_plot
 from ..workloads import SyntheticWorkload
 from .runner import ExperimentResult
@@ -156,17 +156,16 @@ def run(
     probs: Optional[Sequence[float]] = None,
     quick: bool = False,
     progress=None,
-    **execution,
+    executor: Optional[CampaignExecutor] = None,
 ) -> ExperimentResult:
     """Sweep T_total vs storage-fault probability in both chaos modes.
 
     ``quick=True`` shrinks the default probability grid; an explicit
     ``probs`` wins over it.  ``progress`` receives each cell's
-    :class:`~repro.orchestration.CellOutcome`; ``execution`` is
-    forwarded untouched to the self-healing
-    :class:`~repro.orchestration.CampaignExecutor` (``workers``,
-    ``cell_timeout``, ``store``, ``obs``), which charges a crash or
-    timeout only to the cell it hit.
+    :class:`~repro.orchestration.CellOutcome`, failed cells included.
+    The cells run on ``executor`` (default: serial), the self-healing
+    :class:`~repro.orchestration.CampaignExecutor`, which charges a
+    crash or timeout only to the cell it hit.
     """
     setup = setup or ChaosSetup()
     if probs is None:
@@ -194,14 +193,11 @@ def run(
         for mode, prob in points
     ]
 
-    executor = CampaignExecutor(**execution)
+    executor = executor or CampaignExecutor()
     outcomes = executor.run(configs, progress=progress)
     failures = [o for o in outcomes if not o.ok]
     if failures:
-        raise ReproError(
-            f"{len(failures)} chaos cell(s) failed: "
-            + "; ".join(f"{o.error_type}: {o.error}" for o in failures)
-        )
+        raise CampaignExecutionError(failures)
 
     reports = dict(zip(points, (o.report for o in outcomes)))
     baseline = reports[("baseline", 0.0)]

@@ -30,11 +30,11 @@ DEFAULT_DEGREES = (1.0, 1.5, 2.0, 2.5, 3.0)
 
 
 def base_model(
-    base_time_hours: float = 128.0,
-    node_mtbf_years: float = 5.0,
-    alpha: float = 0.2,
-    checkpoint_cost: float = units.minutes(8),
-    restart_cost: float = units.minutes(12),
+    base_time_hours: float,
+    node_mtbf_years: float,
+    alpha: float,
+    checkpoint_cost: float,
+    restart_cost: float,
 ) -> CombinedModel:
     """The Fig. 13/14 parameter set (process count is swept)."""
     return CombinedModel(
@@ -48,19 +48,18 @@ def base_model(
     )
 
 
-def run(
-    max_processes: int = 30_000,
-    samples: int = 16,
-    degrees=DEFAULT_DEGREES,
-    **model_params,
-) -> ExperimentResult:
-    """Regenerate the wallclock-vs-processes series and crossovers."""
-    model = base_model(**model_params)
-    counts = [
-        max(2, int(round(max_processes ** (i / (samples - 1)))))
-        for i in range(samples)
-    ]
-    counts = sorted(set(counts))
+def weak_scaling(model: CombinedModel, max_processes: int, samples: int, degrees):
+    """T_total [h] per degree at ``samples`` log-spaced process counts.
+
+    Returns the counts, the hours per degree, the table rows and the
+    log-x plot.
+    """
+    counts = sorted(
+        set(
+            max(2, int(round(max_processes ** (i / (samples - 1)))))
+            for i in range(samples)
+        )
+    )
     # One vectorized (degree x count) evaluation instead of a scalar
     # model call per cell; divergent cells come back as inf.
     times = evaluate_grid(
@@ -81,6 +80,24 @@ def run(
         logx=True,
         title="T_total [h] vs processes (log x)",
     )
+    return counts, columns, rows, plot
+
+
+def run(
+    max_processes: int = 30_000,
+    samples: int = 16,
+    degrees=DEFAULT_DEGREES,
+    base_time_hours: float = 128.0,
+    node_mtbf_years: float = 5.0,
+    alpha: float = 0.2,
+    checkpoint_cost: float = units.minutes(8),
+    restart_cost: float = units.minutes(12),
+) -> ExperimentResult:
+    """Regenerate the wallclock-vs-processes series and crossovers."""
+    model = base_model(
+        base_time_hours, node_mtbf_years, alpha, checkpoint_cost, restart_cost
+    )
+    counts, columns, rows, plot = weak_scaling(model, max_processes, samples, degrees)
     findings = {}
     try:
         cross2 = find_crossover(model, 1.0, 2.0, max_processes=10_000_000)

@@ -14,14 +14,10 @@ Extends Fig. 13's sweep and extracts the paper's headline economics:
 
 from __future__ import annotations
 
-import numpy as np
-
 from .. import units
 from ..errors import ModelDivergence
 from ..models import find_crossover, throughput_break_even
-from ..models.grid import evaluate_grid
-from ..util.plot import ascii_plot
-from .fig13 import DEFAULT_DEGREES, base_model
+from .fig13 import DEFAULT_DEGREES, base_model, weak_scaling
 from .runner import ExperimentResult
 
 
@@ -29,35 +25,17 @@ def run(
     max_processes: int = 200_000,
     samples: int = 18,
     degrees=DEFAULT_DEGREES,
-    **model_params,
+    base_time_hours: float = 128.0,
+    node_mtbf_years: float = 5.0,
+    alpha: float = 0.2,
+    checkpoint_cost: float = units.minutes(8),
+    restart_cost: float = units.minutes(12),
 ) -> ExperimentResult:
     """Regenerate the extended sweep and the break-even findings."""
-    model = base_model(**model_params)
-    counts = sorted(
-        set(
-            max(2, int(round(max_processes ** (i / (samples - 1)))))
-            for i in range(samples)
-        )
+    model = base_model(
+        base_time_hours, node_mtbf_years, alpha, checkpoint_cost, restart_cost
     )
-    # One vectorized (degree x count) evaluation; inf marks divergence.
-    times = evaluate_grid(
-        model,
-        virtual_processes=np.asarray(counts, dtype=float),
-        redundancy=np.asarray(degrees, dtype=float)[:, None],
-    ).total_time
-    columns = {
-        degree: [float(units.to_hours(t)) for t in times[i]]
-        for i, degree in enumerate(degrees)
-    }
-    rows = [
-        [counts[i]] + [round(columns[degree][i], 1) for degree in degrees]
-        for i in range(len(counts))
-    ]
-    plot = ascii_plot(
-        {f"{degree}x": (counts, columns[degree]) for degree in degrees},
-        logx=True,
-        title="T_total [h] vs processes (log x)",
-    )
+    counts, columns, rows, plot = weak_scaling(model, max_processes, samples, degrees)
     findings = {}
     try:
         break_even = throughput_break_even(model, redundancy=2.0, jobs=2)

@@ -5,10 +5,13 @@ from __future__ import annotations
 import importlib
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..util.tables import render_table
+
+if TYPE_CHECKING:
+    from ..orchestration import CampaignExecutor
 
 #: Experiment ids; each is the name of its module in repro.experiments.
 _EXPERIMENTS = (
@@ -26,12 +29,9 @@ _EXPERIMENTS = (
     "chaos",
 )
 
-#: Where an experiment's ``**kwargs`` catch-all sends its keys, by the
-#: catch-all's name: the callee's parameters are accepted overrides too.
-_FORWARDED = {
-    "execution": ("repro.orchestration", "CampaignExecutor"),
-    "model_params": ("repro.experiments.fig13", "base_model"),
-}
+#: The sweep experiments' ``progress`` callback and ``executor``: passed
+#: by the caller's code, never accepted as a parameter override.
+_HANDLES = ("progress", "executor")
 
 
 @dataclass
@@ -79,20 +79,19 @@ def get_experiment(experiment: str):
     return importlib.import_module(f"repro.experiments.{experiment}")
 
 
-def _accepted_params(run) -> List[str]:
-    """Keyword names ``run`` takes, including what its ``**kwargs`` forward."""
-    names = []
-    for name, param in inspect.signature(run).parameters.items():
-        if param.kind is inspect.Parameter.VAR_KEYWORD:
-            module, attr = _FORWARDED[name]
-            names += _accepted_params(getattr(importlib.import_module(module), attr))
-        elif param.kind is not inspect.Parameter.VAR_POSITIONAL:
-            names.append(name)
-    return sorted(names)
-
-
-def run_experiment(experiment: str, **params) -> ExperimentResult:
+def run_experiment(
+    experiment: str,
+    overrides: Optional[Mapping[str, Any]] = None,
+    progress: Optional[Callable] = None,
+    executor: Optional[CampaignExecutor] = None,
+) -> ExperimentResult:
     """Run an experiment by id with optional parameter overrides.
+
+    ``overrides`` maps parameter names to values.  ``progress`` (a
+    per-cell callback) and ``executor`` (a
+    :class:`~repro.orchestration.CampaignExecutor`) reach the sweep
+    experiments only through their own arguments, never from
+    ``overrides``.
 
     Raises
     ------
@@ -101,11 +100,13 @@ def run_experiment(experiment: str, **params) -> ExperimentResult:
         (before anything runs).
     """
     run = get_experiment(experiment).run
-    accepted = _accepted_params(run)
-    unknown = sorted(set(params) - set(accepted))
+    overrides = overrides or {}
+    accepted = sorted(set(inspect.signature(run).parameters) - set(_HANDLES))
+    unknown = sorted(set(overrides) - set(accepted))
     if unknown:
         raise ConfigurationError(
             f"{experiment} takes no parameter {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(accepted)}"
         )
-    return run(**params)
+    handles = {"progress": progress, "executor": executor}
+    return run(**overrides, **{k: v for k, v in handles.items() if v is not None})

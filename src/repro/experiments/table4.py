@@ -27,8 +27,12 @@ from functools import partial
 from typing import List, Optional, Sequence
 
 from ..models.redundancy import PAPER_REDUNDANCY_GRID
-from ..orchestration import CellOutcome, JobConfig, run_redundancy_sweep
-from ..orchestration.campaign import cells_to_matrix
+from ..orchestration import CampaignExecutor, CellOutcome, JobConfig
+from ..orchestration.campaign import (
+    cells_to_matrix,
+    redundancy_sweep_configs,
+    run_cells,
+)
 from ..util.plot import ascii_heatmap, ascii_plot
 from ..workloads import SyntheticWorkload
 from .runner import ExperimentResult
@@ -117,21 +121,17 @@ def sweep_cells(
     mtbf_hours: Sequence[float],
     degrees: Sequence[float],
     progress=None,
-    **execution,
+    executor: Optional[CampaignExecutor] = None,
 ) -> List[CellOutcome]:
     """The raw campaign cells of a Table 4 grid (also fig12's input).
 
-    ``execution`` is forwarded untouched to the
-    :class:`~repro.orchestration.CampaignExecutor` (``workers``,
-    ``store``, ``obs``, ...); traced and parallel runs equal serial ones.
+    The cells run on ``executor`` (default: serial); traced and
+    parallel runs equal serial ones.
     """
-    return run_redundancy_sweep(
-        setup.job_config(),
-        node_mtbfs=[setup.mtbf_to_sim(h) for h in mtbf_hours],
-        degrees=list(degrees),
-        progress=progress,
-        **execution,
+    configs = redundancy_sweep_configs(
+        setup.job_config(), [setup.mtbf_to_sim(h) for h in mtbf_hours], list(degrees)
     )
+    return run_cells(configs, executor, progress)
 
 
 def run(
@@ -140,21 +140,21 @@ def run(
     degrees: Optional[Sequence[float]] = None,
     quick: bool = False,
     progress=None,
-    **execution,
+    executor: Optional[CampaignExecutor] = None,
 ) -> ExperimentResult:
     """Run the campaign grid and render the Table 4 matrix.
 
     ``quick=True`` shrinks the default grid to 3 MTBFs x 5 degrees
     (handy from the CLI); an explicit ``mtbf_hours`` or ``degrees``
     wins over it.  ``progress`` (optional) is called with each finished
-    cell; ``execution`` reaches the executor as in :func:`sweep_cells`.
+    cell; ``executor`` runs the cells as in :func:`sweep_cells`.
     """
     setup = setup or ScaledSetup()
     if mtbf_hours is None:
         mtbf_hours = QUICK_MTBF_HOURS if quick else PAPER_MTBF_HOURS
     if degrees is None:
         degrees = QUICK_DEGREES if quick else PAPER_REDUNDANCY_GRID
-    cells = sweep_cells(setup, mtbf_hours, degrees, progress, **execution)
+    cells = sweep_cells(setup, mtbf_hours, degrees, progress, executor)
     matrix = cells_to_matrix(cells)
     rows = []
     minima = {}

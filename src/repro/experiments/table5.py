@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..models.redundancy import PAPER_REDUNDANCY_GRID, redundant_time
-from ..orchestration import run_failure_free_sweep
+from ..orchestration import CampaignExecutor
+from ..orchestration.campaign import failure_free_sweep_configs, run_cells
 from .runner import ExperimentResult
 from .table4 import ScaledSetup
 
@@ -31,15 +32,14 @@ def run(
     degrees: Sequence[float] = PAPER_REDUNDANCY_GRID,
     alpha: float = 0.2,
     progress=None,
-    **execution,
+    executor: Optional[CampaignExecutor] = None,
 ) -> ExperimentResult:
     """Run the failure-free sweep and compare to the linear expectation.
 
     ``degrees`` needs 1.0 (the baseline every step is measured against)
     and at least one other degree; anything else is rejected before a
-    cell runs.  ``execution`` is forwarded untouched to the
-    :class:`~repro.orchestration.CampaignExecutor` (``workers``,
-    ``store``, ``obs``, ...); results equal the serial sweep's.
+    cell runs.  The cells run on ``executor`` (default: serial);
+    results equal the serial sweep's.
     """
     if 1.0 not in degrees or len(set(degrees)) < 2:
         raise ConfigurationError(
@@ -47,9 +47,8 @@ def run(
             f"got {tuple(degrees)}"
         )
     setup = setup or ScaledSetup()
-    cells = run_failure_free_sweep(
-        setup.job_config(), degrees=list(degrees), progress=progress, **execution
-    )
+    configs = failure_free_sweep_configs(setup.job_config(), list(degrees))
+    cells = run_cells(configs, executor, progress)
     observed = {cell.redundancy: cell.report.total_time for cell in cells}
     base_time = observed[1.0]
     observed_minutes = [

@@ -103,11 +103,23 @@ def check_domain(interval_rule: str, **fields) -> None:
         raise ConfigurationError(
             f"interval_rule must be one of {tuple(INTERVALS)}, got {interval_rule!r}"
         )
-    checks = [
-        (name, value, DOMAIN[name][0](value))
-        for name, value in fields.items()
-        if value is not None or name != "checkpoint_interval"
-    ]
+    try:
+        checks = [
+            (name, value, DOMAIN[name][0](value))
+            for name, value in fields.items()
+            if value is not None or name != "checkpoint_interval"
+        ]
+    except TypeError:
+        # A non-number (a string, say) has no order: name its field.
+        for name, value in fields.items():
+            try:
+                DOMAIN[name][0](value)
+            except TypeError:
+                if value is not None or name != "checkpoint_interval":
+                    raise ConfigurationError(
+                        f"{name} must be a number, got {value!r}"
+                    ) from None
+        raise
     # One reduction for every field: Python numbers give a bool, numpy
     # inputs a np.bool_ or an array.
     inside = functools.reduce(operator.and_, (verdict for _n, _v, verdict in checks))

@@ -12,6 +12,7 @@ from typing import Any, List
 
 from ..errors import RequestError
 from ..simkit.events import AllOf, Event
+from .datatypes import ENVELOPE_OVERHEAD
 from .matching import Envelope
 from .status import Status
 
@@ -44,7 +45,9 @@ class Request:
         if self.kind != RECV:
             return None
         envelope: Envelope = raw
-        return envelope.payload, Status(envelope.source, envelope.tag, envelope.nbytes)
+        # The envelope carries the wire size; a Status reports the payload.
+        nbytes = envelope.nbytes - ENVELOPE_OVERHEAD
+        return envelope.payload, Status(envelope.source, envelope.tag, nbytes)
 
     def wait(self):
         """Generator: block the calling process until completion.

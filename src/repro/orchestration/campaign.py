@@ -10,12 +10,13 @@ Each cell is one :class:`~repro.orchestration.job.JobConfig` and comes
 back as the :class:`~repro.orchestration.executor.CellOutcome` the
 executor made of it; a sweep returns them all, or raises once every
 cell has finished if any failed.
-Cells are independent, so both sweeps delegate to
-:class:`~repro.orchestration.executor.CampaignExecutor`, forwarding
-its keyword arguments as one ``**execution`` mapping: pass
-``workers > 1`` to run that many cells at once, each in its own
-process.  Seeds are derived before submission,
-so parallel runs are bit-identical to serial ones.
+Cells are independent, so :func:`run_cells` hands them to one
+:class:`~repro.orchestration.executor.CampaignExecutor`, the object
+that carries every execution option (``workers``, ``cell_timeout``,
+``obs``, ``store``); the experiments build their grids with
+:func:`redundancy_sweep_configs` / :func:`failure_free_sweep_configs`
+and pass the executor they were given.  Seeds are derived before
+submission, so parallel runs are bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from .executor import CampaignExecutionError, CampaignExecutor, CellOutcome
 from .job import JobConfig
 
 
-def _run_cells(
+def run_cells(
     configs: Sequence[JobConfig],
-    progress: Optional[Callable[[CellOutcome], None]],
-    execution: Dict[str, Any],
+    executor: Optional[CampaignExecutor] = None,
+    progress: Optional[Callable[[CellOutcome], None]] = None,
 ) -> List[CellOutcome]:
-    """Execute the cells; every one must run to a report.
+    """Run the cells on ``executor`` (default: serial); all must report.
 
     Raises :class:`~repro.orchestration.executor.CampaignExecutionError`
     if any cell failed — after every other cell has finished.
@@ -45,7 +46,8 @@ def _run_cells(
         if progress is not None and outcome.ok:
             progress(outcome)
 
-    outcomes = CampaignExecutor(**execution).run(configs, progress=on_outcome)
+    executor = executor or CampaignExecutor()
+    outcomes = executor.run(configs, progress=on_outcome)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     if failures:
         raise CampaignExecutionError(failures)
@@ -87,13 +89,13 @@ def run_redundancy_sweep(
     """The Table 4 grid: completion time per (MTBF, redundancy) cell.
 
     Every cell reuses the base config with only ``node_mtbf``,
-    ``redundancy`` and the seed changed.  ``execution`` is forwarded
-    to :class:`~repro.orchestration.executor.CampaignExecutor`
-    untouched (``workers``, ``store``, ...); results are identical and
+    ``redundancy`` and the seed changed.  ``execution`` holds the
+    :class:`~repro.orchestration.executor.CampaignExecutor` keyword
+    arguments (``workers``, ``store``, ...); results are identical and
     ordered however the cells execute.
     """
     configs = redundancy_sweep_configs(base, node_mtbfs, degrees)
-    return _run_cells(configs, progress, execution)
+    return run_cells(configs, CampaignExecutor(**execution), progress)
 
 
 def failure_free_sweep_configs(
@@ -119,10 +121,10 @@ def run_failure_free_sweep(
 
     Failure injection and checkpointing are disabled; what remains is
     the pure redundancy overhead (Figure 10's super-linear curve).
-    ``execution`` is forwarded as in :func:`run_redundancy_sweep`.
+    ``execution`` is as in :func:`run_redundancy_sweep`.
     """
     configs = failure_free_sweep_configs(base, degrees)
-    return _run_cells(configs, progress, execution)
+    return run_cells(configs, CampaignExecutor(**execution), progress)
 
 
 def cells_to_matrix(

@@ -42,13 +42,14 @@ it hits, as in the paper's redundancy and rollback:
 
 One execution context:
 
-:class:`CampaignExecutor`'s keyword arguments — ``workers``,
-``cell_timeout``, ``obs`` and ``store`` — are the only place the
-execution options are named and checked.  Every layer above
-(the campaign sweeps, the ``table4``/``table5``/``chaos`` experiments,
-the CLI's flags and ``run`` overrides) accepts them as one opaque
-``**execution`` mapping and forwards it here untouched, exactly once.
-No environment variable changes them: the defaults are serial and no
+A :class:`CampaignExecutor` is the one object that carries the
+execution options — ``workers``, ``cell_timeout``, ``obs`` and
+``store`` — and its constructor is the only place they are named and
+checked.  The CLI's ``campaign``/``chaos`` flags build one executor;
+the ``table4``/``table5``/``chaos`` experiments and
+:func:`~repro.orchestration.campaign.run_cells` take it as their
+``executor`` argument and run every cell on it.  No environment
+variable changes the options: the defaults are serial and no
 timeout.  ``obs`` (an :class:`~repro.obs.ObsSession`) replaces
 separate tracer/metrics handles: the executor takes its tracer and
 registry from it, traces every cell's job when the session traces, and

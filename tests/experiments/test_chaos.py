@@ -53,7 +53,7 @@ class TestSweep:
         assert any(row[6] > 0 for row in rows)  # retries
 
     def test_run_experiment_dispatch(self):
-        result = run_experiment("chaos", probs=(0.0, 0.2))
+        result = run_experiment("chaos", {"probs": (0.0, 0.2)})
         assert result.experiment == "chaos"
 
     def test_invalid_probability_rejected(self):

@@ -115,7 +115,7 @@ class TestFig11:
 class TestFig13:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_experiment("fig13", samples=8)
+        return run_experiment("fig13", {"samples": 8})
 
     def test_crossover_ordering(self, result):
         c2 = result.findings["crossover_1x_to_2x_processes"]
@@ -141,7 +141,7 @@ class TestFig13:
 class TestFig14:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_experiment("fig14", samples=10)
+        return run_experiment("fig14", {"samples": 10})
 
     def test_throughput_break_even_band(self, result):
         point = result.findings["two_2x_jobs_fit_in_one_1x_job_at"]

@@ -28,9 +28,11 @@ class TestTable4Tiny:
     def result(self, tiny_setup):
         return run_experiment(
             "table4",
-            setup=tiny_setup,
-            mtbf_hours=(6.0, 30.0),
-            degrees=(1.0, 2.0, 3.0),
+            {
+                "setup": tiny_setup,
+                "mtbf_hours": (6.0, 30.0),
+                "degrees": (1.0, 2.0, 3.0),
+            },
         )
 
     def test_grid_shape(self, result):
@@ -57,7 +59,7 @@ class TestTable5Tiny:
     @pytest.fixture(scope="class")
     def result(self, tiny_setup):
         return run_experiment(
-            "table5", setup=tiny_setup, degrees=(1.0, 1.25, 2.0, 3.0)
+            "table5", {"setup": tiny_setup, "degrees": (1.0, 1.25, 2.0, 3.0)}
         )
 
     def test_two_series(self, result):
@@ -93,9 +95,11 @@ class TestFig12Tiny:
     def test_fit_statistics_produced(self, tiny_setup):
         result = run_experiment(
             "fig12",
-            setup=tiny_setup,
-            mtbf_hours=(6.0, 30.0),
-            degrees=(1.0, 2.0, 3.0),
+            {
+                "setup": tiny_setup,
+                "mtbf_hours": (6.0, 30.0),
+                "degrees": (1.0, 2.0, 3.0),
+            },
         )
         assert -1.0 <= result.findings["pearson_correlation"] <= 1.0
         assert result.findings["mean_abs_pct_error"] >= 0.0
@@ -104,7 +108,7 @@ class TestFig12Tiny:
 
 class TestQuickMode:
     def test_table4_quick_flag(self, tiny_setup):
-        result = run_experiment("table4", setup=tiny_setup, quick=True)
+        result = run_experiment("table4", {"setup": tiny_setup, "quick": True})
         assert len(result.rows) == 3  # 3 MTBFs
         assert len(result.rows[0]) == 6  # label + 5 degrees
 

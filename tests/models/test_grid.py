@@ -238,6 +238,15 @@ class TestDomain:
         with pytest.raises(ConfigurationError, match="virtual_processes"):
             reference_model(virtual_processes=1.5)
 
+    @pytest.mark.parametrize("field", ["alpha", "node_mtbf", "restart_cost"])
+    def test_non_number_names_its_field(self, field):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a number, got 'x'"):
+            reference_model(**{field: "x"})
+
+    def test_no_override_interval_is_not_a_non_number(self):
+        with pytest.raises(ConfigurationError, match="alpha must be a number"):
+            check_domain("daly", checkpoint_interval=None, alpha="x")
+
 
 @pytest.fixture
 def domain_checks(monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import CommunicatorError
 from repro.mpi import ANY_SOURCE, SimMPI, Status
 from repro.mpi.comm import USER_TAG_LIMIT, Communicator
-from repro.mpi.datatypes import message_wire_size
 from repro.simkit import Environment
 
 
@@ -119,12 +118,12 @@ class TestBlocking:
         run_world(2, program)
         got, status, order = out[0]
         assert sorted(order) == ["recv", "send"] and order[-1] == last
-        # A world receive's status counts the message's wire bytes.
+        # A status counts payload bytes, as a RedComm receive's does.
         assert got == b"8 bytes!"
-        assert status == Status(source=1, tag=3, nbytes=message_wire_size(got))
+        assert status == Status(source=1, tag=3, nbytes=8)
         got, status, _ = out[1]
         assert got == bytes(nbytes)
-        assert status == Status(source=0, tag=3, nbytes=message_wire_size(got))
+        assert status == Status(source=0, tag=3, nbytes=nbytes)
 
     def test_wildcard_source_reports_actual(self):
         sources = []

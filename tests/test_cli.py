@@ -88,6 +88,15 @@ class TestCommands:
             ["chaos", "--quick", "bogus=1"],
             # The pool's retry budget is a constant, not an option.
             ["run", "table4", "cell_retries=3"],
+            # The sweep handles and execution options are never `run`
+            # overrides: flags build the executor, and `run` is serial.
+            *(
+                pytest.param(["run", "table5", "degrees=(1.0,2.0)", key], id=key)
+                for key in (
+                    "progress=1", "obs=1", "store=abc", "executor=1", "workers=2",
+                    "workers=two", "workers=2.5", "workers=True", "cell_timeout=soon",
+                )
+            ),
         ],
     )
     def test_unknown_parameter_fails_before_running(self, argv, capsys):
@@ -97,20 +106,18 @@ class TestCommands:
         assert captured.err.count("error:") == 1
         key = argv[-1].partition("=")[0]
         assert repr(key) in captured.err and "accepted:" in captured.err
+        assert "Traceback" not in captured.err
         assert "cell " not in captured.out
 
     @pytest.mark.parametrize(
-        "override",
-        ["workers=two", "workers=2.5", "workers=True", "cell_timeout=soon"],
+        "argv", [["run", "fig11", "alpha=x"], ["run", "fig13", "alpha=abc"]]
     )
-    def test_bad_execution_value_fails_before_running(self, override, capsys):
-        assert main(["run", "table5", override, "degrees=(1.0,2.0)"]) == 2
+    def test_non_number_model_field_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
         captured = capsys.readouterr()
-        # One error line naming the option, no traceback, and no cell ran.
         assert captured.err.count("error:") == 1
-        assert override.partition("=")[0].replace("_", " ") in captured.err
+        assert "alpha must be a number" in captured.err
         assert "Traceback" not in captured.err
-        assert "cell " not in captured.out
 
     def test_non_finite_cell_timeout_fails_before_running(self, capsys):
         argv = ["campaign", "--failure-free", "--workers", "2",
