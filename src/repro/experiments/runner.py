@@ -5,7 +5,10 @@ from __future__ import annotations
 import importlib
 import inspect
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..util.tables import render_table
@@ -96,17 +99,71 @@ def run_experiment(
     Raises
     ------
     ConfigurationError
-        For an unknown experiment, or a parameter it does not take
-        (before anything runs).
+        For an unknown experiment, a parameter it does not take, or a
+        value of the wrong type for its parameter (before anything runs).
     """
     run = get_experiment(experiment).run
     overrides = overrides or {}
-    accepted = sorted(set(inspect.signature(run).parameters) - set(_HANDLES))
+    parameters = inspect.signature(run).parameters
+    accepted = sorted(set(parameters) - set(_HANDLES))
     unknown = sorted(set(overrides) - set(accepted))
     if unknown:
         raise ConfigurationError(
             f"{experiment} takes no parameter {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(accepted)}"
         )
+    for name, value in overrides.items():
+        _check_override(experiment, parameters[name], value)
     handles = {"progress": progress, "executor": executor}
     return run(**overrides, **{k: v for k, v in handles.items() if v is not None})
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_numbers(value: Any) -> bool:
+    return isinstance(value, (tuple, list, np.ndarray)) and all(map(_is_number, value))
+
+
+#: What an override of each kind of parameter must be.
+_KINDS = {
+    "an int": _is_int,
+    "a number": _is_number,
+    "a sequence of numbers": _is_numbers,
+}
+
+
+def _kind_of(parameter: inspect.Parameter) -> Optional[str]:
+    """The kind of value a parameter takes, read off its default.
+
+    A ``None`` default says nothing, so its annotation decides; ``None``
+    when neither names a kind the overrides are checked against.
+    """
+    default = parameter.default
+    if default is None:
+        # A string under postponed evaluation, else a typing object.
+        annotation = str(parameter.annotation).replace("typing.", "")
+        if annotation in ("Sequence[float]", "Optional[Sequence[float]]"):
+            return "a sequence of numbers"
+        return None
+    if _is_int(default):
+        return "an int"
+    if _is_number(default):
+        return "a number"
+    if _is_numbers(default):
+        return "a sequence of numbers"
+    return None
+
+
+def _check_override(experiment: str, parameter: inspect.Parameter, value: Any) -> None:
+    """Reject an override whose type its parameter's default does not have."""
+    kind = _kind_of(parameter)
+    if kind is not None and not _KINDS[kind](value):
+        raise ConfigurationError(
+            f"{experiment}: {parameter.name} must be {kind}, got {value!r}"
+        )

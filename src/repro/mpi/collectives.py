@@ -20,10 +20,12 @@ All functions are generators and must be driven with ``yield from``
 inside a simkit process.  Every rank of the communicator must call the
 same collectives in the same order (the usual MPI contract).
 
-``bcast`` and ``reduce`` carry every ``allreduce``, so each hop posts
-with ``isend``/``irecv`` and yields the request's event itself, one
-generator frame shallower than ``yield from comm.send/recv``; a
-receive is finalized here, which for a request set is its vote.
+Requests are their own kernel events.  ``barrier``, ``bcast`` and
+``reduce`` (which carry every ``allreduce``) post with
+``isend``/``irecv`` and yield the requests themselves, one generator
+frame shallower than ``yield from comm.send/recv`` and with no
+``AllOf``; a receive is finalized here, which for a request set is its
+vote.
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ def barrier(comm):
         source = (rank - distance) % size
         send_request = comm.isend(b"", dest, tag, _internal=True)
         recv_request = comm.irecv(source, tag, _internal=True)
-        yield from comm.waitall([send_request, recv_request])
+        # One request after the other, as ``sendrecv`` waits them.
+        yield send_request
+        raw = yield recv_request
+        recv_request._finalize(raw)
         distance <<= 1
 
 
@@ -66,7 +71,7 @@ def bcast(comm, value: Any, root: int = 0):
         if relative & mask:
             source = (rank - mask) % size
             request = comm.irecv(source, tag, _internal=True)
-            raw = yield request.event
+            raw = yield request
             value = request._finalize(raw)[0]
             break
         mask <<= 1
@@ -78,7 +83,7 @@ def bcast(comm, value: Any, root: int = 0):
     while mask > 0:
         if relative + mask < size:
             dest = (rank + mask) % size
-            yield comm.isend(value, dest, tag, _internal=True).event
+            yield comm.isend(value, dest, tag, _internal=True)
         mask >>= 1
     return value
 
@@ -101,13 +106,13 @@ def reduce(comm, value: Any, op, root: int = 0):
     while mask < size:
         if relative & mask:
             dest = (rank - mask) % size
-            yield comm.isend(accumulator, dest, tag, _internal=True).event
+            yield comm.isend(accumulator, dest, tag, _internal=True)
             break
         partner_relative = relative | mask
         if partner_relative < size:
             source = (rank + mask) % size
             request = comm.irecv(source, tag, _internal=True)
-            raw = yield request.event
+            raw = yield request
             accumulator = op(accumulator, request._finalize(raw)[0])
         mask <<= 1
     if rank == root:

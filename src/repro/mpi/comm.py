@@ -10,8 +10,8 @@ Blocking operations are generators — call them with ``yield from``:
     payload, status = yield from comm.recv(source=ANY_SOURCE, tag=0)
 
 Non-blocking operations return :class:`~repro.mpi.requests.Request`
-handles; complete them with ``yield from request.wait()`` or
-``yield from comm.waitall(requests)``.
+handles, each its own kernel event; complete them with ``yield from
+request.wait()`` or ``yield from comm.waitall(requests)``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List
 
 from ..errors import CommunicatorError
-from ..simkit.events import Event
 from . import collectives
 from .datatypes import message_wire_size
-from .requests import RECV, Request, waitall as _waitall
+from .requests import RECV, SEND, Request, waitall as _waitall
 from .status import ANY_SOURCE, ANY_TAG
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,7 +36,7 @@ class CollectiveAPI:
     """Mixin providing collectives + request completion over p2p calls.
 
     Any class exposing ``rank``, ``size``, ``env``, ``isend``, ``irecv``
-    (whose requests expose ``event`` and ``_finalize``), ``send`` and a
+    (whose requests are events with a ``_finalize``), ``send`` and a
     ``_coll_seq`` counter gets the full collective API.  Used by both
     the plain :class:`Communicator` and the redundancy layer's
     ``RedComm`` — which is exactly how the paper justifies Eq. 1:
@@ -106,12 +105,13 @@ class Communicator(CollectiveAPI):
         """Non-blocking send; returns a request completing at injection."""
         self._check_tag(tag, _internal)
         self._check_peer(dest)
-        event = Event(self._runtime.env)
-        self._runtime.post_send(
-            self.rank, dest, tag, payload, message_wire_size(payload),
-            event.succeed_inline,
+        runtime = self._runtime
+        request = Request(runtime.env, SEND)
+        runtime.post_send(
+            self.rank, (dest,), tag, payload, message_wire_size(payload),
+            request.succeed_inline,
         )
-        return Request(kind="send", event=event)
+        return request
 
     def irecv(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = False
@@ -121,20 +121,21 @@ class Communicator(CollectiveAPI):
             self._check_tag(tag, _internal)
         if source != ANY_SOURCE:
             self._check_peer(source)
-        event = Event(self._runtime.env)
-        self._runtime.post_recv(self.rank, source, tag, event.succeed_inline)
-        return Request(kind=RECV, event=event)
+        runtime = self._runtime
+        request = Request(runtime.env, RECV)
+        runtime.post_recv(self.rank, ((source, 0),), tag, request.succeed_inline)
+        return request
 
     def send(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False):
         """Blocking send (generator)."""
-        request = self.isend(payload, dest, tag, _internal=_internal)
-        yield from request.wait()
+        # The request is never handed out, so nothing is left to finalize.
+        yield self.isend(payload, dest, tag, _internal=_internal)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = False):
         """Blocking receive (generator); returns ``(payload, Status)``."""
         request = self.irecv(source, tag, _internal=_internal)
-        result = yield from request.wait()
-        return result
+        raw = yield request
+        return request._finalize(raw)
 
     def sendrecv(
         self,
@@ -151,11 +152,11 @@ class Communicator(CollectiveAPI):
         """
         send_request = self.isend(payload, dest, send_tag)
         recv_request = self.irecv(source, recv_tag)
-        # One event after the other, whichever completes last: no AllOf,
-        # so no heap step of its own.  The send request is never handed
-        # out, so nothing is left to finalize.
-        yield send_request.event
-        raw = yield recv_request.event
+        # One request after the other, whichever completes last: no
+        # AllOf, so no heap step of its own.  The send request is never
+        # handed out, so nothing is left to finalize.
+        yield send_request
+        raw = yield recv_request
         return recv_request._finalize(raw)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -7,8 +7,10 @@ previously *posted* receive (matched in post order) or join the
 is posted.
 
 A posted receive completes by calling its ``done`` with the matched
-:class:`Envelope`: an event's ``succeed_inline``, or a request set's
-countdown, so a replica member builds no event of its own.
+:class:`Envelope`: a plain request's ``succeed_inline``, or a request
+set's countdown, so a replica member builds no event of its own.  The
+envelope itself is what the receiver keeps: a request set collects the
+envelopes its members matched and votes over them.
 
 Matching follows MPI's rules: a posted ``(source, tag)`` pattern
 matches an envelope when each field is equal or the pattern field is a
@@ -22,36 +24,25 @@ message of a pair pays the same wire latency.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Tuple
+from typing import Any, Callable, Deque, List, NamedTuple, Tuple
 
 from ..errors import MPIError
 from .status import ANY_SOURCE, ANY_TAG
 
 
-class Envelope:
+class Envelope(NamedTuple):
     """One message in flight (or queued): addressing + payload.
 
-    ``seq`` is the global send sequence number (diagnostics and
-    determinism checks).  Treat an envelope as immutable.
+    A tuple, so the runtime builds one per copy with a single
+    allocation (``tuple.__new__``).  ``nbytes`` is the wire size
+    (payload plus :data:`~repro.mpi.datatypes.ENVELOPE_OVERHEAD`).
     """
 
-    __slots__ = ("source", "dest", "tag", "payload", "nbytes", "seq")
-
-    def __init__(
-        self, source: int, dest: int, tag: int, payload: Any, nbytes: int, seq: int = 0
-    ) -> None:
-        self.source = source
-        self.dest = dest
-        self.tag = tag
-        self.payload = payload
-        self.nbytes = nbytes
-        self.seq = seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Envelope(source={self.source}, dest={self.dest}, tag={self.tag}, "
-            f"nbytes={self.nbytes}, seq={self.seq})"
-        )
+    source: int
+    dest: int
+    tag: int
+    payload: Any
+    nbytes: int
 
 
 #: A receive's completion: called once with the matched envelope.

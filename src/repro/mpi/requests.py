@@ -1,14 +1,15 @@
 """Request handles for non-blocking operations (mirrors MPI_Request).
 
-A request wraps the kernel event that completes the operation plus the
+A request *is* the kernel event that completes the operation, plus the
 logic to turn the event's raw value into what the caller expects (the
 payload and a :class:`~repro.mpi.status.Status` for receives, ``None``
-for sends).  Blocking calls are ``yield from request.wait()``.
+for sends).  A process waits on it by yielding it; ``yield from
+request.wait()`` does that and finalizes in one call.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import TYPE_CHECKING, Any, List
 
 from ..errors import RequestError
 from ..simkit.events import AllOf, Event
@@ -16,27 +17,30 @@ from .datatypes import ENVELOPE_OVERHEAD
 from .matching import Envelope
 from .status import Status
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..simkit.env import Environment
+
 #: Request kinds (for diagnostics).
 SEND = "send"
 RECV = "recv"
 
 
-class Request:
-    """Handle to an in-flight non-blocking operation."""
+class Request(Event):
+    """Handle to an in-flight non-blocking operation: its own event.
 
-    __slots__ = ("kind", "_event", "_consumed")
+    The runtime completes it by calling its ``succeed_inline``: a send
+    with ``None`` when the message leaves the NIC, a receive with the
+    matched :class:`~repro.mpi.matching.Envelope`.
+    """
 
-    def __init__(self, kind: str, event: Event) -> None:
+    __slots__ = ("kind", "_consumed")
+
+    def __init__(self, env: "Environment", kind: str) -> None:
         if kind not in (SEND, RECV):
             raise RequestError(f"unknown request kind {kind!r}")
+        super().__init__(env)
         self.kind = kind
-        self._event = event
         self._consumed = False
-
-    @property
-    def event(self) -> Event:
-        """The underlying kernel event (advanced use / request sets)."""
-        return self._event
 
     def _finalize(self, raw: Any) -> Any:
         if self._consumed:
@@ -54,19 +58,17 @@ class Request:
 
         Receives return ``(payload, Status)``; sends return ``None``.
         """
-        raw = yield self._event
+        raw = yield self
         return self._finalize(raw)
 
 
 def waitall(env, requests: List[Request]):
     """Generator: wait for every request; returns their values in order.
 
-    This is the primitive the redundancy layer's *request sets* build
-    on — one application-level ``MPI_Wait`` maps to ``waitall`` over
-    the per-replica requests (Section 3 of the paper).
+    Requests of either layer qualify: a plain :class:`Request` or a
+    redundancy request set, each an event with a ``_finalize``.
     """
     if not requests:
         return []
-    raw_values = yield AllOf(env, [request.event for request in requests])
+    raw_values = yield AllOf(env, requests)
     return [request._finalize(raw) for request, raw in zip(requests, raw_values)]
-

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappush
-from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import MPIError
 from ..netsim import Network
@@ -104,7 +104,6 @@ class SimMPI:
         self._nic_free: List[float] = [0.0] * size
         self._alive: Set[int] = set(range(size))
         self._processes: Dict[int, Process] = {}
-        self._send_seq = 0
         self._death_watchers: List[Callable[[int], None]] = []
         #: Per-(src, dst) sent and consumed message counts — the
         #: bookmark state the checkpoint coordinator equalises.
@@ -130,58 +129,75 @@ class SimMPI:
     def post_send(
         self,
         src: int,
-        dst: int,
+        dests: Sequence[int],
         tag: int,
         payload: Any,
         nbytes: int,
         done: Optional[Callable[[Any], None]] = None,
     ) -> None:
-        """Inject a message; ``done(None)`` runs when it leaves the NIC.
+        """Inject one copy of a message to each of ``dests``, in order.
 
-        ``nbytes`` is ``message_wire_size(payload)``, from the caller so
-        a fan-out sizes its payload once.  The NIC is a FIFO whose busy
-        times are known at post, so the exit time is computed here and
-        the wire arrival and ``done`` are queued at once, at absolute
-        times.  Fail-stop semantics: sends to dead ranks complete
-        locally (the sender cannot know) but the message is dropped —
-        here if the destination is already dead, at arrival if it dies
-        later.  A sender killed meanwhile still drains its NIC.
+        ``done(None)`` runs when the last copy leaves the NIC.  A plain
+        send passes one destination; the redundancy layer passes every
+        replica of the destination sphere when they all get the same
+        copy.  ``nbytes`` is ``message_wire_size(payload)``, from the
+        caller so a fan-out sizes its payload once.  The NIC is a FIFO
+        whose busy times are known at post, so each copy's exit time is
+        computed here and its wire arrival queued at once, then ``done``
+        after the last arrival, at absolute times: the same heap entries,
+        in the same order, as one call per copy would push.  Fail-stop
+        semantics: sends to dead ranks complete locally (the sender
+        cannot know) but the message is dropped — here if the
+        destination is already dead, at arrival if it dies later.  A
+        sender killed meanwhile still drains its NIC.
         """
-        if src not in self._alive:
+        alive = self._alive
+        if src not in alive:
             raise MPIError(f"dead rank {src} attempted a send")
         placement = self.placement
-        try:
-            same_node = placement[src] == placement[dst]
-        except KeyError as exc:
-            raise MPIError(f"no placement for rank {dst}") from exc
+        node = placement[src]
         network = self.network
         env = self.env
         now = env._now
         free = self._nic_free[src]
         # Busy times summed from the instant the NIC last went idle,
-        # exactly as a timer per send would sum them.
-        finish = (free if free > now else now) + network.sender_busy_time(nbytes, same_node)
-        self._nic_free[src] = finish
-        self._send_seq += 1
+        # exactly as a timer per send would sum them.  The off-node
+        # costs are looked up once; a co-located copy pays loopback.
+        finish = free if free > now else now
+        busy = network.sender_busy_time(nbytes, False)
+        latency = network.wire_latency(False)
         counters = self.counters
-        counters["p2p_messages"] += 1
-        counters["p2p_bytes"] += nbytes
-        key = (src, dst)
-        self.sent_counts[key] = self.sent_counts.get(key, 0) + 1
-        # The two entries are ``env._schedule_call_at`` inline: neither
-        # time is in the past, as ``finish >= now``.
+        counters["p2p_messages"] += len(dests)
+        counters["p2p_bytes"] += nbytes * len(dests)
+        sent_counts = self.sent_counts
         queue = env._queue
-        if dst in self._alive:
-            self._in_flight += 1
-            envelope = Envelope(src, dst, tag, payload, nbytes, self._send_seq)
-            env._sequence += 1
-            heappush(
-                queue,
-                (finish + network.wire_latency(same_node), NORMAL, env._sequence,
-                 self._arrive, envelope),
-            )
-        else:
-            counters["p2p_dropped"] += 1
+        arrive = self._arrive
+        for dst in dests:
+            try:
+                same_node = placement[dst] == node
+            except KeyError as exc:
+                raise MPIError(f"no placement for rank {dst}") from exc
+            if same_node:
+                finish += network.sender_busy_time(nbytes, True)
+                wire = network.wire_latency(True)
+            else:
+                finish += busy
+                wire = latency
+            key = (src, dst)
+            sent_counts[key] = sent_counts.get(key, 0) + 1
+            if dst in alive:
+                self._in_flight += 1
+                # ``env._schedule_call_at`` inline: the arrival is not
+                # in the past, as ``finish >= now``.
+                env._sequence += 1
+                heappush(
+                    queue,
+                    (finish + wire, NORMAL, env._sequence, arrive,
+                     tuple.__new__(Envelope, (src, dst, tag, payload, nbytes))),
+                )
+            else:
+                counters["p2p_dropped"] += 1
+        self._nic_free[src] = finish
         if done is not None:
             env._sequence += 1
             heappush(queue, (finish, NORMAL, env._sequence, done, None))
@@ -197,11 +213,21 @@ class SimMPI:
             self._in_flight -= 1
         self._engines[dest].deliver(envelope)
 
-    def post_recv(self, rank: int, source: int, tag: int, done: Completion) -> None:
-        """Post a receive on ``rank``'s engine; ``done(envelope)`` on match."""
+    def post_recv(
+        self, rank: int, members: Sequence[Tuple[int, int]], tag: int, done: Completion
+    ) -> None:
+        """Post one receive per ``(source, tag offset)`` member on ``rank``.
+
+        A member matches ``source`` at ``tag + offset``; ``done(envelope)``
+        runs once per member that matches.  A plain receive passes one
+        member; a request set passes one per live sender replica.
+        """
         if rank not in self._alive:
             raise MPIError(f"dead rank {rank} attempted a receive")
-        self._engines[rank].post(self.env, source, tag, done)
+        engine = self._engines[rank]
+        env = self.env
+        for source, offset in members:
+            engine.post(env, source, tag + offset, done)
 
     def cancel_recv(self, rank: int, source: int, done: Completion) -> bool:
         """Withdraw a posted receive (redundancy layer, dead peers).

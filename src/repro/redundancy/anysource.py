@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 from ..errors import RedundancyError
 from ..mpi.status import ANY_SOURCE
-from .voting import ReplicaCopy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .interpose import RedComm
@@ -51,8 +50,10 @@ def anysource_recv(redcomm: "RedComm", tag: int):
     if redcomm.physical_rank == lead:
         # Step 1: only the lead posts the true wildcard.
         member = redcomm._world.irecv(ANY_SOURCE, tag, _internal=True)
-        payload, status = yield from member.wait()
-        sender_physical = status.source
+        # The matched envelope is the set's first copy; the request is
+        # never handed out, so nothing is left to finalize.
+        first_copy = yield member
+        sender_physical = first_copy.source
         sender_virtual = redcomm.replica_map.virtual_of(sender_physical)
         # Step 2: forward the envelope info to the sibling replicas.
         for sibling in redcomm.tracker.alive_replicas(my_virtual):
@@ -62,10 +63,7 @@ def anysource_recv(redcomm: "RedComm", tag: int):
                 sender_virtual, sibling, control_tag, _internal=True
             )
         # ... and post receives for the remaining copies of this message.
-        first_copy = ReplicaCopy.full(sender_physical, payload)
-        request_set = redcomm._post_specific_recv(
-            sender_virtual, tag, already_have=first_copy, skip_sender=sender_physical
-        )
+        request_set = redcomm._post_specific_recv(sender_virtual, tag, first_copy)
     else:
         # Step 3: siblings learn the virtual sender from the lead, then
         # receive their own copies via specific receives.

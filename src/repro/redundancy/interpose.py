@@ -2,16 +2,26 @@
 
 ``RedComm`` exposes the same interface as
 :class:`repro.mpi.Communicator` but speaks in *virtual* ranks.  Under
-the hood every application call fans out to the physical replicas:
+the hood every application call fans out to the physical replicas, in
+one runtime call per request set, not one per copy:
 
-* ``isend(payload, dest)`` → one world send per live replica of the
-  destination sphere (Figure 1(a)); in Msg-PlusHash mode all but the
-  designated carrier ship only a digest;
-* ``irecv(source)`` → one world receive per live replica of the source
-  sphere; the returned :class:`RedRequest` is the paper's *request
-  set*: the application-level wait completes only when every member
-  request has completed (Section 3's MPI_Wait semantics);
-* arriving copies are compared/voted (:mod:`repro.redundancy.voting`);
+* ``isend(payload, dest)`` → one copy per live replica of the
+  destination sphere (Figure 1(a)).  When every copy is the full
+  message, one ``SimMPI.post_send`` call takes all the receivers; in
+  Msg-PlusHash mode, where all but the designated carrier ship only a
+  digest, or with a corruptor, each receiver gets a call of its own;
+* ``irecv(source)`` → one member receive per live replica of the
+  source sphere, all posted by one ``SimMPI.post_recv`` call; the
+  returned :class:`RedRequest` is the paper's *request set*: the
+  application-level wait completes only when every member has
+  completed (Section 3's MPI_Wait semantics);
+* the receivers and members come from a route cached per peer sphere
+  (derived from :func:`~repro.redundancy.voting.plan_copies` over the
+  live replicas) and dropped on every rank death;
+* a request set is its own kernel event, so a process waits on it by
+  yielding it;
+* a receive set keeps the envelopes its members matched, and its
+  completion votes over them (:mod:`repro.redundancy.voting`);
 * receives pending on a replica that dies are cancelled, so surviving
   copies still complete the application-level request — this is how a
   sphere keeps the job running after losing members (Figure 7).
@@ -24,17 +34,18 @@ control messages use ``[2^28, ...)`` (see
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import RedundancyError
 from ..mpi.comm import USER_TAG_LIMIT, CollectiveAPI
-from ..mpi.datatypes import message_wire_size, payload_digest, payload_nbytes
+from ..mpi.datatypes import ENVELOPE_OVERHEAD, message_wire_size, payload_digest
 from ..mpi.matching import Envelope
 from ..mpi.status import ANY_SOURCE, ANY_TAG, Status
-from ..simkit.events import Event
+from ..simkit.events import PENDING, Event
 from .mapping import ReplicaMap
 from .sphere import SphereTracker
-from .voting import ALL_TO_ALL, MODES, ReplicaCopy, plan_copies, vote
+from .voting import ALL_TO_ALL, MODES, plan_copies, vote
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import RankContext, SimMPI
@@ -46,6 +57,13 @@ HASH_TAG_OFFSET = 1 << 24
 #: payload actually shipped.  Used to inject Byzantine replicas in tests.
 Corruptor = Callable[[int, int, Any], Any]
 
+#: A send's route: the receiver replicas, and each copy's kind
+#: (``"full"``/``"hash"``) or ``None`` when every copy is full.
+SendRoute = Tuple[Tuple[int, ...], Optional[Tuple[str, ...]]]
+
+#: A receive's route: ``(sender replica, tag offset)`` per member.
+RecvRoute = Tuple[Tuple[int, int], ...]
+
 
 def _shipment(copy_kind: str, tag: int, payload: Any) -> Tuple[int, Any, int]:
     """``(tag, payload, wire bytes)`` of one copy: the message or its digest."""
@@ -55,36 +73,43 @@ def _shipment(copy_kind: str, tag: int, payload: Any) -> Tuple[int, Any, int]:
     return tag + HASH_TAG_OFFSET, digest, message_wire_size(digest)
 
 
-class RedRequest:
+class RedRequest(Event):
     """A request *set*: the application-level handle over replica requests.
 
-    A send set completes when its last copy leaves the NIC: the runtime
-    calls its event's ``succeed_inline`` then.  A receive set is a
+    The set is its own kernel event: a process waits on it by yielding
+    it.  A send set completes when its last copy leaves the NIC: the
+    runtime calls its ``succeed_inline`` then.  A receive set is a
     countdown over its members, which the runtime completes by calling
     ``_recv_done(envelope)`` (bound once per set; no member builds an
     event); a member whose sender replica dies is withdrawn from the
-    count.  Its completion triggers the vote and yields
-    ``(payload, Status)`` with the *virtual* source rank.  It holds the
-    runtime, not its ``RedComm``, whose pending-receive list holds it:
-    no cycle keeps a finished world alive.
+    count.  The set keeps the envelopes its members matched; its
+    completion triggers the vote over them and yields ``(payload,
+    Status)`` with the *virtual* source rank.  It holds the runtime,
+    not its ``RedComm``, whose pending-receive list holds it: no cycle
+    keeps a finished world alive.
     """
 
     __slots__ = (
-        "runtime", "physical_rank", "kind", "virtual_peer", "tag", "event",
-        "_remaining", "_copies", "_consumed",
+        "runtime", "physical_rank", "kind", "virtual_peer", "tag",
+        "_remaining", "_envelopes", "_consumed",
     )
 
     def __init__(
         self, runtime: "SimMPI", physical_rank: int, kind: str, virtual_peer: int, tag: int
     ) -> None:
+        # ``Event.__init__`` inline: one call less per request set.
+        self.env = runtime.env
+        self.callbacks = []
+        self._state = PENDING
+        self._ok = True
+        self._value = None
         self.runtime = runtime
         self.physical_rank = physical_rank
         self.kind = kind
         self.virtual_peer = virtual_peer
         self.tag = tag
-        self.event = Event(runtime.env)
         self._remaining = 0
-        self._copies: List[ReplicaCopy] = []
+        self._envelopes: List[Envelope] = []
         self._consumed = False
 
     # -- construction (layer-internal) -----------------------------------
@@ -97,27 +122,23 @@ class RedRequest:
     # -- progress ----------------------------------------------------------
 
     def _recv_done(self, envelope: Envelope) -> None:
-        # The matched envelope names the sender replica; a digest copy
-        # travels under the shifted tag.
-        if envelope.tag == self.tag:
-            copy = ReplicaCopy(envelope.source, None, envelope.payload, True)
-        else:
-            copy = ReplicaCopy(envelope.source, envelope.payload)
-        self._copies.append(copy)
+        # The matched envelope is the copy: it names the sender replica,
+        # and a digest copy travels under the shifted tag.
+        self._envelopes.append(envelope)
         self._remaining -= 1
         if not self._remaining:
-            self._maybe_complete()
+            self.succeed_inline(self._envelopes)
 
     def _maybe_complete(self) -> None:
         if self._remaining:
             return
-        if not self._copies:
+        if not self._envelopes:
             # Every source replica died before sending: the request
             # can never be satisfied.  Leave it pending — the sphere
             # tracker has (or will) declare the job failed and force
             # a rollback.
             return
-        self.event.succeed_inline(self._copies)
+        self.succeed_inline(self._envelopes)
 
     def drop_sender(self, dead_physical: int) -> None:
         """A peer replica died: withdraw its member receive if still posted.
@@ -125,7 +146,7 @@ class RedRequest:
         A receive that already matched still completes: its message was
         delivered.
         """
-        if self.kind != "recv" or self.event.triggered:
+        if self.kind != "recv" or self.triggered:
             return
         if self.runtime.cancel_recv(self.physical_rank, dead_physical, self._recv_done):
             self._remaining -= 1
@@ -135,7 +156,7 @@ class RedRequest:
 
     def wait(self):
         """Generator: block until the set completes; returns the value."""
-        raw = yield self.event
+        raw = yield self
         return self._finalize(raw)
 
     def _finalize(self, raw: Any) -> Any:
@@ -144,13 +165,12 @@ class RedRequest:
         self._consumed = True
         if self.kind == "send":
             return None
-        outcome = vote(raw)
-        if not outcome.unanimous:
-            counters = self.runtime.counters
-            counters["votes_not_unanimous"] += 1
-            counters["corrupt_copies_voted_out"] += len(outcome.corrupt_senders)
-        payload = outcome.payload
-        return payload, Status(self.virtual_peer, self.tag, payload_nbytes(payload))
+        tag = self.tag
+        winner = vote(raw, tag, self.runtime.counters)
+        # The winner's wire size is its payload's size plus the envelope.
+        return winner.payload, Status(
+            self.virtual_peer, tag, winner.nbytes - ENVELOPE_OVERHEAD
+        )
 
 
 class RedComm(CollectiveAPI):
@@ -176,10 +196,12 @@ class RedComm(CollectiveAPI):
         self._virtual_rank = replica_map.virtual_of(ctx.rank)
         self._coll_seq = 0
         self._active_recvs: List[RedRequest] = []
-        # Per-sphere live replica lists and per-(sender sphere, receiver
-        # sphere) copy plans; both are emptied on every rank death.
+        # Per-sphere live replica lists and, per peer sphere, the route
+        # of a send to it and of a receive from it (see ``_send_route``
+        # and ``_recv_route``); all are emptied on every rank death.
         self._spheres: Dict[int, List[int]] = {}
-        self._plans: Dict[Tuple[int, int], Dict[Tuple[int, int], str]] = {}
+        self._send_routes: Dict[int, SendRoute] = {}
+        self._recv_routes: Dict[int, RecvRoute] = {}
         self.runtime.on_rank_death(self._on_rank_death)
 
     # -- identity (virtual view) ------------------------------------------
@@ -215,30 +237,51 @@ class RedComm(CollectiveAPI):
             ]
         return alive
 
-    def _plan(self, sender_virtual: int, receiver_virtual: int) -> Dict[Tuple[int, int], str]:
-        """:func:`plan_copies` over the two spheres' live replicas."""
-        key = (sender_virtual, receiver_virtual)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = plan_copies(
-                self._alive_sphere(sender_virtual),
-                self._alive_sphere(receiver_virtual),
-                self.mode,
-            )
-        return plan
+    def _send_route(self, dest: int) -> SendRoute:
+        """The receivers of a send to sphere ``dest`` and each one's copy.
+
+        Derived from :func:`plan_copies` over the two spheres' *live*
+        replicas, so sender and receiver agree on who carries the full
+        payload in Msg-PlusHash mode even after replica deaths.  The
+        kinds are ``None`` when every copy is the full message.
+        """
+        receivers = tuple(self._alive_sphere(dest))
+        plan = plan_copies(self._alive_sphere(self._virtual_rank), receivers, self.mode)
+        me = self.physical_rank
+        kinds = tuple(plan[(me, receiver)] for receiver in receivers)
+        route = self._send_routes[dest] = (
+            receivers, None if all(kind == "full" for kind in kinds) else kinds
+        )
+        return route
+
+    def _recv_route(self, source: int) -> RecvRoute:
+        """The members of a receive from sphere ``source``.
+
+        One ``(sender replica, tag offset)`` per live replica; a member
+        that gets a digest copy listens at ``tag + HASH_TAG_OFFSET``.
+        """
+        senders = self._alive_sphere(source)
+        plan = plan_copies(senders, self._alive_sphere(self._virtual_rank), self.mode)
+        me = self.physical_rank
+        route = self._recv_routes[source] = tuple(
+            (sender, 0 if plan[(sender, me)] == "full" else HASH_TAG_OFFSET)
+            for sender in senders
+        )
+        return route
 
     # -- death plumbing -----------------------------------------------------
 
     def _on_rank_death(self, dead_physical: int) -> None:
         self._spheres.clear()
-        self._plans.clear()
+        self._send_routes.clear()
+        self._recv_routes.clear()
         self.tracker.notice_death(dead_physical)
         # A request set may complete inline here and its process post
         # new receives, so walk a snapshot and prune afterwards.
         for request in list(self._active_recvs):
             request.drop_sender(dead_physical)
         self._active_recvs = [
-            request for request in self._active_recvs if not request.event.triggered
+            request for request in self._active_recvs if not request.triggered
         ]
 
     # -- point to point --------------------------------------------------------
@@ -252,34 +295,40 @@ class RedComm(CollectiveAPI):
     def isend(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False) -> RedRequest:
         """Fan-out send to every live replica of virtual rank ``dest``."""
         self._check_tag(tag, _internal)
-        # Plans are computed over *live* replicas on both ends so sender
-        # and receiver agree on who carries the full payload in
-        # Msg-PlusHash mode even after replica deaths.
-        plan = self._plan(self._virtual_rank, dest)
+        route = self._send_routes.get(dest)
+        if route is None:
+            route = self._send_route(dest)
+        receivers, kinds = route
         runtime = self.runtime
         me = self.physical_rank
         request_set = RedRequest(runtime, me, "send", dest, tag)
         runtime.counters["app_sends"] += 1
+        if not receivers:
+            request_set.succeed_inline()
+            return request_set
         corruptor = self.corruptor
+        # The NIC is a FIFO, so the last copy leaves last: the set
+        # completes with it, and the other copies complete nothing.
+        if kinds is None and corruptor is None:
+            # Every receiver gets the same message: one runtime call.
+            runtime.post_send(
+                me, receivers, tag, payload, message_wire_size(payload),
+                request_set.succeed_inline,
+            )
+            return request_set
         # Each kind of copy is sized (and digested) once per send, unless
         # a corruptor ships something different to each receiver.
         shipments: Dict[str, Tuple[int, Any, int]] = {}
-        receivers = self._alive_sphere(dest)
-        if not receivers:
-            request_set.event.succeed_inline()
-            return request_set
         last = receivers[-1]
-        for receiver in receivers:
-            copy_kind = plan[(me, receiver)]
+        for receiver, copy_kind in zip(receivers, kinds or repeat("full")):
             shipment = shipments.get(copy_kind)
             if shipment is None or corruptor is not None:
                 shipped = payload if corruptor is None else corruptor(me, receiver, payload)
                 shipment = shipments[copy_kind] = _shipment(copy_kind, tag, shipped)
-            # The NIC is a FIFO, so the last copy leaves last: the set
-            # completes with it, and the other copies complete nothing.
+            shipped_tag, shipped, nbytes = shipment
             runtime.post_send(
-                me, receiver, *shipment,
-                request_set.event.succeed_inline if receiver == last else None,
+                me, (receiver,), shipped_tag, shipped, nbytes,
+                request_set.succeed_inline if receiver == last else None,
             )
         return request_set
 
@@ -304,33 +353,28 @@ class RedComm(CollectiveAPI):
         return self._post_specific_recv(source, tag)
 
     def _post_specific_recv(
-        self,
-        source: int,
-        tag: int,
-        already_have: Optional[ReplicaCopy] = None,
-        skip_sender: Optional[int] = None,
+        self, source: int, tag: int, first_copy: Optional[Envelope] = None
     ) -> RedRequest:
-        plan = self._plan(source, self._virtual_rank)
+        """Post a receive set from every live replica of ``source``.
+
+        ``first_copy``, a copy already received (the wildcard protocol's
+        lead receive), joins the set and its sender gets no member.
+        """
+        members = self._recv_routes.get(source)
+        if members is None:
+            members = self._recv_route(source)
         runtime = self.runtime
         me = self.physical_rank
         request_set = RedRequest(runtime, me, "recv", source, tag)
-        if already_have is not None:
-            request_set._copies.append(already_have)
         runtime.counters["app_recvs"] += 1
-        members = 0
-        done = request_set._recv_done
-        for sender in self._alive_sphere(source):
-            if sender == skip_sender:
-                continue
-            member_tag = tag if plan[(sender, me)] == "full" else tag + HASH_TAG_OFFSET
-            runtime.post_recv(me, sender, member_tag, done)
-            members += 1
-        request_set.arm(members)
+        if first_copy is not None:
+            request_set._envelopes.append(first_copy)
+            members = tuple(member for member in members if member[0] != first_copy.source)
+        runtime.post_recv(me, members, tag, request_set._recv_done)
+        request_set.arm(len(members))
         if len(self._active_recvs) > 64:
             self._active_recvs = [
-                pending
-                for pending in self._active_recvs
-                if not pending.event.triggered
+                pending for pending in self._active_recvs if not pending.triggered
             ]
         self._active_recvs.append(request_set)
         return request_set
@@ -338,7 +382,7 @@ class RedComm(CollectiveAPI):
     def send(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False):
         """Blocking fan-out send (generator)."""
         # The set is never handed out, so nothing is left to finalize.
-        yield self.isend(payload, dest, tag, _internal=_internal).event
+        yield self.isend(payload, dest, tag, _internal=_internal)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = False):
         """Blocking fan-in receive (generator) → ``(payload, Status)``.
@@ -354,7 +398,7 @@ class RedComm(CollectiveAPI):
             result = yield from anysource_recv(self, tag)
             return result
         request_set = self.irecv(source, tag, _internal)
-        raw = yield request_set.event
+        raw = yield request_set
         return request_set._finalize(raw)
 
     def sendrecv(
@@ -372,11 +416,11 @@ class RedComm(CollectiveAPI):
             )
         send_set = self.isend(payload, dest, send_tag)
         recv_set = self.irecv(source, recv_tag)
-        # One event after the other, whichever completes last: no AllOf,
+        # One set after the other, whichever completes last: no AllOf,
         # so no heap step of its own.  The send set is never handed out,
         # so nothing is left to finalize.
-        yield send_set.event
-        raw = yield recv_set.event
+        yield send_set
+        raw = yield recv_set
         return recv_set._finalize(raw)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

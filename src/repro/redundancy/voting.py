@@ -16,23 +16,29 @@ Two operating modes, as in the paper:
   mismatch between the message and the digests is detectable, and with
   ``r >= 3`` the faulty copy is identified by which digests agree.
 
+The copies of one message are the :class:`~repro.mpi.matching.Envelope`
+objects its receive set matched.  A copy whose tag is the receive's tag
+carries the message; a digest copy travels under a shifted tag and
+carries the sender's digest as its payload.
+
 When digests are computed: a sender computes the digest it ships in
 Msg-PlusHash mode.  A receiver computes none on arrival; :func:`vote`
-first checks, without hashing, whether every full copy agrees with the
-first, and only hashes the copies when they disagree or when a
-digest-only copy has to be compared.
+first checks, without hashing, whether every copy is full and agrees
+with the first, and only :func:`tally` hashes the copies, when they
+disagree or when a digest-only copy has to be compared.
 """
 
 from __future__ import annotations
 
 from collections import Counter as _TallyCounter
 from math import copysign
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, MutableMapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import VotingError
 from ..mpi.datatypes import digest_bytes, payload_digest
+from ..mpi.matching import Envelope
 
 #: Mode constants.
 ALL_TO_ALL = "all-to-all"
@@ -41,62 +47,49 @@ MSG_PLUS_HASH = "msg-plus-hash"
 MODES = (ALL_TO_ALL, MSG_PLUS_HASH)
 
 
-class ReplicaCopy:
-    """One copy received from one sender replica.
+class VoteResult(NamedTuple):
+    """Outcome of tallying the copies of one virtual message."""
 
-    ``payload`` is ``None`` for digest-only copies (Msg-PlusHash mode),
-    built as ``ReplicaCopy(sender, digest)``, whose ``digest`` is the
-    one the sender shipped.  A full copy's ``digest`` stays ``None``:
-    :func:`vote` hashes the payload only when the copies disagree.
+    #: The first full copy carrying the majority digest: the one delivered.
+    winner: Envelope
+    #: True when every copy agreed.
+    unanimous: bool
+    #: Physical sender ranks whose copy disagreed with the majority.
+    corrupt_senders: Tuple[int, ...]
+
+
+def vote(
+    copies: Sequence[Envelope],
+    tag: int,
+    counters: Optional[MutableMapping[str, float]] = None,
+) -> Envelope:
+    """Compare replica copies; return the copy whose payload is delivered.
+
+    ``copies`` are the matched envelopes of one receive set and ``tag``
+    its tag.  When every copy is full and agrees with the first, that
+    is the whole vote: the first copy is returned and nothing is built.
+    Otherwise :func:`tally` decides; a vote that was not unanimous adds
+    one to ``counters["votes_not_unanimous"]`` and the outvoted copies
+    to ``counters["corrupt_copies_voted_out"]``.
+
+    Raises
+    ------
+    VotingError
+        As :func:`tally`.
     """
-
-    __slots__ = ("sender_physical", "digest", "payload", "has_payload")
-
-    def __init__(
-        self,
-        sender_physical: int,
-        digest: Optional[int] = None,
-        payload: Any = None,
-        has_payload: bool = False,
-    ) -> None:
-        self.sender_physical = sender_physical
-        self.digest = digest
-        self.payload = payload
-        self.has_payload = has_payload
-
-    @staticmethod
-    def full(sender_physical: int, payload: Any) -> "ReplicaCopy":
-        """A complete-message copy."""
-        return ReplicaCopy(sender_physical, None, payload, True)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ReplicaCopy(sender_physical={self.sender_physical}, "
-            f"digest={self.digest}, has_payload={self.has_payload})"
-        )
+    if not copies:
+        raise VotingError("no replica copies to vote on")
+    if _all_agree(copies, tag):
+        return copies[0]
+    outcome = tally(copies, tag)
+    if counters is not None and not outcome.unanimous:
+        counters["votes_not_unanimous"] += 1
+        counters["corrupt_copies_voted_out"] += len(outcome.corrupt_senders)
+    return outcome.winner
 
 
-class VoteResult:
-    """Outcome of comparing the copies of one virtual message."""
-
-    __slots__ = ("payload", "unanimous", "corrupt_senders")
-
-    def __init__(self, payload: Any, unanimous: bool, corrupt_senders: Tuple[int, ...]) -> None:
-        self.payload = payload
-        #: True when every copy agreed.
-        self.unanimous = unanimous
-        #: Physical sender ranks whose copy disagreed with the majority.
-        self.corrupt_senders = corrupt_senders
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"VoteResult(unanimous={self.unanimous}, "
-            f"corrupt_senders={self.corrupt_senders})"
-        )
-
-
-def vote(copies: Sequence[ReplicaCopy]) -> VoteResult:
-    """Compare replica copies; deliver the majority payload.
+def tally(copies: Sequence[Envelope], tag: int) -> VoteResult:
+    """Tally the copies' digests; the majority's first full copy wins.
 
     Raises
     ------
@@ -111,39 +104,29 @@ def vote(copies: Sequence[ReplicaCopy]) -> VoteResult:
     """
     if not copies:
         raise VotingError("no replica copies to vote on")
-    if _all_agree(copies):
-        return VoteResult(payload=copies[0].payload, unanimous=True, corrupt_senders=())
     digests = [
-        payload_digest(copy.payload) if copy.digest is None else copy.digest
+        payload_digest(copy.payload) if copy.tag == tag else copy.payload
         for copy in copies
     ]
-    tally = _TallyCounter(digests)
-    majority_digest, majority_count = tally.most_common(1)[0]
-    if len(tally) > 1 and majority_count <= len(copies) - majority_count:
+    counts = _TallyCounter(digests)
+    majority_digest, majority_count = counts.most_common(1)[0]
+    if len(counts) > 1 and majority_count <= len(copies) - majority_count:
         raise VotingError(
             f"replica copies disagree with no majority "
-            f"({len(tally)} distinct digests over {len(copies)} copies)"
+            f"({len(counts)} distinct digests over {len(copies)} copies)"
         )
     corrupt = tuple(
-        copy.sender_physical
+        copy.source
         for copy, digest in zip(copies, digests)
         if digest != majority_digest
     )
-    winner: Optional[ReplicaCopy] = None
     for copy, digest in zip(copies, digests):
-        if digest == majority_digest and copy.has_payload:
-            winner = copy
-            break
-    if winner is None:
-        raise VotingError(
-            "majority digest carried no full payload (corrupted message "
-            "copy with r=2 in Msg-PlusHash mode is detectable but not "
-            "correctable)"
-        )
-    return VoteResult(
-        payload=winner.payload,
-        unanimous=len(tally) == 1,
-        corrupt_senders=corrupt,
+        if digest == majority_digest and copy.tag == tag:
+            return VoteResult(copy, len(counts) == 1, corrupt)
+    raise VotingError(
+        "majority digest carried no full payload (corrupted message "
+        "copy with r=2 in Msg-PlusHash mode is detectable but not "
+        "correctable)"
     )
 
 
@@ -152,7 +135,7 @@ def vote(copies: Sequence[ReplicaCopy]) -> VoteResult:
 _BIT_VIEWS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
-def _all_agree(copies: Sequence[ReplicaCopy]) -> bool:
+def _all_agree(copies: Sequence[Envelope], tag: int) -> bool:
     """True when every copy is full and its payload digests like the first.
 
     Decided without hashing and, for the payloads the workloads send,
@@ -162,7 +145,7 @@ def _all_agree(copies: Sequence[ReplicaCopy]) -> bool:
     # A plain loop: this runs once per voted message.
     first = copies[0].payload
     for copy in copies:
-        if not copy.has_payload:
+        if copy.tag != tag:
             return False
         other = copy.payload
         if other is not first and not _same_digest_bytes(first, other):

@@ -22,7 +22,7 @@ def record_completions(comm, order):
 
         def post(*args, _post=getattr(comm, name), _kind=name[1:], **kwargs):
             request = _post(*args, **kwargs)
-            request.event.add_callback(lambda _event: order.append(_kind))
+            request.add_callback(lambda _event: order.append(_kind))
             return request
 
         setattr(comm, name, post)

@@ -7,10 +7,8 @@ from repro.mpi import ANY_SOURCE, ANY_TAG, SimMPI
 from repro.mpi.matching import Envelope, MatchingEngine
 
 
-def make_envelope(source=0, dest=1, tag=0, payload=b"", seq=0):
-    return Envelope(
-        source=source, dest=dest, tag=tag, payload=payload, nbytes=len(payload), seq=seq,
-    )
+def make_envelope(source=0, dest=1, tag=0, payload=b""):
+    return Envelope(source=source, dest=dest, tag=tag, payload=payload, nbytes=len(payload))
 
 
 class Inbox:
@@ -78,8 +76,8 @@ class TestPostThenDeliver:
 class TestDeliverThenPost:
     def test_unexpected_consumed_fifo(self, env):
         engine = MatchingEngine(rank=1)
-        engine.deliver(make_envelope(payload=b"old", seq=1))
-        engine.deliver(make_envelope(payload=b"new", seq=2))
+        engine.deliver(make_envelope(payload=b"old"))
+        engine.deliver(make_envelope(payload=b"new"))
         inbox = Inbox()
         engine.post(env, source=0, tag=0, done=inbox)
         env.run()
@@ -146,7 +144,7 @@ class TestCancel:
     def test_cancel_recv_through_the_runtime(self, env):
         world = SimMPI(env, size=2)
         inbox = Inbox()
-        world.post_recv(1, source=0, tag=3, done=inbox)
+        world.post_recv(1, [(0, 0)], tag=3, done=inbox)
         assert world.cancel_recv(1, 0, inbox)
         assert not world.cancel_recv(1, 0, inbox)
 

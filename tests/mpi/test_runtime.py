@@ -118,7 +118,7 @@ class TestLiveness:
         world.spawn(program)
         world.kill_rank(0)
         with pytest.raises(MPIError):
-            world.post_send(0, 1, 0, b"", message_wire_size(b""), done=None)
+            world.post_send(0, (1,), 0, b"", message_wire_size(b""), done=None)
 
     def test_message_in_flight_to_dying_rank_dropped(self):
         env = Environment()
@@ -225,7 +225,7 @@ class TestInFlightCount:
                 _, src, dst = op
                 if world.is_alive(src):
                     world.post_send(
-                        src, dst, 0, b"m" * 100, message_wire_size(b"m" * 100),
+                        src, (dst,), 0, b"m" * 100, message_wire_size(b"m" * 100),
                         done=None,
                     )
             elif op[0] == "kill":
@@ -278,12 +278,12 @@ class TestNicInjection:
                 yield ctx.compute(start)
                 requests = [ctx.comm.isend(self.PAYLOAD, dest=1) for _ in range(count)]
                 for request in requests:
-                    request.event.add_callback(lambda _e: completed.append(env.now))
+                    request.add_callback(lambda _e: completed.append(env.now))
                 yield from ctx.comm.waitall(requests)
             else:
                 requests = [ctx.comm.irecv(source=0) for _ in range(count)]
                 for request in requests:
-                    request.event.add_callback(lambda _e: arrived.append(env.now))
+                    request.add_callback(lambda _e: arrived.append(env.now))
                 yield from ctx.comm.waitall(requests)
 
         world.spawn(program)
@@ -310,7 +310,7 @@ class TestNicInjection:
             elif ctx.rank == 1:
                 requests = [ctx.comm.irecv(source=0) for _ in range(3)]
                 for request in requests:
-                    request.event.add_callback(lambda _e: arrived.append(env.now))
+                    request.add_callback(lambda _e: arrived.append(env.now))
                 yield from ctx.comm.waitall(requests)
                 return "received"
             else:
@@ -347,7 +347,7 @@ class TestNicInjection:
                 completed.append(env.now)
             else:
                 request = ctx.comm.irecv(source=0)
-                request.event.add_callback(lambda _e: delivered.append(env.now))
+                request.add_callback(lambda _e: delivered.append(env.now))
                 yield ctx.compute(1000.0)
 
         def killer(env):
@@ -368,7 +368,7 @@ class TestNicInjection:
         world.kill_rank(1)
         nbytes = message_wire_size(self.PAYLOAD)
         completions = []
-        world.post_send(0, 1, 0, self.PAYLOAD, nbytes, completions.append)
+        world.post_send(0, (1,), 0, self.PAYLOAD, nbytes, completions.append)
         assert world.counters["p2p_dropped"] == 1
         env.run()
         # The sender still pays its NIC time; nothing reaches the wire.
@@ -381,12 +381,50 @@ class TestNicInjection:
         world = SimMPI(env, size=2)
         busy, wire = self._costs(world, 0, 1)
         nbytes = message_wire_size(self.PAYLOAD)
-        world.post_send(0, 1, 0, self.PAYLOAD, nbytes, lambda _value: None)
-        world.post_send(0, 1, 0, self.PAYLOAD, nbytes, None)
+        world.post_send(0, (1,), 0, self.PAYLOAD, nbytes, lambda _value: None)
+        world.post_send(0, (1,), 0, self.PAYLOAD, nbytes, None)
         queued = sorted((when, call.__name__) for when, _p, _s, call, _a in env._queue)
         assert queued == [
             (busy, "<lambda>"), (busy + wire, "_arrive"), (busy + busy + wire, "_arrive"),
         ]
+
+    @pytest.mark.parametrize("dead", [None, 2])
+    @pytest.mark.parametrize("dests", [(1, 2, 3), (3, 1, 2), (2, 2, 1)])
+    def test_fan_out_queues_what_one_call_per_copy_queues(self, dests, dead):
+        """One call over three destinations pushes the same heap entries
+        (time, sequence, envelope) as three one-destination calls, the
+        completion with the last, and leaves the same accounting."""
+
+        def post(fan_out):
+            env = Environment()
+            # Rank 1 shares rank 0's node: its copy pays loopback costs.
+            world = SimMPI(env, size=4, placement={0: 0, 1: 0, 2: 1, 3: 2})
+            if dead is not None:
+                world.kill_rank(dead)
+            nbytes = message_wire_size(self.PAYLOAD)
+
+            def done(_value):
+                pass
+
+            # Two posts, so the second starts behind a busy NIC.
+            for tag in (7, 8):
+                if fan_out:
+                    world.post_send(0, dests, tag, self.PAYLOAD, nbytes, done)
+                    continue
+                for index, dst in enumerate(dests):
+                    last = index == len(dests) - 1
+                    world.post_send(0, (dst,), tag, self.PAYLOAD, nbytes, done if last else None)
+            queued = sorted(
+                (when, priority, sequence, getattr(call, "__name__", call), arg)
+                for when, priority, sequence, call, arg in env._queue
+            )
+            accounting = (
+                dict(world.counters), world.sent_counts, world._nic_free,
+                world._in_flight, env._sequence,
+            )
+            return queued, accounting
+
+        assert post(fan_out=True) == post(fan_out=False)
 
     def test_colocated_ranks_pay_loopback_costs_on_the_nic(self):
         # Ranks 0 and 1 share node 0; rank 2 is alone on node 1.  Above
@@ -408,7 +446,7 @@ class TestNicInjection:
                 count = destinations.count(ctx.rank)
                 requests = [ctx.comm.irecv(source=0) for _ in range(count)]
                 for request in requests:
-                    request.event.add_callback(
+                    request.add_callback(
                         lambda _e, rank=ctx.rank: arrived[rank].append(env.now)
                     )
                 yield from ctx.comm.waitall(requests)

@@ -6,7 +6,9 @@ from repro.errors import RedundancyError, VotingError
 from repro.mpi import ANY_SOURCE, ANY_TAG, SimMPI, Status, ops
 from repro.mpi.comm import USER_TAG_LIMIT, Communicator
 from repro.mpi.runtime import RankContext
-from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, RedComm, ReplicaMap, SphereTracker
+from repro.redundancy import (
+    ALL_TO_ALL, MSG_PLUS_HASH, RedComm, RedRequest, ReplicaMap, SphereTracker,
+)
 from repro.simkit import Environment
 from repro.simkit.events import Event
 from tests.mpi.test_comm import record_completions
@@ -152,30 +154,38 @@ class TestTransparency:
         assert world.counters["p2p_messages"] == expected
 
     def test_members_build_no_events(self, monkeypatch):
-        """An r=2 exchange builds one Event per request set: replica
-        members complete by a direct call into the set."""
+        """An r=2 exchange builds no Event besides its request sets: a
+        set is its own event, replica members complete by a direct call
+        into it, and the two sets are waited in turn (no AllOf)."""
         built = []
-        original_init = Event.__init__
+        constructors = {cls: cls.__init__ for cls in (Event, RedRequest)}
 
-        def counting_init(event, env):
-            built.append(type(event).__name__)
-            original_init(event, env)
+        def counting(original):
+            def init(event, *args):
+                built.append(event)
+                original(event, *args)
 
-        monkeypatch.setattr(Event, "__init__", counting_init)
+            return init
 
         def body(red):
+            # Counting starts once every process exists and has started,
+            # so it covers the exchange alone.
+            if Event.__init__ is constructors[Event]:
+                for cls, original in constructors.items():
+                    monkeypatch.setattr(cls, "__init__", counting(original))
             peer = 1 - red.rank
-            before = len(built)
-            requests = [red.isend(red.rank, peer, tag=2), red.irecv(peer, tag=2)]
-            posted = built[before:]
-            results = yield from red.waitall(requests)
-            return posted, results[1][0] == peer
+            send_set, recv_set = red.isend(red.rank, peer, tag=2), red.irecv(peer, tag=2)
+            yield send_set
+            raw = yield recv_set
+            return recv_set._finalize(raw)[0] == peer
 
         world, _, _, results = run_redundant(2, 2.0, body)
         # Two request sets per rank, each over two replica members.
         assert world.counters["p2p_messages"] == 4 * 2
-        for physical, (posted, got_peer_rank) in results.items():
-            assert posted == ["Event", "Event"], physical
+        # Each object once, whichever constructors it ran.
+        unique = {id(event): type(event).__name__ for event in built}
+        assert sorted(unique.values()) == ["RedRequest"] * 2 * 4
+        for physical, got_peer_rank in results.items():
             assert got_peer_rank, physical
 
     def test_send_set_queues_one_completion_for_its_copies(self):

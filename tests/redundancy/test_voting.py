@@ -6,74 +6,95 @@ from typing import Any, NamedTuple, Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import VotingError
-from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, vote
-from repro.redundancy.voting import ReplicaCopy, _all_agree, plan_copies
-from repro.mpi.datatypes import digest_bytes, payload_digest
+from repro.mpi import SimMPI, Status
+from repro.mpi.datatypes import digest_bytes, message_wire_size, payload_digest, payload_nbytes
+from repro.mpi.matching import Envelope
+from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, RedRequest, vote
+from repro.redundancy import voting
+from repro.redundancy.interpose import HASH_TAG_OFFSET
+from repro.redundancy.voting import _all_agree, plan_copies, tally
+from repro.simkit import Environment
+
+#: The receive's tag; a digest copy travels at ``TAG + HASH_TAG_OFFSET``.
+TAG = 5
 
 
 def full(sender, payload):
-    return ReplicaCopy.full(sender, payload)
+    return Envelope(sender, 0, TAG, payload, message_wire_size(payload))
 
 
 def hash_copy(sender, payload):
-    return ReplicaCopy(sender, payload_digest(payload))
+    digest = payload_digest(payload)
+    return Envelope(sender, 0, TAG + HASH_TAG_OFFSET, digest, message_wire_size(digest))
 
 
 class TestVote:
     def test_single_copy(self):
-        result = vote([full(0, "data")])
-        assert result.payload == "data"
+        copies = [full(0, "data")]
+        assert vote(copies, TAG) is copies[0]
+        result = tally(copies, TAG)
+        assert result.winner.payload == "data"
         assert result.unanimous
         assert result.corrupt_senders == ()
 
     def test_unanimous_pair(self):
-        result = vote([full(0, 42), full(3, 42)])
-        assert result.payload == 42 and result.unanimous
+        counters = _TallyCounter()
+        copies = [full(0, 42), full(3, 42)]
+        assert vote(copies, TAG, counters) is copies[0]
+        assert tally(copies, TAG).unanimous and not counters
 
     def test_majority_corrects_corrupt_copy(self):
-        result = vote([full(0, "good"), full(1, "good"), full(2, "BAD")])
-        assert result.payload == "good"
+        copies = [full(0, "good"), full(1, "good"), full(2, "BAD")]
+        counters = _TallyCounter()
+        assert vote(copies, TAG, counters).payload == "good"
+        assert counters == {"votes_not_unanimous": 1, "corrupt_copies_voted_out": 1}
+        result = tally(copies, TAG)
+        assert result.winner.payload == "good"
         assert not result.unanimous
         assert result.corrupt_senders == (2,)
 
     def test_two_way_disagreement_undecidable(self):
         with pytest.raises(VotingError):
-            vote([full(0, "a"), full(1, "b")])
+            vote([full(0, "a"), full(1, "b")], TAG)
 
     def test_no_copies(self):
         with pytest.raises(VotingError):
-            vote([])
+            vote([], TAG)
 
     def test_hash_copies_count_toward_majority(self):
         copies = [full(0, "x"), hash_copy(1, "x"), hash_copy(2, "x")]
-        result = vote(copies)
-        assert result.payload == "x" and result.unanimous
+        counters = _TallyCounter()
+        assert vote(copies, TAG, counters) is copies[0]
+        assert tally(copies, TAG).unanimous and not counters
 
     def test_hash_majority_without_payload_carrier(self):
         # Corrupt payload carrier + r=2: detectable, not correctable.
         copies = [full(0, "CORRUPT"), hash_copy(1, "good")]
         with pytest.raises(VotingError):
-            vote(copies)
+            vote(copies, TAG)
 
     def test_hash_majority_with_three_copies_corrects(self):
         # Carrier corrupt but a second full copy carries the majority value.
         copies = [full(0, "CORRUPT"), full(1, "good"), hash_copy(2, "good")]
-        result = vote(copies)
-        assert result.payload == "good"
+        assert vote(copies, TAG) is copies[1]
+        result = tally(copies, TAG)
+        assert result.winner.payload == "good"
         assert result.corrupt_senders == (0,)
 
     @given(st.integers(min_value=1, max_value=7))
     def test_identical_copies_always_unanimous(self, count):
-        result = vote([full(i, b"same") for i in range(count)])
-        assert result.unanimous and result.payload == b"same"
+        copies = [full(i, b"same") for i in range(count)]
+        assert vote(copies, TAG) is copies[0]
+        result = tally(copies, TAG)
+        assert result.unanimous and result.winner.payload == b"same"
 
     def test_three_way_tie_rejected(self):
         with pytest.raises(VotingError):
-            vote([full(0, "a"), full(1, "b"), full(2, "c")])
+            vote([full(0, "a"), full(1, "b"), full(2, "c")], TAG)
 
 
 class _EagerCopy(NamedTuple):
@@ -178,7 +199,7 @@ class TestVoteMatchesEagerTally:
         for sender, (kind, index) in enumerate(drawn):
             payload = family[index]
             if kind == "full":
-                lazy.append(ReplicaCopy.full(sender, payload))
+                lazy.append(full(sender, payload))
                 eager.append(_EagerCopy(sender, payload_digest(payload), payload, True))
             else:
                 lazy.append(hash_copy(sender, payload))
@@ -187,18 +208,22 @@ class TestVoteMatchesEagerTally:
             expected = eager_vote(eager)
         except VotingError:
             with pytest.raises(VotingError):
-                vote(lazy)
+                vote(lazy, TAG)
             return
-        result = vote(lazy)
-        assert result.payload is expected[0]
+        assert vote(lazy, TAG).payload is expected[0]
+        result = tally(lazy, TAG)
+        assert result.winner.payload is expected[0]
         assert result.unanimous == expected[1]
         assert result.corrupt_senders == expected[2]
 
-    def test_full_copy_carries_no_digest(self):
+    def test_full_copy_carries_no_digest(self, monkeypatch):
+        """Agreeing full copies are voted without hashing a payload."""
+        hashed = []
+        monkeypatch.setattr(voting, "payload_digest", hashed.append)
         payload = np.arange(4.0)
-        copy = ReplicaCopy.full(0, payload)
-        assert copy.digest is None
-        assert vote([copy, ReplicaCopy.full(1, payload.copy())]).unanimous
+        copies = [full(0, payload), full(1, payload.copy())]
+        assert vote(copies, TAG) is copies[0]
+        assert hashed == []
 
 
 #: Scalars whose values collide across types and signs: ``True``, ``1``
@@ -273,14 +298,85 @@ class TestAgreementWithoutDigestBytes:
     def test_agrees_exactly_when_digest_bytes_do(self, pair):
         first, other = pair
         expected = digest_bytes(first) == digest_bytes(other)
-        assert _all_agree([full(0, first), full(1, other)]) == expected
+        assert _all_agree([full(0, first), full(1, other)], TAG) == expected
 
     @pytest.mark.parametrize("first, other", [(True, 1), (1, 1.0), (0.0, -0.0), (1.0, True)])
     def test_lookalike_scalars_disagree(self, first, other):
-        assert not _all_agree([full(0, first), full(1, other)])
+        assert not _all_agree([full(0, first), full(1, other)], TAG)
 
     def test_every_nan_agrees(self):
-        assert _all_agree([full(0, float("nan")), full(1, -float("nan"))])
+        assert _all_agree([full(0, float("nan")), full(1, -float("nan"))], TAG)
+
+
+_ANY_PAYLOAD = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, float("nan"), -float("nan"), np.float64("nan"), np.float64(-0.0)]),
+    st.integers(),
+    st.booleans(),
+    st.binary(max_size=6),
+    st.text(max_size=6),
+    hnp.arrays(
+        st.sampled_from(["float64", "float32", "int64", "int16", "uint8", "bool", "complex128"]),
+        hnp.array_shapes(min_dims=0, max_dims=3, max_side=3),
+    ),
+)
+
+
+@st.composite
+def copy_drafts(draw):
+    """A few payloads, then each copy: the same object, an equal one, or a digest."""
+    pool = draw(st.lists(_ANY_PAYLOAD, min_size=1, max_size=3))
+    return pool, draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["same", "same", "equal", "hash"]),
+                st.integers(0, len(pool) - 1),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+
+
+class TestEnvelopeVoteMatchesRecordVote:
+    """Voting over the matched envelopes delivers what a tally over
+    per-copy records (``eager_vote``, which the record-based vote
+    matched) delivers: the same payload object, ``Status`` and counters."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(copy_drafts())
+    @example(([0.0, -0.0], [("same", 0), ("same", 1), ("same", 0)]))
+    @example(([float("nan"), np.float64("nan")], [("same", 0), ("same", 1), ("equal", 0)]))
+    @example(([1, True, 1.0], [("same", 0), ("same", 1), ("same", 2), ("hash", 0)]))
+    @example(([np.arange(3.0), np.arange(3)], [("hash", 0), ("same", 0), ("same", 1)]))
+    def test_same_payload_status_and_counters(self, draft):
+        pool, drafts = draft
+        peer = 3
+        envelopes, records = [], []
+        for sender, (how, index) in enumerate(drafts):
+            payload = pool[index]
+            if how == "equal":
+                payload = pickle.loads(pickle.dumps(payload))
+            if how == "hash":
+                envelopes.append(hash_copy(sender, payload))
+                records.append(_EagerCopy(sender, payload_digest(payload)))
+            else:
+                envelopes.append(full(sender, payload))
+                records.append(_EagerCopy(sender, payload_digest(payload), payload, True))
+        request = RedRequest(SimMPI(Environment(), size=1), 0, "recv", peer, TAG)
+        try:
+            payload, unanimous, corrupt = eager_vote(records)
+        except VotingError:
+            with pytest.raises(VotingError):
+                request._finalize(envelopes)
+            return
+        got, status = request._finalize(envelopes)
+        assert got is payload
+        assert status == Status(peer, TAG, payload_nbytes(payload))
+        expected = {} if unanimous else {
+            "votes_not_unanimous": 1, "corrupt_copies_voted_out": len(corrupt),
+        }
+        assert dict(request.runtime.counters) == expected
 
 
 class TestPlanCopies:

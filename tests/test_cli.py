@@ -119,6 +119,31 @@ class TestCommands:
         assert "alpha must be a number" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "table2 job_hours=abc",
+            "chaos probs=x",
+            "fig13 samples=x",
+            "fig13 max_processes=x",
+            "fig13 degrees=x",
+            "fig14 base_time_hours=x",
+            "table4 degrees=x",
+            "table2 node_counts=abc",
+            "fig12 degrees=x",
+        ],
+    )
+    def test_override_of_the_wrong_type_is_a_usage_error(self, override, capsys):
+        """An override is checked against its parameter's default before
+        any cell runs: one error line naming it, no traceback."""
+        experiment, pair = override.split()
+        assert main(["run", experiment, pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1
+        assert f"{pair.partition('=')[0]} must be" in captured.err
+        assert "Traceback" not in captured.err
+        assert "cell " not in captured.out
+
     def test_non_finite_cell_timeout_fails_before_running(self, capsys):
         argv = ["campaign", "--failure-free", "--workers", "2",
                 "--cell-timeout", "inf", "degrees=(1.0,2.0)"]
