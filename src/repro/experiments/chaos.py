@@ -48,7 +48,7 @@ from ..models.checkpointing import total_time
 from ..orchestration import CampaignExecutionError, CampaignExecutor, JobConfig
 from ..util.plot import ascii_plot
 from ..workloads import SyntheticWorkload
-from .runner import ExperimentResult
+from .runner import ExperimentResult, setup_or_default
 
 #: Fault probabilities swept in each mode (0 = baseline / no-op check).
 DEFAULT_PROBS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.3)
@@ -167,7 +167,7 @@ def run(
     :class:`~repro.orchestration.CampaignExecutor`, which charges a
     crash or timeout only to the cell it hit.
     """
-    setup = setup or ChaosSetup()
+    setup = setup_or_default("chaos", setup, ChaosSetup)
     if probs is None:
         probs = QUICK_PROBS if quick else DEFAULT_PROBS
     probs = sorted(set(float(p) for p in probs))

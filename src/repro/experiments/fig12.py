@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from ..errors import ModelDivergence
 from ..models.simplified import simplified_total_time
 from ..util.stats import mean_abs_pct_error, pearson, qq_points
-from .runner import ExperimentResult
+from .runner import ExperimentResult, setup_or_default
 from .table4 import QUICK_DEGREES, QUICK_MTBF_HOURS, ScaledSetup, sweep_cells
 
 
@@ -30,7 +30,7 @@ def run(
     degrees: Sequence[float] = QUICK_DEGREES,
 ) -> ExperimentResult:
     """Overlay simulation vs simplified model and compute fit statistics."""
-    setup = setup or ScaledSetup()
+    setup = setup_or_default("fig12", setup, ScaledSetup)
     cells = sweep_cells(setup, mtbf_hours, degrees)
     observed = {}
     for cell in cells:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .. import units
 from ..models import redundant_time, system_reliability
-from .runner import ExperimentResult
+from .runner import ExperimentResult, check_rows
 
 #: (label, node MTBF years, alpha) — the dashed/solid families of Fig. 2.
 DEFAULT_CONFIGS = (
@@ -50,7 +50,12 @@ def run(
     configs=DEFAULT_CONFIGS,
     degree_step: float = 0.125,
 ) -> ExperimentResult:
-    """Regenerate the reliability-vs-degree series."""
+    """Regenerate the reliability-vs-degree series.
+
+    ``configs`` needs two rows at least: the second is compared with
+    the first (a worse MTBF in the defaults).
+    """
+    check_rows("fig2", "configs", configs, DEFAULT_CONFIGS[0], minimum=2)
     degrees = [1.0 + degree_step * i for i in range(int(round(2.0 / degree_step)) + 1)]
     base_time = units.hours(base_time_hours)
     columns = {}

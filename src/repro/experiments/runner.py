@@ -167,3 +167,36 @@ def _check_override(experiment: str, parameter: inspect.Parameter, value: Any) -
         raise ConfigurationError(
             f"{experiment}: {parameter.name} must be {kind}, got {value!r}"
         )
+
+
+def check_rows(
+    experiment: str, name: str, rows: Any, like: Sequence[Any], minimum: int = 1
+) -> None:
+    """Reject a table of rows unless it has ``minimum`` rows shaped like ``like``.
+
+    Each row needs ``like``'s length, with a string where ``like`` has
+    one and a number everywhere else.
+    """
+
+    def fits(row: Any) -> bool:
+        return isinstance(row, (tuple, list)) and len(row) == len(like) and all(
+            isinstance(v, str) if isinstance(e, str) else _is_number(v)
+            for v, e in zip(row, like)
+        )
+
+    if not (
+        isinstance(rows, (tuple, list)) and len(rows) >= minimum and all(map(fits, rows))
+    ):
+        raise ConfigurationError(
+            f"{experiment}: {name} must be {minimum} or more rows like "
+            f"{like!r}, got {rows!r}"
+        )
+
+
+def setup_or_default(experiment: str, setup: Any, kind: type) -> Any:
+    """``setup``, or a default ``kind()`` for ``None``; anything else is an error."""
+    if setup is not None and not isinstance(setup, kind):
+        raise ConfigurationError(
+            f"{experiment}: setup must be a {kind.__name__}, got {setup!r}"
+        )
+    return kind() if setup is None else setup

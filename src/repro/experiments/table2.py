@@ -24,6 +24,9 @@ from .runner import ExperimentResult
 
 PAPER_WORK_SHARES = {100: 0.96, 1_000: 0.92, 10_000: 0.75, 100_000: 0.35}
 
+#: The four shares of the Eq. 14 breakdown, in column order (Tables 2-3).
+SHARES = ("work_share", "checkpoint_share", "recompute_share", "restart_share")
+
 
 def run(
     node_counts=(100, 1_000, 10_000, 100_000),
@@ -47,16 +50,8 @@ def run(
         )
         try:
             result = model.evaluate()
-            rows.append(
-                [
-                    int(nodes),
-                    f"{result.work_share:.0%}",
-                    f"{result.checkpoint_share:.0%}",
-                    f"{result.recompute_share:.0%}",
-                    f"{result.restart_share:.0%}",
-                    round(units.to_hours(result.total_time), 1),
-                ]
-            )
+            shares = [f"{getattr(result, share):.0%}" for share in SHARES]
+            rows.append([int(nodes), *shares, round(units.to_hours(result.total_time), 1)])
             work_shares.append(result.work_share)
         except ModelDivergence:  # at extreme scale
             rows.append([int(nodes), "-", "-", "-", "-", math.inf])

@@ -18,7 +18,8 @@ from __future__ import annotations
 from .. import units
 from ..errors import ModelDivergence
 from ..models import CombinedModel
-from .runner import ExperimentResult
+from .runner import ExperimentResult, check_rows
+from .table2 import SHARES
 
 PAPER_ROWS = (
     (168.0, 5.0, 0.35),
@@ -34,6 +35,7 @@ def run(
     cases=PAPER_ROWS,
 ) -> ExperimentResult:
     """Regenerate the varied-(job length, MTBF) breakdown."""
+    check_rows("table3", "cases", cases, PAPER_ROWS[0])
     rows = []
     work_shares = []
     for job_hours, mtbf_years, paper_share in cases:
@@ -48,33 +50,17 @@ def run(
         )
         try:
             result = model.evaluate()
-            rows.append(
-                [
-                    f"{job_hours:.0f} h",
-                    f"{mtbf_years:.0f} y",
-                    f"{result.work_share:.0%}",
-                    f"{result.checkpoint_share:.0%}",
-                    f"{result.recompute_share:.0%}",
-                    f"{result.restart_share:.0%}",
-                    f"{paper_share:.0%}",
-                ]
-            )
-            work_shares.append(result.work_share)
         except ModelDivergence:
             # Other lengths and MTBFs can diverge outright (lambda t_RR
             # >= 1): the strongest form of "work becomes insignificant".
-            rows.append(
-                [
-                    f"{job_hours:.0f} h",
-                    f"{mtbf_years:.0f} y",
-                    "~0% (diverged)",
-                    "-",
-                    "-",
-                    "-",
-                    f"{paper_share:.0%}",
-                ]
-            )
+            shares = ["~0% (diverged)", "-", "-", "-"]
             work_shares.append(0.0)
+        else:
+            shares = [f"{getattr(result, share):.0%}" for share in SHARES]
+            work_shares.append(result.work_share)
+        rows.append(
+            [f"{job_hours:.0f} h", f"{mtbf_years:.0f} y", *shares, f"{paper_share:.0%}"]
+        )
     return ExperimentResult(
         experiment="table3",
         title=f"Table 3: {nodes:,}-node job, varied length and MTBF (model, r=1)",

@@ -35,7 +35,7 @@ from ..orchestration.campaign import (
 )
 from ..util.plot import ascii_heatmap, ascii_plot
 from ..workloads import SyntheticWorkload
-from .runner import ExperimentResult
+from .runner import ExperimentResult, setup_or_default
 
 PAPER_MTBF_HOURS = (6.0, 12.0, 18.0, 24.0, 30.0)
 #: The reduced 3x5 grid ``quick=True`` runs.
@@ -149,7 +149,7 @@ def run(
     wins over it.  ``progress`` (optional) is called with each finished
     cell; ``executor`` runs the cells as in :func:`sweep_cells`.
     """
-    setup = setup or ScaledSetup()
+    setup = setup_or_default("table4", setup, ScaledSetup)
     if mtbf_hours is None:
         mtbf_hours = QUICK_MTBF_HOURS if quick else PAPER_MTBF_HOURS
     if degrees is None:

@@ -19,7 +19,7 @@ from ..errors import ConfigurationError
 from ..models.redundancy import PAPER_REDUNDANCY_GRID, redundant_time
 from ..orchestration import CampaignExecutor
 from ..orchestration.campaign import failure_free_sweep_configs, run_cells
-from .runner import ExperimentResult
+from .runner import ExperimentResult, setup_or_default
 from .table4 import ScaledSetup
 
 #: Paper Table 5 [minutes]: observed and expected-linear rows.
@@ -46,7 +46,7 @@ def run(
             "table5 needs degree 1.0 and at least one other degree, "
             f"got {tuple(degrees)}"
         )
-    setup = setup or ScaledSetup()
+    setup = setup_or_default("table5", setup, ScaledSetup)
     configs = failure_free_sweep_configs(setup.job_config(), list(degrees))
     cells = run_cells(configs, executor, progress)
     observed = {cell.redundancy: cell.report.total_time for cell in cells}

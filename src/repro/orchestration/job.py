@@ -291,7 +291,6 @@ class ResilientJob:
                 "manifest",
                 **RunManifest.for_job(cfg, label=trace_label(cfg)).as_record(),
             )
-        rng = StreamRegistry(cfg.seed)
         replica_map = ReplicaMap(cfg.virtual_processes, cfg.redundancy)
         total_physical = replica_map.total_physical
         fault_model = (
@@ -308,7 +307,7 @@ class ResilientJob:
                 env,
                 slots=total_physical,
                 distribution=_DISTRIBUTIONS[cfg.failure_distribution](cfg.node_mtbf),
-                rng=rng.stream("faults"),
+                rng=StreamRegistry(cfg.seed).stream("faults"),
                 kill=self._kill,
                 cr_active=self._cr_active,
                 suppress_during_cr=cfg.suppress_failures_during_cr,
@@ -338,7 +337,7 @@ class ResilientJob:
                 "attempt", sim_time=env.now, attempt=attempts
             )
             completed, result = self._run_attempt(
-                env, rng, replica_map, storage, restored, delta, totals, counters
+                env, replica_map, storage, restored, delta, totals, counters
             )
             attempt_span.end(sim_time=env.now, completed=completed)
             if completed:
@@ -411,7 +410,6 @@ class ResilientJob:
     def _run_attempt(
         self,
         env: Environment,
-        rng: StreamRegistry,
         replica_map: ReplicaMap,
         storage: StableStorage,
         restored: Optional[tuple],
@@ -455,11 +453,7 @@ class ResilientJob:
         def program(ctx):
             red = RedComm(ctx, replica_map, tracker, mode=cfg.mode)
             workload = cfg.workload_factory()
-            workload.configure(
-                red.rank,
-                cfg.virtual_processes,
-                rng.stream(f"workload/{red.rank}"),
-            )
+            workload.configure(red.rank, cfg.virtual_processes)
             start_step = 0
             if restored is not None:
                 start_step, states = restored

@@ -1,8 +1,8 @@
 """Named deterministic random-number streams.
 
-Every stochastic component of the simulator (failure injector, workload
-data generation) draws from its **own** named stream
-derived from a single campaign seed.  This gives two properties the
+Every stochastic component of the simulator (the failure injector's
+``faults`` stream) draws from its **own** named stream derived from a
+single campaign seed.  This gives two properties the
 experiments need:
 
 * **Reproducibility** — a (seed, stream-name) pair always yields the

@@ -178,9 +178,21 @@ class _Condition(Event):
         self._pending_count = len(self.events)
         for event in self.events:
             event.add_callback(self._on_child)
+            if self._state != PENDING:
+                break  # decided by a processed child: skip the rest
 
     def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _detach(self) -> None:
+        """Stop listening to the children that have not fired.
+
+        Called once the condition is decided: a pending child would
+        otherwise hold the condition, and everything waiting on it, in
+        a reference cycle that only the cyclic collector frees.
+        """
+        for event in self.events:
+            event.discard_callback(self._on_child)
 
 
 class AllOf(_Condition):
@@ -196,6 +208,7 @@ class AllOf(_Condition):
             return
         if not event.ok:
             self.fail(event.value)
+            self._detach()
             return
         self._pending_count -= 1
         if self._pending_count == 0:
@@ -215,3 +228,4 @@ class AnyOf(_Condition):
             self.succeed((index, event.value))
         else:
             self.fail(event.value)
+        self._detach()

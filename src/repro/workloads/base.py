@@ -23,8 +23,6 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Any, Dict
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import RankContext
 
@@ -67,8 +65,8 @@ class Workload(abc.ABC):
     name = "workload"
 
     @abc.abstractmethod
-    def configure(self, rank: int, size: int, rng: np.random.Generator) -> None:
-        """Build this rank's local data (deterministic given the rng)."""
+    def configure(self, rank: int, size: int) -> None:
+        """Build this rank's local data (deterministic in rank and size)."""
 
     @property
     @abc.abstractmethod

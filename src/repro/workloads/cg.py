@@ -5,8 +5,8 @@ repeating the solver between MPI_Init and MPI_Finalize).  This workload
 reproduces CG's structure on a generated system:
 
 * the matrix is the 2-D 5-point Laplacian on a ``grid x grid`` mesh —
-  sparse, symmetric positive definite, generated row-block-local so
-  every rank builds only its own rows, deterministically;
+  sparse, symmetric positive definite, never stored: each rank applies
+  it to its own block of rows as a NumPy stencil;
 * each CG iteration does a distributed sparse matvec (local rows times
   the allgathered search direction) plus two dot-product allreduces —
   the same collective-heavy pattern that gives CG its ~20%
@@ -30,26 +30,20 @@ from ..mpi import ops
 from .base import WorkShell, Workload
 
 
-def _laplacian_rows(grid: int, row_start: int, row_end: int):
-    """Rows [row_start, row_end) of the grid^2 x grid^2 5-point Laplacian."""
-    from scipy import sparse  # lazily: importing workloads stays scipy-free
+def _neighbours(grid: int, row_start: int, row_end: int):
+    """The -1 columns of Laplacian rows [row_start, row_end).
 
+    Four index arrays, up, left, right and down.  A neighbour past the
+    mesh edge is ``grid**2``, where ``matvec`` appends a zero.
+    """
     n = grid * grid
-    rows, cols, vals = [], [], []
-    for row in range(row_start, row_end):
-        i, j = divmod(row, grid)
-        local = row - row_start
-        rows.append(local)
-        cols.append(row)
-        vals.append(4.0)
-        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            ni, nj = i + di, j + dj
-            if 0 <= ni < grid and 0 <= nj < grid:
-                rows.append(local)
-                cols.append(ni * grid + nj)
-                vals.append(-1.0)
-    return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(row_end - row_start, n), dtype=np.float64
+    rows = np.arange(row_start, row_end)
+    column = rows % grid
+    return (
+        np.where(rows >= grid, rows - grid, n),
+        np.where(column > 0, rows - 1, n),
+        np.where(column < grid - 1, rows + 1, n),
+        np.where(rows < n - grid, rows + grid, n),
     )
 
 
@@ -95,7 +89,7 @@ class ConjugateGradientWorkload(Workload):
 
     # -- setup -------------------------------------------------------------
 
-    def configure(self, rank: int, size: int, rng: np.random.Generator) -> None:
+    def configure(self, rank: int, size: int) -> None:
         n = self.grid * self.grid
         if size > n:
             raise ConfigurationError(f"more ranks ({size}) than unknowns ({n})")
@@ -104,8 +98,10 @@ class ConjugateGradientWorkload(Workload):
         counts = [n // size + (1 if r < n % size else 0) for r in range(size)]
         self.row_start = sum(counts[:rank])
         self.row_end = self.row_start + counts[rank]
-        self.counts = counts
-        self.matrix = _laplacian_rows(self.grid, self.row_start, self.row_end)
+        self.neighbours = _neighbours(self.grid, self.row_start, self.row_end)
+        #: Stored non-zeros of the local rows: the diagonal plus every
+        #: neighbour inside the mesh.
+        self.nnz = counts[rank] + sum(int((c < n).sum()) for c in self.neighbours)
         self.b = np.ones(self.row_end - self.row_start, dtype=np.float64)
         self._reset_solver()
         self.iteration = 0
@@ -126,9 +122,22 @@ class ConjugateGradientWorkload(Workload):
         return self._total_steps
 
     def _step_flops(self) -> float:
-        matvec = 2.0 * self.matrix.nnz
+        matvec = 2.0 * self.nnz
         vector_ops = 10.0 * (self.row_end - self.row_start)
         return matvec + vector_ops
+
+    def matvec(self, p_full: np.ndarray) -> np.ndarray:
+        """This rank's rows of ``A @ p_full``.
+
+        Each row is summed from ``0.0`` in ascending column order, up,
+        left, centre, right, down, as a sorted CSR matvec sums it; a
+        neighbour past the mesh edge reads a trailing zero, and
+        subtracting ``0.0`` leaves every sum bit for bit unchanged.
+        """
+        p = np.append(p_full, 0.0)
+        up, left, right, down = self.neighbours
+        centre = 4.0 * p[self.row_start : self.row_end]
+        return 0.0 - p[up] - p[left] + centre - p[right] - p[down]
 
     def step(self, shell: WorkShell, index: int):
         if not self._configured:
@@ -141,8 +150,7 @@ class ConjugateGradientWorkload(Workload):
             )
         # Distributed matvec: everyone needs the full search direction.
         pieces = yield from shell.comm.allgather(self.p)
-        p_full = np.concatenate(pieces)
-        q = self.matrix @ p_full
+        q = self.matvec(np.concatenate(pieces))
         yield shell.compute(self._step_flops() / self.flops_per_second)
         pq = yield from shell.comm.allreduce(float(self.p @ q), ops.SUM)
         alpha = self.rsold / pq if pq > 0.0 else 0.0

@@ -78,7 +78,7 @@ class SyntheticWorkload(Workload):
         self.allreduce_every = allreduce_every
         self._configured = False
 
-    def configure(self, rank: int, size: int, rng: np.random.Generator) -> None:
+    def configure(self, rank: int, size: int) -> None:
         self.rank = rank
         self.size = size
         self.iteration = 0

@@ -20,9 +20,7 @@ def run_with_service(size, steps, compute_seconds=0.05, **service_kwargs):
         workload = SyntheticWorkload(
             total_steps=steps, compute_seconds=compute_seconds, message_bytes=256
         )
-        import numpy as np
-
-        workload.configure(ctx.rank, ctx.size, np.random.default_rng(0))
+        workload.configure(ctx.rank, ctx.size)
         shell = WorkShell(ctx, ctx.comm)
         for step in range(steps):
             yield from workload.step(shell, step)

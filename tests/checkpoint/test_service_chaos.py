@@ -1,6 +1,5 @@
 """Tests for checkpoint retry/skip under injected write failures."""
 
-import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointService, StableStorage
@@ -25,7 +24,7 @@ def run_chaos_service(size, steps, faults=None, compute_seconds=0.05):
         workload = SyntheticWorkload(
             total_steps=steps, compute_seconds=compute_seconds, message_bytes=256
         )
-        workload.configure(ctx.rank, ctx.size, np.random.default_rng(0))
+        workload.configure(ctx.rank, ctx.size)
         shell = WorkShell(ctx, ctx.comm)
         for step in range(steps):
             yield from workload.step(shell, step)

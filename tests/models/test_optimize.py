@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -18,6 +19,7 @@ from repro.models import (
     sweep_redundancy,
     throughput_break_even,
 )
+from repro.models.grid import evaluate_grid
 
 
 def model(**overrides):
@@ -73,6 +75,26 @@ class TestOptimalInterval:
     def test_bad_bracket(self):
         with pytest.raises(ConfigurationError):
             optimal_interval(model(), bracket_factor=1.0)
+
+    def test_no_worse_than_daly_where_eq14_has_two_dips(self):
+        """At r=1 Eq. 14 falls again toward the bracket's right edge; a
+        local search stopping there ends ~28% above Daly's time."""
+        configuration = model(redundancy=1.0)
+        daly_time = configuration.evaluate().total_time
+        numeric = optimal_interval(configuration)
+        numeric_time = replace(configuration, checkpoint_interval=numeric).evaluate()
+        assert numeric_time.total_time <= daly_time
+        assert numeric == pytest.approx(2137.0, rel=0.01)
+
+    @pytest.mark.parametrize("redundancy", [1.5, 2.0, 3.0])
+    def test_is_the_minimum_of_a_fine_scan(self, redundancy):
+        configuration = model(redundancy=redundancy)
+        daly = configuration.evaluate().checkpoint_interval
+        deltas = np.geomspace(daly / 50, daly * 50, 20_001)
+        times = evaluate_grid(configuration, checkpoint_interval=deltas).total_time
+        numeric = optimal_interval(configuration)
+        best = replace(configuration, checkpoint_interval=numeric).evaluate()
+        assert best.total_time <= times.min() * (1 + 1e-9)
 
 
 class TestCrossovers:

@@ -60,12 +60,12 @@ class KamikazeWorkload(SyntheticWorkload):
         self._sentinel = sentinel
         self._delay = delay
 
-    def configure(self, rank, size, rng):
+    def configure(self, rank, size):
         if not os.path.exists(self._sentinel):
             with open(self._sentinel, "w"):
                 pass
             _kill_current_worker(self._delay)
-        return super().configure(rank, size, rng)
+        return super().configure(rank, size)
 
 
 class PoisonWorkload(SyntheticWorkload):
@@ -75,9 +75,9 @@ class PoisonWorkload(SyntheticWorkload):
         super().__init__(**kwargs)
         self._delay = delay
 
-    def configure(self, rank, size, rng):
+    def configure(self, rank, size):
         _kill_current_worker(self._delay)
-        return super().configure(rank, size, rng)
+        return super().configure(rank, size)
 
 
 class GlacialWorkload(SyntheticWorkload):
@@ -88,10 +88,10 @@ class GlacialWorkload(SyntheticWorkload):
         super().__init__(**kwargs)
         self._sleep_seconds = sleep_seconds
 
-    def configure(self, rank, size, rng):
+    def configure(self, rank, size):
         if rank == 0:
             time.sleep(self._sleep_seconds)
-        return super().configure(rank, size, rng)
+        return super().configure(rank, size)
 
 
 def special_config(factory_cls, **factory_kwargs):

@@ -1,6 +1,7 @@
 """Tests for ResilientJob: the full fault-tolerance stack."""
 
 import gc
+import weakref
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.orchestration import JobConfig, ResilientJob
 from repro.orchestration import job as job_module
 from repro.orchestration.campaign import failure_free_sweep_configs, redundancy_sweep_configs
 from repro.redundancy import RedComm, RedRequest
+from repro.simkit import Environment
 from repro.workloads import ConjugateGradientWorkload, SyntheticWorkload
 
 
@@ -358,3 +360,25 @@ class TestWorldRelease:
         if mtbf_hours is not None:
             assert report.rollbacks > 0  # failed attempts were torn down too
         assert left == []
+
+    def test_failure_free_environment_is_freed_by_refcount(self, monkeypatch):
+        """The attempt's ``AnyOf`` lets go of the never-fired failure
+        event, so no cycle keeps the event graph and its Environment."""
+        environments = []
+
+        class TrackedEnvironment(Environment):
+            def __init__(self):
+                super().__init__()
+                environments.append(weakref.ref(self))
+
+        monkeypatch.setattr(job_module, "Environment", TrackedEnvironment)
+        config = _table_cell(None)
+        gc.collect()
+        gc.disable()
+        try:
+            report = ResilientJob(config).run()
+            alive = [ref() is not None for ref in environments]
+        finally:
+            gc.enable()
+        assert report.completed
+        assert alive == [False]

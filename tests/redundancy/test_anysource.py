@@ -27,7 +27,7 @@ class MasterWorker(Workload):
     def __init__(self, steps=12):
         self.steps = steps
 
-    def configure(self, rank, size, rng):
+    def configure(self, rank, size):
         self.rank = rank
         self.size = size
         self.total = 0

@@ -216,3 +216,16 @@ class TestConditions:
         either = AnyOf(env, [done, env.timeout(10.0)])
         env.run()
         assert either.value == (0, "x")
+
+    @pytest.mark.parametrize("already_processed", [False, True])
+    def test_decided_conditions_let_go_of_pending_children(self, env, already_processed):
+        """No pending child keeps a decided condition alive."""
+        first = env.timeout(0.0)
+        if already_processed:
+            env.run(until=0.5)
+        never = env.event()
+        either = AnyOf(env, [first, never])
+        doomed = AllOf(env, [never, env.event().fail(ValueError("x"))])
+        env.run()
+        assert either.ok and not doomed.ok
+        assert never.callbacks == []

@@ -131,6 +131,12 @@ class TestCommands:
             "table4 degrees=x",
             "table2 node_counts=abc",
             "fig12 degrees=x",
+            "fig2 configs=()",
+            "fig2 configs=(('one',5.0,0.2),)",
+            "table3 cases=()",
+            "table3 cases=((168.0,5.0),)",
+            "table4 setup=1",
+            "table5 setup=0",
         ],
     )
     def test_override_of_the_wrong_type_is_a_usage_error(self, override, capsys):

@@ -7,7 +7,32 @@ from repro.errors import ConfigurationError
 from repro.mpi import SimMPI
 from repro.simkit import Environment
 from repro.workloads import ConjugateGradientWorkload, WorkShell
-from repro.workloads.cg import _laplacian_rows
+
+
+def laplacian_columns(grid, row):
+    """``(column, value)`` of one row of the 5-point Laplacian, ascending."""
+    i, j = divmod(row, grid)
+    entries = [(row, 4.0)]
+    for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+        if 0 <= ni < grid and 0 <= nj < grid:
+            entries.append((ni * grid + nj, -1.0))
+    return sorted(entries)
+
+
+def dense_laplacian(grid):
+    n = grid * grid
+    full = np.zeros((n, n))
+    for row in range(n):
+        for column, value in laplacian_columns(grid, row):
+            full[row, column] = value
+    return full
+
+
+def workload_rows(grid, rank, size):
+    """Rank ``rank``'s rows of the workload's operator, as a dense block."""
+    workload = ConjugateGradientWorkload(grid=grid)
+    workload.configure(rank, size)
+    return np.column_stack([workload.matvec(unit) for unit in np.eye(grid * grid)])
 
 
 def run_cg(size, **kwargs):
@@ -17,7 +42,7 @@ def run_cg(size, **kwargs):
 
     def program(ctx):
         workload = ConjugateGradientWorkload(**kwargs)
-        workload.configure(ctx.rank, ctx.size, np.random.default_rng(0))
+        workload.configure(ctx.rank, ctx.size)
         shell = WorkShell(ctx, ctx.comm)
         for step in range(workload.total_steps):
             yield from workload.step(shell, step)
@@ -32,20 +57,41 @@ def run_cg(size, **kwargs):
 
 class TestMatrix:
     def test_laplacian_is_symmetric_spd(self):
-        grid = 6
-        n = grid * grid
-        full = _laplacian_rows(grid, 0, n).toarray()
+        full = workload_rows(6, 0, 1)
+        assert np.array_equal(full, dense_laplacian(6))
         assert np.allclose(full, full.T)
         eigenvalues = np.linalg.eigvalsh(full)
         assert eigenvalues.min() > 0
 
     def test_row_blocks_tile_the_matrix(self):
-        grid = 5
+        blocks = [workload_rows(5, rank, 3) for rank in range(3)]
+        assert np.array_equal(np.vstack(blocks), dense_laplacian(5))
+
+    @pytest.mark.parametrize("grid,size", [(2, 1), (5, 3), (8, 4), (11, 7)])
+    def test_matvec_sums_each_row_in_column_order(self, grid, size):
+        """Bit for bit a per-row sum from 0.0 in ascending column order
+        (how a sorted CSR matrix sums), signed zeros and all."""
         n = grid * grid
-        full = _laplacian_rows(grid, 0, n).toarray()
-        top = _laplacian_rows(grid, 0, 10).toarray()
-        bottom = _laplacian_rows(grid, 10, n).toarray()
-        assert np.allclose(np.vstack([top, bottom]), full)
+        rng = np.random.default_rng(grid)
+        p = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        p[rng.random(n) < 0.2] = -0.0
+        floats = p.tolist()
+        for rank in range(size):
+            workload = ConjugateGradientWorkload(grid=grid)
+            workload.configure(rank, size)
+            expected = []
+            for row in range(workload.row_start, workload.row_end):
+                total = 0.0
+                for column, value in laplacian_columns(grid, row):
+                    total += value * floats[column]
+                expected.append(total.hex())
+            assert [q.hex() for q in workload.matvec(p).tolist()] == expected
+
+    def test_nnz_counts_the_stored_entries(self):
+        workload = ConjugateGradientWorkload(grid=5)
+        workload.configure(1, 3)
+        rows = range(workload.row_start, workload.row_end)
+        assert workload.nnz == sum(len(laplacian_columns(5, row)) for row in rows)
 
 
 class TestSolver:
@@ -60,8 +106,7 @@ class TestSolver:
         _, _, workloads = run_cg(4, grid=grid, total_steps=60, cycle_length=100)
         x_parts = [workloads[r].x for r in range(4)]
         x = np.concatenate(x_parts)
-        full = _laplacian_rows(grid, 0, n).toarray()
-        expected = np.linalg.solve(full, np.ones(n))
+        expected = np.linalg.solve(dense_laplacian(grid), np.ones(n))
         assert np.allclose(x, expected, atol=1e-6)
 
     def test_rank_count_does_not_change_answer(self):
@@ -93,7 +138,7 @@ class TestCheckpointContract:
         workload = workloads[0]
         state = workload.state()
         clone = ConjugateGradientWorkload(grid=8, total_steps=10, cycle_length=50)
-        clone.configure(0, 2, np.random.default_rng(0))
+        clone.configure(0, 2)
         clone.load(state)
         for key in ("x", "r", "p"):
             assert np.array_equal(getattr(clone, key), getattr(workload, key))
@@ -102,7 +147,7 @@ class TestCheckpointContract:
 
     def test_state_is_a_copy(self):
         workload = ConjugateGradientWorkload(grid=8)
-        workload.configure(0, 1, np.random.default_rng(0))
+        workload.configure(0, 1)
         state = workload.state()
         state["x"][:] = 999.0
         assert not np.any(workload.x == 999.0)
@@ -112,7 +157,7 @@ class TestValidation:
     def test_more_ranks_than_unknowns(self):
         workload = ConjugateGradientWorkload(grid=2)
         with pytest.raises(ConfigurationError):
-            workload.configure(0, 5, np.random.default_rng(0))
+            workload.configure(0, 5)
 
     def test_bad_grid(self):
         with pytest.raises(ConfigurationError):
@@ -128,6 +173,6 @@ class TestValidation:
         covered = 0
         for rank in range(4):
             instance = ConjugateGradientWorkload(grid=5)
-            instance.configure(rank, 4, np.random.default_rng(0))
+            instance.configure(rank, 4)
             covered += instance.row_end - instance.row_start
         assert covered == 25

@@ -18,7 +18,7 @@ def run_synthetic(size, **kwargs):
 
     def program(ctx):
         workload = SyntheticWorkload(**kwargs)
-        workload.configure(ctx.rank, ctx.size, np.random.default_rng(0))
+        workload.configure(ctx.rank, ctx.size)
         shell = WorkShell(ctx, ctx.comm)
         for step in range(workload.total_steps):
             yield from workload.step(shell, step)
@@ -62,11 +62,11 @@ class TestStructure:
 class TestCheckpointContract:
     def test_state_roundtrip(self):
         workload = SyntheticWorkload(total_steps=5)
-        workload.configure(1, 3, np.random.default_rng(0))
+        workload.configure(1, 3)
         workload.token = 123.0
         state = workload.state()
         clone = SyntheticWorkload(total_steps=5)
-        clone.configure(1, 3, np.random.default_rng(0))
+        clone.configure(1, 3)
         clone.load(state)
         assert clone.token == 123.0
         assert np.array_equal(clone.payload, workload.payload)
@@ -74,7 +74,7 @@ class TestCheckpointContract:
 
 def configured(rank, size=4, **kwargs):
     workload = SyntheticWorkload(**kwargs)
-    workload.configure(rank, size, np.random.default_rng(0))
+    workload.configure(rank, size)
     return workload
 
 
