@@ -7,10 +7,10 @@ wire", or the restored run would either duplicate or lose it.  OpenMPI
 exchange*: processes trade per-peer send/receive totals and wait until
 they equalise.
 
-In the simulator the runtime already tracks per-(src, dst) sent and
-arrived counts, so the coordinator's job is (a) the bookmark exchange
-itself — an all-to-all of small messages whose cost is charged to the
-run — and (b) polling until the totals equalise.
+In the simulator the runtime already counts the messages between live
+ranks that have not arrived yet, so the coordinator's job is (a) the
+bookmark exchange itself — an all-to-all of small messages whose cost
+is charged to the run — and (b) polling until that count is zero.
 """
 
 from __future__ import annotations

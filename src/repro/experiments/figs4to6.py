@@ -19,10 +19,11 @@ import math
 import numpy as np
 
 from .. import units
+from ..errors import ConfigurationError
 from ..models import CombinedModel
 from ..models.grid import evaluate_grid
 from ..util.plot import ascii_plot
-from .runner import ExperimentResult
+from .runner import ExperimentResult, check_rows
 
 #: (name, node MTBF years, alpha, checkpoint cost s, restart cost s).
 DEFAULT_CONFIGS = (
@@ -88,7 +89,19 @@ def run(
     configs=DEFAULT_CONFIGS,
     degree_step: float = 0.25,
 ) -> ExperimentResult:
-    """Regenerate the three T_total(r) curves with annotations."""
+    """Regenerate the three T_total(r) curves with annotations.
+
+    ``configs`` rows are shaped like :data:`DEFAULT_CONFIGS` and must
+    include ``config1`` and ``config3``, whose intervals the findings
+    compare.
+    """
+    check_rows("figs4to6", "configs", configs, DEFAULT_CONFIGS[0])
+    names = [row[0] for row in configs]
+    if not {"config1", "config3"} <= set(names):
+        raise ConfigurationError(
+            f"figs4to6: configs must be rows that include 'config1' and "
+            f"'config3', got rows named {names!r}"
+        )
     degrees = [1.0 + degree_step * i for i in range(int(round(2.0 / degree_step)) + 1)]
     base_time = units.hours(base_time_hours)
     columns = {}

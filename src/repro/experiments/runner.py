@@ -132,6 +132,7 @@ def _is_numbers(value: Any) -> bool:
 
 #: What an override of each kind of parameter must be.
 _KINDS = {
+    "a bool": lambda value: isinstance(value, bool),
     "an int": _is_int,
     "a number": _is_number,
     "a sequence of numbers": _is_numbers,
@@ -151,6 +152,8 @@ def _kind_of(parameter: inspect.Parameter) -> Optional[str]:
         if annotation in ("Sequence[float]", "Optional[Sequence[float]]"):
             return "a sequence of numbers"
         return None
+    if isinstance(default, bool):
+        return "a bool"
     if _is_int(default):
         return "an int"
     if _is_number(default):

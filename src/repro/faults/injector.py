@@ -72,47 +72,47 @@ class FailureInjector:
         self._process = self.env.process(self._run(), name="failure-injector")
 
     def stop(self) -> None:
-        """Tear the daemon down (end of a campaign run)."""
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("injector stopped")
+        """Tear the daemon down (end of a campaign run).
+
+        The daemon is halted where it sleeps: no kick event is queued
+        for it, and its pending timer leaves the queue, so nothing the
+        daemon left behind holds the environment in a reference cycle.
+        """
+        if self._process is not None:
+            self._process.halt()
         self._process = None
 
     # -- daemon -------------------------------------------------------------
 
     def _run(self):
-        from ..errors import ProcessInterrupted
-
-        try:
-            while self._schedule:
-                due, slot = self._schedule[0]
-                if due > self.env.now:
-                    yield self.env.timeout(due - self.env.now)
-                    continue
-                heapq.heappop(self._schedule)
-                if self.suppress_during_cr and self.cr_active():
-                    # The paper's experiments do not trigger failures while
-                    # a checkpoint or restart is in progress.  The failure
-                    # is *dropped* and the slot re-armed with a fresh draw
-                    # (memoryless, so this is exactly "the Poisson process
-                    # pauses during C/R windows") — deferring it instead
-                    # would bunch failures at the window's end.
-                    self.tracer.event(
-                        "failure_suppressed", sim_time=self.env.now, slot=slot
-                    )
-                    heapq.heappush(
-                        self._schedule,
-                        (self.env.now + self.distribution.sample(self.rng), slot),
-                    )
-                    continue
+        while self._schedule:
+            due, slot = self._schedule[0]
+            if due > self.env.now:
+                yield self.env.timeout(due - self.env.now)
+                continue
+            heapq.heappop(self._schedule)
+            if self.suppress_during_cr and self.cr_active():
+                # The paper's experiments do not trigger failures while
+                # a checkpoint or restart is in progress.  The failure
+                # is *dropped* and the slot re-armed with a fresh draw
+                # (memoryless, so this is exactly "the Poisson process
+                # pauses during C/R windows") — deferring it instead
+                # would bunch failures at the window's end.
                 self.tracer.event(
-                    "failure_injected", sim_time=self.env.now, slot=slot
+                    "failure_suppressed", sim_time=self.env.now, slot=slot
                 )
-                self.kill(slot)
-                # Step 2 again: the replacement process on the spare node
-                # is just as mortal (assumption 5: spares are plentiful).
                 heapq.heappush(
                     self._schedule,
                     (self.env.now + self.distribution.sample(self.rng), slot),
                 )
-        except ProcessInterrupted:
-            return
+                continue
+            self.tracer.event(
+                "failure_injected", sim_time=self.env.now, slot=slot
+            )
+            self.kill(slot)
+            # Step 2 again: the replacement process on the spare node
+            # is just as mortal (assumption 5: spares are plentiful).
+            heapq.heappush(
+                self._schedule,
+                (self.env.now + self.distribution.sample(self.rng), slot),
+            )

@@ -27,7 +27,7 @@ Programs are simkit generator processes; blocking calls are written as
 
 from .status import ANY_SOURCE, ANY_TAG, Status
 from .datatypes import payload_nbytes
-from .matching import Envelope, MatchingEngine
+from .matching import Envelope
 from .requests import Request
 from .comm import Communicator
 from .runtime import RankContext, SimMPI
@@ -38,7 +38,6 @@ __all__ = [
     "ANY_TAG",
     "Communicator",
     "Envelope",
-    "MatchingEngine",
     "RankContext",
     "Request",
     "SimMPI",

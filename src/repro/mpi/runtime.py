@@ -1,9 +1,21 @@
 """SimMPI: the simulated MPI runtime.
 
-Owns the world — rank processes, per-rank matching engines, the
-rank→node placement, liveness, and the traffic accounting the
-checkpoint coordinator's bookmark protocol reads.  Programs are
-callables taking a :class:`RankContext` and returning a generator.
+Owns the world — rank processes, each rank's receive matching, the
+rank→node placement, liveness, and the in-flight count the checkpoint
+coordinator's bookmark protocol reads.  Programs are callables taking
+a :class:`RankContext` and returning a generator.
+
+Matching follows MPI's rules: each rank keeps its *posted* receives
+in post order and its *unexpected* envelopes in arrival order.  A
+``(source, tag)`` pattern matches an envelope when each field is equal
+or the pattern's is a wildcard (``ANY_SOURCE`` / ``ANY_TAG``).  An
+arriving envelope completes the first posted receive it matches,
+inline, or joins the unexpected list; a posted receive first takes the
+oldest matching unexpected envelope.  So a message's arrival is one
+heap entry that runs ``_arrive`` and, through it, the receive's
+completion.  Non-overtaking holds because the messages of one
+(source, destination) pair leave the sender's NIC first in, first out
+and pay the same wire latency.
 
 >>> from repro.simkit import Environment
 >>> from repro.mpi import SimMPI
@@ -32,7 +44,11 @@ from ..simkit.env import NORMAL
 from ..simkit.events import AllOf
 from ..simkit.process import Process
 from .comm import Communicator
-from .matching import Completion, Envelope, MatchingEngine
+from .matching import Completion, Envelope
+from .status import ANY_SOURCE, ANY_TAG
+
+#: A posted receive: (source, tag, completion).
+_PostedReceive = Tuple[int, int, Completion]
 
 class RankContext:
     """Everything a rank's program sees: its identity, comm and clock."""
@@ -93,9 +109,11 @@ class SimMPI:
             raise MPIError("placement must cover every rank")
         #: Named float counters (messages, bytes, drops, kills, votes).
         self.counters: DefaultDict[str, float] = defaultdict(float)
-        self._engines: Dict[int, MatchingEngine] = {
-            rank: MatchingEngine(rank) for rank in range(size)
-        }
+        # Per-rank matching state: posted receives in post order, and
+        # envelopes that arrived before a receive matched them, in
+        # arrival order.
+        self._posted: List[List[_PostedReceive]] = [[] for _ in range(size)]
+        self._unexpected: List[List[Envelope]] = [[] for _ in range(size)]
         # Per-rank NIC FIFO: a rank can only push one message into the
         # network at a time (the LogP overhead/gap), which is what makes
         # the redundancy layer's r-fold fan-out cost r times the sender
@@ -105,13 +123,15 @@ class SimMPI:
         self._alive: Set[int] = set(range(size))
         self._processes: Dict[int, Process] = {}
         self._death_watchers: List[Callable[[int], None]] = []
-        #: Per-(src, dst) sent and consumed message counts — the
-        #: bookmark state the checkpoint coordinator equalises.
-        self.sent_counts: Dict[tuple, int] = {}
-        self.arrived_counts: Dict[tuple, int] = {}
-        #: Messages between live ranks not yet arrived: the sum of
-        #: ``sent - arrived`` over pairs whose ends are both alive.
+        #: Messages between live ranks not yet arrived — the bookmark
+        #: state the checkpoint coordinator waits on.  Each is a queued
+        #: ``_arrive`` entry whose two ends are alive.
         self._in_flight = 0
+        # The NIC busy time of an off-node copy, per wire size, and the
+        # two wire latencies: the network model is fixed for a world.
+        self._busy: Dict[int, float] = {}
+        self._latency = self.network.wire_latency(False)
+        self._loopback = self.network.wire_latency(True)
 
     # -- liveness ----------------------------------------------------------
 
@@ -156,20 +176,21 @@ class SimMPI:
             raise MPIError(f"dead rank {src} attempted a send")
         placement = self.placement
         node = placement[src]
-        network = self.network
         env = self.env
         now = env._now
         free = self._nic_free[src]
         # Busy times summed from the instant the NIC last went idle,
         # exactly as a timer per send would sum them.  The off-node
-        # costs are looked up once; a co-located copy pays loopback.
+        # cost is memoised per wire size; a co-located copy pays
+        # loopback.
         finish = free if free > now else now
-        busy = network.sender_busy_time(nbytes, False)
-        latency = network.wire_latency(False)
+        busy = self._busy.get(nbytes)
+        if busy is None:
+            busy = self._busy[nbytes] = self.network.sender_busy_time(nbytes, False)
+        latency = self._latency
         counters = self.counters
         counters["p2p_messages"] += len(dests)
         counters["p2p_bytes"] += nbytes * len(dests)
-        sent_counts = self.sent_counts
         queue = env._queue
         arrive = self._arrive
         for dst in dests:
@@ -178,13 +199,11 @@ class SimMPI:
             except KeyError as exc:
                 raise MPIError(f"no placement for rank {dst}") from exc
             if same_node:
-                finish += network.sender_busy_time(nbytes, True)
-                wire = network.wire_latency(True)
+                finish += self.network.sender_busy_time(nbytes, True)
+                wire = self._loopback
             else:
                 finish += busy
                 wire = latency
-            key = (src, dst)
-            sent_counts[key] = sent_counts.get(key, 0) + 1
             if dst in alive:
                 self._in_flight += 1
                 # ``env._schedule_call_at`` inline: the arrival is not
@@ -203,15 +222,26 @@ class SimMPI:
             heappush(queue, (finish, NORMAL, env._sequence, done, None))
 
     def _arrive(self, envelope: Envelope) -> None:
-        dest = envelope.dest
-        if dest not in self._alive:
-            self.counters["p2p_dropped"] += 1
+        """A copy reaches its destination: complete a posted receive or queue it.
+
+        The first posted receive whose pattern matches completes inline.
+        """
+        source, dest, sent_tag, _payload, _nbytes = envelope
+        alive = self._alive
+        if dest not in alive:
+            self.counters["p2p_dropped"] += 1  # fail-stop: the rank is gone
             return
-        key = (envelope.source, dest)
-        self.arrived_counts[key] = self.arrived_counts.get(key, 0) + 1
-        if envelope.source in self._alive:
+        if source in alive:
             self._in_flight -= 1
-        self._engines[dest].deliver(envelope)
+        posted = self._posted[dest]
+        for index, (wanted, tag, done) in enumerate(posted):
+            if (wanted == source or wanted == ANY_SOURCE) and (
+                tag == sent_tag or tag == ANY_TAG
+            ):
+                del posted[index]
+                done(envelope)
+                return
+        self._unexpected[dest].append(envelope)
 
     def post_recv(
         self, rank: int, members: Sequence[Tuple[int, int]], tag: int, done: Completion
@@ -221,21 +251,42 @@ class SimMPI:
         A member matches ``source`` at ``tag + offset``; ``done(envelope)``
         runs once per member that matches.  A plain receive passes one
         member; a request set passes one per live sender replica.
+
+        A member that matches an envelope already in the unexpected list
+        (the oldest one it matches) takes it, and its ``done`` is queued
+        for the current instant: one heap step, behind entries already
+        queued for it.  A later arrival calls ``done`` inline.
         """
         if rank not in self._alive:
             raise MPIError(f"dead rank {rank} attempted a receive")
-        engine = self._engines[rank]
-        env = self.env
+        unexpected = self._unexpected[rank]
+        posted = self._posted[rank]
         for source, offset in members:
-            engine.post(env, source, tag + offset, done)
+            member_tag = tag + offset
+            for index, envelope in enumerate(unexpected):
+                if (source == ANY_SOURCE or source == envelope.source) and (
+                    member_tag == ANY_TAG or member_tag == envelope.tag
+                ):
+                    del unexpected[index]
+                    env = self.env
+                    env._schedule_call_at(env._now, done, envelope)
+                    break
+            else:
+                posted.append((source, member_tag, done))
 
     def cancel_recv(self, rank: int, source: int, done: Completion) -> bool:
         """Withdraw a posted receive (redundancy layer, dead peers).
 
         Returns True if the receive was still pending and is now gone;
-        False if it already matched (its message will be delivered).
+        False if it already matched (its message will be delivered), or
+        if ``rank`` is dead.
         """
-        return self._engines[rank].cancel(source, done)
+        posted = self._posted[rank]
+        for index, (wanted, _tag, posted_done) in enumerate(posted):
+            if wanted == source and posted_done == done:
+                del posted[index]
+                return True
+        return False
 
     def channels_quiet(self) -> bool:
         """True when every sent message has arrived (bookmarks equal).
@@ -269,20 +320,29 @@ class SimMPI:
             )
 
     def kill_rank(self, rank: int, cause: Any = None) -> None:
-        """Fail-stop a rank: close its engine, interrupt its process.
+        """Fail-stop a rank: drop its receives and queued messages, interrupt it.
 
         No-op when the rank is already dead.
         """
-        if rank not in self._alive:
+        alive = self._alive
+        if rank not in alive:
             return
-        # The dead rank's channels leave the in-flight count: subtract
-        # the messages still unarrived between it and a live peer.
-        arrived = self.arrived_counts
-        for (src, dst), sent in self.sent_counts.items():
-            if (src == rank or dst == rank) and src in self._alive and dst in self._alive:
-                self._in_flight -= sent - arrived.get((src, dst), 0)
-        self._alive.discard(rank)
-        self._engines[rank].close()
+        # The dead rank's channels leave the in-flight count: every
+        # unarrived message is a queued ``_arrive`` entry, so subtract
+        # those between the rank and a live peer.
+        arrive = self._arrive
+        lost = 0
+        for entry in self.env._queue:
+            if entry[3] == arrive:
+                envelope = entry[4]
+                source = envelope[0]
+                dest = envelope[1]
+                if (source == rank or dest == rank) and source in alive and dest in alive:
+                    lost += 1
+        self._in_flight -= lost
+        alive.discard(rank)
+        self._posted[rank].clear()
+        self._unexpected[rank].clear()
         process = self._processes.get(rank)
         if process is not None:
             process.interrupt(cause)
@@ -309,14 +369,15 @@ class SimMPI:
         self.env.run(until=everyone)
 
     def dispose(self) -> None:
-        """Drop the watchers, processes and engines of a finished world.
+        """Drop the watchers, processes and receive lists of a finished world.
 
         Each can point back at the world, which would then wait for a
         cyclic garbage collection instead of being freed by refcount.
         """
         self._death_watchers.clear()
         self._processes.clear()
-        self._engines.clear()
+        self._posted.clear()
+        self._unexpected.clear()
 
     def result_of(self, rank: int) -> Any:
         """Return value of a finished rank's program."""

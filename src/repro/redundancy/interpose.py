@@ -15,9 +15,11 @@ one runtime call per request set, not one per copy:
   returned :class:`RedRequest` is the paper's *request set*: the
   application-level wait completes only when every member has
   completed (Section 3's MPI_Wait semantics);
-* the receivers and members come from a route cached per peer sphere
-  (derived from :func:`~repro.redundancy.voting.plan_copies` over the
-  live replicas) and dropped on every rank death;
+* the receivers and members come from routes the attempt's
+  :class:`~repro.redundancy.sphere.SphereTracker` reads off
+  :func:`~repro.redundancy.voting.plan_copies` once per peer sphere
+  and shares between all its ``RedComm`` objects, and drops at the
+  first notice of each rank death;
 * a request set is its own kernel event, so a process waits on it by
   yielding it;
 * a receive set keeps the envelopes its members matched, and its
@@ -45,24 +47,14 @@ from ..mpi.status import ANY_SOURCE, ANY_TAG, Status
 from ..simkit.events import PENDING, Event
 from .mapping import ReplicaMap
 from .sphere import SphereTracker
-from .voting import ALL_TO_ALL, MODES, plan_copies, vote
+from .voting import ALL_TO_ALL, HASH_TAG_OFFSET, MODES, vote
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import RankContext, SimMPI
 
-#: Digest copies of a message tagged ``t`` travel at ``t + HASH_TAG_OFFSET``.
-HASH_TAG_OFFSET = 1 << 24
-
 #: A corruptor: maps (sender_physical, receiver_physical, payload) to the
 #: payload actually shipped.  Used to inject Byzantine replicas in tests.
 Corruptor = Callable[[int, int, Any], Any]
-
-#: A send's route: the receiver replicas, and each copy's kind
-#: (``"full"``/``"hash"``) or ``None`` when every copy is full.
-SendRoute = Tuple[Tuple[int, ...], Optional[Tuple[str, ...]]]
-
-#: A receive's route: ``(sender replica, tag offset)`` per member.
-RecvRoute = Tuple[Tuple[int, int], ...]
 
 
 def _shipment(copy_kind: str, tag: int, payload: Any) -> Tuple[int, Any, int]:
@@ -196,12 +188,7 @@ class RedComm(CollectiveAPI):
         self._virtual_rank = replica_map.virtual_of(ctx.rank)
         self._coll_seq = 0
         self._active_recvs: List[RedRequest] = []
-        # Per-sphere live replica lists and, per peer sphere, the route
-        # of a send to it and of a receive from it (see ``_send_route``
-        # and ``_recv_route``); all are emptied on every rank death.
-        self._spheres: Dict[int, List[int]] = {}
-        self._send_routes: Dict[int, SendRoute] = {}
-        self._recv_routes: Dict[int, RecvRoute] = {}
+        tracker.bind(self.runtime, mode)
         self.runtime.on_rank_death(self._on_rank_death)
 
     # -- identity (virtual view) ------------------------------------------
@@ -226,55 +213,11 @@ class RedComm(CollectiveAPI):
         """This process's position within its sphere (0 = primary)."""
         return self.replica_map.replica_index(self.physical_rank)
 
-    def _alive_sphere(self, virtual: int) -> List[int]:
-        """Live replicas of a sphere, consulting both tracker and runtime."""
-        alive = self._spheres.get(virtual)
-        if alive is None:
-            alive = self._spheres[virtual] = [
-                rank
-                for rank in self.replica_map.replicas_of(virtual)
-                if not self.tracker.is_dead(rank) and self.runtime.is_alive(rank)
-            ]
-        return alive
-
-    def _send_route(self, dest: int) -> SendRoute:
-        """The receivers of a send to sphere ``dest`` and each one's copy.
-
-        Derived from :func:`plan_copies` over the two spheres' *live*
-        replicas, so sender and receiver agree on who carries the full
-        payload in Msg-PlusHash mode even after replica deaths.  The
-        kinds are ``None`` when every copy is the full message.
-        """
-        receivers = tuple(self._alive_sphere(dest))
-        plan = plan_copies(self._alive_sphere(self._virtual_rank), receivers, self.mode)
-        me = self.physical_rank
-        kinds = tuple(plan[(me, receiver)] for receiver in receivers)
-        route = self._send_routes[dest] = (
-            receivers, None if all(kind == "full" for kind in kinds) else kinds
-        )
-        return route
-
-    def _recv_route(self, source: int) -> RecvRoute:
-        """The members of a receive from sphere ``source``.
-
-        One ``(sender replica, tag offset)`` per live replica; a member
-        that gets a digest copy listens at ``tag + HASH_TAG_OFFSET``.
-        """
-        senders = self._alive_sphere(source)
-        plan = plan_copies(senders, self._alive_sphere(self._virtual_rank), self.mode)
-        me = self.physical_rank
-        route = self._recv_routes[source] = tuple(
-            (sender, 0 if plan[(sender, me)] == "full" else HASH_TAG_OFFSET)
-            for sender in senders
-        )
-        return route
-
     # -- death plumbing -----------------------------------------------------
 
     def _on_rank_death(self, dead_physical: int) -> None:
-        self._spheres.clear()
-        self._send_routes.clear()
-        self._recv_routes.clear()
+        # The first RedComm to hear of the death has the tracker drop
+        # the routes, before any rank's process runs again.
         self.tracker.notice_death(dead_physical)
         # A request set may complete inline here and its process post
         # new receives, so walk a snapshot and prune afterwards.
@@ -295,12 +238,9 @@ class RedComm(CollectiveAPI):
     def isend(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False) -> RedRequest:
         """Fan-out send to every live replica of virtual rank ``dest``."""
         self._check_tag(tag, _internal)
-        route = self._send_routes.get(dest)
-        if route is None:
-            route = self._send_route(dest)
-        receivers, kinds = route
         runtime = self.runtime
         me = self.physical_rank
+        receivers, kinds = self.tracker.send_route(me, dest)
         request_set = RedRequest(runtime, me, "send", dest, tag)
         runtime.counters["app_sends"] += 1
         if not receivers:
@@ -360,11 +300,9 @@ class RedComm(CollectiveAPI):
         ``first_copy``, a copy already received (the wildcard protocol's
         lead receive), joins the set and its sender gets no member.
         """
-        members = self._recv_routes.get(source)
-        if members is None:
-            members = self._recv_route(source)
         runtime = self.runtime
         me = self.physical_rank
+        members = self.tracker.recv_route(me, source)
         request_set = RedRequest(runtime, me, "recv", source, tag)
         runtime.counters["app_recvs"] += 1
         if first_copy is not None:

@@ -1,36 +1,70 @@
-"""Replica-sphere liveness: when has a virtual process truly failed?
+"""Replica-sphere liveness, and the routes between live replicas.
 
 Figure 7 of the paper: a physical-process failure does *not* imply an
 application failure — the job only fails (and a rollback is triggered)
 when **all** replicas of some virtual process are dead.  The tracker
 watches rank deaths from the runtime and fires a callback at the first
 sphere exhaustion.
+
+The tracker also owns the routes every ``RedComm`` of the attempt
+reads: each sphere's live replicas, and the receivers of a send to a
+sphere and the members of a receive from one.  A route is built on
+first use and shared, and every table is dropped at the first notice
+of each death, before any rank's process can run again.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import RedundancyError
 from .mapping import ReplicaMap
+from .voting import ALL_TO_ALL, HASH_TAG_OFFSET, plan_copies
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..mpi.runtime import SimMPI
+
+#: A send's route: the receiver replicas, and each copy's kind
+#: (``"full"``/``"hash"``) or ``None`` when every copy is full.
+SendRoute = Tuple[Tuple[int, ...], Optional[Tuple[str, ...]]]
+
+#: A receive's route: ``(sender replica, tag offset)`` per member.
+RecvRoute = Tuple[Tuple[int, int], ...]
 
 
 class SphereTracker:
-    """Liveness bookkeeping for every replica sphere of a job attempt."""
+    """Liveness bookkeeping and routes for every replica sphere of a job attempt."""
 
     def __init__(self, replica_map: ReplicaMap) -> None:
         self.replica_map = replica_map
         self._dead: Set[int] = set()
         self._exhausted: Optional[int] = None
         self._watchers: List[Callable[[int], None]] = []
+        # The world and mode routes are built for (see ``bind``).
+        self._runtime: Optional["SimMPI"] = None
+        self._mode = ALL_TO_ALL
+        # Live replicas per sphere, and the routes by peer sphere.  In
+        # All-to-all mode a route is the same for every replica of a
+        # sphere, so it is keyed by the peer alone; in Msg-PlusHash
+        # mode each replica's copy kinds differ, so it is keyed by
+        # ``(physical rank, peer)``.
+        self._live: Dict[int, Tuple[int, ...]] = {}
+        self._send_routes: Dict[Any, SendRoute] = {}
+        self._recv_routes: Dict[Any, RecvRoute] = {}
 
     # -- event input -------------------------------------------------------
 
     def notice_death(self, physical_rank: int) -> None:
-        """Record a physical-rank death; fire watcher on sphere exhaustion."""
+        """Record a physical-rank death; fire watcher on sphere exhaustion.
+
+        The first notice of a death drops every cached route.
+        """
         if physical_rank in self._dead:
             return
         self._dead.add(physical_rank)
+        self._live.clear()
+        self._send_routes.clear()
+        self._recv_routes.clear()
         virtual = self.replica_map.virtual_of(physical_rank)
         if self._exhausted is None and not self.alive_replicas(virtual):
             self._exhausted = virtual
@@ -67,3 +101,71 @@ class SphereTracker:
         if not alive:
             raise RedundancyError(f"sphere of virtual rank {virtual_rank} exhausted")
         return alive[0]
+
+    # -- routes ------------------------------------------------------------
+
+    def bind(self, runtime: "SimMPI", mode: str) -> None:
+        """Set the world and the redundancy mode the routes are built for.
+
+        Every ``RedComm`` of the attempt binds the same pair.
+
+        Raises
+        ------
+        RedundancyError
+            When a second world or mode is bound.
+        """
+        if self._runtime is None:
+            self._runtime, self._mode = runtime, mode
+        elif runtime is not self._runtime or mode != self._mode:
+            raise RedundancyError("a sphere tracker serves one world in one mode")
+
+    def _live_replicas(self, virtual_rank: int) -> Tuple[int, ...]:
+        """Replicas of a sphere alive by both the tracker and the runtime."""
+        live = self._live.get(virtual_rank)
+        if live is None:
+            is_alive = self._runtime.is_alive
+            live = self._live[virtual_rank] = tuple(
+                rank
+                for rank in self.replica_map.replicas_of(virtual_rank)
+                if rank not in self._dead and is_alive(rank)
+            )
+        return live
+
+    def send_route(self, sender: int, dest: int) -> SendRoute:
+        """The route of a send from ``sender`` to sphere ``dest``.
+
+        The copy kinds come from :func:`plan_copies` over the two
+        spheres' live replicas, so sender and receiver agree on who
+        carries the full payload even after replica deaths; they are
+        ``None`` when every copy is full.  Built on first use.
+        """
+        key = dest if self._mode == ALL_TO_ALL else (sender, dest)
+        route = self._send_routes.get(key)
+        if route is None:
+            receivers = self._live_replicas(dest)
+            senders = self._live_replicas(self.replica_map.virtual_of(sender))
+            plan = plan_copies(senders, receivers, self._mode)
+            kinds = tuple(plan[(sender, receiver)] for receiver in receivers)
+            route = self._send_routes[key] = (
+                receivers, None if all(kind == "full" for kind in kinds) else kinds
+            )
+        return route
+
+    def recv_route(self, receiver: int, source: int) -> RecvRoute:
+        """The members of a receive on ``receiver`` from sphere ``source``.
+
+        One ``(sender replica, tag offset)`` per live replica; a member
+        that gets a digest copy listens at ``tag + HASH_TAG_OFFSET``.
+        Built on first use.
+        """
+        key = source if self._mode == ALL_TO_ALL else (receiver, source)
+        route = self._recv_routes.get(key)
+        if route is None:
+            senders = self._live_replicas(source)
+            receivers = self._live_replicas(self.replica_map.virtual_of(receiver))
+            plan = plan_copies(senders, receivers, self._mode)
+            route = self._recv_routes[key] = tuple(
+                (sender, 0 if plan[(sender, receiver)] == "full" else HASH_TAG_OFFSET)
+                for sender in senders
+            )
+        return route

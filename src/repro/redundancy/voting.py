@@ -46,6 +46,9 @@ MSG_PLUS_HASH = "msg-plus-hash"
 
 MODES = (ALL_TO_ALL, MSG_PLUS_HASH)
 
+#: Digest copies of a message tagged ``t`` travel at ``t + HASH_TAG_OFFSET``.
+HASH_TAG_OFFSET = 1 << 24
+
 
 class VoteResult(NamedTuple):
     """Outcome of tallying the copies of one virtual message."""

@@ -80,6 +80,21 @@ class Environment:
         self._sequence += 1
         heapq.heappush(self._queue, (when, NORMAL, self._sequence, call, arg))
 
+    def _unschedule(self, event: Event) -> None:
+        """Take an event's entry off the queue, if it has one.
+
+        For an event nobody waits on any more (see
+        :meth:`Process.halt`); the event stays triggered but is never
+        processed.
+        """
+        queue = self._queue
+        for index, entry in enumerate(queue):
+            if entry[4] is event:
+                queue[index] = queue[-1]
+                queue.pop()
+                heapq.heapify(queue)
+                return
+
     # -- execution -------------------------------------------------------
 
     def step(self) -> None:

@@ -66,6 +66,35 @@ class Process(Event):
 
         self.env._schedule(kick, 0.0, priority=URGENT)
 
+    def halt(self) -> None:
+        """End a process nobody waits on, where it is, queuing nothing.
+
+        For a daemon torn down after the last run: unlike
+        :meth:`interrupt`, no kick event is queued (no later run would
+        process it) and nothing is thrown into the generator, which is
+        closed.  The event the process waited on forgets it and, once
+        nobody else waits on it, leaves the queue, so nothing left there
+        holds the environment in a reference cycle.  The process counts
+        as finished with value ``None`` but runs no callbacks.  A no-op
+        on a finished process.
+
+        Raises
+        ------
+        SimulationError
+            When something waits on the process.
+        """
+        if self.triggered:
+            return
+        if self.callbacks:
+            raise SimulationError(f"process {self.name!r} has waiters; interrupt it")
+        waiting, self._waiting_on = self._waiting_on, None
+        if waiting is not None:
+            waiting.discard_callback(self._resume)
+            if not waiting.callbacks:
+                self.env._unschedule(waiting)
+        self._state = PROCESSED
+        self._generator.close()
+
     # -- kernel ---------------------------------------------------------
 
     def _resume(self, event: Event) -> None:

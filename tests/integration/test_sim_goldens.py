@@ -8,10 +8,13 @@ that moves one bit of a completion time, or one message, fails here
 instead of only in a benchmark run.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.table4 import ScaledSetup
 from repro.orchestration import run_failure_free_sweep, run_redundancy_sweep
+from repro.redundancy import MSG_PLUS_HASH
 from repro.simkit.env import Environment
 from repro.simkit.process import Process
 
@@ -45,6 +48,24 @@ STEPS_6H_2X = 1_073
 MTBF_6H_2X = ("0x1.0c29b1aa31975p-2", 1, 3, 0, 608, 17_737_632, 346)
 
 
+#: Table 4 cells at the 6 h MTBF in Msg-PlusHash mode, which no table
+#: flow runs: degree -> (total as float.hex, attempts, failures
+#: injected, checkpoints committed, every ``p2p_*``/``app_*`` counter).
+#: Each receiver replica gets one full copy and a digest from every
+#: other sender replica, and a replica death moves the full copy to a
+#: survivor: the routes these cells use change with every death.
+MSG_PLUS_HASH_6H = {
+    2.0: ("0x1.0c1a2cd1f0224p-2", 1, 3, 0, {
+        "app_recvs": 346, "app_sends": 346,
+        "p2p_bytes": 11_020_520, "p2p_messages": 608,
+    }),
+    2.5: ("0x1.d21d56f969597p+0", 2, 11, 0, {
+        "app_recvs": 601, "app_sends": 583,
+        "p2p_bytes": 19_605_880, "p2p_messages": 1_526,
+    }),
+}
+
+
 def _observed(cell):
     report = cell.report
     return (
@@ -72,6 +93,28 @@ def test_failure_cell_is_exact():
         workers=1,
     )
     assert _observed(cell) == MTBF_6H_2X
+
+
+@pytest.mark.parametrize("degree", sorted(MSG_PLUS_HASH_6H))
+def test_msg_plus_hash_cell_is_exact(degree):
+    config = dataclasses.replace(SETUP.job_config(), mode=MSG_PLUS_HASH)
+    (cell,) = run_redundancy_sweep(
+        config, node_mtbfs=[SETUP.mtbf_to_sim(6.0)], degrees=[degree], workers=1
+    )
+    report = cell.report
+    traffic = {
+        name: value
+        for name, value in report.counters.items()
+        if name.startswith(("p2p_", "app_"))
+    }
+    observed = (
+        report.total_time.hex(),
+        report.attempts,
+        report.failures_injected,
+        report.checkpoints_committed,
+        traffic,
+    )
+    assert observed == MSG_PLUS_HASH_6H[degree]
 
 
 def _count_calls(monkeypatch, cls, name):

@@ -1,5 +1,7 @@
 """Tests for the SimMPI runtime: lifecycle, liveness, accounting."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -187,12 +189,40 @@ class TestAccounting:
         assert world.channels_quiet()
 
 
-def pairwise_quiet(world):
-    """``channels_quiet`` by a scan over every (src, dst) pair."""
-    for (src, dst), sent in world.sent_counts.items():
+class Ledger:
+    """The test's own count of each (src, dst) pair's sends and arrivals.
+
+    ``send`` posts one message and counts it; arrivals are counted by
+    wrapping the world's arrival entry point, as a destination still
+    alive takes them in (one to a dead rank is dropped, not counted).
+    """
+
+    def __init__(self, world):
+        self.world = world
+        self.sent = Counter()
+        self.arrived = Counter()
+        arrive = world._arrive
+
+        def observed(envelope):
+            if world.is_alive(envelope.dest):
+                self.arrived[envelope.source, envelope.dest] += 1
+            arrive(envelope)
+
+        # ``post_send`` queues whatever ``world._arrive`` is at post.
+        world._arrive = observed
+
+    def send(self, src, dst, payload=b"m" * 100):
+        self.sent[src, dst] += 1
+        self.world.post_send(src, (dst,), 0, payload, message_wire_size(payload))
+
+
+def pairwise_quiet(ledger):
+    """``channels_quiet`` by a scan over every (src, dst) pair of the ledger."""
+    world = ledger.world
+    for (src, dst), sent in ledger.sent.items():
         if not world.is_alive(dst) or not world.is_alive(src):
             continue
-        if world.arrived_counts.get((src, dst), 0) != sent:
+        if ledger.arrived[src, dst] != sent:
             return False
     return True
 
@@ -220,23 +250,21 @@ class TestInFlightCount:
         # Two ranks per node: same-node and off-node wires differ, so
         # messages of different pairs overtake each other.
         world = SimMPI(env, size=4, placement={0: 0, 1: 0, 2: 1, 3: 1})
+        ledger = Ledger(world)
         for op in traffic:
             if op[0] == "send":
                 _, src, dst = op
                 if world.is_alive(src):
-                    world.post_send(
-                        src, (dst,), 0, b"m" * 100, message_wire_size(b"m" * 100),
-                        done=None,
-                    )
+                    ledger.send(src, dst)
             elif op[0] == "kill":
                 world.kill_rank(op[1])
             else:
                 for _ in range(op[1]):
                     if env._queue:
                         env.step()
-            assert world.channels_quiet() == pairwise_quiet(world)
+            assert world.channels_quiet() == pairwise_quiet(ledger)
         env.run()
-        assert world.channels_quiet() and pairwise_quiet(world)
+        assert world.channels_quiet() and pairwise_quiet(ledger)
 
 
 class TestPlacement:
@@ -298,6 +326,7 @@ class TestNicInjection:
     def test_killed_sender_drains_its_nic_queue(self):
         env = Environment()
         world = SimMPI(env, size=3)
+        ledger = Ledger(world)
         busy, wire = self._costs(world, 0, 1)
         destinations = [1, 2, 1, 2, 1]
         arrived = []
@@ -330,12 +359,13 @@ class TestNicInjection:
         for _ in destinations[1:]:
             ends.append(ends[-1] + busy)
         assert arrived == [end + wire for end, dest in zip(ends, destinations) if dest == 1]
-        assert world.arrived_counts[(0, 1)] == 3
+        assert ledger.arrived == {(0, 1): 3}
         assert world.counters["p2p_dropped"] == 2
 
     def test_destination_killed_before_the_copy_leaves_the_nic(self):
         env = Environment()
         world = SimMPI(env, size=2)
+        ledger = Ledger(world)
         busy, _wire = self._costs(world, 0, 1)
         start = 1.0
         completed, delivered = [], []
@@ -360,11 +390,12 @@ class TestNicInjection:
         assert completed == [start + busy]
         assert delivered == []
         assert world.counters["p2p_dropped"] == 1
-        assert world.arrived_counts == {}
+        assert ledger.arrived == {}
 
     def test_send_to_a_dead_rank_is_dropped_at_post(self):
         env = Environment()
         world = SimMPI(env, size=2)
+        ledger = Ledger(world)
         world.kill_rank(1)
         nbytes = message_wire_size(self.PAYLOAD)
         completions = []
@@ -374,7 +405,7 @@ class TestNicInjection:
         # The sender still pays its NIC time; nothing reaches the wire.
         assert completions == [None]
         assert env.now == world.network.sender_busy_time(nbytes, False)
-        assert world.arrived_counts == {}
+        assert ledger.arrived == {}
 
     def test_post_queues_one_arrival_and_one_completion(self):
         env = Environment()
@@ -419,7 +450,7 @@ class TestNicInjection:
                 for when, priority, sequence, call, arg in env._queue
             )
             accounting = (
-                dict(world.counters), world.sent_counts, world._nic_free,
+                dict(world.counters), world._nic_free,
                 world._in_flight, env._sequence,
             )
             return queued, accounting

@@ -361,9 +361,9 @@ class TestWorldRelease:
             assert report.rollbacks > 0  # failed attempts were torn down too
         assert left == []
 
-    def test_failure_free_environment_is_freed_by_refcount(self, monkeypatch):
-        """The attempt's ``AnyOf`` lets go of the never-fired failure
-        event, so no cycle keeps the event graph and its Environment."""
+    @staticmethod
+    def _environments_alive_after_run(monkeypatch, mtbf_hours):
+        """Run a table cell with the collector off; which Environments live on?"""
         environments = []
 
         class TrackedEnvironment(Environment):
@@ -372,7 +372,7 @@ class TestWorldRelease:
                 environments.append(weakref.ref(self))
 
         monkeypatch.setattr(job_module, "Environment", TrackedEnvironment)
-        config = _table_cell(None)
+        config = _table_cell(mtbf_hours)
         gc.collect()
         gc.disable()
         try:
@@ -381,4 +381,18 @@ class TestWorldRelease:
         finally:
             gc.enable()
         assert report.completed
+        return report, alive
+
+    def test_failure_free_environment_is_freed_by_refcount(self, monkeypatch):
+        """The attempt's ``AnyOf`` lets go of the never-fired failure
+        event, so no cycle keeps the event graph and its Environment."""
+        _report, alive = self._environments_alive_after_run(monkeypatch, None)
+        assert alive == [False]
+
+    def test_failure_injected_environment_is_freed_by_refcount(self, monkeypatch):
+        """Stopping the failure injector queues no kick event and takes
+        its daemon's pending timer off the queue, so nothing left there
+        holds the Environment in a cycle."""
+        report, alive = self._environments_alive_after_run(monkeypatch, 6.0)
+        assert report.failures_injected > 0
         assert alive == [False]

@@ -1,14 +1,17 @@
 """Tests for RedComm: transparent replication of p2p and collectives."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import RedundancyError, VotingError
+from repro.errors import RedundancyError, SimulationDeadlock, VotingError
 from repro.mpi import ANY_SOURCE, ANY_TAG, SimMPI, Status, ops
 from repro.mpi.comm import USER_TAG_LIMIT, Communicator
 from repro.mpi.runtime import RankContext
 from repro.redundancy import (
     ALL_TO_ALL, MSG_PLUS_HASH, RedComm, RedRequest, ReplicaMap, SphereTracker,
 )
+from repro.redundancy.voting import HASH_TAG_OFFSET, plan_copies
 from repro.simkit import Environment
 from repro.simkit.events import Event
 from tests.mpi.test_comm import record_completions
@@ -443,3 +446,158 @@ class TestReplicaDeath:
         survivor = rmap.replicas_of(1)[0]
         assert results[survivor] == "ping"
         assert exhausted == []
+
+
+def _fresh_plan(red, senders_virtual, receivers_virtual):
+    """``plan_copies`` over the replicas the runtime has alive right now."""
+    world = red.runtime
+
+    def live(virtual):
+        return [rank for rank in red.replica_map.replicas_of(virtual) if world.is_alive(rank)]
+
+    senders, receivers = live(senders_virtual), live(receivers_virtual)
+    return senders, receivers, plan_copies(senders, receivers, red.mode)
+
+
+def _offset(kind):
+    return 0 if kind == "full" else HASH_TAG_OFFSET
+
+
+class TestSharedRoutes:
+    """The routes are built once per attempt and shared by its RedComms;
+    each one must still be the route a fresh plan over the replicas alive
+    at that instant gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        degree=st.sampled_from([2.0, 3.0]),
+        mode=st.sampled_from([ALL_TO_ALL, MSG_PLUS_HASH]),
+        kills=st.lists(
+            st.tuples(st.integers(0, 120), st.integers(0, 7)), max_size=6
+        ),
+    )
+    # A shadow of virtual 0 dies after the first round, one of virtual 2
+    # during the third.
+    @example(degree=2.0, mode=ALL_TO_ALL, kills=[(15, 0), (40, 2)])
+    @example(degree=3.0, mode=MSG_PLUS_HASH, kills=[(15, 0), (40, 4), (70, 5)])
+    def test_every_send_and_receive_uses_the_live_plan(self, degree, mode, kills):
+        n = 4
+        rmap = ReplicaMap(n, degree)
+        # Only shadows die, so no sphere is exhausted; ``kills`` name
+        # them by index, at microsecond times.
+        shadows = [rank for rank in range(rmap.total_physical) if rank >= n]
+        kill_plan = [(when * 1e-6, shadows[index % len(shadows)]) for when, index in kills]
+        posted = []
+        mismatches = []
+        original_post_send = SimMPI.post_send
+        original_post_recv = SimMPI.post_recv
+        original_isend = RedComm.isend
+        original_post_specific_recv = RedComm._post_specific_recv
+
+        def post_send(world, src, dests, tag, payload, nbytes, done=None):
+            posted.extend((dst, tag) for dst in dests)
+            return original_post_send(world, src, dests, tag, payload, nbytes, done)
+
+        def post_recv(world, rank, members, tag, done):
+            posted.extend(members)
+            return original_post_recv(world, rank, members, tag, done)
+
+        def isend(red, payload, dest, tag=0, _internal=False):
+            _senders, receivers, plan = _fresh_plan(red, red.rank, dest)
+            me = red.physical_rank
+            expected = [
+                (receiver, tag + _offset(plan[(me, receiver)])) for receiver in receivers
+            ]
+            posted.clear()
+            request = original_isend(red, payload, dest, tag, _internal)
+            if posted != expected:
+                mismatches.append(("send", me, dest, red.env.now, list(posted), expected))
+            return request
+
+        def post_specific_recv(red, source, tag, first_copy=None):
+            senders, _receivers, plan = _fresh_plan(red, source, red.rank)
+            me = red.physical_rank
+            expected = [
+                (sender, _offset(plan[(sender, me)]))
+                for sender in senders
+                if first_copy is None or sender != first_copy.source
+            ]
+            posted.clear()
+            request = original_post_specific_recv(red, source, tag, first_copy)
+            if posted != expected:
+                mismatches.append(("recv", me, source, red.env.now, list(posted), expected))
+            return request
+
+        def body(red):
+            total = 0
+            for round_ in range(6):
+                right = (red.rank + 1) % red.size
+                left = (red.rank - 1) % red.size
+                got, _status = yield from red.sendrecv(
+                    (red.rank, round_), right, source=left, send_tag=round_, recv_tag=round_
+                )
+                assert got == (left, round_)
+                total += yield from red.allreduce(red.rank, ops.SUM)
+                yield red.env.timeout(10e-6)
+            return total
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SimMPI, "post_send", post_send)
+            patch.setattr(SimMPI, "post_recv", post_recv)
+            patch.setattr(RedComm, "isend", isend)
+            patch.setattr(RedComm, "_post_specific_recv", post_specific_recv)
+            try:
+                world, _, exhausted, results = run_redundant(
+                    n, degree, body, mode=mode, kill_plan=kill_plan
+                )
+            except (VotingError, SimulationDeadlock):
+                # Msg-PlusHash loses a message whose full copy's carrier
+                # dies, or whose plan changes between send and receive
+                # (``test_msg_plus_hash_survives_a_carrier_death``); the
+                # routes up to that point are still checked.
+                if mode == ALL_TO_ALL:
+                    raise
+                world = None
+        assert mismatches == []
+        if world is not None:
+            assert exhausted == []
+            survivors = [rank for rank in range(rmap.total_physical) if world.is_alive(rank)]
+            assert sorted(results) == survivors
+            assert set(results.values()) == {6 * 6}
+
+    @pytest.mark.xfail(
+        raises=(VotingError, SimulationDeadlock),
+        strict=True,
+        reason="Msg-PlusHash loses a message when a sender replica dies "
+        "between the receive's post and the last copy's send",
+    )
+    @pytest.mark.parametrize(
+        "victim, sends_first",
+        [("primary", "shadow"), ("shadow", "primary"), ("shadow", None)],
+    )
+    def test_msg_plus_hash_survives_a_carrier_death(self, victim, sends_first):
+        """A replica of virtual 0 dies while virtual 1's receives wait.
+
+        When the other replica had already sent, one receiver got only
+        its digest, and the full copy's carrier is dead (a
+        ``VotingError``).  When it sends after the death, the new plan
+        ships receiver 3 a full copy where its receive waits for a
+        digest (a deadlock)."""
+        rmap = ReplicaMap(2, 2.0)
+        replicas = dict(zip(("primary", "shadow"), rmap.replicas_of(0)))
+        early = replicas.get(sends_first)
+
+        def body(red):
+            if red.rank == 1:
+                payload, _ = yield from red.recv(source=0, tag=5)
+                return payload
+            if red.physical_rank != early:
+                yield red.env.timeout(0.01)  # the victim dies waiting here
+            yield from red.send("late", 1, tag=5)
+            return None
+
+        _, _, _, results = run_redundant(
+            2, 2.0, body, mode=MSG_PLUS_HASH, kill_plan=[(0.001, replicas[victim])]
+        )
+        for physical in rmap.replicas_of(1):
+            assert results[physical] == "late"

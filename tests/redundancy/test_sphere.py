@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import RedundancyError
-from repro.redundancy import ReplicaMap, SphereTracker
+from repro.mpi import SimMPI
+from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, ReplicaMap, SphereTracker
+from repro.redundancy.voting import HASH_TAG_OFFSET
+from repro.simkit import Environment
 
 
 @pytest.fixture
@@ -79,3 +82,53 @@ class TestUnreplicated:
         assert fired == []
         tracker.notice_death(1)  # unreplicated: fatal
         assert fired == [1]
+
+
+class TestRoutes:
+    """Routes are built on first use, shared, and dropped on a death."""
+
+    def _bound(self, tracker, mode):
+        world = SimMPI(Environment(), size=tracker.replica_map.total_physical)
+        tracker.bind(world, mode)
+        return world
+
+    def test_all_to_all_replicas_share_one_route(self, tracker):
+        self._bound(tracker, ALL_TO_ALL)
+        # Virtual 0 is physical {0, 3}, virtual 1 is {1, 4}.
+        route = tracker.send_route(0, 1)
+        assert route == ((1, 4), None)
+        assert tracker.send_route(3, 1) is route
+        members = tracker.recv_route(3, 1)
+        assert members == ((1, 0), (4, 0))
+        assert tracker.recv_route(0, 1) is members
+
+    def test_msg_plus_hash_routes_are_per_rank(self, tracker):
+        self._bound(tracker, MSG_PLUS_HASH)
+        # Receiver replica j gets the full copy from sender replica j.
+        assert tracker.send_route(0, 1) == ((1, 4), ("full", "hash"))
+        assert tracker.send_route(3, 1) == ((1, 4), ("hash", "full"))
+        assert tracker.recv_route(4, 0) == ((0, HASH_TAG_OFFSET), (3, 0))
+        assert tracker.recv_route(1, 0) == ((0, 0), (3, HASH_TAG_OFFSET))
+
+    @pytest.mark.parametrize("mode", [ALL_TO_ALL, MSG_PLUS_HASH])
+    def test_first_notice_of_a_death_drops_every_route(self, tracker, mode):
+        world = self._bound(tracker, mode)
+        before = tracker.send_route(0, 1), tracker.recv_route(0, 1)
+        world.kill_rank(4)
+        tracker.notice_death(4)
+        assert tracker.send_route(0, 1) == ((1,), None)
+        assert tracker.recv_route(0, 1) == ((1, 0),)
+        assert (tracker.send_route(0, 1), tracker.recv_route(0, 1)) != before
+
+    def test_a_rank_the_runtime_killed_is_left_out(self, tracker):
+        world = self._bound(tracker, ALL_TO_ALL)
+        world.kill_rank(4)  # before any RedComm heard of it
+        assert tracker.send_route(0, 1) == ((1,), None)
+
+    def test_one_world_in_one_mode(self, tracker):
+        world = self._bound(tracker, ALL_TO_ALL)
+        tracker.bind(world, ALL_TO_ALL)
+        with pytest.raises(RedundancyError):
+            tracker.bind(world, MSG_PLUS_HASH)
+        with pytest.raises(RedundancyError):
+            tracker.bind(SimMPI(Environment(), size=6), ALL_TO_ALL)

@@ -186,3 +186,59 @@ class TestInterrupt:
         assert process.is_alive
         env.run()
         assert not process.is_alive
+
+
+class TestHalt:
+    def test_halt_queues_nothing_and_takes_its_timer_off_the_queue(self, env):
+        closed = []
+
+        def daemon(env):
+            try:
+                while True:
+                    yield env.timeout(1.0)
+            finally:
+                closed.append(env.now)
+
+        process = env.process(daemon(env))
+        env.run(until=2.5)
+        assert len(env._queue) == 1  # the daemon's next timer
+        process.halt()
+        assert env._queue == []
+        assert closed == [2.5]
+        assert not process.is_alive
+        assert process.value is None
+
+    def test_a_timer_someone_else_waits_on_stays_queued(self, env):
+        shared = env.timeout(1.0)
+        fired = []
+        shared.add_callback(lambda _event: fired.append(env.now))
+
+        def daemon(env):
+            yield shared
+
+        process = env.process(daemon(env))
+        env.step()  # start the daemon
+        process.halt()
+        env.run()
+        assert fired == [1.0]
+
+    def test_halt_before_start_and_after_finish(self, env):
+        def body(env):
+            yield env.timeout(1.0)
+
+        unstarted = env.process(body(env))
+        unstarted.halt()
+        assert env._queue == []
+        finished = env.process(body(env))
+        env.run()
+        finished.halt()
+        assert finished.processed
+
+    def test_a_waited_on_process_cannot_be_halted(self, env):
+        def body(env):
+            yield env.timeout(1.0)
+
+        process = env.process(body(env))
+        process.add_callback(lambda _event: None)
+        with pytest.raises(SimulationError):
+            process.halt()

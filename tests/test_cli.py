@@ -137,6 +137,10 @@ class TestCommands:
             "table3 cases=((168.0,5.0),)",
             "table4 setup=1",
             "table5 setup=0",
+            "figs4to6 configs=()",
+            "figs4to6 configs=(('config1',5.0,0.2,600.0,900.0),)",
+            "table4 quick=x",
+            "chaos quick=1",
         ],
     )
     def test_override_of_the_wrong_type_is_a_usage_error(self, override, capsys):
