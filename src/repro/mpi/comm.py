@@ -93,17 +93,21 @@ class Communicator(CollectiveAPI):
                 f"rank {peer} outside communicator of size {self.size}"
             )
 
-    def _check_tag(self, tag: int, internal: bool) -> None:
+    @staticmethod
+    def _check_user_tag(tag: int) -> None:
+        # Internal tags come from ``_next_collective_tag`` and are not
+        # checked.
         if tag < 0:
             raise CommunicatorError(f"tag must be >= 0, got {tag}")
-        if not internal and tag >= USER_TAG_LIMIT:
+        if tag >= USER_TAG_LIMIT:
             raise CommunicatorError(
                 f"user tags must be < {USER_TAG_LIMIT}, got {tag}"
             )
 
     def isend(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False) -> Request:
         """Non-blocking send; returns a request completing at injection."""
-        self._check_tag(tag, _internal)
+        if not _internal:
+            self._check_user_tag(tag)
         self._check_peer(dest)
         runtime = self._runtime
         request = Request(runtime.env, SEND)
@@ -117,8 +121,8 @@ class Communicator(CollectiveAPI):
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG, _internal: bool = False
     ) -> Request:
         """Non-blocking receive; request completes when matched."""
-        if tag != ANY_TAG:
-            self._check_tag(tag, _internal)
+        if tag != ANY_TAG and not _internal:
+            self._check_user_tag(tag)
         if source != ANY_SOURCE:
             self._check_peer(source)
         runtime = self._runtime

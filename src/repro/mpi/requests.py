@@ -50,8 +50,11 @@ class Request(Event):
             return None
         envelope: Envelope = raw
         # The envelope carries the wire size; a Status reports the payload.
+        # Built as the runtime builds an ``Envelope``: one allocation.
         nbytes = envelope.nbytes - ENVELOPE_OVERHEAD
-        return envelope.payload, Status(envelope.source, envelope.tag, nbytes)
+        return envelope.payload, tuple.__new__(
+            Status, (envelope.source, envelope.tag, nbytes)
+        )
 
     def wait(self):
         """Generator: block the calling process until completion.

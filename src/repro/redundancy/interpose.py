@@ -104,13 +104,6 @@ class RedRequest(Event):
         self._envelopes: List[Envelope] = []
         self._consumed = False
 
-    # -- construction (layer-internal) -----------------------------------
-
-    def arm(self, members: int) -> None:
-        """All ``members`` receives posted (none completes inside its post)."""
-        self._remaining = members
-        self._maybe_complete()
-
     # -- progress ----------------------------------------------------------
 
     def _recv_done(self, envelope: Envelope) -> None:
@@ -121,28 +114,20 @@ class RedRequest(Event):
         if not self._remaining:
             self.succeed_inline(self._envelopes)
 
-    def _maybe_complete(self) -> None:
-        if self._remaining:
-            return
-        if not self._envelopes:
-            # Every source replica died before sending: the request
-            # can never be satisfied.  Leave it pending — the sphere
-            # tracker has (or will) declare the job failed and force
-            # a rollback.
-            return
-        self.succeed_inline(self._envelopes)
-
     def drop_sender(self, dead_physical: int) -> None:
         """A peer replica died: withdraw its member receive if still posted.
 
         A receive that already matched still completes: its message was
-        delivered.
+        delivered.  A set left with no member and no copy stays pending:
+        every source replica died before sending, so the sphere tracker
+        has declared (or will declare) the job failed.
         """
         if self.kind != "recv" or self.triggered:
             return
         if self.runtime.cancel_recv(self.physical_rank, dead_physical, self._recv_done):
             self._remaining -= 1
-        self._maybe_complete()
+            if not self._remaining and self._envelopes:
+                self.succeed_inline(self._envelopes)
 
     # -- application API -----------------------------------------------------
 
@@ -159,9 +144,10 @@ class RedRequest(Event):
             return None
         tag = self.tag
         winner = vote(raw, tag, self.runtime.counters)
-        # The winner's wire size is its payload's size plus the envelope.
-        return winner.payload, Status(
-            self.virtual_peer, tag, winner.nbytes - ENVELOPE_OVERHEAD
+        # The winner's wire size is its payload's size plus the envelope;
+        # the ``Status`` is built as the runtime builds an ``Envelope``.
+        return winner.payload, tuple.__new__(
+            Status, (self.virtual_peer, tag, winner.nbytes - ENVELOPE_OVERHEAD)
         )
 
 
@@ -185,23 +171,16 @@ class RedComm(CollectiveAPI):
         self.tracker = tracker
         self.mode = mode
         self.corruptor = corruptor
-        self._virtual_rank = replica_map.virtual_of(ctx.rank)
+        #: This process's *virtual* rank, and the number of virtual
+        #: processes (plain attributes: the collectives read them per hop).
+        self.rank = replica_map.virtual_of(ctx.rank)
+        self.size = replica_map.virtual_processes
         self._coll_seq = 0
         self._active_recvs: List[RedRequest] = []
         tracker.bind(self.runtime, mode)
         self.runtime.on_rank_death(self._on_rank_death)
 
     # -- identity (virtual view) ------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        """This process's *virtual* rank."""
-        return self._virtual_rank
-
-    @property
-    def size(self) -> int:
-        """Number of virtual processes."""
-        return self.replica_map.virtual_processes
 
     @property
     def env(self):
@@ -229,15 +208,19 @@ class RedComm(CollectiveAPI):
 
     # -- point to point --------------------------------------------------------
 
-    def _check_tag(self, tag: int, internal: bool) -> None:
+    @staticmethod
+    def _check_user_tag(tag: int) -> None:
+        # Internal tags come from ``_next_collective_tag`` and are not
+        # checked.
         if tag < 0:
             raise RedundancyError(f"tag must be >= 0, got {tag}")
-        if not internal and tag >= USER_TAG_LIMIT:
+        if tag >= USER_TAG_LIMIT:
             raise RedundancyError(f"user tags must be < {USER_TAG_LIMIT}, got {tag}")
 
     def isend(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False) -> RedRequest:
         """Fan-out send to every live replica of virtual rank ``dest``."""
-        self._check_tag(tag, _internal)
+        if not _internal:
+            self._check_user_tag(tag)
         runtime = self.runtime
         me = self.physical_rank
         receivers, kinds = self.tracker.send_route(me, dest)
@@ -289,7 +272,8 @@ class RedComm(CollectiveAPI):
             )
         if tag == ANY_TAG:
             raise RedundancyError("ANY_TAG is not supported under redundancy")
-        self._check_tag(tag, _internal)
+        if not _internal:
+            self._check_user_tag(tag)
         return self._post_specific_recv(source, tag)
 
     def _post_specific_recv(
@@ -308,8 +292,13 @@ class RedComm(CollectiveAPI):
         if first_copy is not None:
             request_set._envelopes.append(first_copy)
             members = tuple(member for member in members if member[0] != first_copy.source)
+        # No member completes inside its post (a match on an unexpected
+        # copy is queued), so the count is set after.
         runtime.post_recv(me, members, tag, request_set._recv_done)
-        request_set.arm(len(members))
+        request_set._remaining = len(members)
+        if not members and request_set._envelopes:
+            # The lead's first copy was the only one left to receive.
+            request_set.succeed_inline(request_set._envelopes)
         if len(self._active_recvs) > 64:
             self._active_recvs = [
                 pending for pending in self._active_recvs if not pending.triggered
@@ -330,7 +319,8 @@ class RedComm(CollectiveAPI):
         virtual sender.
         """
         if source == ANY_SOURCE:
-            self._check_tag(tag, _internal)
+            if not _internal:
+                self._check_user_tag(tag)
             from .anysource import anysource_recv
 
             result = yield from anysource_recv(self, tag)
@@ -363,6 +353,6 @@ class RedComm(CollectiveAPI):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<RedComm virtual={self._virtual_rank}/{self.size} "
+            f"<RedComm virtual={self.rank}/{self.size} "
             f"physical={self.physical_rank} mode={self.mode}>"
         )

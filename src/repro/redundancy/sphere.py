@@ -137,18 +137,21 @@ class SphereTracker:
         The copy kinds come from :func:`plan_copies` over the two
         spheres' live replicas, so sender and receiver agree on who
         carries the full payload even after replica deaths; they are
-        ``None`` when every copy is full.  Built on first use.
+        ``None`` when every copy is full.  Built on first use; a lookup
+        is this one call.
         """
         key = dest if self._mode == ALL_TO_ALL else (sender, dest)
-        route = self._send_routes.get(key)
-        if route is None:
-            receivers = self._live_replicas(dest)
-            senders = self._live_replicas(self.replica_map.virtual_of(sender))
-            plan = plan_copies(senders, receivers, self._mode)
-            kinds = tuple(plan[(sender, receiver)] for receiver in receivers)
-            route = self._send_routes[key] = (
-                receivers, None if all(kind == "full" for kind in kinds) else kinds
-            )
+        try:
+            return self._send_routes[key]
+        except KeyError:
+            pass
+        receivers = self._live_replicas(dest)
+        senders = self._live_replicas(self.replica_map.virtual_of(sender))
+        plan = plan_copies(senders, receivers, self._mode)
+        kinds = tuple(plan[(sender, receiver)] for receiver in receivers)
+        route = self._send_routes[key] = (
+            receivers, None if all(kind == "full" for kind in kinds) else kinds
+        )
         return route
 
     def recv_route(self, receiver: int, source: int) -> RecvRoute:
@@ -156,16 +159,18 @@ class SphereTracker:
 
         One ``(sender replica, tag offset)`` per live replica; a member
         that gets a digest copy listens at ``tag + HASH_TAG_OFFSET``.
-        Built on first use.
+        Built on first use; a lookup is this one call.
         """
         key = source if self._mode == ALL_TO_ALL else (receiver, source)
-        route = self._recv_routes.get(key)
-        if route is None:
-            senders = self._live_replicas(source)
-            receivers = self._live_replicas(self.replica_map.virtual_of(receiver))
-            plan = plan_copies(senders, receivers, self._mode)
-            route = self._recv_routes[key] = tuple(
-                (sender, 0 if plan[(sender, receiver)] == "full" else HASH_TAG_OFFSET)
-                for sender in senders
-            )
+        try:
+            return self._recv_routes[key]
+        except KeyError:
+            pass
+        senders = self._live_replicas(source)
+        receivers = self._live_replicas(self.replica_map.virtual_of(receiver))
+        plan = plan_copies(senders, receivers, self._mode)
+        route = self._recv_routes[key] = tuple(
+            (sender, 0 if plan[(sender, receiver)] == "full" else HASH_TAG_OFFSET)
+            for sender in senders
+        )
         return route

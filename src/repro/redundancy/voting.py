@@ -69,8 +69,11 @@ def vote(
     """Compare replica copies; return the copy whose payload is delivered.
 
     ``copies`` are the matched envelopes of one receive set and ``tag``
-    its tag.  When every copy is full and agrees with the first, that
-    is the whole vote: the first copy is returned and nothing is built.
+    its tag.  When every copy is full and its payload digests like the
+    first's, that is the whole vote: the first copy is returned and
+    nothing is built.  Agreement is decided without hashing and, for the
+    payloads the workloads send, without building the bytes
+    :func:`digest_bytes` would give: see :func:`_same_digest_bytes`.
     Otherwise :func:`tally` decides; a vote that was not unanimous adds
     one to ``counters["votes_not_unanimous"]`` and the outvoted copies
     to ``counters["corrupt_copies_voted_out"]``.
@@ -82,7 +85,16 @@ def vote(
     """
     if not copies:
         raise VotingError("no replica copies to vote on")
-    if _all_agree(copies, tag):
+    # A plain loop, here rather than in a helper: this runs once per
+    # voted message.
+    first = copies[0].payload
+    for copy in copies:
+        if copy.tag != tag:
+            break
+        other = copy.payload
+        if other is not first and not _same_digest_bytes(first, other):
+            break
+    else:
         return copies[0]
     outcome = tally(copies, tag)
     if counters is not None and not outcome.unanimous:
@@ -136,24 +148,6 @@ def tally(copies: Sequence[Envelope], tag: int) -> VoteResult:
 #: Unsigned integer dtypes by item size: an array viewed as one is
 #: compared bit for bit, with no copy of its buffer.
 _BIT_VIEWS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
-
-
-def _all_agree(copies: Sequence[Envelope], tag: int) -> bool:
-    """True when every copy is full and its payload digests like the first.
-
-    Decided without hashing and, for the payloads the workloads send,
-    without building the bytes :func:`digest_bytes` would give: see
-    :func:`_same_digest_bytes`.
-    """
-    # A plain loop: this runs once per voted message.
-    first = copies[0].payload
-    for copy in copies:
-        if copy.tag != tag:
-            return False
-        other = copy.payload
-        if other is not first and not _same_digest_bytes(first, other):
-            return False
-    return True
 
 
 def _same_digest_bytes(first: Any, other: Any) -> bool:

@@ -133,7 +133,9 @@ class Process(Event):
                 # (loop, not recursion, to keep stack depth flat).
                 event = target
                 continue
-            target.add_callback(self._resume)
+            # ``add_callback`` inline: the event has not run its
+            # callbacks yet, so this one joins them.
+            target.callbacks.append(self._resume)
             self._waiting_on = target
             return
 

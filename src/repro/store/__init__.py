@@ -79,13 +79,22 @@ class ResultsStore:
 
     # -- job reports --------------------------------------------------------
 
-    def get_report(self, config: JobConfig) -> Optional[JobReport]:
-        """The stored report for ``config``, or ``None`` on a miss."""
-        return self._get(job_key(config, version=self.version), decode_report)
+    def report_key(self, config: JobConfig) -> str:
+        """The key a cell's report is stored under: its config's, salted.
 
-    def put_report(self, config: JobConfig, report: JobReport) -> None:
-        """Persist one completed cell's report under its config key."""
-        self._put(job_key(config, version=self.version), encode_report(report))
+        Computing it canonicalises the whole config, so a caller that
+        looks a cell up and later writes it computes it once and hands
+        it to both :meth:`get_report` and :meth:`put_report`.
+        """
+        return job_key(config, version=self.version)
+
+    def get_report(self, key: str) -> Optional[JobReport]:
+        """The report stored under ``key``, or ``None`` on a miss."""
+        return self._get(key, decode_report)
+
+    def put_report(self, key: str, report: JobReport) -> None:
+        """Persist one completed cell's report under its :meth:`report_key`."""
+        self._put(key, encode_report(report))
 
     # -- arbitrary memoized objects (serving layer) -------------------------
 

@@ -16,7 +16,7 @@ from repro.mpi.matching import Envelope
 from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, RedRequest, vote
 from repro.redundancy import voting
 from repro.redundancy.interpose import HASH_TAG_OFFSET
-from repro.redundancy.voting import _all_agree, plan_copies, tally
+from repro.redundancy.voting import plan_copies, tally
 from repro.simkit import Environment
 
 #: The receive's tag; a digest copy travels at ``TAG + HASH_TAG_OFFSET``.
@@ -286,6 +286,28 @@ def array_pairs(draw):
     return first, other
 
 
+class _Tallied(Exception):
+    """Raised in place of ``tally``: the vote left its unanimous path."""
+
+
+def _agree_without_tally(first, other):
+    """True when ``vote`` delivers two full copies without a tally."""
+    original = voting.tally
+
+    def no_tally(copies, tag):
+        raise _Tallied
+
+    voting.tally = no_tally
+    try:
+        copies = [full(0, first), full(1, other)]
+        assert vote(copies, TAG) is copies[0]
+        return True
+    except _Tallied:
+        return False
+    finally:
+        voting.tally = original
+
+
 class TestAgreementWithoutDigestBytes:
     @settings(max_examples=400)
     @given(
@@ -298,14 +320,14 @@ class TestAgreementWithoutDigestBytes:
     def test_agrees_exactly_when_digest_bytes_do(self, pair):
         first, other = pair
         expected = digest_bytes(first) == digest_bytes(other)
-        assert _all_agree([full(0, first), full(1, other)], TAG) == expected
+        assert _agree_without_tally(first, other) == expected
 
     @pytest.mark.parametrize("first, other", [(True, 1), (1, 1.0), (0.0, -0.0), (1.0, True)])
     def test_lookalike_scalars_disagree(self, first, other):
-        assert not _all_agree([full(0, first), full(1, other)], TAG)
+        assert not _agree_without_tally(first, other)
 
     def test_every_nan_agrees(self):
-        assert _all_agree([full(0, float("nan")), full(1, -float("nan"))], TAG)
+        assert _agree_without_tally(float("nan"), -float("nan"))
 
 
 _ANY_PAYLOAD = st.one_of(

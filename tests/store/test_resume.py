@@ -3,8 +3,12 @@
 from dataclasses import asdict
 from functools import partial
 
+import pytest
+
+import repro.store as store_module
 from repro.models import CombinedModel, recommend
-from repro.orchestration import JobConfig, run_redundancy_sweep
+from repro.orchestration import CampaignExecutor, JobConfig, run_redundancy_sweep
+from repro.orchestration.campaign import redundancy_sweep_configs, run_cells
 from repro.store import ResultsStore
 from repro.store.codec import encode_payload, encode_report
 from repro.store.keys import fingerprint, job_key
@@ -43,7 +47,7 @@ class TestFacade:
     def test_report_round_trip(self, tmp_path):
         store = ResultsStore(tmp_path)
         config = base_config()
-        assert store.get_report(config) is None
+        assert store.get_report(store.report_key(config)) is None
         cells = run_redundancy_sweep(
             base_config(), node_mtbfs=[3.0], degrees=[1.0], store=store
         )
@@ -69,7 +73,7 @@ class TestFacade:
         payload["data"]["f"].update(timeline=[], time_in_checkpoints=0.0)
         store.backend.put(job_key(cell.config, version=store.version), payload)
         old = ResultsStore(tmp_path)
-        assert old.get_report(cell.config) is None
+        assert old.get_report(old.report_key(cell.config)) is None
         assert (old.hits, old.misses, old.entries) == (0, 1, 0)
         (rerun,) = run_redundancy_sweep(
             base_config(), node_mtbfs=[3.0], degrees=[1.0], store=old
@@ -183,7 +187,7 @@ class TestFacade:
 
     def test_hit_ratio_and_render(self, tmp_path):
         store = ResultsStore(tmp_path)
-        store.get_report(base_config())
+        store.get_report(store.report_key(base_config()))
         assert store.hit_ratio == 0.0
         text = store.render_stats()
         assert "0 hits" in text and "1 misses" in text
@@ -233,3 +237,30 @@ class TestCampaignResume:
             base_config(), node_mtbfs=MTBFS, degrees=DEGREES
         )
         assert wire(full) == wire(cold)
+
+
+class TestOneKeyPerCell:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_cell_is_keyed_once_per_run(self, tmp_path, monkeypatch, workers):
+        """A cold run keys each cell once for its lookup and its write;
+        a warm rerun keys it once for its hit."""
+        keyed = []
+
+        def counting_job_key(config, version):
+            keyed.append(config)
+            return job_key(config, version=version)
+
+        monkeypatch.setattr(store_module, "job_key", counting_job_key)
+        configs = redundancy_sweep_configs(base_config(), MTBFS, DEGREES)
+        cells = len(configs)
+        cold = ResultsStore(tmp_path)
+        first = run_cells(configs, CampaignExecutor(workers=workers, store=cold))
+        assert len(keyed) == cells
+        assert (cold.hits, cold.misses, cold.writes) == (0, cells, cells)
+        keyed.clear()
+        warm = ResultsStore(tmp_path)
+        second = run_cells(configs, CampaignExecutor(workers=workers, store=warm))
+        assert len(keyed) == cells
+        assert (warm.hits, warm.misses, warm.writes) == (cells, 0, 0)
+        assert all(cell.cached for cell in second)
+        assert wire(second) == wire(first)
