@@ -4,19 +4,18 @@ A process image is the serialised workload state of one rank — really
 serialised, so restart *restores the actual numbers* and tests can
 assert bit-identical recovery (the property BLCR provides at the
 whole-address-space level).  :func:`checksum` is the one integrity
-digest: an image computes its CRC once, when it is made; storage
-records it before any at-rest damage, and
-:meth:`~repro.checkpoint.storage.StoredBlob.verify` checks the stored
-bytes against it.
+digest.  An image computes its CRC the first time it is read: storage
+reads it only to check bytes that are not the image's own (a copy the
+fault model or a test damaged), so a run where no blob is damaged
+computes none.  Checking a checkpoint when it is read, not when it is
+written, is the scheme of Aupy et al.
 """
 
 from __future__ import annotations
 
-import io
 import pickle
 import zlib
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 
 def checksum(data: bytes) -> int:
@@ -24,17 +23,26 @@ def checksum(data: bytes) -> int:
     return zlib.crc32(data)
 
 
-@dataclass(frozen=True)
 class ProcessImage:
     """A captured process state, ready for stable storage."""
 
-    data: bytes
-    #: ``checksum(data)``, computed once, here: every replica that
-    #: stages the image records it, and no caller can pass another.
-    crc: int = field(init=False)
+    __slots__ = ("data", "_crc")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "crc", checksum(self.data))
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self._crc: Optional[int] = None
+
+    @property
+    def crc(self) -> int:
+        """``checksum(data)``, computed on first read and kept.
+
+        No caller can pass another value: the digest is always the
+        data's own.
+        """
+        crc = self._crc
+        if crc is None:
+            crc = self._crc = checksum(self.data)
+        return crc
 
     @property
     def nbytes(self) -> int:
@@ -42,20 +50,29 @@ class ProcessImage:
         return len(self.data)
 
 
+class _Chunks(list):
+    """A pickler's file: each write is kept as a chunk, uncopied."""
+
+    __slots__ = ()
+    write = list.append
+
+
 def capture_image(state: Any) -> ProcessImage:
-    """Serialise ``state`` into an image and checksum it.
+    """Serialise ``state`` into an image.
 
     The bytes are exactly ``pickle.dumps(state,
-    protocol=pickle.HIGHEST_PROTOCOL)``.  A ``Pickler`` writing onto a
-    ``BytesIO`` makes them: a large array's buffer is written past the
-    pickler's frame rather than copied into it, which is faster than
-    ``pickle.dumps`` for a 160 KiB state while earlier images are
-    still held (~30 us against ~140 us with 30 earlier images held,
-    measured on a shared 2-core x86 VM).
+    protocol=pickle.HIGHEST_PROTOCOL)``.  A ``Pickler`` writes them as
+    chunks onto a list, and one ``join`` copies them into a bytes
+    object of the exact size.  A large array's buffer is a chunk of its
+    own, written past the pickler's frame rather than copied into it,
+    so it is copied once, by the join: ``pickle.dumps`` copies it into
+    an output buffer that it grows and then trims, and a ``BytesIO``
+    copies it into a buffer an eighth larger than its contents and then
+    shrinks that.
     """
-    buffer = io.BytesIO()
-    pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
-    return ProcessImage(buffer.getvalue())
+    chunks = _Chunks()
+    pickle.Pickler(chunks, protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+    return ProcessImage(b"".join(chunks))
 
 
 def restore_image(data: bytes) -> Any:

@@ -15,8 +15,9 @@ The checkpoint path:
 2. barrier + channel quiescence (bookmark coordinator);
 3. capture: serialise workload state into a per-virtual-rank image.
    The replicas of a sphere hold the same state, so the first of them
-   to get here captures the sphere's image (pickled and checksummed
-   once) and its siblings reuse it; an image is kept for its set only;
+   to get here captures the sphere's image (pickled once; its CRC
+   waits for a read that needs it) and its siblings reuse it; an image
+   is kept for its set only;
 4. persist: every replica stages the image, so the storage fault model
    draws once per replica, and pauses for ``fixed_cost`` seconds (the
    paper's measured c = 120 s);

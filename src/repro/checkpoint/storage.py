@@ -14,13 +14,13 @@ Two hardening layers on top:
 
 * **Versioned recovery lines** — the last :data:`RECOVERY_LINES`
   committed lines are retained instead of overwritten, and
-  :meth:`StableStorage.restore` verifies every image's CRC and falls
-  back line by line when the newest images turn out corrupt or
-  unreadable (several checkpoints against silent errors, as in Aupy et
-  al.).  The job restarts from the older line's step, so the extra
-  rework is charged to it.  Only when every retained line is bad does
-  restore raise :class:`NoCheckpointError`; the job then cold-starts
-  from step 0.
+  :meth:`StableStorage.restore` verifies every image (by CRC, when
+  its bytes are not the staged image's own) and falls back line by
+  line when the newest images turn out corrupt or unreadable (several
+  checkpoints against silent errors, as in Aupy et al.).  The job
+  restarts from the older line's step, so the extra rework is charged
+  to it.  Only when every retained line is bad does restore raise
+  :class:`NoCheckpointError`; the job then cold-starts from step 0.
 * **Fault injection** — an optional
   :class:`~repro.faults.storage_faults.StorageFaultModel` decides, per
   write, whether it fails (:class:`StorageWriteError`) or the blob is
@@ -66,15 +66,28 @@ class RecoveryLine:
 
 @dataclass
 class StoredBlob:
-    """One durable object: payload bytes plus an integrity digest."""
+    """One durable object: payload bytes and the image they were staged from.
+
+    ``data`` starts as the image's own bytes object; at-rest damage
+    replaces it with a new one (bytes are immutable, and
+    :meth:`StorageFaultModel.damage
+    <repro.faults.storage_faults.StorageFaultModel.damage>` and
+    :meth:`StableStorage.corrupt` always build a new object), while the
+    image keeps the pristine bytes and so the pristine digest.
+    """
 
     key: str
     data: bytes
-    crc: int
+    image: ProcessImage
 
     def verify(self) -> None:
-        """Raise :class:`CorruptImageError` if the payload was damaged."""
-        if checksum(self.data) != self.crc:
+        """Raise :class:`CorruptImageError` if the payload was damaged.
+
+        A payload that *is* its image's bytes object is the image, so
+        no CRC is computed; any other payload is checked by CRC.
+        """
+        data = self.data
+        if data is not self.image.data and checksum(data) != self.image.crc:
             raise CorruptImageError(f"blob {self.key!r} failed its integrity check")
 
 
@@ -128,13 +141,15 @@ class StableStorage:
     def stage_untimed(self, set_id: str, key: str, image: ProcessImage) -> None:
         """Stage an image's bytes under (set_id, key); the caller pays its cost.
 
-        The blob records the CRC the image computed when it was made, so
-        the replicas that stage one image do not checksum it again.
-        Fault decisions still apply: an injected write failure raises
+        The blob keeps the image, whose CRC is computed only if a
+        verification needs it, so the replicas that stage one image
+        share it and no write computes a CRC.  Fault decisions still
+        apply: an injected write failure raises
         :class:`StorageWriteError` and stages nothing, and at-rest
-        corruption damages the payload while the recorded CRC keeps the
-        pristine value — the rot is silent until read-back verification.
-        A second stage under the same (set_id, key) replaces the first.
+        corruption swaps in a damaged copy of the payload while the
+        image keeps the pristine bytes — the rot is silent until
+        read-back verification.  A second stage under the same
+        (set_id, key) replaces the first.
         """
         data = image.data
         if self.faults_active:
@@ -145,7 +160,7 @@ class StableStorage:
                 )
             if verdict.corrupt:
                 data = self.faults.damage(data)
-        blob = StoredBlob(key=key, data=data, crc=image.crc)
+        blob = StoredBlob(key=key, data=data, image=image)
         self._staged.setdefault(set_id, {})[key] = blob
 
     # -- set lifecycle ------------------------------------------------------

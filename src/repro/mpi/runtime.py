@@ -35,7 +35,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappush
-from typing import Any, Callable, DefaultDict, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, DefaultDict, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..errors import MPIError
 from ..netsim import Network
@@ -274,19 +276,27 @@ class SimMPI:
             else:
                 posted.append((source, member_tag, done))
 
-    def cancel_recv(self, rank: int, source: int, done: Completion) -> bool:
-        """Withdraw a posted receive (redundancy layer, dead peers).
+    def withdraw_recvs(
+        self, source: int, select: Callable[[Completion], bool]
+    ) -> Iterator[Completion]:
+        """Withdraw the posted receives from ``source`` that ``select`` picks.
 
-        Returns True if the receive was still pending and is now gone;
-        False if it already matched (its message will be delivered), or
-        if ``rank`` is dead.
+        A generator: each receive whose pattern names ``source`` and
+        whose completion ``select`` accepts leaves its rank's list, and
+        then its completion is yielded.  The walk goes in rank order,
+        then post order, and reads each rank's list when its turn comes,
+        so receives the caller's work posts meanwhile are seen.
+        Wildcard receives and those ``select`` declines stay posted.
         """
-        posted = self._posted[rank]
-        for index, (wanted, _tag, posted_done) in enumerate(posted):
-            if wanted == source and posted_done == done:
-                del posted[index]
-                return True
-        return False
+        for posted in self._posted:
+            index = 0
+            while index < len(posted):
+                wanted, _tag, done = posted[index]
+                if wanted == source and select(done):
+                    del posted[index]
+                    yield done
+                else:
+                    index += 1
 
     def channels_quiet(self) -> bool:
         """True when every sent message has arrived (bookmarks equal).

@@ -29,7 +29,8 @@ in application source" property.
 from .mapping import ReplicaMap
 from .sphere import SphereTracker
 from .voting import ALL_TO_ALL, MSG_PLUS_HASH, vote
-from .interpose import RedComm, RedRequest
+from .interpose import RedComm
+from .request import RedRequest
 
 __all__ = [
     "ALL_TO_ALL",

@@ -12,9 +12,9 @@ one runtime call per request set, not one per copy:
   digest, or with a corruptor, each receiver gets a call of its own;
 * ``irecv(source)`` → one member receive per live replica of the
   source sphere, all posted by one ``SimMPI.post_recv`` call; the
-  returned :class:`RedRequest` is the paper's *request set*: the
-  application-level wait completes only when every member has
-  completed (Section 3's MPI_Wait semantics);
+  returned :class:`~repro.redundancy.request.RedRequest` is the
+  paper's *request set*: the application-level wait completes only
+  when every member has completed (Section 3's MPI_Wait semantics);
 * the receivers and members come from routes the attempt's
   :class:`~repro.redundancy.sphere.SphereTracker` reads off
   :func:`~repro.redundancy.voting.plan_copies` once per peer sphere
@@ -24,9 +24,12 @@ one runtime call per request set, not one per copy:
   yielding it;
 * a receive set keeps the envelopes its members matched, and its
   completion votes over them (:mod:`repro.redundancy.voting`);
-* receives pending on a replica that dies are cancelled, so surviving
-  copies still complete the application-level request — this is how a
-  sphere keeps the job running after losing members (Figure 7).
+* a world has one death watcher, the tracker's: a death withdraws the
+  members that wait on the dead replica from the runtime's posted
+  receives, so surviving copies still complete the application-level
+  request — this is how a sphere keeps the job running after losing
+  members (Figure 7).  A death costs one watcher call and one pass
+  over the posted receives, not a call per ``RedComm``.
 
 Tag spaces: user tags ``[0, 2^20)``; collective tags ``[2^20, 2^24)``;
 digest copies are shipped at ``tag + 2^24``; the wildcard-protocol
@@ -37,20 +40,20 @@ control messages use ``[2^28, ...)`` (see
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..errors import RedundancyError
 from ..mpi.comm import USER_TAG_LIMIT, CollectiveAPI
-from ..mpi.datatypes import ENVELOPE_OVERHEAD, message_wire_size, payload_digest
+from ..mpi.datatypes import message_wire_size, payload_digest
 from ..mpi.matching import Envelope
-from ..mpi.status import ANY_SOURCE, ANY_TAG, Status
-from ..simkit.events import PENDING, Event
+from ..mpi.status import ANY_SOURCE, ANY_TAG
 from .mapping import ReplicaMap
+from .request import RedRequest
 from .sphere import SphereTracker
-from .voting import ALL_TO_ALL, HASH_TAG_OFFSET, MODES, vote
+from .voting import ALL_TO_ALL, HASH_TAG_OFFSET, MODES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..mpi.runtime import RankContext, SimMPI
+    from ..mpi.runtime import RankContext
 
 #: A corruptor: maps (sender_physical, receiver_physical, payload) to the
 #: payload actually shipped.  Used to inject Byzantine replicas in tests.
@@ -63,92 +66,6 @@ def _shipment(copy_kind: str, tag: int, payload: Any) -> Tuple[int, Any, int]:
         return tag, payload, message_wire_size(payload)
     digest = payload_digest(payload)
     return tag + HASH_TAG_OFFSET, digest, message_wire_size(digest)
-
-
-class RedRequest(Event):
-    """A request *set*: the application-level handle over replica requests.
-
-    The set is its own kernel event: a process waits on it by yielding
-    it.  A send set completes when its last copy leaves the NIC: the
-    runtime calls its ``succeed_inline`` then.  A receive set is a
-    countdown over its members, which the runtime completes by calling
-    ``_recv_done(envelope)`` (bound once per set; no member builds an
-    event); a member whose sender replica dies is withdrawn from the
-    count.  The set keeps the envelopes its members matched; its
-    completion triggers the vote over them and yields ``(payload,
-    Status)`` with the *virtual* source rank.  It holds the runtime,
-    not its ``RedComm``, whose pending-receive list holds it: no cycle
-    keeps a finished world alive.
-    """
-
-    __slots__ = (
-        "runtime", "physical_rank", "kind", "virtual_peer", "tag",
-        "_remaining", "_envelopes", "_consumed",
-    )
-
-    def __init__(
-        self, runtime: "SimMPI", physical_rank: int, kind: str, virtual_peer: int, tag: int
-    ) -> None:
-        # ``Event.__init__`` inline: one call less per request set.
-        self.env = runtime.env
-        self.callbacks = []
-        self._state = PENDING
-        self._ok = True
-        self._value = None
-        self.runtime = runtime
-        self.physical_rank = physical_rank
-        self.kind = kind
-        self.virtual_peer = virtual_peer
-        self.tag = tag
-        self._remaining = 0
-        self._envelopes: List[Envelope] = []
-        self._consumed = False
-
-    # -- progress ----------------------------------------------------------
-
-    def _recv_done(self, envelope: Envelope) -> None:
-        # The matched envelope is the copy: it names the sender replica,
-        # and a digest copy travels under the shifted tag.
-        self._envelopes.append(envelope)
-        self._remaining -= 1
-        if not self._remaining:
-            self.succeed_inline(self._envelopes)
-
-    def drop_sender(self, dead_physical: int) -> None:
-        """A peer replica died: withdraw its member receive if still posted.
-
-        A receive that already matched still completes: its message was
-        delivered.  A set left with no member and no copy stays pending:
-        every source replica died before sending, so the sphere tracker
-        has declared (or will declare) the job failed.
-        """
-        if self.kind != "recv" or self.triggered:
-            return
-        if self.runtime.cancel_recv(self.physical_rank, dead_physical, self._recv_done):
-            self._remaining -= 1
-            if not self._remaining and self._envelopes:
-                self.succeed_inline(self._envelopes)
-
-    # -- application API -----------------------------------------------------
-
-    def wait(self):
-        """Generator: block until the set completes; returns the value."""
-        raw = yield self
-        return self._finalize(raw)
-
-    def _finalize(self, raw: Any) -> Any:
-        if self._consumed:
-            raise RedundancyError("request set waited on twice")
-        self._consumed = True
-        if self.kind == "send":
-            return None
-        tag = self.tag
-        winner = vote(raw, tag, self.runtime.counters)
-        # The winner's wire size is its payload's size plus the envelope;
-        # the ``Status`` is built as the runtime builds an ``Envelope``.
-        return winner.payload, tuple.__new__(
-            Status, (self.virtual_peer, tag, winner.nbytes - ENVELOPE_OVERHEAD)
-        )
 
 
 class RedComm(CollectiveAPI):
@@ -176,9 +93,7 @@ class RedComm(CollectiveAPI):
         self.rank = replica_map.virtual_of(ctx.rank)
         self.size = replica_map.virtual_processes
         self._coll_seq = 0
-        self._active_recvs: List[RedRequest] = []
         tracker.bind(self.runtime, mode)
-        self.runtime.on_rank_death(self._on_rank_death)
 
     # -- identity (virtual view) ------------------------------------------
 
@@ -191,20 +106,6 @@ class RedComm(CollectiveAPI):
     def replica_index(self) -> int:
         """This process's position within its sphere (0 = primary)."""
         return self.replica_map.replica_index(self.physical_rank)
-
-    # -- death plumbing -----------------------------------------------------
-
-    def _on_rank_death(self, dead_physical: int) -> None:
-        # The first RedComm to hear of the death has the tracker drop
-        # the routes, before any rank's process runs again.
-        self.tracker.notice_death(dead_physical)
-        # A request set may complete inline here and its process post
-        # new receives, so walk a snapshot and prune afterwards.
-        for request in list(self._active_recvs):
-            request.drop_sender(dead_physical)
-        self._active_recvs = [
-            request for request in self._active_recvs if not request.triggered
-        ]
 
     # -- point to point --------------------------------------------------------
 
@@ -299,11 +200,6 @@ class RedComm(CollectiveAPI):
         if not members and request_set._envelopes:
             # The lead's first copy was the only one left to receive.
             request_set.succeed_inline(request_set._envelopes)
-        if len(self._active_recvs) > 64:
-            self._active_recvs = [
-                pending for pending in self._active_recvs if not pending.triggered
-            ]
-        self._active_recvs.append(request_set)
         return request_set
 
     def send(self, payload: Any, dest: int, tag: int = 0, _internal: bool = False):

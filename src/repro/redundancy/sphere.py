@@ -3,8 +3,11 @@
 Figure 7 of the paper: a physical-process failure does *not* imply an
 application failure — the job only fails (and a rollback is triggered)
 when **all** replicas of some virtual process are dead.  The tracker
-watches rank deaths from the runtime and fires a callback at the first
-sphere exhaustion.
+is the world's one death watcher: it hears each rank death from the
+runtime, fires a callback at the first sphere exhaustion, and
+withdraws the request-set members that wait on the dead replica, so
+their sets complete with the surviving copies.  A death is one
+watcher call, whatever the number of ``RedComm`` objects.
 
 The tracker also owns the routes every ``RedComm`` of the attempt
 reads: each sphere's live replicas, and the receivers of a send to a
@@ -19,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tupl
 
 from ..errors import RedundancyError
 from .mapping import ReplicaMap
+from .request import is_member
 from .voting import ALL_TO_ALL, HASH_TAG_OFFSET, plan_copies
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,10 +81,6 @@ class SphereTracker:
 
     # -- queries -----------------------------------------------------------
 
-    def is_dead(self, physical_rank: int) -> bool:
-        """Has this physical rank died in the current attempt?"""
-        return physical_rank in self._dead
-
     def alive_replicas(self, virtual_rank: int) -> List[int]:
         """Physical replicas of a sphere still alive, primary first."""
         return [
@@ -107,7 +107,8 @@ class SphereTracker:
     def bind(self, runtime: "SimMPI", mode: str) -> None:
         """Set the world and the redundancy mode the routes are built for.
 
-        Every ``RedComm`` of the attempt binds the same pair.
+        Every ``RedComm`` of the attempt binds the same pair; the first
+        bind registers the tracker as the world's death watcher.
 
         Raises
         ------
@@ -116,8 +117,26 @@ class SphereTracker:
         """
         if self._runtime is None:
             self._runtime, self._mode = runtime, mode
+            runtime.on_rank_death(self._on_rank_death)
         elif runtime is not self._runtime or mode != self._mode:
             raise RedundancyError("a sphere tracker serves one world in one mode")
+
+    def _on_rank_death(self, physical_rank: int) -> None:
+        """The world's death watcher: notice the death, then withdraw members.
+
+        The routes are dropped first, before any rank's process can run
+        again.  Then every posted request-set member whose sender is the
+        dead replica is withdrawn, in rank order and then post order.  A
+        set that completes here resumes its process inline, so this
+        order fixes what the simulation does next; the receives that
+        process posts come from the new routes, so none waits on the
+        dead replica.  Plain receives that name it stay posted (the
+        wildcard protocol's envelope receive from the lead replica), as
+        a copy it sent before dying may still arrive.
+        """
+        self.notice_death(physical_rank)
+        for done in self._runtime.withdraw_recvs(physical_rank, is_member):
+            done.__self__.member_withdrawn()
 
     def _live_replicas(self, virtual_rank: int) -> Tuple[int, ...]:
         """Replicas of a sphere alive by both the tracker and the runtime."""

@@ -110,6 +110,92 @@ class TestImageBytes:
         storage.stage_untimed("s", "v0", image)
         storage.commit_set("s", 1)
         blob = storage.fetch("s", "v0")
-        assert blob.crc == image.crc and blob.data != image.data
+        assert blob.image is image and blob.data != image.data
         with pytest.raises(CorruptImageError):
             blob.verify()
+
+
+def _count_checksums(patch):
+    """Count every ``image.checksum`` call, from the image or storage."""
+    import repro.checkpoint.image as image_module
+    import repro.checkpoint.storage as storage_module
+
+    calls = []
+    original = image_module.checksum
+
+    def counting(data):
+        calls.append(len(data))
+        return original(data)
+
+    patch.setattr(image_module, "checksum", counting)
+    patch.setattr(storage_module, "checksum", counting)
+    return calls
+
+
+def _committed_blob(image, how):
+    """Stage ``image``, commit it and return its blob, damaged as ``how`` says."""
+    faults = None
+    if how == "fault model":
+        faults = StorageFaultModel(StorageFaultConfig(corrupt_prob=1.0), seed=5)
+    storage = StableStorage(Environment(), faults=faults)
+    storage.stage_untimed("s", "v0", image)
+    storage.commit_set("s", 1)
+    if how == "corrupt":
+        storage.corrupt("v0")
+    blob = storage.fetch("s", "v0")
+    if how == "equal copy":
+        blob.data = bytes(bytearray(blob.data))
+    return blob
+
+
+class TestCrcOnFirstUse:
+    """An image computes its CRC the first time it is read; a blob whose
+    payload is its image's own bytes object verifies without one."""
+
+    def test_capture_computes_no_crc(self, monkeypatch):
+        calls = _count_checksums(monkeypatch)
+        image = capture_image({"payload": np.arange(64.0)})
+        assert calls == []
+        assert image.crc == zlib.crc32(image.data) and image.crc == image.crc
+        assert calls == [image.nbytes]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        state=_STATES,
+        how=st.sampled_from(["pristine", "equal copy", "fault model", "corrupt"]),
+    )
+    def test_only_bytes_that_are_not_the_image_are_checked(self, state, how):
+        image = capture_image(state)
+        blob = _committed_blob(image, how)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_checksums(patch)
+            if how in ("fault model", "corrupt"):
+                assert blob.data != image.data
+                with pytest.raises(CorruptImageError):
+                    blob.verify()
+            else:
+                assert blob.data == image.data
+                blob.verify()
+        # The pristine blob is its image: no CRC.  Any other payload is
+        # checked by a CRC of its own and the image's, each once.
+        assert len(calls) == (0 if how == "pristine" else 2)
+        assert (blob.data is image.data) == (how == "pristine")
+
+    def test_checkpointed_cell_without_restores_computes_no_crc(self, monkeypatch):
+        """The 6 h row's 2.5x cell: one attempt, replica kills and a
+        committed checkpoint, so its images are staged but never read."""
+        from repro.experiments.table4 import ScaledSetup
+        from repro.orchestration import run_redundancy_sweep
+
+        setup = ScaledSetup(virtual_processes=8, steps=5)
+        calls = _count_checksums(monkeypatch)
+        (cell,) = run_redundancy_sweep(
+            setup.job_config(),
+            node_mtbfs=[setup.mtbf_to_sim(6.0)],
+            degrees=[2.5],
+            workers=1,
+        )
+        report = cell.report
+        assert report.attempts == 1 and report.rollbacks == 0
+        assert report.failures_injected > 0 and report.checkpoints_committed > 0
+        assert calls == []

@@ -120,29 +120,34 @@ class TestDeliverThenPost:
         assert env.now == arrived_at
 
 
+def withdraw(world, source, done):
+    """Withdraw rank 1's posted receives from ``source`` completing ``done``."""
+    return list(world.withdraw_recvs(source, lambda posted: posted is done))
+
+
 class TestCancel:
     def test_cancel_pending(self, world):
         inbox = Inbox()
         post(world, source=0, tag=1, done=inbox)
-        assert world.cancel_recv(1, 0, inbox)
+        assert withdraw(world, 0, inbox) == [inbox]
         deliver(world, tag=1)
         assert inbox.envelopes == []
         assert len(world._unexpected[1]) == 1
 
     def test_cancel_unknown_returns_false(self, world):
-        assert not world.cancel_recv(1, 0, Inbox())
+        assert withdraw(world, 0, Inbox()) == []
 
     def test_cancel_needs_the_posted_source(self, world):
         inbox = Inbox()
         post(world, source=0, tag=1, done=inbox)
-        assert not world.cancel_recv(1, 2, inbox)
+        assert withdraw(world, 2, inbox) == []
         assert len(world._posted[1]) == 1
 
     def test_cancel_withdraws_only_the_named_receive(self, world):
         kept, withdrawn = Inbox(), Inbox()
         post(world, source=0, tag=1, done=kept)
         post(world, source=0, tag=1, done=withdrawn)
-        assert world.cancel_recv(1, 0, withdrawn)
+        assert withdraw(world, 0, withdrawn) == [withdrawn]
         deliver(world, tag=1, payload=b"x")
         assert kept.payloads == [b"x"]
         assert withdrawn.envelopes == []
@@ -150,8 +155,33 @@ class TestCancel:
     def test_cancel_recv_through_the_runtime(self, world):
         inbox = Inbox()
         world.post_recv(1, [(0, 0)], tag=3, done=inbox)
-        assert world.cancel_recv(1, 0, inbox)
-        assert not world.cancel_recv(1, 0, inbox)
+        assert withdraw(world, 0, inbox) == [inbox]
+        assert withdraw(world, 0, inbox) == []
+
+    def test_withdrawal_walks_ranks_then_posts_and_keeps_wildcards(self, world):
+        """Every rank's receives from the source, rank order then post
+        order; a wildcard receive and a declined one stay posted."""
+        picked = [Inbox() for _ in range(3)]
+        world.post_recv(3, [(0, 0)], 0, picked[1])
+        world.post_recv(1, [(ANY_SOURCE, 0)], 0, Inbox())
+        world.post_recv(1, [(0, 0)], 0, picked[0])
+        declined = Inbox()
+        world.post_recv(3, [(0, 0), (2, 0)], 0, declined)
+        world.post_recv(3, [(0, 5)], 0, picked[2])
+        withdrawn = list(world.withdraw_recvs(0, lambda done: done is not declined))
+        assert withdrawn == picked
+        assert [source for source, _tag, _done in world._posted[1]] == [ANY_SOURCE]
+        assert [source for source, _tag, _done in world._posted[3]] == [0, 2]
+
+    def test_withdrawal_sees_receives_posted_meanwhile(self, world):
+        first, later = Inbox(), Inbox()
+        world.post_recv(1, [(0, 0)], 0, first)
+        seen = []
+        for done in world.withdraw_recvs(0, lambda done: True):
+            seen.append(done)
+            if done is first:
+                world.post_recv(1, [(0, 0)], 1, later)
+        assert seen == [first, later]
 
 
 class TestLifecycle:
@@ -176,4 +206,4 @@ class TestLifecycle:
         assert len(world._posted[1]) == 0
         assert len(world._unexpected[1]) == 0
         assert not world.is_alive(1)
-        assert not world.cancel_recv(1, 0, inbox)
+        assert withdraw(world, 0, inbox) == []

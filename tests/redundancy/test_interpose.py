@@ -11,6 +11,8 @@ from repro.mpi.runtime import RankContext
 from repro.redundancy import (
     ALL_TO_ALL, MSG_PLUS_HASH, RedComm, RedRequest, ReplicaMap, SphereTracker,
 )
+from repro.redundancy.anysource import CONTROL_TAG_BASE
+from repro.redundancy.request import is_member
 from repro.redundancy.voting import HASH_TAG_OFFSET, plan_copies
 from repro.simkit import Environment
 from repro.simkit.events import Event
@@ -601,3 +603,119 @@ class TestSharedRoutes:
         )
         for physical in rmap.replicas_of(1):
             assert results[physical] == "late"
+
+
+def _count_watcher_calls(patch):
+    """Wrap every death watcher registered from now on; returns the tally."""
+    calls = []
+    original = SimMPI.on_rank_death
+
+    def on_rank_death(world, watcher):
+        def counted(rank):
+            calls.append(rank)
+            watcher(rank)
+
+        original(world, counted)
+
+    patch.setattr(SimMPI, "on_rank_death", on_rank_death)
+    return calls
+
+
+def _ring_and_allreduce(rounds):
+    def body(red):
+        total = 0
+        for round_ in range(rounds):
+            right = (red.rank + 1) % red.size
+            left = (red.rank - 1) % red.size
+            got, _status = yield from red.sendrecv(
+                (red.rank, round_), right, source=left, send_tag=round_, recv_tag=round_
+            )
+            assert got == (left, round_)
+            total += yield from red.allreduce(red.rank, ops.SUM)
+            yield red.env.timeout(10e-6)
+        return total
+
+    return body
+
+
+class TestDeathWalk:
+    """A world has one death watcher, the sphere tracker's: a death
+    withdraws the request-set members waiting on the dead replica and
+    leaves plain receives posted."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_one_watcher_call_per_kill(self, n):
+        rmap = ReplicaMap(n, 2.0)
+        shadows = rmap.replicas_of(1)[1:] + rmap.replicas_of(n - 1)[1:]
+        kill_plan = [(15e-6, shadows[0]), (40e-6, shadows[1])]
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_watcher_calls(patch)
+            world, _, exhausted, results = run_redundant(
+                n, 2.0, _ring_and_allreduce(2), kill_plan=kill_plan
+            )
+        assert world.counters["ranks_killed"] == 2
+        assert calls == shadows
+        assert exhausted == [] and len(results) == rmap.total_physical - 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        degree=st.sampled_from([2.0, 3.0]),
+        mode=st.sampled_from([ALL_TO_ALL, MSG_PLUS_HASH]),
+        kills=st.lists(
+            st.tuples(st.integers(0, 120), st.integers(0, 7)), max_size=6
+        ),
+    )
+    @example(degree=2.0, mode=ALL_TO_ALL, kills=[(15, 0), (40, 2)])
+    @example(degree=3.0, mode=MSG_PLUS_HASH, kills=[(15, 0), (40, 4), (70, 5)])
+    def test_no_member_waits_on_a_dead_sender(self, degree, mode, kills):
+        n = 4
+        rmap = ReplicaMap(n, degree)
+        shadows = [rank for rank in range(rmap.total_physical) if rank >= n]
+        kill_plan = [(when * 1e-6, shadows[index % len(shadows)]) for when, index in kills]
+        # Every rank also posts a plain receive from each shadow at a tag
+        # no one sends on: it must outlive the shadow's death.
+        never_sent = CONTROL_TAG_BASE + 99
+        violations = []
+        original_kill = SimMPI.kill_rank
+
+        def kill_rank(world, rank, cause=None):
+            original_kill(world, rank, cause)
+            dead = set(range(world.size)) - world.alive_ranks
+            for receiver, posted in enumerate(world._posted):
+                if receiver in dead:
+                    continue
+                members = [source for source, _tag, done in posted if is_member(done)]
+                plain = sorted(
+                    source for source, tag, done in posted
+                    if not is_member(done) and tag == never_sent
+                )
+                if dead.intersection(members):
+                    violations.append(("member", receiver, rank, members))
+                if plain != [shadow for shadow in shadows if shadow != receiver]:
+                    violations.append(("plain", receiver, rank, plain))
+
+        def body(red):
+            for shadow in shadows:
+                if shadow != red.physical_rank:
+                    red._world.irecv(shadow, never_sent, _internal=True)
+            result = yield from _ring_and_allreduce(6)(red)
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SimMPI, "kill_rank", kill_rank)
+            try:
+                world, _, exhausted, results = run_redundant(
+                    n, degree, body, mode=mode, kill_plan=kill_plan
+                )
+            except (VotingError, SimulationDeadlock):
+                # Msg-PlusHash may lose a message when a replica dies
+                # (``test_msg_plus_hash_survives_a_carrier_death``); the
+                # deaths up to that point are still checked.
+                if mode == ALL_TO_ALL:
+                    raise
+                world = None
+        assert violations == []
+        if world is not None:
+            assert exhausted == []
+            survivors = [rank for rank in range(rmap.total_physical) if world.is_alive(rank)]
+            assert sorted(results) == survivors

@@ -43,7 +43,7 @@ class TestLiveness:
         tracker.on_sphere_exhausted(fired.append)
         for _ in range(2):
             tracker.notice_death(0)
-        assert tracker.is_dead(0)
+        assert 0 not in tracker.alive_replicas(tracker.replica_map.virtual_of(0))
         assert tracker.alive_replicas(0) == tracker.replica_map.replicas_of(0)[1:]
         assert fired == []
 
@@ -60,9 +60,10 @@ class TestLiveness:
             tracker.lead_replica(0)
 
     def test_is_dead(self, tracker):
+        virtual_of = tracker.replica_map.virtual_of
         tracker.notice_death(4)
-        assert tracker.is_dead(4)
-        assert not tracker.is_dead(0)
+        assert 4 not in tracker.alive_replicas(virtual_of(4))
+        assert 0 in tracker.alive_replicas(virtual_of(0))
 
 
 class TestUnreplicated:
