@@ -30,14 +30,15 @@ from .mapping import ReplicaMap
 from .sphere import SphereTracker
 from .voting import ALL_TO_ALL, MSG_PLUS_HASH, vote
 from .interpose import RedComm
-from .request import RedRequest
+from .request import RecvSet, SendSet
 
 __all__ = [
     "ALL_TO_ALL",
     "MSG_PLUS_HASH",
+    "RecvSet",
     "RedComm",
-    "RedRequest",
     "ReplicaMap",
+    "SendSet",
     "SphereTracker",
     "vote",
 ]

@@ -70,8 +70,7 @@ def anysource_recv(redcomm: "RedComm", tag: int):
         envelope_info, _status = yield from redcomm._world.recv(
             lead, control_tag, _internal=True
         )
-        sender_virtual = envelope_info
-        request_set = redcomm._post_specific_recv(sender_virtual, tag)
+        request_set = redcomm.irecv(envelope_info, tag, _internal=True)
 
     result = yield from request_set.wait()
     return result

@@ -12,13 +12,15 @@ watcher call, whatever the number of ``RedComm`` objects.
 The tracker also owns the routes every ``RedComm`` of the attempt
 reads: each sphere's live replicas, and the receivers of a send to a
 sphere and the members of a receive from one.  A route is built on
-first use and shared, and every table is dropped at the first notice
-of each death, before any rank's process can run again.
+first use and shared.  Each ``RedComm`` holds its route tables, keyed
+by peer sphere, and looks a route up there itself; the tracker decides
+which ranks share a table and empties every table in place at the
+first notice of each death, before any rank's process can run again.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import RedundancyError
 from .mapping import ReplicaMap
@@ -35,6 +37,9 @@ SendRoute = Tuple[Tuple[int, ...], Optional[Tuple[str, ...]]]
 #: A receive's route: ``(sender replica, tag offset)`` per member.
 RecvRoute = Tuple[Tuple[int, int], ...]
 
+#: One rank's route tables, keyed by peer sphere: sends, then receives.
+RouteTables = Tuple[Dict[int, SendRoute], Dict[int, RecvRoute]]
+
 
 class SphereTracker:
     """Liveness bookkeeping and routes for every replica sphere of a job attempt."""
@@ -47,28 +52,28 @@ class SphereTracker:
         # The world and mode routes are built for (see ``bind``).
         self._runtime: Optional["SimMPI"] = None
         self._mode = ALL_TO_ALL
-        # Live replicas per sphere, and the routes by peer sphere.  In
-        # All-to-all mode a route is the same for every replica of a
-        # sphere, so it is keyed by the peer alone; in Msg-PlusHash
-        # mode each replica's copy kinds differ, so it is keyed by
-        # ``(physical rank, peer)``.
+        # Live replicas per sphere, and the route tables.  In All-to-all
+        # mode a route is the same for every replica of a sphere, so
+        # every rank shares one pair of tables (key ``None``); in
+        # Msg-PlusHash mode each replica's copy kinds differ, so each
+        # rank has its own pair (key: its physical rank).
         self._live: Dict[int, Tuple[int, ...]] = {}
-        self._send_routes: Dict[Any, SendRoute] = {}
-        self._recv_routes: Dict[Any, RecvRoute] = {}
+        self._tables: Dict[Optional[int], RouteTables] = {}
 
     # -- event input -------------------------------------------------------
 
     def notice_death(self, physical_rank: int) -> None:
         """Record a physical-rank death; fire watcher on sphere exhaustion.
 
-        The first notice of a death drops every cached route.
+        The first notice of a death empties every route table in place.
         """
         if physical_rank in self._dead:
             return
         self._dead.add(physical_rank)
         self._live.clear()
-        self._send_routes.clear()
-        self._recv_routes.clear()
+        for send_routes, recv_routes in self._tables.values():
+            send_routes.clear()
+            recv_routes.clear()
         virtual = self.replica_map.virtual_of(physical_rank)
         if self._exhausted is None and not self.alive_replicas(virtual):
             self._exhausted = virtual
@@ -150,27 +155,39 @@ class SphereTracker:
             )
         return live
 
+    def route_tables(self, rank: int) -> RouteTables:
+        """``rank``'s route tables: its send and receive routes by peer sphere.
+
+        A ``RedComm`` looks its routes up in them and, on a miss, asks
+        :meth:`send_route` or :meth:`recv_route`, which fill them.  The
+        tables stay the same objects for the whole attempt: a death
+        empties them in place.  Call after :meth:`bind`.
+        """
+        key = None if self._mode == ALL_TO_ALL else rank
+        tables = self._tables.get(key)
+        if tables is None:
+            tables = self._tables[key] = ({}, {})
+        return tables
+
     def send_route(self, sender: int, dest: int) -> SendRoute:
         """The route of a send from ``sender`` to sphere ``dest``.
 
         The copy kinds come from :func:`plan_copies` over the two
         spheres' live replicas, so sender and receiver agree on who
         carries the full payload even after replica deaths; they are
-        ``None`` when every copy is full.  Built on first use; a lookup
-        is this one call.
+        ``None`` when every copy is full.  Built on first use and kept
+        in ``sender``'s table.
         """
-        key = dest if self._mode == ALL_TO_ALL else (sender, dest)
-        try:
-            return self._send_routes[key]
-        except KeyError:
-            pass
-        receivers = self._live_replicas(dest)
-        senders = self._live_replicas(self.replica_map.virtual_of(sender))
-        plan = plan_copies(senders, receivers, self._mode)
-        kinds = tuple(plan[(sender, receiver)] for receiver in receivers)
-        route = self._send_routes[key] = (
-            receivers, None if all(kind == "full" for kind in kinds) else kinds
-        )
+        send_routes = self.route_tables(sender)[0]
+        route = send_routes.get(dest)
+        if route is None:
+            receivers = self._live_replicas(dest)
+            senders = self._live_replicas(self.replica_map.virtual_of(sender))
+            plan = plan_copies(senders, receivers, self._mode)
+            kinds = tuple(plan[(sender, receiver)] for receiver in receivers)
+            route = send_routes[dest] = (
+                receivers, None if all(kind == "full" for kind in kinds) else kinds
+            )
         return route
 
     def recv_route(self, receiver: int, source: int) -> RecvRoute:
@@ -178,18 +195,16 @@ class SphereTracker:
 
         One ``(sender replica, tag offset)`` per live replica; a member
         that gets a digest copy listens at ``tag + HASH_TAG_OFFSET``.
-        Built on first use; a lookup is this one call.
+        Built on first use and kept in ``receiver``'s table.
         """
-        key = source if self._mode == ALL_TO_ALL else (receiver, source)
-        try:
-            return self._recv_routes[key]
-        except KeyError:
-            pass
-        senders = self._live_replicas(source)
-        receivers = self._live_replicas(self.replica_map.virtual_of(receiver))
-        plan = plan_copies(senders, receivers, self._mode)
-        route = self._recv_routes[key] = tuple(
-            (sender, 0 if plan[(sender, receiver)] == "full" else HASH_TAG_OFFSET)
-            for sender in senders
-        )
+        recv_routes = self.route_tables(receiver)[1]
+        route = recv_routes.get(source)
+        if route is None:
+            senders = self._live_replicas(source)
+            receivers = self._live_replicas(self.replica_map.virtual_of(receiver))
+            plan = plan_copies(senders, receivers, self._mode)
+            route = recv_routes[source] = tuple(
+                (sender, 0 if plan[(sender, receiver)] == "full" else HASH_TAG_OFFSET)
+                for sender in senders
+            )
         return route

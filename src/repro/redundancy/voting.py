@@ -158,8 +158,19 @@ def _same_digest_bytes(first: Any, other: Any) -> bool:
     ``repr`` does: a float (or ``np.float64``) by value and sign, with
     every NaN alike; an int, str or bytes by value.  Any other pair,
     mixed types included (``True``, ``1`` and ``1.0`` differ), falls
-    back to comparing :func:`digest_bytes`.
+    back to comparing :func:`digest_bytes`.  The scalar test comes
+    first, with no call for two equal nonzero floats: the allreduce
+    values are the copies most often compared.
     """
+    kind = type(first)
+    if kind is type(other):
+        if kind is float or kind is np.float64:
+            if first == other:
+                # Equal nonzero floats share their sign; zeros may not.
+                return first != 0.0 or copysign(1.0, first) == copysign(1.0, other)
+            return first != first and other != other
+        if kind is int or kind is str or kind is bytes:
+            return first == other
     if isinstance(first, np.ndarray) and isinstance(other, np.ndarray):
         dtype = first.dtype
         if other.shape != first.shape:
@@ -172,14 +183,6 @@ def _same_digest_bytes(first: Any, other: Any) -> bool:
         if bits is None:
             return first.tobytes() == other.tobytes()
         return bool((first.view(bits) == other.view(bits)).all())
-    kind = type(first)
-    if kind is type(other):
-        if kind is float or kind is np.float64:
-            if first == other:
-                return copysign(1.0, first) == copysign(1.0, other)
-            return first != first and other != other
-        if kind is int or kind is str or kind is bytes:
-            return first == other
     return digest_bytes(first) == digest_bytes(other)
 
 

@@ -6,7 +6,9 @@ import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..errors import SimulationDeadlock, SimulationError
-from .events import PROCESSED, Event, Timeout
+# The queue priorities live with the events, which push entries too;
+# they are importable from here.
+from .events import NORMAL, PROCESSED, URGENT, Event, Timeout  # noqa: F401
 from .process import Process
 
 #: Queue entries: (time, priority, sequence, call, arg); processing one
@@ -18,9 +20,6 @@ from .process import Process
 _QueueEntry = Tuple[float, int, int, Callable[[Any], None], Any]
 
 _process_event = Event._process
-
-URGENT = 0
-NORMAL = 1
 
 
 class Environment:

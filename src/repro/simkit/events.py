@@ -14,6 +14,7 @@ for a zero-delay hop whose callbacks may run at once.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, List, Sequence
 
 from ..errors import SimulationError
@@ -25,6 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PENDING = 0
 TRIGGERED = 1
 PROCESSED = 2
+
+#: Queue priorities: urgent kernel activities (interrupt delivery)
+#: pre-empt same-time normal ones.
+URGENT = 0
+NORMAL = 1
 
 
 class Event:
@@ -142,19 +148,25 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
+    """An event that fires ``delay`` time units after creation.
+
+    It schedules itself: ``Event.__init__`` and
+    ``Environment._schedule`` run inline, so a timeout costs one call.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        super().__init__(env)
-        self.delay = delay
+        self.env = env
+        self.callbacks = []
+        self._state = TRIGGERED
         self._ok = True
         self._value = value
-        self._state = TRIGGERED
-        env._schedule(self, delay)
+        self.delay = delay
+        env._sequence += 1
+        heappush(env._queue, (env._now + delay, NORMAL, env._sequence, Event._process, self))
 
 
 class _Condition(Event):

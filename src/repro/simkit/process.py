@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import ProcessInterrupted, SimulationError
-from .events import PROCESSED, Event
+from .events import PROCESSED, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .env import Environment
@@ -62,8 +62,6 @@ class Process(Event):
         kick._ok = False
         kick._value = ProcessInterrupted(cause)
         kick._state = 1  # TRIGGERED
-        from .env import URGENT
-
         self.env._schedule(kick, 0.0, priority=URGENT)
 
     def halt(self) -> None:

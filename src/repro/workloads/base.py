@@ -16,12 +16,18 @@ change what is voted on.  Send a copy (``field[0].copy()``) or rebind
 the name to a new object instead.  The synthetic workload's ring
 payloads are read-only arrays, shared by every replica of a rank, so
 for them the rule is enforced: writing into one raises ``ValueError``.
+
+A step charges its computation with ``shell.compute(seconds)``: one
+:class:`~repro.simkit.events.Timeout`, built by the shell and queued
+by its own constructor, with no context or environment call between.
 """
 
 from __future__ import annotations
 
 import abc
 from typing import TYPE_CHECKING, Any, Dict
+
+from ..simkit.events import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mpi.runtime import RankContext
@@ -35,7 +41,7 @@ class WorkShell:
     """
 
     def __init__(self, ctx: "RankContext", comm) -> None:
-        self._ctx = ctx
+        self._env = ctx.runtime.env
         self.comm = comm
 
     @property
@@ -51,11 +57,14 @@ class WorkShell:
     @property
     def env(self):
         """The simulation environment."""
-        return self._ctx.env
+        return self._env
 
-    def compute(self, seconds: float):
-        """Event charging ``seconds`` of local computation (yield it)."""
-        return self._ctx.compute(seconds)
+    def compute(self, seconds: float) -> Timeout:
+        """Event charging ``seconds`` of local computation (yield it).
+
+        One ``Timeout``, which queues itself: two calls per step.
+        """
+        return Timeout(self._env, seconds)
 
 
 class Workload(abc.ABC):

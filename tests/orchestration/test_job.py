@@ -12,7 +12,7 @@ from repro.obs import Tracer
 from repro.orchestration import JobConfig, ResilientJob
 from repro.orchestration import job as job_module
 from repro.orchestration.campaign import failure_free_sweep_configs, redundancy_sweep_configs
-from repro.redundancy import RedComm, RedRequest
+from repro.redundancy import RecvSet, RedComm, SendSet
 from repro.simkit import Environment
 from repro.workloads import ConjugateGradientWorkload, SyntheticWorkload
 
@@ -352,7 +352,7 @@ class TestWorldRelease:
             left = [
                 type(obj).__name__
                 for obj in gc.get_objects()
-                if isinstance(obj, (SimMPI, RedComm, RedRequest))
+                if isinstance(obj, (SimMPI, RedComm, RecvSet, SendSet))
             ]
         finally:
             gc.enable()

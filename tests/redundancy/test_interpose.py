@@ -9,13 +9,13 @@ from repro.mpi import ANY_SOURCE, ANY_TAG, SimMPI, Status, ops
 from repro.mpi.comm import USER_TAG_LIMIT, Communicator
 from repro.mpi.runtime import RankContext
 from repro.redundancy import (
-    ALL_TO_ALL, MSG_PLUS_HASH, RedComm, RedRequest, ReplicaMap, SphereTracker,
+    ALL_TO_ALL, MSG_PLUS_HASH, RecvSet, RedComm, ReplicaMap, SendSet, SphereTracker,
 )
 from repro.redundancy.anysource import CONTROL_TAG_BASE
 from repro.redundancy.request import is_member
 from repro.redundancy.voting import HASH_TAG_OFFSET, plan_copies
 from repro.simkit import Environment
-from repro.simkit.events import Event
+from repro.simkit.events import Event, Timeout
 from tests.mpi.test_comm import record_completions
 
 
@@ -163,7 +163,7 @@ class TestTransparency:
         set is its own event, replica members complete by a direct call
         into it, and the two sets are waited in turn (no AllOf)."""
         built = []
-        constructors = {cls: cls.__init__ for cls in (Event, RedRequest)}
+        constructors = {cls: cls.__init__ for cls in (Event, RecvSet, SendSet, Timeout)}
 
         def counting(original):
             def init(event, *args):
@@ -189,7 +189,7 @@ class TestTransparency:
         assert world.counters["p2p_messages"] == 4 * 2
         # Each object once, whichever constructors it ran.
         unique = {id(event): type(event).__name__ for event in built}
-        assert sorted(unique.values()) == ["RedRequest"] * 2 * 4
+        assert sorted(unique.values()) == ["RecvSet"] * 4 + ["SendSet"] * 4
         for physical, got_peer_rank in results.items():
             assert got_peer_rank, physical
 
@@ -494,7 +494,7 @@ class TestSharedRoutes:
         original_post_send = SimMPI.post_send
         original_post_recv = SimMPI.post_recv
         original_isend = RedComm.isend
-        original_post_specific_recv = RedComm._post_specific_recv
+        original_irecv = RedComm.irecv
 
         def post_send(world, src, dests, tag, payload, nbytes, done=None):
             posted.extend((dst, tag) for dst in dests)
@@ -516,16 +516,12 @@ class TestSharedRoutes:
                 mismatches.append(("send", me, dest, red.env.now, list(posted), expected))
             return request
 
-        def post_specific_recv(red, source, tag, first_copy=None):
+        def irecv(red, source=ANY_SOURCE, tag=ANY_TAG, _internal=False):
             senders, _receivers, plan = _fresh_plan(red, source, red.rank)
             me = red.physical_rank
-            expected = [
-                (sender, _offset(plan[(sender, me)]))
-                for sender in senders
-                if first_copy is None or sender != first_copy.source
-            ]
+            expected = [(sender, _offset(plan[(sender, me)])) for sender in senders]
             posted.clear()
-            request = original_post_specific_recv(red, source, tag, first_copy)
+            request = original_irecv(red, source, tag, _internal)
             if posted != expected:
                 mismatches.append(("recv", me, source, red.env.now, list(posted), expected))
             return request
@@ -547,7 +543,7 @@ class TestSharedRoutes:
             patch.setattr(SimMPI, "post_send", post_send)
             patch.setattr(SimMPI, "post_recv", post_recv)
             patch.setattr(RedComm, "isend", isend)
-            patch.setattr(RedComm, "_post_specific_recv", post_specific_recv)
+            patch.setattr(RedComm, "irecv", irecv)
             try:
                 world, _, exhausted, results = run_redundant(
                     n, degree, body, mode=mode, kill_plan=kill_plan

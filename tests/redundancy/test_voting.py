@@ -13,7 +13,7 @@ from repro.errors import VotingError
 from repro.mpi import SimMPI, Status
 from repro.mpi.datatypes import digest_bytes, message_wire_size, payload_digest, payload_nbytes
 from repro.mpi.matching import Envelope
-from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, RedRequest, vote
+from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, RecvSet, vote
 from repro.redundancy import voting
 from repro.redundancy.interpose import HASH_TAG_OFFSET
 from repro.redundancy.voting import plan_copies, tally
@@ -385,7 +385,7 @@ class TestEnvelopeVoteMatchesRecordVote:
             else:
                 envelopes.append(full(sender, payload))
                 records.append(_EagerCopy(sender, payload_digest(payload), payload, True))
-        request = RedRequest(SimMPI(Environment(), size=1), 0, "recv", peer, TAG)
+        request = RecvSet(SimMPI(Environment(), size=1), peer, TAG)
         try:
             payload, unanimous, corrupt = eager_vote(records)
         except VotingError:
