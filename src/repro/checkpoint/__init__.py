@@ -10,7 +10,8 @@ simulator:
   restore verifies before it falls back line by line to older retained
   sets, counting the lines it skips;
 * :mod:`image` — per-process images: real serialised workload state
-  (restart actually restores the numbers);
+  (restart actually restores the numbers), with read-only arrays held
+  by reference instead of copied;
 * :mod:`coordinator` — the OpenMPI-style all-to-all bookmark protocol:
   quiesce every channel (sent == delivered) before capturing;
 * :mod:`service` — the checkpointer "background process" of Section 5:

@@ -3,7 +3,10 @@
 Storage charges no time of its own: the checkpointer pays the paper's
 fixed checkpoint cost ``c`` and the job pays its fixed restart cost
 ``R``.  What storage provides is the images themselves, so restart
-restores real numbers.
+restores real numbers.  A blob holds its image's frame and buffers by
+reference, so staging an image copies nothing; only a damaged blob
+holds bytes of its own, a flat copy of the whole image with the damage
+in it.
 
 Write sets are two-phase: images are *staged* under a set id and become
 the newest recovery line only at :meth:`StableStorage.commit_set`.  A
@@ -25,7 +28,8 @@ Two hardening layers on top:
   :class:`~repro.faults.storage_faults.StorageFaultModel` decides, per
   write, whether it fails (:class:`StorageWriteError`) or the blob is
   silently damaged at rest (surfaces as :class:`CorruptImageError` on
-  verification).  With no model — or a model whose probabilities are
+  verification; the damaged bit is drawn over the whole image, frame
+  and buffers).  With no model — or a model whose probabilities are
   all zero — every path below behaves exactly as the fault-free
   storage.
 """
@@ -68,9 +72,9 @@ class RecoveryLine:
 class StoredBlob:
     """One durable object: payload bytes and the image they were staged from.
 
-    ``data`` starts as the image's own bytes object; at-rest damage
-    replaces it with a new one (bytes are immutable, and
-    :meth:`StorageFaultModel.damage
+    ``data`` and ``buffers`` start as the image's own frame and buffers.
+    At-rest damage replaces them with a flat, damaged copy of the whole
+    image and no buffers (:meth:`StorageFaultModel.damage
     <repro.faults.storage_faults.StorageFaultModel.damage>` and
     :meth:`StableStorage.corrupt` always build a new object), while the
     image keeps the pristine bytes and so the pristine digest.
@@ -79,15 +83,22 @@ class StoredBlob:
     key: str
     data: bytes
     image: ProcessImage
+    buffers: Tuple[memoryview, ...]
+
+    def flat(self) -> bytes:
+        """The payload as one bytes object: the frame, then each buffer."""
+        return b"".join((self.data, *self.buffers))
 
     def verify(self) -> None:
         """Raise :class:`CorruptImageError` if the payload was damaged.
 
-        A payload that *is* its image's bytes object is the image, so
-        no CRC is computed; any other payload is checked by CRC.
+        A payload that *is* its image's frame and buffers is the image,
+        so no CRC is computed; any other payload is checked by CRC.
         """
-        data = self.data
-        if data is not self.image.data and checksum(data) != self.image.crc:
+        image = self.image
+        if self.data is image.data and self.buffers is image.buffers:
+            return
+        if checksum(self.data, self.buffers) != image.crc:
             raise CorruptImageError(f"blob {self.key!r} failed its integrity check")
 
 
@@ -146,12 +157,12 @@ class StableStorage:
         share it and no write computes a CRC.  Fault decisions still
         apply: an injected write failure raises
         :class:`StorageWriteError` and stages nothing, and at-rest
-        corruption swaps in a damaged copy of the payload while the
-        image keeps the pristine bytes — the rot is silent until
+        corruption swaps in a damaged flat copy of the whole image while
+        the image keeps the pristine bytes — the rot is silent until
         read-back verification.  A second stage under the same
         (set_id, key) replaces the first.
         """
-        data = image.data
+        blob = StoredBlob(key, image.data, image, image.buffers)
         if self.faults_active:
             verdict = self.faults.on_write()
             if verdict.fail:
@@ -159,8 +170,7 @@ class StableStorage:
                     f"write of blob {key!r} in set {set_id!r} failed"
                 )
             if verdict.corrupt:
-                data = self.faults.damage(data)
-        blob = StoredBlob(key=key, data=data, image=image)
+                blob.data, blob.buffers = self.faults.damage(blob.flat()), ()
         self._staged.setdefault(set_id, {})[key] = blob
 
     # -- set lifecycle ------------------------------------------------------
@@ -221,7 +231,7 @@ class StableStorage:
                 for rank in ranks:
                     blob = self.fetch(line.set_id, image_key(rank))
                     blob.verify()
-                    states[rank] = restore_image(blob.data)
+                    states[rank] = restore_image(blob.data, blob.buffers)
             except CorruptImageError:
                 skipped = "recovery_line_corrupt"
             except NoCheckpointError:
@@ -261,13 +271,16 @@ class StableStorage:
         return blob
 
     def corrupt(self, key: str, set_id: Optional[str] = None) -> None:
-        """Flip a byte of a committed blob — failure-injection test hook."""
+        """Flip the first byte of a committed blob — failure-injection test hook.
+
+        The blob then holds a flat, damaged copy of its whole payload.
+        """
         blob = self._committed_blob(set_id, key)
-        if not blob.data:
+        damaged = bytearray(blob.flat())
+        if not damaged:
             raise CheckpointError(f"blob {key!r} is empty; nothing to corrupt")
-        damaged = bytearray(blob.data)
         damaged[0] ^= 0xFF
-        blob.data = bytes(damaged)
+        blob.data, blob.buffers = bytes(damaged), ()
 
     def _committed_blob(self, set_id: Optional[str], key: str) -> StoredBlob:
         """A committed blob of a retained set (default: the newest)."""

@@ -353,17 +353,19 @@ class SimMPI:
             return
         # The dead rank's channels leave the in-flight count: every
         # unarrived message is a queued ``_arrive`` entry, so subtract
-        # those between the rank and a live peer.
-        arrive = self._arrive
-        lost = 0
-        for entry in self.env._queue:
-            if entry[3] == arrive:
-                envelope = entry[4]
-                source = envelope[0]
-                dest = envelope[1]
-                if (source == rank or dest == rank) and source in alive and dest in alive:
-                    lost += 1
-        self._in_flight -= lost
+        # those between the rank and a live peer.  With nothing in
+        # flight there are none, and the queue is not scanned.
+        if self._in_flight:
+            arrive = self._arrive
+            lost = 0
+            for entry in self.env._queue:
+                if entry[3] == arrive:
+                    envelope = entry[4]
+                    source = envelope[0]
+                    dest = envelope[1]
+                    if (source == rank or dest == rank) and source in alive and dest in alive:
+                        lost += 1
+            self._in_flight -= lost
         alive.discard(rank)
         self._posted[rank].clear()
         self._unexpected[rank].clear()

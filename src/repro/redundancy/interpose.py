@@ -20,8 +20,9 @@ one runtime call per request set, not one per copy:
   :class:`~repro.redundancy.sphere.SphereTracker` reads off
   :func:`~repro.redundancy.voting.plan_copies` once per peer sphere.
   The tracker hands each ``RedComm`` its route tables, keyed by peer
-  sphere, and empties them in place at the first notice of each rank
-  death: a route that was built is one dict lookup, with no call;
+  sphere, and at the first notice of each rank death drops in place
+  the routes that death changes: a route that was built is one dict
+  lookup, with no call;
 * a request set is its own kernel event, so a process waits on it by
   yielding it.  A send set (:class:`~repro.redundancy.request.SendSet`)
   is that event alone; a receive set keeps the envelopes its members

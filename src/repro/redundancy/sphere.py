@@ -14,8 +14,14 @@ reads: each sphere's live replicas, and the receivers of a send to a
 sphere and the members of a receive from one.  A route is built on
 first use and shared.  Each ``RedComm`` holds its route tables, keyed
 by peer sphere, and looks a route up there itself; the tracker decides
-which ranks share a table and empties every table in place at the
-first notice of each death, before any rank's process can run again.
+which ranks share a table.  A route depends only on the live replicas
+of its two spheres, so at the first notice of a death, before any
+rank's process can run again, the tracker drops in place only the
+routes that death changes: every table's entries keyed by the dead
+replica's sphere, and in Msg-PlusHash mode, where a route also depends
+on its own rank's sphere, the whole tables of that sphere's ranks.
+PartRePer-MPI likewise updates only the communication maps that
+involve a failed process.
 """
 
 from __future__ import annotations
@@ -65,16 +71,25 @@ class SphereTracker:
     def notice_death(self, physical_rank: int) -> None:
         """Record a physical-rank death; fire watcher on sphere exhaustion.
 
-        The first notice of a death empties every route table in place.
+        The first notice of a death drops, in place, the routes it
+        changes: those keyed by the dead replica's sphere, and in
+        Msg-PlusHash mode every route of that sphere's own ranks.
         """
         if physical_rank in self._dead:
             return
         self._dead.add(physical_rank)
-        self._live.clear()
-        for send_routes, recv_routes in self._tables.values():
-            send_routes.clear()
-            recv_routes.clear()
         virtual = self.replica_map.virtual_of(physical_rank)
+        self._live.pop(virtual, None)
+        tables = self._tables
+        for send_routes, recv_routes in tables.values():
+            send_routes.pop(virtual, None)
+            recv_routes.pop(virtual, None)
+        if self._mode != ALL_TO_ALL:
+            for rank in self.replica_map.replicas_of(virtual):
+                own = tables.get(rank)
+                if own is not None:
+                    own[0].clear()
+                    own[1].clear()
         if self._exhausted is None and not self.alive_replicas(virtual):
             self._exhausted = virtual
             for watcher in list(self._watchers):
@@ -161,7 +176,7 @@ class SphereTracker:
         A ``RedComm`` looks its routes up in them and, on a miss, asks
         :meth:`send_route` or :meth:`recv_route`, which fill them.  The
         tables stay the same objects for the whole attempt: a death
-        empties them in place.  Call after :meth:`bind`.
+        drops the routes it changes in place.  Call after :meth:`bind`.
         """
         key = None if self._mode == ALL_TO_ALL else rank
         tables = self._tables.get(key)

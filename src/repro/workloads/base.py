@@ -17,6 +17,13 @@ the name to a new object instead.  The synthetic workload's ring
 payloads are read-only arrays, shared by every replica of a rank, so
 for them the rule is enforced: writing into one raises ``ValueError``.
 
+The same holds for checkpoints: a read-only array in a :meth:`state`
+is never written afterwards, by anyone.  A checkpoint image holds such
+an array by reference, not by a copy, so making it writable again and
+writing into it would change every image that holds it.  A writable
+array, or a read-only view of writable memory, is copied into the
+image and may change freely.
+
 A step charges its computation with ``shell.compute(seconds)``: one
 :class:`~repro.simkit.events.Timeout`, built by the shell and queued
 by its own constructor, with no context or environment call between.
@@ -94,7 +101,11 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def state(self) -> Dict[str, Any]:
-        """Checkpointable snapshot of the local state (a plain dict)."""
+        """Checkpointable snapshot of the local state (a plain dict).
+
+        A read-only array in it is never written afterwards: the image
+        holds it uncopied (see the module docstring).
+        """
 
     @abc.abstractmethod
     def load(self, state: Dict[str, Any]) -> None:

@@ -10,8 +10,9 @@ parametrically).
 
 Every replica of a virtual rank, every attempt and every cell sends the
 one read-only payload :func:`ring_payload` builds for that rank, so a
-ring message costs no allocation and a checkpoint no copy; writing into
-it raises ``ValueError``.
+ring message costs no allocation and a checkpoint image no copy (the
+image holds the payload by reference, and a restore reads it in place);
+writing into it raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class SyntheticWorkload(Workload):
         return {
             "iteration": self.iteration,
             "token": self.token,
-            # Read-only, so no copy: the image pickles it as it stands.
+            # Read-only, so no copy: the image holds it by reference.
             "payload": self.payload,
         }
 
@@ -123,7 +124,8 @@ class SyntheticWorkload(Workload):
         self.iteration = state["iteration"]
         self.token = state["token"]
         payload = state["payload"]
-        # Every replica of a rank loads the one array its image restored.
+        # Every replica of a rank loads the one array its image restored,
+        # which is read-only already when the image held it by reference.
         payload.flags.writeable = False
         self.payload = payload
 

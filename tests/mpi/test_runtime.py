@@ -267,6 +267,54 @@ class TestInFlightCount:
         assert world.channels_quiet() and pairwise_quiet(ledger)
 
 
+def queued_between_live_ranks(world):
+    """The messages in flight by brute force: queued arrivals whose two
+    ends are alive."""
+    arrive = world._arrive
+    return sum(
+        1
+        for entry in world.env._queue
+        if entry[3] == arrive
+        and world.is_alive(entry[4].source)
+        and world.is_alive(entry[4].dest)
+    )
+
+
+class TestKillScan:
+    """``kill_rank`` scans the queue only while messages are in flight."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TRAFFIC)
+    def test_in_flight_is_the_queued_arrivals_between_live_ranks(self, traffic):
+        env = Environment()
+        world = SimMPI(env, size=4, placement={0: 0, 1: 0, 2: 1, 3: 1})
+        for op in traffic:
+            if op[0] == "send":
+                _, src, dst = op
+                if world.is_alive(src):
+                    world.post_send(src, (dst,), 0, b"m" * 100, message_wire_size(b"m" * 100))
+            elif op[0] == "kill":
+                world.kill_rank(op[1])
+            else:
+                for _ in range(op[1]):
+                    if env._queue:
+                        env.step()
+            assert world._in_flight == queued_between_live_ranks(world)
+
+    def test_a_kill_with_nothing_in_flight_does_not_scan_the_queue(self):
+        env = Environment()
+        world = SimMPI(env, size=2)
+        env.timeout(1.0)
+
+        class Unscannable(list):
+            def __iter__(self):
+                raise AssertionError("the queue was scanned")
+
+        env._queue = Unscannable(env._queue)
+        world.kill_rank(1)
+        assert not world.is_alive(1) and world._in_flight == 0
+
+
 class TestPlacement:
     def test_default_placement_is_one_rank_per_node(self):
         world = SimMPI(Environment(), size=4)

@@ -1,10 +1,16 @@
 """Tests for sphere liveness tracking."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RedundancyError
+from repro.experiments.table4 import ScaledSetup
 from repro.mpi import SimMPI
+from repro.orchestration import run_redundancy_sweep
 from repro.redundancy import ALL_TO_ALL, MSG_PLUS_HASH, ReplicaMap, SphereTracker
+from repro.redundancy import sphere as sphere_module
 from repro.redundancy.voting import HASH_TAG_OFFSET
 from repro.simkit import Environment
 
@@ -112,7 +118,7 @@ class TestRoutes:
         assert tracker.recv_route(1, 0) == ((0, 0), (3, HASH_TAG_OFFSET))
 
     @pytest.mark.parametrize("mode", [ALL_TO_ALL, MSG_PLUS_HASH])
-    def test_first_notice_of_a_death_drops_every_route(self, tracker, mode):
+    def test_a_death_drops_its_spheres_routes(self, tracker, mode):
         world = self._bound(tracker, mode)
         before = tracker.send_route(0, 1), tracker.recv_route(0, 1)
         world.kill_rank(4)
@@ -120,6 +126,32 @@ class TestRoutes:
         assert tracker.send_route(0, 1) == ((1,), None)
         assert tracker.recv_route(0, 1) == ((1, 0),)
         assert (tracker.send_route(0, 1), tracker.recv_route(0, 1)) != before
+
+    @pytest.mark.parametrize("mode", [ALL_TO_ALL, MSG_PLUS_HASH])
+    def test_a_death_keeps_every_route_it_does_not_change(self, tracker, mode):
+        """Virtual 1 is physical {1, 4}; rank 4 dies.  Every route keyed
+        by another sphere stays the same object, except, in Msg-PlusHash
+        mode, the routes of sphere 1's own ranks, whose copy kinds
+        depend on their own sphere's live replicas."""
+        world = self._bound(tracker, mode)
+        rmap = tracker.replica_map
+        ranks, spheres = range(rmap.total_physical), range(rmap.virtual_processes)
+        before = {
+            (rank, peer): (tracker.send_route(rank, peer), tracker.recv_route(rank, peer))
+            for rank in ranks
+            for peer in spheres
+        }
+        world.kill_rank(4)
+        for (rank, peer), (send, recv) in before.items():
+            if rank == 4:
+                continue
+            changed = peer == 1 or (mode == MSG_PLUS_HASH and rmap.virtual_of(rank) == 1)
+            after = tracker.send_route(rank, peer), tracker.recv_route(rank, peer)
+            assert (after[0] is send and after[1] is recv) == (not changed)
+            assert 4 not in after[0][0]
+            assert 4 not in [sender for sender, _ in after[1]]
+            if changed:
+                assert after == _fresh_routes(rmap, mode, {4}, rank, peer)
 
     def test_a_rank_the_runtime_killed_is_left_out(self, tracker):
         world = self._bound(tracker, ALL_TO_ALL)
@@ -133,3 +165,74 @@ class TestRoutes:
             tracker.bind(world, MSG_PLUS_HASH)
         with pytest.raises(RedundancyError):
             tracker.bind(SimMPI(Environment(), size=6), ALL_TO_ALL)
+
+
+def _fresh_routes(rmap, mode, dead, rank, peer):
+    """``rank``'s routes to and from ``peer`` on a new tracker over a
+    world where ``dead`` died before any route was built."""
+    world = SimMPI(Environment(), size=rmap.total_physical)
+    tracker = SphereTracker(rmap)
+    tracker.bind(world, mode)
+    for physical in sorted(dead):
+        world.kill_rank(physical)
+    return tracker.send_route(rank, peer), tracker.recv_route(rank, peer)
+
+
+class TestRoutesAfterDeaths:
+    """A kept route is what a new tracker would build: routes depend on
+    their two spheres' live replicas only."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from([ALL_TO_ALL, MSG_PLUS_HASH]),
+        degree=st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+        script=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 11), st.integers(0, 3)), max_size=12
+        ),
+    )
+    def test_every_route_equals_a_fresh_build(self, mode, degree, script):
+        rmap = ReplicaMap(4, degree)
+        world = SimMPI(Environment(), size=rmap.total_physical)
+        tracker = SphereTracker(rmap)
+        tracker.bind(world, mode)
+        dead = set()
+        for kill, rank, peer in script:
+            rank %= rmap.total_physical
+            if kill:
+                world.kill_rank(rank)
+                dead.add(rank)
+            elif rank not in dead:
+                tracker.send_route(rank, peer)
+                tracker.recv_route(rank, peer)
+        for rank in range(rmap.total_physical):
+            if rank in dead:
+                continue
+            for peer in range(rmap.virtual_processes):
+                routes = tracker.send_route(rank, peer), tracker.recv_route(rank, peer)
+                assert routes == _fresh_routes(rmap, mode, dead, rank, peer)
+
+
+#: Route builds (``plan_copies`` calls, send and receive routes) of the
+#: Table 4 cell at the 6 h MTBF and 2.0x, which loses three replicas in
+#: one attempt.  When every death emptied every table the cell built 32
+#: routes in All-to-all mode and 132 in Msg-PlusHash mode.
+ROUTE_BUILDS_6H_2X = {ALL_TO_ALL: 20, MSG_PLUS_HASH: 87}
+
+
+@pytest.mark.parametrize("mode", sorted(ROUTE_BUILDS_6H_2X))
+def test_route_builds_of_a_failure_cell(monkeypatch, mode):
+    builds = []
+    plan_copies = sphere_module.plan_copies
+
+    def counting(*args):
+        builds.append(None)
+        return plan_copies(*args)
+
+    monkeypatch.setattr(sphere_module, "plan_copies", counting)
+    setup = ScaledSetup(virtual_processes=8, steps=5)
+    config = dataclasses.replace(setup.job_config(), mode=mode)
+    (cell,) = run_redundancy_sweep(
+        config, node_mtbfs=[setup.mtbf_to_sim(6.0)], degrees=[2.0], workers=1
+    )
+    assert cell.report.attempts == 1 and cell.report.failures_injected == 3
+    assert len(builds) == ROUTE_BUILDS_6H_2X[mode]

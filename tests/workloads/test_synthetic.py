@@ -108,7 +108,8 @@ class TestSharedPayload:
         workload = configured(rank, size, message_bytes=message_bytes)
         image = capture_image(workload.state())
         clone = configured(0, size, message_bytes=message_bytes)
-        clone.load(restore_image(image.data))
+        clone.load(restore_image(image.data, image.buffers))
+        assert np.shares_memory(clone.payload, workload.payload)
         assert clone.payload.tobytes() == workload.payload.tobytes()
         assert clone.payload.dtype == np.float64
         assert not clone.payload.flags.writeable
